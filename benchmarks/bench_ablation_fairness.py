@@ -15,8 +15,7 @@ from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import run_mutex_workload
-from repro.host.kernels.ticket_kernel import run_ticket_workload
+from repro.workloads.registry import WORKLOADS
 
 THREAD_POINTS = (8, 32, 64, 100)
 
@@ -25,14 +24,14 @@ def test_ablation_fairness(benchmark, artifact_dir):
     cfg = HMCConfig.cfg_4link_4gb()
 
     ticket100 = benchmark.pedantic(
-        lambda: run_ticket_workload(cfg, 100), rounds=1, iterations=1
+        lambda: WORKLOADS.get("ticket").run(cfg, {"threads": 100}), rounds=1, iterations=1
     )
     assert ticket100.fifo_order  # strict arrival-order handoff
 
     rows = []
     for n in THREAD_POINTS:
-        m = run_mutex_workload(cfg, n)
-        t = ticket100 if n == 100 else run_ticket_workload(cfg, n)
+        m = WORKLOADS.get("mutex").run(cfg, {"threads": n})
+        t = ticket100 if n == 100 else WORKLOADS.get("ticket").run(cfg, {"threads": n})
         assert t.fifo_order, n
         rows.append(
             (

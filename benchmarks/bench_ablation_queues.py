@@ -16,14 +16,16 @@ from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from repro.workloads.registry import WORKLOADS
 
 THREADS = 100
 
 
 def test_ablation_queues(benchmark, artifact_dir):
     baseline = benchmark.pedantic(
-        lambda: run_mutex_workload(HMCConfig.cfg_4link_4gb(), THREADS),
+        lambda: WORKLOADS.get("mutex").run(
+            HMCConfig.cfg_4link_4gb(), {"threads": THREADS}
+        ),
         rounds=1,
         iterations=1,
     )
@@ -42,7 +44,9 @@ def test_ablation_queues(benchmark, artifact_dir):
     ]
     results = {}
     for name, overrides in variants:
-        stats = run_mutex_workload(HMCConfig.cfg_4link_4gb(**overrides), THREADS)
+        stats = WORKLOADS.get("mutex").run(
+            HMCConfig.cfg_4link_4gb(**overrides), {"threads": THREADS}
+        )
         results[name] = stats
         rows.append((name, stats.max_cycle, f"{stats.avg_cycle:.2f}"))
 

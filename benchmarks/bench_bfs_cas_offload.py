@@ -12,20 +12,21 @@ from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.bfs import run_bfs
+from repro.workloads.registry import WORKLOADS
 
 VERTICES = 192
 DEGREE = 4
+GRAPH = {"vertices": VERTICES, "degree": DEGREE}
 
 
 def test_bfs_cas_offload(benchmark, artifact_dir):
     cfg = HMCConfig.cfg_4link_4gb()
     cas = benchmark.pedantic(
-        lambda: run_bfs(cfg, num_vertices=VERTICES, avg_degree=DEGREE, use_cas=True),
+        lambda: WORKLOADS.get("bfs").run(cfg, {**GRAPH, "cas": True}),
         rounds=1,
         iterations=1,
     )
-    base = run_bfs(cfg, num_vertices=VERTICES, avg_degree=DEGREE, use_cas=False)
+    base = WORKLOADS.get("bfs").run(cfg, {**GRAPH, "cas": False})
 
     assert cas.verified and base.verified
     assert cas.levels == base.levels
@@ -51,10 +52,8 @@ def test_bfs_cas_offload(benchmark, artifact_dir):
     # Companion study: SSSP relaxations with the hmc_amin64 CMC op —
     # the same offload idea applied through the *custom* operation
     # space instead of a built-in atomic.
-    from repro.host.kernels.sssp import run_sssp
-
-    sa = run_sssp(cfg, num_vertices=VERTICES, avg_degree=DEGREE, use_amin=True)
-    sb = run_sssp(cfg, num_vertices=VERTICES, avg_degree=DEGREE, use_amin=False)
+    sa = WORKLOADS.get("sssp").run(cfg, {**GRAPH, "amin": True})
+    sb = WORKLOADS.get("sssp").run(cfg, {**GRAPH, "amin": False})
     assert sa.verified and sb.verified
     assert sa.requests < sb.requests and sa.cycles < sb.cycles
     text += "\n\nSSSP relaxation offload (hmc_amin64 CMC op vs host RMW):\n"

@@ -12,13 +12,11 @@ breakdown.
 from conftest import emit
 
 from repro.analysis.tables import format_table
-from repro.cmc_ops.mutex import load_mutex_ops
 from repro.hmc.config import HMCConfig
 from repro.hmc.power import HMCPowerModel
 from repro.hmc.sim import HMCSim
 from repro.hmc.timing import HMCTimingModel
-from repro.host.kernels.histogram import run_histogram
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from repro.workloads.registry import WORKLOADS
 
 THREADS = 32
 
@@ -26,8 +24,7 @@ THREADS = 32
 def _timed_mutex(timing):
     cfg = HMCConfig.cfg_4link_4gb()
     sim = HMCSim(cfg, timing=timing)
-    load_mutex_ops(sim)
-    return run_mutex_workload(cfg, THREADS, sim=sim)
+    return WORKLOADS.get("mutex").run(cfg, {"threads": THREADS}, sim=sim)
 
 
 def test_ext_timing_power(benchmark, artifact_dir):

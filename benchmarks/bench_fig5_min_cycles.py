@@ -12,7 +12,7 @@ from conftest import emit
 
 from repro.analysis.tables import render_figure_series
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from repro.workloads.registry import WORKLOADS
 
 
 def test_fig5_min_cycles(benchmark, sweeps, artifact_dir):
@@ -20,7 +20,7 @@ def test_fig5_min_cycles(benchmark, sweeps, artifact_dir):
 
     # Benchmark one representative high-contention data point.
     stats = benchmark.pedantic(
-        lambda: run_mutex_workload(HMCConfig.cfg_4link_4gb(), 99),
+        lambda: WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": 99}),
         rounds=1,
         iterations=1,
     )

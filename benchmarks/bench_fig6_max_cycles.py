@@ -12,14 +12,14 @@ from conftest import emit
 from repro.analysis.stats import relative_difference_pct
 from repro.analysis.tables import render_figure_series
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from repro.workloads.registry import WORKLOADS
 
 
 def test_fig6_max_cycles(benchmark, sweeps, artifact_dir):
     s4, s8 = sweeps
 
     stats = benchmark.pedantic(
-        lambda: run_mutex_workload(HMCConfig.cfg_8link_8gb(), 100),
+        lambda: WORKLOADS.get("mutex").run(HMCConfig.cfg_8link_8gb(), {"threads": 100}),
         rounds=1,
         iterations=1,
     )

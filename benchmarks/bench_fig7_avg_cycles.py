@@ -11,14 +11,14 @@ from conftest import emit
 from repro.analysis.stats import relative_difference_pct
 from repro.analysis.tables import render_figure_series
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from repro.workloads.registry import WORKLOADS
 
 
 def test_fig7_avg_cycles(benchmark, sweeps, artifact_dir):
     s4, s8 = sweeps
 
     stats = benchmark.pedantic(
-        lambda: run_mutex_workload(HMCConfig.cfg_4link_4gb(), 50),
+        lambda: WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": 50}),
         rounds=1,
         iterations=1,
     )

@@ -11,8 +11,7 @@ from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.gups import run_gups
-from repro.host.kernels.stream import run_stream_triad
+from repro.workloads.registry import WORKLOADS
 
 
 def test_kernels_stream_gups(benchmark, artifact_dir):
@@ -20,7 +19,8 @@ def test_kernels_stream_gups(benchmark, artifact_dir):
 
     stream = benchmark.pedantic(
         lambda: [
-            run_stream_triad(c, num_threads=16, blocks_per_thread=8) for c in cfgs
+            WORKLOADS.get("stream").run(c, {"threads": 16, "blocks_per_thread": 8})
+            for c in cfgs
         ],
         rounds=1,
         iterations=1,
@@ -34,8 +34,8 @@ def test_kernels_stream_gups(benchmark, artifact_dir):
     gups = []
     for c in cfgs:
         for atomic in (False, True):
-            g = run_gups(
-                c, num_threads=16, updates_per_thread=16, use_atomic=atomic
+            g = WORKLOADS.get("gups").run(
+                c, {"threads": 16, "updates_per_thread": 16, "atomic": atomic}
             )
             gups.append(g)
             rows.append(

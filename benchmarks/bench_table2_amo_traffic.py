@@ -16,7 +16,7 @@ from repro.analysis.amo_traffic import (
 )
 from repro.analysis.tables import render_table2
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.histogram import run_histogram
+from repro.workloads.registry import WORKLOADS
 
 
 def test_table2_amo_traffic(benchmark, artifact_dir):
@@ -36,8 +36,9 @@ def test_table2_amo_traffic(benchmark, artifact_dir):
     )
     # Live validation: measured FLITs/op from the simulator.
     cfg = HMCConfig.cfg_4link_4gb()
-    atomic = run_histogram(cfg, mode="atomic", num_threads=8, samples_per_thread=16)
-    rmw = run_histogram(cfg, mode="rmw", num_threads=8, samples_per_thread=16)
+    hist = {"threads": 8, "samples_per_thread": 16}
+    atomic = WORKLOADS.get("hist").run(cfg, {**hist, "mode": "atomic"})
+    rmw = WORKLOADS.get("hist").run(cfg, {**hist, "mode": "rmw"})
     lines.append(
         f"Live pipeline check: atomic={atomic.flits_per_sample:.1f} FLITs/op, "
         f"16B-line rmw={rmw.flits_per_sample:.1f} FLITs/op"

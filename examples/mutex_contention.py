@@ -15,7 +15,7 @@ import sys
 
 from repro import HMCConfig
 from repro.analysis.tables import format_table
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from repro.workloads.registry import WORKLOADS
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     for n in counts:
         cells = [n]
         for cfg in configs:
-            s = run_mutex_workload(cfg, n)
+            s = WORKLOADS.get("mutex").run(cfg, {"threads": n})
             cells += [s.min_cycle, s.max_cycle, f"{s.avg_cycle:.2f}"]
         rows.append(cells)
 

@@ -16,9 +16,7 @@ Run:  python examples/pim_offload_suite.py
 
 from repro import HMCConfig
 from repro.analysis.tables import format_table
-from repro.host.kernels.bfs import run_bfs
-from repro.host.kernels.gups import run_gups
-from repro.host.kernels.histogram import run_histogram
+from repro.workloads.registry import WORKLOADS
 
 
 def main():
@@ -27,7 +25,9 @@ def main():
     print("1) Histogram: shared counters, 16 threads")
     rows = []
     for mode in ("rmw", "atomic", "posted"):
-        h = run_histogram(cfg, mode=mode, num_threads=16, samples_per_thread=32)
+        h = WORKLOADS.get("hist").run(
+            cfg, {"mode": mode, "threads": 16, "samples_per_thread": 32}
+        )
         rows.append(
             (mode, h.cycles, f"{h.flits_per_sample:.1f}",
              "exact" if h.exact else f"LOST {h.lost_updates} updates!")
@@ -39,7 +39,9 @@ def main():
     print("2) RandomAccess (GUPS): 16 threads, 256 updates")
     rows = []
     for atomic in (False, True):
-        g = run_gups(cfg, num_threads=16, updates_per_thread=16, use_atomic=atomic)
+        g = WORKLOADS.get("gups").run(
+            cfg, {"threads": 16, "updates_per_thread": 16, "atomic": atomic}
+        )
         rows.append(
             (g.mode, g.cycles, g.requests, f"{g.updates_per_cycle:.3f}",
              "ok" if g.verified else "MISMATCH")
@@ -51,7 +53,7 @@ def main():
     print("3) BFS check-and-update: 192-vertex scale-free graph")
     rows = []
     for cas in (False, True):
-        b = run_bfs(cfg, num_vertices=192, avg_degree=4, use_cas=cas)
+        b = WORKLOADS.get("bfs").run(cfg, {"vertices": 192, "degree": 4, "cas": cas})
         rows.append(
             (b.mode, b.edges, b.levels, b.requests, b.flits,
              f"{b.flits / b.edges:.2f}", "ok" if b.verified else "MISMATCH")

@@ -66,9 +66,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.analysis.sweep import run_mutex_sweep  # noqa: E402
 from repro.hmc.config import HMCConfig  # noqa: E402
-from repro.host.kernels.gups import run_gups  # noqa: E402
-from repro.host.kernels.mutex_kernel import run_mutex_workload  # noqa: E402
-from repro.host.kernels.stream import run_stream_triad  # noqa: E402
+from repro.workloads.registry import WORKLOADS  # noqa: E402
 
 BASELINE_PATH = REPO / "benchmarks" / "baseline_seed.json"
 OUT_PATH = REPO / "BENCH_core.json"
@@ -107,7 +105,7 @@ def bench_mutex_sweep(step: int, xbar: str = "queued") -> Dict[str, object]:
         HMCConfig.cfg_8link_8gb(xbar=xbar),
     ):
         for n in axis:
-            cycles += run_mutex_workload(cfg, n).total_cycles
+            cycles += WORKLOADS.get("mutex").run(cfg, {"threads": n}).total_cycles
     wall = time.perf_counter() - t0
     return _entry(wall, cycles, xbar, points=len(axis) * 2, sweep_step=step)
 
@@ -130,8 +128,8 @@ def bench_mutex_sweep_parallel(step: int, serial_wall: float) -> Dict[str, objec
 
 def bench_stream_triad(xbar: str = "queued") -> Dict[str, object]:
     t0 = time.perf_counter()
-    stats = run_stream_triad(
-        HMCConfig.cfg_4link_4gb(xbar=xbar), num_threads=16, blocks_per_thread=48
+    stats = WORKLOADS.get("stream").run(
+        HMCConfig.cfg_4link_4gb(xbar=xbar), {"threads": 16, "blocks_per_thread": 48}
     )
     wall = time.perf_counter() - t0
     assert stats.max_abs_error == 0.0
@@ -145,12 +143,9 @@ def bench_stream_triad(xbar: str = "queued") -> Dict[str, object]:
 
 def bench_gups(xbar: str = "queued") -> Dict[str, object]:
     t0 = time.perf_counter()
-    stats = run_gups(
+    stats = WORKLOADS.get("gups").run(
         HMCConfig.cfg_4link_4gb(xbar=xbar),
-        num_threads=16,
-        updates_per_thread=48,
-        table_entries=4096,
-        use_atomic=True,
+        {"threads": 16, "updates_per_thread": 48, "table_entries": 4096, "atomic": True},
     )
     wall = time.perf_counter() - t0
     assert stats.verified
@@ -275,11 +270,12 @@ def bench_oracle_online(
     cfg = HMCConfig.cfg_4link_4gb()
 
     def measure(**kw):
-        run_mutex_workload(cfg, threads, **kw)  # warm-up
+        params = {"threads": threads, **kw}
+        WORKLOADS.get("mutex").run(cfg, params)  # warm-up
         best, cycles, checks = None, 0, 0
         for _ in range(3):
             t0 = time.perf_counter()
-            stats = run_mutex_workload(cfg, threads, **kw)
+            stats = WORKLOADS.get("mutex").run(cfg, params)
             dt = time.perf_counter() - t0
             if best is None or dt < best:
                 best, cycles = dt, stats.total_cycles

@@ -42,7 +42,7 @@ from repro.analysis import tables as _tables
 from repro.analysis.export import sweep_to_csv, write_csv
 from repro.analysis.plot import plot_sweeps
 from repro.analysis.sweep import run_mutex_sweep
-from repro.errors import ComponentError, FaultError
+from repro.errors import ComponentError, FaultError, WorkloadError
 from repro.faults.plan import DEFAULT_FAULT_SEED, FaultPlan, FaultSpec
 from repro.faults.registry import FAULTS
 from repro.hmc.commands import CMC_CODES, DEFINED_CODES
@@ -562,17 +562,7 @@ def _cmd_kernel(args, out) -> int:
     cfg = _configs(args.config, args.components)[0]
     plan = _fault_plan(args)
     frontend = WORKLOADS.get(args.name)
-    if plan is not None and not frontend.supports_faults:
-        raise SystemExit(
-            f"hmcsim-repro: error: --fault is only supported by the mutex "
-            f"kernel (got kernel {args.name!r})"
-        )
     sample = getattr(args, "oracle_sample", None)
-    if sample is not None and "oracle_sample" not in frontend.default_params():
-        raise SystemExit(
-            f"hmcsim-repro: error: --oracle-sample is not supported by "
-            f"kernel {args.name!r}"
-        )
     for variant in frontend.cli_variants(args.threads):
         if sample is not None:
             variant = dict(variant, oracle_sample=sample)
@@ -1053,10 +1043,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     _merge_engine(args)
     try:
         return _dispatch(args, out)
-    except ComponentError as exc:
-        # Optional-dependency degradation: a component whose factory
-        # cannot run (e.g. xbar='vector' without numpy) fails with one
-        # clear line, not a traceback.
+    except (ComponentError, WorkloadError) as exc:
+        # Optional-dependency degradation (a component whose factory
+        # cannot run, e.g. xbar='vector' without numpy) and a workload
+        # refusing its parameters or mode (--threads 0, --fault on a
+        # kernel without fault support) fail with one clear line, not
+        # a traceback.
         sys.stderr.write(f"hmcsim-repro: error: {exc}\n")
         return 2
 

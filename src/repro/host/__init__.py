@@ -10,9 +10,11 @@ This subpackage provides:
 * :mod:`repro.host.engine` — the cycle-driven engine that multiplexes
   every thread onto the device links, routes responses back by tag,
   and collects the MIN/MAX/AVG cycle statistics of §V.B;
-* :mod:`repro.host.kernels` — the workloads: the paper's Algorithm 1
-  mutex kernel, and the STREAM Triad / RandomAccess / BFS-with-CAS /
-  histogram kernels from the surrounding literature.
+* :mod:`repro.host.kernels` — the workloads' thread programs, data
+  generators and stats: the paper's Algorithm 1 mutex kernel, and the
+  STREAM Triad / RandomAccess / BFS-with-CAS / histogram kernels from
+  the surrounding literature (run by name through
+  :mod:`repro.workloads`).
 """
 
 from repro.host.engine import EngineResult, HostEngine, ThreadResult

@@ -1,11 +1,13 @@
 """Workload kernels.
 
-These modules hold the kernel *implementations*; the uniform way to
-run one is by name through the workload registry
+These modules hold each kernel's thread programs, data generators
+(update streams, chains, graphs, host-side references), and stats
+dataclass — nothing here builds a simulation context or an engine.
+A kernel is *run* by name through the workload registry
 (:data:`repro.workloads.registry.WORKLOADS` — see
-:mod:`repro.workloads`), which wraps each kernel in a
-:class:`~repro.workloads.base.WorkloadFrontend` adapter.  The CLI,
-sweeps, and trace recorder all resolve kernels that way.
+:mod:`repro.workloads`), whose frontends state the parameter set,
+device preparation, thread fan-out, and verification of each kernel
+exactly once.
 
 * :mod:`repro.host.kernels.mutex_kernel` — the paper's Algorithm 1
   (the §V evaluation workload).
@@ -29,6 +31,6 @@ sweeps, and trace recorder all resolve kernels that way.
   CAS-offloaded relaxations versus a host-side baseline.
 """
 
-from repro.host.kernels.mutex_kernel import MutexRunStats, mutex_program, run_mutex_workload
+from repro.host.kernels.mutex_kernel import MutexRunStats, mutex_program
 
-__all__ = ["mutex_program", "run_mutex_workload", "MutexRunStats"]
+__all__ = ["mutex_program", "MutexRunStats"]

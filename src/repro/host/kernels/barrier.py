@@ -19,15 +19,12 @@ every thread has finished round ``r``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.hmc.commands import hmc_rqst_t
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = ["barrier_program", "run_barrier_workload", "BarrierStats"]
+__all__ = ["barrier_program", "check_order", "BarrierStats"]
 
 _M64 = (1 << 64) - 1
 
@@ -75,7 +72,7 @@ class BarrierStats:
     order_correct: bool
 
 
-def _check_order(log: List, num_threads: int, rounds: int) -> bool:
+def check_order(log: List, num_threads: int, rounds: int) -> bool:
     """Verify the barrier property from the event log.
 
     Two invariants:
@@ -94,36 +91,3 @@ def _check_order(log: List, num_threads: int, rounds: int) -> bool:
         if exit_counts[r] > num_threads:
             return False
     return all(c == num_threads for c in exit_counts)
-
-
-def run_barrier_workload(
-    config: HMCConfig,
-    num_threads: int,
-    *,
-    rounds: int = 4,
-    addr: int = 0x0,
-    sim: Optional[HMCSim] = None,
-    max_cycles: int = 2_000_000,
-) -> BarrierStats:
-    """Run the sense-reversing barrier and verify round ordering."""
-    if num_threads < 2:
-        raise ValueError("a barrier needs at least 2 threads")
-    if sim is None:
-        sim = HMCSim(config)
-        sim.load_cmc("repro.cmc_ops.fadd64")
-    sim.mem_write(addr, bytes(16))
-    log: List = []
-    engine = HostEngine(sim, max_cycles=max_cycles)
-    engine.add_threads(
-        num_threads,
-        lambda ctx: barrier_program(ctx, addr, num_threads, rounds, log),
-    )
-    result = engine.run()
-    return BarrierStats(
-        config_name=config.describe(),
-        threads=num_threads,
-        rounds=rounds,
-        total_cycles=result.total_cycles,
-        cycles_per_round=result.total_cycles / rounds,
-        order_correct=_check_order(log, num_threads, rounds),
-    )

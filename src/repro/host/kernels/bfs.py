@@ -18,9 +18,8 @@ same BFS levels (CAS resolves races exactly; the baseline is safe
 here because each frontier is processed level-synchronously and
 duplicate claims write identical values).
 
-Graphs come from :mod:`networkx` when available; a built-in
-deterministic Kronecker-ish generator is used otherwise so the kernel
-has no hard dependency.
+Graphs come from a built-in deterministic Kronecker-ish generator, so
+the kernel has no dependency outside the standard library.
 """
 
 from __future__ import annotations
@@ -28,12 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = ["run_bfs", "BFSStats", "synthetic_graph", "reference_bfs_levels"]
+__all__ = [
+    "BFSStats",
+    "adjacency",
+    "bfs_worker",
+    "synthetic_graph",
+    "reference_bfs_levels",
+]
 
 #: Level-word value for an unvisited vertex.
 UNVISITED = 0
@@ -57,20 +59,18 @@ def synthetic_graph(num_vertices: int, avg_degree: int, seed: int = 12345) -> Li
     return edges
 
 
-def networkx_graph(num_vertices: int, avg_degree: int, seed: int = 12345) -> List[Tuple[int, int]]:
-    """Edge list from networkx's Barabási–Albert generator."""
-    import networkx as nx
-
-    g = nx.barabasi_albert_graph(num_vertices, max(1, avg_degree // 2), seed=seed)
-    return list(g.edges())
-
-
-def reference_bfs_levels(num_vertices: int, edges: Sequence[Tuple[int, int]], root: int) -> Dict[int, int]:
-    """Host-side BFS levels (1-based; UNVISITED vertices absent)."""
+def adjacency(edges: Sequence[Tuple[int, int]]) -> Dict[int, List[int]]:
+    """Undirected adjacency lists, neighbours in edge-list order."""
     adj: Dict[int, List[int]] = {}
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
+    return adj
+
+
+def reference_bfs_levels(num_vertices: int, edges: Sequence[Tuple[int, int]], root: int) -> Dict[int, int]:
+    """Host-side BFS levels (1-based; UNVISITED vertices absent)."""
+    adj = adjacency(edges)
     levels = {root: 1}
     frontier = [root]
     depth = 1
@@ -86,7 +86,7 @@ def reference_bfs_levels(num_vertices: int, edges: Sequence[Tuple[int, int]], ro
     return levels
 
 
-def _bfs_worker(
+def bfs_worker(
     ctx: ThreadCtx,
     level_base: int,
     edges: Sequence[Tuple[int, int]],
@@ -126,95 +126,3 @@ class BFSStats:
     #: Request+response FLITs moved across the links.
     flits: int
     verified: bool
-
-
-def run_bfs(
-    config: HMCConfig,
-    *,
-    num_vertices: int = 256,
-    avg_degree: int = 4,
-    num_threads: int = 8,
-    use_cas: bool = True,
-    use_networkx: bool = False,
-    root: int = 0,
-    seed: int = 12345,
-    max_cycles: int = 5_000_000,
-) -> BFSStats:
-    """Level-synchronous BFS on the simulator; verify against host BFS."""
-    edges = (
-        networkx_graph(num_vertices, avg_degree, seed)
-        if use_networkx
-        else synthetic_graph(num_vertices, avg_degree, seed)
-    )
-    adj: Dict[int, List[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-
-    sim = HMCSim(config)
-    level_base = 1 << 20
-    sim.mem_write(level_base + root * 16, (1).to_bytes(8, "little") + bytes(8))
-
-    levels: Dict[int, int] = {root: 1}
-    frontier = [root]
-    depth_count = 1
-    total_requests = 0
-    total_flits = 0
-    start_cycle = sim.cycle
-
-    while frontier:
-        # Gather this level's edge inspections.
-        inspections = [
-            (u, v) for u in frontier for v in adj.get(u, ()) if v not in levels
-        ]
-        if not inspections:
-            break
-        engine = HostEngine(sim, max_cycles=max_cycles)
-        claimed_lists: List[List[int]] = []
-        chunk = (len(inspections) + num_threads - 1) // num_threads
-        for t in range(num_threads):
-            part = inspections[t * chunk : (t + 1) * chunk]
-            if not part:
-                continue
-            claimed: List[int] = []
-            claimed_lists.append(claimed)
-            engine.add_thread(
-                lambda ctx, part=part, claimed=claimed: _bfs_worker(
-                    ctx, level_base, part, levels, claimed, use_cas
-                )
-            )
-        result = engine.run()
-        total_requests += sum(t.requests for t in result.threads)
-        nxt = []
-        depth_count += 1
-        for claimed in claimed_lists:
-            for v in claimed:
-                if v not in levels:
-                    levels[v] = depth_count
-                    nxt.append(v)
-        frontier = nxt
-
-    # Link FLIT counters are cumulative over the whole traversal.
-    total_flits = sum(
-        link.flits_in + link.flits_out for d in sim.devices for link in d.links
-    )
-
-    ref = reference_bfs_levels(num_vertices, edges, root)
-    verified = True
-    for v, lvl in ref.items():
-        got = int.from_bytes(sim.mem_read(level_base + v * 16, 8), "little")
-        if got != lvl:
-            verified = False
-            break
-
-    return BFSStats(
-        config_name=config.describe(),
-        mode="cas" if use_cas else "baseline",
-        vertices=num_vertices,
-        edges=len(edges),
-        levels=max(levels.values()),
-        cycles=sim.cycle - start_cycle,
-        requests=total_requests,
-        flits=total_flits,
-        verified=verified,
-    )

@@ -20,12 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = ["gups_program", "run_gups", "GUPSStats", "hpcc_random_stream"]
+__all__ = ["gups_program", "GUPSStats", "hpcc_random_stream"]
 
 _M64 = (1 << 64) - 1
 #: HPCC RandomAccess polynomial constant.
@@ -79,73 +76,3 @@ class GUPSStats:
     #: Request packets sent (two per update for rmw, one for atomic).
     requests: int
     verified: bool
-
-
-def run_gups(
-    config: HMCConfig,
-    *,
-    num_threads: int = 16,
-    updates_per_thread: int = 32,
-    table_entries: int = 4096,
-    use_atomic: bool = True,
-    seed: int = 0x2545F4914F6CDD1D,
-    max_cycles: int = 2_000_000,
-) -> GUPSStats:
-    """Run RandomAccess and verify the final table exactly.
-
-    Note:
-        The read-modify-write mode is only correct when no two
-        in-flight updates hit the same entry concurrently; like the
-        HPCC benchmark itself (which tolerates ~1% error), we accept
-        that and verify against a reference computed with the same
-        interleaving hazard — by construction each thread gets a
-        disjoint update stream, and verification XOR-folds all
-        updates, which is order-independent and lost-update-free only
-        in atomic mode.  For rmw mode the verification is skipped
-        when a collision occurred mid-flight.
-    """
-    sim = HMCSim(config)
-    table_base = 1 << 20
-    # Table starts at zero (cold pages read as zero) — no init traffic.
-    all_updates = hpcc_random_stream(seed, num_threads * updates_per_thread)
-    engine = HostEngine(sim, max_cycles=max_cycles)
-    for t in range(num_threads):
-        chunk = all_updates[t * updates_per_thread : (t + 1) * updates_per_thread]
-        engine.add_thread(
-            lambda ctx, chunk=chunk: gups_program(
-                ctx, table_base, table_entries, chunk, use_atomic
-            )
-        )
-    result = engine.run()
-
-    # Reference: XOR-fold every update into its entry.
-    ref = [0] * table_entries
-    for r in all_updates:
-        ref[r % table_entries] ^= r
-    verified = True
-    if use_atomic:
-        for i in range(table_entries):
-            got = int.from_bytes(sim.mem_read(table_base + i * 16, 8), "little")
-            if got != ref[i]:
-                verified = False
-                break
-    else:
-        # Lost updates are possible under rmw; report but don't assert.
-        mismatches = 0
-        for i in range(table_entries):
-            got = int.from_bytes(sim.mem_read(table_base + i * 16, 8), "little")
-            if got != ref[i]:
-                mismatches += 1
-        verified = mismatches == 0
-
-    total_updates = len(all_updates)
-    return GUPSStats(
-        config_name=config.describe(),
-        mode="atomic" if use_atomic else "rmw",
-        threads=num_threads,
-        updates=total_updates,
-        cycles=result.total_cycles,
-        updates_per_cycle=total_updates / result.total_cycles,
-        requests=sum(t.requests for t in result.threads),
-        verified=verified,
-    )

@@ -20,17 +20,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = ["run_histogram", "HistogramStats"]
+__all__ = ["hist_program", "skewed_samples", "HistogramStats"]
 
 
-def _hist_program(
+def skewed_samples(seed: int, count: int, num_bins: int) -> List[int]:
+    """Deterministic skewed sample stream (low bins hotter)."""
+    state = seed & 0xFFFFFFFFFFFFFFFF
+    samples: List[int] = []
+    for _ in range(count):
+        state = (state * 2862933555777941757 + 3037000493) & 0xFFFFFFFFFFFFFFFF
+        samples.append(int(((state >> 11) / (1 << 53)) ** 2 * num_bins))
+    return samples
+
+
+def hist_program(
     ctx: ThreadCtx, bins_base: int, samples: Sequence[int], mode: str
 ) -> Program:
+    """One increment per sample: INC8, posted P_INC8, or RD16+WR16."""
     for bucket in samples:
         addr = bins_base + bucket * 16
         if mode == "atomic":
@@ -61,68 +69,3 @@ class HistogramStats:
     exact: bool
     #: Total increments lost to read-modify-write races (0 in atomic mode).
     lost_updates: int
-
-
-def run_histogram(
-    config: HMCConfig,
-    *,
-    num_threads: int = 16,
-    samples_per_thread: int = 32,
-    num_bins: int = 16,
-    mode: str = "atomic",
-    seed: int = 99,
-    max_cycles: int = 2_000_000,
-) -> HistogramStats:
-    """Bin a deterministic sample stream; verify counts against reference.
-
-    Args:
-        mode: "atomic" (INC8), "posted" (P_INC8), or "rmw"
-            (RD16 + WR16 host-side increment).
-    """
-    if mode not in ("atomic", "posted", "rmw"):
-        raise ValueError(f"unknown histogram mode {mode!r}")
-    sim = HMCSim(config)
-    bins_base = 1 << 20
-    # Deterministic skewed sample stream (low bins hotter).
-    state = seed & 0xFFFFFFFFFFFFFFFF
-    samples: List[int] = []
-    for _ in range(num_threads * samples_per_thread):
-        state = (state * 2862933555777941757 + 3037000493) & 0xFFFFFFFFFFFFFFFF
-        samples.append(int(((state >> 11) / (1 << 53)) ** 2 * num_bins))
-
-    engine = HostEngine(sim, max_cycles=max_cycles)
-    for t in range(num_threads):
-        chunk = samples[t * samples_per_thread : (t + 1) * samples_per_thread]
-        engine.add_thread(
-            lambda ctx, chunk=chunk: _hist_program(ctx, bins_base, chunk, mode)
-        )
-    result = engine.run()
-    if mode == "posted":
-        # Posted increments may still be in flight when programs finish.
-        sim.drain()
-
-    ref = [0] * num_bins
-    for s in samples:
-        ref[s] += 1
-    lost = 0
-    for b in range(num_bins):
-        got = int.from_bytes(sim.mem_read(bins_base + b * 16, 8), "little")
-        lost += ref[b] - got
-
-    flits = sum(
-        link.flits_in + link.flits_out for d in sim.devices for link in d.links
-    )
-    n = len(samples)
-    return HistogramStats(
-        config_name=config.describe(),
-        mode=mode,
-        threads=num_threads,
-        samples=n,
-        bins=num_bins,
-        cycles=result.total_cycles,
-        requests=sum(t.requests for t in result.threads),
-        flits=flits,
-        flits_per_sample=flits / n,
-        exact=lost == 0,
-        lost_updates=lost,
-    )

@@ -20,33 +20,23 @@ memory hot spot once the degree of parallelism reaches a sufficient
 level" — deliberately, since the experiment measures the scalability
 of the HMC queueing structures.
 
-:func:`run_mutex_workload` reproduces one data point of Figures 5-7 /
-Table VI: it builds the configuration, loads the three CMC ops,
-initializes the lock, runs N threads, and reports MIN/MAX/AVG cycles.
+The ``mutex`` workload frontend runs N of these threads for one data
+point of Figures 5-7 / Table VI and reports MIN/MAX/AVG cycles as a
+:class:`MutexRunStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.cmc_ops.mutex import decode_lock_response, init_lock, load_mutex_ops
-from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import TagWatchdog
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import EngineResult, HostEngine
+from repro.cmc_ops.mutex import decode_lock_response
 from repro.host.thread import Program, ThreadCtx
-from repro.parallel.tasks import TaskSpec
 
 __all__ = [
     "mutex_program",
-    "run_mutex_workload",
     "MutexRunStats",
     "DEFAULT_LOCK_ADDR",
     "KERNEL_VERSION",
-    "mutex_task_spec",
-    "run_task_spec",
 ]
 
 #: Lock placement used by the reproduction runs: one 16-byte block,
@@ -98,117 +88,3 @@ class MutexRunStats:
     retransmits: int = 0
     #: Online-oracle shadow comparisons (0 when sampling is off).
     oracle_checks: int = 0
-
-
-def run_mutex_workload(
-    config: HMCConfig,
-    num_threads: int,
-    *,
-    lock_addr: int = DEFAULT_LOCK_ADDR,
-    sim: Optional[HMCSim] = None,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    fault_plan: Optional[FaultPlan] = None,
-    recorder: Optional[object] = None,
-    oracle_sample: Optional[int] = None,
-) -> MutexRunStats:
-    """Run Algorithm 1 with ``num_threads`` threads on ``config``.
-
-    Args:
-        config: device configuration (the paper sweeps 4Link-4GB and
-            8Link-8GB with queue_depth=64, xbar_depth=128, bsize=64).
-        num_threads: the paper varies 2..100.
-        lock_addr: the shared lock structure's address.
-        sim: reuse an existing context (must already have the mutex
-            ops loaded); a fresh one is created when omitted.
-        max_cycles: deadlock guard.
-        fault_plan: optional fault plan to attach; a faulty run gets a
-            per-tag watchdog (dropped responses are retransmitted
-            instead of deadlocking the sweep).
-        recorder: optional trace recorder hung off the engine (see
-            :class:`repro.workloads.replay.TraceRecorder`).
-        oracle_sample: when set to ``N``, the engine shadow-executes
-            roughly one in ``N`` requests against the functional
-            reference and raises
-            :class:`~repro.errors.OracleDivergenceError` on
-            disagreement.  Incompatible with ``fault_plan``.
-
-    Returns:
-        The MIN/MAX/AVG cycle statistics of §V.B.
-    """
-    if num_threads < 1:
-        raise ValueError("num_threads must be >= 1")
-    if sim is None:
-        sim = HMCSim(config)
-        load_mutex_ops(sim)
-    if fault_plan is not None and sim.faults is None:
-        sim.attach_faults(fault_plan)
-    init_lock(sim, lock_addr)
-    watchdog = (
-        TagWatchdog(timeout=FAULT_WATCHDOG_TIMEOUT) if sim.faults is not None else None
-    )
-    engine = HostEngine(
-        sim,
-        max_cycles=max_cycles,
-        watchdog=watchdog,
-        oracle_sample=oracle_sample,
-    )
-    if recorder is not None:
-        engine.recorder = recorder
-    engine.add_threads(num_threads, lambda ctx: mutex_program(ctx, lock_addr))
-    result: EngineResult = engine.run()
-    cmc_execs = sum(op.executions for op in sim.cmc.operations())
-    faults_injected = (
-        sum(sim.faults.counters().values()) if sim.faults is not None else 0
-    )
-    return MutexRunStats(
-        config_name=config.describe(),
-        threads=num_threads,
-        min_cycle=result.min_cycle,
-        max_cycle=result.max_cycle,
-        avg_cycle=result.avg_cycle,
-        total_cycles=result.total_cycles,
-        send_stalls=result.send_stalls,
-        cmc_executions=cmc_execs,
-        faults_injected=faults_injected,
-        retransmits=result.retransmits,
-        oracle_checks=result.oracle_checks,
-    )
-
-
-def mutex_task_spec(
-    config: HMCConfig,
-    num_threads: int,
-    *,
-    lock_addr: int = DEFAULT_LOCK_ADDR,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
-    fault_plan: Optional[FaultPlan] = None,
-) -> TaskSpec:
-    """One picklable sweep point for the parallel experiment engine.
-
-    The spec captures everything :func:`run_mutex_workload` needs, so
-    a worker process reproduces the point from scratch; its cache key
-    folds in :data:`KERNEL_VERSION` plus the config and component
-    fingerprints — and the fault-plan fingerprint when one is attached
-    (see :mod:`repro.parallel.tasks`).
-    """
-    return TaskSpec(
-        kernel="mutex",
-        kernel_version=KERNEL_VERSION,
-        runner="repro.host.kernels.mutex_kernel:run_task_spec",
-        config=config,
-        threads=num_threads,
-        params=(("lock_addr", lock_addr), ("max_cycles", max_cycles)),
-        fault_plan=fault_plan,
-    )
-
-
-def run_task_spec(spec: TaskSpec) -> MutexRunStats:
-    """Execute a spec built by :func:`mutex_task_spec` (worker entry)."""
-    params = spec.param_dict()
-    return run_mutex_workload(
-        spec.config,
-        spec.threads,
-        lock_addr=params.get("lock_addr", DEFAULT_LOCK_ADDR),
-        max_cycles=params.get("max_cycles", DEFAULT_MAX_CYCLES),
-        fault_plan=spec.fault_plan,
-    )

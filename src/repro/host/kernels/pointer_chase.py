@@ -13,15 +13,12 @@ attached the row-buffer behaviour of the layout becomes visible
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import HMCTimingModel
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = ["build_chain", "run_pointer_chase", "PointerChaseStats"]
+__all__ = ["build_chain", "chase_program", "PointerChaseStats"]
 
 #: Node: [next u64][payload u64] in one 16-byte block.
 NODE_BYTES = 16
@@ -77,30 +74,3 @@ class PointerChaseStats:
     cycles: int
     cycles_per_hop: float
     order_correct: bool
-
-
-def run_pointer_chase(
-    config: HMCConfig,
-    *,
-    length: int = 64,
-    scatter: bool = False,
-    timing: Optional[HMCTimingModel] = None,
-    base: int = 1 << 20,
-    max_cycles: int = 1_000_000,
-) -> PointerChaseStats:
-    """Build a chain, traverse it, and report cycles per hop."""
-    sim = HMCSim(config, timing=timing)
-    head = build_chain(sim, base, length, scatter=scatter)
-    visited: List[int] = []
-    engine = HostEngine(sim, max_cycles=max_cycles)
-    engine.add_thread(lambda ctx: chase_program(ctx, head, visited))
-    result = engine.run()
-    return PointerChaseStats(
-        config_name=config.describe(),
-        length=length,
-        scattered=scatter,
-        timed=timing is not None,
-        cycles=result.total_cycles,
-        cycles_per_hop=result.total_cycles / length,
-        order_correct=visited == list(range(length)),
-    )

@@ -22,12 +22,15 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.hmc.commands import hmc_rqst_t
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = ["run_sssp", "SSSPStats", "weighted_graph", "reference_sssp"]
+__all__ = [
+    "SSSPStats",
+    "relax_worker",
+    "weighted_adjacency",
+    "weighted_graph",
+    "reference_sssp",
+]
 
 INFINITY = 1 << 62
 _M64 = (1 << 64) - 1
@@ -49,14 +52,22 @@ def weighted_graph(
     return edges
 
 
-def reference_sssp(
-    num_vertices: int, edges: Sequence[Tuple[int, int, int]], source: int
-) -> Dict[int, int]:
-    """Host-side Dijkstra over the undirected weighted graph."""
+def weighted_adjacency(
+    edges: Sequence[Tuple[int, int, int]]
+) -> Dict[int, List[Tuple[int, int]]]:
+    """Undirected ``(neighbour, weight)`` lists, in edge-list order."""
     adj: Dict[int, List[Tuple[int, int]]] = {}
     for u, v, w in edges:
         adj.setdefault(u, []).append((v, w))
         adj.setdefault(v, []).append((u, w))
+    return adj
+
+
+def reference_sssp(
+    num_vertices: int, edges: Sequence[Tuple[int, int, int]], source: int
+) -> Dict[int, int]:
+    """Host-side Dijkstra over the undirected weighted graph."""
+    adj = weighted_adjacency(edges)
     dist = {source: 0}
     heap = [(0, source)]
     while heap:
@@ -71,13 +82,14 @@ def reference_sssp(
     return dist
 
 
-def _relax_worker(
+def relax_worker(
     ctx: ThreadCtx,
     dist_base: int,
     work: Sequence[Tuple[int, int]],  # (v, candidate) relaxations
     improved: List[int],
     use_amin: bool,
 ) -> Program:
+    """Relax a slice of candidates; record the vertices that improved."""
     for v, candidate in work:
         addr = dist_base + v * 16
         if use_amin:
@@ -108,90 +120,3 @@ class SSSPStats:
     cycles: int
     requests: int
     verified: bool
-
-
-def run_sssp(
-    config: HMCConfig,
-    *,
-    num_vertices: int = 128,
-    avg_degree: int = 3,
-    num_threads: int = 8,
-    use_amin: bool = True,
-    source: int = 0,
-    seed: int = 77,
-    max_cycles: int = 5_000_000,
-) -> SSSPStats:
-    """Level-synchronous SSSP on the simulator; verify against Dijkstra."""
-    edges = weighted_graph(num_vertices, avg_degree, seed)
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    for u, v, w in edges:
-        adj.setdefault(u, []).append((v, w))
-        adj.setdefault(v, []).append((u, w))
-
-    sim = HMCSim(config)
-    if use_amin:
-        sim.load_cmc("repro.cmc_ops.amin64")
-    dist_base = 1 << 20
-    for v in range(num_vertices):
-        init = 0 if v == source else INFINITY
-        sim.mem_write(dist_base + v * 16, init.to_bytes(8, "little") + bytes(8))
-
-    frontier = {source}
-    rounds = 0
-    total_requests = 0
-    start_cycle = sim.cycle
-
-    while frontier:
-        rounds += 1
-        # Gather this round's relaxations from current HMC distances,
-        # pre-reduced per target vertex so each v is touched by exactly
-        # one thread per round ("owner computes") — keeping the
-        # baseline read-modify-write mode race-free for a fair
-        # correctness comparison.
-        best: Dict[int, int] = {}
-        for u in frontier:
-            du = int.from_bytes(sim.mem_read(dist_base + u * 16, 8), "little")
-            for v, w in adj.get(u, ()):
-                cand = du + w
-                if cand < best.get(v, INFINITY):
-                    best[v] = cand
-        work: List[Tuple[int, int]] = sorted(best.items())
-        if not work:
-            break
-        engine = HostEngine(sim, max_cycles=max_cycles)
-        improved_lists: List[List[int]] = []
-        chunk = (len(work) + num_threads - 1) // num_threads
-        for t in range(num_threads):
-            part = work[t * chunk : (t + 1) * chunk]
-            if not part:
-                continue
-            improved: List[int] = []
-            improved_lists.append(improved)
-            engine.add_thread(
-                lambda ctx, part=part, improved=improved: _relax_worker(
-                    ctx, dist_base, part, improved, use_amin
-                )
-            )
-        result = engine.run()
-        total_requests += sum(t.requests for t in result.threads)
-        frontier = {v for lst in improved_lists for v in lst}
-
-    ref = reference_sssp(num_vertices, edges, source)
-    verified = True
-    for v in range(num_vertices):
-        got = int.from_bytes(sim.mem_read(dist_base + v * 16, 8), "little")
-        want = ref.get(v, INFINITY)
-        if got != want:
-            verified = False
-            break
-
-    return SSSPStats(
-        config_name=config.describe(),
-        mode="amin" if use_amin else "baseline",
-        vertices=num_vertices,
-        edges=len(edges),
-        rounds=rounds,
-        cycles=sim.cycle - start_cycle,
-        requests=total_requests,
-        verified=verified,
-    )

@@ -14,17 +14,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = [
-    "stream_triad_program",
-    "windowed_triad_program",
-    "run_stream_triad",
-    "StreamStats",
-]
+__all__ = ["stream_triad_program", "windowed_triad_program", "StreamStats"]
 
 #: Doubles per 64-byte HMC block.
 _DOUBLES_PER_BLOCK = 8
@@ -90,61 +82,3 @@ def windowed_triad_program(
         c_vals = struct.unpack(f"<{n}d", rsp_c.data)
         a_vals = tuple(bv + q * cv for bv, cv in zip(b_vals, c_vals))
         yield [ctx.write(a_base + off, struct.pack(f"<{n}d", *a_vals))]
-
-
-def run_stream_triad(
-    config: HMCConfig,
-    *,
-    num_threads: int = 16,
-    blocks_per_thread: int = 8,
-    q: float = 3.0,
-    block_bytes: int = 64,
-    windowed: bool = False,
-    max_cycles: int = 1_000_000,
-) -> StreamStats:
-    """Run STREAM Triad and verify the result against a host reference.
-
-    Array placement: three disjoint regions starting at 1 MiB spacing,
-    so stride-1 traffic sweeps vaults/banks the way the interleave
-    intends.  With ``windowed=True`` each thread keeps both input
-    reads of a block in flight concurrently (memory-level parallelism
-    inside the kernel).
-    """
-    sim = HMCSim(config)
-    total_blocks = num_threads * blocks_per_thread
-    n = total_blocks * (block_bytes // 8)
-    a_base, b_base, c_base = 1 << 20, 2 << 20, 3 << 20
-
-    b_vals = [float(i % 97) for i in range(n)]
-    c_vals = [float((i * 7) % 31) for i in range(n)]
-    sim.mem_write(b_base, struct.pack(f"<{n}d", *b_vals))
-    sim.mem_write(c_base, struct.pack(f"<{n}d", *c_vals))
-
-    if windowed:
-        from repro.host.window import WindowedEngine
-
-        engine = WindowedEngine(sim, window=2, max_cycles=max_cycles)
-    else:
-        engine = HostEngine(sim, max_cycles=max_cycles)
-    program = windowed_triad_program if windowed else stream_triad_program
-    for t in range(num_threads):
-        engine.add_thread(
-            lambda ctx, t=t: program(
-                ctx, a_base, b_base, c_base, t * blocks_per_thread,
-                blocks_per_thread, q, block_bytes,
-            )
-        )
-    result = engine.run()
-
-    got = struct.unpack(f"<{n}d", sim.mem_read(a_base, n * 8))
-    err = max(abs(g - (bv + q * cv)) for g, bv, cv in zip(got, b_vals, c_vals))
-    bytes_moved = total_blocks * block_bytes * 3
-    return StreamStats(
-        config_name=config.describe(),
-        threads=num_threads,
-        elements=n,
-        cycles=result.total_cycles,
-        bytes_moved=bytes_moved,
-        bytes_per_cycle=bytes_moved / result.total_cycles,
-        max_abs_error=err,
-    )

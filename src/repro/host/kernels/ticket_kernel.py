@@ -17,21 +17,13 @@ arrival order; the Table V test-and-set design does not).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.cmc_ops.ticket import (
-    decode_enter,
-    decode_serving,
-    init_ticket_lock,
-    load_ticket_ops,
-)
+from repro.cmc_ops.ticket import decode_enter, decode_serving
 from repro.hmc.commands import hmc_rqst_t
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
-__all__ = ["ticket_program", "run_ticket_workload", "TicketRunStats"]
+__all__ = ["ticket_program", "TicketRunStats"]
 
 DEFAULT_LOCK_ADDR = 0x0
 
@@ -62,38 +54,3 @@ class TicketRunStats:
     total_cycles: int
     #: True when the lock was granted in strict ticket (arrival) order.
     fifo_order: bool
-
-
-def run_ticket_workload(
-    config: HMCConfig,
-    num_threads: int,
-    *,
-    lock_addr: int = DEFAULT_LOCK_ADDR,
-    sim: Optional[HMCSim] = None,
-    max_cycles: int = 1_000_000,
-    recorder: Optional[object] = None,
-) -> TicketRunStats:
-    """Run the ticket-lock workload with ``num_threads`` threads."""
-    if num_threads < 1:
-        raise ValueError("num_threads must be >= 1")
-    if sim is None:
-        sim = HMCSim(config)
-        load_ticket_ops(sim)
-    init_ticket_lock(sim, lock_addr)
-    acquisitions: List[int] = []
-    engine = HostEngine(sim, max_cycles=max_cycles)
-    if recorder is not None:
-        engine.recorder = recorder
-    engine.add_threads(
-        num_threads, lambda ctx: ticket_program(ctx, lock_addr, acquisitions)
-    )
-    result = engine.run()
-    return TicketRunStats(
-        config_name=config.describe(),
-        threads=num_threads,
-        min_cycle=result.min_cycle,
-        max_cycle=result.max_cycle,
-        avg_cycle=result.avg_cycle,
-        total_cycles=result.total_cycles,
-        fifo_order=acquisitions == sorted(acquisitions),
-    )

@@ -17,9 +17,10 @@ on-disk result cache underneath:
 * :mod:`repro.parallel.progress` — per-point completion callbacks.
 
 The engine is kernel-agnostic: any future sweep (block-size,
-latency-load, window-scaling) parallelizes by constructing its own
-specs — see ``mutex_task_spec`` in
-:mod:`repro.host.kernels.mutex_kernel` for the pattern.
+latency-load, window-scaling) parallelizes by giving its workload
+frontend a ``task_spec`` — see the ``mutex`` frontend in
+:mod:`repro.workloads.adapters` for the pattern; workers execute every
+such spec through :func:`repro.workloads.registry.run_spec`.
 """
 
 from repro.parallel.cache import CacheStats, SweepCache, default_cache_root

@@ -58,7 +58,7 @@ from dataclasses import asdict, dataclass, replace as _replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import HMCSimError, HMCStatus, ServeError
+from repro.errors import HMCSimError, HMCStatus, ServeError, WorkloadError
 from repro.serve.schemas import canonical_json, encode_value
 
 __all__ = ["SessionState", "SubmissionRecord", "SimSession", "build_session_config"]
@@ -304,7 +304,7 @@ class SimSession:
     def _validate_spec(self, kind: str, spec: Dict[str, Any]) -> None:
         from repro.workloads.registry import WORKLOADS
 
-        if kind == "workload":
+        if kind in ("workload", "sweep"):
             name = spec.get("workload")
             if not isinstance(name, str) or not WORKLOADS.has(name):
                 raise ServeError(
@@ -312,8 +312,14 @@ class SimSession:
                     f"unknown workload {name!r} "
                     f"(have: {', '.join(WORKLOADS.keys())})",
                 )
+            frontend = WORKLOADS.get(name)
+        if kind == "workload":
             if not isinstance(spec.get("params", {}), dict):
                 raise ServeError("bad_request", "'params' must be an object")
+            try:
+                frontend.resolve_params(spec.get("params"))
+            except WorkloadError as exc:
+                raise ServeError("bad_request", str(exc)) from None
         elif kind == "raw":
             requests = spec.get("requests")
             if not isinstance(requests, list) or not requests:
@@ -335,14 +341,6 @@ class SimSession:
                         "bad_request", f"request {i}: 'addr' must be an integer"
                     )
         elif kind == "sweep":
-            name = spec.get("workload")
-            if not isinstance(name, str) or not WORKLOADS.has(name):
-                raise ServeError(
-                    "bad_request",
-                    f"unknown workload {name!r} "
-                    f"(have: {', '.join(WORKLOADS.keys())})",
-                )
-            frontend = WORKLOADS.get(name)
             if not hasattr(frontend, "task_spec"):
                 raise ServeError(
                     "bad_request",
@@ -477,19 +475,15 @@ class SimSession:
 
         name = spec["workload"]
         frontend = WORKLOADS.get(name)
-        params = frontend.resolve_params(spec.get("params") or {})
-        if frontend.accepts_sim:
-            # Warm path: device state accumulates across submissions.
-            # prepare() is called here because the kernel adapters'
-            # run() delegates assume a caller-provided sim already has
-            # its CMC ops loaded (prepare is idempotent by contract).
-            frontend.prepare(self.sim, params)
-            stats = frontend.run(self.config, params, sim=self.sim)
-        else:
-            # Frontends that must build their own context (multi-phase
-            # kernels, trace replay) run cold; still deterministic, so
-            # journal replay regenerates identical results.
-            stats = frontend.run(self.config, params)
+        # Warm path: device state accumulates across submissions.
+        # Frontends that must build their own context (multi-phase
+        # kernels, trace replay) run cold; still deterministic, so
+        # journal replay regenerates identical results.
+        stats = frontend.run(
+            self.config,
+            spec.get("params"),
+            sim=self.sim if frontend.accepts_sim else None,
+        )
         return {
             "workload": name,
             "warm": frontend.accepts_sim,

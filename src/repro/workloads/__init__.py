@@ -8,9 +8,12 @@ string name through :data:`~repro.workloads.registry.WORKLOADS`.
 Submodules import lazily (``from repro.workloads import WORKLOADS``
 does not pull in the kernel catalog until the first lookup):
 
-- :mod:`repro.workloads.base` — the frontend ABC.
+- :mod:`repro.workloads.base` — the frontend ABC and its ``run``, the
+  single driver (resolve params → context → ``prepare`` → engine →
+  ``build`` → run → ``finish`` → ``stats``).
 - :mod:`repro.workloads.registry` — the string-keyed registry.
-- :mod:`repro.workloads.adapters` — the nine kernels behind the seam.
+- :mod:`repro.workloads.adapters` — the nine kernels as native
+  frontends (the module name is historical; nothing is adapted).
 - :mod:`repro.workloads.tracefmt` — the versioned JSONL trace format.
 - :mod:`repro.workloads.replay` — trace record/replay.
 - :mod:`repro.workloads.graph` — the task-graph runtime.

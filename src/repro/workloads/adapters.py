@@ -1,20 +1,21 @@
-"""Registry adapters for the nine hand-written host kernels.
+"""The nine hand-written host kernels as native workload frontends.
 
-Each adapter puts one legacy kernel behind the
-:class:`~repro.workloads.base.WorkloadFrontend` seam.  The kernel
-implementation modules under :mod:`repro.host.kernels` are untouched
-(tests and the paper sweeps import them directly); :meth:`run`
-delegates to the legacy entrypoint, so registry-resolved runs are
-bit-identical to direct calls *by construction* — and pinned against
-drift by the digest-parity suite in ``tests/workloads/``.
+Each class here is the one statement of its kernel behind the
+:class:`~repro.workloads.base.WorkloadFrontend` seam: the parameter set
+and its valid ranges, the initial device state (:meth:`prepare`), the
+thread fan-out (:meth:`build`), and the stats built from the engine
+result (:meth:`stats`).  The base class's ``run`` drives the seven
+single-engine kernels; BFS and SSSP run one engine wave per
+frontier/relaxation round, so they override ``run`` with that
+orchestration (and are neither recordable nor drivable on a warm
+context).  The thread programs, data generators, and ``*Stats``
+dataclasses live under :mod:`repro.host.kernels`.
 
-:meth:`build` / :meth:`prepare` are honest re-statements of each
-kernel's construction (the same program functions, preloads, and
-thread fan-out the legacy runner uses), which is what lets the generic
-engine path — and therefore trace recording and replay — drive the
-single-engine kernels.  The two multi-phase kernels (BFS, SSSP) run
-several engine waves per call; they stay runnable through the registry
-but are not engine-drivable as a single ``build()``.
+The module name is historical — these classes once adapted per-kernel
+``run_*`` entrypoints, since deleted.  It stays because the registry
+fingerprint (``module:qualname@version``) is digested into served
+payloads, sweep-cache keys, and the ``perfbench`` goldens; renaming it
+belongs to a benchmark PR that re-captures those goldens.
 
 This module *defines* concrete frontends; only
 :mod:`repro.workloads.catalog` may import them (workload-containment
@@ -24,12 +25,29 @@ lint).
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from repro.cmc_ops.mutex import init_lock, load_mutex_ops
+from repro.cmc_ops.ticket import init_ticket_lock, load_ticket_ops
 from repro.errors import WorkloadError
+from repro.faults.watchdog import TagWatchdog
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.host.kernels.mutex_kernel import KERNEL_VERSION as _MUTEX_KERNEL_VERSION
+from repro.hmc.timing import DEFAULT_TIMING
+from repro.host.engine import HostEngine
+from repro.host.kernels import (
+    barrier,
+    bfs,
+    gups,
+    histogram,
+    mutex_kernel,
+    pointer_chase,
+    sssp,
+    stream,
+    ticket_kernel,
+)
+from repro.host.window import WindowedEngine
+from repro.parallel.tasks import TaskSpec
 from repro.workloads.base import Footprint, ProgramFactory, WorkloadFrontend
 
 __all__ = [
@@ -44,14 +62,30 @@ __all__ = [
     "SSSPWorkload",
 ]
 
+#: Shared parameter domains.  Every kernel bounds its deadlock guard
+#: and its thread count: the engine's 11-bit tag space ends at 2048.
+_POSITIVE = (1, None)
+_NON_NEGATIVE = (0, None)
+_COMMON = {"threads": (1, 2048), "max_cycles": _POSITIVE}
 
-class KernelAdapter(WorkloadFrontend):
-    """Shared shape for the legacy-kernel adapters."""
+
+def _u64_at(data: bytes, slot: int) -> int:
+    """The low word of the ``slot``-th 16-byte block of ``data``."""
+    return int.from_bytes(data[slot * 16 : slot * 16 + 8], "little")
+
+
+def _link_flits(sim: HMCSim) -> int:
+    """Request+response FLITs moved across every link so far."""
+    return sum(
+        link.flits_in + link.flits_out for d in sim.devices for link in d.links
+    )
+
+
+class KernelWorkload(WorkloadFrontend):
+    """Shared shape of the kernel frontends.  Each also supplies
+    ``format_stats(stats, fault_plan=None)``: its one CLI output line."""
 
     kind = "kernel"
-    #: Whether one ``build()`` covers the whole run (False for the
-    #: multi-engine wave kernels).
-    engine_drivable = True
     #: Whether the ``kernel`` CLI subcommand offers this workload.
     cli_kernel = True
 
@@ -59,12 +93,8 @@ class KernelAdapter(WorkloadFrontend):
         """Parameter dicts the ``kernel`` subcommand runs, in order."""
         return [{"threads": threads}]
 
-    def format_stats(self, stats: Any, fault_plan: Any = None) -> str:
-        """One CLI output line for ``stats``."""
-        raise NotImplementedError
 
-
-class MutexWorkload(KernelAdapter):
+class MutexWorkload(KernelWorkload):
     """Algorithm 1: the paper's lock/trylock/unlock contention kernel."""
 
     name = "mutex"
@@ -74,25 +104,24 @@ class MutexWorkload(KernelAdapter):
     # The kernel's own version tag feeds the registry fingerprint, so
     # the historical "bump KERNEL_VERSION on semantic change" discipline
     # keeps invalidating cached sweep points.
-    version = _MUTEX_KERNEL_VERSION
+    version = mutex_kernel.KERNEL_VERSION
+    param_domains = {
+        **_COMMON,
+        "lock_addr": _NON_NEGATIVE,
+        "oracle_sample": _POSITIVE,
+    }
 
     def default_params(self) -> Dict[str, Any]:
-        from repro.host.kernels.mutex_kernel import (
-            DEFAULT_LOCK_ADDR,
-            DEFAULT_MAX_CYCLES,
-        )
-
         return {
             "threads": 16,
-            "lock_addr": DEFAULT_LOCK_ADDR,
-            "max_cycles": DEFAULT_MAX_CYCLES,
-            # 1-in-N online oracle sampling; None = off.
+            "lock_addr": mutex_kernel.DEFAULT_LOCK_ADDR,
+            "max_cycles": mutex_kernel.DEFAULT_MAX_CYCLES,
+            # 1-in-N online oracle sampling; None = off.  Incompatible
+            # with a fault plan (the engine refuses the pair).
             "oracle_sample": None,
         }
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        from repro.cmc_ops.mutex import init_lock, load_mutex_ops
-
         # Guard on this bundle's own command codes, not "any ops": a
         # warm context (serve session) may already carry a different
         # workload's CMC family.
@@ -100,44 +129,80 @@ class MutexWorkload(KernelAdapter):
             load_mutex_ops(sim)
         init_lock(sim, params["lock_addr"])
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.mutex_kernel import mutex_program
+    def new_engine(self, sim: HMCSim, params: Dict[str, Any], fault_plan: Any):
+        if fault_plan is not None and sim.faults is None:
+            sim.attach_faults(fault_plan)
+        # A faulty run gets a per-tag watchdog: dropped responses are
+        # retransmitted instead of deadlocking the sweep.
+        watchdog = (
+            TagWatchdog(timeout=mutex_kernel.FAULT_WATCHDOG_TIMEOUT)
+            if sim.faults is not None
+            else None
+        )
+        return HostEngine(
+            sim,
+            max_cycles=params["max_cycles"],
+            watchdog=watchdog,
+            oracle_sample=params["oracle_sample"],
+        )
 
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         lock_addr = params["lock_addr"]
         return [
-            lambda ctx: mutex_program(ctx, lock_addr)
+            lambda ctx: mutex_kernel.mutex_program(ctx, lock_addr)
             for _ in range(params["threads"])
         ]
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        params = self.resolve_params(params)
         return ((params["lock_addr"], 16),)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
+    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
         # Every thread unlocks on its way out: the lock word ends free.
-        word = sim.mem_read(params["lock_addr"], 8)
-        return int.from_bytes(word, "little") == 0
+        return _u64_at(sim.mem_read(params["lock_addr"], 8), 0) == 0
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
-
-        p = self.resolve_params(params)
-        return run_mutex_workload(
-            config,
-            p["threads"],
-            lock_addr=p["lock_addr"],
-            sim=sim,
-            max_cycles=p["max_cycles"],
-            fault_plan=fault_plan,
-            recorder=recorder,
-            oracle_sample=p["oracle_sample"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        return mutex_kernel.MutexRunStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            min_cycle=result.min_cycle,
+            max_cycle=result.max_cycle,
+            avg_cycle=result.avg_cycle,
+            total_cycles=result.total_cycles,
+            send_stalls=result.send_stalls,
+            cmc_executions=sum(op.executions for op in sim.cmc.operations()),
+            faults_injected=(
+                sum(sim.faults.counters().values()) if sim.faults is not None else 0
+            ),
+            retransmits=result.retransmits,
+            oracle_checks=result.oracle_checks,
         )
 
-    def task_spec(self, config, threads, *, fault_plan=None, **params):
-        """A picklable sweep point (the parallel engine's unit of work)."""
-        from repro.host.kernels.mutex_kernel import mutex_task_spec
+    def task_spec(
+        self,
+        config: HMCConfig,
+        threads: int,
+        *,
+        lock_addr: int = mutex_kernel.DEFAULT_LOCK_ADDR,
+        max_cycles: int = mutex_kernel.DEFAULT_MAX_CYCLES,
+        fault_plan: Any = None,
+    ) -> TaskSpec:
+        """One picklable sweep point for the parallel experiment engine.
 
-        return mutex_task_spec(config, threads, fault_plan=fault_plan, **params)
+        A worker process reproduces the point from scratch through the
+        registry (:func:`repro.workloads.registry.run_spec`); the cache
+        key folds in the registry fingerprint plus the config and
+        component fingerprints — and the fault-plan fingerprint when
+        one is attached (see :mod:`repro.parallel.tasks`).
+        """
+        return TaskSpec(
+            kernel=self.name,
+            kernel_version=self.version,
+            runner="repro.workloads.registry:run_spec",
+            config=config,
+            threads=threads,
+            params=(("lock_addr", lock_addr), ("max_cycles", max_cycles)),
+            fault_plan=fault_plan,
+        )
 
     def format_stats(self, s, fault_plan=None) -> str:
         line = (
@@ -155,63 +220,54 @@ class MutexWorkload(KernelAdapter):
         return line
 
 
-class TicketWorkload(KernelAdapter):
+class TicketWorkload(KernelWorkload):
     """FIFO ticket lock over the CMC21/22/23 triple."""
 
     name = "ticket"
     description = "FIFO ticket lock (CMC enter/wait/exit)"
     recordable = True
+    param_domains = {**_COMMON, "lock_addr": _NON_NEGATIVE}
 
     def default_params(self) -> Dict[str, Any]:
-        from repro.host.kernels.ticket_kernel import DEFAULT_LOCK_ADDR
-
         return {
             "threads": 16,
-            "lock_addr": DEFAULT_LOCK_ADDR,
+            "lock_addr": ticket_kernel.DEFAULT_LOCK_ADDR,
             "max_cycles": 1_000_000,
         }
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        from repro.cmc_ops.ticket import init_ticket_lock, load_ticket_ops
-
         if sim.cmc.lookup(21) is None:
             load_ticket_ops(sim)
         init_ticket_lock(sim, params["lock_addr"])
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.ticket_kernel import ticket_program
-
         lock_addr = params["lock_addr"]
         self._acquisitions: List[int] = []
         acquisitions = self._acquisitions
         return [
-            lambda ctx: ticket_program(ctx, lock_addr, acquisitions)
+            lambda ctx: ticket_kernel.ticket_program(ctx, lock_addr, acquisitions)
             for _ in range(params["threads"])
         ]
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        params = self.resolve_params(params)
         return ((params["lock_addr"], 16),)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
+    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        # Granted in strict ticket (arrival) order, once per thread.
         acquired = getattr(self, "_acquisitions", None)
         if acquired is None:
             return None
         return acquired == sorted(acquired) and len(acquired) == params["threads"]
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'ticket' does not support fault plans")
-        p = self.resolve_params(params)
-        return run_ticket_workload(
-            config,
-            p["threads"],
-            lock_addr=p["lock_addr"],
-            sim=sim,
-            max_cycles=p["max_cycles"],
-            recorder=recorder,
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        return ticket_kernel.TicketRunStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            min_cycle=result.min_cycle,
+            max_cycle=result.max_cycle,
+            avg_cycle=result.avg_cycle,
+            total_cycles=result.total_cycles,
+            fifo_order=self.verify(sim, params, result),
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -221,14 +277,25 @@ class TicketWorkload(KernelAdapter):
         )
 
 
-class StreamWorkload(KernelAdapter):
-    """STREAM Triad over three disjoint double arrays."""
+class StreamWorkload(KernelWorkload):
+    """STREAM Triad over three disjoint double arrays.
+
+    With ``windowed=True`` each thread keeps both input reads of a
+    block in flight concurrently (memory-level parallelism inside the
+    kernel), which needs the windowed engine's batch-yield protocol.
+    """
 
     name = "stream"
     description = "STREAM Triad bandwidth kernel (a = b + q*c)"
     accepts_sim = False
+    param_domains = {
+        **_COMMON,
+        "blocks_per_thread": _POSITIVE,
+        "block_bytes": frozenset((16, 32, 48, 64, 80, 96, 112, 128, 256)),
+    }
 
-    #: Array bases, 1 MiB apart (the legacy layout).
+    #: Array bases, 1 MiB apart, so stride-1 traffic sweeps
+    #: vaults/banks the way the interleave intends.
     _BASES = (1 << 20, 2 << 20, 3 << 20)
 
     def default_params(self) -> Dict[str, Any]:
@@ -241,77 +308,74 @@ class StreamWorkload(KernelAdapter):
             "max_cycles": 1_000_000,
         }
 
-    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+    def _inputs(self, params: Dict[str, Any]) -> Tuple[List[float], List[float]]:
+        """The ``b`` and ``c`` vectors the run is preloaded with (kept:
+        preloading and verifying one run would build them twice)."""
         n = (
             params["threads"]
             * params["blocks_per_thread"]
             * (params["block_bytes"] // 8)
         )
+        kept = getattr(self, "_kept_inputs", None)
+        if kept is None or len(kept[0]) != n:
+            kept = self._kept_inputs = (
+                [float(i % 97) for i in range(n)],
+                [float((i * 7) % 31) for i in range(n)],
+            )
+        return kept
+
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
         _, b_base, c_base = self._BASES
-        b_vals = [float(i % 97) for i in range(n)]
-        c_vals = [float((i * 7) % 31) for i in range(n)]
-        sim.mem_write(b_base, struct.pack(f"<{n}d", *b_vals))
-        sim.mem_write(c_base, struct.pack(f"<{n}d", *c_vals))
+        b_vals, c_vals = self._inputs(params)
+        sim.mem_write(b_base, struct.pack(f"<{len(b_vals)}d", *b_vals))
+        sim.mem_write(c_base, struct.pack(f"<{len(c_vals)}d", *c_vals))
+
+    def new_engine(self, sim: HMCSim, params: Dict[str, Any], fault_plan: Any):
+        if not params["windowed"]:
+            return super().new_engine(sim, params, fault_plan)
+        return WindowedEngine(sim, window=2, max_cycles=params["max_cycles"])
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.stream import stream_triad_program
-
-        if params["windowed"]:
-            raise WorkloadError(
-                "workload 'stream' is engine-drivable only with "
-                "windowed=False (the windowed variant needs the "
-                "windowed engine's batch-yield protocol)"
-            )
+        program = (
+            stream.windowed_triad_program
+            if params["windowed"]
+            else stream.stream_triad_program
+        )
         a_base, b_base, c_base = self._BASES
         bpt = params["blocks_per_thread"]
         q, bb = params["q"], params["block_bytes"]
         return [
-            lambda ctx, t=t: stream_triad_program(
-                ctx, a_base, b_base, c_base, t * bpt, bpt, q, bb
-            )
+            lambda ctx, t=t: program(ctx, a_base, b_base, c_base, t * bpt, bpt, q, bb)
             for t in range(params["threads"])
         ]
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        params = self.resolve_params(params)
         size = (
             params["threads"] * params["blocks_per_thread"] * params["block_bytes"]
         )
         return tuple((base, size) for base in self._BASES)
 
-    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> bool:
-        n = (
-            params["threads"]
-            * params["blocks_per_thread"]
-            * (params["block_bytes"] // 8)
-        )
-        a_base, _, _ = self._BASES
-        q = params["q"]
-        got = struct.unpack(f"<{n}d", sim.mem_read(a_base, n * 8))
-        b_vals = [float(i % 97) for i in range(n)]
-        c_vals = [float((i * 7) % 31) for i in range(n)]
-        return all(
-            g == bv + q * cv for g, bv, cv in zip(got, b_vals, c_vals)
-        )
+    def _max_abs_error(self, sim: HMCSim, params: Dict[str, Any]) -> float:
+        """Largest deviation of ``a`` from the host-side triad."""
+        b_vals, c_vals = self._inputs(params)
+        n, q = len(b_vals), params["q"]
+        got = struct.unpack(f"<{n}d", sim.mem_read(self._BASES[0], n * 8))
+        return max(abs(g - (bv + q * cv)) for g, bv, cv in zip(got, b_vals, c_vals))
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.stream import run_stream_triad
+    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        return self._max_abs_error(sim, params) == 0.0
 
-        if fault_plan is not None:
-            raise WorkloadError("workload 'stream' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'stream' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'stream' builds its own context")
-        p = self.resolve_params(params)
-        return run_stream_triad(
-            config,
-            num_threads=p["threads"],
-            blocks_per_thread=p["blocks_per_thread"],
-            q=p["q"],
-            block_bytes=p["block_bytes"],
-            windowed=p["windowed"],
-            max_cycles=p["max_cycles"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        total_blocks = params["threads"] * params["blocks_per_thread"]
+        bytes_moved = total_blocks * params["block_bytes"] * 3
+        return stream.StreamStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            elements=total_blocks * (params["block_bytes"] // 8),
+            cycles=result.total_cycles,
+            bytes_moved=bytes_moved,
+            bytes_per_cycle=bytes_moved / result.total_cycles,
+            max_abs_error=self._max_abs_error(sim, params),
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -321,13 +385,19 @@ class StreamWorkload(KernelAdapter):
         )
 
 
-class GUPSWorkload(KernelAdapter):
+class GUPSWorkload(KernelWorkload):
     """HPCC RandomAccess: XOR updates over a scattered table."""
 
     name = "gups"
     description = "HPCC RandomAccess (atomic XOR16 vs read-modify-write)"
     accepts_sim = False
+    param_domains = {
+        **_COMMON,
+        "updates_per_thread": _POSITIVE,
+        "table_entries": _POSITIVE,
+    }
 
+    #: The table starts at zero (cold pages read as zero): no preload.
     _TABLE_BASE = 1 << 20
 
     def default_params(self) -> Dict[str, Any]:
@@ -340,65 +410,57 @@ class GUPSWorkload(KernelAdapter):
             "max_cycles": 2_000_000,
         }
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.gups import gups_program, hpcc_random_stream
+    @staticmethod
+    def _updates(params: Dict[str, Any]) -> List[int]:
+        return gups.hpcc_random_stream(
+            params["seed"], params["threads"] * params["updates_per_thread"]
+        )
 
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         upd = params["updates_per_thread"]
-        all_updates = hpcc_random_stream(params["seed"], params["threads"] * upd)
+        updates = self._updates(params)
         entries, atomic = params["table_entries"], params["atomic"]
         return [
-            lambda ctx, chunk=all_updates[t * upd : (t + 1) * upd]: gups_program(
+            lambda ctx, chunk=updates[t * upd : (t + 1) * upd]: gups.gups_program(
                 ctx, self._TABLE_BASE, entries, chunk, atomic
             )
             for t in range(params["threads"])
         ]
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        params = self.resolve_params(params)
         return ((self._TABLE_BASE, params["table_entries"] * 16),)
+
+    def _table_matches(self, sim: HMCSim, params: Dict[str, Any]) -> bool:
+        """Whether the table equals the XOR-fold of every update (which
+        is order-independent, so exact whenever no update was lost)."""
+        entries = params["table_entries"]
+        ref = [0] * entries
+        for r in self._updates(params):
+            ref[r % entries] ^= r
+        table = sim.mem_read(self._TABLE_BASE, entries * 16)
+        return all(_u64_at(table, i) == ref[i] for i in range(entries))
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
         if not params["atomic"]:
             return None  # rmw mode tolerates lost updates by design
-        from repro.host.kernels.gups import hpcc_random_stream
+        return self._table_matches(sim, params)
 
-        entries = params["table_entries"]
-        ref = [0] * entries
-        for r in hpcc_random_stream(
-            params["seed"], params["threads"] * params["updates_per_thread"]
-        ):
-            ref[r % entries] ^= r
-        return all(
-            int.from_bytes(sim.mem_read(self._TABLE_BASE + i * 16, 8), "little")
-            == ref[i]
-            for i in range(entries)
-        )
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.gups import run_gups
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'gups' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'gups' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'gups' builds its own context")
-        p = self.resolve_params(params)
-        return run_gups(
-            config,
-            num_threads=p["threads"],
-            updates_per_thread=p["updates_per_thread"],
-            table_entries=p["table_entries"],
-            use_atomic=p["atomic"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        updates = params["threads"] * params["updates_per_thread"]
+        return gups.GUPSStats(
+            config_name=sim.config.describe(),
+            mode="atomic" if params["atomic"] else "rmw",
+            threads=params["threads"],
+            updates=updates,
+            cycles=result.total_cycles,
+            updates_per_cycle=updates / result.total_cycles,
+            requests=sum(t.requests for t in result.threads),
+            # Reported, not asserted, in rmw mode.
+            verified=self._table_matches(sim, params),
         )
 
     def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
-        return [
-            {"threads": threads, "atomic": False},
-            {"threads": threads, "atomic": True},
-        ]
+        return [{"threads": threads, "atomic": atomic} for atomic in (False, True)]
 
     def format_stats(self, s, fault_plan=None) -> str:
         return (
@@ -407,71 +469,18 @@ class GUPSWorkload(KernelAdapter):
         )
 
 
-class BFSWorkload(KernelAdapter):
-    """Level-synchronous BFS: one engine wave per frontier level."""
-
-    name = "bfs"
-    description = "level-synchronous BFS (CASEQ8 visited-marking vs rmw)"
-    accepts_sim = False
-    engine_drivable = False
-
-    def default_params(self) -> Dict[str, Any]:
-        return {
-            "threads": 8,
-            "vertices": 256,
-            "degree": 4,
-            "cas": True,
-            "root": 0,
-            "seed": 12345,
-            "max_cycles": 5_000_000,
-        }
-
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        raise WorkloadError(
-            "workload 'bfs' is multi-phase (one engine per frontier "
-            "level); drive it through run()"
-        )
-
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.bfs import run_bfs
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'bfs' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'bfs' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'bfs' builds its own context")
-        p = self.resolve_params(params)
-        return run_bfs(
-            config,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-            use_cas=p["cas"],
-            root=p["root"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
-        )
-
-    def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
-        return [
-            {"threads": threads, "cas": False},
-            {"threads": threads, "cas": True},
-        ]
-
-    def format_stats(self, s, fault_plan=None) -> str:
-        return (
-            f"{s.config_name} BFS ({s.mode}): {s.edges} edges, "
-            f"{s.requests} requests, {s.flits} flits, verified={s.verified}"
-        )
-
-
-class HistogramWorkload(KernelAdapter):
+class HistogramWorkload(KernelWorkload):
     """Histogram binning: atomic INC8, posted P_INC8, or host rmw."""
 
     name = "hist"
     description = "histogram binning (atomic / posted / rmw increments)"
     accepts_sim = False
+    param_domains = {
+        **_COMMON,
+        "samples_per_thread": _POSITIVE,
+        "bins": _POSITIVE,
+        "mode": frozenset(("atomic", "posted", "rmw")),
+    }
 
     _BINS_BASE = 1 << 20
 
@@ -487,66 +496,60 @@ class HistogramWorkload(KernelAdapter):
 
     @staticmethod
     def _samples(params: Dict[str, Any]) -> List[int]:
-        state = params["seed"] & 0xFFFFFFFFFFFFFFFF
-        samples: List[int] = []
-        for _ in range(params["threads"] * params["samples_per_thread"]):
-            state = (state * 2862933555777941757 + 3037000493) & 0xFFFFFFFFFFFFFFFF
-            samples.append(
-                int(((state >> 11) / (1 << 53)) ** 2 * params["bins"])
-            )
-        return samples
+        return histogram.skewed_samples(
+            params["seed"],
+            params["threads"] * params["samples_per_thread"],
+            params["bins"],
+        )
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.histogram import _hist_program
-
         spt = params["samples_per_thread"]
         samples = self._samples(params)
         mode = params["mode"]
         return [
-            lambda ctx, chunk=samples[t * spt : (t + 1) * spt]: _hist_program(
+            lambda ctx, chunk=samples[t * spt : (t + 1) * spt]: histogram.hist_program(
                 ctx, self._BINS_BASE, chunk, mode
             )
             for t in range(params["threads"])
         ]
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        params = self.resolve_params(params)
         return ((self._BINS_BASE, params["bins"] * 16),)
 
     def finish(self, sim: HMCSim, params: Dict[str, Any]) -> None:
         if params["mode"] == "posted":
+            # Posted increments may still be in flight when programs finish.
             sim.drain()
+
+    def _lost_updates(self, sim: HMCSim, params: Dict[str, Any]) -> int:
+        """Increments missing from the bins versus the sample stream."""
+        ref = [0] * params["bins"]
+        for s in self._samples(params):
+            ref[s] += 1
+        bins = sim.mem_read(self._BINS_BASE, params["bins"] * 16)
+        return sum(ref[b] - _u64_at(bins, b) for b in range(params["bins"]))
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
         if params["mode"] == "rmw":
             return None  # lost updates are the point of the rmw mode
-        ref = [0] * params["bins"]
-        for s in self._samples(params):
-            ref[s] += 1
-        return all(
-            int.from_bytes(sim.mem_read(self._BINS_BASE + b * 16, 8), "little")
-            == ref[b]
-            for b in range(params["bins"])
-        )
+        return self._lost_updates(sim, params) == 0
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.histogram import run_histogram
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'hist' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'hist' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'hist' builds its own context")
-        p = self.resolve_params(params)
-        return run_histogram(
-            config,
-            num_threads=p["threads"],
-            samples_per_thread=p["samples_per_thread"],
-            num_bins=p["bins"],
-            mode=p["mode"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        lost = self._lost_updates(sim, params)
+        flits = _link_flits(sim)
+        n = params["threads"] * params["samples_per_thread"]
+        return histogram.HistogramStats(
+            config_name=sim.config.describe(),
+            mode=params["mode"],
+            threads=params["threads"],
+            samples=n,
+            bins=params["bins"],
+            cycles=result.total_cycles,
+            requests=sum(t.requests for t in result.threads),
+            flits=flits,
+            flits_per_sample=flits / n,
+            exact=lost == 0,
+            lost_updates=lost,
         )
 
     def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
@@ -562,13 +565,14 @@ class HistogramWorkload(KernelAdapter):
         )
 
 
-class PointerChaseWorkload(KernelAdapter):
+class PointerChaseWorkload(KernelWorkload):
     """Serial pointer chase: latency per dependent hop."""
 
     name = "chase"
     description = "pointer-chase latency kernel (sequential or scattered)"
     accepts_sim = False
     cli_kernel = False  # has its own `chase` subcommand (single-thread)
+    param_domains = {**_COMMON, "length": _POSITIVE, "base": _NON_NEGATIVE}
 
     def default_params(self) -> Dict[str, Any]:
         return {
@@ -579,23 +583,21 @@ class PointerChaseWorkload(KernelAdapter):
             "max_cycles": 1_000_000,
         }
 
-    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        from repro.host.kernels.pointer_chase import build_chain
+    def new_sim(self, config: HMCConfig, params: Dict[str, Any]) -> HMCSim:
+        return HMCSim(config, timing=DEFAULT_TIMING if params["timing"] else None)
 
-        self._head = build_chain(
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        self._head = pointer_chase.build_chain(
             sim, params["base"], params["length"], scatter=params["scatter"]
         )
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.pointer_chase import chase_program
-
         head = getattr(self, "_head", params["base"])
         self._visited: List[int] = []
         visited = self._visited
-        return [lambda ctx: chase_program(ctx, head, visited)]
+        return [lambda ctx: pointer_chase.chase_program(ctx, head, visited)]
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        params = self.resolve_params(params)
         return ((params["base"], params["length"] * 16),)
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
@@ -604,24 +606,15 @@ class PointerChaseWorkload(KernelAdapter):
             return None
         return visited == list(range(params["length"]))
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.hmc.timing import DEFAULT_TIMING
-        from repro.host.kernels.pointer_chase import run_pointer_chase
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'chase' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'chase' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'chase' builds its own context")
-        p = self.resolve_params(params)
-        return run_pointer_chase(
-            config,
-            length=p["length"],
-            scatter=p["scatter"],
-            timing=DEFAULT_TIMING if p["timing"] else None,
-            base=p["base"],
-            max_cycles=p["max_cycles"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        return pointer_chase.PointerChaseStats(
+            config_name=sim.config.describe(),
+            length=params["length"],
+            scattered=params["scatter"],
+            timed=params["timing"],
+            cycles=result.total_cycles,
+            cycles_per_hop=result.total_cycles / params["length"],
+            order_correct=self.verify(sim, params, result),
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -634,11 +627,17 @@ class PointerChaseWorkload(KernelAdapter):
         )
 
 
-class BarrierWorkload(KernelAdapter):
+class BarrierWorkload(KernelWorkload):
     """Sense-reversing barrier over the fadd64 CMC op."""
 
     name = "barrier"
     description = "sense-reversing barrier (CMC04 fadd64 arrival counter)"
+    param_domains = {
+        **_COMMON,
+        "threads": (2, 2048),  # a barrier of one never waits
+        "rounds": _POSITIVE,
+        "addr": _NON_NEGATIVE,
+    }
 
     def default_params(self) -> Dict[str, Any]:
         return {
@@ -654,43 +653,31 @@ class BarrierWorkload(KernelAdapter):
         sim.mem_write(params["addr"], bytes(16))
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        from repro.host.kernels.barrier import barrier_program
-
         addr, threads, rounds = params["addr"], params["threads"], params["rounds"]
         self._log: List = []
         log = self._log
         return [
-            lambda ctx: barrier_program(ctx, addr, threads, rounds, log)
+            lambda ctx: barrier.barrier_program(ctx, addr, threads, rounds, log)
             for _ in range(threads)
         ]
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        params = self.resolve_params(params)
         return ((params["addr"], 16),)
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
-        from repro.host.kernels.barrier import _check_order
-
         log = getattr(self, "_log", None)
         if log is None:
             return None
-        return _check_order(log, params["threads"], params["rounds"])
+        return barrier.check_order(log, params["threads"], params["rounds"])
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'barrier' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'barrier' cannot be trace-recorded")
-        p = self.resolve_params(params)
-        return run_barrier_workload(
-            config,
-            p["threads"],
-            rounds=p["rounds"],
-            addr=p["addr"],
-            sim=sim,
-            max_cycles=p["max_cycles"],
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        return barrier.BarrierStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            rounds=params["rounds"],
+            total_cycles=result.total_cycles,
+            cycles_per_round=result.total_cycles / params["rounds"],
+            order_correct=self.verify(sim, params, result),
         )
 
     def format_stats(self, s, fault_plan=None) -> str:
@@ -701,13 +688,158 @@ class BarrierWorkload(KernelAdapter):
         )
 
 
-class SSSPWorkload(KernelAdapter):
+class WaveWorkload(KernelWorkload):
+    """Shared shape of the level-synchronous kernels (BFS, SSSP): one
+    engine wave per round on a context of their own, so neither
+    recordable nor engine-drivable as a single :meth:`build`."""
+
+    accepts_sim = False
+
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
+        raise WorkloadError(
+            f"workload {self.name!r} is multi-phase (one engine per "
+            f"round); drive it through run()"
+        )
+
+    def _wave(
+        self,
+        sim: HMCSim,
+        params: Dict[str, Any],
+        work: Sequence[Any],
+        worker: Callable[..., Any],
+    ) -> Tuple[int, List[int]]:
+        """One engine run over ``work`` split into contiguous
+        per-thread parts, each driven by ``worker(ctx, part, out)``.
+        Returns the requests sent and the parts' outputs in tid order."""
+        engine = self.new_engine(sim, params, None)
+        outs: List[List[int]] = []
+        chunk = (len(work) + params["threads"] - 1) // params["threads"]
+        for lo in range(0, len(work), chunk):
+            out: List[int] = []
+            outs.append(out)
+            engine.add_thread(
+                lambda ctx, part=work[lo : lo + chunk], out=out: worker(ctx, part, out)
+            )
+        result = engine.run()
+        return (
+            sum(t.requests for t in result.threads),
+            [v for out in outs for v in out],
+        )
+
+
+class BFSWorkload(WaveWorkload):
+    """Level-synchronous BFS: one engine wave per frontier level."""
+
+    name = "bfs"
+    description = "level-synchronous BFS (CASEQ8 visited-marking vs rmw)"
+    param_domains = {
+        **_COMMON,
+        "vertices": _POSITIVE,
+        "degree": _NON_NEGATIVE,
+        "root": _NON_NEGATIVE,
+    }
+
+    #: One 16-byte level slot per vertex.
+    _LEVEL_BASE = 1 << 20
+
+    def default_params(self) -> Dict[str, Any]:
+        return {
+            "threads": 8,
+            "vertices": 256,
+            "degree": 4,
+            "cas": True,
+            "root": 0,
+            "seed": 12345,
+            "max_cycles": 5_000_000,
+        }
+
+    @staticmethod
+    def _edges(params: Dict[str, Any]) -> List[Tuple[int, int]]:
+        return bfs.synthetic_graph(params["vertices"], params["degree"], params["seed"])
+
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        sim.mem_write(
+            self._LEVEL_BASE + params["root"] * 16,
+            (1).to_bytes(8, "little") + bytes(8),
+        )
+
+    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        ref = bfs.reference_bfs_levels(
+            params["vertices"], self._edges(params), params["root"]
+        )
+        return all(
+            _u64_at(sim.mem_read(self._LEVEL_BASE + v * 16, 8), 0) == lvl
+            for v, lvl in ref.items()
+        )
+
+    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
+        p = self.admit(params, sim, fault_plan, recorder)
+        sim = self.new_sim(config, p)
+        self.prepare(sim, p)
+        edges = self._edges(p)
+        adj = bfs.adjacency(edges)
+        levels: Dict[int, int] = {p["root"]: 1}
+        frontier = [p["root"]]
+        depth = 1
+        requests = 0
+        start = sim.cycle
+        while frontier:
+            inspections = [
+                (u, v) for u in frontier for v in adj.get(u, ()) if v not in levels
+            ]
+            if not inspections:
+                break
+            sent, claimed = self._wave(
+                sim,
+                p,
+                inspections,
+                lambda ctx, part, out: bfs.bfs_worker(
+                    ctx, self._LEVEL_BASE, part, levels, out, p["cas"]
+                ),
+            )
+            requests += sent
+            depth += 1
+            frontier = []
+            for v in claimed:
+                if v not in levels:
+                    levels[v] = depth
+                    frontier.append(v)
+        return bfs.BFSStats(
+            config_name=config.describe(),
+            mode="cas" if p["cas"] else "baseline",
+            vertices=p["vertices"],
+            edges=len(edges),
+            levels=max(levels.values()),
+            cycles=sim.cycle - start,
+            requests=requests,
+            flits=_link_flits(sim),
+            verified=self.verify(sim, p, None),
+        )
+
+    def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
+        return [{"threads": threads, "cas": cas} for cas in (False, True)]
+
+    def format_stats(self, s, fault_plan=None) -> str:
+        return (
+            f"{s.config_name} BFS ({s.mode}): {s.edges} edges, "
+            f"{s.requests} requests, {s.flits} flits, verified={s.verified}"
+        )
+
+
+class SSSPWorkload(WaveWorkload):
     """Bellman-Ford-style SSSP: one engine wave per relaxation round."""
 
     name = "sssp"
     description = "single-source shortest paths (CMC07 amin64 vs rmw)"
-    accepts_sim = False
-    engine_drivable = False
+    param_domains = {
+        **_COMMON,
+        "vertices": _POSITIVE,
+        "degree": _NON_NEGATIVE,
+        "source": _NON_NEGATIVE,
+    }
+
+    #: One 16-byte distance slot per vertex.
+    _DIST_BASE = 1 << 20
 
     def default_params(self) -> Dict[str, Any]:
         return {
@@ -720,38 +852,78 @@ class SSSPWorkload(KernelAdapter):
             "max_cycles": 5_000_000,
         }
 
-    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        raise WorkloadError(
-            "workload 'sssp' is multi-phase (one engine per relaxation "
-            "round); drive it through run()"
+    @staticmethod
+    def _edges(params: Dict[str, Any]) -> List[Tuple[int, int, int]]:
+        return sssp.weighted_graph(params["vertices"], params["degree"], params["seed"])
+
+    def _dist(self, sim: HMCSim, v: int) -> int:
+        return _u64_at(sim.mem_read(self._DIST_BASE + v * 16, 8), 0)
+
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        if params["amin"] and sim.cmc.lookup(7) is None:
+            sim.load_cmc("repro.cmc_ops.amin64")
+        for v in range(params["vertices"]):
+            init = 0 if v == params["source"] else sssp.INFINITY
+            sim.mem_write(
+                self._DIST_BASE + v * 16, init.to_bytes(8, "little") + bytes(8)
+            )
+
+    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        ref = sssp.reference_sssp(
+            params["vertices"], self._edges(params), params["source"]
+        )
+        return all(
+            self._dist(sim, v) == ref.get(v, sssp.INFINITY)
+            for v in range(params["vertices"])
         )
 
     def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        from repro.host.kernels.sssp import run_sssp
-
-        if fault_plan is not None:
-            raise WorkloadError("workload 'sssp' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("workload 'sssp' cannot be trace-recorded")
-        if sim is not None:
-            raise WorkloadError("workload 'sssp' builds its own context")
-        p = self.resolve_params(params)
-        return run_sssp(
-            config,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-            use_amin=p["amin"],
-            source=p["source"],
-            seed=p["seed"],
-            max_cycles=p["max_cycles"],
+        p = self.admit(params, sim, fault_plan, recorder)
+        sim = self.new_sim(config, p)
+        self.prepare(sim, p)
+        edges = self._edges(p)
+        adj = sssp.weighted_adjacency(edges)
+        frontier = {p["source"]}
+        rounds = requests = 0
+        start = sim.cycle
+        while frontier:
+            rounds += 1
+            # Gather this round's relaxations from current HMC
+            # distances, pre-reduced per target vertex so each v is
+            # touched by exactly one thread per round ("owner
+            # computes") — keeping the baseline read-modify-write mode
+            # race-free for a fair correctness comparison.
+            best: Dict[int, int] = {}
+            for u in frontier:
+                du = self._dist(sim, u)
+                for v, w in adj.get(u, ()):
+                    if du + w < best.get(v, sssp.INFINITY):
+                        best[v] = du + w
+            if not best:
+                break
+            sent, improved = self._wave(
+                sim,
+                p,
+                sorted(best.items()),
+                lambda ctx, part, out: sssp.relax_worker(
+                    ctx, self._DIST_BASE, part, out, p["amin"]
+                ),
+            )
+            requests += sent
+            frontier = set(improved)
+        return sssp.SSSPStats(
+            config_name=config.describe(),
+            mode="amin" if p["amin"] else "baseline",
+            vertices=p["vertices"],
+            edges=len(edges),
+            rounds=rounds,
+            cycles=sim.cycle - start,
+            requests=requests,
+            verified=self.verify(sim, p, None),
         )
 
     def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
-        return [
-            {"threads": threads, "amin": False},
-            {"threads": threads, "amin": True},
-        ]
+        return [{"threads": threads, "amin": amin} for amin in (False, True)]
 
     def format_stats(self, s, fault_plan=None) -> str:
         return (

@@ -1,28 +1,40 @@
 """The workload-frontend seam.
 
 HMC-Sim 2.0's evaluation (§V) drives the device with hand-written host
-kernels; our reproduction grew nine of them under
-:mod:`repro.host.kernels`, each with its own runner signature.  This
-module is the seam that makes them interchangeable: a
-:class:`WorkloadFrontend` turns a ``(config, params)`` pair into thread
-programs for the host engine, the same way Ramulator 2's frontend
-interface makes trace-driven and execution-driven workloads swappable
-implementations of one API.
+kernels; our reproduction grew nine of them.  This module is the seam
+that makes them — and trace replay, and task graphs — interchangeable:
+a :class:`WorkloadFrontend` turns a ``(config, params)`` pair into
+thread programs for the host engine, the same way Ramulator 2's
+frontend interface makes trace-driven and execution-driven workloads
+swappable implementations of one API.  :meth:`WorkloadFrontend.run` is
+the single driver; a frontend states each step of its workload once:
 
-A frontend declares:
+``default_params()`` / ``param_domains``
+    The parameter set and each parameter's valid range.
+    :meth:`~WorkloadFrontend.resolve_params` is the one place that
+    rejects unknown, mistyped, or out-of-range parameters.
+
+``prepare(sim, params)``
+    Initial device state: CMC modules to load, memory preloads.
+    Idempotent; :meth:`~WorkloadFrontend.run` calls it itself, and
+    trace replay calls it to reconstruct the recorded run's starting
+    state from the trace header alone.
+
+``new_engine(sim, params, fault_plan)``
+    The engine that drives the run (default: a plain
+    :class:`~repro.host.engine.HostEngine`).
 
 ``build(sim, params)``
     The heart of the seam: a list of thread-program factories
-    (``Callable[[ThreadCtx], Program]``), one per simulated thread, to
-    be mapped onto :class:`~repro.host.thread.SimThread`\\ s.  The
-    simulation context is passed (rather than the bare config) so
-    programs may close over per-run state — preloaded tables, golden
-    values — that :meth:`prepare` set up.
+    (``Callable[[ThreadCtx], Program]``), one per simulated thread.
+    The simulation context is passed (rather than the bare config) so
+    programs may close over per-run state that :meth:`prepare` set up.
 
-``prepare(sim, params)``
-    Initial device state: CMC modules to load, memory preloads.  Trace
-    replay calls this to reconstruct the recorded run's starting state
-    from the trace header alone.
+``finish(sim, params)``
+    Post-engine settling (draining posted traffic).
+
+``stats(sim, params, result)``
+    The run's stats object, built from the engine result.
 
 ``footprint(config, params)``
     The address regions the workload touches, as ``(base, nbytes)``
@@ -30,7 +42,7 @@ A frontend declares:
     conflict fencing.
 
 ``verify(sim, params, result)``
-    Post-run correctness hook (``None`` when the workload has no
+    Post-run correctness check (``None`` when the workload has no
     memory-checkable answer).
 
 Frontends are registered by string name in
@@ -48,6 +60,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
+from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
 
 __all__ = ["Footprint", "WorkloadFrontend", "WorkloadError"]
@@ -57,6 +70,14 @@ Footprint = Tuple[Tuple[int, int], ...]
 
 #: A thread-program factory, as the host engine consumes them.
 ProgramFactory = Callable[[ThreadCtx], Program]
+
+#: Accepted value types per default-value type, and how to name them.
+_PARAM_KINDS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
 
 
 class WorkloadFrontend(ABC):
@@ -85,6 +106,9 @@ class WorkloadFrontend(ABC):
         build their own context (multi-phase kernels, trace replay);
         the serve layer uses this to decide whether a session
         submission runs on the session's warm sim or a fresh one.
+    ``param_domains``
+        Valid values per parameter: ``(lo, hi)`` inclusive bounds
+        (``hi`` ``None`` = unbounded) or a ``frozenset`` of choices.
     """
 
     name: str = ""
@@ -94,6 +118,7 @@ class WorkloadFrontend(ABC):
     supports_faults: bool = False
     recordable: bool = False
     accepts_sim: bool = True
+    param_domains: Dict[str, Any] = {}
 
     # -- parameters -----------------------------------------------------------
 
@@ -102,8 +127,16 @@ class WorkloadFrontend(ABC):
         return {}
 
     def resolve_params(self, params: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        """Merge ``params`` over the defaults; reject unknown keys."""
-        merged = self.default_params()
+        """Merge ``params`` over the defaults.
+
+        Parameters arrive from the CLI and the serve socket, so this is
+        where every bad one is refused: an unknown key, a value whose
+        type differs from the default's, or one outside the parameter's
+        declared domain raises :class:`WorkloadError` naming the
+        parameter and what it accepts.
+        """
+        defaults = self.default_params()
+        merged = dict(defaults)
         for key, value in (params or {}).items():
             if key not in merged:
                 raise WorkloadError(
@@ -111,12 +144,52 @@ class WorkloadFrontend(ABC):
                     f"(have: {', '.join(sorted(merged)) or '<none>'})"
                 )
             merged[key] = value
+        for key, value in merged.items():
+            self._check_param(key, value, defaults[key])
         return merged
+
+    def _check_param(self, key: str, value: Any, default: Any) -> None:
+        if value is None and default is None:
+            return
+        domain = self.param_domains.get(key)
+        bounded = isinstance(domain, tuple)
+        # A ``None`` default types nothing, unless bounds make it a number.
+        types, valid = _PARAM_KINDS.get(
+            type(default), _PARAM_KINDS[float] if bounded else ((), "")
+        )
+        # bool is an int to isinstance(); a flag is not a count.
+        ok = not types or (
+            isinstance(value, types) and isinstance(value, bool) == (types == (bool,))
+        )
+        if bounded:
+            lo, hi = domain
+            ok = ok and value >= lo and (hi is None or value <= hi)
+            valid += f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        elif domain is not None:
+            ok = ok and value in domain
+            valid = "one of " + ", ".join(sorted(map(repr, domain)))
+        if not ok:
+            raise WorkloadError(
+                f"workload {self.name!r} parameter {key!r} must be {valid}, "
+                f"got {value!r}"
+            )
 
     # -- the seam -------------------------------------------------------------
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        """Set up initial device state (CMC modules, memory preloads)."""
+        """Set up initial device state (CMC modules, memory preloads).
+
+        Idempotent: :meth:`run` always calls it, and callers that also
+        did (to inspect the prepared state first) get identical stats.
+        """
+
+    def new_sim(self, config: HMCConfig, params: Dict[str, Any]) -> HMCSim:
+        """The simulation context of a run the caller brought none to."""
+        return HMCSim(config)
+
+    def new_engine(self, sim: HMCSim, params: Dict[str, Any], fault_plan: Any) -> Any:
+        """The engine one run drives :meth:`build`'s programs with."""
+        return HostEngine(sim, max_cycles=params.get("max_cycles", 1_000_000))
 
     @abstractmethod
     def build(
@@ -125,7 +198,8 @@ class WorkloadFrontend(ABC):
         """Thread-program factories for one engine run, in tid order."""
 
     def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
-        """Address regions the workload touches (may be empty)."""
+        """Address regions the workload touches (may be empty); like
+        every hook, takes parameters :meth:`resolve_params` resolved."""
         return ()
 
     def finish(self, sim: HMCSim, params: Dict[str, Any]) -> None:
@@ -135,7 +209,43 @@ class WorkloadFrontend(ABC):
         """Post-run check; ``None`` when nothing is memory-checkable."""
         return None
 
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> Any:
+        """The run's stats object, built from the engine ``result``.
+
+        The default returns the engine result itself, refusing one that
+        fails :meth:`verify`; frontends with their own stats dataclass
+        override this and report the verification outcome in it.
+        """
+        if self.verify(sim, params, result) is False:
+            raise WorkloadError(
+                f"workload {self.name!r} failed post-run verification"
+            )
+        return result
+
     # -- driving --------------------------------------------------------------
+
+    def admit(
+        self,
+        params: Optional[Dict[str, Any]],
+        sim: Optional[HMCSim],
+        fault_plan: Any,
+        recorder: Any,
+    ) -> Dict[str, Any]:
+        """Refuse a :meth:`run` request this frontend cannot serve;
+        returns the resolved parameters of one it can."""
+        if fault_plan is not None and not self.supports_faults:
+            raise WorkloadError(
+                f"workload {self.name!r} does not support fault plans"
+            )
+        if recorder is not None and not self.recordable:
+            raise WorkloadError(
+                f"workload {self.name!r} cannot be trace-recorded"
+            )
+        if sim is not None and not self.accepts_sim:
+            raise WorkloadError(
+                f"workload {self.name!r} builds its own context"
+            )
+        return self.resolve_params(params)
 
     def run(
         self,
@@ -148,38 +258,21 @@ class WorkloadFrontend(ABC):
     ) -> Any:
         """Run the workload once and return its stats object.
 
-        The default implementation drives one
-        :class:`~repro.host.engine.HostEngine` over :meth:`build`'s
-        programs; kernel adapters override it to delegate to their
-        legacy entrypoints (bit-identical by construction), multi-phase
-        kernels to their own orchestration.
+        The single driver: resolve params, bring up (or adopt) the
+        context, :meth:`prepare`, :meth:`new_engine`, one thread per
+        :meth:`build` factory, run, :meth:`finish`, :meth:`stats`.
+        Multi-phase workloads that need several engine runs override
+        it with their own orchestration.
         """
-        from repro.host.engine import HostEngine
-
-        if fault_plan is not None and not self.supports_faults:
-            raise WorkloadError(
-                f"workload {self.name!r} does not support fault plans"
-            )
-        if recorder is not None and not self.recordable:
-            raise WorkloadError(
-                f"workload {self.name!r} cannot be trace-recorded"
-            )
-        resolved = self.resolve_params(params)
+        resolved = self.admit(params, sim, fault_plan, recorder)
         if sim is None:
-            sim = HMCSim(config)
+            sim = self.new_sim(config, resolved)
         self.prepare(sim, resolved)
-        engine = HostEngine(
-            sim, max_cycles=int(resolved.get("max_cycles", 1_000_000))
-        )
+        engine = self.new_engine(sim, resolved, fault_plan)
         if recorder is not None:
             engine.recorder = recorder
         for factory in self.build(sim, resolved):
             engine.add_thread(factory)
         result = engine.run()
         self.finish(sim, resolved)
-        result_verified = self.verify(sim, resolved, result)
-        if result_verified is False:
-            raise WorkloadError(
-                f"workload {self.name!r} failed post-run verification"
-            )
-        return result
+        return self.stats(sim, resolved, result)

@@ -186,6 +186,8 @@ def build_graph_programs(
     on a *different* thread, runs its body, then publishes its own flag
     with a non-posted write.
     """
+    if len(graph) == 0:
+        raise WorkloadError("task graph is empty")
     order = graph.topo_order()
     flag_of = {node.name: flags_base + i * _FLAG_STRIDE for i, node in enumerate(order)}
 
@@ -244,8 +246,6 @@ def run_task_graph(
 ) -> Tuple[EngineResult, Dict[str, Tuple[int, int]]]:
     """Execute ``graph`` on ``sim``; returns the engine result and the
     per-task ``(start, done)`` cycle schedule."""
-    if len(graph) == 0:
-        raise WorkloadError("task graph is empty")
     schedule: Dict[str, Tuple[int, int]] = {}
     engine = HostEngine(sim, max_cycles=max_cycles)
     for factory in build_graph_programs(
@@ -257,7 +257,8 @@ def run_task_graph(
 
 
 class GraphWorkload(WorkloadFrontend):
-    """Shared driver for graph scenarios: build graph, run, verify."""
+    """Shared shape of the graph scenarios: one task graph per run,
+    its programs and per-task schedule handed to the base driver."""
 
     kind = "graph"
 
@@ -265,36 +266,22 @@ class GraphWorkload(WorkloadFrontend):
         raise NotImplementedError
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
+        self._graph = self.build_graph(sim, params)
+        self._schedule: Dict[str, Tuple[int, int]] = {}
         return build_graph_programs(
-            self.build_graph(sim, params), flags_base=params["flags_base"]
+            self._graph, flags_base=params["flags_base"], schedule=self._schedule
         )
 
-    def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        if fault_plan is not None:
-            raise WorkloadError(
-                f"workload {self.name!r} does not support fault plans"
-            )
-        if recorder is not None:
-            raise WorkloadError(
-                f"workload {self.name!r} cannot be trace-recorded"
-            )
-        p = self.resolve_params(params)
-        if sim is None:
-            sim = HMCSim(config)
-        self.prepare(sim, p)
-        graph = self.build_graph(sim, p)
-        result, schedule = run_task_graph(
-            sim, graph, flags_base=p["flags_base"], max_cycles=p["max_cycles"]
-        )
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any) -> GraphStats:
         stats = GraphStats(
-            config_name=config.describe(),
+            config_name=sim.config.describe(),
             scenario=self.name,
-            tasks=len(graph),
+            tasks=len(self._graph),
             threads=len(result.threads),
             engine=result,
-            schedule=schedule,
+            schedule=self._schedule,
         )
-        stats.verified = self.verify(sim, p, stats)
+        stats.verified = self.verify(sim, params, stats)
         return stats
 
 

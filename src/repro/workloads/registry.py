@@ -15,12 +15,12 @@ cycle-free.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.errors import WorkloadError
 from repro.workloads.base import WorkloadFrontend
 
-__all__ = ["WorkloadRegistry", "WORKLOADS", "register_workload"]
+__all__ = ["WorkloadRegistry", "WORKLOADS", "register_workload", "run_spec"]
 
 
 class WorkloadRegistry:
@@ -134,3 +134,14 @@ def register_workload(
 ) -> Type[WorkloadFrontend]:
     """Register a frontend with the global registry (decorator-friendly)."""
     return WORKLOADS.register(frontend, replace=replace)
+
+
+def run_spec(spec: Any) -> Any:
+    """Execute a :class:`~repro.parallel.tasks.TaskSpec` a frontend's
+    ``task_spec`` built — the sweep workers' entry point, resolved by
+    dotted path so specs stay picklable."""
+    return WORKLOADS.get(spec.kernel).run(
+        spec.config,
+        {"threads": spec.threads, **spec.param_dict()},
+        fault_plan=spec.fault_plan,
+    )

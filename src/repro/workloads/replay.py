@@ -119,14 +119,8 @@ def record_workload(
     from repro.workloads.registry import WORKLOADS
 
     frontend = WORKLOADS.get(name)
-    if not frontend.recordable:
-        raise WorkloadError(
-            f"workload {name!r} cannot be trace-recorded (recordable "
-            f"frontends: see 'repro info')"
-        )
     resolved = frontend.resolve_params(params)
     sim = HMCSim(config)
-    frontend.prepare(sim, resolved)
     recorder = TraceRecorder()
     stats = frontend.run(
         config, resolved, sim=sim, fault_plan=fault_plan, recorder=recorder
@@ -383,29 +377,14 @@ class TraceReplayWorkload(WorkloadFrontend):
             )
         return WorkloadTrace.load(params["path"])
 
-    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
-        _prepare_replay_sim(self._trace(params), sim)
-
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
-        trace = self._trace(params)
-        if not trace.threads:
-            raise WorkloadError(
-                "trace has no thread structure — use open-loop replay"
-            )
-        by_thread = trace.by_thread()
-        return [
-            lambda ctx, records=by_thread.get(info.tid, []): _replay_program(
-                ctx, records
-            )
-            for info in trace.threads
-        ]
+        raise WorkloadError(
+            "workload 'trace' pins each replay thread to its recorded "
+            "link (closed) or injects by rate (open); drive it through run()"
+        )
 
     def run(self, config, params=None, *, sim=None, fault_plan=None, recorder=None):
-        if fault_plan is not None:
-            raise WorkloadError("workload 'trace' does not support fault plans")
-        if recorder is not None:
-            raise WorkloadError("a replay cannot itself be recorded")
-        p = self.resolve_params(params)
+        p = self.admit(params, sim, fault_plan, recorder)
         trace = self._trace(p)
         if p["mode"] == "open":
             return replay_open_loop(

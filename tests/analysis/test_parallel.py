@@ -17,7 +17,6 @@ import pytest
 from repro.analysis import sweep as sweep_mod
 from repro.analysis.sweep import run_mutex_sweep
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import mutex_task_spec
 from repro.parallel import (
     SweepCache,
     SweepExecutor,
@@ -29,6 +28,7 @@ from repro.parallel import (
     resolve_jobs,
     run_task,
 )
+from repro.workloads.registry import WORKLOADS
 
 #: Reduced sweep axis: cheap, but still spans low and contended counts.
 AXIS = list(range(2, 11))
@@ -36,6 +36,11 @@ AXIS = list(range(2, 11))
 #: CI matrix legs export REPRO_TEST_JOBS to pin one worker count each;
 #: local runs cover both.
 PARITY_JOBS = [int(j) for j in os.environ.get("REPRO_TEST_JOBS", "2,4").split(",")]
+
+
+def mutex_spec(cfg, threads, **kwargs):
+    """One Algorithm-1 sweep point, built through the registry."""
+    return WORKLOADS.get("mutex").task_spec(cfg, threads, **kwargs)
 
 
 class TestDeterminism:
@@ -57,7 +62,7 @@ class TestDeterminism:
         # Deliberately non-monotone axis: results must come back in
         # submission order, not thread-count or completion order.
         axis = [8, 2, 6, 3]
-        specs = [mutex_task_spec(cfg, n) for n in axis]
+        specs = [mutex_spec(cfg, n) for n in axis]
         results = SweepExecutor(jobs=2).run(specs)
         assert [r.threads for r in results] == axis
         assert results == [run_task(s) for s in specs]
@@ -71,7 +76,7 @@ class TestDeterminism:
 class TestCache:
     def test_cold_then_warm_round_trip(self, tmp_path):
         cfg = HMCConfig.cfg_4link_4gb()
-        specs = [mutex_task_spec(cfg, n) for n in AXIS]
+        specs = [mutex_spec(cfg, n) for n in AXIS]
 
         cold_cache = SweepCache(tmp_path)
         cold = SweepExecutor(jobs=1, cache=cold_cache).run(specs)
@@ -103,7 +108,7 @@ class TestCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cfg = HMCConfig.cfg_4link_4gb()
-        spec = mutex_task_spec(cfg, 2)
+        spec = mutex_spec(cfg, 2)
         cache = SweepCache(tmp_path)
         result = SweepExecutor(jobs=1, cache=cache).run([spec])[0]
         cache.path_for(cache_key(spec)).write_text("{not json")
@@ -114,7 +119,7 @@ class TestCache:
 
     def test_result_codec_round_trip(self):
         cfg = HMCConfig.cfg_4link_4gb()
-        stats = run_task(mutex_task_spec(cfg, 3))
+        stats = run_task(mutex_spec(cfg, 3))
         assert decode_result(encode_result(stats)) == stats
 
     def test_clear_removes_entries(self, tmp_path):
@@ -127,7 +132,7 @@ class TestCache:
 
 class TestTaskSpecs:
     def test_spec_is_picklable(self):
-        spec = mutex_task_spec(HMCConfig.cfg_4link_4gb(), 17)
+        spec = mutex_spec(HMCConfig.cfg_4link_4gb(), 17)
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
         assert cache_key(clone) == cache_key(spec)
@@ -139,14 +144,14 @@ class TestTaskSpecs:
         swapped = HMCConfig.cfg_4link_4gb(xbar="ideal")
         assert config_fingerprint(base) != config_fingerprint(swapped)
         assert component_fingerprint(base) != component_fingerprint(swapped)
-        assert cache_key(mutex_task_spec(base, 2)) != cache_key(
-            mutex_task_spec(swapped, 2)
+        assert cache_key(mutex_spec(base, 2)) != cache_key(
+            mutex_spec(swapped, 2)
         )
 
     def test_workload_fingerprint_is_part_of_the_key(self):
         from repro.workloads.registry import WORKLOADS
 
-        spec = mutex_task_spec(HMCConfig.cfg_4link_4gb(), 2)
+        spec = mutex_spec(HMCConfig.cfg_4link_4gb(), 2)
         assert WORKLOADS.fingerprint("mutex") in cache_key(spec)
         assert cache_key(spec).startswith("mutex-")
 
@@ -156,7 +161,7 @@ class TestTaskSpecs:
         from repro.workloads.adapters import MutexWorkload
         from repro.workloads.registry import WORKLOADS
 
-        spec = mutex_task_spec(HMCConfig.cfg_4link_4gb(), 2)
+        spec = mutex_spec(HMCConfig.cfg_4link_4gb(), 2)
         before = cache_key(spec)
 
         class PatchedMutex(MutexWorkload):
@@ -171,14 +176,14 @@ class TestTaskSpecs:
 
     def test_thread_count_is_part_of_the_key(self):
         cfg = HMCConfig.cfg_4link_4gb()
-        assert cache_key(mutex_task_spec(cfg, 2)) != cache_key(mutex_task_spec(cfg, 3))
+        assert cache_key(mutex_spec(cfg, 2)) != cache_key(mutex_spec(cfg, 3))
 
 
 class TestProgress:
     def test_callback_sees_every_point_in_order(self, tmp_path):
         cfg = HMCConfig.cfg_4link_4gb()
         axis = [2, 3, 4, 5]
-        specs = [mutex_task_spec(cfg, n) for n in axis]
+        specs = [mutex_spec(cfg, n) for n in axis]
         cache = SweepCache(tmp_path)
         SweepExecutor(jobs=1, cache=cache).run(specs)
 

@@ -118,9 +118,12 @@ class TestRecordsCSV:
             records_to_csv([])
 
     def test_kernel_stats_export(self):
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
+        from repro.workloads.registry import WORKLOADS
 
-        stats = [run_mutex_workload(HMCConfig.cfg_4link_4gb(), n) for n in (2, 4)]
+        stats = [
+            WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": n})
+            for n in (2, 4)
+        ]
         text = records_to_csv(stats)
         rows = list(csv.DictReader(io.StringIO(text)))
         assert rows[0]["threads"] == "2"

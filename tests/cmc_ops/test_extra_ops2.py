@@ -12,7 +12,9 @@ from repro.cmc_ops.ticket import (
     init_ticket_lock,
     load_ticket_ops,
 )
+from repro.errors import WorkloadError
 from repro.hmc.commands import hmc_rqst_t
+from tests.conftest import run_workload
 
 _M64 = (1 << 64) - 1
 
@@ -70,32 +72,23 @@ class TestTicketOps:
 
 class TestTicketKernel:
     def test_fifo_order_under_contention(self, cfg4):
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
-
-        stats = run_ticket_workload(cfg4, 24)
+        stats = run_workload("ticket", cfg4, threads=24)
         assert stats.fifo_order  # the whole point of a ticket lock
         assert stats.min_cycle >= 6
 
     def test_single_thread_fast_path(self, cfg4):
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
-
-        stats = run_ticket_workload(cfg4, 1)
+        stats = run_workload("ticket", cfg4, threads=1)
         # enter (owns immediately) + exit = two round trips.
         assert stats.max_cycle == 6
 
     def test_comparable_magnitude_to_mutex(self, cfg4):
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
-
-        t = run_ticket_workload(cfg4, 50)
-        m = run_mutex_workload(cfg4, 50)
+        t = run_workload("ticket", cfg4, threads=50)
+        m = run_workload("mutex", cfg4, threads=50)
         assert 0.3 < t.max_cycle / m.max_cycle < 3.0
 
     def test_invalid_thread_count(self, cfg4):
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
-
-        with pytest.raises(ValueError):
-            run_ticket_workload(cfg4, 0)
+        with pytest.raises(WorkloadError, match="'threads' must be"):
+            run_workload("ticket", cfg4, threads=0)
 
 
 class TestCas128:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.hmc.commands import hmc_rqst_t
-from tests.conftest import roundtrip
+from tests.conftest import roundtrip, run_workload
 
 _M64 = (1 << 64) - 1
 
@@ -95,11 +95,9 @@ class TestDeterminism:
     def test_mutex_workload_deterministic(self):
         """Two identical runs produce byte-identical statistics — the
         reproducibility property every result in EXPERIMENTS.md rests on."""
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
-
         cfg = HMCConfig.cfg_4link_4gb()
-        a = run_mutex_workload(cfg, 37)
-        b = run_mutex_workload(cfg, 37)
+        a = run_workload("mutex", cfg, threads=37)
+        b = run_workload("mutex", cfg, threads=37)
         assert (a.min_cycle, a.max_cycle, a.avg_cycle, a.total_cycles) == (
             b.min_cycle,
             b.max_cycle,
@@ -108,11 +106,9 @@ class TestDeterminism:
         )
 
     def test_gups_deterministic(self):
-        from repro.host.kernels.gups import run_gups
-
         cfg = HMCConfig.cfg_4link_4gb()
-        a = run_gups(cfg, num_threads=4, updates_per_thread=8)
-        b = run_gups(cfg, num_threads=4, updates_per_thread=8)
+        a = run_workload("gups", cfg, threads=4, updates_per_thread=8)
+        b = run_workload("gups", cfg, threads=4, updates_per_thread=8)
         assert a.cycles == b.cycles and a.requests == b.requests
 
     def test_open_loop_deterministic(self):

@@ -53,3 +53,11 @@ def roundtrip(sim: HMCSim, pkt, *, link: int = 0, max_cycles: int = 64):
 def do_roundtrip():
     """Fixture exposing the one-request round-trip helper."""
     return roundtrip
+
+
+def run_workload(name: str, cfg: HMCConfig, *, sim=None, fault_plan=None, **params):
+    """Run the registered workload ``name`` once; ``params`` are its
+    registry parameters (``run_workload("gups", cfg, threads=4)``)."""
+    from repro.workloads.registry import WORKLOADS
+
+    return WORKLOADS.get(name).run(cfg, params, sim=sim, fault_plan=fault_plan)

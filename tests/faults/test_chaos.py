@@ -13,9 +13,10 @@ from repro.faults.watchdog import TagWatchdog
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
-from repro.host.kernels.mutex_kernel import run_mutex_workload
 from repro.parallel.cache import SweepCache
 from repro.parallel.tasks import cache_key
+from repro.workloads.registry import WORKLOADS
+from tests.conftest import run_workload
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0x0C4A05"), 0)
 
@@ -52,15 +53,16 @@ class TestChaosRuns:
     def test_chaos_mutex_workload_is_deterministic(self):
         plan = FaultPlan.parse(["xbar_drop=0.01", "xbar_dup=0.01"], seed=CHAOS_SEED)
         cfg = HMCConfig.cfg_4link_4gb()
-        a = run_mutex_workload(cfg, 12, fault_plan=plan)
-        b = run_mutex_workload(cfg, 12, fault_plan=plan)
+        a = run_workload("mutex", cfg, threads=12, fault_plan=plan)
+        b = run_workload("mutex", cfg, threads=12, fault_plan=plan)
         assert a == b
 
     def test_different_seed_changes_history(self):
         cfg = HMCConfig.cfg_4link_4gb()
         runs = [
-            run_mutex_workload(
-                cfg, 24, fault_plan=FaultPlan.parse(["xbar_drop=0.02"], seed=s)
+            run_workload(
+                "mutex", cfg, threads=24,
+                fault_plan=FaultPlan.parse(["xbar_drop=0.02"], seed=s),
             )
             for s in (CHAOS_SEED, CHAOS_SEED ^ 0x5A5A5A)
         ]
@@ -117,22 +119,21 @@ class TestFaultAwareCaching:
         assert clean2.runs == clean.runs
 
     def test_key_segments(self):
-        from repro.host.kernels.mutex_kernel import mutex_task_spec
-
+        mutex_spec = WORKLOADS.get("mutex").task_spec
         cfg = HMCConfig.cfg_4link_4gb()
         plan = FaultPlan.parse(["xbar_drop=0.1"])
-        k_plain = cache_key(mutex_task_spec(cfg, 4))
-        k_faulty = cache_key(mutex_task_spec(cfg, 4, fault_plan=plan))
+        k_plain = cache_key(mutex_spec(cfg, 4))
+        k_faulty = cache_key(mutex_spec(cfg, 4, fault_plan=plan))
         # Fault-free keys are unchanged (old cache entries stay valid);
         # faulty keys append the plan fingerprint.
         assert k_faulty.startswith(k_plain + "-f")
         # Seed and parameters both reach the key.
         k_seed = cache_key(
-            mutex_task_spec(
+            mutex_spec(
                 cfg, 4, fault_plan=FaultPlan.parse(["xbar_drop=0.1"], seed=1)
             )
         )
         k_rate = cache_key(
-            mutex_task_spec(cfg, 4, fault_plan=FaultPlan.parse(["xbar_drop=0.2"]))
+            mutex_spec(cfg, 4, fault_plan=FaultPlan.parse(["xbar_drop=0.2"]))
         )
         assert len({k_faulty, k_seed, k_rate}) == 3

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.errors import HMCSimError
+from repro.errors import HMCSimError, WorkloadError
 from repro.hmc.checkpoint import CHECKPOINT_VERSION, restore_checkpoint, save_checkpoint
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.registers import HMC_REG
 from repro.hmc.sim import HMCSim
-from tests.conftest import roundtrip
+from tests.conftest import roundtrip, run_workload
 
 
 class TestSaveRestore:
@@ -391,29 +391,21 @@ class TestGuards:
 
 class TestBarrierKernel:
     def test_rounds_complete_in_order(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        stats = run_barrier_workload(cfg4, 8, rounds=4)
+        stats = run_workload("barrier", cfg4, threads=8, rounds=4)
         assert stats.order_correct
         assert stats.total_cycles > 0
 
     def test_many_threads(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        stats = run_barrier_workload(cfg4, 20, rounds=3)
+        stats = run_workload("barrier", cfg4, threads=20, rounds=3)
         assert stats.order_correct
 
     def test_needs_two_threads(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        with pytest.raises(ValueError):
-            run_barrier_workload(cfg4, 1)
+        with pytest.raises(WorkloadError, match="'threads' must be"):
+            run_workload("barrier", cfg4, threads=1)
 
     def test_cost_scales_with_rounds(self, cfg4):
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        r2 = run_barrier_workload(cfg4, 8, rounds=2)
-        r6 = run_barrier_workload(cfg4, 8, rounds=6)
+        r2 = run_workload("barrier", cfg4, threads=8, rounds=2)
+        r6 = run_workload("barrier", cfg4, threads=8, rounds=6)
         assert r6.total_cycles > r2.total_cycles
 
 

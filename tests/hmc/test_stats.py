@@ -6,6 +6,7 @@ from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.hmc.stats import OccupancySeries, SimSampler
+from tests.conftest import run_workload
 
 
 class TestOccupancySeries:
@@ -74,10 +75,9 @@ class TestSampler:
     def test_sampling_does_not_perturb(self):
         """A sampled run and an unsampled run produce identical results."""
         from repro.cmc_ops.mutex import load_mutex_ops
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
 
         cfg = HMCConfig.cfg_4link_4gb()
-        plain = run_mutex_workload(cfg, 16)
+        plain = run_workload("mutex", cfg, threads=16)
 
         sim = HMCSim(cfg)
         load_mutex_ops(sim)
@@ -90,7 +90,7 @@ class TestSampler:
             return rc
 
         sim.clock = sampled_clock  # type: ignore[method-assign]
-        sampled = run_mutex_workload(cfg, 16, sim=sim)
+        sampled = run_workload("mutex", cfg, threads=16, sim=sim)
         assert (plain.min_cycle, plain.max_cycle, plain.avg_cycle) == (
             sampled.min_cycle,
             sampled.max_cycle,

@@ -3,28 +3,26 @@
 import pytest
 
 from repro.cmc_ops import base
+from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.mutex_kernel import (
-    DEFAULT_LOCK_ADDR,
-    MutexRunStats,
-    run_mutex_workload,
-)
+from repro.host.kernels.mutex_kernel import DEFAULT_LOCK_ADDR, MutexRunStats
+from tests.conftest import run_workload
 
 
 class TestSmallRuns:
     def test_single_thread_fast_path_is_six_cycles(self, cfg4):
         # Lock succeeds immediately -> unlock: two 3-cycle round trips.
-        stats = run_mutex_workload(cfg4, 1)
+        stats = run_workload("mutex", cfg4, threads=1)
         assert stats.min_cycle == stats.max_cycle == 6
         assert stats.cmc_executions == 2  # one lock + one unlock
 
     def test_two_threads_min_is_paper_min(self, cfg4):
         # Table VI: Min Cycle Count = 6.
-        stats = run_mutex_workload(cfg4, 2)
+        stats = run_workload("mutex", cfg4, threads=2)
         assert stats.min_cycle == 6
 
     def test_all_threads_complete(self, cfg4):
-        stats = run_mutex_workload(cfg4, 10)
+        stats = run_workload("mutex", cfg4, threads=10)
         assert stats.threads == 10
         assert stats.max_cycle >= stats.min_cycle
         assert stats.min_cycle <= stats.avg_cycle <= stats.max_cycle
@@ -35,7 +33,7 @@ class TestSmallRuns:
 
         sim = HMCSim(cfg4)
         load_mutex_ops(sim)
-        run_mutex_workload(cfg4, 8, sim=sim)
+        run_workload("mutex", cfg4, threads=8, sim=sim)
         _, lock = base.read_lock_struct(sim, 0, DEFAULT_LOCK_ADDR)
         assert lock == base.LOCK_FREE
 
@@ -47,20 +45,20 @@ class TestSmallRuns:
 
         sim = HMCSim(cfg4)
         ops = {op.op_name: op for op in load_mutex_ops(sim)}
-        run_mutex_workload(cfg4, 12, sim=sim)
+        run_workload("mutex", cfg4, threads=12, sim=sim)
         assert ops["hmc_unlock"].executions == 12
         assert ops["hmc_lock"].executions == 12
 
     def test_invalid_thread_count(self, cfg4):
-        with pytest.raises(ValueError):
-            run_mutex_workload(cfg4, 0)
+        with pytest.raises(WorkloadError, match="'threads' must be"):
+            run_workload("mutex", cfg4, threads=0)
 
     def test_custom_lock_addr(self, cfg4):
-        stats = run_mutex_workload(cfg4, 4, lock_addr=0x123450)
+        stats = run_workload("mutex", cfg4, threads=4, lock_addr=0x123450)
         assert stats.min_cycle == 6
 
     def test_stats_dataclass_fields(self, cfg4):
-        stats = run_mutex_workload(cfg4, 2)
+        stats = run_workload("mutex", cfg4, threads=2)
         assert isinstance(stats, MutexRunStats)
         assert stats.config_name == "4Link-4GB"
         assert stats.total_cycles >= stats.max_cycle
@@ -74,37 +72,37 @@ class TestPaperShape:
         # identical between both configurations for thread counts from
         # two to fifty" — we assert it for a low-count sample.
         for n in (2, 8, 16):
-            s4 = run_mutex_workload(cfg4, n)
-            s8 = run_mutex_workload(cfg8, n)
+            s4 = run_workload("mutex", cfg4, threads=n)
+            s8 = run_workload("mutex", cfg8, threads=n)
             assert s4.min_cycle == s8.min_cycle, n
             assert s4.max_cycle == s8.max_cycle, n
             assert s4.avg_cycle == s8.avg_cycle, n
 
     def test_8link_at_least_as_good_at_high_counts(self, cfg4, cfg8):
-        s4 = run_mutex_workload(cfg4, 99)
-        s8 = run_mutex_workload(cfg8, 99)
+        s4 = run_workload("mutex", cfg4, threads=99)
+        s8 = run_workload("mutex", cfg8, threads=99)
         assert s8.max_cycle <= s4.max_cycle
         assert s8.avg_cycle <= s4.avg_cycle
 
     def test_8link_advantage_is_small(self, cfg4, cfg8):
         # §V.C: 1.2% (max) / 2.2% (avg) better — "only", i.e. small.
-        s4 = run_mutex_workload(cfg4, 99)
-        s8 = run_mutex_workload(cfg8, 99)
+        s4 = run_workload("mutex", cfg4, threads=99)
+        s8 = run_workload("mutex", cfg8, threads=99)
         assert (s4.max_cycle - s8.max_cycle) / s4.max_cycle < 0.10
         assert (s4.avg_cycle - s8.avg_cycle) / s4.avg_cycle < 0.10
 
     def test_worst_case_magnitude_matches_paper(self, cfg4):
         # Paper Table VI: 4Link max 392, avg 226.48 (at 99 threads).
-        s4 = run_mutex_workload(cfg4, 99)
+        s4 = run_workload("mutex", cfg4, threads=99)
         assert 300 <= s4.max_cycle <= 480
         assert 170 <= s4.avg_cycle <= 280
 
     def test_max_grows_with_threads(self, cfg4):
-        maxes = [run_mutex_workload(cfg4, n).max_cycle for n in (4, 16, 64)]
+        maxes = [run_workload("mutex", cfg4, threads=n).max_cycle for n in (4, 16, 64)]
         assert maxes == sorted(maxes)
         assert maxes[-1] > maxes[0]
 
     def test_hot_spot_serializes_roughly_linearly(self, cfg4):
         # ~3-4 cycles per thread once the handoff chain dominates.
-        s = run_mutex_workload(cfg4, 64)
+        s = run_workload("mutex", cfg4, threads=64)
         assert 2.0 <= s.max_cycle / 64 <= 6.0

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.hmc.config import HMCConfig
-from repro.hmc.timing import HMCTimingModel
-from repro.host.kernels.pointer_chase import build_chain, run_pointer_chase
+from repro.host.kernels.pointer_chase import build_chain
+from tests.conftest import run_workload
 from repro.host.openloop import run_open_loop
 
 
@@ -68,24 +68,24 @@ class TestOpenLoop:
 
 class TestPointerChase:
     def test_baseline_is_three_cycles_per_hop(self, cfg):
-        s = run_pointer_chase(cfg, length=32)
+        s = run_workload("chase", cfg, length=32)
         assert s.order_correct
         assert s.cycles_per_hop == pytest.approx(3.0)
 
     def test_scatter_preserves_order(self, cfg):
-        s = run_pointer_chase(cfg, length=64, scatter=True)
+        s = run_workload("chase", cfg, length=64, scatter=True)
         assert s.order_correct
 
     def test_scatter_same_cost_without_timing(self, cfg):
         # The baseline model has no row buffer: layout cannot matter.
-        seq = run_pointer_chase(cfg, length=64, scatter=False)
-        sca = run_pointer_chase(cfg, length=64, scatter=True)
+        seq = run_workload("chase", cfg, length=64, scatter=False)
+        sca = run_workload("chase", cfg, length=64, scatter=True)
         assert seq.cycles == sca.cycles
 
     def test_timing_model_penalizes_scatter(self, cfg):
-        timing = HMCTimingModel(t_cl=1, t_rcd=3, t_rp=3)
-        seq = run_pointer_chase(cfg, length=64, timing=timing)
-        sca = run_pointer_chase(cfg, length=64, scatter=True, timing=timing)
+        # timing=True attaches the default DRAM timing model.
+        seq = run_workload("chase", cfg, length=64, timing=True)
+        sca = run_workload("chase", cfg, length=64, scatter=True, timing=True)
         # Sequential layout gets row hits; scattered pays activates.
         assert seq.cycles <= sca.cycles
 

@@ -18,7 +18,7 @@ from repro.faults.plan import FaultPlan
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
-from repro.host.kernels.mutex_kernel import run_mutex_workload
+from tests.conftest import run_workload
 
 
 def read_program(ctx, addr=0, count=4):
@@ -72,14 +72,14 @@ class TestSampling:
 
 class TestMutexKernel:
     def test_mutex_workload_shadowed(self, cfg4):
-        stats = run_mutex_workload(cfg4, 12, oracle_sample=4)
+        stats = run_workload("mutex", cfg4, threads=12, oracle_sample=4)
         assert stats.oracle_checks > 0
         # Every thread still completes its critical section: at least
         # one lock acquisition and one unlock each.
         assert stats.cmc_executions >= 24
 
     def test_mutex_workload_sample_one(self, cfg4):
-        stats = run_mutex_workload(cfg4, 8, oracle_sample=1)
+        stats = run_workload("mutex", cfg4, threads=8, oracle_sample=1)
         assert stats.oracle_checks > 0
         assert stats.cmc_executions >= 16
 

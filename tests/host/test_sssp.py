@@ -3,12 +3,8 @@
 import pytest
 
 from repro.hmc.config import HMCConfig
-from repro.host.kernels.sssp import (
-    INFINITY,
-    reference_sssp,
-    run_sssp,
-    weighted_graph,
-)
+from repro.host.kernels.sssp import INFINITY, reference_sssp, weighted_graph
+from tests.conftest import run_workload
 
 
 @pytest.fixture(scope="module")
@@ -35,38 +31,38 @@ class TestGraphAndReference:
 
 class TestKernel:
     def test_amin_mode_verifies(self, cfg):
-        s = run_sssp(cfg, num_vertices=96, avg_degree=3, use_amin=True)
+        s = run_workload("sssp", cfg, vertices=96, degree=3, amin=True)
         assert s.verified
         assert s.mode == "amin"
 
     def test_baseline_mode_verifies(self, cfg):
-        s = run_sssp(cfg, num_vertices=96, avg_degree=3, use_amin=False)
+        s = run_workload("sssp", cfg, vertices=96, degree=3, amin=False)
         assert s.verified
 
     def test_amin_halves_worst_case_requests(self, cfg):
-        a = run_sssp(cfg, num_vertices=96, avg_degree=3, use_amin=True)
-        b = run_sssp(cfg, num_vertices=96, avg_degree=3, use_amin=False)
+        a = run_workload("sssp", cfg, vertices=96, degree=3, amin=True)
+        b = run_workload("sssp", cfg, vertices=96, degree=3, amin=False)
         # amin: 1 request per relaxation; baseline: 1 read + 1 write
         # per improving relaxation, 1 read otherwise.
         assert a.requests < b.requests
 
     def test_amin_faster(self, cfg):
-        a = run_sssp(cfg, num_vertices=96, avg_degree=3, use_amin=True)
-        b = run_sssp(cfg, num_vertices=96, avg_degree=3, use_amin=False)
+        a = run_workload("sssp", cfg, vertices=96, degree=3, amin=True)
+        b = run_workload("sssp", cfg, vertices=96, degree=3, amin=False)
         assert a.cycles < b.cycles
 
     def test_single_vertex_graph(self, cfg):
-        s = run_sssp(cfg, num_vertices=2, avg_degree=1, use_amin=True)
+        s = run_workload("sssp", cfg, vertices=2, degree=1, amin=True)
         assert s.verified
 
     def test_rounds_bounded_by_vertices(self, cfg):
-        s = run_sssp(cfg, num_vertices=64, avg_degree=3, use_amin=True)
+        s = run_workload("sssp", cfg, vertices=64, degree=3, amin=True)
         assert s.rounds <= 64
 
     def test_different_sources(self, cfg):
         for src in (0, 5, 31):
-            s = run_sssp(
-                cfg, num_vertices=64, avg_degree=3, use_amin=True, source=src
+            s = run_workload(
+                "sssp", cfg, vertices=64, degree=3, amin=True, source=src
             )
             assert s.verified, f"source {src}"
 

@@ -11,7 +11,7 @@ from repro.hmc.flow import ErrorModel, LinkFlowModel
 from repro.hmc.power import HMCPowerModel
 from repro.hmc.sim import HMCSim
 from repro.hmc.timing import HMCTimingModel
-from tests.conftest import roundtrip
+from tests.conftest import roundtrip, run_workload
 
 
 class TestAllModelsTogether:
@@ -44,12 +44,11 @@ class TestAllModelsTogether:
 
     def test_mutex_workload_under_all_models(self, full_sim):
         from repro.cmc_ops.mutex import load_mutex_ops
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
 
         sim = full_sim
         load_mutex_ops(sim)
-        stats = run_mutex_workload(
-            HMCConfig.cfg_4link_4gb(), 12, sim=sim, max_cycles=100_000
+        stats = run_workload(
+            "mutex", HMCConfig.cfg_4link_4gb(), threads=12, sim=sim, max_cycles=100_000
         )
         # Slower than the clean baseline (timing + retries), still correct.
         assert stats.min_cycle >= 6

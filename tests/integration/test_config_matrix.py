@@ -6,7 +6,7 @@ import pytest
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from tests.conftest import roundtrip
+from tests.conftest import roundtrip, run_workload
 
 GEOMETRIES = [
     dict(num_links=4, capacity=2, num_vaults=16, num_banks=8, num_drams=16),
@@ -79,9 +79,7 @@ class TestBlockSizeMatrix:
     def test_mutex_min_cycle_invariant_to_bsize(self, bsize):
         # §V.B: the max block size "subsequently does not affect our
         # respective simulation" — a 16-byte lock never spans blocks.
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
-
-        stats = run_mutex_workload(HMCConfig.cfg_4link_4gb(bsize=bsize), 2)
+        stats = run_workload("mutex", HMCConfig.cfg_4link_4gb(bsize=bsize), threads=2)
         assert stats.min_cycle == 6
 
 

@@ -152,9 +152,9 @@ class TestValueCodec:
 
     def test_real_stats_roundtrip(self):
         from repro.hmc.config import HMCConfig
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
+        from repro.workloads.registry import WORKLOADS
 
-        stats = run_mutex_workload(HMCConfig.cfg_4link_4gb(), num_threads=2)
+        stats = WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": 2})
         doc = json.loads(json.dumps(schemas.encode_value(stats)))
         assert schemas.decode_value(doc) == stats
 

@@ -147,6 +147,25 @@ class TestValidation:
         with pytest.raises(ServeError):
             session.accept("sweep", {"workload": "mutex", "threads": [0]})
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"workload": "gups", "params": {"threads": 0}},
+            {"workload": "mutex", "params": {"threads": "8"}},
+            {"workload": "chase", "params": {"length": 0}},
+            {"workload": "mutex", "params": {"thraeds": 8}},
+        ],
+    )
+    def test_doomed_params_refused_at_accept(self, tmp_path, spec):
+        # Params arrive from the socket: a submission that could only
+        # fail is a bad_request refusal, not a journaled failed record.
+        session = make_session(tmp_path)
+        with pytest.raises(ServeError) as exc:
+            session.accept("workload", spec)
+        assert exc.value.code == "bad_request"
+        assert spec["workload"] in str(exc.value)
+        assert session.submissions == []
+
     def test_rejected_spec_not_journaled(self, tmp_path):
         session = make_session(tmp_path)
         with pytest.raises(ServeError):

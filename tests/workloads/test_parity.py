@@ -1,21 +1,38 @@
-"""Kernel digest parity: registry adapters vs legacy entrypoints.
+"""Kernel stats golden: registry runs vs the retired legacy entrypoints.
 
-The adapters delegate to the legacy runners, so registry-resolved runs
-are bit-identical by construction — this suite pins that contract
-against drift: every kernel, both shipped configurations, full stats
-equality (the stats objects are dataclasses, so ``==`` covers every
-field, including cycle counts and verification flags).
+``golden_kernel_stats.json`` was captured once, at the last commit that
+still had the per-kernel ``run_*`` entrypoints under
+``repro.host.kernels``, by calling those entrypoints directly: every
+kernel, both shipped configurations, every ``cli_variants`` variant,
+the modes no CLI variant reaches (``EXTRA``), and Algorithm 1 under a
+fault plan.  The entrypoints are gone; the registry frontends are the
+only statement of each kernel, and this suite pins them to the captured
+stats field for field (cycle counts, request counts, verification
+flags, and the ``module:qualname`` the stats are encoded under).
+
+An intentional change to a kernel's simulated behaviour regenerates the
+file from the registry (``python tests/workloads/test_parity.py``) and
+bumps the frontend's ``version``; the diff is the review artifact.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.faults.plan import FaultPlan
 from repro.hmc.config import HMCConfig
+from repro.parallel.tasks import encode_result
 from repro.workloads.registry import WORKLOADS
 
+GOLDEN = Path(__file__).with_name("golden_kernel_stats.json")
+
+CONFIGS = ("cfg_4link_4gb", "cfg_8link_8gb")
+
 #: Reduced parameters per kernel (the defaults are CLI-sized; these
-#: keep 18 runs tier-1 fast while still exercising contention).
+#: keep the suite tier-1 fast while still exercising contention).
 PARAMS = {
     "mutex": {"threads": 4},
     "ticket": {"threads": 4},
@@ -28,77 +45,71 @@ PARAMS = {
     "sssp": {"threads": 4, "vertices": 32, "degree": 3},
 }
 
+#: Modes the ``kernel`` subcommand's variants do not reach.
+EXTRA = {
+    "mutex": [{"oracle_sample": 4}],
+    "stream": [{"windowed": True}],
+    "chase": [{"scatter": True}, {"timing": True}],
+}
 
-def _legacy_run(name: str, cfg: HMCConfig, p: dict):
-    """The pre-seam entrypoint call for each kernel, verbatim."""
+#: The fault plan of the ``mutex`` faulty case (lossy kinds, so the
+#: watchdog's retransmission path is part of the pinned stats).
+FAULT_SPECS = ("xbar_drop=0.02", "xbar_dup=0.01")
+FAULT_SEED = 7
+FAULT_THREADS = 12
+
+
+def cases(name):
+    """``(key, params, fault_plan)`` for every pinned run of ``name``."""
+    frontend = WORKLOADS.get(name)
+    variants = [{}] + EXTRA.get(name, [])
+    if frontend.cli_kernel:
+        variants += frontend.cli_variants(PARAMS[name]["threads"])
+    seen = []
+    for variant in variants:
+        params = {**PARAMS[name], **variant}
+        resolved = frontend.resolve_params(params)
+        if resolved not in seen:  # a variant restating a default
+            seen.append(resolved)
+            yield json.dumps(params, sort_keys=True), params, None
     if name == "mutex":
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
-
-        return run_mutex_workload(cfg, p["threads"])
-    if name == "ticket":
-        from repro.host.kernels.ticket_kernel import run_ticket_workload
-
-        return run_ticket_workload(cfg, p["threads"])
-    if name == "stream":
-        from repro.host.kernels.stream import run_stream_triad
-
-        return run_stream_triad(
-            cfg, num_threads=p["threads"], blocks_per_thread=p["blocks_per_thread"]
-        )
-    if name == "gups":
-        from repro.host.kernels.gups import run_gups
-
-        return run_gups(
-            cfg,
-            num_threads=p["threads"],
-            updates_per_thread=p["updates_per_thread"],
-            table_entries=p["table_entries"],
-        )
-    if name == "bfs":
-        from repro.host.kernels.bfs import run_bfs
-
-        return run_bfs(
-            cfg,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-        )
-    if name == "hist":
-        from repro.host.kernels.histogram import run_histogram
-
-        return run_histogram(
-            cfg,
-            num_threads=p["threads"],
-            samples_per_thread=p["samples_per_thread"],
-            num_bins=p["bins"],
-        )
-    if name == "chase":
-        from repro.host.kernels.pointer_chase import run_pointer_chase
-
-        return run_pointer_chase(cfg, length=p["length"])
-    if name == "barrier":
-        from repro.host.kernels.barrier import run_barrier_workload
-
-        return run_barrier_workload(cfg, p["threads"], rounds=p["rounds"])
-    if name == "sssp":
-        from repro.host.kernels.sssp import run_sssp
-
-        return run_sssp(
-            cfg,
-            num_vertices=p["vertices"],
-            avg_degree=p["degree"],
-            num_threads=p["threads"],
-        )
-    raise AssertionError(f"no legacy runner for {name!r}")
+        plan = FaultPlan.parse(list(FAULT_SPECS), seed=FAULT_SEED)
+        yield "faults", {"threads": FAULT_THREADS}, plan
 
 
-@pytest.mark.parametrize("cfg_name", ["cfg_4link_4gb", "cfg_8link_8gb"])
-@pytest.mark.parametrize("name", sorted(PARAMS))
-def test_registry_run_matches_legacy_entrypoint(name, cfg_name):
+def _run_all(name, cfg_name):
     cfg = getattr(HMCConfig, cfg_name)()
-    legacy = _legacy_run(name, cfg, PARAMS[name])
-    via_registry = WORKLOADS.get(name).run(cfg, PARAMS[name])
-    assert via_registry == legacy
+    return {
+        f"{name}/{cfg_name}/{key}": encode_result(
+            WORKLOADS.get(name).run(cfg, params, fault_plan=plan)
+        )
+        for key, params, plan in cases(name)
+    }
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())["cases"]
+
+
+@pytest.mark.parametrize("cfg_name", CONFIGS)
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_registry_run_matches_legacy_entrypoint(name, cfg_name, golden):
+    got = _run_all(name, cfg_name)
+    assert got, f"no pinned cases for {name}"
+    for key, encoded in got.items():
+        # Through JSON, as the golden went: tuples become lists there.
+        assert json.loads(json.dumps(encoded)) == golden[key], key
+
+
+def test_golden_has_no_unvisited_cases(golden):
+    expected = {
+        f"{name}/{cfg_name}/{key}"
+        for name in PARAMS
+        for cfg_name in CONFIGS
+        for key, _, _ in cases(name)
+    }
+    assert set(golden) == expected
 
 
 @pytest.mark.parametrize("name", sorted(PARAMS))
@@ -120,3 +131,20 @@ def test_cli_variant_params_resolve_for_every_cli_kernel():
             continue
         for variant in frontend.cli_variants(4):
             frontend.resolve_params(variant)
+
+
+if __name__ == "__main__":  # regenerate the golden from the registry
+    doc = {
+        "provenance": (
+            "regenerated from the registry frontends by "
+            "tests/workloads/test_parity.py (first captured from the "
+            "legacy run_* entrypoints at 6b3234b)"
+        ),
+        "cases": {
+            key: encoded
+            for name in sorted(PARAMS)
+            for cfg_name in CONFIGS
+            for key, encoded in _run_all(name, cfg_name).items()
+        },
+    }
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

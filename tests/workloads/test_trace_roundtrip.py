@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
+from repro.workloads.registry import WORKLOADS
 from repro.workloads.replay import (
     record_workload,
     replay_open_loop,
@@ -40,9 +41,7 @@ class TestRecord:
         # The recorder hook must not perturb the run it observes.
         cfg = HMCConfig.cfg_4link_4gb()
         stats, trace = record_workload("mutex", cfg, {"threads": 4})
-        from repro.host.kernels.mutex_kernel import run_mutex_workload
-
-        assert stats == run_mutex_workload(cfg, 4)
+        assert stats == WORKLOADS.get("mutex").run(cfg, {"threads": 4})
         assert trace.baseline_cycles  # per-thread contract captured
 
     def test_recording_is_deterministic(self):
