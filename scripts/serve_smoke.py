@@ -12,12 +12,17 @@ contract from the outside:
    with a checkpoint per live session; a restarted server resumes
    from the checkpoints and finishes the journal tail with
    byte-identical results.
+4. SIGKILL with work in flight (no drain, no final fence): a server
+   restarted on the same ``--state-dir`` recovers every acked
+   submission from the journal, and the results are byte-identical to
+   an uninterrupted run.
 
 Exit code 0 = every check passed.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -31,6 +36,7 @@ from repro.errors import ServeError
 from repro.hmc.config import HMCConfig
 from repro.serve import schemas
 from repro.serve.client import ServeClient
+from repro.serve.session import SimSession
 from repro.workloads.registry import WORKLOADS
 
 JOBS = [
@@ -44,6 +50,12 @@ JOBS = [
 TAIL = [
     ("workload", {"workload": "ticket", "params": {"threads": 3}}),
     ("workload", {"workload": "mutex", "params": {"threads": 3}}),
+]
+
+#: Submitted to c2 without waiting, then the server is SIGKILLed.
+KILL_TAIL = [
+    ("workload", {"workload": "mutex", "params": {"threads": n}})
+    for n in (8, 16, 24, 32, 40)
 ]
 
 
@@ -97,6 +109,43 @@ def check(label: str, ok: bool, detail: str = "") -> None:
     print(f"  [{'ok' if ok else 'FAIL'}] {label}" + (f": {detail}" if detail else ""))
     if not ok:
         raise SystemExit(f"serve smoke failed at: {label} {detail}")
+
+
+def check_resumed(sock: Path, tmp: Path, name: str, specs, how: str) -> None:
+    """Session ``name`` finishes its journal after a restart, and every
+    result equals the same sequence on a plain, uninterrupted warm
+    session (later submissions see the earlier ones' device state, so
+    per-spec cold runs are not the right baseline)."""
+    with ServeClient(str(sock), timeout=300.0) as client:
+        deadline = time.monotonic() + 300
+        while True:
+            snap = client.stat(name)["snapshot"]
+            if snap["pending"] == 0:
+                break
+            if time.monotonic() > deadline:
+                check(f"{how}: resumed tail finished", False, str(snap))
+            time.sleep(0.1)
+        check(f"{how}: session resumed", snap["resumed"] is True)
+        check(
+            f"{how}: every acked submission executed after restart",
+            snap["done"] == len(specs) and snap["failed"] == 0,
+            str(snap),
+        )
+        history = {
+            m["submission"]: m["payload"]
+            for m in client.attach(name)["history"]
+        }
+    ref = SimSession(f"{name}-ref", "4link_4gb", root=tmp)
+    for kind, spec in specs:
+        ref.accept(kind, spec)
+    while ref.execute_next() is not None:
+        pass
+    for seq in range(1, len(specs) + 1):
+        check(
+            f"{how}: result {seq} byte-identical to uninterrupted run",
+            schemas.canonical_json(history[seq])
+            == schemas.canonical_json(ref.load_result(seq)),
+        )
 
 
 def main() -> int:
@@ -160,42 +209,33 @@ def main() -> int:
 
     # --- 4. restart: resume from checkpoints, finish the tail ---
     proc = start_server(sock, state, max_requests=8)
-    with ServeClient(str(sock), timeout=300.0) as client:
-        deadline = time.monotonic() + 300
-        while True:
-            snap = client.stat("c1")["snapshot"]
-            if snap["pending"] == 0:
-                break
-            if time.monotonic() > deadline:
-                check("resumed tail finished", False, str(snap))
-            time.sleep(0.1)
-        check("session resumed from checkpoint", snap["resumed"] is True)
-        check(
-            "journal tail executed after restart",
-            snap["done"] == 1 + len(TAIL) and snap["failed"] == 0,
-            str(snap),
-        )
-        history = {
-            m["submission"]: m["payload"]
-            for m in client.attach("c1")["history"]
-        }
-    # Reference: the same submission sequence on a plain, uninterrupted
-    # warm session (later submissions see the earlier ones' device
-    # state, so per-spec cold runs are not the right baseline).
-    from repro.serve.session import SimSession
+    check_resumed(
+        sock, tmp, "c1", [("workload", JOBS[0][1])] + TAIL, "SIGTERM"
+    )
 
-    ref = SimSession("smoke-ref", "4link_4gb", root=tmp)
-    ref.accept("workload", JOBS[0][1])
-    for kind, spec in TAIL:
-        ref.accept(kind, spec)
-    while ref.execute_next() is not None:
-        pass
-    for seq in range(1, 2 + len(TAIL)):
-        check(
-            f"resumed result {seq} byte-identical to uninterrupted run",
-            schemas.canonical_json(history[seq])
-            == schemas.canonical_json(ref.load_result(seq)),
-        )
+    # --- 5. SIGKILL with work in flight, restart on the same state ---
+    with ServeClient(str(sock), timeout=300.0) as client:
+        for kind, spec in KILL_TAIL:
+            client.submit("c2", kind, spec)  # acked = journaled
+    proc.kill()
+    proc.communicate(timeout=120)
+    check("server died on SIGKILL", proc.returncode == -signal.SIGKILL)
+    journal = [
+        json.loads(line)
+        # [:-1]: what follows the last newline is empty or a torn line
+        for line in (state / "c2" / "journal.jsonl").read_text().split("\n")[:-1]
+    ]
+    accepted = sum("kind" in doc for doc in journal)
+    check(
+        "every acked submission is in the journal",
+        accepted == 1 + len(KILL_TAIL),
+        f"{2 * accepted - len(journal)} unexecuted at the kill",
+    )
+    sock.unlink()  # nobody drained: the stale socket file is still there
+    proc = start_server(sock, state, max_requests=8)
+    check_resumed(
+        sock, tmp, "c2", [("workload", JOBS[1][1])] + KILL_TAIL, "SIGKILL"
+    )
     stop_server(proc)
     print("serve smoke: all checks passed")
     return 0

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.errors import HMCSimError
 from repro.faults.watchdog import ArmedTag, TagWatchdog
+from repro.fsutil import atomic_write_text
 from repro.hmc.packet import RequestPacket, ResponsePacket
 from repro.hmc.registers import HMC_REG
 from repro.hmc.sim import HMCSim
@@ -357,8 +358,9 @@ def save_checkpoint(
     *,
     watchdog: Optional[TagWatchdog] = None,
     oracle: Optional[object] = None,
+    meta: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """Write a checkpoint of a device-quiesced context.
+    """Write a checkpoint of a device-quiesced context (atomic replace).
 
     Packets in transit between cubes are captured; packets inside a
     device are not serializable.  A device-quiesced context may still
@@ -368,7 +370,9 @@ def save_checkpoint(
     passed) the watchdog's armed state are all captured.  Pass a
     differential reference model via ``oracle=`` (anything with a
     ``snapshot_state()`` method) to embed its memory image and
-    registers as well.
+    registers as well.  ``meta`` is an opaque caller label stored in
+    the same file and handed back by :func:`restore_checkpoint`, so a
+    snapshot and what the caller knows about it land in one replace.
 
     Raises:
         HMCSimError: if any device holds packets in flight (drain first).
@@ -405,9 +409,11 @@ def save_checkpoint(
         "watchdog": None if watchdog is None else _encode_watchdog(watchdog),
         "oracle": None if oracle is None else oracle.snapshot_state(),
     }
+    if meta is not None:
+        doc["meta"] = meta
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(doc))
+    atomic_write_text(p, json.dumps(doc))
     return p
 
 
@@ -417,8 +423,11 @@ def restore_checkpoint(
     *,
     watchdog: Optional[TagWatchdog] = None,
     oracle: Optional[object] = None,
-) -> None:
+) -> Optional[Dict[str, object]]:
     """Load a checkpoint into a freshly built context.
+
+    Returns the ``meta`` label the checkpoint was saved with (``None``
+    when it carries none).
 
     The target context must have an equivalent configuration —
     including the same component selection for every pipeline seam,
@@ -500,3 +509,4 @@ def restore_checkpoint(
                 "reference model via oracle="
             )
         oracle.restore_state(oracle_doc)
+    return doc.get("meta")

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
+
+from repro.fsutil import atomic_write_text
 
 __all__ = ["CacheStats", "SweepCache", "default_cache_root"]
 
@@ -94,17 +95,7 @@ class SweepCache:
         """Store ``payload`` under ``key`` (atomic replace)."""
         self.root.mkdir(parents=True, exist_ok=True)
         doc = {"schema": CACHE_SCHEMA, "key": key, "payload": payload}
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh)
-            os.replace(tmp, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_text(self.path_for(key), json.dumps(doc))
         self.stats.stores += 1
 
     def clear(self) -> int:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.errors import ServeError
 
@@ -51,6 +51,7 @@ __all__ = [
     "SUBMISSION_KINDS",
     "ServeError",
     "Request",
+    "decode_request",
     "parse_request",
     "encode_message",
     "decode_message",
@@ -112,14 +113,8 @@ def _require(doc: Dict[str, Any], key: str, types, what: str) -> Any:
     return value
 
 
-def parse_request(line: str) -> Request:
-    """Validate one request line into a :class:`Request`.
-
-    Raises:
-        ServeError: malformed JSON, an unsupported protocol version, an
-            unknown request type, or missing/ill-typed fields — always
-            with a machine-readable ``code``.
-    """
+def decode_request(line: str) -> Dict[str, Any]:
+    """One request line as a JSON object (size check first, one parse)."""
     if len(line) > _MAX_LINE:
         raise ServeError("bad_request", f"message exceeds {_MAX_LINE} bytes")
     try:
@@ -128,6 +123,19 @@ def parse_request(line: str) -> Request:
         raise ServeError("bad_request", f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ServeError("bad_request", "message must be a JSON object")
+    return doc
+
+
+def parse_request(line: Union[str, Dict[str, Any]]) -> Request:
+    """Validate one request — a wire line, or the object
+    :func:`decode_request` made of it — into a :class:`Request`.
+
+    Raises:
+        ServeError: malformed JSON, an unsupported protocol version, an
+            unknown request type, or missing/ill-typed fields — always
+            with a machine-readable ``code``.
+    """
+    doc = decode_request(line) if isinstance(line, str) else line
     version = doc.get("v")
     if version != PROTOCOL_VERSION:
         raise ServeError(

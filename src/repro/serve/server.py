@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
@@ -374,11 +373,9 @@ class SimServer:
                     continue
                 rid = None
                 try:
-                    try:
-                        rid = json.loads(text).get("id")
-                    except (ValueError, AttributeError):
-                        rid = None
-                    req = schemas.parse_request(text)
+                    doc = schemas.decode_request(text)
+                    rid = doc.get("id")
+                    req = schemas.parse_request(doc)
                     reply = await self._dispatch(req, writer)
                 except ServeError as exc:
                     reply = schemas.error_msg(rid, exc.code, str(exc))
@@ -524,7 +521,7 @@ class SimServer:
         if not req.wait:
             return schemas.ok_msg(req.id, session=session.name, submission=seq)
         await done.wait()
-        rec = next(r for r in session.submissions if r.seq == seq)
+        rec = session.submissions[seq - 1]
         return schemas.ok_msg(
             req.id,
             session=session.name,

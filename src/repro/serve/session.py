@@ -13,17 +13,22 @@ mid-flight, but a *quiesced* device checkpoints completely
 The session directory is the durable record::
 
     <root>/<name>/
-        meta.json        identity + the submission journal
-        checkpoint.json  the last fence (written every
-                         ``checkpoint_every`` submissions)
+        meta.json        O(1) header (identity, state): create/drain/close
+        journal.jsonl    append-only: a line per accept, a line per completion
+        checkpoint.json  the last fence (every ``checkpoint_every``
+                         submissions) with its label ``checkpointed_through``
         result-<seq>.json  canonical result payload per submission
 
-``meta.json`` is written *before* a submission executes (accepted work
-survives a crash) and again after (status flips to ``done``/``failed``,
-``checkpointed_through`` advances with each fence).  :meth:`load`
-replays everything after ``checkpointed_through`` — including
-submissions already marked done whose effects the checkpoint predates;
-re-execution regenerates byte-identical results.
+No write grows with the session.  The accept line is flushed *before*
+the ack (acked work survives a process kill; no ``fsync``, so not a
+power loss), the result file is replaced before its ``done`` line is
+appended, and snapshot + label land in one ``os.replace``.  :meth:`load`
+folds the journal (last status line per seq wins; a torn final line was
+never acked and is dropped) and replays everything after the label —
+including submissions marked done whose effects the checkpoint
+predates; re-execution regenerates byte-identical results.  A v1
+directory (journal and label inline in ``meta.json``) loads the same
+way and is rewritten in this layout.  See ``docs/SERVICE.md``.
 
 States move ``CREATED → RUNNING → DRAINING → CLOSED``: RUNNING on the
 first submission, DRAINING once the server stops accepting new work
@@ -51,19 +56,18 @@ from __future__ import annotations
 import base64
 import enum
 import json
-import os
-import tempfile
 import threading
-from dataclasses import asdict, dataclass, replace as _replace
+from dataclasses import dataclass, replace as _replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import IO, Any, Callable, Dict, List, Optional
 
 from repro.errors import HMCSimError, HMCStatus, ServeError, WorkloadError
+from repro.fsutil import atomic_write_text
 from repro.serve.schemas import canonical_json, encode_value
 
 __all__ = ["SessionState", "SubmissionRecord", "SimSession", "build_session_config"]
 
-_META_VERSION = 1
+_META_VERSION = 2
 
 
 class SessionState(enum.Enum):
@@ -124,19 +128,40 @@ def build_session_config(config_name: str, components: Dict[str, str]):
     return _replace(cfg, **overrides) if overrides else cfg
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Crash-safe file replace (same pattern as the sweep cache)."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+def _accept_line(rec: SubmissionRecord) -> str:
+    doc = {"seq": rec.seq, "kind": rec.kind, "spec": rec.spec}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _status_line(rec: SubmissionRecord) -> str:
+    doc = {"seq": rec.seq, "status": rec.status, "error": rec.error}
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _read_journal(path: Path) -> List[SubmissionRecord]:
+    """Fold ``journal.jsonl`` into records; the last status per seq wins."""
+    lines = path.read_text().split("\n")
+    # What follows the last newline is empty or a torn write, and a
+    # torn line was never acked.  A bad line anywhere else is damage.
+    lines.pop()
+    records: List[SubmissionRecord] = []
+    for number, line in enumerate(lines, 1):
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            doc = json.loads(line)
+            if "kind" in doc:
+                if doc["seq"] != len(records) + 1:
+                    raise ValueError(f"seq {doc['seq']} out of order")
+                records.append(SubmissionRecord(doc["seq"], doc["kind"], doc["spec"]))
+            else:
+                rec = records[doc["seq"] - 1]
+                if rec.seq != doc["seq"]:
+                    raise ValueError(f"status for unknown seq {doc['seq']}")
+                rec.status, rec.error = doc["status"], doc["error"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ServeError(
+                "internal", f"{path.name} line {number} is corrupt: {exc}"
+            ) from None
+    return records
 
 
 class SimSession:
@@ -174,11 +199,7 @@ class SimSession:
         self.submissions: List[SubmissionRecord] = []
         self.checkpointed_through = 0
         self.resumed = False
-        # accept() runs on the event-loop thread while execute_next()/
-        # drain()/close() run on executor threads; every journal
-        # mutation + meta write pairs under this lock so concurrent
-        # writers cannot persist a snapshot that drops an acked record.
-        self._meta_lock = threading.Lock()
+        self._init_journal(executed=0)
 
         self.config = build_session_config(config_name, self.components)
         from repro.hmc.sim import HMCSim
@@ -197,20 +218,49 @@ class SimSession:
     def checkpoint_path(self) -> Path:
         return self.root / "checkpoint.json"
 
+    @property
+    def journal_path(self) -> Path:
+        return self.root / "journal.jsonl"
+
     def result_path(self, seq: int) -> Path:
         return self.root / f"result-{seq}.json"
 
+    def _init_journal(self, executed: int) -> None:
+        # Segments run serially in seq order: ``submissions[:_executed]``
+        # are finished, the rest pending — no scan per submission.
+        self._executed = executed
+        self._failed = sum(r.status == "failed" for r in self.submissions[:executed])
+        self._journal: Optional[IO[str]] = None  # opened by the first append
+        # accept() runs on the event-loop thread while execute_next()/
+        # drain()/close() run on executor threads; every journal
+        # mutation + its append pairs under this lock so the file
+        # order is the in-memory order and no acked record is dropped.
+        self._meta_lock = threading.Lock()
+
     def _persist_meta(self) -> None:
+        """The O(1) header; the journal never passes through here."""
         doc = {
             "meta_version": _META_VERSION,
             "name": self.name,
             "config": self.config_name,
             "components": self.components,
             "state": self.state.value,
-            "checkpointed_through": self.checkpointed_through,
-            "submissions": [asdict(rec) for rec in self.submissions],
         }
-        _atomic_write(self.meta_path, json.dumps(doc, sort_keys=True, indent=1))
+        atomic_write_text(self.meta_path, json.dumps(doc, sort_keys=True, indent=1))
+
+    def _append_journal(self, line: str) -> None:
+        """One line, through the one handle, flushed (caller holds the lock)."""
+        if self._journal is None:
+            self._journal = open(self.journal_path, "a")
+        self._journal.write(line)
+        self._journal.flush()
+
+    def _finish(self, rec: SubmissionRecord, status: str, error: Optional[str]) -> None:
+        """Complete the head record (caller holds the lock)."""
+        rec.status, rec.error = status, error
+        self._executed += 1
+        self._failed += status == "failed"
+        self._append_journal(_status_line(rec))
 
     @classmethod
     def load(
@@ -223,55 +273,74 @@ class SimSession:
         """Rebuild a session from its directory.
 
         Restores the last checkpoint (when one exists) and rewinds the
-        journal so every submission after ``checkpointed_through`` —
+        journal so every submission after the checkpoint's label —
         finished or not — is pending again; the server re-executes them
-        in order, regenerating byte-identical results.
-        """
-        session_dir = Path(session_dir)
-        try:
-            doc = json.loads((session_dir / "meta.json").read_text())
-        except (OSError, ValueError) as exc:
-            raise ServeError(
-                "internal", f"cannot load session at {session_dir}: {exc}"
-            ) from None
-        self = cls.__new__(cls)
-        self.name = doc["name"]
-        self.config_name = doc["config"]
-        self.components = dict(doc["components"])
-        self.root = session_dir
-        self.checkpoint_every = max(1, checkpoint_every)
-        self.sweep_runner = sweep_runner
-        self.checkpointed_through = int(doc["checkpointed_through"])
-        self.submissions = [
-            SubmissionRecord(**rec) for rec in doc["submissions"]
-        ]
-        self.resumed = True
-        self._meta_lock = threading.Lock()
+        in order, regenerating byte-identical results.  Ends with the
+        one compacting rewrite of journal and header, which is also
+        what upgrades a v1 directory.
 
-        self.config = build_session_config(self.config_name, self.components)
+        Raises:
+            ServeError: ``internal`` — header, journal or checkpoint is
+                missing, unreadable or inconsistent.
+        """
+        from repro.hmc.checkpoint import restore_checkpoint
         from repro.hmc.sim import HMCSim
 
-        self.sim = HMCSim(self.config)
-        if self.checkpoint_path.exists():
-            from repro.hmc.checkpoint import restore_checkpoint
-
-            restore_checkpoint(self.sim, self.checkpoint_path)
-
+        self = cls.__new__(cls)
+        self.root = Path(session_dir)
+        self.checkpoint_every = max(1, checkpoint_every)
+        self.sweep_runner = sweep_runner
+        self.resumed = True
+        try:
+            doc = json.loads(self.meta_path.read_text())
+            self.name = doc["name"]
+            self.config_name = doc["config"]
+            self.components = dict(doc["components"])
+            if self.journal_path.exists():
+                self.submissions = _read_journal(self.journal_path)
+            else:  # nothing accepted yet, or a v1 directory (inline journal)
+                self.submissions = [
+                    SubmissionRecord(**rec) for rec in doc.get("submissions", ())
+                ]
+            self.config = build_session_config(self.config_name, self.components)
+            self.sim = HMCSim(self.config)
+            through, relabel = 0, False
+            if self.checkpoint_path.exists():
+                label = restore_checkpoint(self.sim, self.checkpoint_path)
+                # A v1 checkpoint carries no label; it sits in the v1 header.
+                relabel = label is None
+                through = int((doc if relabel else label)["checkpointed_through"])
+            if any(r.status == "pending" for r in self.submissions[:through]) or (
+                through > len(self.submissions)
+            ):
+                raise ValueError(f"journal ends before the fence at seq {through}")
+        except (OSError, ValueError, KeyError, TypeError, HMCSimError) as exc:
+            raise ServeError(
+                "internal", f"cannot load session at {self.root}: {exc}"
+            ) from None
         # Everything past the last fence re-executes (deterministically
         # identical), including submissions that finished — or failed,
         # leaving partial side effects — whose effects the checkpoint
         # predates.
-        for rec in self.submissions:
-            if rec.seq > self.checkpointed_through and rec.status != "pending":
-                rec.status = "pending"
-                rec.error = None
-        closed = doc["state"] == SessionState.CLOSED.value
-        if closed and not self.pending():
+        for rec in self.submissions[through:]:
+            rec.status, rec.error = "pending", None
+        self._init_journal(executed=through)
+        self.checkpointed_through = through
+        if relabel:
+            self._save_fence()  # v1: move the label inside the checkpoint
+        if doc["state"] == SessionState.CLOSED.value and not self.pending():
             self.state = SessionState.CLOSED
-        elif any(rec.status != "pending" for rec in self.submissions) or self.pending():
+        elif self.submissions:
             self.state = SessionState.RUNNING
         else:
             self.state = SessionState.CREATED
+        atomic_write_text(
+            self.journal_path,
+            "".join(
+                _accept_line(rec) + (_status_line(rec) if rec.status != "pending" else "")
+                for rec in self.submissions
+            ),
+        )
         self._persist_meta()
         return self
 
@@ -291,15 +360,13 @@ class SimSession:
             )
         self._validate_spec(kind, spec)
         with self._meta_lock:
-            seq = len(self.submissions) + 1
-            self.submissions.append(
-                SubmissionRecord(seq=seq, kind=kind, spec=spec)
-            )
-            self._persist_meta()
-        return seq
+            rec = SubmissionRecord(len(self.submissions) + 1, kind, spec)
+            self._append_journal(_accept_line(rec))
+            self.submissions.append(rec)
+        return rec.seq
 
     def pending(self) -> List[SubmissionRecord]:
-        return [rec for rec in self.submissions if rec.status == "pending"]
+        return self.submissions[self._executed :]
 
     def _validate_spec(self, kind: str, spec: Dict[str, Any]) -> None:
         from repro.workloads.registry import WORKLOADS
@@ -369,10 +436,9 @@ class SimSession:
         *submission*, not the session: the sim is drained and fenced so
         later submissions start from a quiesced, checkpointed state.
         """
-        queue = self.pending()
-        if not queue:
+        if self._executed == len(self.submissions):
             return None
-        rec = queue[0]
+        rec = self.submissions[self._executed]
         if self.state == SessionState.CREATED:
             self.state = SessionState.RUNNING
         try:
@@ -392,21 +458,16 @@ class SimSession:
             payload = None
         # The fence: quiesce, persist the result, advance the journal,
         # checkpoint.  Order matters — the result file must exist
-        # before meta marks the submission done.
+        # before the journal marks the submission done, and the done
+        # line before a checkpoint labelled with its seq.
         self.sim.drain()
         self._reap_orphans()
         if payload is not None:
-            _atomic_write(self.result_path(rec.seq), canonical_json(payload))
+            atomic_write_text(self.result_path(rec.seq), canonical_json(payload))
         with self._meta_lock:
-            rec.status = status
-            rec.error = error
-            fence = (
-                rec.seq % self.checkpoint_every == 0
-                or not self.pending()
-            )
-            if fence:
-                self._save_fence(rec.seq)
-            self._persist_meta()
+            self._finish(rec, status, error)
+            if rec.seq % self.checkpoint_every == 0 or rec.seq == len(self.submissions):
+                self._save_fence()
         return rec
 
     def fail_next(self, error: str) -> Optional[SubmissionRecord]:
@@ -417,30 +478,15 @@ class SimSession:
         the head record must not stay pending or a restarted worker
         would re-pick the same poisoned submission forever.
         """
-        queue = self.pending()
-        if not queue:
+        if self._executed == len(self.submissions):
             return None
-        rec = queue[0]
+        rec = self.submissions[self._executed]
         with self._meta_lock:
-            rec.status = "failed"
-            rec.error = error
             try:
-                self._persist_meta()
+                self._finish(rec, "failed", error)
             except OSError:
                 pass  # in-memory state still advances past the poison
         return rec
-
-    def _executed_through(self) -> int:
-        """The highest seq whose effects the sim state contains.
-
-        Segments run serially in seq order, so the executed set is a
-        prefix; never below ``checkpointed_through`` (a resumed session
-        may not have re-executed anything yet).
-        """
-        return max(
-            [rec.seq for rec in self.submissions if rec.status != "pending"],
-            default=self.checkpointed_through,
-        )
 
     def _reap_orphans(self) -> None:
         """Receive-and-discard responses nobody claimed.
@@ -455,11 +501,17 @@ class SimSession:
             while self.sim.recv_batch(link=link):
                 pass
 
-    def _save_fence(self, through_seq: int) -> None:
+    def _save_fence(self) -> None:
+        """Snapshot the quiesced sim — it holds exactly
+        ``submissions[:_executed]`` — with that label in the same file."""
         from repro.hmc.checkpoint import save_checkpoint
 
-        save_checkpoint(self.sim, self.checkpoint_path)
-        self.checkpointed_through = through_seq
+        save_checkpoint(
+            self.sim,
+            self.checkpoint_path,
+            meta={"checkpointed_through": self._executed},
+        )
+        self.checkpointed_through = self._executed
 
     def load_result(self, seq: int) -> Optional[Any]:
         """The stored canonical payload for submission ``seq`` (or None)."""
@@ -605,13 +657,8 @@ class SimSession:
             return
         self.state = SessionState.DRAINING
         self.sim.drain()
-        # The checkpoint captures the sim *after* every executed
-        # submission (segments are serial and each ends quiesced), so
-        # the fence label must advance to the last executed seq — a
-        # stale label would make resume replay work the snapshot
-        # already contains, on top of itself.
         with self._meta_lock:
-            self._save_fence(self._executed_through())
+            self._save_fence()
             self._persist_meta()
 
     def close(self) -> None:
@@ -620,15 +667,15 @@ class SimSession:
             return
         self.sim.drain()
         with self._meta_lock:
-            self._save_fence(self._executed_through())
+            self._save_fence()
             self.state = SessionState.CLOSED
             self._persist_meta()
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
     def snapshot(self) -> Dict[str, Any]:
         """Telemetry view of the session."""
-        by_status: Dict[str, int] = {"pending": 0, "done": 0, "failed": 0}
-        for rec in self.submissions:
-            by_status[rec.status] = by_status.get(rec.status, 0) + 1
         return {
             "session": self.name,
             "state": self.state.value,
@@ -636,9 +683,9 @@ class SimSession:
             "components": dict(self.components),
             "cycle": self.sim.cycle,
             "submissions": len(self.submissions),
-            "pending": by_status["pending"],
-            "done": by_status["done"],
-            "failed": by_status["failed"],
+            "pending": len(self.submissions) - self._executed,
+            "done": self._executed - self._failed,
+            "failed": self._failed,
             "checkpointed_through": self.checkpointed_through,
             "resumed": self.resumed,
         }

@@ -78,6 +78,39 @@ class TestSaveRestore:
         assert sim2.cmc.get(125).executions == 3
 
 
+class TestLabelAndAtomicity:
+    def test_meta_label_travels_inside_the_file(self, cfg4, tmp_path):
+        sim = HMCSim(cfg4)
+        p = save_checkpoint(sim, tmp_path / "cp.json", meta={"through": 7})
+        assert json.loads(p.read_text())["version"] == CHECKPOINT_VERSION
+        assert restore_checkpoint(HMCSim(cfg4), p) == {"through": 7}
+
+    def test_unlabelled_checkpoint_is_unchanged(self, cfg4, tmp_path):
+        p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json")
+        assert "meta" not in json.loads(p.read_text())
+        assert restore_checkpoint(HMCSim(cfg4), p) is None
+
+    def test_interrupted_save_keeps_the_previous_file(
+        self, cfg4, tmp_path, monkeypatch
+    ):
+        # save_checkpoint used to write_text() in place: a kill
+        # mid-write left a truncated file no restart could load.
+        sim = HMCSim(cfg4)
+        p = save_checkpoint(sim, tmp_path / "cp.json", meta={"through": 1})
+        before = p.read_bytes()
+        sim.mem_write(0x1000, b"\x55" * 64)
+
+        def die(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("os.replace", die)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(sim, p, meta={"through": 2})
+        monkeypatch.undo()
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["cp.json"]
+
+
 class TestMidFlightTopology:
     """Version 2: packets on the inter-cube wire checkpoint and restore."""
 

@@ -9,6 +9,7 @@ concurrency from the test process.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 from pathlib import Path
@@ -16,6 +17,27 @@ from pathlib import Path
 import pytest
 
 from repro.serve.server import ServeConfig, SimServer
+
+
+def read_journal(session_dir: Path) -> dict:
+    """A session directory's durable record, folded by hand (not with
+    the production loader, so the tests pin the on-disk format):
+    ``submissions`` from ``journal.jsonl`` (last status line per seq
+    wins) and ``checkpointed_through`` from inside ``checkpoint.json``.
+    """
+    submissions = []
+    journal = Path(session_dir) / "journal.jsonl"
+    for line in journal.read_text().splitlines() if journal.exists() else ():
+        doc = json.loads(line)
+        if "kind" in doc:
+            submissions.append({**doc, "status": "pending", "error": None})
+        else:
+            submissions[doc["seq"] - 1].update(doc)
+    checkpoint = Path(session_dir) / "checkpoint.json"
+    through = 0
+    if checkpoint.exists():
+        through = json.loads(checkpoint.read_text())["meta"]["checkpointed_through"]
+    return {"submissions": submissions, "checkpointed_through": through}
 
 
 class ServerThread:

@@ -8,13 +8,12 @@ datapath and on the vector (numpy flight-table) datapath alike.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.serve import schemas
 from repro.serve.client import ServeClient
 from repro.serve.session import SimSession
+from tests.serve.conftest import read_journal
 
 DATAPATHS = [
     pytest.param({}, id="scalar"),
@@ -116,8 +115,8 @@ def test_server_restart_resumes_pending_work(tmp_path, components, make_server):
     server.stop()
 
     state = server.config.state_dir
-    meta = json.loads((state / "lifecycle" / "meta.json").read_text())
-    assert len(meta["submissions"]) == 4  # all journaled durably
+    journal = read_journal(state / "lifecycle")
+    assert len(journal["submissions"]) == 4  # all journaled durably
 
     revived = make_server(checkpoint_every=2)
     with ServeClient(str(revived.config.socket_path), timeout=300.0) as client:

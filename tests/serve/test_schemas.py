@@ -34,6 +34,20 @@ class TestParseRequest:
             schemas.parse_request("[1, 2]")
         assert exc.value.code == "bad_request"
 
+    def test_decoded_object_is_not_parsed_again(self):
+        # The server decodes a line once (to fish out the id for error
+        # replies) and validates that object.
+        doc = schemas.decode_request(_req(type="stat", session="s"))
+        assert doc["id"] == "r1"
+        req = schemas.parse_request(doc)
+        assert (req.type, req.id, req.session) == ("stat", "r1", "s")
+
+    def test_size_limit_is_checked_before_the_parse(self, monkeypatch):
+        monkeypatch.setattr(schemas, "_MAX_LINE", 8)
+        with pytest.raises(ServeError) as exc:
+            schemas.decode_request("{not json, and too long")
+        assert "exceeds" in str(exc.value)
+
     def test_wrong_protocol_version(self):
         doc = json.dumps({"v": 99, "id": "r1", "type": "hello"})
         with pytest.raises(ServeError) as exc:

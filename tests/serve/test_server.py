@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ServeError
 from repro.serve import schemas
 from repro.serve.client import ServeClient
+from tests.serve.conftest import read_journal
 
 
 def _mutex(threads=2):
@@ -47,6 +48,8 @@ class TestProtocol:
             )
             msg = client._read_message()
             assert msg["code"] == "protocol_version"
+            # The line is parsed once; a refusal still names its request.
+            assert msg["id"] == "x"
 
 
 class TestAdmission:
@@ -284,8 +287,7 @@ class TestDrain:
             client.submit(name, "workload", _mutex(), wait=True)
         server.stop()
         assert not server.config.socket_path.exists()
-        meta = json.loads((state / name / "meta.json").read_text())
-        assert meta["checkpointed_through"] == 1
+        assert read_journal(state / name)["checkpointed_through"] == 1
         assert (state / name / "checkpoint.json").exists()
 
     def test_auto_names_skip_resumed_sessions(self, make_server):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.errors import ServeError
 from repro.serve.session import SessionState, SimSession, build_session_config
+from tests.serve.conftest import read_journal
 
 
 def _mutex(threads=2):
@@ -48,7 +47,7 @@ class TestJournal:
         session = make_session(tmp_path)
         seq = session.accept("workload", _mutex())
         assert seq == 1
-        doc = json.loads(session.meta_path.read_text())
+        doc = read_journal(session.root)
         assert doc["submissions"][0]["status"] == "pending"
         assert doc["checkpointed_through"] == 0
 
@@ -111,7 +110,7 @@ class TestJournal:
         rec = session.fail_next("RuntimeError: boom")
         assert rec.status == "failed"
         assert session.pending() == []
-        doc = json.loads(session.meta_path.read_text())
+        doc = read_journal(session.root)
         assert doc["submissions"][0]["status"] == "failed"
 
     def test_accept_refused_while_draining(self, tmp_path):
