@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CMCExecutionError, CMCLoadError, CMCNotActiveError
@@ -110,9 +110,13 @@ class CMCRegistration:
                 f"code {self.rsp_cmd_code} outside the 7-bit command space"
             )
 
-    @property
+    @cached_property
     def posted(self) -> bool:
-        """True when the operation never produces a response packet."""
+        """True when the operation never produces a response packet.
+
+        Read once per executed request; cached on the (frozen) instance
+        so later reads are plain attribute loads.
+        """
         return self.rsp_len == 0
 
     @property
@@ -137,9 +141,15 @@ class CMCOperation:
     cmc_str: Callable[[], str]
     #: Where the implementation came from (module name or file path).
     source: str = "<inline>"
+    #: Checked by the packet processor.  Assignable at any time: the
+    #: property installed below tells every registry holding the op.
     active: bool = True
     #: Execution counter (simulator bookkeeping, not part of hmc_cmc_t).
     executions: int = field(default=0, compare=False)
+    #: Registries this op is registered in (see ``active``).
+    _owners: List["CMCRegistry"] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     @property
     def cmd(self) -> int:
@@ -152,11 +162,44 @@ class CMCOperation:
         return self.registration.op_name
 
 
+def _get_active(op: CMCOperation) -> bool:
+    return op.__dict__["active"]
+
+
+def _set_active(op: CMCOperation, value: bool) -> None:
+    op.__dict__["active"] = value
+    # An activation change is a registry mutation: whatever was
+    # memoized about this command code is stale.  (The dataclass
+    # __init__ assigns ``active`` before ``_owners`` exists.)
+    for registry in op.__dict__.get("_owners", ()):
+        registry._mutated()
+
+
+# Installed after the dataclass machinery has read the field default.
+CMCOperation.active = property(  # type: ignore[assignment]
+    _get_active, _set_active, doc="Whether the packet processor may dispatch the op."
+)
+
+
 class CMCRegistry:
     """The table of loaded CMC operations keyed by command code."""
 
     def __init__(self) -> None:
         self._ops: Dict[int, CMCOperation] = {}
+        #: Mutation epoch, bumped by :meth:`register`, :meth:`unregister`
+        #: and any registered op's ``active`` assignment.  The one
+        #: invalidation rule: whatever is memoized from the registry
+        #: (``HMCSim``'s expects-a-response answers, the execute arm
+        #: below) is good only for the epoch it was computed in.
+        self.epoch = 0
+        #: The predecoded execute arm: command code -> ``(op, response
+        #: words, word packer, wire response command)`` for *active*
+        #: ops, filled on first execute and emptied at every epoch bump.
+        self._decoded: Dict[int, Tuple[CMCOperation, int, Callable, int]] = {}
+
+    def _mutated(self) -> None:
+        self.epoch += 1
+        self._decoded.clear()
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -192,6 +235,8 @@ class CMCRegistry:
                     f"{other.cmd} (trace names must be unique)"
                 )
         self._ops[op.cmd] = op
+        op._owners.append(self)
+        self._mutated()
 
     def unregister(self, cmd: int) -> CMCOperation:
         """Remove and return the operation at ``cmd``.
@@ -200,11 +245,14 @@ class CMCRegistry:
             CMCNotActiveError: if nothing is registered there.
         """
         try:
-            return self._ops.pop(cmd)
+            op = self._ops.pop(cmd)
         except KeyError:
             raise CMCNotActiveError(
                 f"no CMC operation registered at command code {cmd}"
             ) from None
+        op._owners.remove(self)
+        self._mutated()
+        return op
 
     def get(self, cmd: int) -> CMCOperation:
         """Return the *active* operation at ``cmd``.
@@ -281,14 +329,19 @@ class CMCRegistry:
                 paper warns about).
         """
         cmd = head & 0x7F
-        # Inlined happy path of :meth:`get`; the slow path re-runs it
-        # for the documented CMCNotActiveError.
-        op = self._ops.get(cmd)
-        if op is None or not op.active:
+        entry = self._decoded.get(cmd)
+        if entry is None:
+            # First execute of this code in this epoch: :meth:`get`
+            # raises the documented CMCNotActiveError, so only active
+            # ops are ever decoded.
             op = self.get(cmd)
-        reg = op.registration
-        rsp_words: List[int] = [0] * max(0, 2 * (reg.rsp_len - 1))
-        n_rsp_words = len(rsp_words)
+            reg = op.registration
+            n_rsp_words = max(0, 2 * (reg.rsp_len - 1))
+            entry = self._decoded[cmd] = (
+                op, n_rsp_words, _word_packer(n_rsp_words), reg.wire_rsp_cmd
+            )
+        op, n_rsp_words, pack_words, wire_rsp_cmd = entry
+        rsp_words: List[int] = [0] * n_rsp_words
         try:
             rc = op.cmc_execute(
                 hmc,
@@ -328,7 +381,7 @@ class CMCRegistry:
         try:
             # struct both packs and range-checks in one C-level pass;
             # its error is translated to the documented exception below.
-            rsp_data = _word_packer(n_rsp_words)(*rsp_words)
+            rsp_data = pack_words(*rsp_words)
         except struct.error:
             bad = [
                 w
@@ -340,7 +393,7 @@ class CMCRegistry:
                 f"64-bit word range into its response payload: {bad[0]!r}"
             ) from None
         op.executions += 1
-        return op, rsp_data, reg.wire_rsp_cmd
+        return op, rsp_data, wire_rsp_cmd
 
     def str_for(self, cmd: int) -> str:
         """Resolve the trace name for a CMC command via its ``cmc_str``."""

@@ -29,20 +29,33 @@ Data-semantics conventions (pinned by ``tests/hmc/test_amo.py``):
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.errors import HMCPacketError
-from repro.hmc.commands import command_info, hmc_rqst_t
+from repro.hmc.commands import COMMAND_TABLE_LIST, hmc_rqst_t
 from repro.hmc.memory import MemoryBackend
 
-__all__ = ["AMOResult", "execute_amo", "is_amo", "ERRSTAT_EQ_FAIL"]
+__all__ = ["AMOResult", "AMO_TABLE", "execute_amo", "is_amo", "ERRSTAT_EQ_FAIL"]
 
 #: ERRSTAT value reported by EQ8/EQ16 when the comparison fails.
 ERRSTAT_EQ_FAIL = 0x02
 
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
+_ZERO8 = bytes(8)
+_ZERO16 = bytes(16)
+
+# Operand codecs, compiled once.  Wrapping adds are the same bits on
+# unsigned lanes as on two's-complement ones, so only the comparisons
+# decode signed.
+_LANES = struct.Struct("<2Q")  # two 8-byte lanes (16-byte operands)
+_U64 = struct.Struct("<Q")
+_I64 = struct.Struct("<q")
+_unpack_lanes, _pack_lanes = _LANES.unpack, _LANES.pack
+_unpack_u64, _pack_u64 = _U64.unpack, _U64.pack
+_i64_at = _I64.unpack_from
 
 
 @dataclass(frozen=True)
@@ -53,81 +66,85 @@ class AMOResult:
     errstat: int = 0
 
 
-def _i64(b: bytes) -> int:
-    return int.from_bytes(b, "little", signed=True)
+#: The (immutable) result every atomic without return data shares.
+_NO_DATA = AMOResult()
+_NOT_EQUAL = AMOResult(b"", ERRSTAT_EQ_FAIL)
+
+Handler = Callable[[MemoryBackend, int, bytes], AMOResult]
+
+# Each handler: (mem, addr, payload) -> AMOResult.  ``execute_amo`` has
+# already checked the payload size, so the codecs cannot mis-size.
 
 
-def _u128(b: bytes) -> int:
-    return int.from_bytes(b, "little")
+def _twoadd8(ret: bool) -> Handler:
+    def handler(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
+        orig = mem.read(addr, 16)
+        a, b = _unpack_lanes(orig)
+        c, d = _unpack_lanes(pl)
+        mem.write(addr, _pack_lanes((a + c) & _M64, (b + d) & _M64))
+        return AMOResult(orig) if ret else _NO_DATA
+
+    return handler
 
 
-def _i128(b: bytes) -> int:
-    return int.from_bytes(b, "little", signed=True)
+def _add16(ret: bool) -> Handler:
+    def handler(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
+        orig = mem.read(addr, 16)
+        lo, hi = _unpack_lanes(orig)
+        plo, phi = _unpack_lanes(pl)
+        lo += plo  # bit 64 is the carry into the high lane
+        mem.write(addr, _pack_lanes(lo & _M64, (hi + phi + (lo >> 64)) & _M64))
+        return AMOResult(orig) if ret else _NO_DATA
 
-
-# Each handler: (mem, addr, payload) -> AMOResult
-
-
-def _twoadd8(mem: MemoryBackend, addr: int, pl: bytes, ret: bool) -> AMOResult:
-    orig = mem.read(addr, 16)
-    a = (_i64(orig[:8]) + _i64(pl[:8])) & _M64
-    b = (_i64(orig[8:]) + _i64(pl[8:])) & _M64
-    mem.write(addr, a.to_bytes(8, "little") + b.to_bytes(8, "little"))
-    return AMOResult(orig if ret else b"")
-
-
-def _add16(mem: MemoryBackend, addr: int, pl: bytes, ret: bool) -> AMOResult:
-    orig = mem.read(addr, 16)
-    v = (_i128(orig) + _i128(pl)) & _M128
-    mem.write(addr, v.to_bytes(16, "little"))
-    return AMOResult(orig if ret else b"")
+    return handler
 
 
 def _inc8(mem: MemoryBackend, addr: int, _pl: bytes) -> AMOResult:
-    mem.write_u64(addr, (mem.read_u64(addr) + 1) & _M64)
-    return AMOResult()
+    (v,) = _unpack_u64(mem.read(addr, 8))
+    mem.write(addr, _pack_u64((v + 1) & _M64))
+    return _NO_DATA
 
 
-def _bool16(op: Callable[[int, int], int]) -> Callable[[MemoryBackend, int, bytes], AMOResult]:
+def _bool16(op: Callable[[int, int], int]) -> Handler:
     def handler(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
         orig = mem.read(addr, 16)
-        v = op(_u128(orig), _u128(pl)) & _M128
-        mem.write(addr, v.to_bytes(16, "little"))
+        v = op(int.from_bytes(orig, "little"), int.from_bytes(pl, "little"))
+        mem.write(addr, (v & _M128).to_bytes(16, "little"))
         return AMOResult(orig)
 
     return handler
 
 
-def _bwr(mem: MemoryBackend, addr: int, pl: bytes, ret: bool) -> AMOResult:
-    orig = mem.read(addr, 8)
-    d = int.from_bytes(pl[:8], "little")
-    m = int.from_bytes(pl[8:], "little")
-    o = int.from_bytes(orig, "little")
-    v = (o & ~m & _M64) | (d & m)
-    mem.write(addr, v.to_bytes(8, "little"))
-    # 16-byte response payload with the original 8 bytes in the low half.
-    return AMOResult(orig + bytes(8) if ret else b"")
-
-
-def _cas8(
-    cmp_fn: Callable[[int, int], bool]
-) -> Callable[[MemoryBackend, int, bytes], AMOResult]:
+def _bwr(ret: bool) -> Handler:
     def handler(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
-        compare, swap = pl[:8], pl[8:]
         orig = mem.read(addr, 8)
-        if cmp_fn(_i64(orig), _i64(compare)):
-            mem.write(addr, swap)
-        return AMOResult(orig + bytes(8))
+        (o,) = _unpack_u64(orig)
+        d, m = _unpack_lanes(pl)
+        mem.write(addr, _pack_u64((o & ~m & _M64) | (d & m)))
+        # 16-byte response payload with the original 8 bytes in the low half.
+        return AMOResult(orig + _ZERO8) if ret else _NO_DATA
 
     return handler
 
 
-def _cas16(
-    cmp_fn: Callable[[int, int], bool]
-) -> Callable[[MemoryBackend, int, bytes], AMOResult]:
+def _cas8(cmp_fn: Callable[[int, int], bool]) -> Handler:
+    def handler(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
+        # Payload: compare (low 8 bytes) + swap (high 8 bytes).
+        orig = mem.read(addr, 8)
+        if cmp_fn(_i64_at(orig)[0], _i64_at(pl)[0]):
+            mem.write(addr, pl[8:])
+        return AMOResult(orig + _ZERO8)
+
+    return handler
+
+
+def _cas16(cmp_fn: Callable[[int, int], bool]) -> Handler:
     def handler(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
         orig = mem.read(addr, 16)
-        if cmp_fn(_i128(orig), _i128(pl)):
+        if cmp_fn(
+            int.from_bytes(orig, "little", signed=True),
+            int.from_bytes(pl, "little", signed=True),
+        ):
             mem.write(addr, pl)
         return AMOResult(orig)
 
@@ -136,16 +153,14 @@ def _cas16(
 
 def _caszero16(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
     orig = mem.read(addr, 16)
-    if _u128(orig) == 0:
+    if orig == _ZERO16:
         mem.write(addr, pl)
     return AMOResult(orig)
 
 
-def _eq(nbytes: int) -> Callable[[MemoryBackend, int, bytes], AMOResult]:
+def _eq(nbytes: int) -> Handler:
     def handler(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
-        orig = mem.read(addr, nbytes)
-        equal = orig == pl[:nbytes]
-        return AMOResult(b"", 0 if equal else ERRSTAT_EQ_FAIL)
+        return _NO_DATA if mem.read(addr, nbytes) == pl[:nbytes] else _NOT_EQUAL
 
     return handler
 
@@ -157,13 +172,13 @@ def _swap16(mem: MemoryBackend, addr: int, pl: bytes) -> AMOResult:
 
 
 R = hmc_rqst_t
-_HANDLERS: Dict[int, Callable[[MemoryBackend, int, bytes], AMOResult]] = {
-    int(R.TWOADD8): lambda m, a, p: _twoadd8(m, a, p, False),
-    int(R.P_2ADD8): lambda m, a, p: _twoadd8(m, a, p, False),
-    int(R.TWOADDS8R): lambda m, a, p: _twoadd8(m, a, p, True),
-    int(R.ADD16): lambda m, a, p: _add16(m, a, p, False),
-    int(R.P_ADD16): lambda m, a, p: _add16(m, a, p, False),
-    int(R.ADDS16R): lambda m, a, p: _add16(m, a, p, True),
+_HANDLERS: Dict[int, Handler] = {
+    int(R.TWOADD8): _twoadd8(False),
+    int(R.P_2ADD8): _twoadd8(False),
+    int(R.TWOADDS8R): _twoadd8(True),
+    int(R.ADD16): _add16(False),
+    int(R.P_ADD16): _add16(False),
+    int(R.ADDS16R): _add16(True),
     int(R.INC8): _inc8,
     int(R.P_INC8): _inc8,
     int(R.XOR16): _bool16(lambda m, o: m ^ o),
@@ -171,9 +186,9 @@ _HANDLERS: Dict[int, Callable[[MemoryBackend, int, bytes], AMOResult]] = {
     int(R.NOR16): _bool16(lambda m, o: ~(m | o)),
     int(R.AND16): _bool16(lambda m, o: m & o),
     int(R.NAND16): _bool16(lambda m, o: ~(m & o)),
-    int(R.BWR): lambda m, a, p: _bwr(m, a, p, False),
-    int(R.P_BWR): lambda m, a, p: _bwr(m, a, p, False),
-    int(R.BWR8R): lambda m, a, p: _bwr(m, a, p, True),
+    int(R.BWR): _bwr(False),
+    int(R.P_BWR): _bwr(False),
+    int(R.BWR8R): _bwr(True),
     int(R.CASEQ8): _cas8(lambda mv, cv: mv == cv),
     int(R.CASGT8): _cas8(lambda mv, cv: mv > cv),
     int(R.CASLT8): _cas8(lambda mv, cv: mv < cv),
@@ -185,10 +200,25 @@ _HANDLERS: Dict[int, Callable[[MemoryBackend, int, bytes], AMOResult]] = {
     int(R.SWAP16): _swap16,
 }
 
+#: The predecoded atomic unit, built once: command code -> ``(handler,
+#: request payload bytes, response payload bytes, name)``.  The sizes are
+#: Table I's (``CommandInfo.rqst_bytes`` / ``rsp_bytes``) and never
+#: change, so ``execute_amo`` reads them here instead of re-deriving them
+#: per request.
+AMO_TABLE: Dict[int, Tuple[Handler, int, int, str]] = {
+    code: (
+        handler,
+        COMMAND_TABLE_LIST[code].rqst_bytes,
+        COMMAND_TABLE_LIST[code].rsp_bytes,
+        COMMAND_TABLE_LIST[code].rqst_name,
+    )
+    for code, handler in _HANDLERS.items()
+}
+
 
 def is_amo(cmd: int) -> bool:
     """True if ``cmd`` is a Gen2 atomic (posted or returning)."""
-    return cmd in _HANDLERS
+    return cmd in AMO_TABLE
 
 
 def execute_amo(
@@ -209,21 +239,18 @@ def execute_amo(
     Raises:
         HMCPacketError: for unknown commands or mis-sized payloads.
     """
-    handler = _HANDLERS.get(cmd)
-    if handler is None:
+    spec = AMO_TABLE.get(cmd)
+    if spec is None:
         raise HMCPacketError(f"command {cmd} is not a Gen2 atomic")
-    info = command_info(hmc_rqst_t(cmd))
-    want = info.rqst_data_bytes or 0
+    handler, want, want_rsp, name = spec
     if len(payload) != want:
         raise HMCPacketError(
-            f"{hmc_rqst_t(cmd).name}: atomic payload is {len(payload)} bytes, "
-            f"expected {want}"
+            f"{name}: atomic payload is {len(payload)} bytes, expected {want}"
         )
     result = handler(mem, addr, payload)
-    want_rsp = info.rsp_data_bytes or 0
     if len(result.rsp_data) != want_rsp:
         raise HMCPacketError(
-            f"{hmc_rqst_t(cmd).name}: atomic produced {len(result.rsp_data)} "
+            f"{name}: atomic produced {len(result.rsp_data)} "
             f"response bytes, expected {want_rsp}"
         )
     return result

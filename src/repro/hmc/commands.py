@@ -30,6 +30,13 @@ __all__ = [
     "hmc_response_t",
     "CommandKind",
     "CommandInfo",
+    "ARM_FLOW",
+    "ARM_READ",
+    "ARM_WRITE",
+    "ARM_MODE_RD",
+    "ARM_MODE_WR",
+    "ARM_ATOMIC",
+    "ARM_CMC",
     "COMMAND_TABLE",
     "COMMAND_TABLE_LIST",
     "CMC_CODES",
@@ -64,6 +71,24 @@ class CommandKind(enum.Enum):
     ATOMIC = "atomic"
     POSTED_ATOMIC = "posted_atomic"
     CMC = "cmc"
+
+
+#: Execute arms: ``kind`` predecoded for the packet processor, one small
+#: int per command (``CommandInfo.arm``).  The two write kinds share an
+#: arm, the two atomic kinds share an arm (``posted`` carries the
+#: difference), and MODE splits into its two directions.
+ARM_FLOW, ARM_READ, ARM_WRITE, ARM_MODE_RD, ARM_MODE_WR, ARM_ATOMIC, ARM_CMC = range(7)
+
+_ARM_OF_KIND = {
+    CommandKind.FLOW: ARM_FLOW,
+    CommandKind.READ: ARM_READ,
+    CommandKind.WRITE: ARM_WRITE,
+    CommandKind.POSTED_WRITE: ARM_WRITE,
+    CommandKind.MODE: ARM_MODE_RD,  # MD_WR is switched by name below
+    CommandKind.ATOMIC: ARM_ATOMIC,
+    CommandKind.POSTED_ATOMIC: ARM_ATOMIC,
+    CommandKind.CMC: ARM_CMC,
+}
 
 
 class hmc_response_t(enum.IntEnum):
@@ -215,6 +240,12 @@ class CommandInfo:
     posted: bool = field(init=False)
     rsp_cmd_code: int = field(init=False)
     rqst_name: str = field(init=False)
+    #: The execute arm (``ARM_*``) the packet processor dispatches on.
+    arm: int = field(init=False)
+    #: ``rqst_data_bytes`` / ``rsp_data_bytes`` as plain ints (0 for the
+    #: plugin-defined CMC lengths).
+    rqst_bytes: int = field(init=False)
+    rsp_bytes: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -231,6 +262,13 @@ class CommandInfo:
             else 0,
         )
         object.__setattr__(self, "rqst_name", self.rqst.name)
+        object.__setattr__(
+            self,
+            "arm",
+            ARM_MODE_WR if self.rqst.name == "MD_WR" else _ARM_OF_KIND[self.kind],
+        )
+        object.__setattr__(self, "rqst_bytes", self.rqst_data_bytes or 0)
+        object.__setattr__(self, "rsp_bytes", self.rsp_data_bytes or 0)
 
     @property
     def code(self) -> int:

@@ -18,10 +18,11 @@ Algorithm 1 fast path cost MIN_CYCLE = 6:
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.faults.controller import FATE_DROP, FATE_DUP
-from repro.hmc.commands import COMMAND_TABLE_LIST, CommandKind, command_for_code
+from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST, command_for_code
 from repro.hmc.components import CrossbarModel
 from repro.hmc.composition import build_vault_scheduler, build_xbar
 from repro.hmc.config import HMCConfig
@@ -42,7 +43,6 @@ _T_CMD = int(TraceLevel.CMD)
 _T_LATENCY = int(TraceLevel.LATENCY)
 _T_STALL = int(TraceLevel.STALL)
 _T_FAULT = int(TraceLevel.FAULT)
-_FLOW = CommandKind.FLOW
 
 
 class Device:
@@ -51,7 +51,11 @@ class Device:
     def __init__(self, dev: int, config: HMCConfig, sim: "HMCSim"):
         self.dev = dev
         self.config = config
-        self.sim = sim
+        # Held weakly: a context and its devices are then no reference
+        # cycle, so dropping the last reference to an HMCSim frees it,
+        # and its page store, at once instead of at some later garbage
+        # collection (a sweep builds one context per point).
+        self._sim = weakref.ref(sim)
         self.links: List[Link] = [
             Link(l, config.quad_of_link(l)) for l in range(config.num_links)
         ]
@@ -76,13 +80,11 @@ class Device:
             dev * config.capacity_bytes, config.capacity_bytes
         )
         # Active-set scheduler state: vaults with queued or pending
-        # work.  Vaults add themselves on every successful push; the
+        # work.  The crossbar drain adds a vault on every push; the
         # execute phase removes a vault once its queue and pending
         # response slot are both empty.  Between phases the set is
         # exactly {v : v.rqst_queue or v._pending_rsp}.
         self._active_vaults: Set[int] = set()
-        for vault in self.vaults:
-            vault._sched = self._active_vaults
         # Inlined routing constants for the send hot path.
         self._cap_mask = config.capacity_bytes - 1
         (
@@ -113,6 +115,11 @@ class Device:
         self.retired_rsps = 0
 
     # -- services shared with the vault pipeline ------------------------------
+
+    @property
+    def sim(self) -> "HMCSim":
+        """The owning simulation context."""
+        return self._sim()
 
     @property
     def tracer(self):
@@ -152,10 +159,6 @@ class Device:
         """Write device-local memory (bounds-checked)."""
         self._mem.write(addr, data)
 
-    def amo_view(self) -> MemoryView:
-        """The rebased memory window the atomic unit operates on."""
-        return self._mem
-
     def row_of(self, addr: int) -> int:
         """Row coordinate of a device-local address (for bank timing)."""
         return ((addr & self._cap_mask) >> self._row_lo) & self._row_mask
@@ -181,9 +184,10 @@ class Device:
                 return handled
         pkt.slid = link
         lng = 1 + len(pkt.data) // 16  # pkt.lng, without the property calls
-        # Routing is computed exactly once here and carried on the
-        # Flight: vault/bank/quad for the crossbar, row for bank
-        # timing, and the command-table entry for every later phase.
+        # The request is decoded exactly once, here, and carried on the
+        # Flight: vault/bank/quad for the crossbar, row for bank timing,
+        # and the command-table entry (execute arm, payload sizes,
+        # response command) for every later phase.
         local = pkt.addr & self._cap_mask
         vault = (local >> self._vault_lo) & self._vault_mask
         quad = self._quads_of_vaults[vault]
@@ -193,44 +197,54 @@ class Device:
             else 0
         )
         flight = Flight(
-            pkt=pkt,
-            src_link=link,
-            inject_cycle=cycle,
-            vault=vault,
-            bank=(local >> self._bank_lo) & self._bank_mask,
-            quad=quad,
-            hop_delay=hop,
-            origin_dev=self.dev,
-            info=COMMAND_TABLE_LIST[pkt.cmd],
-            row=(local >> self._row_lo) & self._row_mask,
+            pkt,
+            link,
+            cycle,
+            vault,
+            (local >> self._bank_lo) & self._bank_mask,
+            quad,
+            hop,
+            self.dev,
+            COMMAND_TABLE_LIST[pkt.cmd],
+            (local >> self._row_lo) & self._row_mask,
         )
-        flow = self.sim.flow
+        sim = self._sim()
+        flow = sim.flow
         if flow is not None and not flow.try_acquire(self.dev, link, lng):
             # Link-layer token stall: the transmitter has no credit.
-            tracer = self.sim.tracer
+            tracer = sim.tracer
             if tracer.mask & _T_STALL:
                 tracer.trace_stall(
                     cycle, where=f"link{link}.tokens", dev=self.dev, src=link
                 )
             return False
-        ok = self.xbar.inject(link, flight)
-        if flow is not None:
-            if ok:
-                flight.link_seq = flow.on_transmit(self.dev, link, lng, flight)
-            else:
+        # XBar.inject, in this frame (a declining send hook has already
+        # put a flight-table crossbar in scalar mode).
+        xbar = self.xbar
+        q = xbar.rqst_queues[link]
+        n = len(q._q) + 1
+        if n > q.depth:
+            q.stalls += 1
+            if flow is not None:
                 # Queue full after credit was granted: hand it back.
                 flow.refund(self.dev, link, lng)
-        if ok:
-            lk = self.links[link]
-            lk.rqsts_in += 1
-            lk.flits_in += lng
-        else:
-            tracer = self.sim.tracer
+            tracer = sim.tracer
             if tracer.mask & _T_STALL:
                 tracer.trace_stall(
                     cycle, where=f"link{link}.xbar_rqst", dev=self.dev, src=link
                 )
-        return ok
+            return False
+        q._q.append(flight)
+        q.pushes += 1
+        if n > q.high_water:
+            q.high_water = n
+        xbar.rqst_occ += 1
+        if flow is not None:
+            flight.link_seq = flow.on_transmit(self.dev, link, lng, flight)
+        lk = self.links[link]
+        lk.rqsts_in += 1
+        lk.flits_in += lng
+        return True
 
     def recv(self, link: int) -> Optional[ResponsePacket]:
         """Collect the oldest retired response on ``link``, or None."""
@@ -294,7 +308,7 @@ class Device:
         xbar = self.xbar
         if xbar.rqst_occ or xbar.rsp_occ:
             return True
-        flow = self.sim.flow
+        flow = self._sim().flow
         return flow is not None and bool(flow.replay_links(self.dev))
 
     def clock(self, cycle: int) -> None:
@@ -318,64 +332,78 @@ class Device:
         xbar = self.xbar
         if not xbar.rsp_occ:
             return
-        tracer = self.sim.tracer
+        sim = self._sim()
+        dev = self.dev
+        tracer = sim.tracer
         tmask = tracer.mask
         rate = self.config.link_rsp_rate
         rsp_queues = xbar.rsp_queues
-        faults = self.sim.faults
+        faults = sim.faults
         rsp_faults = (
             faults if faults is not None and faults.has_rsp_faults else None
         )
         for link in self.links:
-            if not rsp_queues[link.link_id]._q:
+            queue = rsp_queues[link.link_id]
+            dq = queue._q
+            if not dq:
                 continue
-            for _ in range(rate):
-                rsp = xbar.pop_response(link.link_id)
-                if rsp is None:
-                    break
+            # One run per link: entries move queue -> retire buffer here;
+            # the counters pop_response + Link.retire keep per entry
+            # advance once, after the run.
+            run = min(rate, len(dq))
+            retired = link.retired
+            out = flits = 0
+            for _ in range(run):
+                rsp = dq.popleft()
                 rsp.retire_cycle = cycle
-                if rsp.origin_dev not in (-1, self.dev):
+                if rsp.origin_dev != dev and rsp.origin_dev != -1:
                     # Response belongs to a request that entered on
                     # another cube: hand it to the topology for the
                     # return trip.
-                    self.sim.topology.forward_response(self.dev, rsp, cycle)
+                    sim.topology.forward_response(dev, rsp, cycle)
                     continue
                 if rsp_faults is not None:
-                    fate = rsp_faults.response_fate(
-                        self.dev, link.link_id, rsp, cycle
-                    )
+                    fate = rsp_faults.response_fate(dev, link.link_id, rsp, cycle)
                     if fate == FATE_DROP:
                         # The response vanishes: record the lost tag so
                         # the invariant checker excuses it and the host
                         # watchdog knows to retransmit.
                         rsp_faults.on_response_dropped(
-                            self.dev, link.link_id, rsp, cycle
+                            dev, link.link_id, rsp, cycle
                         )
                         continue
                     if fate == FATE_DUP:
                         rsp_faults.note(
                             "rsp_dup", cycle,
-                            dev=self.dev, link=link.link_id, tag=rsp.tag,
+                            dev=dev, link=link.link_id, tag=rsp.tag,
                         )
-                        link.retire(rsp)
-                link.retire(rsp)
+                        retired.append(rsp)
+                        out += 1
+                        flits += 1 + len(rsp.data) // 16
+                retired.append(rsp)
+                out += 1
+                flits += 1 + len(rsp.data) // 16  # rsp.lng, inlined
                 self.retired_rsps += 1
                 if tmask & _T_CMD:
                     resp = rsp.response
                     op = resp.name if resp is not None else f"CMC_RSP({rsp.cmd})"
                     tracer.trace_rsp(
-                        cycle, op=op, dev=self.dev, link=link.link_id, tag=rsp.tag
+                        cycle, op=op, dev=dev, link=link.link_id, tag=rsp.tag
                     )
                 if tmask & _T_LATENCY and rsp.inject_cycle >= 0:
                     tracer.trace_latency(
                         cycle, tag=rsp.tag, cycles=cycle - rsp.inject_cycle
                     )
+            queue.pops += run
+            xbar.rsp_occ -= run
+            link.rsps_out += out
+            link.flits_out += flits
 
     def _phase_vault_execute(self, cycle: int) -> None:
         active = self._active_vaults
         if not active:
             return
-        faults = self.sim.faults
+        faults = self._sim().faults
         stall = (
             faults.vault if faults is not None and faults.has_vault else None
         )
@@ -391,7 +419,9 @@ class Device:
                 # passes — nothing is lost, only delayed.
                 continue
             vault = vaults[index]
-            if not vault.flush_pending(self, cycle):
+            if vault._pending_rsp is not None and not vault.flush_pending(
+                self, cycle
+            ):
                 continue
             vault.step(self, cycle)
             if not vault.rqst_queue._q and vault._pending_rsp is None:
@@ -409,39 +439,46 @@ class Device:
         # scan (empty head, empty replay list), so ascending iteration
         # over the active links is order-identical.
         xbar = self.xbar
-        flow = self.sim.flow
+        sim = self._sim()
+        dev = self.dev
+        flow = sim.flow
         rqst_queues = xbar.rqst_queues
         if flow is None:
             if not xbar.rqst_occ:
                 return
             active = [l for l in range(self.config.num_links) if rqst_queues[l]._q]
         else:
-            replay_links = flow.replay_links(self.dev)
+            replay_links = flow.replay_links(dev)
             if not xbar.rqst_occ and not replay_links:
                 return
             active = sorted(
                 {l for l in range(self.config.num_links) if rqst_queues[l]._q}
                 | set(replay_links)
             )
-        tracer = self.sim.tracer
-        num_devs = self.sim.config.num_devs
+        tracer = sim.tracer
+        multi = sim.config.num_devs > 1
         vaults = self.vaults
+        active_vaults = self._active_vaults
         for link_id in active:
             if flow is not None:
                 # Replay packets whose link-retry latency has elapsed.
-                for replay in flow.due_replays(self.dev, link_id, cycle):
-                    if flow.try_acquire(self.dev, link_id, replay.pkt.lng):
+                for replay in flow.due_replays(dev, link_id, cycle):
+                    if flow.try_acquire(dev, link_id, replay.pkt.lng):
                         if xbar.inject(link_id, replay):
                             replay.link_seq = flow.on_transmit(
-                                self.dev, link_id, replay.pkt.lng, replay
+                                dev, link_id, replay.pkt.lng, replay
                             )
                         else:
-                            flow.refund(self.dev, link_id, replay.pkt.lng)
-                            flow.schedule_replay(self.dev, link_id, cycle + 1, replay)
+                            flow.refund(dev, link_id, replay.pkt.lng)
+                            flow.schedule_replay(dev, link_id, cycle + 1, replay)
                     else:
-                        flow.schedule_replay(self.dev, link_id, cycle + 1, replay)
+                        flow.schedule_replay(dev, link_id, cycle + 1, replay)
             queue = rqst_queues[link_id]
             dq = queue._q
+            # One run per link: entries move crossbar -> vault queue
+            # here; the counters pop_request keeps per entry advance
+            # once, after the run.
+            moved = 0
             while dq:
                 flight = dq[0]
                 if flight.hop_delay > 0:
@@ -450,25 +487,24 @@ class Device:
                 if (
                     flow is not None
                     and flight.link_seq >= 0
-                    and flow.transmission_corrupted(
-                        self.dev, link_id, flight.link_seq
-                    )
+                    and flow.transmission_corrupted(dev, link_id, flight.link_seq)
                 ):
                     # CRC error at the receiver: drop the packet and
                     # negatively acknowledge — the transmitter will
                     # replay it from the retry buffer (IRTRY).
-                    xbar.pop_request(link_id)
+                    dq.popleft()
+                    moved += 1
                     flow.negative_acknowledge(
-                        self.dev, link_id, flight.link_seq, cycle, flight.pkt.tag
+                        dev, link_id, flight.link_seq, cycle, flight.pkt.tag
                     )
                     tracer.trace_stall(
-                        cycle, where=f"link{link_id}.retry", dev=self.dev, src=link_id
+                        cycle, where=f"link{link_id}.retry", dev=dev, src=link_id
                     )
                     if tracer.mask & _T_FAULT:
                         tracer.trace_fault(
                             cycle,
                             kind="link_retry",
-                            dev=self.dev,
+                            dev=dev,
                             link=link_id,
                             tag=flight.pkt.tag,
                         )
@@ -476,36 +512,43 @@ class Device:
                 info = flight.info
                 if info is None:
                     info = flight.info = command_for_code(flight.pkt.cmd)
-                if info.kind is _FLOW:
+                forward = False
+                if info.arm == ARM_FLOW:
                     # Flow packets are consumed at the link layer.
-                    xbar.pop_request(link_id)
                     self.flow_packets += 1
-                    self._flow_ack(link_id, flight)
-                    continue
-                if flight.pkt.cub != self.dev and num_devs > 1:
-                    xbar.pop_request(link_id)
+                elif multi and flight.pkt.cub != dev:
                     self.forwarded_rqsts += 1
-                    self._flow_ack(link_id, flight)
-                    self.sim.topology.forward_request(self.dev, flight, link_id)
-                    continue
-                if vaults[flight.vault].push(flight):
-                    xbar.pop_request(link_id)
-                    self._flow_ack(link_id, flight)
+                    forward = True
                 else:
-                    if tracer.mask & _T_STALL:
-                        tracer.trace_stall(
-                            cycle,
-                            where=f"vault{flight.vault}.rqst",
-                            dev=self.dev,
-                            src=link_id,
-                        )
-                    break
-
-    def _flow_ack(self, link_id: int, flight: Flight) -> None:
-        """Release a packet's retry-buffer slot and return its tokens
-        once it has left the crossbar (the receive buffer is free)."""
-        if self.flow is not None and flight.link_seq >= 0:
-            self.flow.acknowledge(self.dev, link_id, flight.link_seq)
+                    # The vault-queue push (StallQueue.push semantics).
+                    vq = vaults[flight.vault].rqst_queue
+                    n = len(vq._q) + 1
+                    if n > vq.depth:
+                        vq.stalls += 1
+                        if tracer.mask & _T_STALL:
+                            tracer.trace_stall(
+                                cycle,
+                                where=f"vault{flight.vault}.rqst",
+                                dev=dev,
+                                src=link_id,
+                            )
+                        break
+                    vq._q.append(flight)
+                    vq.pushes += 1
+                    if n > vq.high_water:
+                        vq.high_water = n
+                    active_vaults.add(flight.vault)
+                dq.popleft()
+                moved += 1
+                if flow is not None and flight.link_seq >= 0:
+                    # Out of the crossbar: release the retry-buffer
+                    # slot and return the tokens.
+                    flow.acknowledge(dev, link_id, flight.link_seq)
+                if forward:
+                    sim.topology.forward_request(dev, flight, link_id)
+            if moved:
+                queue.pops += moved
+                xbar.rqst_occ -= moved
 
     # -- statistics ------------------------------------------------------------
 

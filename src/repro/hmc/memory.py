@@ -238,7 +238,10 @@ class MemoryView:
 
     def read(self, addr: int, nbytes: int) -> bytes:
         """Read ``nbytes`` at view-local ``addr``."""
-        self._check(addr, nbytes)
+        # The bounds test inline (one call per access on the execute
+        # path); _check re-tests and builds the error.
+        if addr < 0 or nbytes < 0 or addr + nbytes > self.capacity:
+            self._check(addr, nbytes)
         # The view bounds check guarantees the rebased access is inside
         # the backend, so go straight at the page store (single-page
         # fast path) instead of re-checking through backend.read.
@@ -254,7 +257,8 @@ class MemoryView:
     def write(self, addr: int, data: bytes) -> None:
         """Write ``data`` at view-local ``addr``."""
         nbytes = len(data)
-        self._check(addr, nbytes)
+        if addr < 0 or addr + nbytes > self.capacity:
+            self._check(addr, nbytes)
         a = self._base + addr
         off = a & self._pmask
         if off + nbytes <= self._psize:

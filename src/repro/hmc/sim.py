@@ -42,9 +42,11 @@ from repro.errors import (
 from repro.faults.diagnostics import collect_deadlock_dump
 from repro.hmc.addrmap import AddressMap
 from repro.hmc.commands import (
+    ARM_CMC,
+    ARM_FLOW,
     COMMAND_TABLE,
+    COMMAND_TABLE_LIST,
     CommandKind,
-    command_info,
     hmc_rqst_t,
 )
 from repro.hmc.components import LinkFlow, MemoryModel, TopologyRouter
@@ -57,6 +59,15 @@ from repro.hmc.timing import HMCTimingModel
 from repro.hmc.trace import TraceLevel, Tracer
 
 __all__ = ["HMCSim"]
+
+#: Table I's answer to "will this command be answered?", per command
+#: code: flow and posted commands are silent.  ``None`` marks the CMC
+#: codes, whose answer belongs to the registry (see
+#: :meth:`HMCSim.expects_response`).
+_EXPECTS: Tuple[Optional[bool], ...] = tuple(
+    None if info.arm == ARM_CMC else info.arm != ARM_FLOW and not info.posted
+    for info in COMMAND_TABLE_LIST
+)
 
 
 class HMCSim:
@@ -134,8 +145,10 @@ class HMCSim:
         #: — the tag field is 11 bits, so the packing is collision-free
         #: and avoids a tuple allocation per send/recv.
         self._outstanding: Set[int] = set()
-        #: cmd code -> expects-a-response, invalidated on CMC load.
-        self._expects_cache: Dict[int, bool] = {}
+        #: CMC cmd code -> expects-a-response, good for one registry
+        #: epoch (``self.cmc.epoch``) only.
+        self._cmc_expects: Dict[int, bool] = {}
+        self._cmc_expects_epoch = -1
         self._initialized = True
         # Aggregate counters.
         self.sent_rqsts = 0
@@ -206,9 +219,6 @@ class HMCSim:
         self._check_init()
         op = _load_cmc_plugin(source)
         self.cmc.register(op)
-        # Registering an op can change whether its command code expects
-        # a response (posted CMC ops), so drop the memoized answers.
-        self._expects_cache.clear()
         return op
 
     # -- request construction (hmcsim_build_memrequest) ---------------------------
@@ -244,24 +254,33 @@ class HMCSim:
 
     # -- host traffic (hmcsim_send / hmcsim_recv) -----------------------------------
 
-    def _expects_response(self, pkt: RequestPacket) -> bool:
+    def expects_response(self, pkt: RequestPacket) -> bool:
+        """Whether ``pkt`` will be answered with a response packet.
+
+        Table I decides for specification commands.  For a CMC code the
+        registry does: an unregistered or inactive code is answered with
+        ``RSP_ERROR``, a registered active op follows its registration's
+        ``posted``.  CMC answers are memoized per registry epoch, so
+        ``sim.cmc.register``/``unregister`` and ``op.active`` changes
+        made behind :meth:`load_cmc`'s back are honoured.
+
+        Raises:
+            IndexError: ``pkt.cmd`` is outside the 7-bit command space.
+        """
         cmd = pkt.cmd
-        cached = self._expects_cache.get(cmd)
-        if cached is not None:
-            return cached
-        info = command_info(hmc_rqst_t(cmd))
-        if info.kind is CommandKind.CMC:
-            op = self.cmc.lookup(cmd)
-            if op is None:
-                # Unregistered CMC commands yield an RSP_ERROR response.
-                # Not cached: the op may be registered later.
-                return True
-            expects = not op.registration.posted
-        elif info.kind is CommandKind.FLOW:
-            expects = False
-        else:
-            expects = not info.posted
-        self._expects_cache[cmd] = expects
+        expects = _EXPECTS[cmd]
+        if expects is not None:
+            return expects
+        cmc = self.cmc
+        if self._cmc_expects_epoch != cmc.epoch:
+            self._cmc_expects.clear()
+            self._cmc_expects_epoch = cmc.epoch
+        expects = self._cmc_expects.get(cmd)
+        if expects is None:
+            op = cmc.lookup(cmd)
+            expects = self._cmc_expects[cmd] = (
+                op is None or not op.active or not op.registration.posted
+            )
         return expects
 
     def send(self, pkt: RequestPacket, *, dev: int = 0, link: int = 0) -> HMCStatus:
@@ -276,19 +295,19 @@ class HMCSim:
             TagError: (strict mode) the tag is already outstanding on
                 this device and the request expects a response.
         """
-        self._check_init()
+        if not self._initialized:
+            self._check_init()
         if not 0 <= dev < self.config.num_devs:
             raise HMCSimError(f"no device {dev} in this context")
-        expects = self._expects_cache.get(pkt.cmd)
-        if expects is None:
-            expects = self._expects_response(pkt)
+        expects = _EXPECTS[pkt.cmd]
+        if expects is None:  # a CMC code: the registry's answer
+            expects = self.expects_response(pkt)
         key = (pkt.cub << 11) | pkt.tag
-        if self._strict_tags and expects and key in self._outstanding:
+        if expects and self._strict_tags and key in self._outstanding:
             raise TagError(
                 f"tag {pkt.tag} is already outstanding on cube {pkt.cub}"
             )
-        ok = self.devices[dev].send(link, pkt, self._cycle)
-        if ok:
+        if self.devices[dev].send(link, pkt, self._cycle):
             self.sent_rqsts += 1
             if expects:
                 self._outstanding.add(key)
@@ -298,7 +317,8 @@ class HMCSim:
 
     def recv(self, *, dev: int = 0, link: int = 0) -> Optional[ResponsePacket]:
         """Collect the oldest retired response on a device link, or None."""
-        self._check_init()
+        if not self._initialized:
+            self._check_init()
         rsp = self.devices[dev].links[link].recv()
         if rsp is not None:
             self.recvd_rsps += 1
@@ -316,7 +336,8 @@ class HMCSim:
         discharged.  This is the batched host-side retirement path —
         one call per link per cycle instead of one call per response.
         """
-        self._check_init()
+        if not self._initialized:
+            self._check_init()
         retired = self.devices[dev].links[link].retired
         if not retired:
             return []
@@ -344,7 +365,8 @@ class HMCSim:
         work injected mid-``clock`` (none today — hosts inject between
         calls) would still be honoured cycle-accurately.
         """
-        self._check_init()
+        if not self._initialized:
+            self._check_init()
         multi = self.config.num_devs > 1
         devices = self.devices
         for i in range(cycles):

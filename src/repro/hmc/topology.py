@@ -16,6 +16,7 @@ the pass-through routing of the physical link layer.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List, Tuple
 
 from repro.hmc.components import TopologyRouter, register_component
@@ -43,7 +44,9 @@ class Topology(TopologyRouter):
             raise ValueError("hop_cycles must be >= 1")
         if kind not in ("chain", "ring"):
             raise ValueError(f"unknown topology kind {kind!r}")
-        self.sim = sim
+        # Weak, like Device's: the context owns its router, not the
+        # other way round.
+        self.sim = weakref.proxy(sim)
         self.hop_cycles = hop_cycles
         self.kind = kind
         #: (ready_cycle, next_dev, link, flight) requests in transit.

@@ -8,7 +8,9 @@ cycle from the queue head; a busy target bank blocks the head (a *bank
 conflict*), and a full response path re-queues it — both produce trace
 events and the queueing pressure behind the paper's Figures 5-7.
 
-Execution dispatch order, mirroring the paper's Figure 3:
+Execution dispatch, mirroring the paper's Figure 3, runs on the
+*execute arm* predecoded into the command table
+(``CommandInfo.arm``, resolved once per request at ``Device.send``):
 
 1. CMC command codes are checked against the registry's *active* table;
    inactive codes produce an ``RSP_ERROR`` response (the C code returns
@@ -17,13 +19,13 @@ Execution dispatch order, mirroring the paper's Figure 3:
    ``cmc_execute`` function; on success a trace entry is inserted using
    the plugin's ``cmc_str`` name and normal response construction
    resumes.
-3. Specification commands take the built-in paths: read, write, mode
+3. Specification commands take the built-in arms: read, write, mode
    register access, or the Gen2 atomic unit (:mod:`repro.hmc.amo`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Set, Tuple
 
 from repro.errors import (
     CMCExecutionError,
@@ -31,9 +33,18 @@ from repro.errors import (
     HMCAddressError,
     HMCSimError,
 )
-from repro.hmc.amo import execute_amo, is_amo
+from repro.hmc.amo import execute_amo
 from repro.hmc.bank import Bank
-from repro.hmc.commands import CommandKind, command_for_code, hmc_response_t
+from repro.hmc.commands import (
+    ARM_ATOMIC,
+    ARM_CMC,
+    ARM_MODE_RD,
+    ARM_MODE_WR,
+    ARM_READ,
+    ARM_WRITE,
+    command_for_code,
+    hmc_response_t,
+)
 from repro.hmc.components import VaultScheduler, register_component
 from repro.hmc.packet import RequestPacket, ResponsePacket, pack_data_cached
 from repro.hmc.queue import StallQueue
@@ -43,6 +54,8 @@ from repro.hmc.xbar import Flight
 _T_BANK = int(TraceLevel.BANK)
 _T_CMD = int(TraceLevel.CMD)
 _T_STALL = int(TraceLevel.STALL)
+_RSP_ERROR = int(hmc_response_t.RSP_ERROR)
+_ZERO8 = bytes(8)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hmc.device import Device
@@ -102,28 +115,6 @@ class Vault:
         # and blocks the vault until it is accepted (head-of-line
         # blocking).
         self._pending_rsp: Optional[Tuple[Flight, ResponsePacket]] = None
-        # The owning device's active-vault set (None for standalone
-        # vaults); every successful push marks this vault schedulable.
-        self._sched: Optional[Set[int]] = None
-
-    def push(self, flight: Flight) -> bool:
-        """Enqueue a routed request; False on stall (queue full).
-
-        ``StallQueue.push`` inlined (same counters and high-water
-        semantics): one call per request on the crossbar drain path.
-        """
-        q = self.rqst_queue
-        n = len(q._q) + 1
-        if n > q.depth:
-            q.stalls += 1
-            return False
-        q._q.append(flight)
-        q.pushes += 1
-        if n > q.high_water:
-            q.high_water = n
-        if self._sched is not None:
-            self._sched.add(self.index)
-        return True
 
     def step(self, device: "Device", cycle: int) -> None:
         """Process the request queue for this cycle.
@@ -190,20 +181,24 @@ class FIFOVaultScheduler(VaultScheduler):
         n0 = len(dq)
         if n0 == 0:
             return
+        services = _services(device.sim)
+        sim, _, tracer, tmask, _ = services
         rsp_budget = device.config.vault_rsp_rate
         banks = vault.banks
         xbar = device.xbar
-        tracer = device.sim.tracer
-        tmask = tracer.mask
+        rsp_queues = xbar.rsp_queues
+        timing = sim.timing
         visited = 0
         kept = 0
+        # Requests completed and responses queued this scan: the vault
+        # queue, vault and crossbar counters advance once, after it.
+        done = 0
+        pushed = 0
         while visited < n0:
             if rsp_budget <= 0:
                 # The vault's response port is exhausted for this
                 # cycle; remaining requests wait in the queue.
-                if kept:
-                    dq.rotate(kept)
-                return
+                break
             flight = dq[0]
             bank = banks[flight.bank]
             if flight.service_until < 0:
@@ -223,15 +218,24 @@ class FIFOVaultScheduler(VaultScheduler):
                     kept += 1
                     visited += 1
                     continue
-                busy = _occupy(device, bank, cycle, flight)
-                if busy > 0:
-                    # Timing model: the request holds the bank and its
-                    # response is produced when service completes.
-                    flight.service_until = cycle + busy
-                    dq.rotate(-1)
-                    kept += 1
-                    visited += 1
-                    continue
+                if timing is None:
+                    # Baseline model: a bank access completes within
+                    # the cycle it is issued — Bank.occupy(cycle, 0, -1,
+                    # True), in this frame.
+                    bank.accesses += 1
+                    bank.row_hits += 1
+                    bank.open_row = -1
+                    bank.busy_until = cycle
+                else:
+                    busy = _occupy(timing, device, bank, cycle, flight)
+                    if busy > 0:
+                        # Timing model: the request holds the bank and
+                        # its response is produced when service completes.
+                        flight.service_until = cycle + busy
+                        dq.rotate(-1)
+                        kept += 1
+                        visited += 1
+                        continue
             elif cycle < flight.service_until:
                 # DRAM access still in progress.
                 dq.rotate(-1)
@@ -239,13 +243,18 @@ class FIFOVaultScheduler(VaultScheduler):
                 visited += 1
                 continue
 
-            rsp = process_rqst(device, flight, cycle)
+            rsp = process_rqst(device, flight, cycle, services)
 
             if rsp is not None:
-                if not xbar.push_response(flight.src_link, rsp):
+                # The crossbar response push, in this frame
+                # (push_response's counters and high-water semantics).
+                rq = rsp_queues[flight.src_link]
+                n = len(rq._q) + 1
+                if n > rq.depth:
                     # Response path full.  The memory side effect has
                     # already happened, so hold the *response* (not the
                     # request) and block the vault until it is accepted.
+                    rq.stalls += 1
                     vault.response_stalls += 1
                     if tmask & _T_STALL:
                         tracer.trace_stall(
@@ -257,14 +266,24 @@ class FIFOVaultScheduler(VaultScheduler):
                     vault._pending_rsp = (flight, rsp)
                     dq.popleft()
                     queue.pops += 1
-                    if kept:
-                        dq.rotate(kept)
-                    return
+                    break
+                rq._q.append(rsp)
+                rq.pushes += 1
+                if n > rq.high_water:
+                    rq.high_water = n
+                pushed += 1
                 rsp_budget -= 1
             dq.popleft()
-            queue.pops += 1
-            vault.processed += 1
+            done += 1
             visited += 1
+        else:
+            # A full scan leaves the kept entries back in FIFO order.
+            kept = 0
+        if kept:
+            dq.rotate(kept)
+        queue.pops += done
+        vault.processed += done
+        xbar.rsp_occ += pushed
 
 
 @register_component("vault_scheduler", "round_robin")
@@ -308,8 +327,9 @@ class RoundRobinVaultScheduler(VaultScheduler):
         rsp_budget = device.config.vault_rsp_rate
         banks = vault.banks
         xbar = device.xbar
-        tracer = device.sim.tracer
-        tmask = tracer.mask
+        services = _services(device.sim)
+        sim, _, tracer, tmask, _ = services
+        timing = sim.timing
         removed: Set[int] = set()
         for i in order:
             if rsp_budget <= 0:
@@ -330,14 +350,17 @@ class RoundRobinVaultScheduler(VaultScheduler):
                             addr=flight.pkt.addr,
                         )
                     continue
-                busy = _occupy(device, bank, cycle, flight)
-                if busy > 0:
-                    flight.service_until = cycle + busy
-                    continue
+                if timing is None:
+                    bank.occupy(cycle, 0, -1, True)
+                else:
+                    busy = _occupy(timing, device, bank, cycle, flight)
+                    if busy > 0:
+                        flight.service_until = cycle + busy
+                        continue
             elif cycle < flight.service_until:
                 continue
 
-            rsp = process_rqst(device, flight, cycle)
+            rsp = process_rqst(device, flight, cycle, services)
 
             if rsp is not None:
                 if not xbar.push_response(flight.src_link, rsp):
@@ -362,26 +385,37 @@ class RoundRobinVaultScheduler(VaultScheduler):
             dq.extend(e for j, e in enumerate(entries) if j not in removed)
 
 
+def _services(sim: Any) -> Tuple[Any, Any, Any, int, Any]:
+    """What every request of one scan shares — ``(context, fault
+    controller, tracer, trace mask, power model)`` — resolved once per
+    scan and handed to :func:`process_rqst`."""
+    tracer = sim.tracer
+    return sim, sim.faults, tracer, tracer.mask, sim.power
+
+
 def _error_response(
     device: "Device", flight: Flight, errstat: int
 ) -> ResponsePacket:
     """Build an RSP_ERROR response for a failed request."""
     return ResponsePacket(
-        cmd=int(hmc_response_t.RSP_ERROR),
-        tag=flight.pkt.tag,
-        cub=device.dev,
-        slid=flight.src_link,
-        errstat=errstat,
-        inject_cycle=flight.inject_cycle,
-        origin_dev=flight.origin_dev,
-        origin_link=flight.src_link,
+        _RSP_ERROR, flight.pkt.tag, device.dev, flight.src_link,
+        b"", 0, 0, 0, 0, errstat, 0,
+        -1, flight.inject_cycle, flight.origin_dev, flight.src_link,
     )
 
 
 def process_rqst(
-    device: "Device", flight: Flight, cycle: int
+    device: "Device",
+    flight: Flight,
+    cycle: int,
+    services: Optional[Tuple[Any, Any, Any, int, Any]] = None,
 ) -> Optional[ResponsePacket]:
     """Execute one request against the device — ``hmcsim_process_rqst``.
+
+    ``services`` is the calling scan's :func:`_services` tuple — the
+    context, its fault controller, tracer, trace mask and power model,
+    resolved once for the whole scan; a caller outside a scan leaves it
+    out and they are resolved here.
 
     Returns the response packet, or None for posted commands.
     Execution errors never raise out of the pipeline: they become
@@ -394,22 +428,38 @@ def process_rqst(
         # Manually built flights (tests, external drivers) have no
         # precomputed routing; resolve and cache it now.
         info = flight.info = command_for_code(pkt.cmd)
-    op_name: Optional[str] = None  # resolved lazily (tracing/power only)
-    mem = device  # device provides mem_read/mem_write with bounds checks
+    if services is None:
+        services = _services(device.sim)
+    sim, faults, tracer, tmask, power = services
 
+    arm = info.arm
     rsp_cmd: int = info.rsp_cmd_code
     rsp_data = b""
     errstat = 0
     posted = info.posted
     poisoned = False
-    faults = device.sim.faults
+    op = None  # the CMC operation, when one executed
 
     try:
-        if info.kind is CommandKind.FLOW:
-            # Flow packets are link-layer; they carry no memory semantics.
-            return None
-
-        if info.kind is CommandKind.CMC:
+        if arm == ARM_ATOMIC:
+            result = execute_amo(device._mem, pkt.addr, pkt.cmd, pkt.data)
+            rsp_data = result.rsp_data
+            errstat = result.errstat
+        elif arm == ARM_READ:
+            rsp_data = device._mem.read(pkt.addr, info.rsp_bytes)
+            if faults is not None and faults.has_dram:
+                rsp_data, ecc_stat = faults.dram.on_read(
+                    device, flight, rsp_data, cycle
+                )
+                if ecc_stat:
+                    # Uncorrectable ECC: deliver the corrupt data as a
+                    # poisoned response rather than silently dropping
+                    # the request — the host sees DINV + ERRSTAT.
+                    errstat = ecc_stat
+                    poisoned = True
+        elif arm == ARM_WRITE:
+            device._mem.write(pkt.addr, pkt.data)
+        elif arm == ARM_CMC:
             if (
                 faults is not None
                 and faults.has_cmc
@@ -422,48 +472,27 @@ def process_rqst(
                     f"injected CMC crash (cmd {pkt.cmd}, tag {pkt.tag})"
                 )
             wire = pkt._wire()  # one memoized encode: head and tail together
-            op, rsp_data, rsp_cmd = device.cmc.execute(
-                device.sim,
+            op, rsp_data, rsp_cmd = sim.cmc.execute(
+                sim,
                 dev=device.dev,
                 quad=flight.quad,
                 vault=flight.vault,
                 bank=flight.bank,
                 addr=pkt.addr,
-                length=pkt.lng,
+                length=1 + len(pkt.data) // 16,  # pkt.lng, inlined
                 head=wire[0],
                 tail=wire[2],
                 rqst_payload=pack_data_cached(pkt.data),
             )
-            op_name = op.cmc_str()
             posted = op.registration.posted
-        elif info.kind is CommandKind.READ:
-            rsp_data = mem.mem_read(pkt.addr, info.rsp_data_bytes or 0)
-            if faults is not None and faults.has_dram:
-                rsp_data, ecc_stat = faults.dram.on_read(
-                    device, flight, rsp_data, cycle
-                )
-                if ecc_stat:
-                    # Uncorrectable ECC: deliver the corrupt data as a
-                    # poisoned response rather than silently dropping
-                    # the request — the host sees DINV + ERRSTAT.
-                    errstat = ecc_stat
-                    poisoned = True
-        elif info.kind in (CommandKind.WRITE, CommandKind.POSTED_WRITE):
-            mem.mem_write(pkt.addr, pkt.data)
-        elif info.kind is CommandKind.MODE:
-            if info.rqst_name == "MD_RD":
-                value = device.registers.read(pkt.addr)
-                rsp_data = value.to_bytes(8, "little") + bytes(8)
-            else:  # MD_WR
-                device.registers.write(
-                    pkt.addr, int.from_bytes(pkt.data[:8], "little")
-                )
-        elif is_amo(pkt.cmd):
-            result = execute_amo(mem.amo_view(), pkt.addr, pkt.cmd, pkt.data)
-            rsp_data = result.rsp_data
-            errstat = result.errstat
-        else:  # pragma: no cover - command table is exhaustive
-            raise HMCSimError(f"unhandled command {pkt.cmd}")
+        elif arm == ARM_MODE_RD:
+            rsp_data = device.registers.read(pkt.addr).to_bytes(8, "little") + _ZERO8
+        elif arm == ARM_MODE_WR:
+            device.registers.write(pkt.addr, int.from_bytes(pkt.data[:8], "little"))
+        else:
+            # ARM_FLOW: flow packets are link-layer; they carry no
+            # memory semantics.
+            return None
     except CMCNotActiveError:
         device.cmc_rejects += 1
         return None if posted else _error_response(device, flight, ERRSTAT_CMC_INACTIVE)
@@ -475,65 +504,58 @@ def process_rqst(
     except HMCSimError:
         return None if posted else _error_response(device, flight, ERRSTAT_GENERIC)
 
-    tracer = device.sim.tracer
-    if tracer.mask & _T_CMD:
-        if op_name is None:
-            op_name = info.rqst_name
-        tracer.trace_rqst(
-            cycle,
-            op=op_name,
-            dev=device.dev,
-            quad=flight.quad,
-            vault=flight.vault,
-            bank=flight.bank,
-            addr=pkt.addr,
-            length=pkt.lng,
-        )
-    if device.power is not None:
-        if op_name is None:
-            op_name = info.rqst_name
-        rsp_flits = 1 + len(rsp_data) // 16 if not posted else 0
-        pj = device.power.request_energy(info, pkt.lng, rsp_flits)
-        device.power_report.add(op_name, pj)
-        tracer.trace_power(cycle, op=op_name, energy_pj=pj)
+    if tmask & _T_CMD or power is not None:
+        # The plugin's trace name; resolved only when something reads it.
+        op_name = info.rqst_name if op is None else op.cmc_str()
+        if tmask & _T_CMD:
+            tracer.trace_rqst(
+                cycle,
+                op=op_name,
+                dev=device.dev,
+                quad=flight.quad,
+                vault=flight.vault,
+                bank=flight.bank,
+                addr=pkt.addr,
+                length=pkt.lng,
+            )
+        if power is not None:
+            rsp_flits = 1 + len(rsp_data) // 16 if not posted else 0
+            pj = power.request_energy(info, pkt.lng, rsp_flits)
+            sim.power_report.add(op_name, pj)
+            tracer.trace_power(cycle, op=op_name, energy_pj=pj)
 
     if posted:
         return None
     return ResponsePacket(
-        cmd=rsp_cmd,
-        tag=pkt.tag,
-        cub=device.dev,
-        slid=flight.src_link,
-        data=rsp_data,
-        errstat=errstat,
+        rsp_cmd, pkt.tag, device.dev, flight.src_link,
+        rsp_data, 0, 0, 0,
         # A poisoned request (Pb set in the tail) marks its response
         # data invalid, per the specification's poison semantics; an
         # uncorrectable ECC event poisons the response the same way.
-        dinv=1 if poisoned else pkt.pb,
-        inject_cycle=flight.inject_cycle,
-        origin_dev=flight.origin_dev,
-        origin_link=flight.src_link,
+        1 if poisoned else pkt.pb,
+        errstat, 0,
+        -1, flight.inject_cycle, flight.origin_dev, flight.src_link,
     )
 
 
-def _occupy(device: "Device", bank: Bank, cycle: int, flight: Flight) -> int:
-    """Charge the bank for this access under the active timing model.
+def _occupy(
+    timing: Any, device: "Device", bank: Bank, cycle: int, flight: Flight
+) -> int:
+    """Charge the bank for this access under the timing extension.
 
-    Returns the service time in cycles (0 under the baseline model:
-    a bank access completes within the cycle it is issued, behaviour
-    being queueing-dominated; the timing extension makes banks hold
-    state across cycles, delaying responses and producing conflicts).
+    Returns the service time in cycles.  (Under the baseline model the
+    scans charge the bank themselves: an access completes within the
+    cycle it is issued, behaviour being queueing-dominated; the timing
+    extension makes banks hold state across cycles, delaying responses
+    and producing conflicts.)
     """
-    if device.timing is None:
-        bank.occupy(cycle, 0, -1, True)
-        return 0
     info = flight.info
     if info is None:
         info = flight.info = command_for_code(flight.pkt.cmd)
     row = flight.row
     if row < 0:
         row = flight.row = device.row_of(flight.pkt.addr)
-    busy = device.timing.request_cycles(info, bank.open_row, row)
+    busy = timing.request_cycles(info, bank.open_row, row)
     row_hit = bank.open_row == row
     bank.occupy(cycle, busy, row, row_hit)
     return busy

@@ -41,15 +41,21 @@ and the oracle fuzz burn-down (including the ``deep_queue`` profile).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import HMCAddressError, HMCSimError
-from repro.hmc.amo import execute_amo, is_amo
+from repro.hmc.amo import execute_amo
 from repro.hmc.commands import (
+    ARM_ATOMIC,
+    ARM_CMC,
+    ARM_MODE_RD,
+    ARM_MODE_WR,
+    ARM_READ,
+    ARM_WRITE,
     COMMAND_TABLE_LIST,
-    CommandKind,
     hmc_response_t,
     hmc_rqst_t,
 )
@@ -82,35 +88,19 @@ __all__ = ["BatchExecutor", "ColumnarMemory"]
 
 _RSP_ERROR = int(hmc_response_t.RSP_ERROR)
 
-# -- per-command classification, precomputed over the dense code space ---------
+# -- per-command tables over the dense code space -------------------------------
+# The classification is the command table's predecoded execute arm,
+# the one process_rqst dispatches on.
 
-K_READ, K_WRITE, K_MODE_RD, K_MODE_WR, K_AMO, K_CMC, K_OTHER = range(7)
-
-
-def _classify(info) -> int:
-    kind = info.kind
-    if kind is CommandKind.READ:
-        return K_READ
-    if kind is CommandKind.WRITE or kind is CommandKind.POSTED_WRITE:
-        return K_WRITE
-    if kind is CommandKind.MODE:
-        return K_MODE_RD if info.rqst_name == "MD_RD" else K_MODE_WR
-    if kind is CommandKind.CMC:
-        return K_CMC
-    if is_amo(info.code):
-        return K_AMO
-    return K_OTHER
-
-
-_KIND = tuple(_classify(info) for info in COMMAND_TABLE_LIST)
+_KIND = tuple(info.arm for info in COMMAND_TABLE_LIST)
 #: None marks CMC codes (posted-ness resolved by the plugin registry).
 _HAS_RSP = tuple(
-    None if k == K_CMC else not info.posted
-    for k, info in zip(_KIND, COMMAND_TABLE_LIST)
+    None if info.arm == ARM_CMC else not info.posted
+    for info in COMMAND_TABLE_LIST
 )
 _RSP_CMD = tuple(info.rsp_cmd_code for info in COMMAND_TABLE_LIST)
-_RSP_BYTES = tuple(info.rsp_data_bytes or 0 for info in COMMAND_TABLE_LIST)
-_RQ_BYTES = tuple(info.rqst_data_bytes or 0 for info in COMMAND_TABLE_LIST)
+_RSP_BYTES = tuple(info.rsp_bytes for info in COMMAND_TABLE_LIST)
+_RQ_BYTES = tuple(info.rqst_bytes for info in COMMAND_TABLE_LIST)
 
 _R = hmc_rqst_t
 #: Memory bytes touched by each atomic (operand footprint).
@@ -126,8 +116,8 @@ for _c in (_R.INC8, _R.P_INC8, _R.BWR, _R.P_BWR, _R.BWR8R,
 #: Footprint per command code: read = response bytes, write = dynamic
 #: (payload length, -1 here), atomic = operand bytes, rest = 0.
 _FOOT = tuple(
-    _RSP_BYTES[c] if _KIND[c] == K_READ
-    else (-1 if _KIND[c] == K_WRITE else _AMO_FOOT.get(c, 0))
+    _RSP_BYTES[c] if _KIND[c] == ARM_READ
+    else (-1 if _KIND[c] == ARM_WRITE else _AMO_FOOT.get(c, 0))
     for c in range(len(COMMAND_TABLE_LIST))
 )
 
@@ -297,7 +287,9 @@ class BatchExecutor:
     __slots__ = ("_xbar", "_scratch", "_col")
 
     def __init__(self, xbar: "VectorXBar", scratch: Flight):
-        self._xbar = xbar
+        # Weak: the crossbar owns its executor (and, through ``_col``,
+        # the executor pins the device's memory view).
+        self._xbar = weakref.proxy(xbar)
         self._scratch = scratch
         self._col: Optional[ColumnarMemory] = None
 
@@ -545,23 +537,23 @@ class BatchExecutor:
             row = e[4]
             cmd = row[F_CMD]
             k = kind_of[cmd]
-            if k == K_READ:
+            if k == ARM_READ:
                 reads.append(e)
                 addr = row[F_ADDR]
                 intervals.append((addr, addr + _RSP_BYTES[cmd]))
-            elif k == K_WRITE:
+            elif k == ARM_WRITE:
                 writes.append(e)
                 writer = True
                 addr = row[F_ADDR]
                 intervals.append((addr, addr + (row[F_FLITS] - 1) * 16))
-            elif k == K_AMO:
+            elif k == ARM_ATOMIC:
                 amos.append(e)
                 writer = True
                 addr = row[F_ADDR]
                 intervals.append((addr, addr + _FOOT[cmd]))
             else:
-                # Mode registers (and the unreachable OTHER) touch no
-                # memory: always order-safe against the memory kinds.
+                # Mode registers (and the unreachable flow arm) touch
+                # no memory: always order-safe against the memory kinds.
                 modes.append(e)
         if writer and len(intervals) > 1:
             intervals.sort()
@@ -596,18 +588,18 @@ class BatchExecutor:
         data = b""
         errstat = 0
         try:
-            if k == K_READ:
+            if k == ARM_READ:
                 data = col.read1(addr, _RSP_BYTES[cmd])
-            elif k == K_WRITE:
+            elif k == ARM_WRITE:
                 col.write1(addr, pkt.data)
-            elif k == K_AMO:
+            elif k == ARM_ATOMIC:
                 result = execute_amo(device._mem, addr, cmd, pkt.data)
                 data = result.rsp_data
                 errstat = result.errstat
-            elif k == K_MODE_RD:
+            elif k == ARM_MODE_RD:
                 value = device.registers.read(addr)
                 data = value.to_bytes(8, "little") + _ZERO8
-            elif k == K_MODE_WR:
+            elif k == ARM_MODE_WR:
                 device.registers.write(addr, int.from_bytes(pkt.data[:8], "little"))
             else:  # pragma: no cover - command table is exhaustive
                 raise HMCSimError(f"unhandled command {cmd}")

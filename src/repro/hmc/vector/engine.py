@@ -50,6 +50,7 @@ the spilled objects.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.hmc.commands import COMMAND_TABLE_LIST, CommandKind
@@ -86,7 +87,10 @@ class VectorXBar(XBar):
         super().__init__(config, dev)
         self._mode = _UNDECIDED
         self._table = FlightTable()
-        self._device: Optional["Device"] = None
+        # Weak (a ``weakref.ref`` once vector mode is entered): the
+        # device owns its crossbar, not the other way round, so a
+        # dropped context is freed by reference count.
+        self._device: Optional["weakref.ref[Device]"] = None
         # One reusable Flight, loaded per row right before execution:
         # process_rqst (and with it CMC dispatch, AMO, error responses)
         # runs unmodified, with no per-request allocation.
@@ -112,7 +116,7 @@ class VectorXBar(XBar):
 
     def _dynamic_ok(self, device: "Device") -> bool:
         """The per-cycle re-checked half of the vector gate."""
-        sim = device.sim
+        sim = device._sim()  # device.sim, minus the property call (per send)
         return (
             sim.faults is None
             and not sim.tracer.mask
@@ -130,7 +134,9 @@ class VectorXBar(XBar):
             and config.nonlocal_hop_cycles == 0
         )
 
-    def _go_scalar(self, device: Optional["Device"]) -> None:
+    def _go_scalar(self, device: Optional["Device"] = None) -> None:
+        if device is None and self._device is not None:
+            device = self._device()  # raw queue API: the bound device
         if self._mode == _VECTOR and device is not None:
             self._spill(device)
         else:
@@ -187,7 +193,7 @@ class VectorXBar(XBar):
                 self._mode = _SCALAR
                 return None
             self._mode = _VECTOR
-            self._device = device
+            self._device = weakref.ref(device)
         pkt.slid = link
         q = self.rqst_queues[link]
         n = len(q._q) + 1
@@ -344,22 +350,22 @@ class VectorXBar(XBar):
 
     def inject(self, link: int, flight: Flight) -> bool:
         if self._mode != _SCALAR:
-            self._go_scalar(self._device)
+            self._go_scalar()
         return super().inject(link, flight)
 
     def head_request(self, link: int) -> Optional[Flight]:
         if self._mode != _SCALAR:
-            self._go_scalar(self._device)
+            self._go_scalar()
         return super().head_request(link)
 
     def pop_request(self, link: int) -> Optional[Flight]:
         if self._mode != _SCALAR:
-            self._go_scalar(self._device)
+            self._go_scalar()
         return super().pop_request(link)
 
     def unpop_request(self, link: int, flight: Flight) -> None:
         if self._mode != _SCALAR:
-            self._go_scalar(self._device)
+            self._go_scalar()
         super().unpop_request(link, flight)
 
     # -- capabilities for observers --------------------------------------------

@@ -53,6 +53,15 @@ class Flight:
     hop_delay: int = 0
     #: Device the request originally entered on (multi-device topologies).
     origin_dev: int = 0
+    #: Command metadata (execute arm, payload sizes, response command),
+    #: resolved once at inject time so the drain and execute phases
+    #: never re-run the command-table lookup.
+    info: Optional[CommandInfo] = field(default=None, compare=False)
+    #: Row coordinate of the target address, decoded once at inject time
+    #: (bank timing; -1 = not precomputed, resolve lazily).
+    row: int = field(default=-1, compare=False)
+    # Everything ``Device.send`` fills in is above (it constructs
+    # positionally); what later stages write follows.
     #: Link-layer sequence number (set when a LinkFlowModel is attached).
     link_seq: int = field(default=-1, compare=False)
     #: Cycle at which DRAM service completes (timing model only; -1 =
@@ -60,12 +69,6 @@ class Flight:
     service_until: int = field(default=-1, compare=False)
     #: Chain hops consumed reaching this device (multi-device topologies).
     chain_hops: int = field(default=0, compare=False)
-    #: Command metadata, resolved once at inject time so the drain and
-    #: execute phases never re-run the command-table lookup.
-    info: Optional[CommandInfo] = field(default=None, compare=False)
-    #: Row coordinate of the target address, decoded once at inject time
-    #: (bank timing; -1 = not precomputed, resolve lazily).
-    row: int = field(default=-1, compare=False)
 
 
 @register_component("xbar", "queued")

@@ -231,7 +231,7 @@ class HostEngine:
             self.recorder.on_send(
                 self.sim.cycle if cycle is None else cycle, thread, pkt
             )
-        if self.sim._expects_response(pkt):
+        if self.sim.expects_response(pkt):
             thread.state = ThreadState.WAITING
             if shadow is not None:
                 shadow.note_send(pkt)

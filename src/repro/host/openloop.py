@@ -153,11 +153,16 @@ def drive_open_loop(
     idx = 0
     link_rr = 0
 
+    send = sim.send
+    expects_response = sim.expects_response
+    STALL = HMCStatus.STALL
+
     def drain_responses() -> None:
+        now = sim.cycle
         for link in range(num_links):
             for rsp in sim.recv_batch(link=link):
                 stats.completed += 1
-                stats.latencies.append(sim.cycle - inject_cycle.pop(rsp.tag))
+                stats.latencies.append(now - inject_cycle.pop(rsp.tag))
                 free_tags.append(rsp.tag)
 
     if depth is not None:
@@ -165,17 +170,17 @@ def drive_open_loop(
             raise ValueError("depth must be >= 1")
         window = 0
         while idx < count and window < max_drain:
+            now = sim.cycle  # constant until the clock below
             while len(inject_cycle) < depth and idx < count and free_tags:
                 tag = free_tags.pop()
                 pkt = build(idx, tag)
                 link = link_rr if link_for is None else link_for(idx)
-                status = sim.send(pkt, link=link)
-                if status is HMCStatus.STALL:
+                if send(pkt, link=link) is STALL:
                     free_tags.append(tag)
                     stats.backlogged += 1
                     break
-                if sim._expects_response(pkt):
-                    inject_cycle[tag] = sim.cycle
+                if expects_response(pkt):
+                    inject_cycle[tag] = now
                 else:
                     free_tags.append(tag)  # posted: nothing to await
                 stats.injected += 1
@@ -189,6 +194,7 @@ def drive_open_loop(
     else:
         for _ in range(duration):
             credit += offered_rate
+            now = sim.cycle
             while credit >= 1.0 and idx < count:
                 credit -= 1.0
                 if not free_tags:
@@ -197,13 +203,12 @@ def drive_open_loop(
                 tag = free_tags.pop()
                 pkt = build(idx, tag)
                 link = link_rr if link_for is None else link_for(idx)
-                status = sim.send(pkt, link=link)
-                if status is HMCStatus.STALL:
+                if send(pkt, link=link) is STALL:
                     free_tags.append(tag)
                     stats.backlogged += 1
                 else:
-                    if sim._expects_response(pkt):
-                        inject_cycle[tag] = sim.cycle
+                    if expects_response(pkt):
+                        inject_cycle[tag] = now
                     else:
                         free_tags.append(tag)  # posted: nothing to await
                     stats.injected += 1

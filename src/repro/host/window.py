@@ -150,7 +150,7 @@ class WindowedEngine:
                 still.append((slot, pkt))
                 continue
             thread.requests += 1
-            if self.sim._expects_response(pkt):
+            if self.sim.expects_response(pkt):
                 self._by_tag[pkt.tag] = (thread, slot)
                 thread.awaiting += 1
         thread.to_send = still

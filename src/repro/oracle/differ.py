@@ -329,7 +329,7 @@ def run_trace(
             poll()
             if sim.cycle - start_cycle > max_cycles:
                 raise _SendTimeout(idx)
-        if arm and wd is not None and sim._expects_response(pkt):
+        if arm and wd is not None and sim.expects_response(pkt):
             wd.arm(
                 pkt.tag, pkt, dev=pkt.cub, link=req.link, cycle=sim.cycle
             )

@@ -268,9 +268,9 @@ class Oracle:
     def expects_response(self, pkt: RequestPacket) -> bool:
         """Whether a request will produce a response packet.
 
-        Mirrors ``HMCSim._expects_response``: flow is silent, posted
-        commands are silent, unregistered CMC codes are answered with
-        an error response, registered CMC ops follow their
+        Mirrors ``HMCSim.expects_response``: flow is silent, posted
+        commands are silent, unregistered or inactive CMC codes are
+        answered with an error response, active CMC ops follow their
         registration.
         """
         info = command_for_code(pkt.cmd)
@@ -278,9 +278,7 @@ class Oracle:
             return False
         if info.kind is CommandKind.CMC:
             op = self.cmc.lookup(pkt.cmd)
-            if op is None:
-                return True
-            return not op.registration.posted
+            return op is None or not op.active or not op.registration.posted
         return not info.posted
 
     def execute(self, pkt: RequestPacket, *, dev: int = 0, link: int = 0) -> Expectation:

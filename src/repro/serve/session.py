@@ -599,7 +599,7 @@ class SimSession:
                     raise ServeError(
                         "internal", "raw stream exceeded max_cycles (stall)"
                     )
-            if sim._expects_response(pkt):
+            if sim.expects_response(pkt):
                 tag_to_index[tag] = idx
             else:
                 free_tags.append(tag)

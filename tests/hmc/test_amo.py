@@ -5,8 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import HMCPacketError
-from repro.hmc.amo import ERRSTAT_EQ_FAIL, execute_amo, is_amo, reference_amo
-from repro.hmc.commands import hmc_rqst_t
+from repro.hmc.amo import (
+    AMO_TABLE,
+    ERRSTAT_EQ_FAIL,
+    execute_amo,
+    is_amo,
+    reference_amo,
+)
+from repro.hmc.commands import (
+    ARM_ATOMIC,
+    COMMAND_TABLE_LIST,
+    CommandKind,
+    command_info,
+    hmc_rqst_t,
+)
 from repro.hmc.memory import MemoryBackend
 
 _M64 = (1 << 64) - 1
@@ -297,3 +309,150 @@ class TestValidation:
         mem2.write(0, s2)
         execute_amo(mem2, 0, int(hmc_rqst_t.TWOADD8), u64(a) + u64(a))
         assert order1 == mem2.read(0, 16)
+
+
+class TestPredecodedTable:
+    """``AMO_TABLE`` is the atomic unit decoded once; it must agree with
+    Table I, and with the command table's execute arm — the packet
+    processor routes on ``arm`` alone and has no "is it really an
+    atomic?" fallback."""
+
+    def test_atomic_kind_iff_handler(self):
+        atomic_kinds = (CommandKind.ATOMIC, CommandKind.POSTED_ATOMIC)
+        for info in COMMAND_TABLE_LIST:
+            has_handler = info.code in AMO_TABLE
+            assert (info.kind in atomic_kinds) == has_handler, info.rqst_name
+            assert (info.arm == ARM_ATOMIC) == has_handler, info.rqst_name
+            assert is_amo(info.code) == has_handler
+
+    def test_predecoded_sizes_match_table_i(self):
+        assert len(AMO_TABLE) == 25
+        for code, (handler, rqst_bytes, rsp_bytes, name) in AMO_TABLE.items():
+            info = command_info(hmc_rqst_t(code))
+            assert callable(handler)
+            assert rqst_bytes == info.rqst_data_bytes
+            assert rsp_bytes == info.rsp_data_bytes
+            assert name == info.rqst.name
+
+    def test_every_command_predecodes_its_sizes(self):
+        for info in COMMAND_TABLE_LIST:
+            assert info.rqst_bytes == (info.rqst_data_bytes or 0)
+            assert info.rsp_bytes == (info.rsp_data_bytes or 0)
+
+
+def _signed(v, bits):
+    """Two's-complement reading of a ``bits``-wide unsigned value."""
+    return v - (1 << bits) if v >> (bits - 1) else v
+
+
+def _wrap(v, bits):
+    """Signed wrap at ±2^(bits-1), returned as the unsigned bit pattern."""
+    return v % (1 << bits)
+
+
+def _int_reference(name, m, p):
+    """Pure-``int`` model of every atomic, independent of ``amo.py``.
+
+    ``m`` is the 16 bytes at the target as one unsigned 128-bit value,
+    ``p`` the 16-byte payload likewise (ignored by INC8).  Returns
+    ``(memory after, response payload or None, errstat)`` with memory and
+    response as unsigned ints over 16 bytes.
+    """
+    m_lo, m_hi = m & _M64, m >> 64
+    p_lo, p_hi = p & _M64, p >> 64
+    keep_hi = m_hi << 64
+    if name in ("TWOADD8", "P_2ADD8", "TWOADDS8R"):
+        # Two independent signed 64-bit lanes; no carry between them.
+        lo = _wrap(_signed(m_lo, 64) + _signed(p_lo, 64), 64)
+        hi = _wrap(_signed(m_hi, 64) + _signed(p_hi, 64), 64)
+        return lo | hi << 64, m if name == "TWOADDS8R" else None, 0
+    if name in ("ADD16", "P_ADD16", "ADDS16R"):
+        # One signed 128-bit add: the low lane carries into the high.
+        after = _wrap(_signed(m, 128) + _signed(p, 128), 128)
+        return after, m if name == "ADDS16R" else None, 0
+    if name in ("INC8", "P_INC8"):
+        return _wrap(_signed(m_lo, 64) + 1, 64) | keep_hi, None, 0
+    if name in ("XOR16", "OR16", "NOR16", "AND16", "NAND16"):
+        after = {
+            "XOR16": m ^ p,
+            "OR16": m | p,
+            "NOR16": ~(m | p),
+            "AND16": m & p,
+            "NAND16": ~(m & p),
+        }[name] & _M128
+        return after, m, 0
+    if name in ("BWR", "P_BWR", "BWR8R"):
+        data, mask = p_lo, p_hi
+        lo = (m_lo & ~mask & _M64) | (data & mask)
+        return lo | keep_hi, m_lo if name == "BWR8R" else None, 0
+    if name in ("CASEQ8", "CASGT8", "CASLT8"):
+        mv, cv = _signed(m_lo, 64), _signed(p_lo, 64)
+        hit = {"CASEQ8": mv == cv, "CASGT8": mv > cv, "CASLT8": mv < cv}[name]
+        return (p_hi if hit else m_lo) | keep_hi, m_lo, 0
+    if name in ("CASGT16", "CASLT16"):
+        mv, cv = _signed(m, 128), _signed(p, 128)
+        hit = mv > cv if name == "CASGT16" else mv < cv
+        return p if hit else m, m, 0
+    if name == "CASZERO16":
+        return p if m == 0 else m, m, 0
+    if name == "EQ8":
+        return m, None, 0 if m_lo == p_lo else ERRSTAT_EQ_FAIL
+    if name == "EQ16":
+        return m, None, 0 if m == p else ERRSTAT_EQ_FAIL
+    if name == "SWAP16":
+        return p, m, 0
+    raise AssertionError(f"no reference for {name}")
+
+
+#: Operands that sit on the wrap and carry boundaries, mixed with
+#: arbitrary ones: per-lane sign bits, all-ones lanes, a full low lane.
+_EDGES = [
+    0, 1, _M64, 1 << 63, (1 << 63) - 1, 1 << 64, _M64 << 64,
+    1 << 127, (1 << 127) - 1, _M128, _M128 - 1,
+]
+_operand = st.one_of(st.sampled_from(_EDGES), st.integers(0, _M128))
+
+
+class TestAgainstIntReference:
+    """The ``struct``-based handlers against a model written here in plain
+    ``int`` arithmetic, so the rewrite is not pinned only by itself
+    through ``reference_amo``."""
+
+    @given(
+        code=st.sampled_from(sorted(AMO_TABLE)),
+        m=_operand,
+        p=_operand,
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_handler_matches_reference(self, code, m, p):
+        _handler, rqst_bytes, rsp_bytes, name = AMO_TABLE[code]
+        mem = MemoryBackend(64)
+        mem.write(16, u128(m))
+        result = execute_amo(mem, 16, code, u128(p)[:rqst_bytes])
+        want_mem, want_rsp, want_errstat = _int_reference(name, m, p)
+        assert mem.read(16, 16) == u128(want_mem), name
+        # Neighbouring bytes are never touched.
+        assert mem.read(0, 16) == bytes(16) and mem.read(32, 16) == bytes(16)
+        assert result.errstat == want_errstat, name
+        if want_rsp is None:
+            assert result.rsp_data == b"", name
+        else:
+            assert result.rsp_data == u128(want_rsp), name
+        assert len(result.rsp_data) == rsp_bytes
+
+    def test_lane_wrap_and_carry_edges(self):
+        """The boundaries by hand: ±2^63 per lane, carry into bit 64."""
+        mem = MemoryBackend(16)
+        # TWOADD8: low lane wraps INT64_MAX + 1 -> INT64_MIN and must
+        # not carry into the high lane.
+        mem.write(0, u64((1 << 63) - 1) + u64(5))
+        execute_amo(mem, 0, int(hmc_rqst_t.TWOADD8), u64(1) + u64(0))
+        assert mem.read(0, 16) == u64(1 << 63) + u64(5)
+        # ADD16: the same low-lane overflow DOES carry.
+        mem.write(0, u64(_M64) + u64(5))
+        execute_amo(mem, 0, int(hmc_rqst_t.ADD16), u128(1))
+        assert mem.read(0, 16) == u64(0) + u64(6)
+        # ADD16 wraps at 2^127 as one signed 128-bit value.
+        mem.write(0, u128((1 << 127) - 1))
+        execute_amo(mem, 0, int(hmc_rqst_t.ADD16), u128(1))
+        assert mem.read(0, 16) == u128(1 << 127)

@@ -1,14 +1,33 @@
 """HMCSim context tests: lifecycle, tag policing, API errors."""
 
+import gc
 import io
+import weakref
 
 import pytest
 
+from repro.core.cmc import CMCOperation, CMCRegistration
 from repro.errors import HMCSimError, HMCStatus, TagError
-from repro.hmc.commands import hmc_rqst_t
+from repro.hmc.commands import hmc_response_t, hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.hmc.trace import TraceLevel
+
+
+def _inline_op(rsp_len):
+    """A CMC op at code 125 that writes nothing: responding (``rsp_len``
+    2) or posted (``rsp_len`` 0)."""
+    reg = CMCRegistration(
+        op_name=f"op_rsp{rsp_len}", rqst=hmc_rqst_t.CMC125, cmd=125,
+        rqst_len=2, rsp_len=rsp_len,
+        rsp_cmd=hmc_response_t.RD_RS if rsp_len else hmc_response_t.RSP_NONE,
+    )
+    return CMCOperation(
+        registration=reg,
+        cmc_register=lambda: reg,
+        cmc_execute=lambda *args: 0,
+        cmc_str=lambda: reg.op_name,
+    )
 
 
 class TestConstruction:
@@ -43,6 +62,30 @@ class TestLifecycle:
         with pytest.raises(HMCSimError):
             sim.mem_read(0, 8)
 
+    @pytest.mark.parametrize(
+        "num_devs, xbar", [(1, "queued"), (2, "queued"), (1, "vector")]
+    )
+    def test_dropped_context_is_freed_without_gc(self, num_devs, xbar):
+        """Devices, the router and the vector crossbar hold their owner
+        weakly, so a used context (and its page store) dies with its
+        last reference — a sweep's footprint is one context, not one
+        per point until the collector happens to run."""
+        if xbar == "vector":
+            pytest.importorskip("numpy")
+        gc.disable()
+        try:
+            sim = HMCSim(HMCConfig(num_devs=num_devs, capacity=2, xbar=xbar))
+            sim.send(sim.build_memrequest(hmc_rqst_t.WR16, 0, 1, data=bytes(16)))
+            sim.drain()
+            assert sim.devices[0].sim is sim
+            if xbar == "vector":
+                assert sim.devices[0].xbar.mode == "vector"
+            ref, backend = weakref.ref(sim), weakref.ref(sim.backend)
+            del sim
+            assert ref() is None and backend() is None
+        finally:
+            gc.enable()
+
     def test_clock_returns_cycle(self, sim):
         assert sim.clock() == 1
         assert sim.clock(5) == 6
@@ -71,6 +114,58 @@ class TestTagPolicing:
         for _ in range(3):
             pkt = sim.build_memrequest(hmc_rqst_t.P_WR16, 0, 7, data=bytes(16))
             assert sim.send(pkt) is HMCStatus.OK
+
+    def test_posted_cmc_reregistered_behind_load_cmc(self, sim):
+        """The registry is public: swapping the op at a code through
+        ``sim.cmc`` (not ``load_cmc``) must change the expects-a-response
+        answer with it.  A stale "responding" answer parks the now-posted
+        op's tag in the outstanding set forever."""
+        sim.cmc.register(_inline_op(rsp_len=2))
+        first = sim.build_memrequest(hmc_rqst_t.CMC125, 0x40, 7, data=bytes(16))
+        assert sim.expects_response(first)
+        sim.send(first)
+        sim.drain()
+        assert sim.recv() is not None  # memoized: CMC125 responds
+
+        sim.cmc.unregister(125)
+        sim.cmc.register(_inline_op(rsp_len=0))
+        for _ in range(2):
+            pkt = sim.build_memrequest(hmc_rqst_t.CMC125, 0x40, 7, data=bytes(16))
+            assert not sim.expects_response(pkt)
+            assert sim.send(pkt) is HMCStatus.OK  # one tag, twice: no TagError
+        sim.drain()
+        assert sim.recv() is None
+        assert sim.stats()["outstanding"] == 0
+
+    def test_deactivated_posted_cmc_is_answered(self, sim):
+        """An inactive code is answered with RSP_ERROR even when the op
+        registered there is posted; flipping ``op.active`` must flip the
+        memoized answer, or that response arrives unawaited."""
+        op = _inline_op(rsp_len=0)
+        sim.cmc.register(op)
+        pkt = sim.build_memrequest(hmc_rqst_t.CMC125, 0x40, 7, data=bytes(16))
+        assert not sim.expects_response(pkt)
+        op.active = False
+        assert sim.expects_response(pkt)
+        sim.send(pkt)
+        assert sim.stats()["outstanding"] == 1
+        sim.drain()
+        rsp = sim.recv()
+        assert rsp is not None and rsp.cmd == int(hmc_response_t.RSP_ERROR)
+        assert sim.stats()["outstanding"] == 0
+        op.active = True
+        assert not sim.expects_response(pkt)
+
+    def test_registry_epoch_counts_mutations(self, sim):
+        start = sim.cmc.epoch
+        op = _inline_op(rsp_len=2)
+        sim.cmc.register(op)
+        op.active = False
+        op.active = True
+        sim.cmc.unregister(125)
+        assert sim.cmc.epoch == start + 4
+        op.active = False  # no longer held: nobody to tell
+        assert sim.cmc.epoch == start + 4
 
     def test_strict_tags_disabled(self, cfg4):
         sim = HMCSim(cfg4, strict_tags=False)
