@@ -21,13 +21,9 @@ from repro.workloads.registry import WORKLOADS
 THREADS = 100
 
 
-def test_ablation_queues(benchmark, artifact_dir):
-    baseline = benchmark.pedantic(
-        lambda: WORKLOADS.get("mutex").run(
-            HMCConfig.cfg_4link_4gb(), {"threads": THREADS}
-        ),
-        rounds=1,
-        iterations=1,
+def test_ablation_queues(artifact_dir):
+    baseline = WORKLOADS.get("mutex").run(
+        HMCConfig.cfg_4link_4gb(), {"threads": THREADS}
     )
 
     rows = [("baseline 4Link-4GB", baseline.max_cycle, f"{baseline.avg_cycle:.2f}")]

@@ -19,13 +19,9 @@ DEGREE = 4
 GRAPH = {"vertices": VERTICES, "degree": DEGREE}
 
 
-def test_bfs_cas_offload(benchmark, artifact_dir):
+def test_bfs_cas_offload(artifact_dir):
     cfg = HMCConfig.cfg_4link_4gb()
-    cas = benchmark.pedantic(
-        lambda: WORKLOADS.get("bfs").run(cfg, {**GRAPH, "cas": True}),
-        rounds=1,
-        iterations=1,
-    )
+    cas = WORKLOADS.get("bfs").run(cfg, {**GRAPH, "cas": True})
     base = WORKLOADS.get("bfs").run(cfg, {**GRAPH, "cas": False})
 
     assert cas.verified and base.verified

@@ -50,10 +50,10 @@ def _burst_cycles(sim, cubs):
     return sim.cycle - start
 
 
-def test_ext_chaining(benchmark, artifact_dir):
+def test_ext_chaining(artifact_dir):
     cfg = HMCConfig(num_devs=DEVS, capacity=2)
 
-    sim = benchmark.pedantic(lambda: HMCSim(cfg), rounds=1, iterations=1)
+    sim = HMCSim(cfg)
     hop = sim.topology.hop_cycles
 
     lat_rows = []

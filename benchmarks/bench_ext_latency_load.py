@@ -19,15 +19,9 @@ RATES = (1.0, 4.0, 8.0, 12.0, 15.0, 20.0, 28.0)
 DURATION = 384
 
 
-def test_ext_latency_load(benchmark, artifact_dir):
+def test_ext_latency_load(artifact_dir):
     cfg4 = HMCConfig.cfg_4link_4gb()
     cfg8 = HMCConfig.cfg_8link_8gb()
-
-    benchmark.pedantic(
-        lambda: run_open_loop(cfg4, offered_rate=8.0, duration=DURATION),
-        rounds=1,
-        iterations=1,
-    )
 
     rows = []
     curves = {"4L": [], "8L": []}

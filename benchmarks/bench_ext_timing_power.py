@@ -27,10 +27,8 @@ def _timed_mutex(timing):
     return WORKLOADS.get("mutex").run(cfg, {"threads": THREADS}, sim=sim)
 
 
-def test_ext_timing_power(benchmark, artifact_dir):
-    baseline = benchmark.pedantic(
-        lambda: _timed_mutex(None), rounds=1, iterations=1
-    )
+def test_ext_timing_power(artifact_dir):
+    baseline = _timed_mutex(None)
     timed = _timed_mutex(HMCTimingModel(t_cl=2, t_rcd=2, t_rp=2))
     # DRAM timing must cost cycles on a bank-hot-spot workload.
     assert timed.max_cycle > baseline.max_cycle

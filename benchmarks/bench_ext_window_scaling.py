@@ -38,11 +38,9 @@ def _run(cfg, window):
     return result.requests / result.total_cycles
 
 
-def test_ext_window_scaling(benchmark, artifact_dir):
+def test_ext_window_scaling(artifact_dir):
     cfg4 = HMCConfig.cfg_4link_4gb()
     cfg8 = HMCConfig.cfg_8link_8gb()
-
-    benchmark.pedantic(lambda: _run(cfg4, 8), rounds=1, iterations=1)
 
     rows = []
     rates4, rates8 = [], []

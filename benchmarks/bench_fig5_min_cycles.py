@@ -15,15 +15,11 @@ from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
 
 
-def test_fig5_min_cycles(benchmark, sweeps, artifact_dir):
+def test_fig5_min_cycles(sweeps, artifact_dir):
     s4, s8 = sweeps
 
-    # Benchmark one representative high-contention data point.
-    stats = benchmark.pedantic(
-        lambda: WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": 99}),
-        rounds=1,
-        iterations=1,
-    )
+    # One representative high-contention data point.
+    stats = WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": 99})
     assert stats.min_cycle >= 6
 
     assert min(s4.min_cycles) == 6  # Table VI: Min Cycle Count = 6

@@ -15,14 +15,10 @@ from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
 
 
-def test_fig6_max_cycles(benchmark, sweeps, artifact_dir):
+def test_fig6_max_cycles(sweeps, artifact_dir):
     s4, s8 = sweeps
 
-    stats = benchmark.pedantic(
-        lambda: WORKLOADS.get("mutex").run(HMCConfig.cfg_8link_8gb(), {"threads": 100}),
-        rounds=1,
-        iterations=1,
-    )
+    stats = WORKLOADS.get("mutex").run(HMCConfig.cfg_8link_8gb(), {"threads": 100})
     assert stats.max_cycle > stats.min_cycle
 
     worst4 = max(s4.max_cycles)

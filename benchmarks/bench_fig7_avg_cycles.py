@@ -14,14 +14,10 @@ from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
 
 
-def test_fig7_avg_cycles(benchmark, sweeps, artifact_dir):
+def test_fig7_avg_cycles(sweeps, artifact_dir):
     s4, s8 = sweeps
 
-    stats = benchmark.pedantic(
-        lambda: WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": 50}),
-        rounds=1,
-        iterations=1,
-    )
+    stats = WORKLOADS.get("mutex").run(HMCConfig.cfg_4link_4gb(), {"threads": 50})
     assert stats.min_cycle <= stats.avg_cycle <= stats.max_cycle
 
     worst4 = max(s4.avg_cycles)

@@ -14,17 +14,13 @@ from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
 
 
-def test_kernels_stream_gups(benchmark, artifact_dir):
+def test_kernels_stream_gups(artifact_dir):
     cfgs = [HMCConfig.cfg_4link_4gb(), HMCConfig.cfg_8link_8gb()]
 
-    stream = benchmark.pedantic(
-        lambda: [
-            WORKLOADS.get("stream").run(c, {"threads": 16, "blocks_per_thread": 8})
-            for c in cfgs
-        ],
-        rounds=1,
-        iterations=1,
-    )
+    stream = [
+        WORKLOADS.get("stream").run(c, {"threads": 16, "blocks_per_thread": 8})
+        for c in cfgs
+    ]
     rows = [
         (s.config_name, "STREAM Triad", s.cycles, f"{s.bytes_per_cycle:.1f} B/cyc")
         for s in stream

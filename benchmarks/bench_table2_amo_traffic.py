@@ -19,8 +19,8 @@ from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
 
 
-def test_table2_amo_traffic(benchmark, artifact_dir):
-    rows = benchmark(table2_rows)
+def test_table2_amo_traffic(artifact_dir):
+    rows = table2_rows()
     by_type = {r.amo_type: r for r in rows}
     # Verbatim paper values (their 128-byte-FLIT arithmetic).
     assert by_type["Cache-Based"].flits == 12

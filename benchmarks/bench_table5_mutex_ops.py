@@ -1,7 +1,7 @@
 """E4 — Table V / Figure 4: the CMC mutex operation definitions.
 
 Loads the three mutex plugins into a live context, regenerates
-Table V from their actual registrations, and benchmarks one full
+Table V from their actual registrations, and runs one full
 lock / trylock / unlock round-trip sequence through the pipeline.
 (No sweep here, so ``REPRO_JOBS`` has nothing to fan out — the table
 is a single in-process round trip by construction.)
@@ -45,17 +45,11 @@ def _mutex_sequence(sim, tag_base):
     )
 
 
-def test_table5_mutex_ops(benchmark, artifact_dir):
+def test_table5_mutex_ops(artifact_dir):
     sim = HMCSim(HMCConfig.cfg_4link_4gb())
     load_mutex_ops(sim)
 
-    counter = [0]
-
-    def run():
-        counter[0] += 10
-        return _mutex_sequence(sim, counter[0] % 1000)
-
-    lock_ok, trylock_owner, unlock_ok = benchmark(run)
+    lock_ok, trylock_owner, unlock_ok = _mutex_sequence(sim, tag_base=10)
     assert lock_ok == 1  # hmc_lock acquired the free lock
     assert trylock_owner == 1  # hmc_trylock reports holder tid 1
     assert unlock_ok == 1  # owner unlock succeeds

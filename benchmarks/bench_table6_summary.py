@@ -12,8 +12,8 @@ from conftest import emit
 from repro.analysis.tables import render_table6
 
 
-def test_table6_summary(benchmark, sweeps, artifact_dir):
-    rows = benchmark(lambda: [s.table6_row() for s in sweeps])
+def test_table6_summary(sweeps, artifact_dir):
+    rows = [s.table6_row() for s in sweeps]
     (dev4, min4, max4, avg4), (dev8, min8, max8, avg8) = rows
     assert dev4 == "4Link-4GB" and dev8 == "8Link-8GB"
     # Paper Table VI: 4L = 6 / 392 / 226.48, 8L = 6 / 387 / 221.48.

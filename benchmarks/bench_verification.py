@@ -12,10 +12,8 @@ from conftest import emit
 from repro.analysis.verify import render_verification_report, verify_all
 
 
-def test_verification(benchmark, sweeps, artifact_dir):
-    anchors = benchmark.pedantic(
-        lambda: verify_all(sweeps), rounds=1, iterations=1
-    )
+def test_verification(sweeps, artifact_dir):
+    anchors = verify_all(sweeps)
     failing = [a.name for a in anchors if not a.passed]
     assert not failing, f"paper anchors out of tolerance: {failing}"
     emit(artifact_dir, "verification", render_verification_report(anchors))

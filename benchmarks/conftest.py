@@ -1,16 +1,17 @@
-"""Shared fixtures for the paper-regeneration benchmarks.
+"""Shared fixtures for the paper-regeneration scripts.
 
-The three figures and Table VI are views of one sweep (Algorithm 1,
-threads 2..100, both configurations), so the sweep is computed once
-per session and shared.  Set ``REPRO_SWEEP_STEP=<k>`` to thin the
-thread axis (every k-th count, always including 2, 99, and 100) for
-quick runs; the default regenerates the paper's full axis.  Set
-``REPRO_JOBS=<n>`` to fan the sweep's independent points across n
-worker processes (0 = all cores) — results are bit-identical to the
-serial run (see ``docs/PERFORMANCE.md``, "Parallel execution").
-
-Every benchmark also writes its regenerated artifact to
-``benchmarks/out/<name>.txt`` so the output survives pytest's capture.
+Every ``bench_*.py`` regenerates one table, figure or extension study
+from deterministic simulated results and times nothing (wall-clock
+numbers come from ``perfbench/`` alone).  The three figures and
+Table VI are views of one sweep (Algorithm 1, threads 2..100, both
+configurations), computed once per session and shared.
+``REPRO_SWEEP_STEP=<k>`` thins the thread axis (every k-th count,
+always including 2, 99, and 100) for quick runs; such a run prints its
+artifacts, and only the paper's full axis (the default) writes the
+tracked ``benchmarks/out/<name>.txt``.  ``REPRO_JOBS=<n>`` fans the
+sweep's independent points across n worker processes (0 = all cores) —
+bit-identical to the serial run (``docs/PERFORMANCE.md``, "Parallel
+execution").
 """
 
 from __future__ import annotations
@@ -27,12 +28,20 @@ from repro.hmc.config import HMCConfig
 OUT_DIR = Path(__file__).parent / "out"
 
 
+def sweep_step() -> int:
+    raw = os.environ.get("REPRO_SWEEP_STEP", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise pytest.UsageError(f"REPRO_SWEEP_STEP must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def pytest_configure(config) -> None:
+    sweep_step()  # a bad value ends the run in one line, before any sweep
+
+
 def thread_axis() -> List[int]:
-    step = int(os.environ.get("REPRO_SWEEP_STEP", "1"))
-    if step <= 1:
-        return list(PAPER_THREAD_RANGE)
-    counts = sorted(set(list(PAPER_THREAD_RANGE)[::step]) | {2, 99, 100})
-    return counts
+    axis = list(PAPER_THREAD_RANGE)  # holds 2, 99 and 100: step 1 is the axis itself
+    return sorted(set(axis[:: sweep_step()]) | {2, 99, 100})
 
 
 def sweep_jobs() -> int:
@@ -58,6 +67,7 @@ def artifact_dir() -> Path:
 
 
 def emit(artifact_dir: Path, name: str, text: str) -> None:
-    """Print a regenerated artifact and persist it under benchmarks/out."""
+    """Print a regenerated artifact; persist it when the axis is the paper's."""
     print(f"\n=== {name} ===\n{text}\n")
-    (artifact_dir / f"{name}.txt").write_text(text + "\n")
+    if sweep_step() == 1:
+        (artifact_dir / f"{name}.txt").write_text(text + "\n")

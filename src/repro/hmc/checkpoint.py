@@ -19,24 +19,21 @@ would reload shared libraries in a new process.
 
 The on-disk format is a versioned, self-describing pickle-free
 structure written with :mod:`json` + raw page blobs, so checkpoints
-remain inspectable and robust across library versions.  Version 2
-added the component-selection fields to the configuration fingerprint
-(a checkpoint taken under one pipeline composition must not restore
-into another) and the in-transit topology state.  Version 3 added the
-fault subsystem: the host's outstanding-tag set, the fault
-controller's counters and lost-tag set, and (via the ``watchdog=``
-parameter) the host watchdog's armed tags, deadlines, and attempt
-history — so a faulty run can checkpoint with a response destroyed
-and mid-retransmission, and resume bit-identically.  Version 2 files
-still restore (their fault state defaults to empty); fault draws are
-stateless splitmix64 hashes of (seed, cycle, coordinates), so no RNG
-state needs capturing.  Version 4 adds the differential oracle: pass
-the reference model via the duck-typed ``oracle=`` parameter (any
+remain inspectable; only the current version restores, an older file
+is refused by name.  The configuration fingerprint includes the
+component selection (a checkpoint taken under one pipeline composition
+must not restore into another).  Fault state rides along — the host's
+outstanding-tag set, the fault controller's counters and lost-tag set,
+and (via ``watchdog=``) the watchdog's armed tags, deadlines and
+attempt history — so a faulty run can checkpoint with a response
+destroyed and mid-retransmission and resume bit-identically; fault
+draws are stateless splitmix64 hashes of (seed, cycle, coordinates),
+so no RNG state needs capturing.  So does the differential oracle:
+pass the reference model via the duck-typed ``oracle=`` parameter (any
 object with ``snapshot_state()``/``restore_state(doc)`` — this module
 never imports :mod:`repro.oracle`, preserving the layering) and a
 fuzz-farm burn-down can freeze mid-trace with the oracle's memory
 image and register files captured alongside the device state.
-Version 3 files still restore; they simply carry no oracle document.
 """
 
 from __future__ import annotations
@@ -59,11 +56,8 @@ __all__ = ["save_checkpoint", "restore_checkpoint", "CHECKPOINT_VERSION"]
 
 CHECKPOINT_VERSION = 4
 
-#: Versions restore_checkpoint accepts.  Version 2 predates the fault
-#: subsystem; its files carry no outstanding/fault/watchdog state and
-#: restore with those defaults (empty).  Version 3 predates the
-#: oracle document; its files restore with no oracle state.
-_SUPPORTED_VERSIONS = (2, 3, 4)
+#: Versions restore_checkpoint accepts.
+_SUPPORTED_VERSIONS = (4,)
 
 
 def _fingerprint_diff(
@@ -252,8 +246,8 @@ def _encode_faults(sim: HMCSim) -> object:
 def _restore_faults(sim: HMCSim, doc: object) -> None:
     ctl = sim.faults
     if doc is None:
-        # Fault-free checkpoint (or version 2): a fresh controller on
-        # the target side keeps its empty state.
+        # Fault-free checkpoint: a fresh controller on the target side
+        # keeps its empty state.
         return
     if ctl is None:
         raise HMCSimError(
@@ -479,7 +473,7 @@ def restore_checkpoint(
     sim.send_stalls = counters["send_stalls"]
     sim.recvd_rsps = counters["recvd_rsps"]
     _restore_topology(sim, doc["topology"])
-    sim._outstanding = set(doc.get("outstanding", ()))
+    sim._outstanding = set(doc["outstanding"])
     for entry in doc.get("cmc", ()):
         op = sim.cmc.lookup(entry["cmd"])
         if op is None:
@@ -492,8 +486,8 @@ def restore_checkpoint(
             sim.load_cmc(entry["source"])
             op = sim.cmc.get(entry["cmd"])
         op.executions = entry["executions"]
-    _restore_faults(sim, doc.get("faults"))
-    wd_doc = doc.get("watchdog")
+    _restore_faults(sim, doc["faults"])
+    wd_doc = doc["watchdog"]
     if wd_doc is not None:
         if watchdog is None:
             raise HMCSimError(
@@ -501,7 +495,7 @@ def restore_checkpoint(
                 "watchdog via watchdog="
             )
         _restore_watchdog(watchdog, wd_doc)
-    oracle_doc = doc.get("oracle")
+    oracle_doc = doc["oracle"]
     if oracle_doc is not None:
         if oracle is None:
             raise HMCSimError(

@@ -27,7 +27,6 @@ A thin functional facade with the original C names lives in
 
 from __future__ import annotations
 
-from dataclasses import replace as _cfg_replace
 from typing import IO, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.cmc import CMCOperation, CMCRegistry
@@ -92,8 +91,6 @@ class HMCSim:
         strict_tags: when True (default), reject a send whose tag is
             already outstanding on the same device — catching the host
             bug the 11-bit TAG field cannot express.
-        topology_kind: back-compat alias for ``config.topology``; when
-            given it overrides the config's selection.
         **kwargs: forwarded to :class:`HMCConfig` when ``config`` is
             not given.
 
@@ -112,17 +109,12 @@ class HMCSim:
         flow: Optional[LinkFlow] = None,
         faults: Optional[object] = None,
         strict_tags: bool = True,
-        topology_kind: Optional[str] = None,
         **kwargs: object,
     ):
         if config is None:
             config = HMCConfig(**kwargs)  # type: ignore[arg-type]
         elif kwargs:
             raise HMCSimError("pass either a config object or field overrides, not both")
-        if topology_kind is not None and topology_kind != config.topology:
-            # Re-validates through HMCConfig, so an unknown kind fails
-            # with the registry's known-keys message.
-            config = _cfg_replace(config, topology=topology_kind)
         self.config = config
         self.timing = timing
         self.power = power

@@ -29,9 +29,7 @@ engine's dynamic gate is untouched: the sampled request simply flows
 through an empty pipeline (whatever engine is composed), so sampling
 perturbs only the sampled request's own issue window — not the
 batching of the surrounding run.  The cost is a pipeline drain per
-sample, which is why the default is sampled (1-in-N), not exhaustive;
-``scripts/bench_to_json.py`` records the overhead as the
-``oracle_online`` entry.
+sample, which is why the default is sampled (1-in-N), not exhaustive.
 
 The shadow oracle is incompatible with fault injection: a fault plan
 deliberately makes the device diverge from the functional contract

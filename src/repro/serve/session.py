@@ -26,9 +26,8 @@ appended, and snapshot + label land in one ``os.replace``.  :meth:`load`
 folds the journal (last status line per seq wins; a torn final line was
 never acked and is dropped) and replays everything after the label —
 including submissions marked done whose effects the checkpoint
-predates; re-execution regenerates byte-identical results.  A v1
-directory (journal and label inline in ``meta.json``) loads the same
-way and is rewritten in this layout.  See ``docs/SERVICE.md``.
+predates; re-execution regenerates byte-identical results.  See
+``docs/SERVICE.md``.
 
 States move ``CREATED → RUNNING → DRAINING → CLOSED``: RUNNING on the
 first submission, DRAINING once the server stops accepting new work
@@ -68,6 +67,8 @@ from repro.serve.schemas import canonical_json, encode_value
 __all__ = ["SessionState", "SubmissionRecord", "SimSession", "build_session_config"]
 
 _META_VERSION = 2
+#: Cycle budget of a raw stream whose spec names none.
+_RAW_MAX_CYCLES = 100_000
 
 
 class SessionState(enum.Enum):
@@ -140,6 +141,8 @@ def _status_line(rec: SubmissionRecord) -> str:
 
 def _read_journal(path: Path) -> List[SubmissionRecord]:
     """Fold ``journal.jsonl`` into records; the last status per seq wins."""
+    if not path.exists():  # nothing accepted yet
+        return []
     lines = path.read_text().split("\n")
     # What follows the last newline is empty or a torn write, and a
     # torn line was never acked.  A bad line anywhere else is damage.
@@ -276,8 +279,7 @@ class SimSession:
         journal so every submission after the checkpoint's label —
         finished or not — is pending again; the server re-executes them
         in order, regenerating byte-identical results.  Ends with the
-        one compacting rewrite of journal and header, which is also
-        what upgrades a v1 directory.
+        one compacting rewrite of journal and header.
 
         Raises:
             ServeError: ``internal`` — header, journal or checkpoint is
@@ -293,23 +295,19 @@ class SimSession:
         self.resumed = True
         try:
             doc = json.loads(self.meta_path.read_text())
+            version = doc.get("meta_version")
+            if version != _META_VERSION:
+                raise ValueError(f"meta_version {version!r}, only {_META_VERSION} is read")
             self.name = doc["name"]
             self.config_name = doc["config"]
             self.components = dict(doc["components"])
-            if self.journal_path.exists():
-                self.submissions = _read_journal(self.journal_path)
-            else:  # nothing accepted yet, or a v1 directory (inline journal)
-                self.submissions = [
-                    SubmissionRecord(**rec) for rec in doc.get("submissions", ())
-                ]
+            self.submissions = _read_journal(self.journal_path)
             self.config = build_session_config(self.config_name, self.components)
             self.sim = HMCSim(self.config)
-            through, relabel = 0, False
+            through = 0
             if self.checkpoint_path.exists():
                 label = restore_checkpoint(self.sim, self.checkpoint_path)
-                # A v1 checkpoint carries no label; it sits in the v1 header.
-                relabel = label is None
-                through = int((doc if relabel else label)["checkpointed_through"])
+                through = int(label["checkpointed_through"])
             if any(r.status == "pending" for r in self.submissions[:through]) or (
                 through > len(self.submissions)
             ):
@@ -326,8 +324,6 @@ class SimSession:
             rec.status, rec.error = "pending", None
         self._init_journal(executed=through)
         self.checkpointed_through = through
-        if relabel:
-            self._save_fence()  # v1: move the label inside the checkpoint
         if doc["state"] == SessionState.CLOSED.value and not self.pending():
             self.state = SessionState.CLOSED
         elif self.submissions:
@@ -393,20 +389,39 @@ class SimSession:
                 raise ServeError(
                     "bad_request", "'requests' must be a non-empty list"
                 )
-            from repro.hmc.commands import hmc_rqst_t
+            max_cycles = spec.get("max_cycles", _RAW_MAX_CYCLES)
+            if not isinstance(max_cycles, int) or max_cycles <= 0:
+                raise ServeError(
+                    "bad_request", "'max_cycles' must be a positive integer"
+                )
+            from repro.hmc.commands import FLIT_BYTES, hmc_rqst_t
+            from repro.hmc.packet import RequestPacket
 
             for i, rq in enumerate(requests):
                 if not isinstance(rq, dict):
                     raise ServeError("bad_request", f"request {i} must be an object")
-                cmd = rq.get("cmd")
-                if not isinstance(cmd, str) or cmd not in hmc_rqst_t.__members__:
-                    raise ServeError(
-                        "bad_request", f"request {i}: unknown command {cmd!r}"
+                cmd, data = rq.get("cmd"), rq.get("data") or ""
+                try:
+                    if not isinstance(cmd, str) or cmd not in hmc_rqst_t.__members__:
+                        raise ValueError(f"unknown command {cmd!r}")
+                    if not isinstance(rq.get("addr"), int):
+                        raise ValueError("'addr' must be an integer")
+                    if not isinstance(rq.get("link", 0), int):
+                        raise ValueError("'link' must be an integer")
+                    if not isinstance(data, str):
+                        raise ValueError("'data' must be a hex string")
+                    payload = bytes.fromhex(data)
+                    # The builder _run_raw uses.  A specification command
+                    # takes its length from Table I; a CMC code takes it
+                    # from a registration an earlier queued submission
+                    # may still have to load, so there the line decides
+                    # only whether any packet can carry the payload.
+                    flits = 1 + -(-len(payload) // FLIT_BYTES)
+                    RequestPacket.build(
+                        hmc_rqst_t[cmd], rq["addr"], 0, data=payload, rqst_flits=flits
                     )
-                if not isinstance(rq.get("addr"), int):
-                    raise ServeError(
-                        "bad_request", f"request {i}: 'addr' must be an integer"
-                    )
+                except ValueError as exc:  # HMCPacketError is one
+                    raise ServeError("bad_request", f"request {i}: {exc}") from None
         elif kind == "sweep":
             if not hasattr(frontend, "task_spec"):
                 raise ServeError(
@@ -554,7 +569,7 @@ class SimSession:
 
         sim = self.sim
         requests = spec["requests"]
-        max_cycles = int(spec.get("max_cycles", 100_000))
+        max_cycles = int(spec.get("max_cycles", _RAW_MAX_CYCLES))
         num_links = sim.config.num_links
         free_tags = list(range(min(0x800, 2 * len(requests) + 4)))
         tag_to_index: Dict[int, int] = {}

@@ -278,9 +278,7 @@ class TestFaultStateRoundtrip:
         with pytest.raises(HMCSimError, match="watchdog"):
             restore_checkpoint(sim2, p)
 
-    def test_version2_file_restores_with_empty_fault_state(
-        self, cfg4, tmp_path
-    ):
+    def test_version2_file_is_refused(self, cfg4, tmp_path):
         sim = HMCSim(cfg4)
         sim.mem_write(0x100, b"legacy")
         p = save_checkpoint(sim, tmp_path / "cp.json")
@@ -291,9 +289,9 @@ class TestFaultStateRoundtrip:
             del doc[key]
         p.write_text(json.dumps(doc))
         sim2 = HMCSim(cfg4)
-        restore_checkpoint(sim2, p)
-        assert sim2.mem_read(0x100, 6) == b"legacy"
-        assert not sim2._outstanding
+        with pytest.raises(HMCSimError, match="version 2.*supported versions: 4;"):
+            restore_checkpoint(sim2, p)
+        assert sim2.mem_read(0x100, 6) == bytes(6)  # refused before any write
 
     def test_fault_free_checkpoint_restores_into_faulty_context(
         self, cfg4, tmp_path
@@ -354,7 +352,7 @@ class TestOracleStateRoundtrip:
         assert oracle2.snapshot_state() == oracle.snapshot_state()
         assert sim2.mem_read(0, 0x100 * 16) == sim.mem_read(0, 0x100 * 16)
 
-    def test_v3_file_restores_without_oracle_state(self, cfg4, tmp_path):
+    def test_v3_file_is_refused(self, cfg4, tmp_path):
         sim = HMCSim(cfg4)
         sim.mem_write(0x40, b"\x03" + bytes(15))
         p = save_checkpoint(sim, tmp_path / "cp.json")
@@ -363,8 +361,9 @@ class TestOracleStateRoundtrip:
         doc.pop("oracle")
         p.write_text(json.dumps(doc))
         sim2 = HMCSim(cfg4)
-        restore_checkpoint(sim2, p)
-        assert sim2.mem_read(0x40, 16) == b"\x03" + bytes(15)
+        with pytest.raises(HMCSimError, match="version 3.*supported versions: 4;"):
+            restore_checkpoint(sim2, p)
+        assert sim2.mem_read(0x40, 16) == bytes(16)  # refused before any write
 
     def test_oracle_state_needs_oracle(self, cfg4, tmp_path):
         from repro.oracle import Oracle
@@ -457,7 +456,7 @@ class TestRejectionDiagnostics:
             restore_checkpoint(HMCSim(cfg4), p)
         msg = str(exc.value)
         assert "99" in msg  # the file's actual version
-        assert "2, 3, 4" in msg  # every supported version
+        assert "supported versions: 4;" in msg  # every supported version
         assert "cp.json" in msg  # which file was rejected
 
     def test_config_error_names_differing_fields(self, cfg4, cfg8, tmp_path):

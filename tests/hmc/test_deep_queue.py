@@ -50,12 +50,12 @@ MIX = (
 )
 
 
-def _packets():
+def _packets(mix=MIX, count=COUNT):
     state = 0xDEC0DE
     pkts = []
-    for i in range(COUNT):
+    for i in range(count):
         state = (state * 6364136223846793005 + 1442695040888963407) & _M64
-        cmd, nbytes, align = MIX[(state >> 16) % len(MIX)]
+        cmd, nbytes, align = mix[(state >> 16) % len(mix)]
         addr = ((state >> 24) % FOOTPRINT) & ~(align - 1)
         data = bytes((state >> s) & 0xFF for s in range(0, nbytes * 8, 8)) if nbytes else b""
         if nbytes:
@@ -64,9 +64,8 @@ def _packets():
     return pkts
 
 
-def _run(xbar: str):
-    sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar=xbar))
-    pkts = _packets()
+def _drive(sim: HMCSim, pkts, depth: int) -> OpenLoopStats:
+    """Push prebuilt packets through a depth-gated open loop."""
 
     def build(idx, tag):
         pkt = pkts[idx]
@@ -74,7 +73,7 @@ def _run(xbar: str):
         return pkt
 
     stats = OpenLoopStats(
-        config_name="4link_4gb",
+        config_name=sim.config.describe(),
         pattern="deep_queue",
         offered_rate=0.0,
         duration=1,
@@ -84,8 +83,14 @@ def _run(xbar: str):
         drain_cycles=0,
     )
     drive_open_loop(
-        sim, stats, COUNT, build, offered_rate=0.0, duration=0, depth=DEPTH
+        sim, stats, len(pkts), build, offered_rate=0.0, duration=0, depth=depth
     )
+    return stats
+
+
+def _run(xbar: str):
+    sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar=xbar))
+    stats = _drive(sim, _packets(), DEPTH)
     digest = hashlib.sha256(sim.mem_read(0, FOOTPRINT)).hexdigest()
     return sim, stats, digest
 
@@ -114,3 +119,27 @@ def test_deep_queue_actually_reaches_depth():
     # depth over the aggregate link retire bandwidth.
     cfg = HMCConfig.cfg_4link_4gb()
     assert max(stats.latencies) >= DEPTH // (cfg.num_links * cfg.link_rsp_rate)
+
+
+#: The depth axis ``drive_open_loop(depth=)`` is used at, shallow to deep.
+DEPTHS = (8, 64, 256, 1024)
+
+
+def _twoadd8_cycles(xbar: str, depth: int, count: int = 3_000) -> int:
+    """Simulated cycles of a uniform TWOADD8 stream (one command class,
+    the widest columnar batches) on the 8-link device."""
+    pkts = _packets(mix=((hmc_rqst_t.TWOADD8, 16, 16),), count=count)
+    sim = HMCSim(HMCConfig.cfg_8link_8gb(xbar=xbar, link_rsp_rate=16))
+    assert _drive(sim, pkts, depth).completed == count
+    return sim.cycle
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_datapaths_simulate_identical_cycles_at_every_depth(depth):
+    assert _twoadd8_cycles("vector", depth) == _twoadd8_cycles("queued", depth)
+
+
+def test_simulated_cycles_fall_monotonically_with_depth():
+    # More overlap, same work.
+    cycles = [_twoadd8_cycles("queued", depth) for depth in DEPTHS]
+    assert all(a > b for a, b in zip(cycles, cycles[1:])), cycles

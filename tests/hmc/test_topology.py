@@ -135,7 +135,7 @@ class TestDrainWithChain:
 class TestRingTopology:
     @pytest.fixture
     def ring4(self):
-        return HMCSim(HMCConfig(num_devs=4, capacity=2), topology_kind="ring")
+        return HMCSim(HMCConfig(num_devs=4, capacity=2, topology="ring"))
 
     def test_hop_distance_wraps(self, ring4):
         # Cube 0 -> cube 3 is one hop backward around the ring.
@@ -166,7 +166,7 @@ class TestRingTopology:
         assert ring4.mem_read(0x80, 16, dev=3) == b"R" * 16
 
     def test_ring_with_two_cubes_degenerates_to_chain(self):
-        sim = HMCSim(HMCConfig(num_devs=2, capacity=2), topology_kind="ring")
+        sim = HMCSim(HMCConfig(num_devs=2, capacity=2, topology="ring"))
         pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0, 1, cub=1)
         sim.send(pkt, dev=0)
         assert run_until_response(sim).cub == 1

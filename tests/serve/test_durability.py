@@ -1,5 +1,5 @@
 """The session directory as a durable record: crash boundaries, O(1)
-writes, the v1 upgrade path, and journal damage.
+writes, the refusal of the v1 layout, and journal damage.
 
 "Kill" here is a process kill: the directory is copied at a write
 boundary and loaded as a restarted server would.  Nothing below times
@@ -139,67 +139,27 @@ def test_kill_at_every_write_boundary(tmp_path, monkeypatch, components):
         assert read_journal(snap)["checkpointed_through"] == len(SUBMISSIONS)
 
 
-def test_v1_directory_loads_and_resumes(tmp_path):
-    # Today's layout, to learn what the v1 writer would have left.
-    new = SimSession("new", "4link_4gb", root=tmp_path, checkpoint_every=2)
-    for _ in range(3):
-        new.accept("workload", _mutex())
-    for _ in range(3):
-        new.execute_next()
-    through = read_journal(new.root)["checkpointed_through"]
-    assert through == 3
-
-    # The same session as PR 10 wrote it: journal inline in meta.json,
-    # the fence label beside it, no label in checkpoint.json, no
-    # journal.jsonl.  One submission accepted but not yet executed.
-    old = tmp_path / "old"
-    old.mkdir()
-    submissions = read_journal(new.root)["submissions"]
-    submissions.append(
-        {"seq": 4, "kind": "workload", "spec": _mutex(), "status": "pending", "error": None}
-    )
-    v1 = {
-        "meta_version": 1,
-        "name": "old",
-        "config": "4link_4gb",
-        "components": {},
-        "state": "running",
-        "checkpointed_through": through,
-        "submissions": submissions,
-    }
-    (old / "meta.json").write_text(json.dumps(v1, sort_keys=True, indent=1))
-    checkpoint = json.loads((new.root / "checkpoint.json").read_text())
-    del checkpoint["meta"]
-    (old / "checkpoint.json").write_text(json.dumps(checkpoint))
-    for seq in (1, 2, 3):
-        shutil.copy(new.root / f"result-{seq}.json", old / f"result-{seq}.json")
-
-    revived = SimSession.load(old, checkpoint_every=2)
-    assert revived.checkpointed_through == 3
-    assert [r.seq for r in revived.pending()] == [4]
-    assert revived.execute_next().status == "done"
-
-    # Upgraded in place: O(1) header, journal on its own, label inside.
-    header = json.loads((old / "meta.json").read_text())
-    assert header["meta_version"] == 2 and "submissions" not in header
-    assert read_journal(old)["checkpointed_through"] == 4
-    assert [s["status"] for s in read_journal(old)["submissions"]] == ["done"] * 4
-
-    # And the upgraded session agrees with one that was never v1.
-    new.accept("workload", _mutex())
-    new.execute_next()
-    for name in ("result-4.json", "checkpoint.json"):
-        assert (old / name).read_bytes() == (new.root / name).read_bytes()
-
-
-def test_journal_is_authoritative_over_inline_submissions(tmp_path):
-    # A kill in the middle of the v1 upgrade leaves both.
+@pytest.mark.parametrize("with_journal", [False, True], ids=["inline-only", "killed-mid-upgrade"])
+def test_v1_directory_is_refused(tmp_path, with_journal):
+    # The layout PR 10 wrote: journal and fence label inline in
+    # meta.json (a kill during PR 13's upgrade left journal.jsonl
+    # beside it).  It must not load as an empty session.
     session = SimSession("s", "4link_4gb", root=tmp_path)
     session.accept("workload", _mutex())
+    session.execute_next()
     header = json.loads(session.meta_path.read_text())
-    header.update(meta_version=1, checkpointed_through=0, submissions=[])
+    header.update(
+        meta_version=1,
+        checkpointed_through=1,
+        submissions=read_journal(session.root)["submissions"],
+    )
     session.meta_path.write_text(json.dumps(header))
-    assert len(SimSession.load(session.root).submissions) == 1
+    if not with_journal:
+        session.journal_path.unlink()
+    with pytest.raises(ServeError) as exc:
+        SimSession.load(session.root)
+    assert exc.value.code == "internal"
+    assert "meta_version 1" in str(exc.value)
 
 
 def test_corrupt_middle_line_is_refused(tmp_path):

@@ -139,6 +139,55 @@ class TestValidation:
         with pytest.raises(ServeError):
             session.accept("raw", {"requests": [{"cmd": "RD64"}]})
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"cmd": "RD16", "addr": 0, "data": "zz"},
+            {"cmd": "WR16", "addr": 0, "data": "00"},
+            {"cmd": "RD16", "addr": 0, "data": 5},
+            {"cmd": "RD16", "addr": 0, "link": "x"},
+            {"cmd": "RD16", "addr": -5},
+            # A CMC code: its length is the registration's, but no packet
+            # carries 300 bytes or reaches past the 34-bit address.
+            {"cmd": "CMC125", "addr": 0, "data": "00" * 300},
+            {"cmd": "CMC125", "addr": 1 << 34},
+        ],
+        ids=["data-not-hex", "data-wrong-size", "data-not-str", "link-not-int",
+             "addr-negative", "cmc-data-too-long", "cmc-addr-too-wide"],
+    )
+    def test_malformed_raw_line_refused_at_accept(self, tmp_path, line):
+        # Each of these used to be acked, journaled, executed to a
+        # failed record and fenced with a checkpoint.
+        good = {"cmd": "RD16", "addr": 0}
+        session = make_session(tmp_path)
+        session.accept("raw", {"requests": [good]})
+        journal = session.journal_path.read_bytes()
+        with pytest.raises(ServeError) as exc:
+            session.accept("raw", {"requests": [good, line]})
+        assert exc.value.code == "bad_request"
+        assert "request 1" in str(exc.value)  # names the offending line
+        assert session.journal_path.read_bytes() == journal
+        assert session.snapshot()["submissions"] == 1
+
+    def test_raw_bad_max_cycles_refused_at_accept(self, tmp_path):
+        session = make_session(tmp_path)
+        for max_cycles in ("soon", 0, None):
+            with pytest.raises(ServeError) as exc:
+                session.accept(
+                    "raw", {"requests": [{"cmd": "RD16", "addr": 0}], "max_cycles": max_cycles}
+                )
+            assert exc.value.code == "bad_request"
+        assert not session.journal_path.exists()
+        assert session.snapshot()["submissions"] == 0
+
+    def test_cmc_raw_line_waits_for_its_registration(self, tmp_path):
+        # The request length of a CMC code lives in a registration that
+        # an earlier queued submission loads: accept must not demand it.
+        session = make_session(tmp_path)
+        session.accept("workload", _mutex())
+        session.accept("raw", {"requests": [{"cmd": "CMC125", "addr": 0x40, "data": "00" * 16}]})
+        assert [session.execute_next().status for _ in range(2)] == ["done", "done"]
+
     def test_sweep_bad_threads(self, tmp_path):
         session = make_session(tmp_path)
         with pytest.raises(ServeError):
