@@ -85,10 +85,11 @@ class InvariantChecker:
     def _check_queue_counters(self, cycle: int) -> None:
         """``pushes - pops == occupancy`` for every bounded queue.
 
-        The vault schedulers complete requests out of order through the
-        raw deque (``StallQueue.raw``) and maintain the counters by
-        hand; this audit catches any path that removes an entry without
-        booking the pop (or vice versa).
+        Every hop of the datapath (send, the three device phases, the
+        vault scan) moves entries on the queue's deque (``_q``) in its
+        own frame and books the counters once per run; this audit
+        catches any path that removes an entry without booking the pop
+        (or vice versa).
         """
         for q in self._iter_queues():
             if q.pushes - q.pops != len(q._q):

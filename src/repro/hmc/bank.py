@@ -31,10 +31,6 @@ class Bank:
     row_hits: int = 0
     row_misses: int = 0
 
-    def available(self, cycle: int) -> bool:
-        """True if the bank can accept a request at ``cycle``."""
-        return cycle >= self.busy_until
-
     def occupy(self, cycle: int, busy_cycles: int, row: int, row_hit: bool) -> None:
         """Mark the bank busy for ``busy_cycles`` starting at ``cycle``."""
         self.accesses += 1
@@ -44,7 +40,3 @@ class Bank:
             self.row_misses += 1
         self.open_row = row
         self.busy_until = cycle + busy_cycles
-
-    def record_conflict(self) -> None:
-        """Count a request that found the bank busy."""
-        self.conflicts += 1

@@ -22,8 +22,10 @@ structure written with :mod:`json` + raw page blobs, so checkpoints
 remain inspectable; only the current version restores, an older file
 is refused by name.  The configuration fingerprint includes the
 component selection (a checkpoint taken under one pipeline composition
-must not restore into another).  Fault state rides along — the host's
-outstanding-tag set, the fault controller's counters and lost-tag set,
+must not restore into another).  A vault scheduler's own state
+(``round_robin``'s bank pointer) rides along per vault under the
+optional ``vault_schedulers`` key.  Fault state rides along too — the
+host's outstanding-tag set, the fault controller's counters and lost-tag set,
 and (via ``watchdog=``) the watchdog's armed tags, deadlines and
 attempt history — so a faulty run can checkpoint with a response
 destroyed and mid-retransmission and resume bit-identically; fault
@@ -180,7 +182,6 @@ def _encode_topology(sim: HMCSim) -> Dict[str, object]:
             "origin_dev": flight.origin_dev,
             "link_seq": flight.link_seq,
             "service_until": flight.service_until,
-            "chain_hops": flight.chain_hops,
         }
         for ready, dev, link, flight in topo._rqst_wire
     ]
@@ -213,7 +214,6 @@ def _restore_topology(sim: HMCSim, doc: Dict[str, object]) -> None:
             origin_dev=entry["origin_dev"],
             link_seq=entry["link_seq"],
             service_until=entry["service_until"],
-            chain_hops=entry["chain_hops"],
         )
         rqst_wire.append((entry["ready"], entry["dev"], entry["link"], flight))
     topo._rqst_wire = rqst_wire
@@ -402,6 +402,12 @@ def save_checkpoint(
         "faults": _encode_faults(sim),
         "watchdog": None if watchdog is None else _encode_watchdog(watchdog),
         "oracle": None if oracle is None else oracle.snapshot_state(),
+        # Optional on restore: a file without it (written before the
+        # key existed) leaves every scheduler in its initial state.
+        "vault_schedulers": [
+            [vault.scheduler.snapshot_state() for vault in dev.vaults]
+            for dev in sim.devices
+        ],
     }
     if meta is not None:
         doc["meta"] = meta
@@ -473,6 +479,9 @@ def restore_checkpoint(
     sim.send_stalls = counters["send_stalls"]
     sim.recvd_rsps = counters["recvd_rsps"]
     _restore_topology(sim, doc["topology"])
+    for dev, states in zip(sim.devices, doc.get("vault_schedulers", ())):
+        for vault, state in zip(dev.vaults, states):
+            vault.scheduler.restore_state(state)
     sim._outstanding = set(doc["outstanding"])
     for entry in doc.get("cmc", ()):
         op = sim.cmc.lookup(entry["cmd"])

@@ -36,7 +36,7 @@ without creating an import cycle.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.errors import ComponentError
 
@@ -71,48 +71,33 @@ class CrossbarModel(ABC):
     """The logic-layer crossbar of one device (seam ``xbar``).
 
     Connects a device's links to its vaults through per-link request
-    and response queues.  Implementations must maintain the O(1)
-    occupancy counters ``rqst_occ`` / ``rsp_occ`` (the active-set
-    scheduler's idle test reads them every cycle) and expose the
-    per-link ``rqst_queues`` / ``rsp_queues`` StallQueue lists that
-    :class:`repro.hmc.device.Device` drains.
+    and response queues.  The contract is what
+    :class:`repro.hmc.device.Device` uses, and half of it is state:
+    the device moves queue entries itself, a run at a time, so a model
+    owns the four attributes below, the two cold entry points and two
+    statistics.  There is no pop-side method: nothing would call it.
 
     Factory signature: ``factory(config, dev) -> CrossbarModel``.
     """
 
-    #: Entries currently queued on the request side (all links).
+    #: One :class:`~repro.hmc.queue.StallQueue` per link, each way;
+    #: their ``depth`` is the capacity model.
+    rqst_queues: List[Any]
+    rsp_queues: List[Any]
+    #: O(1) entry counts over those lists: the device adjusts them per
+    #: run it moves, and its idle test reads them every cycle.
     rqst_occ: int
-    #: Entries currently queued on the response side (all links).
     rsp_occ: int
 
     @abstractmethod
     def inject(self, link: int, flight: Any) -> bool:
-        """Push a new request into a link's queue; False on stall."""
+        """Push a forwarded, replayed or externally built request and
+        count it in ``rqst_occ``; False on stall."""
 
     @abstractmethod
     def push_response(self, link: int, rsp: Any) -> bool:
-        """Queue a completed response toward its source link."""
-
-    @abstractmethod
-    def head_request(self, link: int) -> Optional[Any]:
-        """Peek the head of a link's request queue."""
-
-    @abstractmethod
-    def pop_request(self, link: int) -> Optional[Any]:
-        """Pop the head of a link's request queue."""
-
-    @abstractmethod
-    def unpop_request(self, link: int, flight: Any) -> None:
-        """Undo a pop after a downstream stall (entry keeps its place).
-
-        Must succeed — without recording a stall — even when the queue
-        is at full depth, because the entry logically still owns its
-        slot (see :meth:`repro.hmc.queue.StallQueue.requeue_head`).
-        """
-
-    @abstractmethod
-    def pop_response(self, link: int) -> Optional[Any]:
-        """Pop the head of a link's response queue (for retirement)."""
+        """Push a vault's parked response toward its source link and
+        count it in ``rsp_occ``; False on stall."""
 
     @abstractmethod
     def total_stalls(self) -> int:
@@ -140,7 +125,9 @@ class VaultScheduler(ABC):
       mutations.
 
     One scheduler instance is created *per vault* (policy state such as
-    a round-robin pointer is vault-local).
+    a round-robin pointer is vault-local).  That state is simulator
+    state: a policy that keeps any overrides :meth:`snapshot_state` /
+    :meth:`restore_state`, and the checkpoint carries it per vault.
 
     Factory signature: ``factory(config) -> VaultScheduler``.
     """
@@ -148,6 +135,13 @@ class VaultScheduler(ABC):
     @abstractmethod
     def scan(self, vault: Any, device: Any, cycle: int) -> None:
         """Process ``vault``'s request queue for this cycle."""
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        """The policy's own state as a JSON-able dict (empty: none)."""
+        return {}
+
+    def restore_state(self, doc: Dict[str, Any]) -> None:
+        """Load what :meth:`snapshot_state` returned."""
 
 
 class LinkFlow(ABC):

@@ -5,15 +5,16 @@ ordered so that an uncontended request completes its round trip in
 exactly three cycles — the calibration that makes the paper's
 Algorithm 1 fast path cost MIN_CYCLE = 6:
 
-1. **Retire** — one response per link moves from the crossbar response
-   queue to the link retire buffer (and, in chained topologies,
-   responses belonging to another cube are handed to the topology for
-   the return trip).
-2. **Vault execute** — each vault issues at most one request from its
-   queue head (blocked by busy banks and by a full response path).
-3. **XBar drain** — one request per link routes from the crossbar
-   request queue to its target vault queue (or to the topology when
-   the packet's CUB names another cube).
+1. **Retire** — up to ``link_rsp_rate`` responses per link move from
+   the crossbar response queue to the link retire buffer (and, in
+   chained topologies, responses belonging to another cube are handed
+   to the topology for the return trip).
+2. **Vault execute** — each vault with work walks its whole request
+   queue under its scheduler's policy (busy banks are skipped; the
+   per-cycle response budget or a full response path ends the walk).
+3. **XBar drain** — each link's crossbar request queue empties, in
+   order, into the target vault queues (or to the topology when the
+   packet's CUB names another cube), stopping at a full vault queue.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import weakref
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.faults.controller import FATE_DROP, FATE_DUP
-from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST, command_for_code
+from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST
 from repro.hmc.components import CrossbarModel
 from repro.hmc.composition import build_vault_scheduler, build_xbar
 from repro.hmc.config import HMCConfig
@@ -121,36 +122,6 @@ class Device:
         """The owning simulation context."""
         return self._sim()
 
-    @property
-    def tracer(self):
-        """The simulation-wide tracer."""
-        return self.sim.tracer
-
-    @property
-    def cmc(self):
-        """The simulation-wide CMC registry."""
-        return self.sim.cmc
-
-    @property
-    def timing(self):
-        """Optional DRAM timing model."""
-        return self.sim.timing
-
-    @property
-    def power(self):
-        """Optional power model."""
-        return self.sim.power
-
-    @property
-    def power_report(self):
-        """Simulation-wide power accumulator."""
-        return self.sim.power_report
-
-    @property
-    def flow(self):
-        """Optional link-layer flow-control model."""
-        return self.sim.flow
-
     def mem_read(self, addr: int, nbytes: int) -> bytes:
         """Read device-local memory (bounds-checked)."""
         return self._mem.read(addr, nbytes)
@@ -158,10 +129,6 @@ class Device:
     def mem_write(self, addr: int, data: bytes) -> None:
         """Write device-local memory (bounds-checked)."""
         self._mem.write(addr, data)
-
-    def row_of(self, addr: int) -> int:
-        """Row coordinate of a device-local address (for bank timing)."""
-        return ((addr & self._cap_mask) >> self._row_lo) & self._row_mask
 
     # -- host interface --------------------------------------------------------
 
@@ -260,7 +227,6 @@ class Device:
         origin_dev: int = 0,
         link_seq: int = -1,
         service_until: int = -1,
-        chain_hops: int = 0,
     ) -> Flight:
         """Build a :class:`Flight` for ``pkt`` with routing recomputed.
 
@@ -283,14 +249,12 @@ class Device:
             origin_dev=origin_dev,
             link_seq=link_seq,
             service_until=service_until,
-            chain_hops=chain_hops,
             info=COMMAND_TABLE_LIST[pkt.cmd],
             row=(local >> self._row_lo) & self._row_mask,
         )
 
     def accept_forwarded(self, flight: Flight, link: int) -> bool:
         """Receive a request forwarded from a neighbouring cube."""
-        flight.chain_hops += 1
         return self.xbar.inject(link, flight)
 
     # -- clock phases ------------------------------------------------------------
@@ -348,8 +312,8 @@ class Device:
             if not dq:
                 continue
             # One run per link: entries move queue -> retire buffer here;
-            # the counters pop_response + Link.retire keep per entry
-            # advance once, after the run.
+            # the queue, crossbar and link counters advance once, after
+            # the run.
             run = min(rate, len(dq))
             retired = link.retired
             out = flits = 0
@@ -476,8 +440,8 @@ class Device:
             queue = rqst_queues[link_id]
             dq = queue._q
             # One run per link: entries move crossbar -> vault queue
-            # here; the counters pop_request keeps per entry advance
-            # once, after the run.
+            # here; the queue and crossbar counters advance once, after
+            # the run.
             moved = 0
             while dq:
                 flight = dq[0]
@@ -509,11 +473,8 @@ class Device:
                             tag=flight.pkt.tag,
                         )
                     continue
-                info = flight.info
-                if info is None:
-                    info = flight.info = command_for_code(flight.pkt.cmd)
                 forward = False
-                if info.arm == ARM_FLOW:
+                if flight.info.arm == ARM_FLOW:
                     # Flow packets are consumed at the link layer.
                     self.flow_packets += 1
                 elif multi and flight.pkt.cub != dev:

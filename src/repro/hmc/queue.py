@@ -26,6 +26,12 @@ T = TypeVar("T")
 class StallQueue(Generic[T]):
     """A bounded FIFO that reports stalls instead of raising when full.
 
+    The cycle engine treats this as a record: each hop of the datapath
+    (``Device.send``, the three clock phases, the vault scan) works on
+    ``_q`` and the counters in its own frame, a run of entries at a
+    time.  :meth:`push` and :meth:`pop` are the semantics those inlined
+    bodies cite and must equal — and the path cold callers take.
+
     Args:
         depth: maximum number of in-flight entries (slots).
         name: label used in traces and statistics.
@@ -64,43 +70,6 @@ class StallQueue(Generic[T]):
         self.pops += 1
         return self._q.popleft()
 
-    def peek(self) -> Optional[T]:
-        """Return the head entry without removing it, or None if empty."""
-        return self._q[0] if self._q else None
-
-    def remove(self, item: T) -> None:
-        """Remove a specific entry (the vault's out-of-order completion
-        path under the timing model: a request finishing behind a
-        busy-bank entry leaves the queue from the middle).
-
-        Raises:
-            ValueError: if the entry is not queued.
-        """
-        self._q.remove(item)
-        self.pops += 1
-
-    def requeue_head(self, item: T) -> None:
-        """Put an entry back at the head (used when a pop must be undone,
-        e.g. the downstream queue stalled after the entry was taken).
-
-        Always succeeds, even when the queue already sits at full
-        depth, and never records a stall: the entry logically still
-        owns the slot its pop released, so re-seating it is
-        bookkeeping, not a new arrival.  The matching pop is rolled
-        back; an *unpaired* requeue (no pop recorded this epoch, e.g.
-        after :meth:`reset_stats`) counts as a push instead, so the
-        ``pushes - pops == occupancy`` identity holds either way.
-        """
-        q = self._q
-        q.appendleft(item)
-        if self.pops > 0:
-            self.pops -= 1
-        else:
-            self.pushes += 1
-        n = len(q)
-        if n > self.high_water:
-            self.high_water = n
-
     def __len__(self) -> int:
         return len(self._q)
 
@@ -109,32 +78,6 @@ class StallQueue(Generic[T]):
 
     def __iter__(self) -> Iterator[T]:
         return iter(self._q)
-
-    @property
-    def raw(self) -> Deque[T]:
-        """The underlying deque, for allocation-free hot-path scans.
-
-        The cycle engine's vault scan rotates this deque in place
-        instead of copying the queue every cycle; callers mutating it
-        directly are responsible for keeping the push/pop counters
-        consistent (see :meth:`repro.hmc.vault.Vault.step`).
-        """
-        return self._q
-
-    @property
-    def full(self) -> bool:
-        """True when a push would stall."""
-        return len(self._q) >= self.depth
-
-    @property
-    def empty(self) -> bool:
-        """True when a pop would return None."""
-        return not self._q
-
-    @property
-    def occupancy(self) -> int:
-        """Current number of queued entries."""
-        return len(self._q)
 
     def clear(self) -> None:
         """Drop all entries (statistics are preserved)."""

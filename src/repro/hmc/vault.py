@@ -3,10 +3,14 @@
 This module is the reconstruction of ``hmcsim_process_rqst`` — the
 "packet processing step" of §IV.C.2 where most of HMC-Sim's work
 happens.  Each vault owns a bounded request queue (depth 64 in the
-paper's evaluation) and its banks.  One request issues per vault per
-cycle from the queue head; a busy target bank blocks the head (a *bank
-conflict*), and a full response path re-queues it — both produce trace
-events and the queueing pressure behind the paper's Figures 5-7.
+paper's evaluation) and its banks.  Every cycle the vault walks its
+whole queue — the queue models in-flight capacity, not issue
+serialization: a request whose bank is busy is skipped (a *bank
+conflict*), and the walk ends when the per-cycle response budget is
+spent or the response path fills, parking that one response — both
+produce trace events and the queueing pressure behind the paper's
+Figures 5-7.  The walk has one body, :meth:`FIFOVaultScheduler.scan`;
+a scheduling policy only chooses the order it visits entries in.
 
 Execution dispatch, mirroring the paper's Figure 3, runs on the
 *execute arm* predecoded into the command table
@@ -25,7 +29,9 @@ Execution dispatch, mirroring the paper's Figure 3, runs on the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional, Set, Tuple
+from collections import deque
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
     CMCExecutionError,
@@ -42,7 +48,6 @@ from repro.hmc.commands import (
     ARM_MODE_WR,
     ARM_READ,
     ARM_WRITE,
-    command_for_code,
     hmc_response_t,
 )
 from repro.hmc.components import VaultScheduler, register_component
@@ -175,9 +180,19 @@ class FIFOVaultScheduler(VaultScheduler):
         # signature shared by every vault_scheduler registration.
         pass
 
-    def scan(self, vault: Vault, device: "Device", cycle: int) -> None:
+    def scan(
+        self,
+        vault: Vault,
+        device: "Device",
+        cycle: int,
+        dq: Optional[Deque[Flight]] = None,
+    ) -> None:
+        """Walk ``dq`` — the vault's queue, or a policy's reordering of
+        its entries — removing what issues; the vault queue's counters
+        advance either way."""
         queue = vault.rqst_queue
-        dq = queue._q
+        if dq is None:
+            dq = queue._q
         n0 = len(dq)
         if n0 == 0:
             return
@@ -227,7 +242,7 @@ class FIFOVaultScheduler(VaultScheduler):
                     bank.open_row = -1
                     bank.busy_until = cycle
                 else:
-                    busy = _occupy(timing, device, bank, cycle, flight)
+                    busy = _occupy(timing, bank, cycle, flight)
                     if busy > 0:
                         # Timing model: the request holds the bank and
                         # its response is produced when service completes.
@@ -287,7 +302,7 @@ class FIFOVaultScheduler(VaultScheduler):
 
 
 @register_component("vault_scheduler", "round_robin")
-class RoundRobinVaultScheduler(VaultScheduler):
+class RoundRobinVaultScheduler(FIFOVaultScheduler):
     """Bank-fair scan (seam key ``round_robin``).
 
     Visits queued requests grouped by target bank, starting from a
@@ -299,90 +314,42 @@ class RoundRobinVaultScheduler(VaultScheduler):
     bit-identical memory states; only cross-bank interleaving, and
     therefore response timing, differs from the ``fifo`` policy.
 
-    Mechanism semantics mirror :class:`FIFOVaultScheduler` exactly:
-    same response budget, same bank-conflict accounting, same timing
-    occupancy, and the same response-path parking (``_pending_rsp``)
-    with head-of-line blocking until the crossbar accepts.
+    Policy only: it computes the visit order and runs
+    :meth:`FIFOVaultScheduler.scan` over it, so the response budget,
+    bank accounting, timing occupancy and response-path parking are
+    that one body's.
     """
 
     def __init__(self, config: object = None):
         self._next_bank = 0
 
     def scan(self, vault: Vault, device: "Device", cycle: int) -> None:
-        queue = vault.rqst_queue
-        dq = queue._q
+        dq = vault.rqst_queue._q
         if not dq:
             return
         num_banks = len(vault.banks)
         start = self._next_bank
         self._next_bank = (start + 1) % num_banks
-        entries = list(dq)
-        # Stable sort by (distance from the start bank, arrival index):
-        # banks take round-robin turns while each bank's own requests
-        # keep FIFO order.
-        order = sorted(
-            range(len(entries)),
-            key=lambda i: ((entries[i].bank - start) % num_banks, i),
-        )
-        rsp_budget = device.config.vault_rsp_rate
-        banks = vault.banks
-        xbar = device.xbar
-        services = _services(device.sim)
-        sim, _, tracer, tmask, _ = services
-        timing = sim.timing
-        removed: Set[int] = set()
-        for i in order:
-            if rsp_budget <= 0:
-                break
-            flight = entries[i]
-            bank = banks[flight.bank]
-            if flight.service_until < 0:
-                if cycle < bank.busy_until:
-                    bank.conflicts += 1
-                    vault.bank_conflicts += 1
-                    if tmask & _T_BANK:
-                        tracer.trace_bank_conflict(
-                            cycle,
-                            dev=vault.dev,
-                            quad=vault.quad,
-                            vault=vault.index,
-                            bank=flight.bank,
-                            addr=flight.pkt.addr,
-                        )
-                    continue
-                if timing is None:
-                    bank.occupy(cycle, 0, -1, True)
-                else:
-                    busy = _occupy(timing, device, bank, cycle, flight)
-                    if busy > 0:
-                        flight.service_until = cycle + busy
-                        continue
-            elif cycle < flight.service_until:
-                continue
-
-            rsp = process_rqst(device, flight, cycle, services)
-
-            if rsp is not None:
-                if not xbar.push_response(flight.src_link, rsp):
-                    vault.response_stalls += 1
-                    if tmask & _T_STALL:
-                        tracer.trace_stall(
-                            cycle,
-                            where=f"vault{vault.index}.rsp",
-                            dev=vault.dev,
-                            src=flight.src_link,
-                        )
-                    vault._pending_rsp = (flight, rsp)
-                    removed.add(i)
-                    queue.pops += 1
-                    break
-                rsp_budget -= 1
-            removed.add(i)
-            queue.pops += 1
-            vault.processed += 1
-        if removed:
+        # Banks take round-robin turns from the start bank while each
+        # bank's own requests keep arrival order.
+        turns: List[List[Flight]] = [[] for _ in range(num_banks)]
+        for flight in dq:
+            turns[(flight.bank - start) % num_banks].append(flight)
+        order = deque(chain.from_iterable(turns))
+        super().scan(vault, device, cycle, order)
+        if len(order) != len(dq):
+            # The vault queue stays in arrival order: keep what the
+            # scan left in the visit order.
+            waiting = set(order)
+            kept = [flight for flight in dq if flight in waiting]
             dq.clear()
-            dq.extend(e for j, e in enumerate(entries) if j not in removed)
+            dq.extend(kept)
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        return {"next_bank": self._next_bank}
+
+    def restore_state(self, doc: Dict[str, Any]) -> None:
+        self._next_bank = doc["next_bank"]
 
 
 def _services(sim: Any) -> Tuple[Any, Any, Any, int, Any]:
@@ -424,10 +391,6 @@ def process_rqst(
     """
     pkt: RequestPacket = flight.pkt
     info = flight.info
-    if info is None:
-        # Manually built flights (tests, external drivers) have no
-        # precomputed routing; resolve and cache it now.
-        info = flight.info = command_for_code(pkt.cmd)
     if services is None:
         services = _services(device.sim)
     sim, faults, tracer, tmask, power = services
@@ -538,9 +501,7 @@ def process_rqst(
     )
 
 
-def _occupy(
-    timing: Any, device: "Device", bank: Bank, cycle: int, flight: Flight
-) -> int:
+def _occupy(timing: Any, bank: Bank, cycle: int, flight: Flight) -> int:
     """Charge the bank for this access under the timing extension.
 
     Returns the service time in cycles.  (Under the baseline model the
@@ -549,13 +510,8 @@ def _occupy(
     extension makes banks hold state across cycles, delaying responses
     and producing conflicts.)
     """
-    info = flight.info
-    if info is None:
-        info = flight.info = command_for_code(flight.pkt.cmd)
     row = flight.row
-    if row < 0:
-        row = flight.row = device.row_of(flight.pkt.addr)
-    busy = timing.request_cycles(info, bank.open_row, row)
+    busy = timing.request_cycles(flight.info, bank.open_row, row)
     row_hit = bank.open_row == row
     bank.occupy(cycle, busy, row, row_hit)
     return busy

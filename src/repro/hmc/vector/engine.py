@@ -35,9 +35,8 @@ decides:
 
 * vector — single cube, no timing/power/flow model, FIFO vault
   scheduler, zero hop cycles, no faults, tracing off;
-* scalar — anything else, including a raw queue-API call
-  (``inject``/``pop_request``/…) from a driver that manipulates
-  flights directly.
+* scalar — anything else, including a raw ``inject`` from a driver
+  (or the topology, or a link replay) that hands in a built flight.
 
 Vector mode re-checks the *mutable* conditions (faults attached,
 tracing enabled, a timing/power/flow model set post-construction)
@@ -101,7 +100,10 @@ class VectorXBar(XBar):
             vault=0,
             bank=0,
             quad=0,
+            hop_delay=0,
             origin_dev=dev,
+            info=None,  # type: ignore[arg-type]
+            row=0,
         )
         # The columnar vault phase: plans queue bookkeeping in scalar
         # order, executes deferred rows as batched numpy passes.
@@ -343,30 +345,15 @@ class VectorXBar(XBar):
             active_vaults.add(route)
 
     # -- raw queue API: decide scalar / spill on first touch -------------------
-    # The request-side accessors hand out Flight objects; a driver (or
-    # test) using them while rows are in flight gets the spilled state.
-    # The response side always holds real ResponsePackets, so the
-    # inherited push_response/pop_response need no guard.
+    # ``inject`` takes a Flight object; a driver (or test) using it
+    # while rows are in flight gets the spilled state.  The response
+    # side always holds real ResponsePackets, so the inherited
+    # push_response needs no guard.
 
     def inject(self, link: int, flight: Flight) -> bool:
         if self._mode != _SCALAR:
             self._go_scalar()
         return super().inject(link, flight)
-
-    def head_request(self, link: int) -> Optional[Flight]:
-        if self._mode != _SCALAR:
-            self._go_scalar()
-        return super().head_request(link)
-
-    def pop_request(self, link: int) -> Optional[Flight]:
-        if self._mode != _SCALAR:
-            self._go_scalar()
-        return super().pop_request(link)
-
-    def unpop_request(self, link: int, flight: Flight) -> None:
-        if self._mode != _SCALAR:
-            self._go_scalar()
-        super().unpop_request(link, flight)
 
     # -- capabilities for observers --------------------------------------------
 

@@ -2,16 +2,18 @@
 
 The crossbar connects a device's links to its 32 vaults.  Each link
 owns a bounded request queue and a bounded response queue (depth =
-``xbar_depth``, 128 slots in the paper's evaluation).  One packet per
-link per cycle moves in each direction:
+``xbar_depth``, 128 slots in the paper's evaluation).  The queues
+model capacity; :class:`~repro.hmc.device.Device` moves their entries,
+in its own clock phases:
 
-* *drain*: the head of a link's request queue routes to its target
-  vault's request queue (stalling in place if the vault queue is
-  full — this back-pressure is what differentiates the 4-link and
-  8-link devices once the paper's hot-spot workload exceeds ~50
-  threads);
-* *retire*: the head of a link's response queue moves to the link's
-  retire buffer where the host can ``recv`` it.
+* *drain*: a link's request queue empties, in order, into the target
+  vaults' request queues every cycle, stopping at the first entry whose
+  vault queue is full (this back-pressure is what differentiates the
+  4-link and 8-link devices once the paper's hot-spot workload exceeds
+  ~50 threads);
+* *retire*: up to ``link_rsp_rate`` responses per link per cycle move
+  from the link's response queue to its retire buffer, where the host
+  can ``recv`` them.
 
 Requests entering on a link that is not attached to the target vault's
 quadrant may be charged extra hop cycles
@@ -22,7 +24,7 @@ queueing-dominated model).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.hmc.commands import CommandInfo
 from repro.hmc.components import CrossbarModel, register_component
@@ -50,25 +52,23 @@ class Flight:
     bank: int
     quad: int
     #: Remaining extra crossbar hop cycles before the packet may route.
-    hop_delay: int = 0
+    hop_delay: int
     #: Device the request originally entered on (multi-device topologies).
-    origin_dev: int = 0
+    origin_dev: int
     #: Command metadata (execute arm, payload sizes, response command),
     #: resolved once at inject time so the drain and execute phases
     #: never re-run the command-table lookup.
-    info: Optional[CommandInfo] = field(default=None, compare=False)
+    info: CommandInfo = field(compare=False)
     #: Row coordinate of the target address, decoded once at inject time
-    #: (bank timing; -1 = not precomputed, resolve lazily).
-    row: int = field(default=-1, compare=False)
+    #: (bank timing).
+    row: int = field(compare=False)
     # Everything ``Device.send`` fills in is above (it constructs
-    # positionally); what later stages write follows.
+    # positionally) and required; what later stages write follows.
     #: Link-layer sequence number (set when a LinkFlowModel is attached).
     link_seq: int = field(default=-1, compare=False)
     #: Cycle at which DRAM service completes (timing model only; -1 =
     #: service not yet started).
     service_until: int = field(default=-1, compare=False)
-    #: Chain hops consumed reaching this device (multi-device topologies).
-    chain_hops: int = field(default=0, compare=False)
 
 
 @register_component("xbar", "queued")
@@ -92,72 +92,36 @@ class XBar(CrossbarModel):
             StallQueue(depth, f"dev{dev}.link{l}.xbar_rsp")
             for l in range(config.num_links)
         ]
-        # O(1) occupancy counters maintained by every queue mutation
-        # below: the active-set scheduler's "is this crossbar idle?"
-        # check must not scan 2 * num_links queues per cycle.
+        # O(1) occupancy counters maintained by every queue mutation,
+        # below and in the device's phases: the active-set scheduler's
+        # "is this crossbar idle?" check must not scan 2 * num_links
+        # queues per cycle.
         self.rqst_occ = 0
         self.rsp_occ = 0
 
     # -- host side -----------------------------------------------------------
 
     def inject(self, link: int, flight: Flight) -> bool:
-        """Push a new request into a link's crossbar queue.
+        """Push a request into a link's crossbar queue.
 
-        Returns False when the queue is full (the ``HMC_STALL`` case of
-        ``hmcsim_send``).
+        Returns False when the queue is full.  The cold twin of the
+        push ``Device.send`` does in its own frame: forwarded, replayed
+        and externally driven flights enter here.
         """
-        # StallQueue.push inlined (same counters/high-water semantics):
-        # one call per injected packet on the host's send hot path.
-        q = self.rqst_queues[link]
-        n = len(q._q) + 1
-        if n > q.depth:
-            q.stalls += 1
+        if not self.rqst_queues[link].push(flight):
             return False
-        q._q.append(flight)
-        q.pushes += 1
-        if n > q.high_water:
-            q.high_water = n
         self.rqst_occ += 1
         return True
 
     # -- device side -----------------------------------------------------------
 
     def push_response(self, link: int, rsp: ResponsePacket) -> bool:
-        """Queue a completed response toward its source link."""
-        q = self.rsp_queues[link]
-        n = len(q._q) + 1
-        if n > q.depth:
-            q.stalls += 1
+        """Queue a completed response toward its source link (the cold
+        twin of the vault scan's push: a parked response retries here)."""
+        if not self.rsp_queues[link].push(rsp):
             return False
-        q._q.append(rsp)
-        q.pushes += 1
-        if n > q.high_water:
-            q.high_water = n
         self.rsp_occ += 1
         return True
-
-    def head_request(self, link: int) -> Optional[Flight]:
-        """Peek the head of a link's request queue."""
-        return self.rqst_queues[link].peek()
-
-    def pop_request(self, link: int) -> Optional[Flight]:
-        """Pop the head of a link's request queue."""
-        flight = self.rqst_queues[link].pop()
-        if flight is not None:
-            self.rqst_occ -= 1
-        return flight
-
-    def unpop_request(self, link: int, flight: Flight) -> None:
-        """Undo a pop after a downstream stall (entry keeps its place)."""
-        self.rqst_queues[link].requeue_head(flight)
-        self.rqst_occ += 1
-
-    def pop_response(self, link: int) -> Optional[ResponsePacket]:
-        """Pop the head of a link's response queue (for retirement)."""
-        rsp = self.rsp_queues[link].pop()
-        if rsp is not None:
-            self.rsp_occ -= 1
-        return rsp
 
     # -- statistics -----------------------------------------------------------
 

@@ -135,46 +135,52 @@ class TestCrossbarContract:
             raise
 
     def test_implements_interface(self, key):
-        assert isinstance(self._make(key), _IFACE["xbar"])
+        xb = self._make(key)
+        assert isinstance(xb, CrossbarModel)
+        # The contract is what Device uses and no more.  Half of it is
+        # state (Device moves the entries itself), which an ABC can
+        # only annotate, so the instance is checked for it.
+        assert CrossbarModel.__abstractmethods__ == {
+            "inject", "push_response", "total_stalls", "occupancy",
+        }
+        for attr in ("rqst_queues", "rsp_queues", "rqst_occ", "rsp_occ"):
+            assert attr in CrossbarModel.__annotations__ and hasattr(xb, attr)
 
     def test_inject_pop_fifo_per_link(self, key):
         xb = self._make(key)
         for item in ("a", "b", "c"):
             assert xb.inject(1, item)
-        assert xb.head_request(1) == "a"
-        assert [xb.pop_request(1) for _ in range(3)] == ["a", "b", "c"]
-        assert xb.pop_request(1) is None
+        assert [len(q) for q in xb.rqst_queues] == [0, 3, 0, 0]
+        assert [xb.rqst_queues[1].pop() for _ in range(3)] == ["a", "b", "c"]
+        assert xb.rqst_queues[1].pop() is None
 
     def test_occupancy_counters_track_mutations(self, key):
-        xb = self._make(key)
+        xb = self._make(key, depth=2)
         assert xb.occupancy() == 0
         xb.inject(0, "r")
         xb.push_response(2, "p")
         assert (xb.rqst_occ, xb.rsp_occ) == (1, 1)
         assert xb.occupancy() == 2
-        xb.pop_request(0)
-        xb.pop_response(2)
-        assert xb.occupancy() == 0
-
-    def test_unpop_request_restores_without_stall(self, key):
-        xb = self._make(key)
-        xb.inject(0, "a")
-        xb.inject(0, "b")
-        head = xb.pop_request(0)
-        stalls = xb.total_stalls()
-        xb.unpop_request(0, head)
-        assert xb.total_stalls() == stalls
-        assert xb.head_request(0) == "a"
-        assert xb.rqst_occ == 2
+        if key != "ideal":
+            # A refused entry stalls and is not counted.
+            assert xb.inject(0, "r2") and not xb.inject(0, "r3")
+            assert xb.push_response(2, "p2") and not xb.push_response(2, "p3")
+            assert (xb.rqst_occ, xb.rsp_occ) == (2, 2)
+            assert xb.total_stalls() == 2
 
     def test_drain_returns_to_empty(self, key):
-        xb = self._make(key)
+        # The device drains the queues itself, so through the device.
+        try:
+            sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar=key))
+        except ComponentError as exc:
+            if "numpy" in str(exc):
+                pytest.skip(str(exc))
+            raise
+        xb = sim.devices[0].xbar
         for link in range(4):
-            xb.inject(link, f"r{link}")
-            xb.push_response(link, f"p{link}")
-        for link in range(4):
-            assert xb.pop_request(link) == f"r{link}"
-            assert xb.pop_response(link) == f"p{link}"
+            sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x40 * link, link), link=link)
+        assert xb.occupancy() == 4
+        sim.drain()
         assert xb.occupancy() == 0
         assert xb.total_stalls() == 0
 

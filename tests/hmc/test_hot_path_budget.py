@@ -29,13 +29,38 @@ from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.packet import RequestPacket
 from repro.hmc.sim import HMCSim
+from repro.hmc.timing import HMCTimingModel
 from repro.host.openloop import OpenLoopStats, drive_open_loop
 from repro.workloads.registry import WORKLOADS
 
 GOLDEN = Path(__file__).with_name("golden_hot_path.json")
 
 
-def _deep_queue():
+def _open_loop(sim: HMCSim, packets, depth: int):
+    """Hold ``packets`` ``depth`` deep on ``sim`` until all complete."""
+
+    def build(idx: int, tag: int) -> RequestPacket:
+        pkt = packets[idx]
+        pkt.tag = tag
+        return pkt
+
+    stats = OpenLoopStats(
+        config_name=sim.config.describe(), pattern="deep_queue",
+        offered_rate=0.0, duration=1, injected=0, completed=0,
+        backlogged=0, drain_cycles=0,
+    )
+
+    def drive() -> None:
+        drive_open_loop(
+            sim, stats, len(packets), build,
+            offered_rate=0.0, duration=0, depth=depth,
+        )
+        assert stats.completed == len(packets)
+
+    return sim, drive
+
+
+def _deep_queue(**overrides):
     """perfbench's ``deep_queue`` at a tenth of its size: 20 000
     prebuilt TWOADD8 held 256 deep on 8Link-8GB, 16 responses/link/cycle."""
     rng = random.Random(14)
@@ -47,33 +72,50 @@ def _deep_queue():
         )
         for _ in range(20_000)
     ]
+    sim = HMCSim(HMCConfig.cfg_8link_8gb(link_rsp_rate=16, **overrides))
+    return _open_loop(sim, packets, 256)
 
-    def build(idx: int, tag: int) -> RequestPacket:
-        pkt = packets[idx]
-        pkt.tag = tag
-        return pkt
 
-    sim = HMCSim(HMCConfig.cfg_8link_8gb(link_rsp_rate=16))
-    stats = OpenLoopStats(
-        config_name=sim.config.describe(), pattern="deep_queue",
-        offered_rate=0.0, duration=1, injected=0, completed=0,
-        backlogged=0, drain_cycles=0,
+def _timed_parking():
+    """``round_robin`` under the DRAM timing model with the response
+    path the bottleneck: 4 000 RD16 over two vaults' banks, crossbar
+    queues 4 deep retiring one response per link per cycle, so service
+    completions arrive in bursts the response queue refuses and
+    ``_pending_rsp`` parks."""
+    rng = random.Random(24)
+    sim = HMCSim(
+        HMCConfig.cfg_4link_4gb(
+            xbar_depth=4, link_rsp_rate=1, vault_scheduler="round_robin"
+        ),
+        timing=HMCTimingModel(),
     )
-
-    def drive() -> None:
-        drive_open_loop(
-            sim, stats, len(packets), build,
-            offered_rate=0.0, duration=0, depth=256,
+    addrmap = sim.addrmap
+    packets = [
+        RequestPacket.build(
+            hmc_rqst_t.RD16,
+            addrmap.encode(
+                vault=rng.randrange(2), bank=rng.randrange(16),
+                row=rng.randrange(4),
+            ),
+            0,
         )
-        assert stats.completed == len(packets)
+        for _ in range(4_000)
+    ]
+    sim, drive = _open_loop(sim, packets, 64)
 
-    return sim, drive
+    def drive_and_check() -> None:
+        drive()
+        vaults = sim.devices[0].vaults
+        assert sum(v.response_stalls for v in vaults) > 0  # it parked
+        assert sum(v.bank_conflicts for v in vaults) > 0  # banks held
+
+    return sim, drive_and_check
 
 
-def _kernel(name: str, params: dict):
+def _kernel(name: str, params: dict, **overrides):
     """A registered kernel on 4Link-4GB, brought up the way
     ``WorkloadFrontend.run`` does; only the engine run is the drive."""
-    config = HMCConfig.cfg_4link_4gb()
+    config = HMCConfig.cfg_4link_4gb(**overrides)
     frontend = WORKLOADS.get(name)
     resolved = frontend.resolve_params(params)
     sim = frontend.new_sim(config, resolved)
@@ -97,7 +139,12 @@ def _kernel(name: str, params: dict):
 #: kernel rows are mostly the host engine's thread protocol and packet
 #: build, which the rewrite did not touch; their ceilings guard the
 #: CMC and RD64/WR64 execute arms and the send/retire hops they share
-#: with deep_queue.
+#: with deep_queue.  The ``rr_`` rows run the ``round_robin`` vault
+#: scheduler, whose timing no oracle models: their golden entries were
+#: captured at the commit before it became a visit order over the FIFO
+#: scan body (ISSUE 24), where they measured 15.5 -> 13.0, 44.9 -> 42.3
+#: and 42.9 -> 21.0.
+_RR = {"vault_scheduler": "round_robin"}
 SCENARIOS = {
     "deep_queue": (_deep_queue, 16.0),
     "mutex": (lambda: _kernel("mutex", {"threads": 8}), 56.0),
@@ -105,6 +152,9 @@ SCENARIOS = {
         lambda: _kernel("stream", {"threads": 16, "blocks_per_thread": 64}),
         32.0,
     ),
+    "rr_deep_queue": (lambda: _deep_queue(**_RR), 15.0),
+    "rr_mutex": (lambda: _kernel("mutex", {"threads": 8}, **_RR), 47.0),
+    "rr_timed_parking": (_timed_parking, 24.0),
 }
 
 

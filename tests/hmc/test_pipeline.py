@@ -154,7 +154,7 @@ class TestStalls:
         sim.clock()
         # Vault queue holds 2; the rest remain in the xbar queue.
         assert len(sim.devices[0].vaults[0].rqst_queue) == 2
-        assert sim.devices[0].xbar.rqst_queues[0].occupancy == 6
+        assert len(sim.devices[0].xbar.rqst_queues[0]) == 6
         # Everything eventually completes.
         got = 0
         for _ in range(20):

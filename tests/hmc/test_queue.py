@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hmc.config import HMCConfig
 from repro.hmc.queue import StallQueue
-from repro.hmc.xbar import XBar
 
 
 class TestBasics:
@@ -27,86 +25,26 @@ class TestBasics:
         assert StallQueue(1).pop() is None
 
     def test_peek_does_not_remove(self):
+        # Looking at the head is iteration; only pop removes.
         q = StallQueue(2)
         q.push("a")
-        assert q.peek() == "a"
+        assert next(iter(q)) == "a"
         assert len(q) == 1
 
     def test_peek_empty(self):
-        assert StallQueue(1).peek() is None
-
-    def test_requeue_head(self):
-        q = StallQueue(4)
-        q.push(1)
-        q.push(2)
-        item = q.pop()
-        q.requeue_head(item)
-        assert q.pop() == 1
-        assert q.pop() == 2
-
-    def test_requeue_head_at_full_depth_does_not_stall(self):
-        # The entry logically still owns the slot its pop released, so
-        # re-seating it must succeed without touching the stall or
-        # push counters even when later pushes refilled the queue.
-        q = StallQueue(2)
-        q.push(1)
-        q.push(2)
-        head = q.pop()
-        q.push(3)  # queue is at full depth again
-        pushes_before = q.pushes
-        q.requeue_head(head)
-        assert q.stalls == 0
-        assert q.pushes == pushes_before
-        assert len(q) == 3  # transiently over depth: the slot is owed
-        assert [q.pop(), q.pop(), q.pop()] == [1, 2, 3]
-
-    def test_requeue_head_rolls_back_pop_counter(self):
-        q = StallQueue(2)
-        q.push(1)
-        item = q.pop()
-        assert q.pops == 1
-        q.requeue_head(item)
-        assert q.pops == 0
-
-    def test_requeue_head_never_drives_pops_negative(self):
-        q = StallQueue(2)
-        q.requeue_head(7)  # unpaired: no pop preceded it
-        assert q.pops == 0
-        # The unpaired requeue is booked as a push so the counter
-        # identity holds: pushes - pops == occupancy.
-        assert q.pushes == 1
-        assert q.pushes - q.pops == q.occupancy
-        assert q.pop() == 7
-
-    def test_requeue_head_after_reset_keeps_identity(self):
-        # Regression: a requeue whose matching pop predates the stats
-        # epoch must not leave pushes - pops below the occupancy.
-        q = StallQueue(4)
-        q.push(1)
-        q.push(2)
-        head = q.pop()
-        q.reset_stats()
-        q.requeue_head(head)
-        assert q.pushes - q.pops == q.occupancy == 2
-
-    def test_requeue_head_updates_high_water(self):
-        q = StallQueue(2)
-        q.push(1)
-        q.push(2)
-        head = q.pop()
-        q.push(3)
-        q.requeue_head(head)
-        assert q.high_water == 3
+        assert next(iter(StallQueue(1)), None) is None
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             StallQueue(0)
 
     def test_full_empty_flags(self):
+        # Empty is falsy; full is len == depth, where a push stalls.
         q = StallQueue(1)
-        assert q.empty and not q.full
+        assert not q and len(q) < q.depth
         q.push(0)
-        assert q.full and not q.empty
+        assert q and len(q) == q.depth
+        assert not q.push(1)
 
     def test_bool_and_iter(self):
         q = StallQueue(3)
@@ -121,7 +59,7 @@ class TestBasics:
         q.push(1)
         assert not q.push(2)
         q.clear()
-        assert q.empty
+        assert not q
         assert q.stalls == 1
 
     def test_reset_stats(self):
@@ -133,7 +71,7 @@ class TestBasics:
         # pushes - pops == occupancy stays true across the reset.
         assert q.pushes == 1
         assert q.pops == q.stalls == 0
-        assert q.pushes - q.pops == q.occupancy == 1
+        assert q.pushes - q.pops == len(q) == 1
         assert q.high_water == 1  # current occupancy
 
     def test_reset_stats_empty_queue_zeroes_everything(self):
@@ -159,42 +97,7 @@ class TestStatistics:
         q.push(1)
         q.push(2)
         q.pop()
-        assert (q.pushes, q.pops, q.occupancy) == (2, 1, 1)
-
-
-class TestXBarUnpop:
-    """``XBar.unpop_request`` rides on ``requeue_head``: undoing a pop
-    must restore head position and occupancy without stall/push noise,
-    even when the link queue refilled to full depth in between."""
-
-    def _xbar(self, depth):
-        return XBar(HMCConfig.cfg_4link_4gb(xbar_depth=depth), 0)
-
-    def test_unpop_restores_head_and_occupancy(self):
-        xb = self._xbar(4)
-        xb.inject(0, "a")
-        xb.inject(0, "b")
-        head = xb.pop_request(0)
-        occ = xb.rqst_occ
-        xb.unpop_request(0, head)
-        assert xb.rqst_occ == occ + 1
-        assert xb.head_request(0) == "a"
-        assert xb.pop_request(0) == "a"
-        assert xb.pop_request(0) == "b"
-
-    def test_unpop_at_full_depth_no_stall(self):
-        xb = self._xbar(2)
-        xb.inject(0, "a")
-        xb.inject(0, "b")
-        head = xb.pop_request(0)
-        assert xb.inject(0, "c")  # back to full depth
-        stalls = xb.total_stalls()
-        pushes = xb.rqst_queues[0].pushes
-        xb.unpop_request(0, head)
-        assert xb.total_stalls() == stalls
-        assert xb.rqst_queues[0].pushes == pushes
-        assert xb.rqst_occ == 3
-        assert [xb.pop_request(0) for _ in range(3)] == ["a", "b", "c"]
+        assert (q.pushes, q.pops, len(q)) == (2, 1, 1)
 
 
 @given(
@@ -220,5 +123,4 @@ def test_queue_invariants_property(ops, depth):
             want = model.pop(0) if model else None
             assert got == want
         assert len(q) == len(model)
-        assert q.full == (len(model) == depth)
         assert list(q) == model

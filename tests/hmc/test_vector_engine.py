@@ -153,16 +153,23 @@ class TestModeMachine:
                 ),
                 link=tag,
             )
-        xbar = sim.devices[0].xbar
+        device = sim.devices[0]
+        xbar = device.xbar
         assert xbar.mode == "vector"
-        head = xbar.head_request(2)  # raw queue API: one-way spill
+        # Raw queue API: a built flight arrives (as a forwarded or
+        # replayed one would) — one-way spill.
+        late = sim.build_memrequest(hmc_rqst_t.P_WR16, 0x400, 4, data=b"\x04" * 16)
+        assert xbar.inject(2, device.route_flight(late, 2, sim.cycle))
         assert xbar.mode == "scalar"
+        head, tail = xbar.rqst_queues[2]
         assert head.pkt.tag == 2 and isinstance(head.vault, int)
+        assert tail.pkt is late
         # Spilled flights carry recomputed routing and drain normally.
         got = _drain_all(sim, 4)
         assert sorted(t for _l, t in got) == [0, 1, 2, 3]
         for tag in range(4):
             assert sim.mem_read(0x40 * tag, 16) == bytes([tag]) * 16
+        assert sim.mem_read(0x400, 16) == b"\x04" * 16
 
     def test_attach_faults_mid_run_spills_and_completes(self):
         sim = _vector_sim()
