@@ -12,15 +12,18 @@ inside the raw request/response payload buffers that
 ``hmcsim_execute_cmc`` receives (Table IV) — the buffers are flat
 lists of 64-bit little-endian words, and "it is up to the implementor
 to discern which portions of the payload are header, data and tail".
+(The bundled lock ops use :data:`LOCK_STRUCT` and the lists directly.)
 """
 
 from __future__ import annotations
 
+import struct
 from typing import List, Sequence, Tuple
 
 __all__ = [
     "LOCK_FREE",
     "LOCK_HELD",
+    "LOCK_STRUCT",
     "LOCK_STRUCT_BYTES",
     "lock_struct_pack",
     "lock_struct_unpack",
@@ -39,20 +42,22 @@ LOCK_HELD = 1
 #: DRAM access granularity, per §V.A.
 LOCK_STRUCT_BYTES = 16
 
+#: The Figure 4 layout, precompiled: ``unpack(data)`` is ``(lock, tid)``.
+LOCK_STRUCT = struct.Struct("<QQ")
+
 _M64 = (1 << 64) - 1
 
 
 def lock_struct_pack(tid: int, lock: int) -> bytes:
     """Encode the Figure 4 lock structure (lock low, TID high)."""
-    return (lock & _M64).to_bytes(8, "little") + (tid & _M64).to_bytes(8, "little")
+    return LOCK_STRUCT.pack(lock & _M64, tid & _M64)
 
 
 def lock_struct_unpack(data: bytes) -> Tuple[int, int]:
     """Decode the Figure 4 lock structure; returns ``(tid, lock)``."""
     if len(data) != LOCK_STRUCT_BYTES:
         raise ValueError(f"lock structure is {LOCK_STRUCT_BYTES} bytes, got {len(data)}")
-    lock = int.from_bytes(data[:8], "little")
-    tid = int.from_bytes(data[8:], "little")
+    lock, tid = LOCK_STRUCT.unpack(data)
     return tid, lock
 
 

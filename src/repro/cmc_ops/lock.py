@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.cmc_ops import base
+from repro.cmc_ops.base import LOCK_FREE, LOCK_HELD, LOCK_STRUCT, LOCK_STRUCT_BYTES
 from repro.hmc.commands import hmc_response_t, hmc_rqst_t
 
 # -- Table III statics ---------------------------------------------------------
@@ -52,11 +52,11 @@ def hmcsim_execute_cmc(
     rsp_payload: List[int],
 ) -> int:
     """Attempt to acquire the lock at ``addr`` (argument set per Table IV)."""
-    tid = base.payload_u64(rqst_payload, 0)
-    owner, lock = base.read_lock_struct(hmc, dev, addr)
-    if lock == base.LOCK_FREE:
-        base.write_lock_struct(hmc, dev, addr, tid, base.LOCK_HELD)
-        base.store_u64(rsp_payload, 0, 1)
+    tid = rqst_payload[0]
+    lock, _ = LOCK_STRUCT.unpack(hmc.mem_read(addr, LOCK_STRUCT_BYTES, dev=dev))
+    if lock == LOCK_FREE:
+        hmc.mem_write(addr, LOCK_STRUCT.pack(LOCK_HELD, tid), dev=dev)
+        rsp_payload[0] = 1
     else:
-        base.store_u64(rsp_payload, 0, 0)
+        rsp_payload[0] = 0
     return 0

@@ -10,6 +10,7 @@ bundle, mirroring how a user would ship a family of cooperating ops.
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from typing import List, Tuple
 
@@ -73,6 +74,10 @@ def build_unlock(sim: HMCSim, addr: int, tag: int, tid: int, *, cub: int = 0) ->
     )
 
 
+#: The low response word, precompiled (read once per mutex response).
+_read_u64 = struct.Struct("<Q").unpack_from
+
+
 def decode_lock_response(data: bytes) -> int:
     """Extract the low 64-bit result word from a mutex response payload.
 
@@ -81,7 +86,7 @@ def decode_lock_response(data: bytes) -> int:
     """
     if len(data) < 8:
         raise ValueError("mutex responses carry a 16-byte payload")
-    return int.from_bytes(data[:8], "little")
+    return _read_u64(data)[0]
 
 
 def init_lock(sim: HMCSim, addr: int, *, dev: int = 0) -> None:

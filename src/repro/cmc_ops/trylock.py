@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.cmc_ops import base
+from repro.cmc_ops.base import LOCK_FREE, LOCK_HELD, LOCK_STRUCT, LOCK_STRUCT_BYTES
 from repro.hmc.commands import hmc_response_t, hmc_rqst_t
 
 # -- Table III statics ---------------------------------------------------------
@@ -47,10 +47,10 @@ def hmcsim_execute_cmc(
     rsp_payload: List[int],
 ) -> int:
     """Try to acquire the lock; return the holder's TID in the response."""
-    tid = base.payload_u64(rqst_payload, 0)
-    owner, lock = base.read_lock_struct(hmc, dev, addr)
-    if lock == base.LOCK_FREE:
-        base.write_lock_struct(hmc, dev, addr, tid, base.LOCK_HELD)
+    tid = rqst_payload[0]
+    lock, owner = LOCK_STRUCT.unpack(hmc.mem_read(addr, LOCK_STRUCT_BYTES, dev=dev))
+    if lock == LOCK_FREE:
+        hmc.mem_write(addr, LOCK_STRUCT.pack(LOCK_HELD, tid), dev=dev)
         owner = tid
-    base.store_u64(rsp_payload, 0, owner)
+    rsp_payload[0] = owner
     return 0

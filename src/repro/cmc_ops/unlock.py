@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.cmc_ops import base
+from repro.cmc_ops.base import LOCK_FREE, LOCK_HELD, LOCK_STRUCT, LOCK_STRUCT_BYTES
 from repro.hmc.commands import hmc_response_t, hmc_rqst_t
 
 # -- Table III statics ---------------------------------------------------------
@@ -51,11 +51,11 @@ def hmcsim_execute_cmc(
     rsp_payload: List[int],
 ) -> int:
     """Release the lock at ``addr`` if the requester owns it."""
-    tid = base.payload_u64(rqst_payload, 0)
-    owner, lock = base.read_lock_struct(hmc, dev, addr)
-    if lock == base.LOCK_HELD and owner == tid:
-        base.write_lock_struct(hmc, dev, addr, owner, base.LOCK_FREE)
-        base.store_u64(rsp_payload, 0, 1)
+    tid = rqst_payload[0]
+    lock, owner = LOCK_STRUCT.unpack(hmc.mem_read(addr, LOCK_STRUCT_BYTES, dev=dev))
+    if lock == LOCK_HELD and owner == tid:
+        hmc.mem_write(addr, LOCK_STRUCT.pack(LOCK_FREE, owner), dev=dev)
+        rsp_payload[0] = 1
     else:
-        base.store_u64(rsp_payload, 0, 0)
+        rsp_payload[0] = 0
     return 0

@@ -292,7 +292,6 @@ class CMCRegistry:
     def execute(
         self,
         hmc: object,
-        *,
         dev: int,
         quad: int,
         vault: int,
@@ -317,7 +316,11 @@ class CMCRegistry:
             addr: target base address from the request header.
             length: request length in FLITs.
             head/tail: the raw 64-bit packet head and tail.
-            rqst_payload: request data payload as 64-bit words.
+            rqst_payload: request data payload as 64-bit words; the
+                plugin receives a copy it may modify freely.
+
+        The arguments follow Table IV's order so the per-request caller
+        (``process_rqst``) passes them positionally.
 
         Returns:
             ``(operation, response_payload_bytes, wire_response_cmd)``.

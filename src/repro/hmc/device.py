@@ -20,7 +20,7 @@ Algorithm 1 fast path cost MIN_CYCLE = 6:
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.faults.controller import FATE_DROP, FATE_DUP
 from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST
@@ -29,7 +29,7 @@ from repro.hmc.composition import build_vault_scheduler, build_xbar
 from repro.hmc.config import HMCConfig
 from repro.hmc.link import Link
 from repro.hmc.memory import MemoryView
-from repro.hmc.packet import RequestPacket, ResponsePacket
+from repro.hmc.packet import RequestPacket
 from repro.hmc.registers import RegisterFile
 from repro.hmc.trace import TraceLevel
 from repro.hmc.vault import Vault
@@ -122,14 +122,6 @@ class Device:
         """The owning simulation context."""
         return self._sim()
 
-    def mem_read(self, addr: int, nbytes: int) -> bytes:
-        """Read device-local memory (bounds-checked)."""
-        return self._mem.read(addr, nbytes)
-
-    def mem_write(self, addr: int, data: bytes) -> None:
-        """Write device-local memory (bounds-checked)."""
-        self._mem.write(addr, data)
-
     # -- host interface --------------------------------------------------------
 
     def send(self, link: int, pkt: RequestPacket, cycle: int) -> bool:
@@ -212,10 +204,6 @@ class Device:
         lk.rqsts_in += 1
         lk.flits_in += lng
         return True
-
-    def recv(self, link: int) -> Optional[ResponsePacket]:
-        """Collect the oldest retired response on ``link``, or None."""
-        return self.links[link].recv()
 
     def route_flight(
         self,

@@ -44,14 +44,6 @@ class Link:
         """Pop the oldest retired response, or None."""
         return self.retired.popleft() if self.retired else None
 
-    def drain_ready(self) -> bool:
-        """True when retired responses are waiting for the host.
-
-        O(1) peek used by host engines to skip the ``recv`` call (and
-        its context bookkeeping) on links with nothing to collect.
-        """
-        return bool(self.retired)
-
     def pending_responses(self) -> int:
         """Responses retired but not yet collected by the host."""
         return len(self.retired)

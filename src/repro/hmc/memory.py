@@ -24,6 +24,7 @@ atomics are provided; all multi-byte values are little-endian.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterator, Tuple
 
 from repro.errors import HMCAddressError
@@ -40,6 +41,10 @@ __all__ = [
 PAGE_SIZE = 4096
 
 _PAGE_MASK = PAGE_SIZE - 1
+
+#: Packet-granule reads copy out of the page in one call, not a
+#: bytearray slice plus a ``bytes`` conversion.
+_TAKE = {n: struct.Struct(f"{n}s").unpack_from for n in (8, *range(16, 129, 16), 256)}
 
 
 @register_component("memory", "paged")
@@ -251,6 +256,9 @@ class MemoryView:
             page = self._pages.get(a >> self._shift)
             if page is None:
                 return bytes(nbytes)
+            take = _TAKE.get(nbytes)
+            if take is not None:
+                return take(page, off)[0]
             return bytes(page[off : off + nbytes])
         return self._backend.read(a, nbytes)
 

@@ -71,7 +71,6 @@ __all__ = [
     "RequestPacket",
     "ResponsePacket",
     "pack_data",
-    "pack_data_cached",
     "unpack_data",
     "field_get",
     "field_set",
@@ -125,17 +124,6 @@ def pack_data(data: bytes) -> List[int]:
 def unpack_data(words: Sequence[int]) -> bytes:
     """Inverse of :func:`pack_data`."""
     return b"".join((w & _U64).to_bytes(8, "little") for w in words)
-
-
-@lru_cache(maxsize=2048)
-def pack_data_cached(data: bytes) -> Tuple[int, ...]:
-    """Memoized :func:`pack_data` returning an immutable word tuple.
-
-    Spin-heavy workloads (the paper's mutex sweep) rebuild identical
-    payloads millions of times; the cache makes the per-request payload
-    split free after the first occurrence.
-    """
-    return tuple(pack_data(data))
 
 
 # ---------------------------------------------------------------------------

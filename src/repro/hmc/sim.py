@@ -68,6 +68,10 @@ _EXPECTS: Tuple[Optional[bool], ...] = tuple(
     for info in COMMAND_TABLE_LIST
 )
 
+#: ``send``'s answers: an Enum member lookup per request is not cheap.
+_OK = HMCStatus.OK
+_STALL = HMCStatus.STALL
+
 
 class HMCSim:
     """One simulation context holding one or more HMC devices.
@@ -130,6 +134,7 @@ class HMCSim:
         self.tracer = Tracer()
         self.cmc = CMCRegistry()
         self.devices = [Device(d, config, self) for d in range(config.num_devs)]
+        self._num_devs = config.num_devs
         self.topology: TopologyRouter = build_topology(self)
         self._cycle = 0
         self._strict_tags = strict_tags
@@ -138,7 +143,8 @@ class HMCSim:
         #: and avoids a tuple allocation per send/recv.
         self._outstanding: Set[int] = set()
         #: CMC cmd code -> expects-a-response, good for one registry
-        #: epoch (``self.cmc.epoch``) only.
+        #: epoch (``self.cmc.epoch``) only; ``send`` and the host engine
+        #: read it inline and call :meth:`expects_response` on a miss.
         self._cmc_expects: Dict[int, bool] = {}
         self._cmc_expects_epoch = -1
         self._initialized = True
@@ -289,10 +295,15 @@ class HMCSim:
         """
         if not self._initialized:
             self._check_init()
-        if not 0 <= dev < self.config.num_devs:
+        if not 0 <= dev < self._num_devs:
             raise HMCSimError(f"no device {dev} in this context")
-        expects = _EXPECTS[pkt.cmd]
-        if expects is None:  # a CMC code: the registry's answer
+        cmd = pkt.cmd
+        expects = _EXPECTS[cmd]
+        if expects is None and (
+            self._cmc_expects_epoch != self.cmc.epoch
+            or (expects := self._cmc_expects.get(cmd)) is None
+        ):
+            # A CMC code the memo cannot answer for this registry epoch.
             expects = self.expects_response(pkt)
         key = (pkt.cub << 11) | pkt.tag
         if expects and self._strict_tags and key in self._outstanding:
@@ -303,9 +314,9 @@ class HMCSim:
             self.sent_rqsts += 1
             if expects:
                 self._outstanding.add(key)
-            return HMCStatus.OK
+            return _OK
         self.send_stalls += 1
-        return HMCStatus.STALL
+        return _STALL
 
     def recv(self, *, dev: int = 0, link: int = 0) -> Optional[ResponsePacket]:
         """Collect the oldest retired response on a device link, or None."""
@@ -431,11 +442,15 @@ class HMCSim:
     def jtag_reg_read(self, dev: int, reg: int) -> int:
         """Read a device register through the simulated JTAG port."""
         self._check_init()
+        if not 0 <= dev < self._num_devs:
+            raise HMCSimError(f"no device {dev} in this context")
         return self.devices[dev].registers.read(reg)
 
     def jtag_reg_write(self, dev: int, reg: int, value: int) -> None:
         """Write a device register through the simulated JTAG port."""
         self._check_init()
+        if not 0 <= dev < self._num_devs:
+            raise HMCSimError(f"no device {dev} in this context")
         self.devices[dev].registers.write(reg, value)
 
     # -- direct memory access (host-side setup/verification) ------------------------
@@ -444,15 +459,22 @@ class HMCSim:
         """Read device-local memory directly (no packets, no cycles).
 
         Used for simulation setup/verification and by CMC plugins,
-        which receive this context as their ``hmc`` argument.
+        which receive this context as their ``hmc`` argument (so the
+        checks are inline; the device's view checks the bounds).
         """
-        self._check_init()
-        return self.devices[dev].mem_read(addr, nbytes)
+        if not self._initialized:
+            self._check_init()
+        if not 0 <= dev < self._num_devs:
+            raise HMCSimError(f"no device {dev} in this context")
+        return self.devices[dev]._mem.read(addr, nbytes)
 
     def mem_write(self, addr: int, data: bytes, *, dev: int = 0) -> None:
         """Write device-local memory directly (no packets, no cycles)."""
-        self._check_init()
-        self.devices[dev].mem_write(addr, data)
+        if not self._initialized:
+            self._check_init()
+        if not 0 <= dev < self._num_devs:
+            raise HMCSimError(f"no device {dev} in this context")
+        self.devices[dev]._mem.write(addr, data)
 
     # -- statistics ---------------------------------------------------------------
 

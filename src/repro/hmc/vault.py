@@ -51,7 +51,7 @@ from repro.hmc.commands import (
     hmc_response_t,
 )
 from repro.hmc.components import VaultScheduler, register_component
-from repro.hmc.packet import RequestPacket, ResponsePacket, pack_data_cached
+from repro.hmc.packet import RequestPacket, ResponsePacket, _rqst_wire
 from repro.hmc.queue import StallQueue
 from repro.hmc.trace import TraceLevel
 from repro.hmc.xbar import Flight
@@ -434,18 +434,18 @@ def process_rqst(
                 raise CMCExecutionError(
                     f"injected CMC crash (cmd {pkt.cmd}, tag {pkt.tag})"
                 )
-            wire = pkt._wire()  # one memoized encode: head and tail together
+            # pkt._wire(), in this frame: one memoized encode gives the
+            # head, the payload words and the tail together.
+            data = pkt.data
+            head, words, tail = _rqst_wire(
+                pkt.cmd, pkt.tag, pkt.addr, pkt.cub, data, pkt.rrp,
+                pkt.frp, pkt.seq, pkt.pb, pkt.slid, pkt.rtc,
+            )
+            # The Table IV argument set, positionally (length is
+            # pkt.lng, inlined).
             op, rsp_data, rsp_cmd = sim.cmc.execute(
-                sim,
-                dev=device.dev,
-                quad=flight.quad,
-                vault=flight.vault,
-                bank=flight.bank,
-                addr=pkt.addr,
-                length=1 + len(pkt.data) // 16,  # pkt.lng, inlined
-                head=wire[0],
-                tail=wire[2],
-                rqst_payload=pack_data_cached(pkt.data),
+                sim, device.dev, flight.quad, flight.vault, flight.bank,
+                pkt.addr, 1 + len(data) // 16, head, tail, words,
             )
             posted = op.registration.posted
         elif arm == ARM_MODE_RD:

@@ -23,17 +23,18 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.errors import HMCSimError, HMCStatus, SimDeadlockError
+from repro.errors import HMCSimError, SimDeadlockError
 from repro.faults.diagnostics import collect_deadlock_dump
 from repro.faults.invariants import InvariantChecker
 from repro.faults.watchdog import TagWatchdog
-from repro.hmc.sim import HMCSim
+from repro.hmc.sim import _EXPECTS, _STALL, HMCSim
 from repro.host.thread import Program, SimThread, ThreadCtx, ThreadState
 
 __all__ = ["HostEngine", "EngineResult", "ThreadResult"]
 
 #: Sort key restoring the seed engine's tid-order injection scan.
 _BY_TID = attrgetter("tid")
+_WAITING = ThreadState.WAITING
 
 
 def _recv_iter(sim, dev, link):
@@ -200,12 +201,12 @@ class HostEngine:
 
     # -- the engine loop ------------------------------------------------------
 
-    def _try_send(self, thread: SimThread, cycle: Optional[int] = None) -> None:
+    def _try_send(self, thread: SimThread, cycle: int) -> None:
         """Inject a READY thread's pending packet; resume posted sends.
 
-        ``cycle`` may be passed by callers that already know the current
-        cycle (the run loop reads it once per phase instead of once per
-        thread); it is only used to timestamp posted-send resumes.
+        ``cycle`` is the current cycle, which the run loop reads once
+        per phase; it timestamps recorder entries, watchdog deadlines
+        and posted-send resumes.
         """
         pkt = thread.pending
         assert pkt is not None
@@ -221,32 +222,36 @@ class HostEngine:
                     return
             elif shadow.maybe_hold(thread):
                 return
-        status = self.sim.send(pkt, dev=thread.ctx.cub, link=thread.ctx.link)
-        if status is HMCStatus.STALL:
+        sim = self.sim
+        ctx = thread.ctx
+        if sim.send(pkt, dev=ctx.cub, link=ctx.link) is _STALL:
             thread.stalls += 1
             return
         thread.requests += 1
         thread.pending = None
         if self.recorder is not None:
-            self.recorder.on_send(
-                self.sim.cycle if cycle is None else cycle, thread, pkt
-            )
-        if self.sim.expects_response(pkt):
-            thread.state = ThreadState.WAITING
+            self.recorder.on_send(cycle, thread, pkt)
+        # HMCSim.expects_response, answered from the context's
+        # epoch-keyed CMC memo that ``send`` has just consulted.
+        cmd = pkt.cmd
+        expects = _EXPECTS[cmd]
+        if expects is None and (
+            sim._cmc_expects_epoch != sim.cmc.epoch
+            or (expects := sim._cmc_expects.get(cmd)) is None
+        ):
+            expects = sim.expects_response(pkt)
+        if expects:
+            thread.state = _WAITING
             if shadow is not None:
                 shadow.note_send(pkt)
             if self.watchdog is not None:
                 self.watchdog.arm(
-                    pkt.tag,
-                    pkt,
-                    dev=thread.ctx.cub,
-                    link=thread.ctx.link,
-                    cycle=self.sim.cycle if cycle is None else cycle,
+                    pkt.tag, pkt, dev=ctx.cub, link=ctx.link, cycle=cycle
                 )
         else:
             # Posted: the program resumes with None and may produce its
             # next request, injected on a later cycle.
-            thread.resume(None, self.sim.cycle if cycle is None else cycle)
+            thread.resume(None, cycle)
 
     def run(self) -> EngineResult:
         """Run until every thread completes; return the statistics.
@@ -354,7 +359,8 @@ class HostEngine:
             for dev in range(num_devs):
                 links = sim.devices[dev].links
                 for link in range(num_links):
-                    if not links[link].drain_ready():
+                    if not links[link].retired:
+                        # Nothing to collect: skip the recv call.
                         continue
                     if batched:
                         responses = sim.recv_batch(dev=dev, link=link)

@@ -58,16 +58,28 @@ FAULT_WATCHDOG_TIMEOUT = 4096
 
 
 def mutex_program(ctx: ThreadCtx, lock_addr: int = DEFAULT_LOCK_ADDR) -> Program:
-    """Algorithm 1 as a thread program."""
-    rsp = yield ctx.lock(lock_addr)
-    if decode_lock_response(rsp.data) == 1:
-        yield ctx.unlock(lock_addr)
-        return
-    while True:
-        rsp = yield ctx.trylock(lock_addr)
-        if decode_lock_response(rsp.data) == ctx.tid_value:
-            break
-    yield ctx.unlock(lock_addr)
+    """Algorithm 1 as a thread program.
+
+    An error response (nonzero ERRSTAT, e.g. an injected ``cmc_crash``)
+    carries no lock word, so the same op is reissued: a retried trylock
+    by the owner returns its own tid, a retried unlock of a freed lock 0.
+    """
+    lock = ctx.lock(lock_addr)
+    rsp = yield lock
+    while rsp.errstat:
+        rsp = yield lock
+    if decode_lock_response(rsp.data) != 1:
+        # ThreadCtx caches the packet: bind it once for the spin loop.
+        trylock = ctx.trylock(lock_addr)
+        tid = ctx.tid_value
+        while True:
+            rsp = yield trylock
+            if not rsp.errstat and decode_lock_response(rsp.data) == tid:
+                break
+    unlock = ctx.unlock(lock_addr)
+    rsp = yield unlock
+    while rsp.errstat:
+        rsp = yield unlock
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,11 @@ class ThreadState(enum.Enum):
     DONE = "done"  # program finished
 
 
+#: Read once per response; an Enum member attribute lookup costs more
+#: than the rest of ``SimThread.resume``'s bookkeeping.
+_READY = ThreadState.READY
+
+
 class ThreadCtx:
     """Per-thread request builders handed to thread programs.
 
@@ -218,7 +223,7 @@ class SimThread:
             self.responses += 1
         try:
             self.pending = self.program.send(rsp)
-            self.state = ThreadState.READY
+            self.state = _READY
         except StopIteration:
             self.pending = None
             self.state = ThreadState.DONE

@@ -44,7 +44,7 @@ from repro.hmc.addrmap import AddressMap
 from repro.hmc.amo import is_amo, reference_amo
 from repro.hmc.commands import CommandKind, command_for_code, hmc_rqst_t
 from repro.hmc.config import HMCConfig
-from repro.hmc.packet import RequestPacket, _rqst_wire, pack_data_cached
+from repro.hmc.packet import RequestPacket, _rqst_wire
 from repro.hmc.registers import RegisterFile
 
 __all__ = [
@@ -306,23 +306,16 @@ class Oracle:
             if info.kind is CommandKind.CMC:
                 # The engine stamps SLID at send time; hand the plugin
                 # the same head/tail words it would see on the wire.
-                head, _, tail = _rqst_wire(
+                head, words, tail = _rqst_wire(
                     pkt.cmd, pkt.tag, pkt.addr, pkt.cub, pkt.data,
                     pkt.rrp, pkt.frp, pkt.seq, pkt.pb, link, pkt.rtc,
                 )
                 local = pkt.addr & (self.capacity - 1)
                 vault = self.addrmap.vault_of(local)
                 op, rsp_data, rsp_cmd = self.cmc.execute(
-                    self._shim,
-                    dev=dev,
-                    quad=self.config.quad_of_vault(vault),
-                    vault=vault,
-                    bank=self.addrmap.bank_of(local),
-                    addr=pkt.addr,
-                    length=pkt.lng,
-                    head=head,
-                    tail=tail,
-                    rqst_payload=pack_data_cached(pkt.data),
+                    self._shim, dev, self.config.quad_of_vault(vault), vault,
+                    self.addrmap.bank_of(local), pkt.addr, pkt.lng, head, tail,
+                    words,
                 )
                 posted = op.registration.posted
             elif info.kind is CommandKind.READ:

@@ -5,8 +5,12 @@ are pure hashes of (seed, stable coordinates), so identical plans
 reproduce identical fault histories.
 """
 
+import io
+
 import pytest
 
+from repro.cli import main as cli_main
+from repro.cmc_ops.base import LOCK_FREE, lock_struct_unpack
 from repro.cmc_ops.mutex import build_lock, load_mutex_ops
 from repro.errors import FaultError
 from repro.faults.plan import FaultPlan
@@ -16,6 +20,7 @@ from repro.hmc.flow import LinkFlowModel
 from repro.hmc.registers import HMC_REG
 from repro.hmc.sim import HMCSim
 from repro.hmc.vault import ERRSTAT_CMC_FAILED, ERRSTAT_ECC_UNCORRECTABLE
+from tests.conftest import run_workload
 
 
 def _faulty_sim(*specs, seed=0xBEEF, **kwargs):
@@ -177,6 +182,37 @@ class TestCmcCrash:
         rsp = do_roundtrip(sim, build_lock(sim, 0x0, 1, 1))
         assert rsp.cmd == int(hmc_response_t.RSP_ERROR)
         assert rsp.errstat == ERRSTAT_CMC_FAILED
+
+    def test_mutex_kernel_reissues_after_crash(self):
+        """Algorithm 1 under crashing plugins: an RSP_ERROR answer
+        carries no lock word, so the thread reissues the same op rather
+        than decoding it — the run completes, the lock ends free, and
+        the faulty point is reproducible."""
+        cfg = HMCConfig.cfg_4link_4gb()
+        plan = FaultPlan.parse(["cmc_crash=0.2"], seed=3)
+        runs = []
+        for _ in range(2):
+            sim = HMCSim(cfg)
+            runs.append(
+                run_workload("mutex", cfg, sim=sim, threads=16, fault_plan=plan)
+            )
+            assert sim.faults.counts["cmc_crash"] > 0
+            assert lock_struct_unpack(sim.mem_read(0, 16))[1] == LOCK_FREE
+        assert runs[0] == runs[1]
+        # Each crashed request was answered, and reissued: every
+        # request sent either executed its plugin or crashed.
+        crashes = sim.faults.counts["cmc_crash"]
+        assert sim.sent_rqsts == runs[0].cmc_executions + crashes
+        assert sim.stats()["outstanding"] == 0
+
+    def test_mutex_kernel_cli_survives_crashes(self):
+        out = io.StringIO()
+        argv = [
+            "kernel", "mutex", "--threads", "16",
+            "--fault", "cmc_crash=0.2", "--fault-seed", "3",
+        ]
+        assert cli_main(argv, out=out) == 0
+        assert "cmc_crash(rate=0.2)" in out.getvalue()
 
 
 class TestLinkCrc:

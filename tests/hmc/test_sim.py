@@ -12,6 +12,7 @@ from repro.hmc.commands import hmc_response_t, hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.hmc.trace import TraceLevel
+from repro.host.engine import HostEngine
 
 
 def _inline_op(rsp_len):
@@ -156,6 +157,41 @@ class TestTagPolicing:
         op.active = True
         assert not sim.expects_response(pkt)
 
+    def test_engine_follows_registry_epochs(self, sim):
+        """``HostEngine`` answers expects-a-response from the context's
+        epoch-keyed memo inline: after an unregister/register of a
+        posted op and an ``active`` flip it must agree with
+        :meth:`HMCSim.expects_response` — a stale answer would leave the
+        thread WAITING for a response that never comes (or resume a
+        posted send the device answers)."""
+        sim.cmc.register(_inline_op(rsp_len=2))
+        posted = _inline_op(rsp_len=0)
+        seen = []
+
+        def program(ctx):
+            pkt = sim.build_memrequest(hmc_rqst_t.CMC125, 0x40, ctx.tid, data=bytes(16))
+            seen.append((sim.expects_response(pkt), (yield pkt)))
+            sim.cmc.unregister(125)
+            sim.cmc.register(posted)
+            seen.append((sim.expects_response(pkt), (yield pkt)))
+            # Same vault queue: once this read is answered, the posted
+            # op has executed, so the flip below cannot reach it.
+            yield sim.build_memrequest(hmc_rqst_t.RD16, 0x40, ctx.tid)
+            posted.active = False
+            seen.append((sim.expects_response(pkt), (yield pkt)))
+
+        engine = HostEngine(sim)
+        engine.add_thread(program)
+        result = engine.run()
+        (e1, r1), (e2, r2), (e3, r3) = seen
+        assert e1 and r1 is not None and r1.errstat == 0
+        assert not e2 and r2 is None  # posted: resumed without a response
+        assert e3 and r3.cmd == int(hmc_response_t.RSP_ERROR)  # inactive
+        assert result.threads[0].responses == 3
+        assert sim.stats()["outstanding"] == 0
+        assert sim._cmc_expects_epoch == sim.cmc.epoch
+        assert sim._cmc_expects[125] is True
+
     def test_registry_epoch_counts_mutations(self, sim):
         start = sim.cmc.epoch
         op = _inline_op(rsp_len=2)
@@ -192,6 +228,22 @@ class TestAPIErrors:
     def test_send_bad_device(self, sim):
         with pytest.raises(HMCSimError):
             sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 0), dev=5)
+
+    @pytest.mark.parametrize("dev", [-1, 1])
+    def test_direct_access_bad_device(self, sim, dev):
+        """Direct memory and JTAG access name the device the way send
+        does: -1 must not wrap to the last device, and one past the end
+        is not a bare IndexError."""
+        calls = [
+            lambda: sim.mem_read(0, 16, dev=dev),
+            lambda: sim.mem_write(0, bytes(16), dev=dev),
+            lambda: sim.jtag_reg_read(dev, 0),
+            lambda: sim.jtag_reg_write(dev, 0, 0),
+        ]
+        for call in calls:
+            with pytest.raises(HMCSimError, match=f"no device {dev} in this context"):
+                call()
+        assert sim.mem_read(0, 16) == bytes(16)  # nothing was written
 
     def test_send_bad_link(self, sim):
         with pytest.raises(ValueError):
