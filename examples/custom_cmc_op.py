@@ -16,6 +16,7 @@ import textwrap
 from pathlib import Path
 
 from repro import HMCConfig, HMCSim, hmc_rqst_t
+from repro.oracle import check_cmc_op
 
 PLUGIN_SOURCE = textwrap.dedent(
     '''
@@ -31,6 +32,7 @@ PLUGIN_SOURCE = textwrap.dedent(
     RSP_LEN = 2                      # head/tail + 16B payload (the index)
     RSP_CMD = hmc_response_t.RD_RS
     RSP_CMD_CODE = 0
+    FOOTPRINT = 16                   # bytes read at addr (the block)
 
 
     def cmc_str():
@@ -85,6 +87,10 @@ def main():
         rsp = roundtrip(sim, sim.build_memrequest(hmc_rqst_t.CMC32, 0x100, 2, data=payload))
         assert rsp.data[:8] == b"\xff" * 8
         print("hmc_strchr16('z') -> not found (-1)")
+
+        # The conformance check: statics, oracle-vs-engine differential
+        # traces on both configs, and (FOOTPRINT declared) shadow sampling.
+        print(check_cmc_op(plugin_path))
 
     print(f"\n{len(sim.cmc)} CMC op(s) loaded; "
           f"{sim.cmc.free_codes()[:5]}... command codes still free")

@@ -14,22 +14,10 @@ codes 125/126/127:
 * :mod:`repro.cmc_ops.trylock` — ``hmc_trylock`` (CMC126)
 * :mod:`repro.cmc_ops.unlock` — ``hmc_unlock`` (CMC127)
 
-Additional demonstration ops exercise other corners of the CMC design
-space (posted ops, custom response commands, wide payloads):
-
-* :mod:`repro.cmc_ops.fadd64` — fetch-and-add on a 64-bit word (CMC04)
-* :mod:`repro.cmc_ops.popcount` — population count of a 16-byte block (CMC05)
-* :mod:`repro.cmc_ops.bloom` — bloom-filter insert over a 64-byte block (CMC06)
-* :mod:`repro.cmc_ops.amin64` — atomic signed minimum (CMC07)
-* :mod:`repro.cmc_ops.memzero` — posted 256-byte zero-fill (CMC20)
-* :mod:`repro.cmc_ops.ticket_enter` / `ticket_wait` / `ticket_exit` —
-  a FIFO-fair ticket-lock set (CMC21-23; bundle in
-  :mod:`repro.cmc_ops.ticket`)
-* :mod:`repro.cmc_ops.cas128` — full-width 128-bit CAS, 3-FLIT request (CMC36)
-* :mod:`repro.cmc_ops.amax64` — atomic signed maximum (CMC37)
-* :mod:`repro.cmc_ops.fetchclear64` — fetch-and-clear / test-and-reset (CMC38)
-* :mod:`repro.cmc_ops.listpush` — in-memory linked-list push (CMC39)
-* :mod:`repro.cmc_ops.dotprod` — 8x8 fixed-point dot product (CMC41)
+Every other module defining ``hmcsim_execute_cmc`` is a demonstration
+op that describes itself (statics, ``FOOTPRINT``, docstring); the fuzzer
+and ``tests/cmc_ops`` discover the bundled ops that way, and
+``docs/PLUGIN_GUIDE.md`` §5 maps design-space corners to them.
 """
 
 from repro.cmc_ops.base import (

@@ -23,17 +23,13 @@ RQST_LEN = 2
 RSP_LEN = 2
 RSP_CMD = hmc_response_t.RD_RS
 RSP_CMD_CODE = 0
+FOOTPRINT = 16
 
 _M64 = (1 << 64) - 1
 
 
 def _signed(v: int) -> int:
     return v - (1 << 64) if v >> 63 else v
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
 
 
 def hmcsim_execute_cmc(

@@ -31,6 +31,7 @@ RQST_LEN = 2
 RSP_LEN = 2
 RSP_CMD = hmc_response_t.RD_RS
 RSP_CMD_CODE = 0
+FOOTPRINT = 64
 
 #: Filter geometry: 64 bytes = 512 bits, 4 probes per key.
 FILTER_BYTES = 64
@@ -57,11 +58,6 @@ def probe_bits(key: int) -> List[int]:
         h = _splitmix64(h)
         bits.append(h % FILTER_BITS)
     return bits
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
 
 
 def hmcsim_execute_cmc(

@@ -28,11 +28,7 @@ RQST_LEN = 3  # head/tail + 32B payload (compare | swap)
 RSP_LEN = 2  # head/tail + 16B payload (original value)
 RSP_CMD = hmc_response_t.RD_RS
 RSP_CMD_CODE = 0
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
+FOOTPRINT = 16
 
 
 def hmcsim_execute_cmc(

@@ -25,17 +25,13 @@ RQST_LEN = 1
 RSP_LEN = 2
 RSP_CMD = hmc_response_t.RD_RS
 RSP_CMD_CODE = 0
+FOOTPRINT = 128  # two 64-byte vectors
 
 #: Elements per vector and bytes per vector.
 VECTOR_ELEMS = 8
 VECTOR_BYTES = VECTOR_ELEMS * 8
 
 _M64 = (1 << 64) - 1
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
 
 
 def hmcsim_execute_cmc(

@@ -29,13 +29,9 @@ RQST_LEN = 2
 RSP_LEN = 2
 RSP_CMD = hmc_response_t.RSP_CMC
 RSP_CMD_CODE = 0x60
+FOOTPRINT = 16
 
 _M64 = (1 << 64) - 1
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
 
 
 def hmcsim_execute_cmc(

@@ -37,14 +37,10 @@ RQST_LEN = 2  # head/tail + 16B payload (value in the low word)
 RSP_LEN = 2  # head/tail + 16B payload (new node address)
 RSP_CMD = hmc_response_t.WR_RS
 RSP_CMD_CODE = 0
+# No FOOTPRINT: node writes land at the bump address read from memory.
 
 #: Bytes per list node: [value u64][next u64].
 NODE_BYTES = 16
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
 
 
 def init_list(hmc, addr: int, arena: int, *, dev: int = 0) -> None:

@@ -25,13 +25,9 @@ RQST_LEN = 1
 RSP_LEN = 0
 RSP_CMD = hmc_response_t.RSP_NONE
 RSP_CMD_CODE = 0
+FOOTPRINT = 256
 
 REGION_BYTES = 256
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
 
 
 def hmcsim_execute_cmc(

@@ -30,11 +30,7 @@ RQST_LEN = 2
 RSP_LEN = 2
 RSP_CMD = hmc_response_t.WR_RS
 RSP_CMD_CODE = 0
-
-
-def cmc_str() -> str:
-    """Trace-file name for this operation."""
-    return OP_NAME
+FOOTPRINT = 16
 
 
 def hmcsim_execute_cmc(

@@ -63,6 +63,9 @@ class CMCRegistration:
             wire code taken from ``rsp_cmd_code``.
         rsp_cmd_code: the custom response command code (used only when
             ``rsp_cmd`` is ``RSP_CMC``).
+        footprint: bytes the op touches at its target address, or
+            ``None`` when that depends on memory contents.  Read by the
+            verification stack only, never by ``execute``.
     """
 
     op_name: str
@@ -72,6 +75,7 @@ class CMCRegistration:
     rsp_len: int
     rsp_cmd: hmc_response_t
     rsp_cmd_code: int = 0
+    footprint: Optional[int] = None
 
     def validate(self) -> None:
         """Check internal consistency; raise :class:`CMCLoadError` if bad."""
@@ -108,6 +112,12 @@ class CMCRegistration:
             raise CMCLoadError(
                 f"CMC registration for {self.op_name!r}: custom response "
                 f"code {self.rsp_cmd_code} outside the 7-bit command space"
+            )
+        fp = self.footprint
+        if fp is not None and (type(fp) is not int or fp <= 0):
+            raise CMCLoadError(
+                f"CMC registration for {self.op_name!r}: footprint {fp!r} "
+                f"must be a positive int (bytes touched at the target)"
             )
 
     @cached_property

@@ -24,6 +24,8 @@ RQST_LEN    int                  request packet length in FLITs
 RSP_LEN     int                  response packet length in FLITs
 RSP_CMD     hmc_response_t       response packet type
 RSP_CMD_CODE int                 wire code when RSP_CMD is RSP_CMC
+FOOTPRINT   int, optional        bytes touched at the target address;
+                                 absent = address-dependent (unsampled)
 ========== ===================== =======================================
 
 Symbols (resolved by name, like ``dlsym``):
@@ -116,6 +118,7 @@ def make_registration(plugin: object) -> CMCRegistration:
             rsp_len=int(values["rsp_len"]),
             rsp_cmd=rsp_cmd,
             rsp_cmd_code=int(rsp_cmd_code),
+            footprint=_static(plugin, "FOOTPRINT", "footprint", required=False),
         )
     except (TypeError, ValueError) as exc:
         raise CMCLoadError(f"CMC plugin {name}: bad static value: {exc}") from exc

@@ -54,31 +54,7 @@ from repro.hmc.packet import RequestPacket
 # divergence on a legal top-of-cube atomic).
 from repro.oracle.model import _AMO_FOOTPRINT, Expectation, Oracle
 
-__all__ = ["ShadowOracle", "CMC_READ_FOOTPRINT"]
-
-#: Bytes of memory each known CMC op reads/writes at its target
-#: address, keyed by registered ``op_name`` (the stable plugin
-#: identity — command codes are remappable).  Ops absent here (e.g.
-#: ``hmc_list_push``, whose node address is *read from memory* at
-#: execute time) are never sampled: their footprint cannot be
-#: synchronized up front.
-CMC_READ_FOOTPRINT: Dict[str, int] = {
-    "hmc_fadd64": 16,
-    "hmc_popcount16": 16,
-    "hmc_bloom_insert": 64,
-    "hmc_amin64": 16,
-    "hmc_amax64": 16,
-    "hmc_fetchclear64": 16,
-    "hmc_memzero256": 256,
-    "hmc_ticket_enter": 16,
-    "hmc_ticket_wait": 16,
-    "hmc_ticket_exit": 16,
-    "hmc_cas128": 16,
-    "hmc_dotprod8x8": 128,
-    "hmc_lock": 16,
-    "hmc_trylock": 16,
-    "hmc_unlock": 16,
-}
+__all__ = ["ShadowOracle"]
 
 #: Sentinel distinguishing "not classified yet" from "not sampleable".
 _UNSET = object()
@@ -150,8 +126,9 @@ class ShadowOracle:
         """Sampleability class of a command code, memoized.
 
         ``None`` means never sampled: flow packets and posted requests
-        produce no response to compare; unregistered or unknown-footprint
-        CMC codes cannot be synchronized.
+        produce no response to compare; unregistered CMC codes, and ops
+        that declare no ``FOOTPRINT`` (their target depends on memory
+        contents, e.g. ``hmc_list_push``), cannot be synchronized.
         """
         mode = self._mode.get(cmd, _UNSET)
         if mode is not _UNSET:
@@ -163,7 +140,7 @@ class ShadowOracle:
             if (
                 op is not None
                 and not op.registration.posted
-                and op.op_name in CMC_READ_FOOTPRINT
+                and op.registration.footprint is not None
             ):
                 mode = "cmc"
         elif info.kind is CommandKind.FLOW or info.posted:
@@ -236,9 +213,8 @@ class ShadowOracle:
             return  # writes read nothing; the payload rides the packet
         elif mode == "amo":
             nbytes = _AMO_FOOTPRINT.get(pkt.cmd, 16)
-        else:  # "cmc" — _classify guarantees a registered, known op
-            op = self.oracle.cmc.lookup(pkt.cmd)
-            nbytes = CMC_READ_FOOTPRINT[op.op_name]
+        else:  # "cmc" — _classify guarantees a declared footprint
+            nbytes = self.oracle.cmc.lookup(pkt.cmd).registration.footprint
         if nbytes <= 0:
             return
         if pkt.addr < 0 or pkt.addr + nbytes > self.oracle.capacity:

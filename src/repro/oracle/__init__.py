@@ -9,7 +9,8 @@ engine and the oracle and diffs the results
 reduces a failing trace to a minimal reproducer
 (:mod:`repro.oracle.shrink`), and a parallel fuzz farm that fans seed
 ranges across the sweep pool with fingerprint-cached per-seed verdicts
-(:mod:`repro.oracle.farm`).
+(:mod:`repro.oracle.farm`), and a one-call conformance check for a CMC
+plugin (:func:`check_cmc_op`, :mod:`repro.oracle.conformance`).
 
 The oracle is deliberately *not* built from the cycle engine: it may
 import packet/command/register/AMO definitions (shared, spec-pinned
@@ -21,6 +22,7 @@ this at lint time.
 See ``docs/CORRECTNESS.md`` for the ordering contract and workflow.
 """
 
+from repro.oracle.conformance import CMCOpCheck, check_cmc_op
 from repro.oracle.differ import DiffResult, Mismatch, run_trace
 from repro.oracle.farm import (
     FarmSeedResult,
@@ -53,4 +55,6 @@ __all__ = [
     "result_from_diff",
     "run_farm",
     "run_farm_task",
+    "CMCOpCheck",
+    "check_cmc_op",
 ]

@@ -29,12 +29,16 @@ general region for everything else.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple, Union
 
+import repro.cmc_ops
 from repro.core.cmc import CMCRegistry
 from repro.core.loader import load_cmc as _load_cmc_plugin
+from repro.core.template import EXECUTE_SYMBOL
 from repro.hmc.commands import CMC_CODES, FLIT_BYTES, command_for_code, hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.packet import ADDR_MASK, MAX_TAG
@@ -76,35 +80,22 @@ _ATOMICS = (
 _POSTED_ATOMICS = ("P_2ADD8", "P_ADD16", "P_INC8", "P_BWR")
 _FLOW = ("FLOW_NULL", "PRET", "TRET")
 
-#: Bytes each CMC op touches at its target address (module tail name →
-#: footprint), used only to place the op inside its cluster.
-_CMC_FOOTPRINT: Dict[str, int] = {
-    "fadd64": 16,
-    "popcount": 16,
-    "bloom": 64,
-    "amin64": 16,
-    "amax64": 16,
-    "fetchclear64": 16,
-    "memzero": 256,
-    "ticket_enter": 16,
-    "ticket_wait": 16,
-    "ticket_exit": 16,
-    "cas128": 16,
-    "dotprod": 128,
-    "lock": 16,
-    "trylock": 16,
-    "unlock": 16,
-}
+#: The one bundled op whose target depends on memory contents; it gets
+#: the cluster arena discipline instead of a declared ``FOOTPRINT``.
+_LISTPUSH = "hmc_list_push"
 
-_ALL_CMC_MODULES: Tuple[str, ...] = tuple(
-    f"repro.cmc_ops.{name}"
-    for name in (
-        "fadd64", "popcount", "bloom", "amin64", "memzero",
-        "ticket_enter", "ticket_wait", "ticket_exit",
-        "cas128", "amax64", "fetchclear64", "listpush", "dotprod",
-        "lock", "trylock", "unlock",
-    )
-)
+
+def _bundled_cmc_modules() -> Tuple[str, ...]:
+    """Every ``repro.cmc_ops`` module defining the execute symbol, by
+    command code — the op set the CMC-bearing profiles draw from."""
+    ops = []
+    for info in pkgutil.iter_modules(repro.cmc_ops.__path__, "repro.cmc_ops."):
+        if hasattr(importlib.import_module(info.name), EXECUTE_SYMBOL):
+            ops.append((_load_cmc_plugin(info.name).cmd, info.name))
+    return tuple(name for _, name in sorted(ops))
+
+
+_BUNDLED_CMC = _bundled_cmc_modules()
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ _ORACLE_SAFE_FAULTS = (
 PROFILES: Dict[str, TrafficProfile] = {
     "spec": TrafficProfile(name="spec", weights=_SPEC_WEIGHTS),
     "mixed": TrafficProfile(
-        name="mixed", weights=_MIXED_WEIGHTS, cmc_modules=_ALL_CMC_MODULES
+        name="mixed", weights=_MIXED_WEIGHTS, cmc_modules=_BUNDLED_CMC
     ),
     "cmc": TrafficProfile(
         name="cmc",
@@ -171,12 +162,12 @@ PROFILES: Dict[str, TrafficProfile] = {
             ("cmc_inactive", 3),
             ("cmc", 65),
         ),
-        cmc_modules=_ALL_CMC_MODULES,
+        cmc_modules=_BUNDLED_CMC,
     ),
     "faulty": TrafficProfile(
         name="faulty",
         weights=_MIXED_WEIGHTS,
-        cmc_modules=_ALL_CMC_MODULES,
+        cmc_modules=_BUNDLED_CMC,
         fault_specs=_ORACLE_SAFE_FAULTS,
     ),
     # Deep-queue shape: long read-only bursts (256+ outstanding between
@@ -285,12 +276,13 @@ def _cluster_bases(rng: random.Random, capacity: int) -> List[int]:
 def generate_trace(
     seed: int,
     *,
-    profile: str = "mixed",
+    profile: Union[str, TrafficProfile] = "mixed",
     count: int = 256,
     config_name: str = "4link_4gb",
 ) -> Trace:
-    """Generate one deterministic trace from a seed and a profile name."""
-    if profile not in PROFILES:
+    """Generate one deterministic trace from a seed and a profile (a
+    name in :data:`PROFILES`, or a profile object)."""
+    if isinstance(profile, str) and profile not in PROFILES:
         raise ValueError(
             f"unknown traffic profile {profile!r} (have {sorted(PROFILES)})"
         )
@@ -299,7 +291,7 @@ def generate_trace(
             f"count {count} outside 1..{MAX_TAG + 1} (tags must stay unique "
             f"within a trace)"
         )
-    prof = PROFILES[profile]
+    prof = PROFILES[profile] if isinstance(profile, str) else profile
     if config_name not in CONFIGS:
         raise ValueError(
             f"unknown config {config_name!r} (have {sorted(CONFIGS)})"
@@ -309,13 +301,20 @@ def generate_trace(
     rng = random.Random(seed)
 
     # Load the profile's CMC modules into a throwaway registry so the
-    # generator knows each op's payload length and command code.
+    # generator knows each op's payload length, code and footprint.
     registry = CMCRegistry()
-    cmc_by_module = {}
+    cmc_ops = []
     for module in prof.cmc_modules:
         op = _load_cmc_plugin(module)
         registry.register(op)
-        cmc_by_module[module] = op
+        fp = op.registration.footprint
+        if op.op_name != _LISTPUSH and not (fp and fp <= _GENERAL_BYTES):
+            raise ValueError(
+                f"CMC op {op.op_name!r} declares no FOOTPRINT of 1.."
+                f"{_GENERAL_BYTES} bytes (has {fp}), so the generator cannot "
+                f"place it without racing other requests"
+            )
+        cmc_ops.append(op)
     registered_codes = {op.cmd for op in registry.operations()}
     inactive_codes = [c for c in CMC_CODES if c not in registered_codes]
 
@@ -422,14 +421,11 @@ def generate_trace(
             data = b""
             footprint, mutates = 0, False
         else:  # "cmc"
-            module = rng.choice(prof.cmc_modules)
-            op = cmc_by_module[module]
-            assert op is not None
-            tail_name = module.rsplit(".", 1)[1]
+            op = rng.choice(cmc_ops)
             size = (op.registration.rqst_len - 1) * FLIT_BYTES
             data = rng.randbytes(size)
             rqst = op.registration.rqst
-            if tail_name == "listpush":
+            if op.op_name == _LISTPUSH:
                 if listpush_used[cluster.base] >= arena_slots:
                     # Arena exhausted: a push would bump outside the
                     # cluster; degrade to a read of the descriptor.
@@ -443,7 +439,7 @@ def generate_trace(
                     # node address is read from memory at execute time.
                     footprint, mutates = _ARENA_BYTES, True
             else:
-                footprint, mutates = _CMC_FOOTPRINT[tail_name], True
+                footprint, mutates = op.registration.footprint, True
                 addr = general_addr(cluster, footprint)
 
         requests.append(

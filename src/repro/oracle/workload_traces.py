@@ -8,9 +8,9 @@ that drove the real datapath, re-executed against the functional
 oracle.  ``hmcsim-repro fuzz --profile trace --trace run.jsonl`` wires
 it up.
 
-Footprints are assigned conservatively from the command table (and the
-same per-module CMC footprint map the traffic generator uses): a wider
-footprint only adds pre-send fences, which serializes more than the
+Footprints are assigned conservatively from the command table and each
+CMC plugin's declared ``FOOTPRINT``: a wider footprint only adds
+pre-send fences, which serializes more than the
 recording did but never unsoundly — the differ's correctness argument
 needs overlap-with-a-writer pairs fenced, not minimal regions.
 
@@ -30,28 +30,28 @@ from repro.core.loader import load_cmc as _load_cmc_plugin
 from repro.errors import WorkloadError
 from repro.hmc.commands import CommandKind, command_for_code, hmc_rqst_t
 from repro.hmc.packet import MAX_TAG
-from repro.oracle.trafficgen import _CMC_FOOTPRINT, CONFIGS, Trace, TraceRequest
+from repro.oracle.trafficgen import CONFIGS, Trace, TraceRequest
 from repro.workloads.tracefmt import WorkloadTrace
 
 __all__ = ["trace_from_workload"]
 
-#: Footprint for a CMC op whose module is not in the shared map
-#: (conservative: fence anything nearby rather than miss a race).
-_UNKNOWN_CMC_FOOTPRINT = 256
+#: Fence for a CMC op with no declared footprint: its writes land at an
+#: address read from memory, and without the generator's cluster
+#: discipline the only sound choice is a wide mutating fence.
+_WIDE_CMC_FENCE = 4096
 
 
-def _cmc_tails(cmc_modules: Tuple[str, ...]) -> Dict[int, str]:
-    """Command code → module tail name, via an offline registry."""
+def _cmc_footprints(cmc_modules: Tuple[str, ...]) -> Dict[int, Optional[int]]:
+    """Command code → declared footprint, via an offline registry."""
     registry = CMCRegistry()
-    tails: Dict[int, str] = {}
     for module in cmc_modules:
-        op = _load_cmc_plugin(module)
-        registry.register(op)
-        tails[op.registration.cmd] = module.rsplit(".", 1)[1]
-    return tails
+        registry.register(_load_cmc_plugin(module))
+    return {op.cmd: op.registration.footprint for op in registry.operations()}
 
 
-def _classify(cmd: int, data: bytes, tails: Dict[int, str]) -> Tuple[int, bool]:
+def _classify(
+    cmd: int, data: bytes, footprints: Dict[int, Optional[int]]
+) -> Tuple[int, bool]:
     """Conservative ``(footprint, mutates)`` for one request."""
     info = command_for_code(cmd)
     kind = info.kind
@@ -64,13 +64,7 @@ def _classify(cmd: int, data: bytes, tails: Dict[int, str]) -> Tuple[int, bool]:
     if kind is CommandKind.MODE:
         return 8, cmd == int(hmc_rqst_t.MD_WR)
     if kind is CommandKind.CMC:
-        tail = tails.get(cmd)
-        if tail == "listpush":
-            # Node writes land at the bump address read from memory;
-            # without the generator's cluster discipline the only sound
-            # choice is a wide mutating fence.
-            return _UNKNOWN_CMC_FOOTPRINT * 16, True
-        return _CMC_FOOTPRINT.get(tail, _UNKNOWN_CMC_FOOTPRINT), True
+        return footprints.get(cmd) or _WIDE_CMC_FENCE, True
     return 0, False  # flow traffic touches no state
 
 
@@ -120,7 +114,7 @@ def trace_from_workload(
             f"{', '.join(sorted(CONFIGS))})"
         )
     config = CONFIGS[wtrace.config_name]()
-    tails = _cmc_tails(wtrace.cmc_modules)
+    footprints = _cmc_footprints(wtrace.cmc_modules)
     if wtrace.workload:
         preloads, check_ranges = _registry_preloads(wtrace)
     else:
@@ -133,7 +127,7 @@ def trace_from_workload(
     requests: List[TraceRequest] = []
     for i, rec in enumerate(wtrace.requests):
         cmd = int(rec.rqst())
-        footprint, mutates = _classify(cmd, rec.data, tails)
+        footprint, mutates = _classify(cmd, rec.data, footprints)
         requests.append(
             TraceRequest(
                 cmd=cmd,

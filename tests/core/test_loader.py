@@ -76,6 +76,16 @@ class TestMakeRegistration:
         with pytest.raises(CMCLoadError):
             make_registration(minimal_plugin(RSP_CMD=999))
 
+    def test_footprint_optional(self):
+        assert make_registration(minimal_plugin()).footprint is None
+        assert make_registration(minimal_plugin(FOOTPRINT=64)).footprint == 64
+        assert make_registration(minimal_plugin(footprint=16)).footprint == 16
+
+    @pytest.mark.parametrize("bad", [0, -16, "16", True])
+    def test_bad_footprint_fails(self, bad):
+        with pytest.raises(CMCLoadError, match="footprint"):
+            make_registration(minimal_plugin(FOOTPRINT=bad))
+
 
 class TestValidatePlugin:
     def test_valid_plugin(self):

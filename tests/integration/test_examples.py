@@ -44,6 +44,7 @@ class TestExamples:
         out = run_example("custom_cmc_op.py")
         assert "hmc_strchr16('m') -> index 7" in out
         assert "not found (-1)" in out
+        assert "responses shadow-checked" in out
 
     def test_pim_offload_suite(self):
         out = run_example("pim_offload_suite.py")
