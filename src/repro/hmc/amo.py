@@ -29,6 +29,7 @@ Data-semantics conventions (pinned by ``tests/hmc/test_amo.py``):
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
@@ -58,7 +59,7 @@ _unpack_u64, _pack_u64 = _U64.unpack, _U64.pack
 _i64_at = _I64.unpack_from
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: that constructor costs ~2.5x
 class AMOResult:
     """Outcome of one atomic: response payload bytes and error status."""
 
@@ -66,7 +67,7 @@ class AMOResult:
     errstat: int = 0
 
 
-#: The (immutable) result every atomic without return data shares.
+#: The (never written) result every atomic without return data shares.
 _NO_DATA = AMOResult()
 _NOT_EQUAL = AMOResult(b"", ERRSTAT_EQ_FAIL)
 
@@ -181,10 +182,10 @@ _HANDLERS: Dict[int, Handler] = {
     int(R.ADDS16R): _add16(True),
     int(R.INC8): _inc8,
     int(R.P_INC8): _inc8,
-    int(R.XOR16): _bool16(lambda m, o: m ^ o),
-    int(R.OR16): _bool16(lambda m, o: m | o),
+    int(R.XOR16): _bool16(operator.xor),
+    int(R.OR16): _bool16(operator.or_),
     int(R.NOR16): _bool16(lambda m, o: ~(m | o)),
-    int(R.AND16): _bool16(lambda m, o: m & o),
+    int(R.AND16): _bool16(operator.and_),
     int(R.NAND16): _bool16(lambda m, o: ~(m & o)),
     int(R.BWR): _bwr(False),
     int(R.P_BWR): _bwr(False),

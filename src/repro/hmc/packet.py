@@ -58,11 +58,10 @@ from typing import List, Optional, Sequence, Tuple
 from repro.errors import HMCPacketError
 from repro.hmc import crc as _crc
 from repro.hmc.commands import (
+    ARM_CMC,
+    COMMAND_TABLE_LIST,
     FLIT_BYTES,
     MAX_PACKET_FLITS,
-    CommandKind,
-    command_for_code,
-    command_info,
     hmc_response_t,
     hmc_rqst_t,
 )
@@ -250,26 +249,27 @@ class RequestPacket:
         Raises:
             HMCPacketError: on size/field violations.
         """
-        info = command_info(rqst)
-        if info.kind is CommandKind.CMC:
+        info = COMMAND_TABLE_LIST[rqst]
+        if info.arm == ARM_CMC:
             if rqst_flits is None:
                 raise HMCPacketError(
-                    f"{rqst.name}: CMC requests need an explicit rqst_flits "
+                    f"{info.rqst_name}: CMC requests need an explicit rqst_flits "
                     "(use HMCSim.build_memrequest after loading the CMC op)"
                 )
-            flits = rqst_flits
+            if not 1 <= rqst_flits <= MAX_PACKET_FLITS:
+                raise HMCPacketError(
+                    f"request length {rqst_flits} FLITs out of range 1..17"
+                )
+            want = (rqst_flits - 1) * FLIT_BYTES
+            if len(data) < want:
+                data = data + bytes(want - len(data))
         else:
-            flits = info.rqst_flits
-            assert flits is not None
-        if not 1 <= flits <= MAX_PACKET_FLITS:
-            raise HMCPacketError(f"request length {flits} FLITs out of range 1..17")
-        want = (flits - 1) * FLIT_BYTES
-        if info.kind is CommandKind.CMC and len(data) < want:
-            data = data + bytes(want - len(data))
+            # Table I's length; a specification command ignores rqst_flits.
+            want = info.rqst_bytes
         if len(data) != want:
             raise HMCPacketError(
-                f"{rqst.name}: payload is {len(data)} bytes, "
-                f"a {flits}-FLIT request carries exactly {want}"
+                f"{info.rqst_name}: payload is {len(data)} bytes, "
+                f"a {1 + want // FLIT_BYTES}-FLIT request carries exactly {want}"
             )
         if not 0 <= tag <= MAX_TAG:
             raise HMCPacketError(f"tag {tag} outside 11-bit tag space")
@@ -277,7 +277,7 @@ class RequestPacket:
             raise HMCPacketError(f"cub {cub} outside 3-bit cube space")
         if addr < 0 or addr > ADDR_MASK:
             raise HMCPacketError(f"address {addr:#x} outside 34-bit ADRS space")
-        return cls(cmd=int(rqst), tag=tag, addr=addr, cub=cub, data=data)
+        return cls(int(rqst), tag, addr, cub, data)
 
     # -- wire form ---------------------------------------------------------
 

@@ -45,7 +45,6 @@ from repro.hmc.commands import (
     ARM_FLOW,
     COMMAND_TABLE,
     COMMAND_TABLE_LIST,
-    CommandKind,
     hmc_rqst_t,
 )
 from repro.hmc.components import LinkFlow, MemoryModel, TopologyRouter
@@ -239,12 +238,13 @@ class HMCSim:
             HMCPacketError: malformed fields or payload size.
             CMCNotActiveError: a CMC command with no loaded operation.
         """
-        self._check_init()
+        if not self._initialized:
+            self._check_init()
         # IntEnum members hash like their value: same KeyError contract
         # as command_info(rqst), minus the int() conversion per call.
         info = COMMAND_TABLE[rqst]
         rqst_flits: Optional[int] = None
-        if info.kind is CommandKind.CMC:
+        if info.arm == ARM_CMC:
             rqst_flits = self.cmc.get(rqst).registration.rqst_len
         return RequestPacket.build(
             rqst, addr, tag, cub=cub, data=data, rqst_flits=rqst_flits
@@ -290,12 +290,16 @@ class HMCSim:
             the exact contract of ``hmcsim_send``.
 
         Raises:
+            HMCSimError: ``dev`` or the packet's ``cub`` names no cube
+                of this context.
             TagError: (strict mode) the tag is already outstanding on
                 this device and the request expects a response.
         """
         if not self._initialized:
             self._check_init()
-        if not 0 <= dev < self._num_devs:
+        if not (0 <= dev < self._num_devs and 0 <= pkt.cub < self._num_devs):
+            if 0 <= dev < self._num_devs:
+                raise HMCSimError(f"no cube {pkt.cub} in this context")
             raise HMCSimError(f"no device {dev} in this context")
         cmd = pkt.cmd
         expects = _EXPECTS[cmd]

@@ -25,6 +25,8 @@ from repro.host.thread import Program, ThreadCtx
 __all__ = ["gups_program", "GUPSStats", "hpcc_random_stream"]
 
 _M64 = (1 << 64) - 1
+#: The XOR16 operand's unused high word.
+_ZERO8 = bytes(8)
 #: HPCC RandomAccess polynomial constant.
 _POLY = 0x0000000000000007
 
@@ -52,9 +54,8 @@ def gups_program(
     for r in updates:
         idx = r % table_entries
         addr = table_base + idx * 16
-        operand = (r & _M64).to_bytes(8, "little") + bytes(8)
         if use_atomic:
-            yield ctx.xor16(addr, operand)
+            yield ctx.xor16(addr, (r & _M64).to_bytes(8, "little") + _ZERO8)
         else:
             rsp = yield ctx.read(addr, 16)
             old = int.from_bytes(rsp.data[:8], "little")

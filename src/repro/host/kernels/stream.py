@@ -33,15 +33,14 @@ def stream_triad_program(
     block_bytes: int = 64,
 ) -> Program:
     """Triad over ``num_blocks`` consecutive ``block_bytes`` blocks."""
-    n = block_bytes // 8
+    block = struct.Struct(f"<{block_bytes // 8}d")
     for blk in range(start_block, start_block + num_blocks):
         off = blk * block_bytes
         rsp_b = yield ctx.read(b_base + off, block_bytes)
         rsp_c = yield ctx.read(c_base + off, block_bytes)
-        b_vals = struct.unpack(f"<{n}d", rsp_b.data)
-        c_vals = struct.unpack(f"<{n}d", rsp_c.data)
-        a_vals = tuple(bv + q * cv for bv, cv in zip(b_vals, c_vals))
-        yield ctx.write(a_base + off, struct.pack(f"<{n}d", *a_vals))
+        b_vals, c_vals = block.unpack(rsp_b.data), block.unpack(rsp_c.data)
+        a_vals = [bv + q * cv for bv, cv in zip(b_vals, c_vals)]  # not a genexpr
+        yield ctx.write(a_base + off, block.pack(*a_vals))
 
 
 @dataclass(frozen=True)
@@ -71,14 +70,13 @@ def windowed_triad_program(
 ):
     """Triad with batched issue: both input reads of a block in flight
     together (for :class:`repro.host.window.WindowedEngine`)."""
-    n = block_bytes // 8
+    block = struct.Struct(f"<{block_bytes // 8}d")
     for blk in range(start_block, start_block + num_blocks):
         off = blk * block_bytes
         rsp_b, rsp_c = yield [
             ctx.read(b_base + off, block_bytes),
             ctx.read(c_base + off, block_bytes),
         ]
-        b_vals = struct.unpack(f"<{n}d", rsp_b.data)
-        c_vals = struct.unpack(f"<{n}d", rsp_c.data)
-        a_vals = tuple(bv + q * cv for bv, cv in zip(b_vals, c_vals))
-        yield [ctx.write(a_base + off, struct.pack(f"<{n}d", *a_vals))]
+        b_vals, c_vals = block.unpack(rsp_b.data), block.unpack(rsp_c.data)
+        a_vals = [bv + q * cv for bv, cv in zip(b_vals, c_vals)]
+        yield [ctx.write(a_base + off, block.pack(*a_vals))]

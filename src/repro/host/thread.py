@@ -111,6 +111,8 @@ class ThreadCtx:
         return pkt
 
     # -- generic commands ------------------------------------------------------
+    # Only ``request``, which may carry a CMC code, needs the context's
+    # registry; the rest call ``RequestPacket.build`` straight.
 
     def request(self, rqst: hmc_rqst_t, addr: int, data: bytes = b"") -> RequestPacket:
         """Build any request with this thread's tag."""
@@ -118,73 +120,61 @@ class ThreadCtx:
 
     def read(self, addr: int, nbytes: int = 16) -> RequestPacket:
         """Build an RD16..RD256 request for ``nbytes`` (16-byte granule)."""
-        return self.request(_read_cmd(nbytes), addr)
+        rqst = _READ_CMDS.get(nbytes)
+        if rqst is None:
+            raise _granule_error("read", nbytes)
+        if not self.sim._initialized:
+            self.sim._check_init()
+        return RequestPacket.build(rqst, addr, self.tid, cub=self.cub)
 
     def write(self, addr: int, data: bytes, posted: bool = False) -> RequestPacket:
         """Build a WR/P_WR request sized to ``data``."""
-        return self.request(_write_cmd(len(data), posted), addr, data)
+        pair = _WRITE_CMDS.get(len(data))
+        if pair is None:
+            raise _granule_error("write", len(data))
+        if not self.sim._initialized:
+            self.sim._check_init()
+        return RequestPacket.build(
+            pair[1] if posted else pair[0], addr, self.tid, cub=self.cub, data=data
+        )
 
     def inc8(self, addr: int, posted: bool = False) -> RequestPacket:
         """Build an INC8/P_INC8 atomic increment."""
-        return self.request(
-            hmc_rqst_t.P_INC8 if posted else hmc_rqst_t.INC8, addr
+        if not self.sim._initialized:
+            self.sim._check_init()
+        return RequestPacket.build(
+            _P_INC8 if posted else _INC8, addr, self.tid, cub=self.cub
         )
 
     def xor16(self, addr: int, operand: bytes) -> RequestPacket:
         """Build a XOR16 atomic."""
-        return self.request(hmc_rqst_t.XOR16, addr, operand)
+        if not self.sim._initialized:
+            self.sim._check_init()
+        return RequestPacket.build(_XOR16, addr, self.tid, cub=self.cub, data=operand)
 
     def caseq8(self, addr: int, compare: int, swap: int) -> RequestPacket:
         """Build a CASEQ8 atomic (compare low word, swap high word)."""
         payload = (compare & _M64).to_bytes(8, "little") + (swap & _M64).to_bytes(
             8, "little"
         )
-        return self.request(hmc_rqst_t.CASEQ8, addr, payload)
+        if not self.sim._initialized:
+            self.sim._check_init()
+        return RequestPacket.build(_CASEQ8, addr, self.tid, cub=self.cub, data=payload)
 
 
 _M64 = (1 << 64) - 1
+#: Enum member reads hoisted off the per-request path.
+_INC8, _P_INC8 = hmc_rqst_t.INC8, hmc_rqst_t.P_INC8
+_XOR16, _CASEQ8 = hmc_rqst_t.XOR16, hmc_rqst_t.CASEQ8
 
-_READ_CMDS = {
-    16: hmc_rqst_t.RD16,
-    32: hmc_rqst_t.RD32,
-    48: hmc_rqst_t.RD48,
-    64: hmc_rqst_t.RD64,
-    80: hmc_rqst_t.RD80,
-    96: hmc_rqst_t.RD96,
-    112: hmc_rqst_t.RD112,
-    128: hmc_rqst_t.RD128,
-    256: hmc_rqst_t.RD256,
-}
-_WRITE_CMDS = {
-    16: (hmc_rqst_t.WR16, hmc_rqst_t.P_WR16),
-    32: (hmc_rqst_t.WR32, hmc_rqst_t.P_WR32),
-    48: (hmc_rqst_t.WR48, hmc_rqst_t.P_WR48),
-    64: (hmc_rqst_t.WR64, hmc_rqst_t.P_WR64),
-    80: (hmc_rqst_t.WR80, hmc_rqst_t.P_WR80),
-    96: (hmc_rqst_t.WR96, hmc_rqst_t.P_WR96),
-    112: (hmc_rqst_t.WR112, hmc_rqst_t.P_WR112),
-    128: (hmc_rqst_t.WR128, hmc_rqst_t.P_WR128),
-    256: (hmc_rqst_t.WR256, hmc_rqst_t.P_WR256),
-}
+#: Read and write sizes (bytes) with an RDn / WRn / P_WRn command.
+_GRANULES = (16, 32, 48, 64, 80, 96, 112, 128, 256)
+_READ_CMDS = {n: hmc_rqst_t[f"RD{n}"] for n in _GRANULES}
+_WRITE_CMDS = {n: (hmc_rqst_t[f"WR{n}"], hmc_rqst_t[f"P_WR{n}"]) for n in _GRANULES}
 
 
-def _read_cmd(nbytes: int) -> hmc_rqst_t:
-    try:
-        return _READ_CMDS[nbytes]
-    except KeyError:
-        raise ValueError(
-            f"read size {nbytes} is not an HMC granule {sorted(_READ_CMDS)}"
-        ) from None
-
-
-def _write_cmd(nbytes: int, posted: bool) -> hmc_rqst_t:
-    try:
-        pair = _WRITE_CMDS[nbytes]
-    except KeyError:
-        raise ValueError(
-            f"write size {nbytes} is not an HMC granule {sorted(_WRITE_CMDS)}"
-        ) from None
-    return pair[1] if posted else pair[0]
+def _granule_error(kind: str, nbytes: int) -> ValueError:
+    return ValueError(f"{kind} size {nbytes} is not an HMC granule {list(_GRANULES)}")
 
 
 class SimThread:

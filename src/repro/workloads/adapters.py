@@ -24,7 +24,9 @@ lint).
 
 from __future__ import annotations
 
+import operator
 import struct
+from itertools import repeat
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.cmc_ops.mutex import init_lock, load_mutex_ops
@@ -360,7 +362,9 @@ class StreamWorkload(KernelWorkload):
         b_vals, c_vals = self._inputs(params)
         n, q = len(b_vals), params["q"]
         got = struct.unpack(f"<{n}d", sim.mem_read(self._BASES[0], n * 8))
-        return max(abs(g - (bv + q * cv)) for g, bv, cv in zip(got, b_vals, c_vals))
+        # Lazy map()s over C functions: no frame and no list per element.
+        want = map(operator.add, b_vals, map(operator.mul, repeat(q), c_vals))
+        return max(map(abs, map(operator.sub, got, want)))
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
         return self._max_abs_error(sim, params) == 0.0
@@ -438,7 +442,8 @@ class GUPSWorkload(KernelWorkload):
         for r in self._updates(params):
             ref[r % entries] ^= r
         table = sim.mem_read(self._TABLE_BASE, entries * 16)
-        return all(_u64_at(table, i) == ref[i] for i in range(entries))
+        # Every entry's low word, in one unpack.
+        return list(struct.unpack(f"<{2 * entries}Q", table)[::2]) == ref
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
         if not params["atomic"]:

@@ -5,20 +5,27 @@ CMC-eligible code (CMC04..CMC127) through packet build → encode →
 decode, checking head/tail field extraction, FLIT accounting, and CRC
 rejection of corrupted words; and drives the address map through
 encode ∘ decode == identity at the capacity boundaries (2/4/8 GB ×
-every block size), including top-of-cube addresses.
+every block size), including top-of-cube addresses.  The predecoded
+``RequestPacket.build`` and the ``ThreadCtx`` builders are held to a
+reference copy of the table-driven builder over all 128 codes.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import HMCAddressError, HMCPacketError
+from repro.errors import HMCAddressError, HMCPacketError, HMCSimError
 from repro.hmc.addrmap import AddressMap
 from repro.hmc.commands import (
     CMC_CODES,
     DEFINED_CODES,
+    FLIT_BYTES,
+    MAX_PACKET_FLITS,
     CommandKind,
     command_for_code,
+    command_info,
     hmc_rqst_t,
 )
 from repro.hmc.config import HMCConfig
@@ -30,6 +37,8 @@ from repro.hmc.packet import (
     ResponsePacket,
     field_get,
 )
+from repro.hmc.sim import HMCSim
+from repro.host.thread import ThreadCtx
 
 #: The full spec command inventory, sorted for deterministic sharing.
 _SPEC_CODES = sorted(DEFINED_CODES)
@@ -134,6 +143,143 @@ class TestRequestRoundTripAllCommands:
         back = RequestPacket.decode(words, check_crc=True)
         assert (back.cmd, back.tag, back.addr, back.cub) == (code, tag, addr, cub)
         assert back.data == data + bytes((flits - 1) * 16 - len(data))
+
+
+def _reference_build(rqst, addr, tag, *, cub=0, data=b"", rqst_flits=None):
+    """``RequestPacket.build`` written over ``command_info`` and
+    ``CommandKind``: the reference the predecoded builder must equal."""
+    info = command_info(rqst)
+    if info.kind is CommandKind.CMC:
+        if rqst_flits is None:
+            raise HMCPacketError(
+                f"{rqst.name}: CMC requests need an explicit rqst_flits "
+                "(use HMCSim.build_memrequest after loading the CMC op)"
+            )
+        flits = rqst_flits
+    else:
+        flits = info.rqst_flits
+        assert flits is not None
+    if not 1 <= flits <= MAX_PACKET_FLITS:
+        raise HMCPacketError(f"request length {flits} FLITs out of range 1..17")
+    want = (flits - 1) * FLIT_BYTES
+    if info.kind is CommandKind.CMC and len(data) < want:
+        data = data + bytes(want - len(data))
+    if len(data) != want:
+        raise HMCPacketError(
+            f"{rqst.name}: payload is {len(data)} bytes, "
+            f"a {flits}-FLIT request carries exactly {want}"
+        )
+    if not 0 <= tag <= MAX_TAG:
+        raise HMCPacketError(f"tag {tag} outside 11-bit tag space")
+    if not 0 <= cub <= MAX_CUB:
+        raise HMCPacketError(f"cub {cub} outside 3-bit cube space")
+    if addr < 0 or addr > ADDR_MASK:
+        raise HMCPacketError(f"address {addr:#x} outside 34-bit ADRS space")
+    return RequestPacket(cmd=int(rqst), tag=tag, addr=addr, cub=cub, data=data)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A packet, or ``(exception type, message)``."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+
+
+def _edges(lo, hi):
+    """Values in ``[lo, hi]`` with the boundaries and one past them weighted."""
+    return st.one_of(st.sampled_from([lo - 1, lo, hi, hi + 1]), st.integers(lo, hi))
+
+
+#: The read/write sizes ``ThreadCtx`` maps onto RDn/WRn commands.
+_GRANULES = (16, 32, 48, 64, 80, 96, 112, 128, 256)
+_M64 = (1 << 64) - 1
+
+
+class TestBuildEquivalence:
+    """The predecoded ``build`` and the ``ThreadCtx`` builders return what
+    the reference builder and ``build_memrequest`` return, or raise the
+    same exception with the same text, for every command code."""
+
+    @given(
+        code=st.integers(0, 127),
+        nbytes=st.one_of(
+            st.sampled_from([16 * k for k in range(18)]), st.integers(0, 300)
+        ),
+        fill=st.integers(0, 255),
+        tag=_edges(0, MAX_TAG),
+        cub=_edges(0, MAX_CUB),
+        addr=_edges(0, ADDR_MASK),
+        rqst_flits=st.one_of(st.none(), st.integers(1, 18)),
+    )
+    @settings(max_examples=1500)
+    def test_build_matches_reference(
+        self, code, nbytes, fill, tag, cub, addr, rqst_flits
+    ):
+        rqst = hmc_rqst_t(code)
+        data = bytes((fill + i) & 0xFF for i in range(nbytes))
+        kwargs = dict(cub=cub, data=data, rqst_flits=rqst_flits)
+        want = _outcome(_reference_build, rqst, addr, tag, **kwargs)
+        got = _outcome(RequestPacket.build, rqst, addr, tag, **kwargs)
+        assert got == want
+
+    @given(
+        tid=st.integers(0, MAX_TAG),
+        cub=st.integers(0, MAX_CUB),
+        addr=st.integers(0, ADDR_MASK),
+        nbytes=st.sampled_from(_GRANULES),
+        fill=st.integers(0, 255),
+        posted=st.booleans(),
+        compare=st.integers(-(1 << 64), 1 << 65),
+        swap=st.integers(-(1 << 64), 1 << 65),
+    )
+    @settings(max_examples=300)
+    def test_thread_builders_match_build_memrequest(
+        self, tid, cub, addr, nbytes, fill, posted, compare, swap
+    ):
+        sim = HMCSim(HMCConfig.cfg_4link_4gb())
+        ctx = ThreadCtx(sim, tid, link=0, cub=cub)
+        data = bytes((fill + i) & 0xFF for i in range(nbytes))
+        operand = data[:16]
+        cas = (compare & _M64).to_bytes(8, "little") + (swap & _M64).to_bytes(
+            8, "little"
+        )
+
+        def memrequest(name, payload=b""):
+            return sim.build_memrequest(
+                hmc_rqst_t[name], addr, tid, cub=cub, data=payload
+            )
+
+        assert ctx.read(addr, nbytes) == memrequest(f"RD{nbytes}")
+        assert ctx.write(addr, data, posted) == memrequest(
+            f"{'P_' if posted else ''}WR{nbytes}", data
+        )
+        assert ctx.inc8(addr, posted) == memrequest("P_INC8" if posted else "INC8")
+        assert ctx.xor16(addr, operand) == memrequest("XOR16", operand)
+        assert ctx.caseq8(addr, compare, swap) == memrequest("CASEQ8", cas)
+
+    def test_thread_builder_refusals(self, sim):
+        ctx = ThreadCtx(sim, 0, link=0)
+        for kind, build in (
+            ("read", lambda: ctx.read(0, 24)),
+            ("write", lambda: ctx.write(0, bytes(24))),
+        ):
+            message = f"{kind} size 24 is not an HMC granule {list(_GRANULES)}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+        with pytest.raises(HMCPacketError, match="XOR16: payload is 8 bytes"):
+            ctx.xor16(0, bytes(8))
+        sim.free()
+        for build in (
+            lambda: ctx.read(0, 64),
+            lambda: ctx.write(0, bytes(16)),
+            lambda: ctx.inc8(0),
+            lambda: ctx.xor16(0, bytes(16)),
+            lambda: ctx.caseq8(0, 1, 2),
+            lambda: ctx.request(hmc_rqst_t.RD16, 0),
+        ):
+            with pytest.raises(HMCSimError, match="has been freed"):
+                build()
 
 
 class TestResponseRoundTrip:

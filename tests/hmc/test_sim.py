@@ -245,6 +245,35 @@ class TestAPIErrors:
                 call()
         assert sim.mem_read(0, 16) == bytes(16)  # nothing was written
 
+    def test_send_cub_beyond_single_cube(self):
+        """A CUB naming no cube is refused before any state changes: it
+        must not execute on cube 0, answer as cube 0, and leave its
+        (cub, tag) outstanding forever."""
+        sim = HMCSim(HMCConfig.cfg_4link_4gb())
+        pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0x1000, 5, cub=3)
+        with pytest.raises(HMCSimError, match="no cube 3 in this context"):
+            sim.send(pkt)
+        sim.drain()
+        assert sim.recv() is None
+        stats = sim.stats()
+        assert (stats["sent_rqsts"], stats["outstanding"]) == (0, 0)
+        # Tag 5 was never taken: the same tag on a real cube goes through.
+        fixed = sim.build_memrequest(hmc_rqst_t.RD16, 0x1000, 5, cub=0)
+        assert sim.send(fixed) is HMCStatus.OK
+
+    def test_send_cub_beyond_chain(self):
+        """Two chained cubes: CUB 5 is refused at send, not forwarded to
+        fail in the topology relay as an IndexError inside ``clock``."""
+        sim = HMCSim(HMCConfig(num_devs=2, capacity=2))
+        pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0x1000, 5, cub=5)
+        with pytest.raises(HMCSimError, match="no cube 5 in this context"):
+            sim.send(pkt, dev=1)
+        sim.clock(8)
+        assert sim.idle()
+        assert sim.stats()["outstanding"] == 0
+        with pytest.raises(HMCSimError, match="no device 2 in this context"):
+            sim.send(pkt, dev=2)  # a bad device is still named first
+
     def test_send_bad_link(self, sim):
         with pytest.raises(ValueError):
             sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 0), link=9)
