@@ -332,10 +332,10 @@ class Device:
                         retired.append(rsp)
                         out += 1
                         flits += 1 + len(rsp.data) // 16
+                        self.retired_rsps -= 1  # counted once, below
                 retired.append(rsp)
                 out += 1
                 flits += 1 + len(rsp.data) // 16  # rsp.lng, inlined
-                self.retired_rsps += 1
                 if tmask & _T_CMD:
                     resp = rsp.response
                     op = resp.name if resp is not None else f"CMC_RSP({rsp.cmd})"
@@ -348,6 +348,7 @@ class Device:
                     )
             queue.pops += run
             xbar.rsp_occ -= run
+            self.retired_rsps += out
             link.rsps_out += out
             link.flits_out += flits
 

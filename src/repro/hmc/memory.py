@@ -40,8 +40,6 @@ __all__ = [
 #: Bytes per lazily-allocated page of the default (``paged``) backend.
 PAGE_SIZE = 4096
 
-_PAGE_MASK = PAGE_SIZE - 1
-
 #: Packet-granule reads copy out of the page in one call, not a
 #: bytearray slice plus a ``bytes`` conversion.
 _TAKE = {n: struct.Struct(f"{n}s").unpack_from for n in (8, *range(16, 129, 16), 256)}
@@ -57,6 +55,9 @@ class MemoryBackend(MemoryModel):
 
     #: log2 of the page size; subclasses override to change geometry.
     PAGE_SHIFT = 12
+
+    #: Store address of local address 0, as on a :class:`MemoryView`.
+    _base = 0
 
     def __init__(self, capacity: int):
         if capacity <= 0:

@@ -39,7 +39,7 @@ from repro.errors import (
     HMCAddressError,
     HMCSimError,
 )
-from repro.hmc.amo import execute_amo
+from repro.hmc.amo import AMO_TABLE, amo_refusal, run_amo
 from repro.hmc.bank import Bank
 from repro.hmc.commands import (
     ARM_ATOMIC,
@@ -196,8 +196,9 @@ class FIFOVaultScheduler(VaultScheduler):
         n0 = len(dq)
         if n0 == 0:
             return
-        services = _services(device.sim)
-        sim, _, tracer, tmask, _ = services
+        sim = device._sim()
+        tracer, tmask = sim.tracer, sim.tracer.mask
+        services = (sim, sim.faults, tracer, tmask, sim.power)
         rsp_budget = device.config.vault_rsp_rate
         banks = vault.banks
         xbar = device.xbar
@@ -352,14 +353,6 @@ class RoundRobinVaultScheduler(FIFOVaultScheduler):
         self._next_bank = doc["next_bank"]
 
 
-def _services(sim: Any) -> Tuple[Any, Any, Any, int, Any]:
-    """What every request of one scan shares — ``(context, fault
-    controller, tracer, trace mask, power model)`` — resolved once per
-    scan and handed to :func:`process_rqst`."""
-    tracer = sim.tracer
-    return sim, sim.faults, tracer, tracer.mask, sim.power
-
-
 def _error_response(
     device: "Device", flight: Flight, errstat: int
 ) -> ResponsePacket:
@@ -379,20 +372,23 @@ def process_rqst(
 ) -> Optional[ResponsePacket]:
     """Execute one request against the device — ``hmcsim_process_rqst``.
 
-    ``services`` is the calling scan's :func:`_services` tuple — the
-    context, its fault controller, tracer, trace mask and power model,
+    ``services`` is what every request of the calling scan shares —
+    ``(context, fault controller, tracer, trace mask, power model)``,
     resolved once for the whole scan; a caller outside a scan leaves it
     out and they are resolved here.
 
     Returns the response packet, or None for posted commands.
     Execution errors never raise out of the pipeline: they become
-    ``RSP_ERROR`` responses (or, for *posted* requests, are counted
-    and dropped) so a misbehaving request cannot wedge the simulation.
+    ``RSP_ERROR`` responses (or, for *posted* requests, are dropped) so
+    a misbehaving request cannot wedge the simulation.  Only CMC
+    errors are counted, posted or not: ``device.cmc_rejects`` (inactive
+    op) and ``device.cmc_failures`` (the plugin failed).
     """
     pkt: RequestPacket = flight.pkt
     info = flight.info
     if services is None:
-        services = _services(device.sim)
+        sim = device.sim
+        services = (sim, sim.faults, sim.tracer, sim.tracer.mask, sim.power)
     sim, faults, tracer, tmask, power = services
 
     arm = info.arm
@@ -405,9 +401,23 @@ def process_rqst(
 
     try:
         if arm == ARM_ATOMIC:
-            result = execute_amo(device._mem, pkt.addr, pkt.cmd, pkt.data)
-            rsp_data = result.rsp_data
-            errstat = result.errstat
+            # execute_amo's checks, and run_amo's resident-page case here.
+            data = pkt.data
+            row = AMO_TABLE.get(pkt.cmd)
+            if row is None or len(data) != row[1]:
+                raise amo_refusal(pkt.cmd, data)
+            mem = device._mem
+            a = pkt.addr + mem._base
+            off = a & mem._pmask
+            page = mem._pages.get(a >> mem._shift)
+            if page is not None and off + row[4] <= mem._psize and (
+                0 <= pkt.addr <= mem.capacity - row[4]
+            ):
+                rsp_data, errstat, _ = row[0](page, off, data)
+            else:
+                rsp_data, errstat, _ = run_amo(mem, pkt.addr, row, data)
+            if len(rsp_data) != row[2]:
+                raise amo_refusal(pkt.cmd, data, rsp_data)
         elif arm == ARM_READ:
             rsp_data = device._mem.read(pkt.addr, info.rsp_bytes)
             if faults is not None and faults.has_dram:

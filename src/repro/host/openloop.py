@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.errors import HMCStatus
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
+from repro.hmc.sim import _EXPECTS, _STALL, HMCSim
 
 __all__ = ["OpenLoopStats", "drive_open_loop", "run_open_loop"]
 
@@ -132,7 +131,8 @@ def drive_open_loop(
         offered_rate: requests per device cycle (fractional rates use a
             deterministic accumulator).
         duration: injection window in cycles; the run then drains.
-        max_drain: drain-phase safety bound.
+        max_drain: bound on cycles without progress: of the drain phase,
+            and of depth-gated cycles that neither inject nor complete.
         link_for: link choice per stream index; round-robin over the
             config's links when omitted.
         depth: when set, ignore ``offered_rate``/``duration`` and gate
@@ -146,6 +146,8 @@ def drive_open_loop(
             window so ``achieved_rate`` stays honest.
     """
     num_links = sim.config.num_links
+    links = sim.devices[0].links
+    latencies = stats.latencies
     free_tags = list(range(0x800))
     inject_cycle: Dict[int, int] = {}
 
@@ -155,22 +157,26 @@ def drive_open_loop(
 
     send = sim.send
     expects_response = sim.expects_response
-    STALL = HMCStatus.STALL
+    STALL = _STALL
 
     def drain_responses() -> None:
         now = sim.cycle
         for link in range(num_links):
-            for rsp in sim.recv_batch(link=link):
-                stats.completed += 1
-                stats.latencies.append(now - inject_cycle.pop(rsp.tag))
-                free_tags.append(rsp.tag)
+            if links[link].retired:  # else nothing to collect: no recv call
+                done = sim.recv_batch(link=link)
+                stats.completed += len(done)
+                for rsp in done:
+                    latencies.append(now - inject_cycle.pop(rsp.tag))
+                    free_tags.append(rsp.tag)
 
     if depth is not None:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         window = 0
-        while idx < count and window < max_drain:
+        stalled = 0  # consecutive cycles that neither injected nor completed
+        while idx < count and stalled < max_drain:
             now = sim.cycle  # constant until the clock below
+            first, completed = idx, stats.completed
             while len(inject_cycle) < depth and idx < count and free_tags:
                 tag = free_tags.pop()
                 pkt = build(idx, tag)
@@ -179,16 +185,23 @@ def drive_open_loop(
                     free_tags.append(tag)
                     stats.backlogged += 1
                     break
-                if expects_response(pkt):
+                expects = _EXPECTS[pkt.cmd]  # expects_response, from send's memo
+                if expects is None and (
+                    sim._cmc_expects_epoch != sim.cmc.epoch
+                    or (expects := sim._cmc_expects.get(pkt.cmd)) is None
+                ):
+                    expects = expects_response(pkt)
+                if expects:
                     inject_cycle[tag] = now
                 else:
                     free_tags.append(tag)  # posted: nothing to await
-                stats.injected += 1
                 idx += 1
                 link_rr = (link_rr + 1) % num_links
+            stats.injected += idx - first
             sim.clock()
             drain_responses()
             window += 1
+            stalled = 0 if idx > first or stats.completed > completed else stalled + 1
         stats.duration = max(1, window)
         stats.depth = depth
     else:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import HMCPacketError
+from repro.errors import HMCAddressError, HMCPacketError, HMCStatus
 from repro.hmc.amo import (
     AMO_TABLE,
     ERRSTAT_EQ_FAIL,
@@ -19,7 +19,10 @@ from repro.hmc.commands import (
     command_info,
     hmc_rqst_t,
 )
-from repro.hmc.memory import MemoryBackend
+from repro.hmc.config import HMCConfig
+from repro.hmc.memory import ChunkedMemoryBackend, MemoryBackend
+from repro.hmc.sim import HMCSim
+from tests.hmc import amo_read_write
 
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -327,12 +330,14 @@ class TestPredecodedTable:
 
     def test_predecoded_sizes_match_table_i(self):
         assert len(AMO_TABLE) == 25
-        for code, (handler, rqst_bytes, rsp_bytes, name) in AMO_TABLE.items():
+        for code, row in AMO_TABLE.items():
+            handler, rqst_bytes, rsp_bytes, name, width, always_writes = row
             info = command_info(hmc_rqst_t(code))
             assert callable(handler)
             assert rqst_bytes == info.rqst_data_bytes
             assert rsp_bytes == info.rsp_data_bytes
             assert name == info.rqst.name
+            assert width in (8, 16) and always_writes in (True, False)
 
     def test_every_command_predecodes_its_sizes(self):
         for info in COMMAND_TABLE_LIST:
@@ -425,7 +430,7 @@ class TestAgainstIntReference:
     )
     @settings(max_examples=600, deadline=None)
     def test_handler_matches_reference(self, code, m, p):
-        _handler, rqst_bytes, rsp_bytes, name = AMO_TABLE[code]
+        _handler, rqst_bytes, rsp_bytes, name, _, _ = AMO_TABLE[code]
         mem = MemoryBackend(64)
         mem.write(16, u128(m))
         result = execute_amo(mem, 16, code, u128(p)[:rqst_bytes])
@@ -456,3 +461,143 @@ class TestAgainstIntReference:
         mem.write(0, u128((1 << 127) - 1))
         execute_amo(mem, 0, int(hmc_rqst_t.ADD16), u128(1))
         assert mem.read(0, 16) == u128(1 << 127)
+
+
+#: Where in its page a target starts: aligned (0, 16), the page's last
+#: 16 and last 8 bytes, and offsets whose operand straddles into the
+#: next page (the 8-byte atomics straddle only at -4).
+_PAGE_OFFSETS = (0, 16, -16, -8, -12, -4)
+#: Store pages to drop after the operand is written: both (a cold
+#: target), neither, or one side of a straddling target.
+_COLD_PAGES = {"cold": (1, 2), "resident": (), "first": (2,), "second": (1,)}
+#: A view rebased off a page boundary, as a chained topology's devices are.
+_VIEW_BASE = 2048 + 40
+
+
+def _store(geometry):
+    """``(backend, memory the atomic runs on)``: a 4 KiB-page store, a
+    64 KiB-chunk store, or a view at ``_VIEW_BASE`` of a 4 KiB-page one."""
+    if geometry == "chunked":
+        backend = ChunkedMemoryBackend(3 << 16)
+    else:
+        backend = MemoryBackend(4 << 12)
+    if geometry == "view":
+        return backend, backend.view(_VIEW_BASE, 3 << 12)
+    return backend, backend
+
+
+def _outcome(execute, geometry, code, off, cold, m, payload):
+    """Run one atomic on a fresh store; return everything observable."""
+    backend, mem = _store(geometry)
+    psize = backend.page_size
+    # A target in the store's page 1, so that page 2 is the one a
+    # straddling operand runs into.
+    addr = psize + off % psize - (_VIEW_BASE if mem is not backend else 0)
+    mem.write(addr, u128(m))
+    for page_no in _COLD_PAGES[cold]:
+        backend._pages.pop(page_no, None)
+    before = mem.read(addr, 16)
+    result = execute(mem, addr, code, payload)
+    return (
+        result.rsp_data,
+        result.errstat,
+        # Every resident page and its bytes: the page set and the image.
+        list(backend.iter_resident()),
+        before,
+        mem.read(addr, 16),
+    )
+
+
+class TestInPlaceAgainstReadWrite:
+    """The atomic unit computes in place on the resident page.  The
+    oracle shares these handlers (``reference_amo``), so they are checked
+    here on their own: against the read-then-write unit kept verbatim in
+    ``amo_read_write`` (which also pins which pages get materialized) and
+    against the pure-``int`` model, on every page geometry."""
+
+    @given(
+        code=st.sampled_from(sorted(AMO_TABLE)),
+        off=st.sampled_from(_PAGE_OFFSETS),
+        cold=st.sampled_from(sorted(_COLD_PAGES)),
+        geometry=st.sampled_from(("paged", "chunked", "view")),
+        m=_operand,
+        p=_operand,
+    )
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_read_then_write(self, code, off, cold, geometry, m, p):
+        _, rqst_bytes, _, name, _, _ = AMO_TABLE[code]
+        payload = u128(p)[:rqst_bytes]
+        args = (geometry, code, off, cold, m, payload)
+        got = _outcome(execute_amo, *args)
+        assert got == _outcome(amo_read_write.execute_amo, *args), name
+        rsp, errstat, _, before, after = got
+        want_mem, want_rsp, want_errstat = _int_reference(
+            name, int.from_bytes(before, "little"), p
+        )
+        assert after == u128(want_mem), name
+        assert rsp == (b"" if want_rsp is None else u128(want_rsp)), name
+        assert errstat == want_errstat, name
+
+    def test_target_past_the_end_fails_alike(self):
+        """A 16-byte operand over the last 8 bytes is refused with no
+        page materialized; an 8-byte one there executes."""
+        for geometry in ("paged", "chunked", "view"):
+            for code, (_, rqst_bytes, _, name, width, _) in AMO_TABLE.items():
+                seen = []
+                for execute in (execute_amo, amo_read_write.execute_amo):
+                    backend, mem = _store(geometry)
+                    try:
+                        result = execute(
+                            mem, mem.capacity - 8, code, bytes(rqst_bytes)
+                        )
+                        outcome = (result.rsp_data, result.errstat)
+                    except HMCAddressError:
+                        outcome = "HMCAddressError"
+                    seen.append((outcome, list(backend.iter_resident())))
+                assert seen[0] == seen[1], (geometry, name)
+                if width == 16:
+                    assert seen[0] == ("HMCAddressError", []), name
+
+    @pytest.mark.parametrize("memory", ["paged", "chunked"])
+    def test_datapath_agrees_with_execute_amo(self, memory):
+        """``process_rqst`` runs the resident-page case in its own frame.
+        On cube 1 of a chain (a view rebased past cube 0) its responses
+        and the pages it materializes must be ``execute_amo``'s, and cube
+        0's pages at the same local addresses must stay untouched."""
+        filler = bytes(range(0xF0, 0x100))
+        for code, (_, rqst_bytes, _, name, _, _) in sorted(AMO_TABLE.items()):
+            sim = HMCSim(HMCConfig(num_devs=2, capacity=2, memory=memory))
+            ref = type(sim.backend)(sim.config.capacity_bytes)
+            cube0 = type(sim.backend)(sim.config.capacity_bytes)
+            psize = sim.backend.page_size
+            cases = [
+                (off, resident, payload)
+                for off in _PAGE_OFFSETS
+                for resident in (False, True)
+                for payload in (bytes(16), bytes(range(1, 17)))
+            ]
+            for tag, (off, resident, payload) in enumerate(cases):
+                addr = (2 * tag + 1) * psize + off % psize
+                payload = payload[:rqst_bytes]
+                sim.mem_write(addr, filler, dev=0)
+                cube0.write(addr, filler)
+                if resident:
+                    sim.mem_write(addr, filler, dev=1)
+                    ref.write(addr, filler)
+                want = execute_amo(ref, addr, code, payload)
+                pkt = sim.build_memrequest(
+                    hmc_rqst_t(code), addr, tag, cub=1, data=payload
+                )
+                assert sim.send(pkt) is HMCStatus.OK
+                sim.drain()
+                rsp = sim.recv()
+                if COMMAND_TABLE_LIST[code].posted:
+                    assert rsp is None
+                else:
+                    got = (rsp.data, rsp.errstat)
+                    assert got == (want.rsp_data, want.errstat), (name, off)
+            base = sim.config.capacity_bytes  # cube 1's first byte
+            image = list(sim.backend.iter_resident())
+            assert image == list(cube0.iter_resident()) + [
+                (a + base, page) for a, page in ref.iter_resident()
+            ], name

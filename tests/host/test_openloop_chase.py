@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.faults.plan import FaultPlan
+from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
+from repro.hmc.sim import HMCSim
 from repro.host.kernels.pointer_chase import build_chain
 from tests.conftest import run_workload
-from repro.host.openloop import run_open_loop
+from repro.host.openloop import OpenLoopStats, drive_open_loop, run_open_loop
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +170,32 @@ class TestZeroLengthWindow:
         assert s.achieved_rate == 0.0
         assert s.completed == 0
         assert s.saturated is True
+
+
+class TestDepthGatedStream:
+    """Regression: depth-gated injection ran until the stream was
+    exhausted *or* ``max_drain`` cycles had passed, so a stream longer
+    than that window was silently cut short (33 334 of 40 001 here)."""
+
+    def test_whole_stream_is_injected(self, cfg):
+        s = run_open_loop(cfg, offered_rate=40.0, duration=1000, depth=1)
+        assert s.injected == s.completed == 40_001
+        # One request in flight, three cycles per round trip.
+        assert s.duration == 3 * 40_001 - 2
+
+    def test_a_run_without_progress_stops_after_max_drain(self, cfg):
+        # Every response is dropped: the one request in flight never
+        # completes, so nothing is injected after it either.
+        sim = HMCSim(cfg, faults=FaultPlan.parse(["xbar_drop=1.0"]))
+        stats = OpenLoopStats(
+            config_name="x", pattern="stuck", offered_rate=0.0, duration=1,
+            injected=0, completed=0, backlogged=0, drain_cycles=0,
+        )
+        drive_open_loop(
+            sim, stats, 8,
+            lambda idx, tag: sim.build_memrequest(hmc_rqst_t.RD16, 0, tag),
+            offered_rate=0.0, duration=0, depth=1, max_drain=50,
+        )
+        assert (stats.injected, stats.completed) == (1, 0)
+        assert stats.duration == 51  # the injecting cycle + 50 idle ones
+        assert stats.drain_cycles == 50
