@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Iterable, Optional, Union
 
@@ -78,6 +79,8 @@ CONFIG_NAMES = ("4link_4gb", "8link_8gb")
 
 _MAX_LINE = 8 * 1024 * 1024  # one message may carry a whole result payload
 
+_SESSION_NAME = re.compile(r"[A-Za-z0-9_-]{1,64}")
+
 
 # -- request model -------------------------------------------------------------
 
@@ -102,8 +105,8 @@ class Request:
     replay: bool = True
 
 
-def _require(doc: Dict[str, Any], key: str, types, what: str) -> Any:
-    value = doc.get(key)
+def _require(doc: Dict[str, Any], key: str, types, what: str, default: Any = None) -> Any:
+    value = doc.get(key, default)
     if not isinstance(value, types):
         raise ServeError(
             "bad_request",
@@ -119,7 +122,7 @@ def decode_request(line: str) -> Dict[str, Any]:
         raise ServeError("bad_request", f"message exceeds {_MAX_LINE} bytes")
     try:
         doc = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # "[" * 10**5 recurses
         raise ServeError("bad_request", f"malformed JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ServeError("bad_request", "message must be a JSON object")
@@ -137,7 +140,8 @@ def parse_request(line: Union[str, Dict[str, Any]]) -> Request:
     """
     doc = decode_request(line) if isinstance(line, str) else line
     version = doc.get("v")
-    if version != PROTOCOL_VERSION:
+    # ``True == 1`` and ``1.0 == 1``: the version is an integer or wrong.
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ServeError(
             "protocol_version",
             f"protocol version {version!r} is not supported "
@@ -180,7 +184,8 @@ def parse_request(line: Union[str, Dict[str, Any]]) -> Request:
         req.components = components
         session = doc.get("session")
         if session is not None:
-            if not isinstance(session, str) or not _valid_session_name(session):
+            # Not str.isalnum(): it admits "é", "٣" and fullwidth digits.
+            if not isinstance(session, str) or not _SESSION_NAME.fullmatch(session):
                 raise ServeError(
                     "bad_request",
                     "create: 'session' must be 1-64 chars of [A-Za-z0-9_-]",
@@ -197,18 +202,12 @@ def parse_request(line: Union[str, Dict[str, Any]]) -> Request:
             )
         req.kind = kind
         req.spec = _require(doc, "spec", dict, "submit request")
-        req.wait = bool(doc.get("wait", False))
+        # A JSON boolean: bool("false") would be True.
+        req.wait = _require(doc, "wait", bool, "submit request", False)
 
     if rtype == "attach":
-        req.replay = bool(doc.get("replay", True))
+        req.replay = _require(doc, "replay", bool, "attach request", True)
     return req
-
-
-def _valid_session_name(name: str) -> bool:
-    return (
-        0 < len(name) <= 64
-        and all(c.isalnum() or c in "_-" for c in name)
-    )
 
 
 # -- server → client messages --------------------------------------------------

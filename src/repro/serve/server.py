@@ -2,18 +2,19 @@
 
 :class:`SimServer` keeps many :class:`~repro.serve.session.SimSession`
 instances warm and serves concurrent clients over line-delimited JSON
-on a Unix-domain socket.  The concurrency model:
+on a Unix-domain socket.  The concurrency model is single ownership:
 
-* The **event loop** owns the socket, parses requests, and enforces
-  admission control; it never runs simulation cycles.
-* Each session gets a **worker coroutine** draining a *bounded*
-  submission queue; the CPU-bound fenced segments run on a small
-  thread pool (``run_in_executor``), so many sessions interleave while
-  the loop stays responsive.  Sessions execute their own submissions
-  strictly in order — the determinism the resume contract needs.
-* **Backpressure** is the bounded queue: when a session's queue is
-  full, ``submit`` waits (the client's request simply doesn't get its
-  ack yet) rather than buffering unboundedly.
+* Each live session has **one owner thread**, the only code that
+  touches it: creation (or load), ``accept``, ``execute_next``,
+  ``drain`` and ``close`` run there in the order the loop enqueued
+  them, and while no request waits the owner executes the journal
+  head.  No lock; submissions run strictly in order, the determinism
+  the resume contract needs.
+* The **event loop** owns the socket and admission control.  It never
+  runs cycles or reads a session: it enqueues jobs and awaits them, and
+  ``stat``/``attach`` read what the owner publishes after every step.
+* **Backpressure**: a ``submit``'s ack waits until no more than
+  ``queue_depth`` acked submissions of the session are unfinished.
 
 Admission control and quotas:
 
@@ -23,11 +24,11 @@ Admission control and quotas:
     Submissions journaled per session beyond the cap are refused with
     ``quota_exceeded``.
 ``queue_depth``
-    The bounded per-session queue (backpressure window).
+    The per-session backpressure window.
 
 Graceful drain: SIGTERM (or :meth:`drain`) broadcasts a ``draining``
-event, stops admitting sessions *and* submissions, cancels the
-workers between fences, checkpoints every live session, and exits.
+event and stops admitting sessions *and* submissions; each owner
+finishes the segment it is on, checkpoints its session and exits.
 Journaled-but-unexecuted submissions survive in the session
 directories; a restarted server (same ``--state-dir``) reloads every
 session, restores checkpoints, and re-executes the journal tails —
@@ -37,13 +38,14 @@ deterministically identical to never having been killed.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
+import queue
+import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.errors import ServeError
 from repro.serve import schemas
-from repro.serve.session import SessionState, SimSession
+from repro.serve.session import SessionState, SimSession, SubmissionRecord
 
 __all__ = ["ServeConfig", "SimServer"]
 
@@ -61,7 +63,6 @@ class ServeConfig:
         queue_depth: int = 16,
         checkpoint_every: int = 1,
         sweep_jobs: int = 1,
-        executor_threads: int = 4,
         cache_root: Optional[Path] = None,
     ) -> None:
         self.socket_path = Path(socket_path)
@@ -71,23 +72,139 @@ class ServeConfig:
         self.queue_depth = queue_depth
         self.checkpoint_every = checkpoint_every
         self.sweep_jobs = sweep_jobs
-        self.executor_threads = executor_threads
         self.cache_root = cache_root
 
 
 class _SessionHandle:
-    """Server-side state for one live session."""
+    """One session's owner thread, and what it publishes for the loop.
 
-    def __init__(self, session: SimSession, queue_depth: int) -> None:
-        self.session = session
-        self.queue: "asyncio.Queue[Optional[int]]" = asyncio.Queue(queue_depth)
-        self.worker: Optional[asyncio.Task] = None
+    The loop talks to the owner only through :meth:`call` (enqueue a job
+    that takes the session) and :meth:`stop` (the owner's last job); the
+    owner talks back only through ``call_soon_threadsafe``.
+    """
+
+    def __init__(self, make: Callable[[], SimSession]) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._jobs: "queue.SimpleQueue" = queue.SimpleQueue()
+        #: Resolves once ``make()`` has built (or loaded) the session.
+        self.ready: "asyncio.Future[None]" = self._loop.create_future()
+        #: The owner's last published ``session.snapshot()``.
+        self.snapshot: Dict[str, Any] = {}
+        #: Finished records in seq order: ``finished[seq - 1]``.
+        self.finished: List[SubmissionRecord] = []
+        #: Reads the immutable ``result-<seq>.json`` files, nothing else.
+        self.load_result: Callable[[int], Any] = lambda seq: None
         #: Writers attached to this session's stream.
         self.subscribers: Set[asyncio.StreamWriter] = set()
-        #: seq -> event set when that submission finishes (wait-mode).
-        self.done_events: Dict[int, asyncio.Event] = {}
-        #: A close is in flight: no new submissions, no worker restarts.
-        self.closing = False
+        #: seq -> event set when that submission finishes.
+        self._done: Dict[int, asyncio.Event] = {}
+        threading.Thread(
+            target=self._own, args=(make,), name="simserve-owner", daemon=True
+        ).start()
+
+    @property
+    def name(self) -> str:
+        return self.snapshot["session"]
+
+    # -- the event loop's side --------------------------------------------------
+
+    def call(self, job: Callable[[SimSession], Any]) -> "asyncio.Future[Any]":
+        """Run ``job(session)`` on the owner, after the jobs before it."""
+        future = self._loop.create_future()
+        self._jobs.put((job, future))
+        return future
+
+    def stop(self) -> None:
+        """The owner exits once the jobs already enqueued are done.
+
+        No job can follow: the caller unregisters the handle (close) or
+        has already refused new work (drain), and every :meth:`call`
+        follows its registry lookup without an ``await`` in between.
+        """
+        self._jobs.put((None, None))
+
+    async def finished_through(self, seq: int) -> None:
+        """Return once submission ``seq``, and so every earlier one, is done."""
+        if seq > len(self.finished):
+            await self._done.setdefault(seq, asyncio.Event()).wait()
+
+    def result_msg(self, rec: SubmissionRecord) -> Dict[str, Any]:
+        return schemas.result_msg(
+            self.name, rec.seq, rec.kind, self.load_result(rec.seq),
+            ok=rec.status == "done", error=rec.error,
+        )
+
+    def broadcast(self, msg: Dict[str, Any]) -> None:
+        data = schemas.encode_message(msg)
+        for writer in list(self.subscribers):
+            try:
+                writer.write(data)
+            except (ConnectionError, RuntimeError):
+                self.subscribers.discard(writer)
+
+    def _settle(self, future, result, exc, snapshot, records) -> None:
+        """Loop side of one owner step: publish, then answer the job."""
+        self.snapshot = snapshot
+        for rec in records:
+            self.finished.append(rec)
+            if self.subscribers:
+                self.broadcast(self.result_msg(rec))
+                self.broadcast(schemas.telemetry_msg(snapshot))
+            event = self._done.pop(rec.seq, None)
+            if event is not None:
+                event.set()
+        if future is not None and not future.cancelled():
+            if exc is not None:
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
+
+    # -- the owner thread -------------------------------------------------------
+
+    def _publish(self, session: SimSession, records=(), future=None, result=None, exc=None) -> None:
+        self._loop.call_soon_threadsafe(
+            self._settle, future, result, exc, session.snapshot(), list(records)
+        )
+
+    def _own(self, make: Callable[[], SimSession]) -> None:
+        """The owner thread: the only code that touches the session."""
+        try:
+            session = make()
+        except Exception as exc:  # noqa: BLE001 - the creator gets it
+            self._loop.call_soon_threadsafe(self._settle, self.ready, None, exc, {}, [])
+            return
+        self.load_result = session.load_result
+        done = [rec for rec in session.submissions if rec.status != "pending"]
+        self._publish(session, done, self.ready)
+        jobs = self._jobs
+        while True:
+            # Requests first: an accept, drain or close waits for at most
+            # the segment in progress, never for the whole backlog.
+            if jobs.empty() and session.pending() and session.state is not SessionState.DRAINING:
+                self._execute(session)
+                continue
+            job, future = jobs.get()
+            if job is None:
+                return
+            result = error = None
+            try:
+                result = job(session)
+            except Exception as exc:  # noqa: BLE001 - the caller gets it
+                error = exc
+            self._publish(session, (), future, result, error)
+
+    def _execute(self, session: SimSession) -> Optional[SubmissionRecord]:
+        """Owner side: run the journal head and publish the finished record."""
+        rec = session.execute_next()
+        if rec is not None:
+            self._publish(session, [rec])
+        return rec
+
+    def close(self, session: SimSession) -> None:
+        """The close job (owner side): the queued work, then the final fence."""
+        while self._execute(session) is not None:
+            pass
+        session.close()
 
 
 class SimServer:
@@ -98,10 +215,6 @@ class SimServer:
         self.handles: Dict[str, _SessionHandle] = {}
         self.draining = False
         self._server: Optional[asyncio.base_events.Server] = None
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=config.executor_threads,
-            thread_name_prefix="simserve",
-        )
         self._session_counter = 0
         self._sweep_executor = None
         self._clients: Set[asyncio.StreamWriter] = set()
@@ -135,7 +248,7 @@ class SimServer:
     async def start(self) -> None:
         """Bind the socket and resume any sessions found in state_dir."""
         self.config.state_dir.mkdir(parents=True, exist_ok=True)
-        self._resume_sessions()
+        await self._resume_sessions()
         self.config.socket_path.parent.mkdir(parents=True, exist_ok=True)
         if self.config.socket_path.exists():
             self.config.socket_path.unlink()
@@ -148,27 +261,25 @@ class SimServer:
             limit=schemas._MAX_LINE + 1024,
         )
 
-    def _resume_sessions(self) -> None:
-        """Reload every session directory; journal tails re-enqueue."""
+    async def _resume_sessions(self) -> None:
+        """Reload every session directory; each owner then runs its
+        journal tail."""
         for meta in sorted(self.config.state_dir.glob("*/meta.json")):
-            session = SimSession.load(
-                meta.parent,
-                checkpoint_every=self.config.checkpoint_every,
-                sweep_runner=self._sweep_runner,
+            handle = _SessionHandle(
+                lambda root=meta.parent: SimSession.load(
+                    root,
+                    checkpoint_every=self.config.checkpoint_every,
+                    sweep_runner=self._sweep_runner,
+                )
             )
-            if session.state == SessionState.CLOSED:
-                continue
-            handle = _SessionHandle(session, self.config.queue_depth)
-            self.handles[session.name] = handle
+            await handle.ready
+            if handle.snapshot["state"] == SessionState.CLOSED.value:
+                handle.stop()
+            else:
+                self.handles[handle.name] = handle
 
     async def serve_forever(self) -> None:
         """Accept requests until the listening socket is closed."""
-        # Workers start here (not in start()) so they run on the
-        # serving loop; resumed journal tails execute first.
-        for handle in self.handles.values():
-            self._start_worker(handle)
-            for rec in handle.session.pending():
-                await handle.queue.put(rec.seq)
         assert self._server is not None
         async with self._server:
             try:
@@ -190,9 +301,10 @@ class SimServer:
         (closing the listener cancels ``serve_forever``, which would
         otherwise end a bare ``run_until_complete`` mid-drain).
         """
+        # Before start(): a stop requested while it binds is kept, not lost.
+        self._stop_event = asyncio.Event()
         await self.start()
         loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
         if install_signal_handlers:
             import signal
 
@@ -219,28 +331,17 @@ class SimServer:
         self.draining = True
         if self._server is not None:
             self._server.close()
-        # Tell every attached client, then let workers finish the
-        # submission they are on (fences are quick; queued-but-unrun
-        # submissions stay journaled for the next incarnation).
+        # Tell every attached client, then let each owner finish the
+        # segment it is on, fence and exit (queued-but-unrun
+        # submissions stay journaled for the next incarnation).  A
+        # session mid-close fences after its close.
         event = schemas.event_msg("draining")
+        fences = []
         for handle in self.handles.values():
-            await self._broadcast(handle, event)
-        for handle in self.handles.values():
-            if handle.worker is not None:
-                handle.worker.cancel()
-        for handle in self.handles.values():
-            if handle.worker is not None:
-                try:
-                    await handle.worker
-                except asyncio.CancelledError:
-                    pass
-        # A cancelled worker's in-flight segment keeps running on its
-        # executor thread; wait for those threads *before* fencing so
-        # no session is touched from two threads at once.
-        self._executor.shutdown(wait=True)
-        for handle in self.handles.values():
-            if handle.session.state != SessionState.CLOSED:
-                handle.session.drain()
+            handle.broadcast(event)
+            fences.append(handle.call(SimSession.drain))
+            handle.stop()
+        await asyncio.gather(*fences, return_exceptions=True)
         # Hang up on every open client and reap the handler tasks.
         # (No wait_closed(): on 3.11 it blocks until every handler
         # task finishes, which deadlocks a drain issued from a
@@ -262,74 +363,6 @@ class SimServer:
         await asyncio.sleep(0)
         if self.config.socket_path.exists():
             self.config.socket_path.unlink()
-
-    # -- per-session worker ----------------------------------------------------
-
-    def _start_worker(self, handle: _SessionHandle) -> None:
-        if handle.closing:
-            return
-        if handle.worker is None or handle.worker.done():
-            handle.worker = asyncio.ensure_future(self._worker(handle))
-
-    async def _worker(self, handle: _SessionHandle) -> None:
-        """Drain the session's queue, one fenced segment at a time."""
-        loop = asyncio.get_running_loop()
-        while True:
-            seq = await handle.queue.get()
-            if seq is None:
-                return
-            try:
-                rec = await loop.run_in_executor(
-                    self._executor, handle.session.execute_next
-                )
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - fault barrier
-                # execute_next converts segment errors into a failed
-                # record; reaching here means the fence itself (drain,
-                # checkpoint, persist) blew up.  Fail the head record
-                # so a restarted worker does not re-pick the same
-                # poisoned submission, and keep this worker alive —
-                # a silent death would wedge the session and block
-                # wait-mode clients forever.
-                rec = handle.session.fail_next(
-                    f"{type(exc).__name__}: {exc}"
-                )
-            if rec is None:
-                continue
-            try:
-                payload = handle.session.load_result(rec.seq)
-                msg = schemas.result_msg(
-                    handle.session.name,
-                    rec.seq,
-                    rec.kind,
-                    payload,
-                    ok=rec.status == "done",
-                    error=rec.error,
-                )
-                await self._broadcast(handle, msg)
-                await self._broadcast(
-                    handle, schemas.telemetry_msg(handle.session.snapshot())
-                )
-            finally:
-                # Wait-mode clients block on this event; release them
-                # even if streaming the result out failed.
-                event = handle.done_events.pop(rec.seq, None)
-                if event is not None:
-                    event.set()
-
-    async def _broadcast(self, handle: _SessionHandle, msg: Dict[str, Any]) -> None:
-        data = schemas.encode_message(msg)
-        # Snapshot: a client disconnecting during the awaited drain()
-        # mutates the live set from its handler's cleanup.
-        for writer in list(handle.subscribers):
-            if writer not in handle.subscribers:
-                continue
-            try:
-                writer.write(data)
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                handle.subscribers.discard(writer)
 
     # -- client handling -------------------------------------------------------
 
@@ -443,11 +476,7 @@ class SimServer:
     async def _do_create(self, req: schemas.Request) -> Dict[str, Any]:
         if self.draining:
             raise ServeError("draining", "server is draining; no new sessions")
-        live = sum(
-            1
-            for h in self.handles.values()
-            if h.session.state != SessionState.CLOSED
-        )
+        live = len(self.handles)
         if live >= self.config.max_sessions:
             raise ServeError(
                 "over_capacity",
@@ -471,64 +500,65 @@ class SimServer:
             raise ServeError(
                 "bad_request", f"session {name!r} already exists"
             )
-        loop = asyncio.get_running_loop()
-        try:
-            session = await loop.run_in_executor(
-                self._executor,
-                lambda: SimSession(
+
+        def make() -> SimSession:
+            try:
+                return SimSession(
                     name,
                     req.config or "4link_4gb",
                     req.components,
                     root=self.config.state_dir,
                     checkpoint_every=self.config.checkpoint_every,
                     sweep_runner=self._sweep_runner,
-                ),
-            )
-        except FileExistsError:
-            raise ServeError(
-                "bad_request",
-                f"session directory for {name!r} already exists in "
-                f"{self.config.state_dir}",
-            ) from None
-        handle = _SessionHandle(session, self.config.queue_depth)
+                )
+            except FileExistsError:
+                raise ServeError(
+                    "bad_request",
+                    f"session directory for {name!r} already exists in "
+                    f"{self.config.state_dir}",
+                ) from None
+
+        handle = _SessionHandle(make)
+        try:
+            await handle.ready
+            if self.draining:  # drain began while the sim was built
+                raise ServeError("draining", "server is draining; no new sessions")
+        except BaseException:
+            handle.stop()  # a failed or abandoned create leaves no owner
+            raise
         self.handles[name] = handle
-        self._start_worker(handle)
-        return schemas.ok_msg(req.id, session=name, state=session.state.value)
+        return schemas.ok_msg(req.id, session=name, state=handle.snapshot["state"])
 
     async def _do_submit(self, req: schemas.Request) -> Dict[str, Any]:
         if self.draining:
             raise ServeError("draining", "server is draining; no new work")
         handle = self._handle(req.session)
-        if handle.closing:
-            raise ServeError(
-                "draining", f"session {handle.session.name!r} is closing"
-            )
-        session = handle.session
-        if len(session.submissions) >= self.config.max_requests_per_session:
-            raise ServeError(
-                "quota_exceeded",
-                f"session {session.name!r} has used its submission quota "
-                f"({self.config.max_requests_per_session}); open another "
-                f"session",
-            )
-        seq = session.accept(req.kind, req.spec)  # journals durably
-        done = asyncio.Event()
-        if req.wait:
-            handle.done_events[seq] = done
-        # Backpressure: a full queue makes this submit wait its turn.
-        await handle.queue.put(seq)
-        self._start_worker(handle)
+        quota = self.config.max_requests_per_session
+
+        def accept(session: SimSession) -> int:
+            if len(session.submissions) >= quota:
+                raise ServeError(
+                    "quota_exceeded",
+                    f"session {session.name!r} has used its submission "
+                    f"quota ({quota}); open another session",
+                )
+            return session.accept(req.kind, req.spec)  # journals durably
+
+        seq = await handle.call(accept)
+        # Backpressure: the ack waits until at most queue_depth acked
+        # submissions of this session are unfinished.
+        await handle.finished_through(seq - self.config.queue_depth)
         if not req.wait:
-            return schemas.ok_msg(req.id, session=session.name, submission=seq)
-        await done.wait()
-        rec = session.submissions[seq - 1]
+            return schemas.ok_msg(req.id, session=handle.name, submission=seq)
+        await handle.finished_through(seq)
+        rec = handle.finished[seq - 1]
         return schemas.ok_msg(
             req.id,
-            session=session.name,
+            session=handle.name,
             submission=seq,
             status=rec.status,
             error=rec.error,
-            payload=session.load_result(seq),
+            payload=handle.load_result(seq),
         )
 
     def _do_attach(
@@ -537,65 +567,35 @@ class SimServer:
         handle = self._handle(req.session)
         handle.subscribers.add(writer)
         reply = schemas.ok_msg(
-            req.id,
-            session=handle.session.name,
-            snapshot=handle.session.snapshot(),
+            req.id, session=handle.name, snapshot=handle.snapshot
         )
         if req.replay:
             # Stored results first, so an attaching client sees the
             # whole history before any live stream.
-            history = []
-            for rec in handle.session.submissions:
-                if rec.status == "pending":
-                    continue
-                history.append(
-                    schemas.result_msg(
-                        handle.session.name,
-                        rec.seq,
-                        rec.kind,
-                        handle.session.load_result(rec.seq),
-                        ok=rec.status == "done",
-                        error=rec.error,
-                    )
-                )
-            reply["history"] = history
+            reply["history"] = [handle.result_msg(rec) for rec in handle.finished]
         return reply
 
     def _do_stat(self, req: schemas.Request) -> Dict[str, Any]:
         if req.session is not None:
             handle = self._handle(req.session)
-            return schemas.ok_msg(req.id, snapshot=handle.session.snapshot())
+            return schemas.ok_msg(req.id, snapshot=handle.snapshot)
         return schemas.ok_msg(
             req.id,
             draining=self.draining,
-            sessions=[
-                h.session.snapshot() for _, h in sorted(self.handles.items())
-            ],
+            sessions=[h.snapshot for _, h in sorted(self.handles.items())],
         )
 
     async def _do_close(self, req: schemas.Request) -> Dict[str, Any]:
+        if self.draining:
+            raise ServeError("draining", "server is draining; it closes every session")
         handle = self._handle(req.session)
-        if handle.closing:
-            raise ServeError(
-                "draining", f"session {handle.session.name!r} is closing"
-            )
-        session = handle.session
-        # Mark the handle closing and unregister it *before* the first
-        # await: a concurrent close now gets unknown_session/draining
-        # instead of a double-delete, and a racing submit cannot
-        # journal new work or restart the worker while session.close()
-        # runs on the executor.
-        handle.closing = True
-        del self.handles[session.name]
-        # Let the worker finish what is queued, then fence and close.
-        await handle.queue.put(None)
-        if handle.worker is not None:
-            await handle.worker
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, session.close)
-        await self._broadcast(
-            handle, schemas.telemetry_msg(session.snapshot())
-        )
+        # Jobs queued behind the close meet a closed session: a submit is
+        # refused with ``draining``, a second close finds nothing to pop.
+        await handle.call(handle.close)
+        if self.handles.pop(handle.name, None) is None:
+            raise ServeError("unknown_session", f"session {handle.name!r} is already closed")
+        handle.stop()
+        handle.broadcast(schemas.telemetry_msg(handle.snapshot))
         return schemas.ok_msg(
-            req.id, session=session.name, state=session.state.value
+            req.id, session=handle.name, state=handle.snapshot["state"]
         )

@@ -29,6 +29,17 @@ including submissions marked done whose effects the checkpoint
 predates; re-execution regenerates byte-identical results.  See
 ``docs/SERVICE.md``.
 
+:meth:`execute_next` never raises and advances the head exactly once.
+An error in the segment or the result write fails that submission; an
+error after its status line (the append itself or the checkpoint)
+leaves the status standing with an older fence label — the "after
+``done``, before the checkpoint" kill — which :meth:`snapshot` shows as
+``checkpointed_through`` behind ``done``.
+
+A session holds no lock: one thread at a time drives it.  The server
+gives each session one owner thread that alone creates or loads it and
+calls every method below.
+
 States move ``CREATED → RUNNING → DRAINING → CLOSED``: RUNNING on the
 first submission, DRAINING once the server stops accepting new work
 (SIGTERM or ``close``), CLOSED after the final fence.
@@ -55,7 +66,6 @@ from __future__ import annotations
 import base64
 import enum
 import json
-import threading
 from dataclasses import dataclass, replace as _replace
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, List, Optional
@@ -234,11 +244,6 @@ class SimSession:
         self._executed = executed
         self._failed = sum(r.status == "failed" for r in self.submissions[:executed])
         self._journal: Optional[IO[str]] = None  # opened by the first append
-        # accept() runs on the event-loop thread while execute_next()/
-        # drain()/close() run on executor threads; every journal
-        # mutation + its append pairs under this lock so the file
-        # order is the in-memory order and no acked record is dropped.
-        self._meta_lock = threading.Lock()
 
     def _persist_meta(self) -> None:
         """The O(1) header; the journal never passes through here."""
@@ -252,18 +257,11 @@ class SimSession:
         atomic_write_text(self.meta_path, json.dumps(doc, sort_keys=True, indent=1))
 
     def _append_journal(self, line: str) -> None:
-        """One line, through the one handle, flushed (caller holds the lock)."""
+        """One line, through the one handle, flushed."""
         if self._journal is None:
             self._journal = open(self.journal_path, "a")
         self._journal.write(line)
         self._journal.flush()
-
-    def _finish(self, rec: SubmissionRecord, status: str, error: Optional[str]) -> None:
-        """Complete the head record (caller holds the lock)."""
-        rec.status, rec.error = status, error
-        self._executed += 1
-        self._failed += status == "failed"
-        self._append_journal(_status_line(rec))
 
     @classmethod
     def load(
@@ -355,10 +353,9 @@ class SimSession:
                 f"accepting submissions",
             )
         self._validate_spec(kind, spec)
-        with self._meta_lock:
-            rec = SubmissionRecord(len(self.submissions) + 1, kind, spec)
-            self._append_journal(_accept_line(rec))
-            self.submissions.append(rec)
+        rec = SubmissionRecord(len(self.submissions) + 1, kind, spec)
+        self._append_journal(_accept_line(rec))
+        self.submissions.append(rec)
         return rec.seq
 
     def pending(self) -> List[SubmissionRecord]:
@@ -447,15 +444,17 @@ class SimSession:
         """Run the oldest pending submission as one fenced segment.
 
         Returns the finished record (status ``done``/``failed``) or
-        ``None`` when nothing is pending.  Simulation errors fail the
-        *submission*, not the session: the sim is drained and fenced so
-        later submissions start from a quiesced, checkpointed state.
+        ``None`` when nothing is pending; never raises.  Simulation
+        errors fail the *submission*, not the session: the sim is
+        drained and fenced so later submissions start from a quiesced,
+        checkpointed state.
         """
         if self._executed == len(self.submissions):
             return None
         rec = self.submissions[self._executed]
         if self.state == SessionState.CREATED:
             self.state = SessionState.RUNNING
+        error: Optional[str] = None
         try:
             if rec.kind == "workload":
                 payload = self._run_workload(rec.spec)
@@ -463,44 +462,32 @@ class SimSession:
                 payload = self._run_raw(rec.spec)
             else:
                 payload = self._run_sweep(rec.spec)
-            status, error = "done", None
         except Exception as exc:  # noqa: BLE001 - fault barrier: any
             # schema-valid submission can still blow up in workload
             # code (e.g. task_spec(**params) with an unknown key raises
-            # TypeError); an escape here would kill the worker and
-            # wedge the session on a permanently-pending record.
-            status, error = "failed", f"{type(exc).__name__}: {exc}"
-            payload = None
+            # TypeError); an escape here would wedge the session on a
+            # permanently-pending record.
+            error = f"{type(exc).__name__}: {exc}"
         # The fence: quiesce, persist the result, advance the journal,
         # checkpoint.  Order matters — the result file must exist
         # before the journal marks the submission done, and the done
         # line before a checkpoint labelled with its seq.
-        self.sim.drain()
-        self._reap_orphans()
-        if payload is not None:
-            atomic_write_text(self.result_path(rec.seq), canonical_json(payload))
-        with self._meta_lock:
-            self._finish(rec, status, error)
+        try:
+            self.sim.drain()
+            self._reap_orphans()
+            if error is None:
+                atomic_write_text(self.result_path(rec.seq), canonical_json(payload))
+        except Exception as exc:  # noqa: BLE001 - the record carries it
+            error = error or f"{type(exc).__name__}: {exc}"
+        rec.status, rec.error = ("failed", error) if error else ("done", None)
+        self._executed += 1
+        self._failed += error is not None
+        try:
+            self._append_journal(_status_line(rec))
             if rec.seq % self.checkpoint_every == 0 or rec.seq == len(self.submissions):
                 self._save_fence()
-        return rec
-
-    def fail_next(self, error: str) -> Optional[SubmissionRecord]:
-        """Mark the oldest pending submission failed without running it.
-
-        The server's fault barrier: if :meth:`execute_next` itself
-        raises (the fence code — drain, checkpoint, persist — failed),
-        the head record must not stay pending or a restarted worker
-        would re-pick the same poisoned submission forever.
-        """
-        if self._executed == len(self.submissions):
-            return None
-        rec = self.submissions[self._executed]
-        with self._meta_lock:
-            try:
-                self._finish(rec, "failed", error)
-            except OSError:
-                pass  # in-memory state still advances past the poison
+        except Exception:  # noqa: BLE001 - the status stands, the label lags
+            pass
         return rec
 
     def _reap_orphans(self) -> None:
@@ -672,22 +659,20 @@ class SimSession:
             return
         self.state = SessionState.DRAINING
         self.sim.drain()
-        with self._meta_lock:
-            self._save_fence()
-            self._persist_meta()
+        self._save_fence()
+        self._persist_meta()
 
     def close(self) -> None:
         """Final fence; the session directory remains readable."""
         if self.state == SessionState.CLOSED:
             return
         self.sim.drain()
-        with self._meta_lock:
-            self._save_fence()
-            self.state = SessionState.CLOSED
-            self._persist_meta()
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
+        self._save_fence()
+        self.state = SessionState.CLOSED
+        self._persist_meta()
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
 
     def snapshot(self) -> Dict[str, Any]:
         """Telemetry view of the session."""

@@ -15,6 +15,7 @@ cycle-free.
 from __future__ import annotations
 
 import hashlib
+import threading
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 from repro.errors import WorkloadError
@@ -35,13 +36,19 @@ class WorkloadRegistry:
         self._frontends: Dict[str, Type[WorkloadFrontend]] = {}
         self._loader = loader
         self._loaded = loader is None
+        # Re-entrant: the catalog import calls register() on this very
+        # registry, on the loading thread.
+        self._load_lock = threading.RLock()
 
     def _ensure_loaded(self) -> None:
-        if not self._loaded:
-            # Set the flag first: the catalog import calls register()
-            # on this very registry.
-            self._loaded = True
-            self._loader()
+        if self._loaded:
+            return
+        # Another thread waits for the whole catalog, not a partial one
+        # (serve sessions' owner threads look names up concurrently).
+        with self._load_lock:
+            if not self._loaded:
+                self._loader()
+                self._loaded = True
 
     def register(
         self, frontend: Type[WorkloadFrontend], *, replace: bool = False

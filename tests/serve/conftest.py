@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 from pathlib import Path
@@ -61,11 +62,18 @@ class ServerThread:
     def start(self, timeout: float = 30.0) -> "ServerThread":
         self.thread.start()
         deadline = time.monotonic() + timeout
-        while not self.config.socket_path.exists():
+        # The socket file appears at bind(), a moment before listen():
+        # wait until a connection is accepted, not until the file exists.
+        while True:
+            with socket.socket(socket.AF_UNIX) as probe:
+                try:
+                    probe.connect(str(self.config.socket_path))
+                    return self
+                except (FileNotFoundError, ConnectionRefusedError):
+                    pass
             if time.monotonic() > deadline:
                 raise RuntimeError("server socket never appeared")
             time.sleep(0.02)
-        return self
 
     def stop(self, timeout: float = 60.0) -> None:
         if self.thread.is_alive():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Tuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.serve import schemas
@@ -124,6 +127,111 @@ class TestParseRequest:
         with pytest.raises(ServeError) as exc:
             schemas.parse_request(doc)
         assert exc.value.code == "bad_request"
+
+    @pytest.mark.parametrize("name", ["é٣", "１", "a\n", "ｓｅｓｓｉｏｎ"])
+    def test_create_refuses_non_ascii_alnum(self, name):
+        # str.isalnum() admits these; the documented set is [A-Za-z0-9_-].
+        with pytest.raises(ServeError) as exc:
+            schemas.parse_request(_req(type="create", session=name))
+        assert exc.value.code == "bad_request"
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"type": "submit", "session": "s", "kind": "workload", "spec": {}, "key": "wait"},
+            {"type": "attach", "session": "s", "key": "replay"},
+        ],
+        ids=["wait", "replay"],
+    )
+    def test_flags_are_json_booleans(self, doc, value):
+        # bool("false") is True: a string flag used to mean its opposite.
+        fields = dict(doc)
+        fields[fields.pop("key")] = value
+        with pytest.raises(ServeError) as exc:
+            schemas.parse_request(_req(**fields))
+        assert exc.value.code == "bad_request"
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", [1]])
+    def test_version_must_be_the_integer(self, version):
+        # True == 1 and 1.0 == 1 used to pass the equality check.
+        doc = json.dumps({"v": version, "id": "r1", "type": "hello"})
+        with pytest.raises(ServeError) as exc:
+            schemas.parse_request(doc)
+        assert exc.value.code == "protocol_version"
+
+
+#: Every key the parser reads, so generated objects reach every branch.
+_KEYS = ("v", "id", "type", "session", "config", "components", "kind", "spec", "wait", "replay")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+#: Values a valid request would carry, mixed in so parses also succeed.
+_PLAUSIBLE = {
+    "v": st.sampled_from([schemas.PROTOCOL_VERSION, True, 1.0]),
+    "id": st.text(max_size=4),
+    "type": st.sampled_from(schemas.REQUEST_TYPES),
+    "session": st.text(alphabet="ab_-é１٣\n ", max_size=6) | st.text(max_size=66),
+    "config": st.sampled_from(schemas.CONFIG_NAMES),
+    "components": st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
+    "kind": st.sampled_from(schemas.SUBMISSION_KINDS),
+    "spec": st.dictionaries(st.text(max_size=4), _JSON, max_size=2),
+    "wait": st.booleans() | st.sampled_from(["false", 0]),
+    "replay": st.booleans() | st.sampled_from(["true", 1]),
+}
+_ANY_VALUE = {key: _PLAUSIBLE[key] | _JSON for key in _KEYS}
+#: Half the objects carry a well-formed envelope, so most reach the
+#: per-type branches instead of stopping at the version check.
+_REQUEST_OBJECTS = st.fixed_dictionaries({}, optional=_ANY_VALUE) | st.fixed_dictionaries(
+    {key: _PLAUSIBLE[key] for key in ("v", "id", "type")},
+    optional={key: _ANY_VALUE[key] for key in _KEYS[3:]},
+)
+
+
+def _parse_or_refuse(line: str):
+    """decode + parse: a Request, or a refusal with a wire error code."""
+    try:
+        return schemas.parse_request(schemas.decode_request(line))
+    except ServeError as exc:
+        assert exc.code in ("bad_request", "protocol_version"), exc.code
+        return None
+
+
+def _check_object(doc) -> None:
+    """What a parsed request may hold, given the object sent."""
+    req = _parse_or_refuse(json.dumps(doc))
+    if req is None:
+        return
+    assert type(doc["v"]) is int and req.type in schemas.REQUEST_TYPES
+    if req.type == "submit":
+        assert req.wait is doc.get("wait", False)
+    if req.type == "attach":
+        assert req.replay is doc.get("replay", True)
+    if req.type == "create" and req.session is not None:
+        assert re.fullmatch(r"[A-Za-z0-9_-]{1,64}", req.session), req.session
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    @example("[" * 100_000)
+    @example('{"v": 1, "id": "x", "type": "hello"}\n')
+    def test_any_text_parses_or_is_refused(self, text):
+        _parse_or_refuse(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=70))
+    def test_any_create_name(self, name):
+        _check_object({"v": 1, "id": "r", "type": "create", "session": name})
+
+    @settings(max_examples=400, deadline=None)
+    @given(_REQUEST_OBJECTS)
+    @example({"v": True, "id": "r", "type": "hello"})
+    @example({"v": 1, "id": "r", "type": "attach", "session": "s", "replay": "false"})
+    def test_any_object_with_the_real_keys(self, doc):
+        _check_object(doc)
 
 
 @dataclass

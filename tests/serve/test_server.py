@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import shutil
+import time
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +167,60 @@ class TestFaultBarrier:
             # The worker survived; the session still runs work.
             reply = client.submit(name, "workload", _mutex(), wait=True)
             assert reply["status"] == "done"
+
+    def test_checkpoint_error_neither_hangs_nor_skips(
+        self, make_server, serve_dirs, monkeypatch, tmp_path
+    ):
+        # The first fence raises.  It used to escape execute_next: the
+        # wait-mode submit hung, and the fault barrier failed the next
+        # submission without running it.
+        import repro.hmc.checkpoint as checkpoint
+
+        real_save = checkpoint.save_checkpoint
+        raised = []
+
+        def flaky_save(*args, **kwargs):
+            if not raised:
+                raised.append(True)
+                raise OSError(28, "disk full")
+            return real_save(*args, **kwargs)
+
+        monkeypatch.setattr(checkpoint, "save_checkpoint", flaky_save)
+        _sock, state, _cache = serve_dirs
+        server = make_server()
+        with ServeClient(str(server.config.socket_path), timeout=10.0) as client:
+            name = client.create(session="fence")
+            assert client.submit(name, "workload", _mutex(), wait=True)["status"] == "done"
+            snap = client.stat(name)["snapshot"]
+            # The status stands and the label lags: that is the signal.
+            assert (snap["done"], snap["checkpointed_through"]) == (1, 0)
+            # A kill now leaves this directory behind.
+            killed = Path(shutil.copytree(state, tmp_path / "killed"))
+            cycles = [snap["cycle"]]
+            for _ in range(2):
+                reply = client.submit(name, "workload", _mutex(), wait=True)
+                assert reply["status"] == "done"
+                cycles.append(client.stat(name)["snapshot"]["cycle"])
+            assert cycles[0] < cycles[1] < cycles[2]
+        assert raised
+        journal = read_journal(state / name)
+        assert [s["status"] for s in journal["submissions"]] == ["done"] * 3
+        assert journal["checkpointed_through"] == 3
+        server.stop()
+
+        # Restart on the killed directory: no checkpoint, so seq 1
+        # replays from label 0 and rewrites the same bytes.
+        original = (state / name / "result-1.json").read_bytes()
+        assert (killed / name / "result-1.json").read_bytes() == original
+        revived = make_server(state_dir=killed)
+        with ServeClient(str(revived.config.socket_path), timeout=10.0) as client:
+            deadline = time.monotonic() + 60
+            while client.stat(name)["snapshot"]["checkpointed_through"] < 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            snap = client.stat(name)["snapshot"]
+        assert (snap["resumed"], snap["done"], snap["failed"]) == (True, 1, 0)
+        assert (killed / name / "result-1.json").read_bytes() == original
 
     def test_large_line_within_protocol_limit(self, make_server):
         # Bigger than asyncio's 64 KiB StreamReader default, smaller

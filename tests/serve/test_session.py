@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ServeError
+from repro.serve import session as session_module
 from repro.serve.session import SessionState, SimSession, build_session_config
 from tests.serve.conftest import read_journal
 
@@ -103,15 +106,38 @@ class TestJournal:
         session.accept("workload", _mutex())
         assert session.execute_next().status == "done"
 
-    def test_fail_next_marks_head_failed(self, tmp_path):
+    def test_result_write_error_fails_the_head_once(self, tmp_path, monkeypatch):
+        # A fence error used to escape execute_next, and the server's
+        # fault barrier then failed the *next* submission unrun.
         session = make_session(tmp_path)
-        assert session.fail_next("boom") is None
         session.accept("workload", _mutex())
-        rec = session.fail_next("RuntimeError: boom")
-        assert rec.status == "failed"
-        assert session.pending() == []
-        doc = read_journal(session.root)
-        assert doc["submissions"][0]["status"] == "failed"
+        session.accept("workload", _mutex())
+        real_write = session_module.atomic_write_text
+        raised = []
+
+        def flaky_write(path, text):
+            if path.name.startswith("result-") and not raised:
+                raised.append(path.name)
+                raise OSError(28, "No space left on device")
+            real_write(path, text)
+
+        monkeypatch.setattr(session_module, "atomic_write_text", flaky_write)
+        first = session.execute_next()
+        assert (first.seq, first.status) == (1, "failed")
+        assert first.error.startswith("OSError")
+        assert session.load_result(1) is None
+        cycle = session.sim.cycle
+        second = session.execute_next()
+        assert (second.seq, second.status) == (2, "done")
+        assert session.sim.cycle > cycle
+        assert session.execute_next() is None
+        statuses = [
+            (doc["seq"], doc["status"])
+            for doc in map(json.loads, session.journal_path.read_text().splitlines())
+            if "status" in doc
+        ]
+        assert statuses == [(1, "failed"), (2, "done")]
+        assert session.checkpointed_through == 2
 
     def test_accept_refused_while_draining(self, tmp_path):
         session = make_session(tmp_path)

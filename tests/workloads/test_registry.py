@@ -8,6 +8,9 @@ point tracks the registered implementation via ``fingerprint``.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -116,6 +119,31 @@ def test_fingerprint_tracks_class_and_version():
     assert reg.fingerprint("x") != fp_a
     reg.register(A, replace=True)
     assert reg.fingerprint("x") == fp_a
+
+
+def test_concurrent_first_lookups_see_the_whole_catalog():
+    # The flag used to be set before the catalog import, so a second
+    # thread looking a name up meanwhile found an empty registry.
+    class A(WorkloadFrontend):
+        name = "late"
+
+        def build(self, sim, params):
+            return []
+
+    def slow_catalog():
+        time.sleep(0.2)
+        reg.register(A)
+
+    reg = WorkloadRegistry(slow_catalog)
+    seen = []
+    threads = [threading.Thread(target=lambda: seen.append(reg.has("late"))) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+        time.sleep(0.05)
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [True, True]
 
 
 def test_global_fingerprints_are_distinct():
