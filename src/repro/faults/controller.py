@@ -24,11 +24,12 @@ The controller also owns the bookkeeping the resilience layer shares:
 
 * ``counts`` — per-event fault counters, surfaced by ``HMCSim.stats()``
   and sampled by :class:`repro.hmc.stats.SimSampler`;
-* the *lost-tag* set — ``(cub, tag)`` pairs whose response a fault
-  destroyed, consulted by the
+* the *lost-tag* map — ``(cub, tag)`` pairs whose response a fault
+  destroyed, to the fault kind that destroyed it, consulted by the
   :class:`~repro.faults.invariants.InvariantChecker` (a lost tag is
   excused from in-flight conservation until the watchdog retransmits
-  it) and cleared by the host watchdog on retransmit.
+  it), named in deadlock dumps, and cleared by the host watchdog on
+  retransmit.
 
 Every fault occurrence flows through :meth:`note`, which increments the
 counter and emits a ``FAULT``-level trace event, so
@@ -38,10 +39,11 @@ bounded trace ring.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from repro.errors import FaultError
 from repro.faults.registry import FAULTS
+from repro.hmc.components import Stateful
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
@@ -63,21 +65,17 @@ FATE_DUP = 2
 _SITES = ("dram", "vault", "rsp_drop", "rsp_dup", "cmc", "link")
 
 
-class FaultController:
+class FaultController(Stateful):
     """All active injectors plus shared fault bookkeeping for one sim."""
 
     def __init__(self, sim: "HMCSim", plan: "FaultPlan"):
         self.sim = sim
         self.plan = plan
         self.counts: Dict[str, int] = {}
-        #: (cub, tag) pairs whose expected response a fault destroyed.
-        self.lost_tags: Set[Tuple[int, int]] = set()
-        #: (cub, tag) → fault kind that destroyed the response; keeps
-        #: the deadlock dump able to *name* the kind when a watchdog
-        #: exhausts a tag.  Best-effort companion to ``lost_tags`` (not
-        #: part of the checkpoint format; a restored run re-attributes
-        #: on the next loss).
-        self.lost_by: Dict[Tuple[int, int], str] = {}
+        #: (cub, tag) whose expected response a fault destroyed → the
+        #: fault kind, so a deadlock dump can *name* it when a watchdog
+        #: exhausts the tag.  Its keys are the lost-tag set.
+        self.lost_tags: Dict[Tuple[int, int], str] = {}
         self.dram = None
         self.vault = None
         self.rsp_drop = None
@@ -119,13 +117,11 @@ class FaultController:
 
     def record_lost(self, cub: int, tag: int, kind: str = "rsp_drop") -> None:
         """Mark an expected response as destroyed by a fault."""
-        self.lost_tags.add((cub, tag))
-        self.lost_by[(cub, tag)] = kind
+        self.lost_tags[(cub, tag)] = kind
 
     def clear_lost(self, cub: int, tag: int) -> None:
         """The watchdog is retransmitting this tag: it is in flight again."""
-        self.lost_tags.discard((cub, tag))
-        self.lost_by.pop((cub, tag), None)
+        self.lost_tags.pop((cub, tag), None)
 
     def on_response_dropped(
         self, dev: int, link: int, rsp: object, cycle: int
@@ -151,6 +147,26 @@ class FaultController:
         if dup is not None and dup.fires(dev, link, rsp, cycle):
             return FATE_DUP
         return FATE_DELIVER
+
+    # -- checkpointing ----------------------------------------------------------
+
+    # The plan itself is configuration (the checkpoint fingerprint);
+    # its draws are stateless hashes of (seed, cycle, coordinates).
+    STATE = {"counts": {}}
+
+    def snapshot_state(self) -> Dict[str, object]:
+        doc = super().snapshot_state()
+        if self.lost_tags:
+            doc["lost_tags"] = [
+                [cub, tag, kind] for (cub, tag), kind in sorted(self.lost_tags.items())
+            ]
+        return doc
+
+    def restore_state(self, doc: Dict[str, object]) -> None:
+        super().restore_state(doc)
+        self.lost_tags = {
+            (cub, tag): kind for cub, tag, kind in doc.get("lost_tags", ())
+        }
 
     # -- statistics -------------------------------------------------------------
 

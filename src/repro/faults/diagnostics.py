@@ -48,8 +48,8 @@ class DeadlockDump:
     tokens: Tuple[Tuple[str, str], ...] = ()
     #: Packets travelling between cubes.
     in_transit: int = 0
-    #: (cub, tag) pairs whose response a fault destroyed.
-    lost_tags: Tuple[Tuple[int, int], ...] = ()
+    #: (cub, tag) whose response a fault destroyed → the fault kind.
+    lost_tags: Mapping[Tuple[int, int], str] = field(default_factory=dict)
     #: Fault counters at the time of the hang.
     fault_counts: Tuple[Tuple[str, int], ...] = ()
     #: Caller-supplied context (e.g. host thread states).
@@ -81,7 +81,9 @@ class DeadlockDump:
         if self.lost_tags:
             lines.append(
                 f"  fault-lost tags ({len(self.lost_tags)}): "
-                + self._clip([f"cub{c}:tag{t}" for c, t in self.lost_tags])
+                + self._clip(
+                    [f"cub{c}:tag{t}={kind}" for (c, t), kind in self.lost_tags.items()]
+                )
             )
         if self.fault_counts:
             lines.append(
@@ -142,11 +144,11 @@ def collect_deadlock_dump(
                     desc += f" replays={len(st.replay_queue)}"
                 tokens.append((f"dev{dev}.link{link}", desc))
 
-    lost: Tuple[Tuple[int, int], ...] = ()
+    lost: Dict[Tuple[int, int], str] = {}
     fault_counts: Tuple[Tuple[str, int], ...] = ()
     faults = getattr(sim, "faults", None)
     if faults is not None:
-        lost = tuple(sorted(faults.lost_tags))
+        lost = dict(sorted(faults.lost_tags.items()))
         fault_counts = tuple(sorted(faults.counts.items()))
 
     return DeadlockDump(

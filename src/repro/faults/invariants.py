@@ -187,7 +187,7 @@ class InvariantChecker:
             return
         faults = getattr(sim, "faults", None)
         if faults is not None:
-            missing -= faults.lost_tags
+            missing.difference_update(faults.lost_tags)
         if missing:
             shown: List[str] = [
                 f"cub{c}:tag{t}" for c, t in sorted(missing)[:16]

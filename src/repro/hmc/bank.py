@@ -11,13 +11,16 @@ queue — producing the *bank conflict* events the tracer records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Dict
+
+from repro.hmc.components import Stateful
 
 __all__ = ["Bank"]
 
 
 @dataclass
-class Bank:
+class Bank(Stateful):
     """One bank inside a vault."""
 
     index: int
@@ -31,6 +34,11 @@ class Bank:
     row_hits: int = 0
     row_misses: int = 0
 
+    def snapshot_state(self) -> Dict[str, int]:
+        # Every writer of a bank counts an access: an unaccessed bank
+        # is fresh, which keeps a touched vault's walk short.
+        return super().snapshot_state() if self.accesses else {}
+
     def occupy(self, cycle: int, busy_cycles: int, row: int, row_hit: bool) -> None:
         """Mark the bank busy for ``busy_cycles`` starting at ``cycle``."""
         self.accesses += 1
@@ -40,3 +48,6 @@ class Bank:
             self.row_misses += 1
         self.open_row = row
         self.busy_until = cycle + busy_cycles
+
+
+Bank.STATE = {f.name: f.default for f in fields(Bank) if f.name != "index"}

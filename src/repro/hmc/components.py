@@ -27,6 +27,9 @@ Built-ins self-register from their home modules (imported by
 :func:`register_component` with their own key — see
 ``docs/ARCHITECTURE.md`` for the end-to-end recipe.
 
+Every seam is also :class:`Stateful`: a part owns its checkpoint
+state, and the default is a stateless part.
+
 This module deliberately imports nothing from the rest of
 :mod:`repro.hmc`: interfaces must not depend on implementations, and
 :mod:`repro.hmc.config` validates selections through the registry
@@ -36,6 +39,7 @@ without creating an import cycle.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from copy import copy
 from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.errors import ComponentError
@@ -50,6 +54,7 @@ __all__ = [
     "LinkFlow",
     "TopologyRouter",
     "MemoryModel",
+    "Stateful",
 ]
 
 #: The recognised seam names, in pipeline order.
@@ -62,12 +67,55 @@ SEAMS: Tuple[str, ...] = (
 )
 
 
+class Stateful:
+    """A part that owns its checkpoint state.
+
+    ``STATE`` maps each plain field to its value in a freshly built
+    part; ``PARTS`` names owned sub-parts (a ``Stateful``, a list of
+    them, or None).  :meth:`snapshot_state` encodes only what differs
+    from a fresh part, so an untouched part is ``{}``;
+    :meth:`restore_state` sets whatever the document omits back to
+    fresh.  A part with state of another shape extends both.
+    """
+
+    __slots__ = ()
+    STATE: Dict[str, Any] = {}
+    PARTS: Tuple[str, ...] = ()
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        doc = {}
+        for name, fresh in self.STATE.items():
+            value = getattr(self, name)
+            if value != fresh:
+                doc[name] = value
+        for name in self.PARTS:
+            part = getattr(self, name)
+            if isinstance(part, list):
+                sub = {str(i): s for i, p in enumerate(part) if (s := p.snapshot_state())}
+            else:
+                sub = None if part is None else part.snapshot_state()
+            if sub:
+                doc[name] = sub
+        return doc
+
+    def restore_state(self, doc: Dict[str, Any]) -> None:
+        for name, fresh in self.STATE.items():
+            setattr(self, name, doc[name] if name in doc else copy(fresh))
+        for name in self.PARTS:
+            part, sub = getattr(self, name), doc.get(name, {})
+            if isinstance(part, list):
+                for i, p in enumerate(part):
+                    p.restore_state(sub.get(str(i), {}))
+            elif part is not None:
+                part.restore_state(sub)
+
+
 # ---------------------------------------------------------------------------
 # Seam interfaces
 # ---------------------------------------------------------------------------
 
 
-class CrossbarModel(ABC):
+class CrossbarModel(Stateful, ABC):
     """The logic-layer crossbar of one device (seam ``xbar``).
 
     Connects a device's links to its vaults through per-link request
@@ -108,7 +156,7 @@ class CrossbarModel(ABC):
         """Entries currently queued across all crossbar queues."""
 
 
-class VaultScheduler(ABC):
+class VaultScheduler(Stateful, ABC):
     """The request-pick policy of one vault (seam ``vault_scheduler``).
 
     Owns the per-cycle walk over a vault's request queue: which queued
@@ -126,8 +174,8 @@ class VaultScheduler(ABC):
 
     One scheduler instance is created *per vault* (policy state such as
     a round-robin pointer is vault-local).  That state is simulator
-    state: a policy that keeps any overrides :meth:`snapshot_state` /
-    :meth:`restore_state`, and the checkpoint carries it per vault.
+    state: a policy that keeps any declares it (:class:`Stateful`), and
+    the checkpoint carries it per vault.
 
     Factory signature: ``factory(config) -> VaultScheduler``.
     """
@@ -136,15 +184,8 @@ class VaultScheduler(ABC):
     def scan(self, vault: Any, device: Any, cycle: int) -> None:
         """Process ``vault``'s request queue for this cycle."""
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        """The policy's own state as a JSON-able dict (empty: none)."""
-        return {}
 
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        """Load what :meth:`snapshot_state` returned."""
-
-
-class LinkFlow(ABC):
+class LinkFlow(Stateful, ABC):
     """Link-layer flow control and retry (seam ``link_flow``).
 
     The credit/retry contract of the HMC specification's link layer:
@@ -200,8 +241,12 @@ class LinkFlow(ABC):
     def has_pending_replays(self) -> bool:
         """True when any link of any device holds a scheduled replay."""
 
+    def params(self) -> Dict[str, Any]:
+        """Construction parameters (part of a checkpoint's fingerprint)."""
+        return {}
 
-class TopologyRouter(ABC):
+
+class TopologyRouter(Stateful, ABC):
     """Multi-cube routing between devices (seam ``topology``).
 
     Owns the inter-device delay lines: requests whose CUB names
@@ -230,6 +275,15 @@ class TopologyRouter(ABC):
     @abstractmethod
     def in_transit(self) -> int:
         """Packets currently travelling between cubes."""
+
+    def snapshot_state(self) -> Dict[str, Any]:
+        # The default knows no wire layout: only a drained router.
+        if self.in_transit:
+            raise ComponentError(
+                "cannot checkpoint in-transit packets of a custom topology "
+                "router — call drain() first"
+            )
+        return super().snapshot_state()
 
 
 class MemoryModel(ABC):

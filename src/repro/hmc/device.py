@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Dict, List, Set
 
 from repro.faults.controller import FATE_DROP, FATE_DUP
 from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST
-from repro.hmc.components import CrossbarModel
+from repro.hmc.components import CrossbarModel, Stateful
 from repro.hmc.composition import build_vault_scheduler, build_xbar
 from repro.hmc.config import HMCConfig
 from repro.hmc.link import Link
@@ -46,8 +46,17 @@ _T_STALL = int(TraceLevel.STALL)
 _T_FAULT = int(TraceLevel.FAULT)
 
 
-class Device:
+class Device(Stateful):
     """One Hybrid Memory Cube in a simulation context."""
+
+    STATE = {
+        "cmc_rejects": 0,
+        "cmc_failures": 0,
+        "flow_packets": 0,
+        "forwarded_rqsts": 0,
+        "retired_rsps": 0,
+    }
+    PARTS = ("links", "xbar", "vaults", "registers")
 
     def __init__(self, dev: int, config: HMCConfig, sim: "HMCSim"):
         self.dev = dev

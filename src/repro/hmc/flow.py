@@ -25,7 +25,7 @@ With no model attached the datapath is byte-identical to the baseline
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.hmc.components import LinkFlow, register_component
@@ -127,6 +127,40 @@ class LinkFlowModel(LinkFlow):
         # scheduler can ask "does this device owe replays?" in O(1)
         # instead of scanning every link state.
         self._replay_links: Dict[int, Set[int]] = {}
+
+    # -- checkpointing ---------------------------------------------------------
+
+    #: Per-link fields a checkpoint carries; the retry buffer and the
+    #: replay queue are empty whenever the devices are quiesced.
+    _LINK_FIELDS = ("tokens", "next_seq", "token_stalls", "retries", "sent_packets")
+
+    def params(self) -> Dict[str, object]:
+        return {
+            "tokens_per_link": self.tokens_per_link,
+            "retry_latency": self.retry_latency,
+            "errors": None if self.errors is None else asdict(self.errors),
+        }
+
+    def snapshot_state(self) -> Dict[str, object]:
+        doc: Dict[str, object] = {}
+        if self._links:
+            doc["links"] = [
+                [dev, link, *(getattr(st, f) for f in self._LINK_FIELDS)]
+                for (dev, link), st in sorted(self._links.items())
+            ]
+        if self.retry_events:
+            doc["retry_events"] = [
+                [e.cycle, e.link, e.tag, e.frp] for e in self.retry_events
+            ]
+        return doc
+
+    def restore_state(self, doc: Dict[str, object]) -> None:
+        self._links = {}
+        for dev, link, *values in doc.get("links", ()):
+            st = self.state(dev, link)
+            for name, value in zip(self._LINK_FIELDS, values):
+                setattr(st, name, value)
+        self.retry_events = [RetryEvent(*e) for e in doc.get("retry_events", ())]
 
     def state(self, dev: int, link: int) -> LinkFlowState:
         """The transmitter state for one (device, link)."""

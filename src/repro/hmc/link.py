@@ -12,17 +12,19 @@ crossbar hop penalty to reach its vault.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional
 
-from repro.hmc.packet import ResponsePacket
+from repro.hmc.components import Stateful
+from repro.hmc.packet import ResponsePacket, packet_from_state, packet_state
 
 __all__ = ["Link"]
 
 
-class Link:
+class Link(Stateful):
     """One host link of one device."""
 
     __slots__ = ("link_id", "quad", "retired", "rqsts_in", "rsps_out", "flits_in", "flits_out")
+    STATE = {"rqsts_in": 0, "rsps_out": 0, "flits_in": 0, "flits_out": 0}
 
     def __init__(self, link_id: int, quad: int):
         self.link_id = link_id
@@ -43,6 +45,19 @@ class Link:
     def recv(self) -> Optional[ResponsePacket]:
         """Pop the oldest retired response, or None."""
         return self.retired.popleft() if self.retired else None
+
+    def snapshot_state(self) -> Dict[str, object]:
+        doc = super().snapshot_state()
+        if self.retired:
+            # Retired but not yet collected by the host.
+            doc["retired"] = [packet_state(rsp) for rsp in self.retired]
+        return doc
+
+    def restore_state(self, doc: Dict[str, object]) -> None:
+        super().restore_state(doc)
+        self.retired = deque(
+            packet_from_state(ResponsePacket, rsp) for rsp in doc.get("retired", ())
+        )
 
     def pending_responses(self) -> int:
         """Responses retired but not yet collected by the host."""

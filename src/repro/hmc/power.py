@@ -19,14 +19,16 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.hmc.commands import CommandInfo, CommandKind
+from repro.hmc.components import Stateful
 
 __all__ = ["HMCPowerModel", "PowerReport"]
 
 
 @dataclass
-class PowerReport:
+class PowerReport(Stateful):
     """Accumulated energy, broken down by operation name."""
 
+    STATE = {"energy_pj": {}, "ops": {}}
     energy_pj: Dict[str, float] = field(default_factory=dict)
     ops: Dict[str, int] = field(default_factory=dict)
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Generic, Iterator, Optional, TypeVar
 
+from repro.hmc.components import Stateful
+
 __all__ = ["StallQueue"]
 
 T = TypeVar("T")
 
 
-class StallQueue(Generic[T]):
+class StallQueue(Stateful, Generic[T]):
     """A bounded FIFO that reports stalls instead of raising when full.
 
     The cycle engine treats this as a record: each hop of the datapath
@@ -38,6 +40,7 @@ class StallQueue(Generic[T]):
     """
 
     __slots__ = ("depth", "name", "_q", "pushes", "pops", "stalls", "high_water")
+    STATE = {"pushes": 0, "pops": 0, "stalls": 0, "high_water": 0}
 
     def __init__(self, depth: int, name: str = "queue"):
         if depth < 1:

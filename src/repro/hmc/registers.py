@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.errors import HMCSimError
+from repro.hmc.components import Stateful
 from repro.hmc.config import HMCConfig
 
 __all__ = ["RegisterFile", "HMC_REG"]
@@ -47,6 +48,7 @@ HMC_REG: Dict[str, int] = {
 }
 
 _READ_ONLY = frozenset({HMC_REG["FEAT"], HMC_REG["RVID"]})
+_NAMES = {idx: name for name, idx in HMC_REG.items()}
 
 
 def _features_word(config: HMCConfig) -> int:
@@ -68,18 +70,24 @@ def _features_word(config: HMCConfig) -> int:
 _RVID_WORD = (2 << 8) | (1 << 4) | 0xF
 
 
-class RegisterFile:
+def _reset_values(config: HMCConfig) -> Dict[int, int]:
+    """Register index → value of a freshly built device."""
+    regs = {idx: 0 for idx in HMC_REG.values()}
+    regs[HMC_REG["FEAT"]] = _features_word(config)
+    regs[HMC_REG["RVID"]] = _RVID_WORD
+    # Link configuration registers: bit 0 = link active.
+    for link in range(config.num_links):
+        regs[HMC_REG[f"LC{link}"]] = 1
+    return regs
+
+
+class RegisterFile(Stateful):
     """The register file of one device."""
 
     def __init__(self, config: HMCConfig, dev: int):
         self.config = config
         self.dev = dev
-        self._regs: Dict[int, int] = {idx: 0 for idx in HMC_REG.values()}
-        self._regs[HMC_REG["FEAT"]] = _features_word(config)
-        self._regs[HMC_REG["RVID"]] = _RVID_WORD
-        # Link configuration registers: bit 0 = link active.
-        for link in range(config.num_links):
-            self._regs[HMC_REG[f"LC{link}"]] = 1
+        self._regs: Dict[int, int] = _reset_values(config)
 
     def valid(self, reg: int) -> bool:
         """True if ``reg`` names an implemented register."""
@@ -130,5 +138,19 @@ class RegisterFile:
 
     def snapshot(self) -> Dict[str, int]:
         """Name → value for every register (debug/inspection helper)."""
-        by_index = {v: k for k, v in HMC_REG.items()}
-        return {by_index[idx]: val for idx, val in sorted(self._regs.items())}
+        return {_NAMES[idx]: val for idx, val in sorted(self._regs.items())}
+
+    def snapshot_state(self) -> Dict[str, int]:
+        fresh = _reset_values(self.config)
+        return {
+            _NAMES[idx]: val
+            for idx, val in sorted(self._regs.items())
+            if val != fresh[idx]
+        }
+
+    def restore_state(self, doc: Dict[str, int]) -> None:
+        """Load a :meth:`snapshot_state` or :meth:`snapshot` dict
+        (read-only registers keep their derived value)."""
+        self._regs = _reset_values(self.config)
+        for name, value in doc.items():
+            self.write(HMC_REG[name], value)

@@ -27,6 +27,7 @@ A thin functional facade with the original C names lives in
 
 from __future__ import annotations
 
+from base64 import b64decode, b64encode
 from typing import IO, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.cmc import CMCOperation, CMCRegistry
@@ -47,7 +48,7 @@ from repro.hmc.commands import (
     COMMAND_TABLE_LIST,
     hmc_rqst_t,
 )
-from repro.hmc.components import LinkFlow, MemoryModel, TopologyRouter
+from repro.hmc.components import LinkFlow, MemoryModel, Stateful, TopologyRouter
 from repro.hmc.composition import build_link_flow, build_memory, build_topology
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import Device
@@ -72,7 +73,7 @@ _OK = HMCStatus.OK
 _STALL = HMCStatus.STALL
 
 
-class HMCSim:
+class HMCSim(Stateful):
     """One simulation context holding one or more HMC devices.
 
     Args:
@@ -479,6 +480,51 @@ class HMCSim:
         if not 0 <= dev < self._num_devs:
             raise HMCSimError(f"no device {dev} in this context")
         self.devices[dev]._mem.write(addr, data)
+
+    # -- checkpointing --------------------------------------------------------------
+
+    STATE = {"_cycle": 0, "sent_rqsts": 0, "send_stalls": 0, "recvd_rsps": 0}
+    PARTS = ("devices", "topology", "flow", "faults", "power_report")
+
+    def snapshot_state(self) -> Dict[str, object]:
+        """:class:`Stateful` state plus resident pages, outstanding tags
+        and each loaded CMC op's source, count and ``active`` flag."""
+        doc = super().snapshot_state()
+        pages = [
+            [base, b64encode(content).decode("ascii")]
+            for base, content in self.backend.iter_resident()
+        ]
+        if pages:
+            doc["pages"] = pages
+        if self._outstanding:
+            doc["outstanding"] = sorted(self._outstanding)
+        cmc = [
+            [op.source, op.cmd, op.executions, op.active]
+            for op in self.cmc.operations()
+        ]
+        if cmc:
+            doc["cmc"] = cmc
+        return doc
+
+    def restore_state(self, doc: Dict[str, object]) -> None:
+        """Load :meth:`snapshot_state`'s dict, re-loading CMC plugins
+        recorded with a source (inline ones must be registered first)."""
+        for source, cmd, executions, active in doc.get("cmc", ()):
+            op = self.cmc.lookup(cmd)
+            if op is None:
+                if source == "<inline>":
+                    raise HMCSimError(
+                        f"checkpoint carries CMC operation for command code "
+                        f"{cmd} registered inline — re-register it on the "
+                        f"target context before restoring"
+                    )
+                op = self.load_cmc(source)
+            op.executions, op.active = executions, active
+        self.backend.clear()
+        for base, data in doc.get("pages", ()):
+            self.backend.write(base, b64decode(data))
+        self._outstanding = set(doc.get("outstanding", ()))
+        super().restore_state(doc)
 
     # -- statistics ---------------------------------------------------------------
 

@@ -50,7 +50,7 @@ from repro.hmc.commands import (
     ARM_WRITE,
     hmc_response_t,
 )
-from repro.hmc.components import VaultScheduler, register_component
+from repro.hmc.components import Stateful, VaultScheduler, register_component
 from repro.hmc.packet import RequestPacket, ResponsePacket, _rqst_wire
 from repro.hmc.queue import StallQueue
 from repro.hmc.trace import TraceLevel
@@ -87,7 +87,7 @@ ERRSTAT_CMC_FAILED = 0x05
 ERRSTAT_ECC_UNCORRECTABLE = 0x06
 
 
-class Vault:
+class Vault(Stateful):
     """One vault: request queue + banks + issue logic.
 
     The per-cycle request-pick policy is a pluggable component (seam
@@ -95,6 +95,9 @@ class Vault:
     :class:`~repro.hmc.components.VaultScheduler`, which the owning
     device creates through the component registry.
     """
+
+    STATE = {"processed": 0, "bank_conflicts": 0, "response_stalls": 0}
+    PARTS = ("rqst_queue", "banks", "scheduler")
 
     def __init__(
         self,
@@ -120,6 +123,15 @@ class Vault:
         # and blocks the vault until it is accepted (head-of-line
         # blocking).
         self._pending_rsp: Optional[Tuple[Flight, ResponsePacket]] = None
+
+    # Nothing moves a vault but processing, so one that processed
+    # nothing is fresh: both walks cost what the run touched.
+    def snapshot_state(self) -> Dict[str, Any]:
+        return super().snapshot_state() if self.processed else {}
+
+    def restore_state(self, doc: Dict[str, Any]) -> None:
+        if doc or self.processed:
+            super().restore_state(doc)
 
     def step(self, device: "Device", cycle: int) -> None:
         """Process the request queue for this cycle.
@@ -321,6 +333,8 @@ class RoundRobinVaultScheduler(FIFOVaultScheduler):
     that one body's.
     """
 
+    STATE = {"_next_bank": 0}
+
     def __init__(self, config: object = None):
         self._next_bank = 0
 
@@ -345,12 +359,6 @@ class RoundRobinVaultScheduler(FIFOVaultScheduler):
             kept = [flight for flight in dq if flight in waiting]
             dq.clear()
             dq.extend(kept)
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        return {"next_bank": self._next_bank}
-
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        self._next_bank = doc["next_bank"]
 
 
 def _error_response(

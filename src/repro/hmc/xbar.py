@@ -80,6 +80,8 @@ class XBar(CrossbarModel):
     the paper's Figures 5-7.
     """
 
+    PARTS = ("rqst_queues", "rsp_queues")
+
     def __init__(self, config: HMCConfig, dev: int, *, depth: int = 0):
         self.config = config
         self.dev = dev

@@ -420,7 +420,7 @@ class HostEngine:
                         extra = self._thread_dump(live)
                         lost_kind = None
                         if sim.faults is not None:
-                            lost_kind = sim.faults.lost_by.get(
+                            lost_kind = sim.faults.lost_tags.get(
                                 (entry.packet.cub, entry.tag)
                             )
                         extra["exhausted tag"] = (

@@ -296,7 +296,7 @@ def run_trace(
         if wd.exhausted(entry):
             kind = None
             if sim.faults is not None:
-                kind = sim.faults.lost_by.get((entry.packet.cub, entry.tag))
+                kind = sim.faults.lost_tags.get((entry.packet.cub, entry.tag))
             raise _SkipTrace(
                 f"tag {entry.tag} (request #{idx}) unanswered after "
                 f"{entry.attempts} retransmission(s)"

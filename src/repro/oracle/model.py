@@ -222,7 +222,7 @@ class Oracle:
     def snapshot_state(self) -> Dict[str, object]:
         """JSON-safe snapshot: every resident image page + register file.
 
-        Version-4 checkpoints embed this document through the
+        Checkpoints embed this document through the
         checkpoint layer's duck-typed ``oracle=`` parameter (the hmc
         layer never imports this package), so a fuzz-farm run can
         freeze mid-burn-down and resume with the reference model
@@ -250,18 +250,13 @@ class Oracle:
                 f"oracle snapshot shape {shape} does not match this "
                 f"oracle {want} (capacity, num_devs)"
             )
-        from repro.hmc.registers import HMC_REG
-
         for img, pages in zip(self._images, doc["images"]):
             img._pages = {
                 int(idx): bytearray(base64.b64decode(blob))
                 for idx, blob in pages.items()
             }
         for regs, snapshot in zip(self._registers, doc["registers"]):
-            for name, value in snapshot.items():
-                if name in ("FEAT", "RVID"):
-                    continue  # read-only; derived from the configuration
-                regs.write(HMC_REG[name], value)
+            regs.restore_state(snapshot)
 
     # -- execution --------------------------------------------------------------
 

@@ -134,10 +134,10 @@ class TestMidFlightTopology:
         assert sim.topology.in_transit == 1
 
         p = save_checkpoint(sim, tmp_path / "cp.json")
-        # Files written before the unread chain_hops field was dropped
-        # carry it per wire entry; restore ignores it.
+        # A wire entry's unknown fields (the dropped chain_hops) are
+        # ignored on restore.
         doc = json.loads(p.read_text())
-        doc["topology"]["rqst_wire"][0]["chain_hops"] = 1
+        doc["sim"]["topology"]["rqst_wire"][0]["chain_hops"] = 1
         p.write_text(json.dumps(doc))
         sim2 = HMCSim(cfg)
         restore_checkpoint(sim2, p)
@@ -290,11 +290,10 @@ class TestFaultStateRoundtrip:
         doc = json.loads(p.read_text())
         # Rewrite as a version-2 document: no fault-era keys at all.
         doc["version"] = 2
-        for key in ("outstanding", "faults", "watchdog"):
-            del doc[key]
+        del doc["watchdog"]
         p.write_text(json.dumps(doc))
         sim2 = HMCSim(cfg4)
-        with pytest.raises(HMCSimError, match="version 2.*supported versions: 4;"):
+        with pytest.raises(HMCSimError, match="version 2.*supported versions: 5;"):
             restore_checkpoint(sim2, p)
         assert sim2.mem_read(0x100, 6) == bytes(6)  # refused before any write
 
@@ -333,7 +332,7 @@ class TestOracleStateRoundtrip:
         sim, oracle = self._pair(cfg4)
         p = save_checkpoint(sim, tmp_path / "cp.json", oracle=oracle)
         doc = json.loads(p.read_text())
-        assert doc["version"] == 4 and doc["oracle"] is not None
+        assert doc["version"] == CHECKPOINT_VERSION and doc["oracle"] is not None
         sim2, oracle2 = HMCSim(cfg4), Oracle(cfg4)
         restore_checkpoint(sim2, p, oracle=oracle2)
         assert oracle2.snapshot_state() == oracle.snapshot_state()
@@ -366,7 +365,7 @@ class TestOracleStateRoundtrip:
         doc.pop("oracle")
         p.write_text(json.dumps(doc))
         sim2 = HMCSim(cfg4)
-        with pytest.raises(HMCSimError, match="version 3.*supported versions: 4;"):
+        with pytest.raises(HMCSimError, match="version 3.*supported versions: 5;"):
             restore_checkpoint(sim2, p)
         assert sim2.mem_read(0x40, 16) == bytes(16)  # refused before any write
 
@@ -423,7 +422,7 @@ class TestGuards:
         p = save_checkpoint(sim, tmp_path / "cp.json")
         doc = json.loads(p.read_text())  # must parse as plain JSON
         assert doc["version"] == CHECKPOINT_VERSION
-        assert doc["pages"]
+        assert doc["sim"]["pages"]
 
 
 class TestBarrierKernel:
@@ -461,7 +460,7 @@ class TestRejectionDiagnostics:
             restore_checkpoint(HMCSim(cfg4), p)
         msg = str(exc.value)
         assert "99" in msg  # the file's actual version
-        assert "supported versions: 4;" in msg  # every supported version
+        assert "supported versions: 5;" in msg  # every supported version
         assert "cp.json" in msg  # which file was rejected
 
     def test_config_error_names_differing_fields(self, cfg4, cfg8, tmp_path):
@@ -546,13 +545,129 @@ class TestSchedulerStateRoundtrip:
         assert self._state(restarted) == pointer
         assert self._phase(restarted, 5) == self._phase(sim, 5)
 
-    def test_file_without_scheduler_state_still_loads(self, tmp_path):
-        sim = HMCSim(self.CFG)
-        self._phase(sim, 0)
+
+class TestFingerprintCoversAttachedModels:
+    """A checkpoint records the parameters of every attached model: the
+    bank state it carries means nothing under another timing model."""
+
+    @pytest.mark.parametrize(
+        "saved, target, field",
+        [
+            ({"timing": "HMCTimingModel"}, {}, "timing"),
+            ({}, {"timing": "HMCTimingModel"}, "timing"),
+            ({"power": "HMCPowerModel"}, {}, "power"),
+            ({"flow": 0.05}, {"flow": 0.01}, "flow"),
+        ],
+    )
+    def test_model_mismatch_is_refused(self, tmp_path, saved, target, field):
+        from repro.hmc.flow import ErrorModel, LinkFlowModel
+        from repro.hmc.power import HMCPowerModel
+        from repro.hmc.timing import HMCTimingModel
+
+        def build(models):
+            kwargs = {}
+            if "timing" in models:
+                kwargs["timing"] = HMCTimingModel()
+            if "power" in models:
+                kwargs["power"] = HMCPowerModel()
+            if "flow" in models:
+                kwargs["flow"] = LinkFlowModel(errors=ErrorModel(models["flow"]))
+            return HMCSim(HMCConfig.cfg_4link_4gb(), **kwargs)
+
+        p = save_checkpoint(build(saved), tmp_path / "cp.json")
+        with pytest.raises(HMCSimError, match=f"does not match.*{field}: "):
+            restore_checkpoint(build(target), p)
+
+    def test_timing_error_names_both_sides(self, cfg4, tmp_path):
+        from repro.hmc.timing import HMCTimingModel
+
+        p = save_checkpoint(HMCSim(cfg4, timing=HMCTimingModel()), tmp_path / "cp.json")
+        with pytest.raises(HMCSimError) as exc:
+            restore_checkpoint(HMCSim(cfg4), p)
+        msg = str(exc.value)
+        assert "timing: checkpoint has {" in msg and "'t_cl': 2" in msg
+        assert "target has no timing" in msg
+
+    def test_watchdog_parameters_are_compared(self, cfg4, tmp_path):
+        from repro.faults.watchdog import TagWatchdog
+
+        p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json", watchdog=TagWatchdog(timeout=64))
+        with pytest.raises(HMCSimError, match="watchdog: checkpoint has .*'timeout': 64"):
+            restore_checkpoint(HMCSim(cfg4), p, watchdog=TagWatchdog(timeout=32))
+
+
+class TestLostTagKindSurvives:
+    def test_deadlock_dump_names_the_fault_after_restore(self, tmp_path):
+        from repro.faults.diagnostics import collect_deadlock_dump
+        from repro.faults.plan import FaultPlan
+        from repro.faults.watchdog import TagWatchdog
+
+        def build():
+            sim = HMCSim(
+                HMCConfig.cfg_4link_4gb(), faults=FaultPlan.parse(["xbar_drop=1.0"])
+            )
+            return sim, TagWatchdog(timeout=16, max_retries=0)
+
+        sim, wd = build()
+        pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 7)
+        sim.send(pkt)
+        wd.arm(7, pkt, dev=0, link=0, cycle=sim.cycle)
+        sim.clock(10)  # the response is dropped at the retire port
+        p = save_checkpoint(sim, tmp_path / "cp.json", watchdog=wd)
+
+        sim2, wd2 = build()
+        restore_checkpoint(sim2, p, watchdog=wd2)
+        sim2.clock(16)
+        [entry] = wd2.poll(sim2.cycle)
+        assert wd2.exhausted(entry)
+        dump = collect_deadlock_dump(sim2)
+        assert dump.lost_tags == {(0, 7): "rsp_drop"}
+        assert "cub0:tag7=rsp_drop" in str(dump)
+
+
+class TestMalformedFiles:
+    """Every unreadable file is an HMCSimError naming the file (and the
+    key, when one is missing) — never a bare JSON/Attribute/KeyError."""
+
+    def _write(self, tmp_path, text):
+        p = tmp_path / "cp.json"
+        p.write_text(text)
+        return p
+
+    def test_truncated_file(self, cfg4, tmp_path):
+        good = save_checkpoint(HMCSim(cfg4), tmp_path / "good.json").read_text()
+        p = self._write(tmp_path, good[: len(good) // 2])
+        with pytest.raises(HMCSimError, match="cp.json is not valid JSON"):
+            restore_checkpoint(HMCSim(cfg4), p)
+
+    def test_json_array(self, cfg4, tmp_path):
+        p = self._write(tmp_path, "[]")
+        with pytest.raises(HMCSimError, match="cp.json holds a JSON list"):
+            restore_checkpoint(HMCSim(cfg4), p)
+
+    @pytest.mark.parametrize("key", ["config", "sim", "watchdog", "oracle"])
+    def test_missing_top_level_key(self, cfg4, tmp_path, key):
+        p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json")
+        doc = json.loads(p.read_text())
+        del doc[key]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(HMCSimError, match=f"cp.json is malformed: missing key '{key}'"):
+            restore_checkpoint(HMCSim(cfg4), p)
+
+    def test_missing_nested_key(self, cfg4, tmp_path):
+        sim = HMCSim(cfg4)
+        roundtrip(sim, sim.build_memrequest(hmc_rqst_t.RD16, 0, 1))
         p = save_checkpoint(sim, tmp_path / "cp.json")
         doc = json.loads(p.read_text())
-        del doc["vault_schedulers"]  # as written before the key existed
+        doc["sim"]["topology"] = {"rsp_wire": [{"ready": 3, "dev": 0}]}
         p.write_text(json.dumps(doc))
-        restarted = HMCSim(self.CFG)
-        restore_checkpoint(restarted, p)
-        assert self._state(restarted) == self._state(HMCSim(self.CFG))
+        with pytest.raises(HMCSimError, match="cp.json is malformed: missing key 'rsp'"):
+            restore_checkpoint(HMCSim(cfg4), p)
+
+    def test_version4_file_is_refused_by_name(self, cfg4, tmp_path):
+        p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json")
+        doc = json.loads(p.read_text())
+        doc["version"] = 4
+        p.write_text(json.dumps(doc))
+        with pytest.raises(HMCSimError, match="cp.json has version 4.*supported versions: 5;"):
+            restore_checkpoint(HMCSim(cfg4), p)

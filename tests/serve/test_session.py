@@ -336,3 +336,16 @@ class TestResume:
         loaded = SimSession.load(session.root)
         assert loaded.submissions[0].status == "failed"
         assert loaded.pending() == []
+
+    @pytest.mark.parametrize(
+        "content", ["[]", '{"version": 5, "config"', '{"version": 5}']
+    )
+    def test_malformed_checkpoint_is_an_internal_error(self, tmp_path, content):
+        # A JSON [] used to surface as a bare AttributeError.
+        session = make_session(tmp_path)
+        session.accept("workload", _mutex())
+        session.execute_next()
+        session.checkpoint_path.write_text(content)
+        with pytest.raises(ServeError, match="cannot load session at.*checkpoint.json") as exc:
+            SimSession.load(session.root)
+        assert exc.value.code == "internal"
