@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Structural lints for the simulator core package.
+"""Structural lints for the ``repro`` package.
 
-Five checks, all run by ``main`` (and by
+Two checks, both run by ``main`` (and by
 ``tests/hmc/test_lint_clean.py`` in tier-1 CI):
 
 1. **No function-level imports** in ``src/repro/hmc/``.  Imports inside
@@ -15,37 +15,29 @@ Five checks, all run by ``main`` (and by
    factories (``ALLOWED_LAZY_FACTORIES``), which import once per
    constructed component.
 
-2. **Registry-only construction** in the core modules (``device.py``,
-   ``sim.py``).  The concrete implementations of every pipeline seam —
-   crossbars, vault schedulers, flow models, topologies, memory
-   backends — are registered components; the core must build them
-   through :mod:`repro.hmc.composition`, never import them by name.
-   The banned-name list is derived from the *live* registry, so a newly
-   registered built-in is automatically covered.
+2. **Containment**: one table-driven check of the shape "only these
+   paths may import those names" (:data:`RULES`).  A banned target is a
+   dotted module (any import spelling of it or below it) or a dotted
+   ``module.Name``; a module may always import what it defines itself.
 
-3. **Oracle purity** in ``src/repro/oracle/``.  The differential oracle
-   is only a trustworthy reference while it shares *no* code with the
-   machinery it checks: it may use the wire format, command tables,
-   address map, AMO reference semantics, and the public
-   :class:`~repro.hmc.sim.HMCSim` facade (the differential runner
-   drives the engine through it), but never the cycle-engine internals
-   — ``device``, ``vault``, ``xbar``, ``link``, ``vector``.  An oracle
-   that leans on the vault's datapath would inherit the very bugs it
-   exists to find.
+   * ``seam`` — the core modules (``device.py``, ``sim.py``) build every
+     pipeline stage through :mod:`repro.hmc.composition`, never by
+     importing a registered component implementation.
+   * ``oracle`` — the differential oracle shares no code with the
+     machinery it checks: it may use the wire format, command tables,
+     address map, AMO reference semantics and the public
+     :class:`~repro.hmc.sim.HMCSim` facade, but never the cycle-engine
+     internals (``device``, ``vault``, ``xbar``, ``link``, ``vector``).
+   * ``vector`` — the numpy batch engine (``repro.hmc.vector``) is named
+     only by the composition root's registry factory and by itself;
+     everything else selects it with ``xbar="vector"``.
+   * ``workload`` — concrete workload frontends are named only by the
+     modules that define (and register) them; everything else resolves
+     them by string through ``WORKLOADS``.
 
-4. **Vector containment** in ``src/repro/``.  The numpy batch engine
-   (``repro.hmc.vector``) may be named only by the composition root's
-   registry factory and by the package itself; every other module
-   selects it through the ``xbar`` seam key.
-
-5. **Workload containment** in ``src/repro/``.  Concrete
-   :class:`~repro.workloads.base.WorkloadFrontend` classes may be
-   named only by the workload catalog
-   (``repro.workloads.catalog``, the composition root of the workload
-   seam); every other module resolves workloads by string through
-   ``repro.workloads.registry.WORKLOADS``.  The banned-name list is
-   derived from the live registry, so a newly registered frontend is
-   automatically covered.
+   The ``seam`` and ``workload`` targets are what the live registries
+   hold (:meth:`repro.registry.Registry.classes`), so a newly registered
+   built-in is covered automatically.
 
 Usage:  python scripts/lint_no_function_imports.py
 Exit status 0 when clean, 1 with one ``path:line`` diagnostic per
@@ -55,12 +47,17 @@ violation otherwise.
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import (
+    Callable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 REPO = Path(__file__).resolve().parent.parent
-LINTED = REPO / "src" / "repro" / "hmc"
+SRC = REPO / "src"
+SRC_ROOT = SRC / "repro"
+LINTED = SRC_ROOT / "hmc"
 
 #: Function names whose body may import (lazy-import idioms).
 ALLOWED_FUNCTIONS = frozenset({"__getattr__"})
@@ -71,6 +68,10 @@ ALLOWED_FUNCTIONS = frozenset({"__getattr__"})
 #: never on the cycle path, and converting the ImportError into a
 #: ComponentError is the whole point.
 ALLOWED_LAZY_FACTORIES = frozenset({("composition.py", "_vector_xbar")})
+
+
+def _shown(path: Path) -> Path:
+    return path.relative_to(REPO) if path.is_relative_to(REPO) else path
 
 
 def violations_in(path: Path) -> Iterator[Tuple[int, str]]:
@@ -95,255 +96,141 @@ def violations_in(path: Path) -> Iterator[Tuple[int, str]]:
 
 
 def run(root: Path = LINTED) -> List[str]:
-    """Return one diagnostic line per violation under ``root``."""
-    out = []
-    for path in sorted(root.rglob("*.py")):
-        shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
-        for lineno, func in violations_in(path):
-            out.append(
-                f"{shown}:{lineno}: import inside "
-                f"{func}() — hoist it to module level"
+    """Return one diagnostic line per function-level import under ``root``."""
+    return [
+        f"{_shown(path)}:{lineno}: import inside "
+        f"{func}() — hoist it to module level"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, func in violations_in(path)
+    ]
+
+
+# -- containment ---------------------------------------------------------------
+
+
+def registered(*registries: str) -> Set[str]:
+    """``module.Name`` of every implementation in the named registries.
+
+    Each argument is ``"module:attribute"`` of a registry, or of a dict
+    of them (the per-seam component registries).
+    """
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    targets: Set[str] = set()
+    for spec in registries:
+        module, _, attr = spec.partition(":")
+        found = getattr(importlib.import_module(module), attr)
+        for registry in found.values() if isinstance(found, dict) else [found]:
+            for impl in registry.classes().values():
+                name = getattr(impl, "__qualname__", "").split(".")[0]
+                if name:
+                    targets.add(f"{impl.__module__}.{name}")
+    return targets
+
+
+class Rule(NamedTuple):
+    """Files under ``scope`` (minus ``allowed``) may not import ``banned``."""
+
+    scope: Tuple[Path, ...]
+    banned: Callable[[], Set[str]]
+    allowed: Tuple[Path, ...]
+    hint: str
+
+
+#: The engine internals the oracle must never import.
+ORACLE_BANNED = frozenset(
+    f"repro.hmc.{mod}" for mod in ("device", "vault", "xbar", "link", "vector")
+)
+
+RULES = {
+    "seam": Rule(
+        (LINTED / "device.py", LINTED / "sim.py"),
+        lambda: registered("repro.hmc.components:COMPONENTS"),
+        (),
+        "core modules construct seams through repro.hmc.composition",
+    ),
+    "oracle": Rule(
+        (SRC_ROOT / "oracle",),
+        lambda: set(ORACLE_BANNED),
+        (),
+        "the functional reference must stay independent of the datapath "
+        "it checks",
+    ),
+    "vector": Rule(
+        (SRC_ROOT,),
+        lambda: {"repro.hmc.vector"},
+        (LINTED / "composition.py",),
+        "only repro.hmc.composition (the registry factory) may name the "
+        "vector engine; select it with xbar='vector' instead",
+    ),
+    "workload": Rule(
+        (SRC_ROOT,),
+        lambda: registered("repro.workloads.registry:WORKLOADS"),
+        (),
+        "frontend classes are registered, not imported; resolve it with "
+        "WORKLOADS.get(name) instead",
+    ),
+}
+
+
+def _imported(node: ast.AST) -> List[str]:
+    """Dotted names an import statement binds (``M`` and ``M.name``)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    return []
+
+
+def _within(name: str, target: str) -> bool:
+    return name == target or name.startswith(target + ".")
+
+
+def _module_of(path: Path) -> Optional[str]:
+    if not path.is_relative_to(SRC):
+        return None
+    return ".".join(path.relative_to(SRC).with_suffix("").parts)
+
+
+def _files(scope: Iterable[Path]) -> Iterator[Path]:
+    for root in scope:
+        yield from sorted(root.rglob("*.py")) if root.is_dir() else [root]
+
+
+def contain(
+    rule: str,
+    scope: Optional[Sequence[Path]] = None,
+    allowed: Optional[Sequence[Path]] = None,
+) -> List[str]:
+    """One diagnostic per banned target an import under the rule's scope
+    names (``scope``/``allowed`` override the table's, for tests)."""
+    spec = RULES[rule]
+    exempt = tuple(spec.allowed if allowed is None else allowed)
+    banned = spec.banned()
+    out: List[str] = []
+    for path in _files(spec.scope if scope is None else scope):
+        if any(path == a or path.is_relative_to(a) for a in exempt):
+            continue
+        own = _module_of(path)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = _imported(node)
+            hits = sorted(
+                target
+                for target in banned
+                if any(_within(name, target) for name in names)
+                and not (own and (_within(own, target) or _within(target, own)))
+            )
+            out.extend(
+                f"{_shown(path)}:{node.lineno}: [{rule}] imports "
+                f"{target!r} — {spec.hint}"
+                for target in hits
             )
     return out
 
 
-#: Core modules that must compose the pipeline through the registry.
-CORE_MODULES = (LINTED / "device.py", LINTED / "sim.py")
-
-
-def _registered_factories() -> dict:
-    """``module -> {factory names}`` for every registered component."""
-    src = str(REPO / "src")
-    added = src not in sys.path
-    if added:
-        sys.path.insert(0, src)
-    try:
-        import repro.hmc.composition  # noqa: F401  populates the registry
-
-        from repro.hmc.components import COMPONENTS
-
-        factories: dict = {}
-        for seam in COMPONENTS.seams():
-            for key in COMPONENTS.keys(seam):
-                factory = COMPONENTS.get(seam, key)
-                module = getattr(factory, "__module__", "")
-                name = getattr(factory, "__name__", "")
-                if module and name:
-                    factories.setdefault(module, set()).add(name)
-        return factories
-    finally:
-        if added:
-            sys.path.remove(src)
-
-
-def run_seam_check(core_paths=CORE_MODULES) -> List[str]:
-    """Diagnostics for core modules importing concrete seam classes."""
-    factories = _registered_factories()
-    out: List[str] = []
-    for path in core_paths:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom) or node.module not in factories:
-                continue
-            for alias in node.names:
-                if alias.name in factories[node.module]:
-                    out.append(
-                        f"{shown}:{node.lineno}: core module imports concrete "
-                        f"seam implementation {alias.name!r} from "
-                        f"{node.module} — construct it through "
-                        f"repro.hmc.composition instead"
-                    )
-    return out
-
-
-#: The oracle package, and the engine internals it must never import.
-#: ``vector`` is the batch engine — exactly the kind of datapath the
-#: oracle exists to check, so it is as banned as the scalar internals.
-ORACLE_DIR = REPO / "src" / "repro" / "oracle"
-ORACLE_BANNED_MODULES = frozenset(
-    f"repro.hmc.{mod}" for mod in ("device", "vault", "xbar", "link", "vector")
-)
-
-
-def run_oracle_purity(
-    root: Path = ORACLE_DIR, banned: frozenset = ORACLE_BANNED_MODULES
-) -> List[str]:
-    """Diagnostics for oracle modules importing cycle-engine internals.
-
-    Catches ``import repro.hmc.vault``, ``from repro.hmc.vault import
-    …``, and ``from repro.hmc import vault`` alike.
-    """
-    out: List[str] = []
-    tails = {m.rsplit(".", 1)[1] for m in banned}
-    for path in sorted(root.rglob("*.py")):
-        shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            hits: List[str] = []
-            if isinstance(node, ast.Import):
-                hits = [
-                    alias.name
-                    for alias in node.names
-                    if alias.name in banned
-                    or any(alias.name.startswith(m + ".") for m in banned)
-                ]
-            elif isinstance(node, ast.ImportFrom):
-                if node.module in banned or any(
-                    (node.module or "").startswith(m + ".") for m in banned
-                ):
-                    hits = [node.module]
-                elif node.module == "repro.hmc":
-                    hits = [
-                        f"repro.hmc.{alias.name}"
-                        for alias in node.names
-                        if alias.name in tails
-                    ]
-            for hit in hits:
-                out.append(
-                    f"{shown}:{node.lineno}: oracle module imports "
-                    f"cycle-engine internal {hit!r} — the functional "
-                    f"reference must stay independent of the datapath "
-                    f"it checks"
-                )
-    return out
-
-
-#: The vector engine package, and the only modules allowed to name it.
-#: Everything else selects it through the registry key (``xbar`` =
-#: ``"vector"``), so the engine stays swappable — and removable —
-#: without touching any consumer.
-VECTOR_PACKAGE = "repro.hmc.vector"
-SRC_ROOT = REPO / "src" / "repro"
-VECTOR_ALLOWED = (
-    SRC_ROOT / "hmc" / "composition.py",
-    SRC_ROOT / "hmc" / "vector",
-)
-
-
-def run_vector_containment(
-    root: Path = SRC_ROOT, allowed: tuple = VECTOR_ALLOWED
-) -> List[str]:
-    """Diagnostics for modules naming ``repro.hmc.vector`` directly.
-
-    Only the composition root (whose registry factory is the one
-    sanctioned construction path) and the vector package itself may
-    import it; everyone else goes through the component registry.
-    """
-    out: List[str] = []
-    for path in sorted(root.rglob("*.py")):
-        if any(
-            path == a or (a.is_dir() and path.is_relative_to(a))
-            for a in allowed
-        ):
-            continue
-        shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            hits: List[str] = []
-            if isinstance(node, ast.Import):
-                hits = [
-                    alias.name
-                    for alias in node.names
-                    if alias.name == VECTOR_PACKAGE
-                    or alias.name.startswith(VECTOR_PACKAGE + ".")
-                ]
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                if module == VECTOR_PACKAGE or module.startswith(
-                    VECTOR_PACKAGE + "."
-                ):
-                    hits = [module]
-                elif module == "repro.hmc":
-                    hits = [
-                        f"repro.hmc.{alias.name}"
-                        for alias in node.names
-                        if alias.name == "vector"
-                    ]
-            for hit in hits:
-                out.append(
-                    f"{shown}:{node.lineno}: module imports {hit!r} — "
-                    f"only repro.hmc.composition (the registry factory) "
-                    f"may name the vector engine; select it with "
-                    f"xbar='vector' instead"
-                )
-    return out
-
-
-#: The workload catalog — the only module allowed to import concrete
-#: frontend classes.  Each class's own defining module is exempt too
-#: (a definition is not an import, but re-exports within the defining
-#: file stay legal).
-WORKLOAD_CATALOG = SRC_ROOT / "workloads" / "catalog.py"
-
-
-def _registered_workloads() -> dict:
-    """``module -> {class names}`` for every registered frontend."""
-    src = str(REPO / "src")
-    added = src not in sys.path
-    if added:
-        sys.path.insert(0, src)
-    try:
-        from repro.workloads.registry import WORKLOADS
-
-        classes: dict = {}
-        for cls in WORKLOADS.classes().values():
-            module = getattr(cls, "__module__", "")
-            name = getattr(cls, "__qualname__", "").split(".")[0]
-            if module and name:
-                classes.setdefault(module, set()).add(name)
-        return classes
-    finally:
-        if added:
-            sys.path.remove(src)
-
-
-def run_workload_containment(
-    root: Path = SRC_ROOT, allowed: tuple = (WORKLOAD_CATALOG,)
-) -> List[str]:
-    """Diagnostics for modules importing concrete workload classes.
-
-    Mirrors the seam check: the banned names come from the live
-    workload registry, the catalog (and each class's defining module)
-    is exempt, and everything else must resolve workloads by string
-    through ``WORKLOADS``.
-    """
-    classes = _registered_workloads()
-    defining_files = {
-        module: REPO / "src" / Path(*module.split(".")).with_suffix(".py")
-        for module in classes
-    }
-    out: List[str] = []
-    for path in sorted(root.rglob("*.py")):
-        if path in allowed:
-            continue
-        shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ImportFrom) or node.module not in classes:
-                continue
-            if path == defining_files.get(node.module):
-                continue
-            for alias in node.names:
-                if alias.name in classes[node.module]:
-                    out.append(
-                        f"{shown}:{node.lineno}: module imports concrete "
-                        f"workload class {alias.name!r} from "
-                        f"{node.module} — only the workload catalog may "
-                        f"name frontend classes; resolve it with "
-                        f"WORKLOADS.get(name) instead"
-                    )
-    return out
-
-
 def main() -> int:
-    diags = (
-        run()
-        + run_seam_check()
-        + run_oracle_purity()
-        + run_vector_containment()
-        + run_workload_containment()
-    )
+    diags = run() + [d for rule in RULES for d in contain(rule)]
     for diag in diags:
         print(diag)
     if diags:

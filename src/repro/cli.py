@@ -35,20 +35,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace as _replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis import tables as _tables
 from repro.analysis.export import sweep_to_csv, write_csv
 from repro.analysis.plot import plot_sweeps
 from repro.analysis.sweep import run_mutex_sweep
-from repro.errors import ComponentError, FaultError, WorkloadError
+from repro.errors import ComponentError, FaultError, HMCConfigError, WorkloadError
 from repro.faults.plan import DEFAULT_FAULT_SEED, FaultPlan, FaultSpec
 from repro.faults.registry import FAULTS
 from repro.hmc.commands import CMC_CODES, DEFINED_CODES
 from repro.hmc.components import COMPONENTS
-from repro.hmc.composition import SEAM_FIELDS
-from repro.hmc.config import HMCConfig
+from repro.hmc.config import CONFIGS, HMCConfig, resolve_config, validate_selection
 from repro.parallel.progress import make_progress
 from repro.workloads.registry import WORKLOADS
 
@@ -82,31 +80,29 @@ def _parse_threads(spec: str) -> List[int]:
 def _parse_component(spec: str) -> Tuple[str, str]:
     """Parse a ``--component`` spec: ``seam=impl``, e.g. ``xbar=ideal``."""
     seam, sep, key = spec.partition("=")
-    if not sep or seam not in SEAM_FIELDS:
-        known = ", ".join(sorted(SEAM_FIELDS))
+    if not sep:
         raise argparse.ArgumentTypeError(
-            f"bad component spec {spec!r} (expected seam=impl; seams: {known})"
+            f"bad component spec {spec!r} (expected seam=impl)"
         )
-    if not COMPONENTS.has(seam, key):
-        known = ", ".join(COMPONENTS.keys(seam))
-        raise argparse.ArgumentTypeError(
-            f"unknown {seam} implementation {key!r} (registered: {known})"
-        )
+    try:
+        validate_selection(seam, key)
+    except HMCConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return seam, key
 
 
-def _configs(
-    which: str, components: Optional[List[Tuple[str, str]]] = None
-) -> List[HMCConfig]:
-    cfgs = {
-        "4link": [HMCConfig.cfg_4link_4gb()],
-        "8link": [HMCConfig.cfg_8link_8gb()],
-        "both": [HMCConfig.cfg_4link_4gb(), HMCConfig.cfg_8link_8gb()],
-    }[which]
-    if components:
-        overrides = {SEAM_FIELDS[seam]: key for seam, key in components}
-        cfgs = [_replace(cfg, **overrides) for cfg in cfgs]
-    return cfgs
+def _integer(text: str) -> int:
+    """An integer flag value, in any base Python spells (``0x2a``)."""
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+
+
+#: ``--config`` spellings: each named configuration by its link count.
+_LINKS = [name.split("_")[0] for name in CONFIGS]
 
 
 def _parse_fault(spec: str) -> FaultSpec:
@@ -125,7 +121,7 @@ def _add_fault_args(p: argparse.ArgumentParser) -> None:
         "vault_stall=2e-3,duration=4 (repeatable; see 'info' for kinds)",
     )
     p.add_argument(
-        "--fault-seed", type=lambda s: int(s, 0), default=DEFAULT_FAULT_SEED,
+        "--fault-seed", type=_integer, default=DEFAULT_FAULT_SEED,
         metavar="N", help="seed every fault draw derives from "
         f"(default {DEFAULT_FAULT_SEED:#x}; same seed = same faults, "
         "serial or parallel)",
@@ -136,10 +132,7 @@ def _fault_plan(args) -> Optional[FaultPlan]:
     """The FaultPlan described by the ``--fault``/``--fault-seed`` flags."""
     if not getattr(args, "faults", None):
         return None
-    try:
-        return FaultPlan(specs=tuple(args.faults), seed=args.fault_seed)
-    except FaultError as exc:
-        raise SystemExit(f"hmcsim-repro: error: {exc}")
+    return FaultPlan(specs=tuple(args.faults), seed=args.fault_seed)
 
 
 def _add_component_arg(p: argparse.ArgumentParser) -> None:
@@ -195,28 +188,6 @@ def _sweep_kwargs(args) -> dict:
     return kwargs
 
 
-def _cli_kernel_names() -> List[str]:
-    """Registry workloads the ``kernel`` subcommand offers."""
-    return [
-        name
-        for name, cls in sorted(WORKLOADS.classes().items())
-        if cls.kind == "kernel" and getattr(cls, "cli_kernel", False)
-    ]
-
-
-def _recordable_names() -> List[str]:
-    """Registry workloads ``trace record`` can capture."""
-    return [
-        name for name, cls in sorted(WORKLOADS.classes().items())
-        if cls.recordable
-    ]
-
-
-def _graph_scenarios() -> List[str]:
-    """Task-graph scenarios, without their ``graph:`` prefix."""
-    return [name.split(":", 1)[1] for name in WORKLOADS.keys(kind="graph")]
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -226,6 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="regenerate a paper table")
+    p_table.set_defaults(run=_cmd_table)
     p_table.add_argument("number", choices=["1", "2", "5", "6"])
     p_table.add_argument(
         "--threads", type=_parse_threads, default=None,
@@ -235,12 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_args(p_table)
 
     p_sweep = sub.add_parser("sweep", help="run the Figures 5-7 thread sweep")
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument(
         "--threads", type=_parse_threads, default=_parse_threads("2:100"),
         help="thread axis, e.g. 2:100 or 2:100:7 (default 2:100)",
     )
     p_sweep.add_argument(
-        "--config", choices=["4link", "8link", "both"], default="both"
+        "--config", choices=_LINKS + ["both"], default="both"
     )
     p_sweep.add_argument("--plot", action="store_true", help="render ASCII charts")
     p_sweep.add_argument("--csv", metavar="PATH", help="export the series as CSV")
@@ -249,10 +222,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_args(p_sweep)
 
     p_kernel = sub.add_parser("kernel", help="run one workload kernel")
-    p_kernel.add_argument("name", choices=_cli_kernel_names())
+    p_kernel.set_defaults(run=_cmd_kernel)
+    p_kernel.add_argument(
+        "name", choices=WORKLOADS.keys(kind="kernel", cli_kernel=True)
+    )
     p_kernel.add_argument("--threads", type=int, default=16)
     p_kernel.add_argument(
-        "--config", choices=["4link", "8link"], default="4link"
+        "--config", choices=_LINKS, default="4link"
     )
     p_kernel.add_argument(
         "--oracle-sample", type=int, default=None, metavar="N",
@@ -268,15 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace", help="record or replay a workload trace"
     )
+    p_trace.set_defaults(run=_cmd_trace)
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
     p_record = trace_sub.add_parser(
         "record",
         help="run a recordable workload, capturing its request stream",
     )
-    p_record.add_argument("workload", choices=_recordable_names())
+    p_record.add_argument("workload", choices=WORKLOADS.keys(recordable=True))
     p_record.add_argument("--threads", type=int, default=16)
     p_record.add_argument(
-        "--config", choices=["4link", "8link"], default="4link"
+        "--config", choices=_LINKS, default="4link"
     )
     p_record.add_argument(
         "-o", "--output", required=True, metavar="PATH",
@@ -303,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "requests instead of --rate (deep-queue regime)",
     )
     p_replay.add_argument(
-        "--config", choices=["4link", "8link"], default=None,
+        "--config", choices=_LINKS, default=None,
         help="override the trace header's configuration",
     )
     _add_component_arg(p_replay)
@@ -319,9 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_graph = sub.add_parser("graph", help="run a task-graph workload")
-    p_graph.add_argument("scenario", choices=_graph_scenarios())
+    p_graph.set_defaults(run=_cmd_graph)
     p_graph.add_argument(
-        "--config", choices=["4link", "8link"], default="4link"
+        "scenario",
+        choices=[name.split(":", 1)[1] for name in WORKLOADS.keys(kind="graph")],
+    )
+    p_graph.add_argument(
+        "--config", choices=_LINKS, default="4link"
     )
     p_graph.add_argument(
         "--schedule", action="store_true",
@@ -332,6 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_open = sub.add_parser(
         "openloop", help="open-loop latency vs offered load"
     )
+    p_open.set_defaults(run=_cmd_openloop)
     p_open.add_argument("--rate", type=float, default=8.0, help="requests/cycle")
     p_open.add_argument("--duration", type=int, default=256)
     p_open.add_argument(
@@ -340,17 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of --rate (which then only sizes the stream)",
     )
     p_open.add_argument("--pattern", choices=["uniform", "stride"], default="uniform")
-    p_open.add_argument("--config", choices=["4link", "8link"], default="4link")
+    p_open.add_argument("--config", choices=_LINKS, default="4link")
     _add_component_arg(p_open)
 
     p_chase = sub.add_parser("chase", help="pointer-chase latency kernel")
+    p_chase.set_defaults(run=_cmd_chase)
     p_chase.add_argument("--length", type=int, default=64)
     p_chase.add_argument("--scatter", action="store_true")
     p_chase.add_argument("--timing", action="store_true", help="attach DRAM timing")
-    p_chase.add_argument("--config", choices=["4link", "8link"], default="4link")
+    p_chase.add_argument("--config", choices=_LINKS, default="4link")
     _add_component_arg(p_chase)
 
     p_analyze = sub.add_parser("analyze", help="analyze a trace file")
+    p_analyze.set_defaults(run=_cmd_analyze)
     p_analyze.add_argument("trace", help="path to a trace file")
     p_analyze.add_argument(
         "--histogram", action="store_true", help="print the latency histogram"
@@ -363,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz = sub.add_parser(
         "fuzz", help="differential-fuzz the datapath against the oracle"
     )
+    p_fuzz.set_defaults(run=_cmd_fuzz)
     p_fuzz.add_argument(
-        "--seed", type=lambda s: int(s, 0), default=0, metavar="N",
+        "--seed", type=_integer, default=0, metavar="N",
         help="first seed (default 0)",
     )
     p_fuzz.add_argument(
@@ -395,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(sets the profile to 'trace')",
     )
     p_fuzz.add_argument(
-        "--config", choices=["4link_4gb", "8link_8gb"], default="4link_4gb"
+        "--config", choices=list(CONFIGS), default="4link_4gb"
     )
     p_fuzz.add_argument(
         "--shrink", action="store_true",
@@ -412,6 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="verify the paper's published numbers"
     )
+    p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument(
         "--threads", type=_parse_threads, default=None,
         help="thread axis for the sweep anchors (default 2:100)",
@@ -421,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run the simulation service (warm sessions on a socket)"
     )
+    p_serve.set_defaults(run=_cmd_serve)
     p_serve.add_argument(
         "--socket", required=True, metavar="PATH",
         help="Unix socket path to listen on",
@@ -458,6 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_client = sub.add_parser(
         "client", help="talk to a running simulation service"
     )
+    p_client.set_defaults(run=_cmd_client)
     p_client.add_argument(
         "--socket", required=True, metavar="PATH",
         help="Unix socket path of the server",
@@ -471,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="session to submit to (created if it does not exist)",
     )
     p_csubmit.add_argument(
-        "--config", choices=["4link_4gb", "8link_8gb"], default="4link_4gb",
+        "--config", choices=list(CONFIGS), default="4link_4gb",
         help="configuration for a newly created session",
     )
     p_csubmit.add_argument(
@@ -500,7 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cstat.add_argument("session", nargs="?", default=None)
 
-    sub.add_parser("info", help="show command space and configurations")
+    sub.add_parser(
+        "info", help="show command space and configurations"
+    ).set_defaults(run=_cmd_info)
     return parser
 
 
@@ -513,14 +503,17 @@ def _cmd_table(args, out) -> int:
         from repro.cmc_ops.mutex import load_mutex_ops
         from repro.hmc.sim import HMCSim
 
-        sim = HMCSim(_configs("4link", args.components)[0])
+        sim = HMCSim(resolve_config("4link", args.components))
         load_mutex_ops(sim)
         out.write(_tables.render_table5(sim.cmc) + "\n")
     else:
         counts = args.threads or _parse_threads("2:100")
         sweeps = [
-            run_mutex_sweep(c, counts, **_sweep_kwargs(args))
-            for c in _configs("both", args.components)
+            run_mutex_sweep(
+                resolve_config(name, args.components), counts,
+                **_sweep_kwargs(args),
+            )
+            for name in CONFIGS
         ]
         out.write(_tables.render_table6(sweeps) + "\n")
     return 0
@@ -528,9 +521,10 @@ def _cmd_table(args, out) -> int:
 
 def _cmd_sweep(args, out) -> int:
     kwargs = _sweep_kwargs(args)
+    names = CONFIGS if args.config == "both" else [args.config]
     sweeps = [
-        run_mutex_sweep(c, args.threads, **kwargs)
-        for c in _configs(args.config, args.components)
+        run_mutex_sweep(resolve_config(name, args.components), args.threads, **kwargs)
+        for name in names
     ]
     plan = kwargs.get("fault_plan")
     if plan is not None:
@@ -559,7 +553,7 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_kernel(args, out) -> int:
-    cfg = _configs(args.config, args.components)[0]
+    cfg = resolve_config(args.config, args.components)
     plan = _fault_plan(args)
     frontend = WORKLOADS.get(args.name)
     sample = getattr(args, "oracle_sample", None)
@@ -574,7 +568,7 @@ def _cmd_kernel(args, out) -> int:
 def _cmd_openloop(args, out) -> int:
     from repro.host.openloop import run_open_loop
 
-    cfg = _configs(args.config, args.components)[0]
+    cfg = resolve_config(args.config, args.components)
     s = run_open_loop(
         cfg,
         offered_rate=args.rate,
@@ -587,7 +581,7 @@ def _cmd_openloop(args, out) -> int:
 
 
 def _cmd_chase(args, out) -> int:
-    cfg = _configs(args.config, args.components)[0]
+    cfg = resolve_config(args.config, args.components)
     frontend = WORKLOADS.get("chase")
     s = frontend.run(
         cfg,
@@ -617,7 +611,7 @@ def _cmd_trace(args, out) -> int:
     if args.trace_command == "record":
         from repro.workloads.replay import record_workload
 
-        cfg = _configs(args.config)[0]
+        cfg = resolve_config(args.config)
         frontend = WORKLOADS.get(args.workload)
         stats, trace = record_workload(
             args.workload, cfg, {"threads": args.threads}
@@ -653,10 +647,7 @@ def _cmd_trace(args, out) -> int:
     trace = WorkloadTrace.load(args.trace_file)
     cfg = None
     if args.config or args.components:
-        base = args.config or (
-            "8link" if trace.config_name == "8link_8gb" else "4link"
-        )
-        cfg = _configs(base, args.components)[0]
+        cfg = resolve_config(args.config or trace.config_name, args.components)
     if args.mode == "open":
         s = replay_open_loop(trace, config=cfg, rate=args.rate, depth=args.depth)
         _write_openloop(s, out)
@@ -683,7 +674,7 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
-    cfg = _configs(args.config, args.components)[0]
+    cfg = resolve_config(args.config, args.components)
     frontend = WORKLOADS.get(f"graph:{args.scenario}")
     s = frontend.run(cfg, {})
     out.write(
@@ -720,13 +711,13 @@ def _cmd_analyze(args, out) -> int:
     return 0
 
 
-def _cmd_info(out) -> int:
+def _cmd_info(args, out) -> int:
     out.write("HMC-Sim 2.0 reproduction\n")
     out.write(
         f"command space: {len(DEFINED_CODES)} specification commands, "
         f"{len(CMC_CODES)} CMC-eligible codes\n"
     )
-    for cfg in _configs("both"):
+    for cfg in (make() for make in CONFIGS.values()):
         out.write(
             f"{cfg.describe()}: {cfg.num_vaults} vaults x {cfg.num_banks} banks, "
             f"queue depth {cfg.queue_depth}, xbar depth {cfg.xbar_depth}, "
@@ -735,9 +726,9 @@ def _cmd_info(out) -> int:
     out.write(f"CMC codes: {', '.join(str(c) for c in CMC_CODES[:12])}, ...\n")
     defaults = HMCConfig.cfg_4link_4gb().component_selection()
     out.write("pipeline components (--component seam=impl, * = default):\n")
-    for seam in COMPONENTS.seams():
+    for seam, registry in COMPONENTS.items():
         keys = ", ".join(
-            f"{k}*" if k == defaults[seam] else k for k in COMPONENTS.keys(seam)
+            f"{k}*" if k == defaults[seam] else k for k in registry.keys()
         )
         out.write(f"  {seam}: {keys}\n")
     out.write("fault kinds (--fault kind=param, primary param shown):\n")
@@ -819,10 +810,7 @@ def _cmd_fuzz(args, out) -> int:
 
         wtrace = WorkloadTrace.load(args.trace_path)
     seeds = _parse_seed_list(args)
-    overrides = (
-        {SEAM_FIELDS[seam]: key for seam, key in args.components}
-        if args.components else None
-    )
+    overrides = dict(args.components) if args.components else None
 
     def profile_for(seed: int) -> str:
         return (
@@ -1036,57 +1024,34 @@ def _cmd_client(args, out) -> int:
         return 1
 
 
+def _cmd_verify(args, out) -> int:
+    from repro.analysis.verify import render_verification_report, verify_all
+
+    anchors = verify_all(
+        thread_counts=args.threads,
+        jobs=args.jobs,
+        use_cache=not args.no_cache,
+    )
+    out.write(render_verification_report(anchors) + "\n")
+    return 0 if all(a.passed for a in anchors) else 1
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
     _merge_engine(args)
     try:
-        return _dispatch(args, out)
-    except (ComponentError, WorkloadError) as exc:
-        # Optional-dependency degradation (a component whose factory
-        # cannot run, e.g. xbar='vector' without numpy) and a workload
-        # refusing its parameters or mode (--threads 0, --fault on a
-        # kernel without fault support) fail with one clear line, not
-        # a traceback.
+        return args.run(args, out)
+    except (ComponentError, FaultError, HMCConfigError, WorkloadError) as exc:
+        # Refused input fails with one clear line, not a traceback: a
+        # component whose factory cannot run (xbar='vector' without
+        # numpy), a fault plan an injector rejects, a config name or
+        # selection nothing registers, a workload refusing its
+        # parameters or mode (--threads 0, --fault on a kernel without
+        # fault support, --oracle-sample under --fault).
         sys.stderr.write(f"hmcsim-repro: error: {exc}\n")
         return 2
-
-
-def _dispatch(args, out) -> int:
-    if args.command == "table":
-        return _cmd_table(args, out)
-    if args.command == "sweep":
-        return _cmd_sweep(args, out)
-    if args.command == "kernel":
-        return _cmd_kernel(args, out)
-    if args.command == "openloop":
-        return _cmd_openloop(args, out)
-    if args.command == "chase":
-        return _cmd_chase(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    if args.command == "graph":
-        return _cmd_graph(args, out)
-    if args.command == "analyze":
-        return _cmd_analyze(args, out)
-    if args.command == "fuzz":
-        return _cmd_fuzz(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "client":
-        return _cmd_client(args, out)
-    if args.command == "verify":
-        from repro.analysis.verify import render_verification_report, verify_all
-
-        anchors = verify_all(
-            thread_counts=args.threads,
-            jobs=args.jobs,
-            use_cache=not args.no_cache,
-        )
-        out.write(render_verification_report(anchors) + "\n")
-        return 0 if all(a.passed for a in anchors) else 1
-    return _cmd_info(out)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -89,12 +89,13 @@ class TagError(HMCSimError, ValueError):
 class ComponentError(HMCSimError):
     """A pipeline-component registration or lookup failed.
 
-    The component registry (:mod:`repro.hmc.components`) keys pluggable
-    pipeline stages — crossbar, vault scheduler, link flow, topology,
-    memory backend — by ``(seam, key)`` strings, the same way the CMC
-    registry keys custom operations by command code.  Registering a
-    duplicate key, registering under an unknown seam, or requesting an
-    implementation that was never registered raises this error.
+    The component registries (:data:`repro.hmc.components.COMPONENTS`,
+    one per seam) key pluggable pipeline stages — crossbar, vault
+    scheduler, link flow, topology, memory backend — by string.
+    Registering a duplicate key, registering under an unknown seam,
+    requesting an implementation that was never registered, or a
+    factory producing an object of the wrong interface raises this
+    error.
     """
 
 
@@ -103,7 +104,7 @@ class WorkloadError(HMCSimError):
 
     The workload registry (:mod:`repro.workloads.registry`) keys
     frontends — kernel adapters, trace replay, task graphs — by string
-    name, mirroring the component registry.  Registering a duplicate
+    name.  Registering a duplicate
     name, requesting an unknown workload, passing parameters a frontend
     does not declare, or driving a frontend in a mode it does not
     support (e.g. recording a multi-phase kernel) raises this error.

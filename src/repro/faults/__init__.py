@@ -10,12 +10,13 @@ invariant checking, deadlock dumps).
 Structure mirrors the component architecture:
 
 * :mod:`~repro.faults.registry` — the string-keyed
-  :data:`~repro.faults.registry.FAULTS` registry of fault *kinds*
-  (the analog of ``ComponentRegistry``/``CMCRegistry``);
+  :data:`~repro.faults.registry.FAULTS` registry of fault *kinds* (a
+  :class:`repro.registry.Registry`, as are the component seams and the
+  workloads);
 * :mod:`~repro.faults.plan` — :class:`~repro.faults.plan.FaultPlan`,
   the frozen, picklable, fingerprinted description of what to break;
-* :mod:`~repro.faults.injectors` — the built-in kinds (self-register
-  on import);
+* :mod:`~repro.faults.injectors` — the built-in kinds (the registry's
+  catalog, imported on first lookup);
 * :mod:`~repro.faults.controller` — the per-simulation object a built
   plan becomes (``sim.faults``);
 * :mod:`~repro.faults.watchdog` / :mod:`~repro.faults.invariants` /
@@ -35,16 +36,14 @@ from repro.faults.controller import (
     FaultController,
 )
 from repro.faults.diagnostics import DeadlockDump, collect_deadlock_dump
-from repro.faults import injectors as _injectors  # noqa: F401 - self-registration
 from repro.faults.invariants import InvariantChecker
 from repro.faults.plan import DEFAULT_FAULT_SEED, FaultPlan, FaultSpec
-from repro.faults.registry import FAULTS, FaultKind, FaultRegistry, register_fault
+from repro.faults.registry import FAULTS, FaultKind, register_fault
 from repro.faults.watchdog import ArmedTag, TagWatchdog
 
 __all__ = [
     "FAULTS",
     "FaultKind",
-    "FaultRegistry",
     "register_fault",
     "FaultSpec",
     "FaultPlan",

@@ -153,13 +153,19 @@ class FaultPlan:
         return h
 
     def fingerprint(self) -> str:
-        """Hex digest over the full plan: every spec's kind, its
-        *resolved* parameter set (defaults included, so changing a
-        kind's default invalidates old cache entries), and the seed."""
+        """Hex digest over the full plan: every spec's kind, the
+        implementation registered for it (so re-pointing a kind at other
+        code invalidates old cache entries), its *resolved* parameter
+        set (defaults included, likewise), and the seed."""
         doc = {
             "seed": self.seed,
             "specs": [
-                {"kind": s.kind, "params": s.param_dict()} for s in self.specs
+                {
+                    "kind": s.kind,
+                    "impl": FAULTS.fingerprint(s.kind),
+                    "params": s.param_dict(),
+                }
+                for s in self.specs
             ],
         }
         blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")

@@ -1,14 +1,13 @@
 """String-keyed registry of fault-injector kinds.
 
-The structural mirror of :class:`repro.hmc.components.ComponentRegistry`
-and :class:`repro.core.cmc.CMCRegistry`: where those registries key
-pipeline seams and custom memory operations, this one keys *fault
-kinds* — named, parameterized, deterministic perturbations of the
-simulated datapath.  Built-in kinds self-register from
-:mod:`repro.faults.injectors` (imported by the package ``__init__``);
+:data:`FAULTS` is a :class:`repro.registry.Registry` of *fault kinds* —
+named, parameterized, deterministic perturbations of the simulated
+datapath.  Built-in kinds self-register from
+:mod:`repro.faults.injectors`, the registry's catalog, on first lookup;
 third-party kinds call :func:`register_fault` with their own key and
 become immediately usable in :class:`repro.faults.plan.FaultPlan` specs
-and the CLI's ``--fault kind=param`` flag.
+and the CLI's ``--fault kind=param`` flag.  A kind's implementation
+(its ``factory``) is part of every faulty sweep point's cache key.
 
 Each registration carries the metadata the plan parser needs:
 
@@ -25,8 +24,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.errors import FaultError
+from repro.registry import Registry
 
-__all__ = ["FaultKind", "FaultRegistry", "FAULTS", "register_fault"]
+__all__ = ["FaultKind", "FAULTS", "register_fault"]
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,13 @@ class FaultKind:
     primary: str
     defaults: Tuple[Tuple[str, Any], ...]
     doc: str
+
+    def __post_init__(self) -> None:
+        if self.primary not in dict(self.defaults):
+            raise FaultError(
+                f"fault kind {self.key!r}: primary parameter "
+                f"{self.primary!r} is not among its defaults"
+            )
 
     def resolve_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         """Merge ``params`` over the defaults, rejecting unknown names."""
@@ -53,79 +60,14 @@ class FaultKind:
         return merged
 
 
-class FaultRegistry:
-    """Fault kinds keyed by string, mirroring ``ComponentRegistry``."""
-
-    def __init__(self) -> None:
-        self._kinds: Dict[str, FaultKind] = {}
-
-    def register(
-        self,
-        key: str,
-        factory: Callable[..., Any],
-        *,
-        primary: str,
-        defaults: Mapping[str, Any],
-        doc: str = "",
-        replace: bool = False,
-    ) -> None:
-        """Install a fault kind.
-
-        Raises:
-            FaultError: empty key, a ``primary`` not present in
-                ``defaults``, or an occupied key (unless ``replace``).
-        """
-        if not key or not isinstance(key, str):
-            raise FaultError(f"fault kind key must be a non-empty string, got {key!r}")
-        if primary not in defaults:
-            raise FaultError(
-                f"fault kind {key!r}: primary parameter {primary!r} "
-                f"is not among its defaults"
-            )
-        if key in self._kinds and not replace:
-            raise FaultError(
-                f"fault kind {key!r} is already registered "
-                f"(pass replace=True to override)"
-            )
-        self._kinds[key] = FaultKind(
-            key=key,
-            factory=factory,
-            primary=primary,
-            defaults=tuple(sorted(defaults.items())),
-            doc=doc,
-        )
-
-    def get(self, key: str) -> FaultKind:
-        """The registration for ``key``.
-
-        Raises:
-            FaultError: unregistered kind (message lists known kinds).
-        """
-        kind = self._kinds.get(key)
-        if kind is None:
-            known = ", ".join(sorted(self._kinds)) or "<none>"
-            raise FaultError(
-                f"no fault kind registered under {key!r} (known kinds: {known})"
-            )
-        return kind
-
-    def has(self, key: str) -> bool:
-        """True when ``key`` names a registered fault kind."""
-        return key in self._kinds
-
-    def keys(self) -> Tuple[str, ...]:
-        """Registered fault kinds, sorted."""
-        return tuple(sorted(self._kinds))
-
-    def describe(self) -> Tuple[Tuple[str, str, str], ...]:
-        """(key, primary, doc) rows for every kind (CLI ``info``)."""
-        return tuple(
-            (k.key, k.primary, k.doc) for _, k in sorted(self._kinds.items())
-        )
-
-
-#: The process-wide fault-kind registry.
-FAULTS = FaultRegistry()
+#: The process-wide fault-kind registry; the built-in kinds register
+#: from :mod:`repro.faults.injectors`, its catalog, on first lookup.
+FAULTS: Registry[FaultKind] = Registry(
+    "fault kind",
+    FaultError,
+    catalog=("repro.faults.injectors",),
+    columns=("primary", "doc"),
+)
 
 
 def register_fault(
@@ -147,10 +89,14 @@ def register_fault(
     """
 
     def _decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
-        FAULTS.register(
-            key, factory, primary=primary, defaults=defaults, doc=doc,
-            replace=replace,
+        kind = FaultKind(
+            key=key,
+            factory=factory,
+            primary=primary,
+            defaults=tuple(sorted(defaults.items())),
+            doc=doc,
         )
+        FAULTS.register(key, kind, replace=replace)
         return factory
 
     return _decorator

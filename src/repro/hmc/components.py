@@ -22,9 +22,10 @@ seam               interface                   built-in keys
 ``memory``         :class:`MemoryModel`        ``paged``, ``chunked``
 =================  ==========================  ===========================
 
-Built-ins self-register from their home modules (imported by
-:mod:`repro.hmc.composition`); third-party components call
-:func:`register_component` with their own key — see
+Each seam has its own :class:`repro.registry.Registry` in
+:data:`COMPONENTS`.  Built-ins self-register from their home modules,
+which each registry imports as its catalog on first lookup; third-party
+components call :func:`register_component` with their own key — see
 ``docs/ARCHITECTURE.md`` for the end-to-end recipe.
 
 Every seam is also :class:`Stateful`: a part owns its checkpoint
@@ -43,11 +44,13 @@ from copy import copy
 from typing import Any, Callable, Dict, List, Set, Tuple
 
 from repro.errors import ComponentError
+from repro.registry import Registry
 
 __all__ = [
     "SEAMS",
-    "ComponentRegistry",
     "COMPONENTS",
+    "seam_registry",
+    "create",
     "register_component",
     "CrossbarModel",
     "VaultScheduler",
@@ -56,16 +59,6 @@ __all__ = [
     "MemoryModel",
     "Stateful",
 ]
-
-#: The recognised seam names, in pipeline order.
-SEAMS: Tuple[str, ...] = (
-    "xbar",
-    "vault_scheduler",
-    "link_flow",
-    "topology",
-    "memory",
-)
-
 
 class Stateful:
     """A part that owns its checkpoint state.
@@ -320,122 +313,59 @@ class MemoryModel(ABC):
         """Drop all state, returning the store to all-zeros."""
 
 
-#: interface enforced per seam (used by register-time validation).
-_SEAM_INTERFACE: Dict[str, type] = {
-    "xbar": CrossbarModel,
-    "vault_scheduler": VaultScheduler,
-    "link_flow": LinkFlow,
-    "topology": TopologyRouter,
-    "memory": MemoryModel,
+#: Per seam, in pipeline order: the interface its implementations
+#: produce, and the home module whose import registers its built-ins.
+#: The composition root joins every seam's catalog (it registers the
+#: no-model ``link_flow`` baseline and the optional ``vector`` crossbar).
+_SEAM_SPEC: Dict[str, Tuple[type, str]] = {
+    "xbar": (CrossbarModel, "repro.hmc.xbar"),
+    "vault_scheduler": (VaultScheduler, "repro.hmc.vault"),
+    "link_flow": (LinkFlow, "repro.hmc.flow"),
+    "topology": (TopologyRouter, "repro.hmc.topology"),
+    "memory": (MemoryModel, "repro.hmc.memory"),
+}
+
+#: The recognised seam names, in pipeline order.
+SEAMS: Tuple[str, ...] = tuple(_SEAM_SPEC)
+
+#: The process-wide component registries every simulation composes
+#: from, one per seam, keyed by seam name in pipeline order.
+COMPONENTS: Dict[str, Registry] = {
+    seam: Registry(
+        f"{seam!r} implementation",
+        ComponentError,
+        catalog=(_SEAM_SPEC[seam][1], "repro.hmc.composition"),
+    )
+    for seam in SEAMS
 }
 
 
-# ---------------------------------------------------------------------------
-# The registry
-# ---------------------------------------------------------------------------
+def seam_registry(seam: str) -> Registry:
+    """The registry of ``seam``; an unknown seam is a ComponentError."""
+    try:
+        return COMPONENTS[seam]
+    except KeyError:
+        raise ComponentError(
+            f"unknown seam {seam!r}: expected one of {', '.join(SEAMS)}"
+        ) from None
 
 
-class ComponentRegistry:
-    """String-keyed factories for every pipeline seam.
+def create(seam: str, key: str, *args: Any) -> Any:
+    """Instantiate the component at ``(seam, key)``.
 
-    The structural mirror of :class:`repro.core.cmc.CMCRegistry`: where
-    that registry maps *command codes* to custom memory operations,
-    this one maps ``(seam, key)`` pairs to component factories, so the
-    simulator core composes its pipeline without naming any concrete
-    class.
+    The created instance is checked against the seam's interface
+    (``None`` is allowed — the ``link_flow`` seam uses it for the
+    no-model baseline).
     """
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, Dict[str, Callable[..., Any]]] = {
-            seam: {} for seam in SEAMS
-        }
-
-    def register(
-        self,
-        seam: str,
-        key: str,
-        factory: Callable[..., Any],
-        *,
-        replace: bool = False,
-    ) -> None:
-        """Install ``factory`` under ``(seam, key)``.
-
-        Raises:
-            ComponentError: unknown seam, empty key, or an occupied key
-                (unless ``replace`` is set).
-        """
-        table = self._factories.get(seam)
-        if table is None:
-            raise ComponentError(
-                f"unknown seam {seam!r}: expected one of {', '.join(SEAMS)}"
-            )
-        if not key or not isinstance(key, str):
-            raise ComponentError(f"component key must be a non-empty string, got {key!r}")
-        if key in table and not replace:
-            raise ComponentError(
-                f"seam {seam!r} already has an implementation registered "
-                f"under {key!r} (pass replace=True to override)"
-            )
-        table[key] = factory
-
-    def get(self, seam: str, key: str) -> Callable[..., Any]:
-        """The factory at ``(seam, key)``.
-
-        Raises:
-            ComponentError: unknown seam or unregistered key.
-        """
-        table = self._factories.get(seam)
-        if table is None:
-            raise ComponentError(
-                f"unknown seam {seam!r}: expected one of {', '.join(SEAMS)}"
-            )
-        factory = table.get(key)
-        if factory is None:
-            known = ", ".join(sorted(table)) or "<none>"
-            raise ComponentError(
-                f"no {seam!r} implementation registered under {key!r} "
-                f"(known keys: {known})"
-            )
-        return factory
-
-    def create(self, seam: str, key: str, *args: Any, **kwargs: Any) -> Any:
-        """Instantiate the component at ``(seam, key)``.
-
-        The created instance is checked against the seam's interface
-        (``None`` is allowed — the ``link_flow`` seam uses it for the
-        no-model baseline).
-        """
-        component = self.get(seam, key)(*args, **kwargs)
-        iface = _SEAM_INTERFACE[seam]
-        if component is not None and not isinstance(component, iface):
-            raise ComponentError(
-                f"{seam!r} implementation {key!r} produced "
-                f"{type(component).__name__}, which does not implement "
-                f"{iface.__name__}"
-            )
-        return component
-
-    def keys(self, seam: str) -> Tuple[str, ...]:
-        """Registered keys for ``seam``, sorted."""
-        table = self._factories.get(seam)
-        if table is None:
-            raise ComponentError(
-                f"unknown seam {seam!r}: expected one of {', '.join(SEAMS)}"
-            )
-        return tuple(sorted(table))
-
-    def seams(self) -> Tuple[str, ...]:
-        """All seam names."""
-        return SEAMS
-
-    def has(self, seam: str, key: str) -> bool:
-        """True when ``(seam, key)`` is registered."""
-        table = self._factories.get(seam)
-        return table is not None and key in table
-
-
-#: The process-wide registry every simulation composes from.
-COMPONENTS = ComponentRegistry()
+    component = seam_registry(seam).get(key)(*args)
+    iface = _SEAM_SPEC[seam][0]
+    if component is not None and not isinstance(component, iface):
+        raise ComponentError(
+            f"{seam!r} implementation {key!r} produced "
+            f"{type(component).__name__}, which does not implement "
+            f"{iface.__name__}"
+        )
+    return component
 
 
 def register_component(
@@ -451,7 +381,6 @@ def register_component(
     """
 
     def _decorator(factory: Callable[..., Any]) -> Callable[..., Any]:
-        COMPONENTS.register(seam, key, factory, replace=replace)
-        return factory
+        return seam_registry(seam).register(key, factory, replace=replace)
 
     return _decorator

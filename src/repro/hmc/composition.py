@@ -1,14 +1,15 @@
 """Composition root: build pipeline stages from ``HMCConfig`` selections.
 
 This module is the *only* place where the simulator core meets concrete
-component implementations.  Importing it populates the component
-registry (each built-in self-registers from its home module at import
-time), and the ``build_*`` helpers below are how :class:`HMCSim` and
-:class:`Device` construct their pipeline stages — always through the
-registry, never by naming a class.  ``scripts/lint_no_function_imports.py``
-enforces that :mod:`repro.hmc.device` and :mod:`repro.hmc.sim` import no
-concrete seam implementation directly, so swapping an implementation is
-always a config change, never a core edit.
+component implementations.  The ``build_*`` helpers below are how
+:class:`HMCSim` and :class:`Device` construct their pipeline stages —
+always through the per-seam registries in
+:data:`repro.hmc.components.COMPONENTS`, never by naming a class.  Each
+registry imports its seam's home module (and this one) as its catalog
+on first lookup.  ``scripts/lint_no_function_imports.py`` enforces that
+:mod:`repro.hmc.device` and :mod:`repro.hmc.sim` import no concrete
+seam implementation directly, so swapping an implementation is always a
+config change, never a core edit.
 
 Third-party components do not need this module: registering under a new
 key with :func:`repro.hmc.components.register_component` makes the key
@@ -18,17 +19,10 @@ registry).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
-# Importing the built-in implementation modules is what registers them:
-# each decorates its classes/factories with @register_component.
-import repro.hmc.flow  # noqa: F401  (link_flow: tokens)
-import repro.hmc.memory  # noqa: F401  (memory: paged, chunked)
-import repro.hmc.topology  # noqa: F401  (topology: chain, ring)
-import repro.hmc.vault  # noqa: F401  (vault_scheduler: fifo, round_robin)
-import repro.hmc.xbar  # noqa: F401  (xbar: queued, ideal)
-from repro.errors import ComponentError, HMCConfigError
-from repro.hmc.components import COMPONENTS, register_component
+from repro.errors import ComponentError
+from repro.hmc.components import create, register_component
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hmc.components import (
@@ -42,25 +36,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hmc.sim import HMCSim
 
 __all__ = [
-    "SEAM_FIELDS",
-    "validate_selection",
     "build_xbar",
     "build_vault_scheduler",
     "build_link_flow",
     "build_topology",
     "build_memory",
 ]
-
-#: seam name -> HMCConfig field holding its selected key.  The names
-#: coincide by design; the mapping exists so CLI parsing and the lint
-#: script iterate seams without hard-coding the correspondence.
-SEAM_FIELDS: Dict[str, str] = {
-    "xbar": "xbar",
-    "vault_scheduler": "vault_scheduler",
-    "link_flow": "link_flow",
-    "topology": "topology",
-    "memory": "memory",
-}
 
 
 @register_component("link_flow", "none")
@@ -93,44 +74,29 @@ def _vector_xbar(config: "HMCConfig", dev: int):
     return VectorXBar(config, dev)
 
 
-def validate_selection(seam: str, key: str) -> None:
-    """Raise :class:`HMCConfigError` unless ``(seam, key)`` is registered.
-
-    Called from ``HMCConfig.__post_init__`` so a bad selection fails at
-    configuration time with the known keys in the message, not deep in
-    construction.
-    """
-    if not COMPONENTS.has(seam, key):
-        known = ", ".join(COMPONENTS.keys(seam)) or "<none>"
-        raise HMCConfigError(
-            f"{SEAM_FIELDS.get(seam, seam)}={key!r} does not name a "
-            f"registered {seam} implementation (known keys: {known})"
-        )
-
-
 # -- builders (one per seam, in pipeline order) ------------------------------
 
 
 def build_xbar(config: "HMCConfig", dev: int) -> "CrossbarModel":
     """The crossbar selected by ``config.xbar`` for device ``dev``."""
-    return COMPONENTS.create("xbar", config.xbar, config, dev)
+    return create("xbar", config.xbar, config, dev)
 
 
 def build_vault_scheduler(config: "HMCConfig") -> "VaultScheduler":
     """A fresh scheduler instance (one per vault) per ``config.vault_scheduler``."""
-    return COMPONENTS.create("vault_scheduler", config.vault_scheduler, config)
+    return create("vault_scheduler", config.vault_scheduler, config)
 
 
 def build_link_flow(config: "HMCConfig") -> Optional["LinkFlow"]:
     """The flow model selected by ``config.link_flow`` (None for ``none``)."""
-    return COMPONENTS.create("link_flow", config.link_flow, config)
+    return create("link_flow", config.link_flow, config)
 
 
 def build_topology(sim: "HMCSim") -> "TopologyRouter":
     """The multi-cube router selected by ``sim.config.topology``."""
-    return COMPONENTS.create("topology", sim.config.topology, sim)
+    return create("topology", sim.config.topology, sim)
 
 
 def build_memory(config: "HMCConfig") -> "MemoryModel":
     """The backing store selected by ``config.memory``."""
-    return COMPONENTS.create("memory", config.memory, config.total_bytes)
+    return create("memory", config.memory, config.total_bytes)

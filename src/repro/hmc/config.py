@@ -8,18 +8,28 @@ and the two queue depths; plus the maximum block size set through
 The paper's evaluation uses two configurations which are provided as
 constructors: :meth:`HMCConfig.cfg_4link_4gb` and
 :meth:`HMCConfig.cfg_8link_8gb` (max block size 64 bytes, request queue
-depth 64, crossbar queue depth 128 — §V.B of the paper).
+depth 64, crossbar queue depth 128 — §V.B of the paper).  They are
+also the two entries of :data:`CONFIGS`, the one table of named
+configurations: the CLI, serve ``create`` requests, trace headers and
+the fuzzer all turn a name plus ``seam=impl`` selections into a config
+through :func:`resolve_config`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import HMCConfigError
-from repro.hmc.composition import SEAM_FIELDS, validate_selection
+from repro.errors import ComponentError, HMCConfigError
+from repro.hmc.components import SEAMS, seam_registry
 
-__all__ = ["HMCConfig", "NUM_QUADS"]
+__all__ = [
+    "HMCConfig",
+    "NUM_QUADS",
+    "CONFIGS",
+    "resolve_config",
+    "validate_selection",
+]
 
 #: An HMC device always has four logic-layer quadrants.
 NUM_QUADS = 4
@@ -36,6 +46,8 @@ _MAX_DEVS = 8  # CUB field is 3 bits
 @dataclass(frozen=True)
 class HMCConfig:
     """Validated configuration for one simulation context.
+
+    The defaults are the paper's 4Link-4GB configuration (§V.B).
 
     Attributes:
         num_devs: devices in the (possibly chained) topology, 1..8.
@@ -123,15 +135,12 @@ class HMCConfig:
             raise HMCConfigError(
                 f"addr_interleave={self.addr_interleave!r}: must be 'vault' or 'bank'"
             )
-        for seam, field_name in SEAM_FIELDS.items():
-            validate_selection(seam, getattr(self, field_name))
+        for seam in SEAMS:
+            validate_selection(seam, getattr(self, seam))
 
     def component_selection(self) -> Dict[str, str]:
         """The selected implementation key for every pipeline seam."""
-        return {
-            seam: getattr(self, field_name)
-            for seam, field_name in SEAM_FIELDS.items()
-        }
+        return {seam: getattr(self, seam) for seam in SEAMS}
 
     # -- derived geometry ---------------------------------------------------
 
@@ -171,35 +180,14 @@ class HMCConfig:
 
     @classmethod
     def cfg_4link_4gb(cls, **overrides: object) -> "HMCConfig":
-        """The paper's 4Link-4GB configuration (§V.B)."""
-        cfg = cls(
-            num_devs=1,
-            num_links=4,
-            num_vaults=32,
-            queue_depth=64,
-            num_banks=16,
-            num_drams=20,
-            capacity=4,
-            xbar_depth=128,
-            bsize=64,
-        )
-        return replace(cfg, **overrides) if overrides else cfg
+        """The paper's 4Link-4GB configuration (§V.B): the field defaults."""
+        return cls(**overrides)
 
     @classmethod
     def cfg_8link_8gb(cls, **overrides: object) -> "HMCConfig":
-        """The paper's 8Link-8GB configuration (§V.B)."""
-        cfg = cls(
-            num_devs=1,
-            num_links=8,
-            num_vaults=32,
-            queue_depth=64,
-            num_banks=16,
-            num_drams=20,
-            capacity=8,
-            xbar_depth=128,
-            bsize=64,
-        )
-        return replace(cfg, **overrides) if overrides else cfg
+        """The paper's 8Link-8GB configuration (§V.B): 4Link-4GB with
+        eight links and 8 GB."""
+        return cls(**{"num_links": 8, "capacity": 8, **overrides})
 
     def describe(self) -> str:
         """Short human-readable configuration name, e.g. ``4Link-4GB``."""
@@ -208,3 +196,54 @@ class HMCConfig:
     def geometry(self) -> Tuple[int, int, int, int]:
         """(devices, links, vaults, banks) tuple for quick inspection."""
         return (self.num_devs, self.num_links, self.num_vaults, self.num_banks)
+
+
+#: The named configurations, by the name a CLI flag, a serve ``create``
+#: request, a trace header or a fuzz trace uses.
+CONFIGS: Dict[str, Callable[..., HMCConfig]] = {
+    "4link_4gb": HMCConfig.cfg_4link_4gb,
+    "8link_8gb": HMCConfig.cfg_8link_8gb,
+}
+
+
+def validate_selection(seam: str, key: str) -> None:
+    """Raise :class:`HMCConfigError` unless ``(seam, key)`` is registered.
+
+    Called for every seam from ``HMCConfig.__post_init__``, so a bad
+    selection fails at configuration time with the known keys in the
+    message, not deep in construction.
+    """
+    try:
+        registry = seam_registry(seam)
+    except ComponentError as exc:
+        raise HMCConfigError(str(exc)) from None
+    if not registry.has(key):
+        raise HMCConfigError(
+            f"{seam}={key!r} does not name a registered {seam} "
+            f"implementation (known keys: {', '.join(registry.keys())})"
+        )
+
+
+def resolve_config(
+    name: str,
+    components: Optional[Mapping[str, str] | Sequence[Tuple[str, str]]] = None,
+) -> HMCConfig:
+    """The configuration called ``name`` with ``seam=impl`` selections
+    (a mapping, or the ``(seam, impl)`` pairs the CLI parses).
+
+    ``name`` is a key of :data:`CONFIGS` or its link count alone
+    (``4link``, as the CLI spells it).  Raises :class:`HMCConfigError`
+    naming the known keys for an unknown name, seam or implementation.
+    """
+    factory = next(
+        (f for key, f in CONFIGS.items() if name in (key, key.split("_")[0])),
+        None,
+    )
+    if factory is None:
+        raise HMCConfigError(
+            f"unknown config {name!r} (known keys: {', '.join(CONFIGS)})"
+        )
+    overrides = dict(components or {})
+    for seam, key in overrides.items():
+        validate_selection(seam, key)
+    return factory(**overrides)

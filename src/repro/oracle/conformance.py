@@ -9,10 +9,11 @@ from typing import Union
 
 from repro.core.loader import load_cmc
 from repro.errors import OracleDivergenceError
+from repro.hmc.config import CONFIGS
 from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
 from repro.oracle.differ import run_trace
-from repro.oracle.trafficgen import CONFIGS, PROFILES, generate_trace
+from repro.oracle.trafficgen import PROFILES, generate_trace
 
 __all__ = ["CMCOpCheck", "check_cmc_op"]
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from dataclasses import replace as dc_replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.hmc.config import resolve_config
 from repro.oracle.differ import DiffResult, run_trace
-from repro.oracle.trafficgen import CONFIGS, generate_trace
+from repro.oracle.trafficgen import generate_trace
 from repro.parallel.tasks import TaskSpec
 
 __all__ = [
@@ -138,11 +138,8 @@ def farm_task_spec(
     test), while ``params`` keeps the raw override pairs the worker
     needs to rebuild ``run_trace``'s arguments.
     """
-    config = CONFIGS[config_name]()
-    pairs: Tuple[Tuple[str, Any], ...] = ()
-    if overrides:
-        config = dc_replace(config, **overrides)
-        pairs = tuple(sorted(overrides.items()))
+    config = resolve_config(config_name, overrides)
+    pairs = tuple(sorted((overrides or {}).items()))
     return TaskSpec(
         kernel="fuzz",
         kernel_version=FARM_VERSION,

@@ -40,7 +40,7 @@ from repro.core.cmc import CMCRegistry
 from repro.core.loader import load_cmc as _load_cmc_plugin
 from repro.core.template import EXECUTE_SYMBOL
 from repro.hmc.commands import CMC_CODES, FLIT_BYTES, command_for_code, hmc_rqst_t
-from repro.hmc.config import HMCConfig
+from repro.hmc.config import HMCConfig, resolve_config
 from repro.hmc.packet import ADDR_MASK, MAX_TAG
 from repro.hmc.registers import HMC_REG
 
@@ -49,16 +49,8 @@ __all__ = [
     "TraceRequest",
     "TrafficProfile",
     "PROFILES",
-    "CONFIGS",
     "generate_trace",
 ]
-
-#: Named configurations a trace may target (kept to the two blessed
-#: geometries so fixtures stay readable).
-CONFIGS = {
-    "4link_4gb": HMCConfig.cfg_4link_4gb,
-    "8link_8gb": HMCConfig.cfg_8link_8gb,
-}
 
 _CLUSTER_BYTES = 8192
 #: First half of a cluster: 16-byte list descriptor + bump arena.
@@ -236,7 +228,7 @@ class Trace:
 
     def config(self) -> HMCConfig:
         """Build the trace's target configuration."""
-        return CONFIGS[self.config_name]()
+        return resolve_config(self.config_name)
 
 
 @dataclass(frozen=True)
@@ -292,11 +284,7 @@ def generate_trace(
             f"within a trace)"
         )
     prof = PROFILES[profile] if isinstance(profile, str) else profile
-    if config_name not in CONFIGS:
-        raise ValueError(
-            f"unknown config {config_name!r} (have {sorted(CONFIGS)})"
-        )
-    config = CONFIGS[config_name]()
+    config = resolve_config(config_name)
     capacity = config.capacity_bytes
     rng = random.Random(seed)
 

@@ -29,8 +29,9 @@ from repro.core.cmc import CMCRegistry
 from repro.core.loader import load_cmc as _load_cmc_plugin
 from repro.errors import WorkloadError
 from repro.hmc.commands import CommandKind, command_for_code, hmc_rqst_t
+from repro.hmc.config import CONFIGS
 from repro.hmc.packet import MAX_TAG
-from repro.oracle.trafficgen import CONFIGS, Trace, TraceRequest
+from repro.oracle.trafficgen import Trace, TraceRequest
 from repro.workloads.tracefmt import WorkloadTrace
 
 __all__ = ["trace_from_workload"]

@@ -21,12 +21,13 @@ persistent result cache (:mod:`repro.parallel.cache`) keys an entry by
 * the **workload fingerprint** — resolved through the workload
   registry when the spec's kernel name is registered there (the class
   identity plus its declared ``version``, see
-  :meth:`repro.workloads.registry.WorkloadRegistry.fingerprint`), so
+  :meth:`repro.registry.Registry.fingerprint`), so
   re-pointing a registry name at different code — or bumping a
   workload's version — invalidates old entries; unregistered kernels
   fall back to the spec's literal ``kernel_version`` tag;
 * the **fault-plan fingerprint** — present only when the spec carries a
-  :class:`~repro.faults.plan.FaultPlan`, so a faulty point can never
+  :class:`~repro.faults.plan.FaultPlan` (it folds each kind's registered
+  implementation, like the two above), so a faulty point can never
   alias a fault-free one (and fault-free keys are unchanged from before
   fault injection existed);
 * the thread count and sorted kernel parameters.
@@ -114,11 +115,8 @@ def component_fingerprint(config: HMCConfig) -> str:
     invalidates cached results built with the old pipeline.
     """
     doc = {
-        seam: f"{factory.__module__}:{getattr(factory, '__qualname__', factory.__class__.__name__)}"
-        for seam, factory in (
-            (seam, COMPONENTS.get(seam, key))
-            for seam, key in sorted(config.component_selection().items())
-        )
+        seam: COMPONENTS[seam].identity(key)
+        for seam, key in config.component_selection().items()
     }
     return _digest(doc)
 

@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.errors import ServeError
+from repro.hmc.config import CONFIGS
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -73,9 +74,6 @@ REQUEST_TYPES = ("hello", "create", "submit", "attach", "stat", "close")
 
 #: Submission kinds a session executes.
 SUBMISSION_KINDS = ("workload", "raw", "sweep")
-
-#: Named configurations a ``create`` request may reference.
-CONFIG_NAMES = ("4link_4gb", "8link_8gb")
 
 _MAX_LINE = 8 * 1024 * 1024  # one message may carry a whole result payload
 
@@ -166,11 +164,11 @@ def parse_request(line: Union[str, Dict[str, Any]]) -> Request:
         req.session = session
 
     if rtype == "create":
-        config = doc.get("config", CONFIG_NAMES[0])
-        if config not in CONFIG_NAMES:
+        config = doc.get("config", "4link_4gb")
+        if not isinstance(config, str) or config not in CONFIGS:
             raise ServeError(
                 "bad_request",
-                f"unknown config {config!r} (have: {', '.join(CONFIG_NAMES)})",
+                f"unknown config {config!r} (have: {', '.join(CONFIGS)})",
             )
         req.config = config
         components = doc.get("components", {})

@@ -66,7 +66,7 @@ from __future__ import annotations
 import base64
 import enum
 import json
-from dataclasses import dataclass, replace as _replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, List, Optional
 
@@ -108,35 +108,12 @@ def build_session_config(config_name: str, components: Dict[str, str]):
     a bad seam/impl is a structured ``bad_request`` refusal, not a
     session that dies on first submit.
     """
-    from repro.hmc.composition import SEAM_FIELDS, validate_selection
-    from repro.hmc.config import HMCConfig
+    from repro.hmc.config import resolve_config
 
-    builders = {
-        "4link_4gb": HMCConfig.cfg_4link_4gb,
-        "8link_8gb": HMCConfig.cfg_8link_8gb,
-    }
     try:
-        cfg = builders[config_name]()
-    except KeyError:
-        raise ServeError(
-            "bad_request",
-            f"unknown config {config_name!r} "
-            f"(have: {', '.join(sorted(builders))})",
-        ) from None
-    overrides = {}
-    for seam, key in sorted(components.items()):
-        if seam not in SEAM_FIELDS:
-            raise ServeError(
-                "bad_request",
-                f"unknown component seam {seam!r} "
-                f"(have: {', '.join(SEAM_FIELDS)})",
-            )
-        try:
-            validate_selection(seam, key)
-        except HMCSimError as exc:  # ComponentError or HMCConfigError
-            raise ServeError("bad_request", str(exc)) from None
-        overrides[SEAM_FIELDS[seam]] = key
-    return _replace(cfg, **overrides) if overrides else cfg
+        return resolve_config(config_name, components)
+    except HMCSimError as exc:  # HMCConfigError
+        raise ServeError("bad_request", str(exc)) from None
 
 
 def _accept_line(rec: SubmissionRecord) -> str:
@@ -365,14 +342,10 @@ class SimSession:
         from repro.workloads.registry import WORKLOADS
 
         if kind in ("workload", "sweep"):
-            name = spec.get("workload")
-            if not isinstance(name, str) or not WORKLOADS.has(name):
-                raise ServeError(
-                    "bad_request",
-                    f"unknown workload {name!r} "
-                    f"(have: {', '.join(WORKLOADS.keys())})",
-                )
-            frontend = WORKLOADS.get(name)
+            try:
+                frontend = WORKLOADS.get(spec.get("workload"))
+            except WorkloadError as exc:
+                raise ServeError("bad_request", str(exc)) from None
         if kind == "workload":
             if not isinstance(spec.get("params", {}), dict):
                 raise ServeError("bad_request", "'params' must be an object")

@@ -17,15 +17,12 @@ does not pull in the kernel catalog until the first lookup):
 - :mod:`repro.workloads.tracefmt` — the versioned JSONL trace format.
 - :mod:`repro.workloads.replay` — trace record/replay.
 - :mod:`repro.workloads.graph` — the task-graph runtime.
-- :mod:`repro.workloads.catalog` — the composition root (the only
-  module naming concrete frontend classes).
 """
 
 from __future__ import annotations
 
 __all__ = [
     "WorkloadFrontend",
-    "WorkloadRegistry",
     "WORKLOADS",
     "register_workload",
     "WorkloadTrace",
@@ -41,7 +38,6 @@ __all__ = [
 
 _EXPORTS = {
     "WorkloadFrontend": ("repro.workloads.base", "WorkloadFrontend"),
-    "WorkloadRegistry": ("repro.workloads.registry", "WorkloadRegistry"),
     "WORKLOADS": ("repro.workloads.registry", "WORKLOADS"),
     "register_workload": ("repro.workloads.registry", "register_workload"),
     "WorkloadTrace": ("repro.workloads.tracefmt", "WorkloadTrace"),

@@ -17,9 +17,9 @@ fingerprint (``module:qualname@version``) is digested into served
 payloads, sweep-cache keys, and the ``perfbench`` goldens; renaming it
 belongs to a benchmark PR that re-captures those goldens.
 
-This module *defines* concrete frontends; only
-:mod:`repro.workloads.catalog` may import them (workload-containment
-lint).
+Each concrete frontend registers itself with
+:func:`~repro.workloads.registry.register_workload`; no other module
+may import one (workload-containment lint) — resolve it by name.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from repro.host.kernels import (
 from repro.host.window import WindowedEngine
 from repro.parallel.tasks import TaskSpec
 from repro.workloads.base import Footprint, ProgramFactory, WorkloadFrontend
+from repro.workloads.registry import register_workload
 
 __all__ = [
     "MutexWorkload",
@@ -96,6 +97,7 @@ class KernelWorkload(WorkloadFrontend):
         return [{"threads": threads}]
 
 
+@register_workload
 class MutexWorkload(KernelWorkload):
     """Algorithm 1: the paper's lock/trylock/unlock contention kernel."""
 
@@ -222,6 +224,7 @@ class MutexWorkload(KernelWorkload):
         return line
 
 
+@register_workload
 class TicketWorkload(KernelWorkload):
     """FIFO ticket lock over the CMC21/22/23 triple."""
 
@@ -279,6 +282,7 @@ class TicketWorkload(KernelWorkload):
         )
 
 
+@register_workload
 class StreamWorkload(KernelWorkload):
     """STREAM Triad over three disjoint double arrays.
 
@@ -389,6 +393,7 @@ class StreamWorkload(KernelWorkload):
         )
 
 
+@register_workload
 class GUPSWorkload(KernelWorkload):
     """HPCC RandomAccess: XOR updates over a scattered table."""
 
@@ -474,6 +479,7 @@ class GUPSWorkload(KernelWorkload):
         )
 
 
+@register_workload
 class HistogramWorkload(KernelWorkload):
     """Histogram binning: atomic INC8, posted P_INC8, or host rmw."""
 
@@ -570,6 +576,7 @@ class HistogramWorkload(KernelWorkload):
         )
 
 
+@register_workload
 class PointerChaseWorkload(KernelWorkload):
     """Serial pointer chase: latency per dependent hop."""
 
@@ -632,6 +639,7 @@ class PointerChaseWorkload(KernelWorkload):
         )
 
 
+@register_workload
 class BarrierWorkload(KernelWorkload):
     """Sense-reversing barrier over the fadd64 CMC op."""
 
@@ -732,6 +740,7 @@ class WaveWorkload(KernelWorkload):
         )
 
 
+@register_workload
 class BFSWorkload(WaveWorkload):
     """Level-synchronous BFS: one engine wave per frontier level."""
 
@@ -831,6 +840,7 @@ class BFSWorkload(WaveWorkload):
         )
 
 
+@register_workload
 class SSSPWorkload(WaveWorkload):
     """Bellman-Ford-style SSSP: one engine wave per relaxation round."""
 

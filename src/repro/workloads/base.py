@@ -45,11 +45,11 @@ the single driver; a frontend states each step of its workload once:
     Post-run correctness check (``None`` when the workload has no
     memory-checkable answer).
 
-Frontends are registered by string name in
-:class:`repro.workloads.registry.WorkloadRegistry`; only the catalog
-module (:mod:`repro.workloads.catalog`) may name concrete frontend
-classes — the same composition-root discipline the component registry
-enforces for pipeline seams, checked by the same structural lint.
+Frontends register themselves by string name in
+:data:`repro.workloads.registry.WORKLOADS`; no module but the one that
+defines a concrete frontend class may name it — the same discipline the
+component registry enforces for pipeline seams, checked by the same
+structural lint.
 """
 
 from __future__ import annotations
@@ -245,7 +245,13 @@ class WorkloadFrontend(ABC):
             raise WorkloadError(
                 f"workload {self.name!r} builds its own context"
             )
-        return self.resolve_params(params)
+        resolved = self.resolve_params(params)
+        if fault_plan is not None and resolved.get("oracle_sample") is not None:
+            raise WorkloadError(
+                "oracle_sample checks the fault-free functional contract; "
+                "it cannot run under a fault plan"
+            )
+        return resolved
 
     def run(
         self,

@@ -42,6 +42,7 @@ from repro.hmc.sim import HMCSim
 from repro.host.engine import EngineResult, HostEngine
 from repro.host.thread import Program, ThreadCtx
 from repro.workloads.base import Footprint, ProgramFactory, WorkloadFrontend
+from repro.workloads.registry import register_workload
 
 __all__ = [
     "TaskNode",
@@ -285,6 +286,7 @@ class GraphWorkload(WorkloadFrontend):
         return stats
 
 
+@register_workload
 class CounterGraphWorkload(GraphWorkload):
     """N incrementers race over a mutex-protected counter, then a
     check task reads the total."""
@@ -356,6 +358,7 @@ class CounterGraphWorkload(GraphWorkload):
         return self._observed_total == params["tasks"]
 
 
+@register_workload
 class PipelineGraphWorkload(GraphWorkload):
     """Producers push onto a CMC39 linked list; a gated consumer walks
     it and folds a sum."""
@@ -440,6 +443,7 @@ _LCG_ADD = 1442695040888963407
 _M64 = (1 << 64) - 1
 
 
+@register_workload
 class KVStoreGraphWorkload(GraphWorkload):
     """Hot-key KV store: writers upsert skewed buckets with ``TWOADD8``
     (value += delta, hits += 1 in one atomic), readers poll the hot

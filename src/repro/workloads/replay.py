@@ -32,11 +32,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.hmc.commands import FLIT_BYTES, command_for_code, hmc_rqst_t
-from repro.hmc.config import HMCConfig
+from repro.hmc.config import CONFIGS, HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.host.openloop import OpenLoopStats, drive_open_loop
 from repro.host.thread import Program, ThreadCtx
 from repro.workloads.base import ProgramFactory, WorkloadFrontend
+from repro.workloads.registry import WORKLOADS, register_workload
 from repro.workloads.tracefmt import TraceRecord, TraceThread, WorkloadTrace
 
 __all__ = [
@@ -48,23 +49,17 @@ __all__ = [
     "TraceReplayWorkload",
 ]
 
-#: Named configurations a trace header may reference.
-_CONFIG_KEYS = {
-    "4link_4gb": HMCConfig.cfg_4link_4gb,
-    "8link_8gb": HMCConfig.cfg_8link_8gb,
-}
-
 
 def config_key(config: HMCConfig) -> str:
     """The trace-header name for ``config`` (best effort)."""
     key = f"{config.num_links}link_{config.capacity}gb"
-    return key if key in _CONFIG_KEYS else config.describe()
+    return key if key in CONFIGS else config.describe()
 
 
 def _resolve_config(trace: WorkloadTrace, config: Optional[HMCConfig]) -> HMCConfig:
     if config is not None:
         return config
-    factory = _CONFIG_KEYS.get(trace.config_name or "")
+    factory = CONFIGS.get(trace.config_name or "")
     if factory is None:
         raise WorkloadError(
             f"trace names no resolvable config ({trace.config_name!r}); "
@@ -116,8 +111,6 @@ def record_workload(
     modules the run loaded, the thread/link map, and the run's
     per-thread completion cycles as the replay baseline.
     """
-    from repro.workloads.registry import WORKLOADS
-
     frontend = WORKLOADS.get(name)
     resolved = frontend.resolve_params(params)
     sim = HMCSim(config)
@@ -156,8 +149,6 @@ def _prepare_replay_sim(
 ) -> None:
     """Reconstruct the recorded run's starting state on ``sim``."""
     if trace.workload:
-        from repro.workloads.registry import WORKLOADS
-
         frontend = WORKLOADS.get(trace.workload)
         frontend.prepare(sim, frontend.resolve_params(trace.params))
     else:
@@ -344,6 +335,7 @@ def replay_open_loop(
     )
 
 
+@register_workload
 class TraceReplayWorkload(WorkloadFrontend):
     """The trace frontend, registered as ``"trace"``.
 

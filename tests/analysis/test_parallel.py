@@ -159,7 +159,7 @@ class TestTaskSpecs:
         # No-alias: the cache key must track the implementation behind
         # the registry name, not the name alone.
         from repro.workloads.adapters import MutexWorkload
-        from repro.workloads.registry import WORKLOADS
+        from repro.workloads.registry import register_workload
 
         spec = mutex_spec(HMCConfig.cfg_4link_4gb(), 2)
         before = cache_key(spec)
@@ -167,11 +167,33 @@ class TestTaskSpecs:
         class PatchedMutex(MutexWorkload):
             version = MutexWorkload.version + "-patched"
 
-        WORKLOADS.register(PatchedMutex, replace=True)
+        register_workload(PatchedMutex, replace=True)
         try:
             assert cache_key(spec) != before
         finally:
-            WORKLOADS.register(MutexWorkload, replace=True)
+            register_workload(MutexWorkload, replace=True)
+        assert cache_key(spec) == before
+
+    def test_repointing_a_fault_kind_changes_the_faulty_key(self):
+        # The fault segment tracks each kind's implementation, as the
+        # workload and component segments do: a replaced injector must
+        # not be served the old injector's cached results.
+        from repro.faults import FAULTS, FaultPlan, register_fault
+
+        plan = FaultPlan.parse(["xbar_drop=0.01"])
+        spec = mutex_spec(HMCConfig.cfg_4link_4gb(), 2, fault_plan=plan)
+        before = cache_key(spec)
+        kind = FAULTS.get("xbar_drop")
+        meta = dict(primary=kind.primary, defaults=dict(kind.defaults), doc=kind.doc)
+
+        class PatchedDrop(kind.factory):
+            pass
+
+        register_fault("xbar_drop", replace=True, **meta)(PatchedDrop)
+        try:
+            assert cache_key(spec) != before
+        finally:
+            register_fault("xbar_drop", replace=True, **meta)(kind.factory)
         assert cache_key(spec) == before
 
     def test_thread_count_is_part_of_the_key(self):

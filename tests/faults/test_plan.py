@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import FaultError
 from repro.faults.plan import DEFAULT_FAULT_SEED, FaultPlan, FaultSpec
-from repro.faults.registry import FAULTS, FaultRegistry
+from repro.faults.registry import FAULTS, FaultKind
 
 
 class TestRegistry:
@@ -31,14 +31,12 @@ class TestRegistry:
         assert keys == sorted(keys)
 
     def test_register_validates(self):
-        reg = FaultRegistry()
+        # A kind's primary parameter must be one of its defaults; the
+        # duplicate/replace rule is the shared registry contract.
         with pytest.raises(FaultError, match="primary"):
-            reg.register("x", object, primary="rate", defaults={"other": 1})
-        reg.register("x", object, primary="rate", defaults={"rate": 0.0})
-        with pytest.raises(FaultError, match="already registered"):
-            reg.register("x", object, primary="rate", defaults={"rate": 0.0})
-        reg.register("x", int, primary="rate", defaults={"rate": 0.0}, replace=True)
-        assert reg.get("x").factory is int
+            FaultKind("x", object, primary="rate", defaults=(("other", 1),), doc="")
+        kind = FaultKind("x", int, primary="rate", defaults=(("rate", 0.0),), doc="")
+        assert kind.factory is int
 
     def test_resolve_params_rejects_unknown(self):
         kind = FAULTS.get("vault_stall")

@@ -20,13 +20,14 @@ from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.components import (
     COMPONENTS,
     SEAMS,
-    ComponentRegistry,
     CrossbarModel,
     LinkFlow,
     MemoryModel,
     TopologyRouter,
     VaultScheduler,
+    create,
     register_component,
+    seam_registry,
 )
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
@@ -45,36 +46,34 @@ _IFACE = {
 
 
 class TestRegistry:
+    # The register/lookup/fingerprint contract every registry shares is
+    # in tests/test_registry.py; these are the component seams' own rules.
     def test_every_seam_has_at_least_two_implementations(self):
+        assert tuple(COMPONENTS) == SEAMS
         for seam in SEAMS:
-            assert len(COMPONENTS.keys(seam)) >= 2, seam
+            assert len(COMPONENTS[seam].keys()) >= 2, seam
 
     def test_unknown_seam_rejected(self):
         with pytest.raises(ComponentError, match="unknown seam"):
-            COMPONENTS.keys("warp_drive")
+            seam_registry("warp_drive")
         with pytest.raises(ComponentError, match="unknown seam"):
-            COMPONENTS.register("warp_drive", "x", lambda: None)
+            register_component("warp_drive", "x")(lambda: None)
 
     def test_unregistered_key_lists_known_keys(self):
         with pytest.raises(ComponentError, match="known keys"):
-            COMPONENTS.get("xbar", "nope")
-
-    def test_duplicate_key_rejected_unless_replace(self):
-        reg = ComponentRegistry()
-        reg.register("memory", "m", lambda cap: None)
-        with pytest.raises(ComponentError, match="already"):
-            reg.register("memory", "m", lambda cap: None)
-        reg.register("memory", "m", lambda cap: None, replace=True)
+            COMPONENTS["xbar"].get("nope")
 
     def test_create_enforces_seam_interface(self):
-        reg = ComponentRegistry()
-        reg.register("xbar", "bogus", lambda config, dev: object())
-        with pytest.raises(ComponentError, match="does not implement"):
-            reg.create("xbar", "bogus", HMCConfig.cfg_4link_4gb(), 0)
+        register_component("xbar", "_bogus")(lambda config, dev: object())
+        try:
+            with pytest.raises(ComponentError, match="does not implement"):
+                create("xbar", "_bogus", HMCConfig.cfg_4link_4gb(), 0)
+        finally:
+            del COMPONENTS["xbar"]._entries["_bogus"]
 
     def test_create_allows_none(self):
         # The link_flow seam's "none" baseline: a factory may yield None.
-        assert COMPONENTS.create("link_flow", "none", HMCConfig.cfg_4link_4gb()) is None
+        assert create("link_flow", "none", HMCConfig.cfg_4link_4gb()) is None
 
     def test_decorator_registers_and_returns_factory(self):
         try:
@@ -99,14 +98,14 @@ class TestRegistry:
                 def clear(self):
                     pass
 
-            assert COMPONENTS.has("memory", "_test_tmp")
-            made = COMPONENTS.create("memory", "_test_tmp", 64)
+            assert COMPONENTS["memory"].has("_test_tmp")
+            made = create("memory", "_test_tmp", 64)
             assert isinstance(made, _TmpMem)
             # ...and the key is immediately valid in HMCConfig.
             cfg = HMCConfig.cfg_4link_4gb(memory="_test_tmp")
             assert cfg.memory == "_test_tmp"
         finally:
-            del COMPONENTS._factories["memory"]["_test_tmp"]
+            del COMPONENTS["memory"]._entries["_test_tmp"]
 
     def test_config_rejects_unregistered_selection(self):
         for field in ("xbar", "vault_scheduler", "link_flow", "topology", "memory"):
@@ -119,11 +118,11 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("key", COMPONENTS.keys("xbar"))
+@pytest.mark.parametrize("key", COMPONENTS["xbar"].keys())
 class TestCrossbarContract:
     def _make(self, key, depth=4):
         try:
-            return COMPONENTS.create(
+            return create(
                 "xbar", key, HMCConfig.cfg_4link_4gb(xbar_depth=depth), 0
             )
         except ComponentError as exc:
@@ -196,10 +195,10 @@ class TestCrossbarContract:
         assert rsp.data == bytes(range(16))
 
 
-@pytest.mark.parametrize("key", COMPONENTS.keys("vault_scheduler"))
+@pytest.mark.parametrize("key", COMPONENTS["vault_scheduler"].keys())
 class TestVaultSchedulerContract:
     def test_implements_interface(self, key):
-        sched = COMPONENTS.create(
+        sched = create(
             "vault_scheduler", key, HMCConfig.cfg_4link_4gb()
         )
         assert isinstance(sched, _IFACE["vault_scheduler"])
@@ -237,10 +236,10 @@ class TestVaultSchedulerContract:
             assert sim.mem_read(i * 0x40, 16) == bytes([i]) * 16
 
 
-@pytest.mark.parametrize("key", COMPONENTS.keys("link_flow"))
+@pytest.mark.parametrize("key", COMPONENTS["link_flow"].keys())
 class TestLinkFlowContract:
     def test_factory_yields_model_or_none(self, key):
-        flow = COMPONENTS.create("link_flow", key, HMCConfig.cfg_4link_4gb())
+        flow = create("link_flow", key, HMCConfig.cfg_4link_4gb())
         if flow is None:
             return  # the baseline "none" composition
         assert isinstance(flow, _IFACE["link_flow"])
@@ -267,7 +266,7 @@ class TestLinkFlowContract:
         assert rsp.data == b"\x33" * 16
 
 
-@pytest.mark.parametrize("key", COMPONENTS.keys("topology"))
+@pytest.mark.parametrize("key", COMPONENTS["topology"].keys())
 class TestTopologyContract:
     def test_implements_interface(self, key):
         sim = HMCSim(HMCConfig(num_devs=3, capacity=2, topology=key))
@@ -293,10 +292,10 @@ class TestTopologyContract:
         assert sim.topology.forwarded_requests >= 1
 
 
-@pytest.mark.parametrize("key", COMPONENTS.keys("memory"))
+@pytest.mark.parametrize("key", COMPONENTS["memory"].keys())
 class TestMemoryContract:
     def _make(self, key, cap=1 << 20):
-        return COMPONENTS.create("memory", key, cap)
+        return create("memory", key, cap)
 
     def test_implements_interface_and_capacity(self, key):
         mem = self._make(key)

@@ -1,7 +1,8 @@
-"""Regression gate: no function-level imports in ``src/repro/hmc/``.
+"""Regression gate for ``scripts/lint_no_function_imports.py``.
 
-Runs ``scripts/lint_no_function_imports.py`` in-process so the check
-fails tier-1 CI, not just the standalone script.
+Runs the function-level-import check and every containment rule
+in-process so they fail tier-1 CI, not just the standalone script, and
+plants a violation of each to prove it fires.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def test_lint_flags_a_planted_violation(tmp_path: Path) -> None:
 
 def test_core_modules_build_seams_through_registry_only() -> None:
     lint = _load_lint()
-    diags = lint.run_seam_check()
+    diags = lint.contain("seam")
     assert diags == [], "\n".join(diags)
 
 
@@ -59,14 +60,14 @@ def test_seam_check_flags_a_planted_violation(tmp_path: Path) -> None:
         "from repro.hmc.xbar import Flight, XBar\n"  # Flight is fine, XBar is not
         "from repro.hmc.composition import build_xbar\n"
     )
-    diags = lint.run_seam_check(core_paths=(bad,))
+    diags = lint.contain("seam", scope=(bad,))
     assert len(diags) == 1
     assert "XBar" in diags[0] and "composition" in diags[0]
 
 
 def test_oracle_imports_no_cycle_engine_internals() -> None:
     lint = _load_lint()
-    diags = lint.run_oracle_purity()
+    diags = lint.contain("oracle")
     assert diags == [], "\n".join(diags)
 
 
@@ -81,7 +82,7 @@ def test_oracle_purity_flags_planted_violations(tmp_path: Path) -> None:
         "from repro.hmc.sim import HMCSim  # public facade: allowed\n"
         "from repro.hmc.amo import reference_amo  # shared semantics: allowed\n"
     )
-    diags = lint.run_oracle_purity(tmp_path)
+    diags = lint.contain("oracle", scope=(tmp_path,))
     assert len(diags) == 3, "\n".join(diags)
     assert any("repro.hmc.vault" in d for d in diags)
     assert any("repro.hmc.xbar" in d for d in diags)
@@ -90,7 +91,7 @@ def test_oracle_purity_flags_planted_violations(tmp_path: Path) -> None:
 
 def test_vector_engine_is_contained() -> None:
     lint = _load_lint()
-    diags = lint.run_vector_containment()
+    diags = lint.contain("vector")
     assert diags == [], "\n".join(diags)
 
 
@@ -104,7 +105,7 @@ def test_vector_containment_flags_planted_violations(tmp_path: Path) -> None:
         "from repro.hmc import vector, commands\n"
         "from repro.hmc.xbar import XBar  # not the vector package: allowed\n"
     )
-    diags = lint.run_vector_containment(tmp_path)
+    diags = lint.contain("vector", scope=(tmp_path,))
     assert len(diags) == 3, "\n".join(diags)
     assert all("repro.hmc.vector" in d for d in diags)
 
@@ -114,13 +115,13 @@ def test_vector_containment_exempts_composition(tmp_path: Path) -> None:
     lint = _load_lint()
     allowed = tmp_path / "composition.py"
     allowed.write_text("from repro.hmc.vector.engine import VectorXBar\n")
-    diags = lint.run_vector_containment(tmp_path, allowed=(allowed,))
+    diags = lint.contain("vector", scope=(tmp_path,), allowed=(allowed,))
     assert diags == []
 
 
 def test_workload_classes_are_contained() -> None:
     lint = _load_lint()
-    diags = lint.run_workload_containment()
+    diags = lint.contain("workload")
     assert diags == [], "\n".join(diags)
 
 
@@ -133,7 +134,7 @@ def test_workload_containment_flags_a_planted_violation(tmp_path: Path) -> None:
         "from repro.workloads.graph import CounterGraphWorkload, TaskGraph\n"
         "from repro.workloads.registry import WORKLOADS  # the seam: allowed\n"
     )
-    diags = lint.run_workload_containment(tmp_path)
+    diags = lint.contain("workload", scope=(tmp_path,))
     assert len(diags) == 2, "\n".join(diags)
     assert any("MutexWorkload" in d for d in diags)
     assert any("CounterGraphWorkload" in d for d in diags)
@@ -145,7 +146,7 @@ def test_workload_containment_exempts_the_catalog(tmp_path: Path) -> None:
     lint = _load_lint()
     allowed = tmp_path / "catalog.py"
     allowed.write_text("from repro.workloads.adapters import MutexWorkload\n")
-    diags = lint.run_workload_containment(tmp_path, allowed=(allowed,))
+    diags = lint.contain("workload", scope=(tmp_path,), allowed=(allowed,))
     assert diags == []
 
 

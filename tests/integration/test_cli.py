@@ -186,10 +186,41 @@ class TestComponentFlag:
             )
 
     def test_configs_apply_overrides(self):
-        from repro.cli import _configs
+        from repro.hmc.config import CONFIGS, resolve_config
 
-        cfgs = _configs("both", [("xbar", "ideal"), ("memory", "chunked")])
-        for cfg in cfgs:
+        overrides = [("xbar", "ideal"), ("memory", "chunked")]
+        for cfg in (resolve_config(name, overrides) for name in CONFIGS):
             assert cfg.xbar == "ideal"
             assert cfg.memory == "chunked"
             assert cfg.vault_scheduler == "fifo"  # untouched seams keep defaults
+
+
+class TestRefusedInput:
+    """Refused input is one ``hmcsim-repro: error:`` line and exit 2."""
+
+    def test_fault_an_injector_refuses(self, capsys):
+        rc, _ = run_cli(
+            "sweep", "--threads", "2:4", "--no-cache", "--fault", "xbar_drop=2"
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("hmcsim-repro: error:") and "rate=2" in err
+
+    def test_oracle_sample_under_a_fault_plan(self, capsys):
+        rc, _ = run_cli(
+            "kernel", "mutex", "--threads", "4",
+            "--fault", "xbar_drop=0.01", "--oracle-sample", "2",
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("hmcsim-repro: error:") and "oracle_sample" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", "--fault-seed", "zz"], ["fuzz", "--seed", "zz"]]
+    )
+    def test_seed_flags_name_the_expected_integer(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "expected an integer, got 'zz'" in err and "lambda" not in err

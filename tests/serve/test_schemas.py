@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ServeError
+from repro.hmc.config import CONFIGS
 from repro.serve import schemas
 
 
@@ -174,7 +175,7 @@ _PLAUSIBLE = {
     "id": st.text(max_size=4),
     "type": st.sampled_from(schemas.REQUEST_TYPES),
     "session": st.text(alphabet="ab_-é１٣\n ", max_size=6) | st.text(max_size=66),
-    "config": st.sampled_from(schemas.CONFIG_NAMES),
+    "config": st.sampled_from(sorted(CONFIGS)),
     "components": st.dictionaries(st.text(max_size=4), st.text(max_size=4), max_size=2),
     "kind": st.sampled_from(schemas.SUBMISSION_KINDS),
     "spec": st.dictionaries(st.text(max_size=4), _JSON, max_size=2),

@@ -1,15 +1,14 @@
 """The workload registry: resolution, params, fingerprints.
 
-The registry is the workload seam's composition mechanism (mirroring
-the component and CMC registries): everything that runs a workload
-resolves it by string name, and the cache key of a parallel sweep
-point tracks the registered implementation via ``fingerprint``.
+The registry is the workload seam's composition mechanism: everything
+that runs a workload resolves it by string name, and the cache key of a
+parallel sweep point tracks the registered implementation via
+``fingerprint``.  The register/lookup/load/fingerprint contract the
+workload registry shares with the component and fault registries is in
+``tests/test_registry.py``.
 """
 
 from __future__ import annotations
-
-import threading
-import time
 
 import pytest
 
@@ -17,7 +16,7 @@ from repro.errors import WorkloadError
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.workloads.base import WorkloadFrontend
-from repro.workloads.registry import WORKLOADS, WorkloadRegistry
+from repro.workloads.registry import WORKLOADS
 
 #: Every frontend the catalog registers, by kind.
 KERNELS = {
@@ -80,70 +79,6 @@ def test_describe_rows_cover_every_name():
     rows = WORKLOADS.describe()
     assert {name for name, _, _ in rows} == KERNELS | OTHERS
     assert all(desc for _, _, desc in rows)
-
-
-def test_duplicate_registration_raises_without_replace():
-    reg = WorkloadRegistry()
-
-    class A(WorkloadFrontend):
-        name = "dup"
-
-        def build(self, sim, params):
-            return []
-
-    reg.register(A)
-    with pytest.raises(WorkloadError, match="already registered"):
-        reg.register(A)
-    reg.register(A, replace=True)  # explicit override is allowed
-
-
-def test_fingerprint_tracks_class_and_version():
-    # The no-alias property the parallel cache key relies on: the
-    # fingerprint changes when the class or its version changes.
-    reg = WorkloadRegistry()
-
-    class A(WorkloadFrontend):
-        name = "x"
-        version = "1"
-
-        def build(self, sim, params):
-            return []
-
-    class B(A):
-        version = "2"
-
-    reg.register(A)
-    fp_a = reg.fingerprint("x")
-    assert fp_a.startswith("w") and len(fp_a) == 17
-    reg.register(B, replace=True)
-    assert reg.fingerprint("x") != fp_a
-    reg.register(A, replace=True)
-    assert reg.fingerprint("x") == fp_a
-
-
-def test_concurrent_first_lookups_see_the_whole_catalog():
-    # The flag used to be set before the catalog import, so a second
-    # thread looking a name up meanwhile found an empty registry.
-    class A(WorkloadFrontend):
-        name = "late"
-
-        def build(self, sim, params):
-            return []
-
-    def slow_catalog():
-        time.sleep(0.2)
-        reg.register(A)
-
-    reg = WorkloadRegistry(slow_catalog)
-    seen = []
-    threads = [threading.Thread(target=lambda: seen.append(reg.has("late"))) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-        time.sleep(0.05)
-    for thread in threads:
-        thread.join(timeout=10)
-    assert not any(thread.is_alive() for thread in threads)
-    assert seen == [True, True]
 
 
 def test_global_fingerprints_are_distinct():
