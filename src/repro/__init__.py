@@ -26,57 +26,39 @@ workload, STREAM Triad, GUPS, BFS-with-CAS) and ``benchmarks/`` for
 the harnesses that regenerate every table and figure in the paper.
 """
 
-from repro.core import CMCOperation, CMCRegistration, CMCRegistry, load_cmc
-from repro.errors import (
-    CMCError,
-    CMCExecutionError,
-    CMCLoadError,
-    CMCNotActiveError,
-    HMCConfigError,
-    HMCPacketError,
-    HMCSimError,
-    HMCStatus,
-)
-from repro.hmc.commands import (
-    CommandInfo,
-    CommandKind,
-    command_info,
-    hmc_response_t,
-    hmc_rqst_t,
-)
-from repro.hmc.config import HMCConfig
-from repro.hmc.packet import RequestPacket, ResponsePacket
-from repro.hmc.power import HMCPowerModel
-from repro.hmc.sim import HMCSim
-from repro.hmc.timing import HMCTimingModel
-from repro.hmc.trace import TraceLevel
+from repro.registry import lazy_exports
 
 __version__ = "2.0.0"
 
-__all__ = [
-    "HMCSim",
-    "HMCConfig",
-    "HMCStatus",
-    "hmc_rqst_t",
-    "hmc_response_t",
-    "command_info",
-    "CommandInfo",
-    "CommandKind",
-    "RequestPacket",
-    "ResponsePacket",
-    "TraceLevel",
-    "HMCTimingModel",
-    "HMCPowerModel",
-    "CMCOperation",
-    "CMCRegistration",
-    "CMCRegistry",
-    "load_cmc",
-    "HMCSimError",
-    "HMCConfigError",
-    "HMCPacketError",
-    "CMCError",
-    "CMCLoadError",
-    "CMCNotActiveError",
-    "CMCExecutionError",
-    "__version__",
-]
+#: Public name -> where it lives, imported on first access: ``import
+#: repro`` (and every ``python -m repro``) pays for none of them.
+_EXPORTS = {
+    "HMCSim": "repro.hmc.sim:HMCSim",
+    "HMCConfig": "repro.hmc.config:HMCConfig",
+    "HMCStatus": "repro.errors:HMCStatus",
+    "hmc_rqst_t": "repro.hmc.commands:hmc_rqst_t",
+    "hmc_response_t": "repro.hmc.commands:hmc_response_t",
+    "command_info": "repro.hmc.commands:command_info",
+    "CommandInfo": "repro.hmc.commands:CommandInfo",
+    "CommandKind": "repro.hmc.commands:CommandKind",
+    "RequestPacket": "repro.hmc.packet:RequestPacket",
+    "ResponsePacket": "repro.hmc.packet:ResponsePacket",
+    "TraceLevel": "repro.hmc.trace:TraceLevel",
+    "HMCTimingModel": "repro.hmc.timing:HMCTimingModel",
+    "HMCPowerModel": "repro.hmc.power:HMCPowerModel",
+    "CMCOperation": "repro.core.cmc:CMCOperation",
+    "CMCRegistration": "repro.core.cmc:CMCRegistration",
+    "CMCRegistry": "repro.core.cmc:CMCRegistry",
+    "load_cmc": "repro.core.loader:load_cmc",
+    "HMCSimError": "repro.errors:HMCSimError",
+    "HMCConfigError": "repro.errors:HMCConfigError",
+    "HMCPacketError": "repro.errors:HMCPacketError",
+    "CMCError": "repro.errors:CMCError",
+    "CMCLoadError": "repro.errors:CMCLoadError",
+    "CMCNotActiveError": "repro.errors:CMCNotActiveError",
+    "CMCExecutionError": "repro.errors:CMCExecutionError",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

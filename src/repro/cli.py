@@ -35,20 +35,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.analysis import tables as _tables
-from repro.analysis.export import sweep_to_csv, write_csv
-from repro.analysis.plot import plot_sweeps
-from repro.analysis.sweep import run_mutex_sweep
+# Each handler imports the layer it runs: an invocation compiles and
+# executes only what it uses (tests/test_import_budget.py).
 from repro.errors import ComponentError, FaultError, HMCConfigError, WorkloadError
 from repro.faults.plan import DEFAULT_FAULT_SEED, FaultPlan, FaultSpec
-from repro.faults.registry import FAULTS
-from repro.hmc.commands import CMC_CODES, DEFINED_CODES
-from repro.hmc.components import COMPONENTS
 from repro.hmc.config import CONFIGS, HMCConfig, resolve_config, validate_selection
-from repro.parallel.progress import make_progress
-from repro.workloads.registry import WORKLOADS
 
 __all__ = ["main", "build_parser"]
 
@@ -89,6 +82,23 @@ def _parse_component(spec: str) -> Tuple[str, str]:
     except HMCConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return seam, key
+
+
+def _request_count(text: str) -> int:
+    """A ``fuzz --count``: requests per trace, each on a tag of its own."""
+    from repro.hmc.packet import MAX_TAG
+
+    try:
+        count = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if not 1 <= count <= MAX_TAG + 1:
+        raise argparse.ArgumentTypeError(
+            f"request count {count} outside 1..{MAX_TAG + 1}"
+        )
+    return count
 
 
 def _integer(text: str) -> int:
@@ -179,6 +189,8 @@ def _add_jobs_args(p: argparse.ArgumentParser) -> None:
 
 def _sweep_kwargs(args) -> dict:
     """run_mutex_sweep keyword arguments from the jobs/cache/fault flags."""
+    from repro.parallel.progress import make_progress
+
     kwargs: dict = {"jobs": args.jobs, "use_cache": not args.no_cache}
     if args.jobs != 1:
         kwargs["progress"] = make_progress(sys.stderr)
@@ -186,6 +198,31 @@ def _sweep_kwargs(args) -> dict:
     if plan is not None:
         kwargs["fault_plan"] = plan
     return kwargs
+
+
+class _Workloads:
+    """Registry-backed ``choices`` for a positional: a name is checked by
+    resolving it alone (``has`` plus the attribute filter), and only
+    listing the names (help, usage, a refusal) loads every frontend.
+    Assign it after ``add_argument``, whose metavar check lists them."""
+
+    def __init__(self, prefix: str = "", **where: Any) -> None:
+        self.prefix = prefix
+        self.where = where
+
+    def __contains__(self, name: object) -> bool:
+        from repro.workloads.registry import WORKLOADS
+
+        key = f"{self.prefix}{name}"
+        return WORKLOADS.has(key) and all(
+            getattr(WORKLOADS.get(key), attr, None) == value
+            for attr, value in self.where.items()
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        from repro.workloads.registry import WORKLOADS
+
+        return (key[len(self.prefix):] for key in WORKLOADS.keys(**self.where))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -223,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kernel = sub.add_parser("kernel", help="run one workload kernel")
     p_kernel.set_defaults(run=_cmd_kernel)
-    p_kernel.add_argument(
-        "name", choices=WORKLOADS.keys(kind="kernel", cli_kernel=True)
+    p_kernel.add_argument("name").choices = _Workloads(
+        kind="kernel", cli_kernel=True
     )
     p_kernel.add_argument("--threads", type=int, default=16)
     p_kernel.add_argument(
@@ -250,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         "record",
         help="run a recordable workload, capturing its request stream",
     )
-    p_record.add_argument("workload", choices=WORKLOADS.keys(recordable=True))
+    p_record.add_argument("workload").choices = _Workloads(recordable=True)
     p_record.add_argument("--threads", type=int, default=16)
     p_record.add_argument(
         "--config", choices=_LINKS, default="4link"
@@ -297,10 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_graph = sub.add_parser("graph", help="run a task-graph workload")
     p_graph.set_defaults(run=_cmd_graph)
-    p_graph.add_argument(
-        "scenario",
-        choices=[name.split(":", 1)[1] for name in WORKLOADS.keys(kind="graph")],
-    )
+    p_graph.add_argument("scenario").choices = _Workloads("graph:", kind="graph")
     p_graph.add_argument(
         "--config", choices=_LINKS, default="4link"
     )
@@ -365,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(override with --emit-repro)",
     )
     p_fuzz.add_argument(
-        "--count", type=int, default=256, metavar="N",
+        "--count", type=_request_count, default=256, metavar="N",
         help="requests per trace (default 256)",
     )
     p_fuzz.add_argument(
@@ -495,6 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table(args, out) -> int:
+    from repro.analysis import tables as _tables
+
     if args.number == "1":
         out.write(_tables.render_table1() + "\n")
     elif args.number == "2":
@@ -507,6 +543,8 @@ def _cmd_table(args, out) -> int:
         load_mutex_ops(sim)
         out.write(_tables.render_table5(sim.cmc) + "\n")
     else:
+        from repro.analysis.sweep import run_mutex_sweep
+
         counts = args.threads or _parse_threads("2:100")
         sweeps = [
             run_mutex_sweep(
@@ -520,6 +558,9 @@ def _cmd_table(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
+    from repro.analysis import tables as _tables
+    from repro.analysis.sweep import run_mutex_sweep
+
     kwargs = _sweep_kwargs(args)
     names = CONFIGS if args.config == "both" else [args.config]
     sweeps = [
@@ -542,17 +583,23 @@ def _cmd_sweep(args, out) -> int:
         ("Figure 7: Average Lock Cycles", "avg_cycles"),
     ]:
         if args.plot:
+            from repro.analysis.plot import plot_sweeps
+
             out.write(plot_sweeps(title, sweeps, attr) + "\n\n")
         else:
             out.write(_tables.render_figure_series(title, sweeps, attr) + "\n\n")
     out.write(_tables.render_table6(sweeps) + "\n")
     if args.csv:
+        from repro.analysis.export import sweep_to_csv, write_csv
+
         path = write_csv(args.csv, sweep_to_csv(sweeps))
         out.write(f"series written to {path}\n")
     return 0
 
 
 def _cmd_kernel(args, out) -> int:
+    from repro.workloads.registry import WORKLOADS
+
     cfg = resolve_config(args.config, args.components)
     plan = _fault_plan(args)
     frontend = WORKLOADS.get(args.name)
@@ -581,6 +628,8 @@ def _cmd_openloop(args, out) -> int:
 
 
 def _cmd_chase(args, out) -> int:
+    from repro.workloads.registry import WORKLOADS
+
     cfg = resolve_config(args.config, args.components)
     frontend = WORKLOADS.get("chase")
     s = frontend.run(
@@ -609,6 +658,7 @@ def _cmd_trace(args, out) -> int:
     from repro.workloads.tracefmt import WorkloadTrace, trace_from_tracer
 
     if args.trace_command == "record":
+        from repro.workloads.registry import WORKLOADS
         from repro.workloads.replay import record_workload
 
         cfg = resolve_config(args.config)
@@ -674,6 +724,8 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_graph(args, out) -> int:
+    from repro.workloads.registry import WORKLOADS
+
     cfg = resolve_config(args.config, args.components)
     frontend = WORKLOADS.get(f"graph:{args.scenario}")
     s = frontend.run(cfg, {})
@@ -712,6 +764,11 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_info(args, out) -> int:
+    from repro.faults.registry import FAULTS
+    from repro.hmc.commands import CMC_CODES, DEFINED_CODES
+    from repro.hmc.components import COMPONENTS
+    from repro.workloads.registry import WORKLOADS
+
     out.write("HMC-Sim 2.0 reproduction\n")
     out.write(
         f"command space: {len(DEFINED_CODES)} specification commands, "
@@ -789,6 +846,7 @@ def _cmd_fuzz(args, out) -> int:
         run_trace,
         shrink_trace,
     )
+    from repro.parallel.progress import make_progress
 
     if args.trace_path is None and args.profile == "trace":
         raise SystemExit(
@@ -1009,7 +1067,12 @@ def _cmd_client(args, out) -> int:
     from repro.serve.client import ServeClient
 
     try:
-        with ServeClient(args.socket) as client:
+        client = ServeClient(args.socket)
+    except OSError as exc:
+        out.write(f"cannot reach a server at {args.socket}: {exc.strerror or exc}\n")
+        return 1
+    try:
+        with client:
             if args.client_command == "submit":
                 return _client_submit(client, args, out)
             if args.client_command == "attach":

@@ -29,32 +29,27 @@ requirement, extended to fault injection and pinned by the
 engine-parity goldens.
 """
 
-from repro.faults.controller import (
-    FATE_DELIVER,
-    FATE_DROP,
-    FATE_DUP,
-    FaultController,
-)
-from repro.faults.diagnostics import DeadlockDump, collect_deadlock_dump
-from repro.faults.invariants import InvariantChecker
-from repro.faults.plan import DEFAULT_FAULT_SEED, FaultPlan, FaultSpec
-from repro.faults.registry import FAULTS, FaultKind, register_fault
-from repro.faults.watchdog import ArmedTag, TagWatchdog
+from repro.registry import lazy_exports
 
-__all__ = [
-    "FAULTS",
-    "FaultKind",
-    "register_fault",
-    "FaultSpec",
-    "FaultPlan",
-    "DEFAULT_FAULT_SEED",
-    "FaultController",
-    "FATE_DELIVER",
-    "FATE_DROP",
-    "FATE_DUP",
-    "TagWatchdog",
-    "ArmedTag",
-    "InvariantChecker",
-    "DeadlockDump",
-    "collect_deadlock_dump",
-]
+#: Imported on first access (``repro.registry.lazy_exports``).
+_EXPORTS = {
+    "FAULTS": "repro.faults.registry:FAULTS",
+    "FaultKind": "repro.faults.registry:FaultKind",
+    "register_fault": "repro.faults.registry:register_fault",
+    "FaultSpec": "repro.faults.plan:FaultSpec",
+    "FaultPlan": "repro.faults.plan:FaultPlan",
+    "DEFAULT_FAULT_SEED": "repro.faults.plan:DEFAULT_FAULT_SEED",
+    "FaultController": "repro.faults.controller:FaultController",
+    "FATE_DELIVER": "repro.faults.controller:FATE_DELIVER",
+    "FATE_DROP": "repro.faults.controller:FATE_DROP",
+    "FATE_DUP": "repro.faults.controller:FATE_DUP",
+    "TagWatchdog": "repro.faults.watchdog:TagWatchdog",
+    "ArmedTag": "repro.faults.watchdog:ArmedTag",
+    "InvariantChecker": "repro.faults.invariants:InvariantChecker",
+    "DeadlockDump": "repro.faults.diagnostics:DeadlockDump",
+    "collect_deadlock_dump": "repro.faults.diagnostics:collect_deadlock_dump",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

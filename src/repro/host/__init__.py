@@ -17,20 +17,22 @@ This subpackage provides:
   :mod:`repro.workloads`).
 """
 
-from repro.host.engine import EngineResult, HostEngine, ThreadResult
-from repro.host.openloop import OpenLoopStats, run_open_loop
-from repro.host.thread import SimThread, ThreadCtx, ThreadState
-from repro.host.window import WindowedEngine, WindowedResult
+from repro.registry import lazy_exports
 
-__all__ = [
-    "HostEngine",
-    "EngineResult",
-    "ThreadResult",
-    "SimThread",
-    "ThreadCtx",
-    "ThreadState",
-    "WindowedEngine",
-    "WindowedResult",
-    "OpenLoopStats",
-    "run_open_loop",
-]
+#: Imported on first access (``repro.registry.lazy_exports``).
+_EXPORTS = {
+    "HostEngine": "repro.host.engine:HostEngine",
+    "EngineResult": "repro.host.engine:EngineResult",
+    "ThreadResult": "repro.host.engine:ThreadResult",
+    "SimThread": "repro.host.thread:SimThread",
+    "ThreadCtx": "repro.host.thread:ThreadCtx",
+    "ThreadState": "repro.host.thread:ThreadState",
+    "WindowedEngine": "repro.host.window:WindowedEngine",
+    "WindowedResult": "repro.host.window:WindowedResult",
+    "OpenLoopStats": "repro.host.openloop:OpenLoopStats",
+    "run_open_loop": "repro.host.openloop:run_open_loop",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,38 +19,32 @@ on-disk result cache underneath:
 The engine is kernel-agnostic: any future sweep (block-size,
 latency-load, window-scaling) parallelizes by giving its workload
 frontend a ``task_spec`` — see the ``mutex`` frontend in
-:mod:`repro.workloads.adapters` for the pattern; workers execute every
+:mod:`repro.workloads.kernels.mutex` for the pattern; workers execute every
 such spec through :func:`repro.workloads.registry.run_spec`.
 """
 
-from repro.parallel.cache import CacheStats, SweepCache, default_cache_root
-from repro.parallel.pool import SweepExecutor, resolve_jobs
-from repro.parallel.progress import ProgressFn, ProgressPrinter, make_progress, null_progress
-from repro.parallel.tasks import (
-    TaskSpec,
-    cache_key,
-    component_fingerprint,
-    config_fingerprint,
-    decode_result,
-    encode_result,
-    run_task,
-)
+from repro.registry import lazy_exports
 
-__all__ = [
-    "CacheStats",
-    "SweepCache",
-    "default_cache_root",
-    "SweepExecutor",
-    "resolve_jobs",
-    "ProgressFn",
-    "ProgressPrinter",
-    "make_progress",
-    "null_progress",
-    "TaskSpec",
-    "cache_key",
-    "component_fingerprint",
-    "config_fingerprint",
-    "decode_result",
-    "encode_result",
-    "run_task",
-]
+#: Imported on first access (``repro.registry.lazy_exports``).
+_EXPORTS = {
+    "CacheStats": "repro.parallel.cache:CacheStats",
+    "SweepCache": "repro.parallel.cache:SweepCache",
+    "default_cache_root": "repro.parallel.cache:default_cache_root",
+    "SweepExecutor": "repro.parallel.pool:SweepExecutor",
+    "resolve_jobs": "repro.parallel.pool:resolve_jobs",
+    "ProgressFn": "repro.parallel.progress:ProgressFn",
+    "ProgressPrinter": "repro.parallel.progress:ProgressPrinter",
+    "make_progress": "repro.parallel.progress:make_progress",
+    "null_progress": "repro.parallel.progress:null_progress",
+    "TaskSpec": "repro.parallel.tasks:TaskSpec",
+    "cache_key": "repro.parallel.tasks:cache_key",
+    "component_fingerprint": "repro.parallel.tasks:component_fingerprint",
+    "config_fingerprint": "repro.parallel.tasks:config_fingerprint",
+    "decode_result": "repro.parallel.tasks:decode_result",
+    "encode_result": "repro.parallel.tasks:encode_result",
+    "run_task": "repro.parallel.tasks:run_task",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

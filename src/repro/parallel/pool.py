@@ -27,7 +27,6 @@ Design points:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Any, List, Optional, Sequence
 
@@ -112,6 +111,10 @@ class SweepExecutor:
                 done += 1
                 self.progress(done, total, specs[i], False)
             return results
+
+        # Imported on fan-out only: a serial or all-cached run never pays
+        # for multiprocessing.
+        import multiprocessing
 
         chunks = self._chunk([specs[i] for i in pending], workers)
         ctx = self.mp_context or multiprocessing.get_context()

@@ -36,14 +36,14 @@ persistent result cache (:mod:`repro.parallel.cache`) keys an entry by
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.hmc.components import COMPONENTS
 from repro.hmc.config import HMCConfig
+from repro.registry import resolve
 
 __all__ = [
     "TaskSpec",
@@ -159,20 +159,6 @@ def _digest(doc: Dict[str, Any]) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-_RUNNERS: Dict[str, Callable[[TaskSpec], Any]] = {}
-
-
-def _resolve_runner(path: str) -> Callable[[TaskSpec], Any]:
-    fn = _RUNNERS.get(path)
-    if fn is None:
-        module_name, sep, attr = path.partition(":")
-        if not sep:
-            raise ValueError(f"bad runner path {path!r} (expected 'module:callable')")
-        fn = getattr(importlib.import_module(module_name), attr)
-        _RUNNERS[path] = fn
-    return fn
-
-
 def run_task(spec: TaskSpec) -> Any:
     """Execute one task spec in the current process.
 
@@ -180,7 +166,7 @@ def run_task(spec: TaskSpec) -> Any:
     fallback and every pool worker call exactly this function, so
     serial/parallel parity is structural rather than tested-only.
     """
-    return _resolve_runner(spec.runner)(spec)
+    return resolve(spec.runner)(spec)
 
 
 # -- result (de)serialization -------------------------------------------------
@@ -201,10 +187,4 @@ def encode_result(result: Any) -> Dict[str, Any]:
 
 def decode_result(doc: Dict[str, Any]) -> Any:
     """Reconstruct a result encoded by :func:`encode_result`."""
-    module_name, sep, qualname = doc["__dataclass__"].partition(":")
-    if not sep:
-        raise ValueError(f"bad result type tag {doc['__dataclass__']!r}")
-    cls: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        cls = getattr(cls, part)
-    return cls(**doc["fields"])
+    return resolve(doc["__dataclass__"])(**doc["fields"])

@@ -11,16 +11,23 @@ re-entrant lock; and an entry's fingerprint is its implementation's
 ``module:qualname``, plus ``@version`` when it declares one.  An entry
 is the implementation itself (a class or factory), or a record naming
 it as ``factory`` (a fault kind).
+
+A lookup imports the catalog in order only until its key is registered;
+listing the keys, a miss and a replacement import all of it.  The same
+import-on-demand rule serves package re-exports: :func:`resolve` turns a
+``module:qualname`` path into the object, and :func:`lazy_exports` gives
+a package a module ``__getattr__`` over a table of such paths.
 """
 
 from __future__ import annotations
 
 import hashlib
 import importlib
+import sys
 import threading
-from typing import Any, Dict, Generic, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Mapping, Tuple, Type, TypeVar
 
-__all__ = ["Registry"]
+__all__ = ["Registry", "resolve", "lazy_exports"]
 
 T = TypeVar("T")
 
@@ -50,31 +57,33 @@ class Registry(Generic[T]):
     ) -> None:
         self.noun = noun
         self.error = error
-        self._catalog = catalog
         self._fresh = fresh
         self._tag = tag
         self._columns = columns
         self._entries: Dict[str, T] = {}
-        self._loaded = not catalog
+        #: Catalog modules not imported yet, in catalog order.
+        self._pending = list(catalog)
         self._loading = False
         # Re-entrant: a catalog module may look a name up while it loads.
         self._lock = threading.RLock()
 
-    def _load(self) -> None:
-        if self._loaded:
+    def _load(self, key: Any = None) -> None:
+        """Import the catalog in order until ``key`` is registered; all
+        of it when ``key`` is None or nothing registers it."""
+        if not self._pending or _found(key, self._entries):
             return
-        # Another thread waits for the whole catalog, not a partial one
-        # (serve sessions' owner threads look names up concurrently).
+        # Another thread waits for the module it needs, not a partial
+        # one (serve sessions' owner threads look names up concurrently).
         with self._lock:
-            if self._loaded or self._loading:
+            if self._loading:
                 return
             self._loading = True
             try:
-                for module in self._catalog:
-                    importlib.import_module(module)
+                while self._pending and not _found(key, self._entries):
+                    importlib.import_module(self._pending[0])
+                    del self._pending[0]
             finally:
                 self._loading = False
-            self._loaded = True
 
     def register(self, key: str, entry: T, *, replace: bool = False) -> T:
         """Install ``entry`` under ``key`` and return it.
@@ -101,7 +110,7 @@ class Registry(Generic[T]):
 
     def _entry(self, key: str) -> T:
         """The entry under ``key``; the error lists the known keys."""
-        self._load()
+        self._load(key)
         if isinstance(key, str) and key in self._entries:
             return self._entries[key]
         known = ", ".join(sorted(self._entries)) or "<none>"
@@ -116,7 +125,7 @@ class Registry(Generic[T]):
 
     def has(self, key: str) -> bool:
         """True when ``key`` is registered."""
-        self._load()
+        self._load(key)
         return key in self._entries
 
     def keys(self, **where: Any) -> Tuple[str, ...]:
@@ -144,12 +153,16 @@ class Registry(Generic[T]):
 
     def identity(self, key: str) -> str:
         """``module:qualname`` of the implementation under ``key``, plus
-        ``@version`` when it declares one."""
+        ``@version`` when it declares one.  An implementation moved after
+        its fingerprint was published names its old module in its own
+        (not inherited) ``published_module``, so the move changes no
+        served payload or cache key."""
         impl = _impl(self._entry(key))
         name = getattr(impl, "__qualname__", type(impl).__name__)
+        module = getattr(impl, "__dict__", {}).get("published_module", impl.__module__)
         version = getattr(impl, "version", None)
         suffix = "" if version is None else f"@{version}"
-        return f"{impl.__module__}:{name}{suffix}"
+        return f"{module}:{name}{suffix}"
 
     def fingerprint(self, key: str) -> str:
         """A short digest of :meth:`identity`: it changes when the name
@@ -160,3 +173,40 @@ class Registry(Generic[T]):
 
 def _impl(entry: Any) -> Any:
     return getattr(entry, "factory", entry)
+
+
+def _found(key: Any, entries: Dict[str, Any]) -> bool:
+    return isinstance(key, str) and key in entries
+
+
+def resolve(path: str) -> Any:
+    """The object a ``module:qualname`` path names, importing the module."""
+    module, sep, qualname = path.partition(":")
+    if not sep:
+        raise ValueError(f"bad path {path!r} (expected 'module:qualname')")
+    found: Any = importlib.import_module(module)
+    for part in qualname.split("."):
+        found = getattr(found, part)
+    return found
+
+
+def lazy_exports(
+    package: str, exports: Mapping[str, str]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """A package's module ``__getattr__`` and ``__dir__`` (PEP 562) over
+    ``name -> "module:qualname"``: a name is imported on first access,
+    so importing the package imports none of them."""
+
+    def __getattr__(name: str) -> Any:
+        if name not in exports:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = resolve(exports[name])
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(exports))
+
+    return __getattr__, __dir__

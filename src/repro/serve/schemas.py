@@ -47,6 +47,7 @@ from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.errors import ServeError
 from repro.hmc.config import CONFIGS
+from repro.registry import resolve
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -321,13 +322,7 @@ def decode_value(doc: Any) -> Any:
         if "__map__" in doc:
             return {decode_value(k): decode_value(v) for k, v in doc["__map__"]}
         if "__dc__" in doc:
-            import importlib
-
-            module_name, _, qualname = doc["__dc__"].partition(":")
-            cls: Any = importlib.import_module(module_name)
-            for part in qualname.split("."):
-                cls = getattr(cls, part)
-            return cls(
+            return resolve(doc["__dc__"])(
                 **{k: decode_value(v) for k, v in doc["fields"].items()}
             )
         return {k: decode_value(v) for k, v in doc.items()}

@@ -6,18 +6,21 @@
 instance* per call, so frontends may keep per-run state (a loaded
 trace, a built graph) without leaking it across runs.  The built-ins
 register themselves with :func:`register_workload` in the modules that
-define them, which are the registry's catalog: it imports them on first
-lookup, so importing this module (e.g. from :mod:`repro.parallel.tasks`
-for cache-key fingerprints) stays cheap and cycle-free.
+define them, which are the registry's catalog: a lookup imports them in
+order until its name is registered (``mutex`` first, the one every sweep
+and the ``kernel mutex`` CLI resolve), so importing this module stays
+cheap and cycle-free and one name imports one kernel frontend.
 """
 
 from __future__ import annotations
 
-from typing import Any, Type
+from typing import TYPE_CHECKING, Any, Type
 
 from repro.errors import WorkloadError
 from repro.registry import Registry
-from repro.workloads.base import WorkloadFrontend
+
+if TYPE_CHECKING:
+    from repro.workloads.base import WorkloadFrontend
 
 __all__ = ["WORKLOADS", "register_workload", "run_spec"]
 
@@ -28,7 +31,13 @@ WORKLOADS: Registry[Type[WorkloadFrontend]] = Registry(
     "workload",
     WorkloadError,
     catalog=(
-        "repro.workloads.adapters",
+        *(
+            f"repro.workloads.kernels.{kernel}"
+            for kernel in (
+                "mutex", "ticket", "stream", "gups", "histogram",
+                "pointer_chase", "barrier", "bfs", "sssp",
+            )
+        ),
         "repro.workloads.replay",
         "repro.workloads.graph",
     ),

@@ -234,7 +234,13 @@ class WorkloadTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkloadTrace":
-        return cls.loads(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise WorkloadError(
+                f"cannot read workload trace {path}: {exc.strerror}"
+            ) from None
+        return cls.loads(text)
 
     def digest(self) -> str:
         """A stable content digest (serialization is canonical)."""

@@ -130,7 +130,7 @@ def test_workload_containment_flags_a_planted_violation(tmp_path: Path) -> None:
     lint = _load_lint()
     bad = tmp_path / "rogue.py"
     bad.write_text(
-        "from repro.workloads.adapters import MutexWorkload\n"
+        "from repro.workloads.kernels.mutex import MutexWorkload\n"
         "from repro.workloads.graph import CounterGraphWorkload, TaskGraph\n"
         "from repro.workloads.registry import WORKLOADS  # the seam: allowed\n"
     )
@@ -145,7 +145,7 @@ def test_workload_containment_exempts_the_catalog(tmp_path: Path) -> None:
     """The allow-list actually exempts the composition root."""
     lint = _load_lint()
     allowed = tmp_path / "catalog.py"
-    allowed.write_text("from repro.workloads.adapters import MutexWorkload\n")
+    allowed.write_text("from repro.workloads.kernels.mutex import MutexWorkload\n")
     diags = lint.contain("workload", scope=(tmp_path,), allowed=(allowed,))
     assert diags == []
 

@@ -224,3 +224,31 @@ class TestRefusedInput:
         err = capsys.readouterr().err
         assert exc.value.code == 2
         assert "expected an integer, got 'zz'" in err and "lambda" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "replay"], ["fuzz", "--trace"]],
+        ids=["trace-replay", "fuzz-trace"],
+    )
+    def test_missing_trace_file(self, argv, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        rc, _ = run_cli(*argv, str(missing))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("hmcsim-repro: error:") and str(missing) in err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("count", ["0", "2049"])
+    def test_fuzz_count_out_of_range(self, count, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--count", count], out=io.StringIO())
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--count" in err and "1..2048" in err
+
+    def test_client_on_an_unreachable_socket(self, tmp_path, capsys):
+        missing = tmp_path / "missing.sock"
+        rc, out = run_cli("client", "--socket", str(missing), "stat")
+        assert rc == 1
+        assert str(missing) in out and out.count("\n") == 1
+        assert capsys.readouterr().err == ""

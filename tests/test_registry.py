@@ -139,3 +139,63 @@ def test_concurrent_first_lookup_sees_the_whole_catalog(case, tmp_path, monkeypa
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
     assert seen == [True, True]
+
+
+@pytest.fixture
+def two_module_catalog(case, tmp_path, monkeypatch):
+    """A fresh registry whose catalog is two modules: the first
+    registers ``KEY``, the second ``KEY + "2"``."""
+    live, a, _ = case
+    modules = ("_first_catalog", "_second_catalog")
+    registry = Registry(live.noun, live.error, catalog=modules)
+    monkeypatch.setattr(sys.modules[__name__], "TWO", (registry, a), raising=False)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    for module, key in zip(modules, (KEY, KEY + "2")):
+        monkeypatch.delitem(sys.modules, module, raising=False)
+        (tmp_path / f"{module}.py").write_text(
+            f"import time\nfrom {__name__} import TWO\n"
+            f"time.sleep(0.02)\nTWO[0].register({key!r}, TWO[1])\n"
+        )
+    return registry
+
+
+def test_lookup_loads_the_catalog_only_up_to_the_key(two_module_catalog):
+    registry = two_module_catalog
+    registry.get(KEY)
+    assert registry.has(KEY)
+    registry.fingerprint(KEY)
+    assert "_first_catalog" in sys.modules
+    assert "_second_catalog" not in sys.modules
+
+
+@pytest.mark.parametrize("lookup", ["keys", "miss"])
+def test_listing_or_missing_loads_the_whole_catalog(two_module_catalog, lookup):
+    registry = two_module_catalog
+    if lookup == "keys":
+        assert registry.keys() == (KEY, KEY + "2")
+    else:
+        assert not registry.has("nope")
+    assert {"_first_catalog", "_second_catalog"} <= set(sys.modules)
+
+
+def test_concurrent_lookups_of_both_modules_keys(two_module_catalog):
+    # More threads than cores, half after each module's key, racing the
+    # partial load with a short switch interval: each sees its own key.
+    registry = two_module_catalog
+    seen = []
+    threads = [
+        threading.Thread(target=lambda k=key: seen.append(registry.has(k)))
+        for key in (KEY, KEY + "2") * 4
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [True] * len(threads)
+    assert registry.keys() == (KEY, KEY + "2")

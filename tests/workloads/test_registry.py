@@ -90,7 +90,9 @@ def test_global_fingerprints_are_distinct():
 #
 # Served payloads carry the registry fingerprint and stats encoded under
 # their ``module:qualname``; perfbench's goldens digest those bytes.  A
-# move or rename of these classes must come with a golden re-capture.
+# frontend moved to another module keeps its fingerprint by naming the
+# old one in ``published_module``; any other move or rename of these
+# classes must come with a golden re-capture.
 
 PINNED_FINGERPRINTS = {
     "mutex": "w8b409718bcb9a22c",
