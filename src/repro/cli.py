@@ -1,33 +1,18 @@
 """Command-line interface: run the paper's experiments from a shell.
 
-Installed as ``hmcsim-repro`` (also ``python -m repro``):
+Installed as ``hmcsim-repro`` (also ``python -m repro``); ``--help``
+lists the subcommands and ``info`` the configurations, pipeline
+components (``--component seam=impl``), fault kinds (``--fault
+kind=param``) and workloads.  This module parses argv, dispatches to
+the layer that owns the work, and prints.  The workload subcommands
+(``kernel``, ``chase``, ``graph``, ``trace record|replay``) are views
+of their frontends, run by one handler: each flag's dest is a frontend
+parameter or one of :data:`CLI_ONLY`.
 
-* ``hmcsim-repro table 1|2|5|6`` — regenerate a paper table.
-* ``hmcsim-repro sweep --threads 2:100 --plot --csv out.csv`` — run the
-  Figures 5-7 sweep, render ASCII charts, export CSV.
-* ``hmcsim-repro kernel mutex|ticket|...`` — run one workload kernel
-  (resolved through the workload registry; ``info`` lists them all).
-* ``hmcsim-repro trace record|replay|convert`` — capture a workload
-  run as a versioned JSONL trace and replay it (see
-  ``docs/WORKLOADS.md``).
-* ``hmcsim-repro graph counter|pipeline|kvstore`` — run a task-graph
-  workload.
-* ``hmcsim-repro fuzz --seeds 64 --shrink`` — differential-fuzz the
-  datapath against the functional oracle (see ``docs/CORRECTNESS.md``);
-  ``--trace run.jsonl`` replays a recorded workload trace through the
-  differential runner instead of generated traffic.
-* ``hmcsim-repro info`` — show the command space and configurations.
-
-Experiment commands accept ``--component seam=impl`` (repeatable) to
-swap a pipeline stage, e.g. ``--component xbar=ideal --component
-vault_scheduler=round_robin``.  ``info`` lists the registered
-implementations per seam.
-
-``sweep`` and ``kernel mutex`` additionally accept ``--fault
-kind=param`` (repeatable) and ``--fault-seed N`` to run under a
-deterministic fault plan, e.g. ``--fault xbar_drop=0.004 --fault
-vault_stall=2e-3,duration=4``.  ``info`` lists the registered fault
-kinds.
+Exit codes: 0 when the run passed; 1 when it ran and a check failed (a
+divergent fuzz seed, a trace-baseline mismatch, an unverified run, a
+failed served submission); 2 when the input was refused, with an
+``error:`` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
@@ -88,12 +73,7 @@ def _request_count(text: str) -> int:
     """A ``fuzz --count``: requests per trace, each on a tag of its own."""
     from repro.hmc.packet import MAX_TAG
 
-    try:
-        count = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
+    count = _integer(text)
     if not 1 <= count <= MAX_TAG + 1:
         raise argparse.ArgumentTypeError(
             f"request count {count} outside 1..{MAX_TAG + 1}"
@@ -109,6 +89,44 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer, got {text!r}"
         ) from None
+
+
+def _seed_spec(text: str) -> range | int:
+    """A ``fuzz --seeds`` value: a count of seeds from ``--seed`` (an
+    int), or an inclusive ``LO-HI`` range."""
+    lo, dash, hi = text.lstrip("-").partition("-")
+    try:
+        seeds = range(int(lo, 0), int(hi, 0) + 1) if dash else int(text, 0)
+    except ValueError:
+        seeds = 0
+    if not seeds or (not dash and seeds < 1):
+        raise argparse.ArgumentTypeError(
+            f"expected a count >= 1 or a non-empty LO-HI range, got {text!r}"
+        )
+    return seeds
+
+
+def _fuzz_profile(text: str) -> str:
+    """A ``fuzz --profile``: a traffic profile, ``all`` or ``trace``."""
+    from repro.oracle.trafficgen import PROFILES
+
+    if text not in ("all", "trace", *PROFILES):
+        raise argparse.ArgumentTypeError(
+            f"unknown profile {text!r} "
+            f"(have: all, trace, {', '.join(sorted(PROFILES))})"
+        )
+    return text
+
+
+def _json_object(text: str) -> dict:
+    """A ``client submit`` spec: a JSON object."""
+    try:
+        spec = json.loads(text)
+    except ValueError:
+        spec = None
+    if not isinstance(spec, dict):
+        raise argparse.ArgumentTypeError(f"expected a JSON object, got {text!r}")
+    return spec
 
 
 #: ``--config`` spellings: each named configuration by its link count.
@@ -249,24 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads", type=_parse_threads, default=_parse_threads("2:100"),
         help="thread axis, e.g. 2:100 or 2:100:7 (default 2:100)",
     )
-    p_sweep.add_argument(
-        "--config", choices=_LINKS + ["both"], default="both"
-    )
+    p_sweep.add_argument("--config", choices=_LINKS + ["both"], default="both")
     p_sweep.add_argument("--plot", action="store_true", help="render ASCII charts")
     p_sweep.add_argument("--csv", metavar="PATH", help="export the series as CSV")
     _add_component_arg(p_sweep)
     _add_jobs_args(p_sweep)
     _add_fault_args(p_sweep)
 
-    p_kernel = sub.add_parser("kernel", help="run one workload kernel")
-    p_kernel.set_defaults(run=_cmd_kernel)
-    p_kernel.add_argument("name").choices = _Workloads(
-        kind="kernel", cli_kernel=True
-    )
+    p_kernel = _workload_parser(sub, "kernel", "{name}", "run one workload kernel")
+    p_kernel.add_argument("name").choices = _Workloads(kind="kernel", cli_kernel=True)
     p_kernel.add_argument("--threads", type=int, default=16)
-    p_kernel.add_argument(
-        "--config", choices=_LINKS, default="4link"
-    )
+    p_kernel.add_argument("--config", choices=_LINKS, default="4link")
     p_kernel.add_argument(
         "--oracle-sample", type=int, default=None, metavar="N",
         dest="oracle_sample",
@@ -278,30 +289,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_component_arg(p_kernel)
     _add_fault_args(p_kernel)
 
-    p_trace = sub.add_parser(
-        "trace", help="record or replay a workload trace"
-    )
-    p_trace.set_defaults(run=_cmd_trace)
+    p_trace = sub.add_parser("trace", help="record or replay a workload trace")
     trace_sub = p_trace.add_subparsers(dest="trace_command", required=True)
-    p_record = trace_sub.add_parser(
-        "record",
-        help="run a recordable workload, capturing its request stream",
+    p_record = _workload_parser(
+        trace_sub, "record", "{workload}",
+        "run a recordable workload, capturing its request stream",
     )
     p_record.add_argument("workload").choices = _Workloads(recordable=True)
     p_record.add_argument("--threads", type=int, default=16)
-    p_record.add_argument(
-        "--config", choices=_LINKS, default="4link"
-    )
+    p_record.add_argument("--config", choices=_LINKS, default="4link")
     p_record.add_argument(
         "-o", "--output", required=True, metavar="PATH",
         help="trace file to write (JSONL)",
     )
-    p_replay = trace_sub.add_parser(
-        "replay",
-        help="replay a trace; closed-loop replay checks the recorded "
+    p_replay = _workload_parser(
+        trace_sub, "replay", "trace",
+        "replay a trace; closed-loop replay checks the recorded "
         "per-thread cycle baseline",
     )
-    p_replay.add_argument("trace_file")
+    p_replay.add_argument("path", metavar="trace_file")
     p_replay.add_argument(
         "--mode", choices=["closed", "open"], default="closed",
         help="closed: per-thread semantic re-execution; open: "
@@ -326,27 +332,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert rendered simulator Tracer output into a workload "
         "trace (lossy: open-loop replay only)",
     )
+    p_convert.set_defaults(run=_cmd_convert)
     p_convert.add_argument("trace_file")
     p_convert.add_argument(
         "-o", "--output", required=True, metavar="PATH",
         help="workload trace file to write (JSONL)",
     )
 
-    p_graph = sub.add_parser("graph", help="run a task-graph workload")
-    p_graph.set_defaults(run=_cmd_graph)
-    p_graph.add_argument("scenario").choices = _Workloads("graph:", kind="graph")
-    p_graph.add_argument(
-        "--config", choices=_LINKS, default="4link"
+    p_graph = _workload_parser(
+        sub, "graph", "graph:{scenario}", "run a task-graph workload"
     )
+    p_graph.add_argument("scenario").choices = _Workloads("graph:", kind="graph")
+    p_graph.add_argument("--config", choices=_LINKS, default="4link")
     p_graph.add_argument(
         "--schedule", action="store_true",
         help="print the per-task (start, done) cycle schedule",
     )
     _add_component_arg(p_graph)
 
-    p_open = sub.add_parser(
-        "openloop", help="open-loop latency vs offered load"
-    )
+    p_open = sub.add_parser("openloop", help="open-loop latency vs offered load")
     p_open.set_defaults(run=_cmd_openloop)
     p_open.add_argument("--rate", type=float, default=8.0, help="requests/cycle")
     p_open.add_argument("--duration", type=int, default=256)
@@ -359,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_open.add_argument("--config", choices=_LINKS, default="4link")
     _add_component_arg(p_open)
 
-    p_chase = sub.add_parser("chase", help="pointer-chase latency kernel")
-    p_chase.set_defaults(run=_cmd_chase)
+    p_chase = _workload_parser(sub, "chase", "chase", "pointer-chase latency kernel")
     p_chase.add_argument("--length", type=int, default=64)
     p_chase.add_argument("--scatter", action="store_true")
     p_chase.add_argument("--timing", action="store_true", help="attach DRAM timing")
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="first seed (default 0)",
     )
     p_fuzz.add_argument(
-        "--seeds", default="1", metavar="N|LO-HI",
+        "--seeds", type=_seed_spec, default="1", metavar="N|LO-HI",
         help="number of consecutive seeds starting at --seed, or an "
         "inclusive LO-HI seed range (default 1)",
     )
@@ -403,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests per trace (default 256)",
     )
     p_fuzz.add_argument(
-        "--profile", default="all",
+        "--profile", type=_fuzz_profile, default="all", metavar="PROFILE",
         help="traffic profile, or 'all' to rotate "
         "mixed/cmc/spec/faulty/deep_queue by seed (default all); "
         "'trace' replays a recorded workload trace (requires --trace)",
@@ -413,9 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload trace to replay through the differential runner "
         "(sets the profile to 'trace')",
     )
-    p_fuzz.add_argument(
-        "--config", choices=list(CONFIGS), default="4link_4gb"
-    )
+    p_fuzz.add_argument("--config", choices=list(CONFIGS), default="4link_4gb")
     p_fuzz.add_argument(
         "--shrink", action="store_true",
         help="delta-debug each failing trace to a minimal reproducer",
@@ -428,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_component_arg(p_fuzz)
     _add_jobs_args(p_fuzz)
 
-    p_verify = sub.add_parser(
-        "verify", help="verify the paper's published numbers"
-    )
+    p_verify = sub.add_parser("verify", help="verify the paper's published numbers")
     p_verify.set_defaults(run=_cmd_verify)
     p_verify.add_argument(
         "--threads", type=_parse_threads, default=None,
@@ -476,9 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep result cache root (default: the shared cache)",
     )
 
-    p_client = sub.add_parser(
-        "client", help="talk to a running simulation service"
-    )
+    p_client = sub.add_parser("client", help="talk to a running simulation service")
     p_client.set_defaults(run=_cmd_client)
     p_client.add_argument(
         "--socket", required=True, metavar="PATH",
@@ -501,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="submission kind (default workload)",
     )
     p_csubmit.add_argument(
-        "spec", help="submission spec as JSON, e.g. "
+        "spec", type=_json_object, help="submission spec as JSON, e.g. "
         '\'{"workload": "mutex", "params": {"threads": 8}}\'',
     )
     p_csubmit.add_argument(
@@ -517,9 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-events", type=int, default=None, metavar="N",
         help="stop after N live stream messages (default: until EOF)",
     )
-    p_cstat = client_sub.add_parser(
-        "stat", help="show server or session telemetry"
-    )
+    p_cstat = client_sub.add_parser("stat", help="show server or session telemetry")
     p_cstat.add_argument("session", nargs="?", default=None)
 
     sub.add_parser(
@@ -597,161 +592,93 @@ def _cmd_sweep(args, out) -> int:
     return 0
 
 
-def _cmd_kernel(args, out) -> int:
+#: Workload-subcommand dests that are not frontend parameters: the
+#: context a run is given and how it is printed.
+CLI_ONLY = frozenset(
+    {"config", "components", "engine", "faults", "fault_seed", "schedule", "output"}
+)
+#: ... and the dests argparse dispatches on (the frontend's name).
+_DISPATCH = frozenset(
+    {"run", "key", "command", "trace_command", "name", "workload", "scenario"}
+)
+
+
+def _workload_parser(sub, command: str, key: str, summary: str):
+    """A subcommand run by the frontend ``key`` names (a format string
+    over the namespace, e.g. ``graph:{scenario}``)."""
+    p = sub.add_parser(command, help=summary)
+    p.set_defaults(
+        run=_cmd_workload, key=key, components=None, output=None, schedule=False
+    )
+    return p
+
+
+def _cmd_workload(args, out) -> int:
+    """Run a frontend on its flags: a dest the frontend names is a
+    parameter, and so is any other flag given (for it to refuse)."""
     from repro.workloads.registry import WORKLOADS
 
-    cfg = resolve_config(args.config, args.components)
+    frontend = WORKLOADS.get(args.key.format_map(vars(args)))
+    defaults = frontend.default_params()
+    params = {
+        k: v for k, v in vars(args).items()
+        if k in defaults or (v is not None and k not in CLI_ONLY and k not in _DISPATCH)
+    }
+    name = args.config or frontend.default_config(params)
+    cfg = resolve_config(name, args.components) if name else None
     plan = _fault_plan(args)
-    frontend = WORKLOADS.get(args.name)
-    sample = getattr(args, "oracle_sample", None)
-    for variant in frontend.cli_variants(args.threads):
-        if sample is not None:
-            variant = dict(variant, oracle_sample=sample)
-        s = frontend.run(cfg, variant, fault_plan=plan)
+    passed = True
+    for variant in frontend.cli_variants(params):
+        if args.output is None:
+            s = frontend.run(cfg, variant, fault_plan=plan)
+        else:
+            from repro.workloads.replay import record_workload
+
+            s, trace = record_workload(frontend.name, cfg, variant, fault_plan=plan)
+            path = trace.dump(args.output)
         out.write(frontend.format_stats(s, fault_plan=plan) + "\n")
-    return 0
+        if args.schedule:
+            for (start, done), task in sorted((v, k) for k, v in s.schedule.items()):
+                out.write(f"  {task}: cycles {start}..{done}\n")
+        if args.output is not None:
+            out.write(
+                f"recorded {len(trace.requests)} request(s) from "
+                f"{len(trace.threads)} thread(s) to {path} "
+                f"(digest {trace.digest()})\n"
+            )
+        passed = passed and frontend.passed(s)
+    return 0 if passed else 1
 
 
 def _cmd_openloop(args, out) -> int:
     from repro.host.openloop import run_open_loop
 
-    cfg = resolve_config(args.config, args.components)
     s = run_open_loop(
-        cfg,
-        offered_rate=args.rate,
-        duration=args.duration,
-        pattern=args.pattern,
-        depth=args.depth,
+        resolve_config(args.config, args.components), offered_rate=args.rate,
+        duration=args.duration, pattern=args.pattern, depth=args.depth,
     )
-    _write_openloop(s, out)
+    out.write(s.summary() + "\n")
     return 0
 
 
-def _cmd_chase(args, out) -> int:
-    from repro.workloads.registry import WORKLOADS
+def _cmd_convert(args, out) -> int:
+    from repro.workloads.tracefmt import read_trace_file, trace_from_tracer
 
-    cfg = resolve_config(args.config, args.components)
-    frontend = WORKLOADS.get("chase")
-    s = frontend.run(
-        cfg,
-        {"length": args.length, "scatter": args.scatter, "timing": args.timing},
+    trace, skipped = trace_from_tracer(read_trace_file(args.trace_file))
+    path = trace.dump(args.output)
+    out.write(
+        f"converted {len(trace.requests)} request(s) to {path}"
+        + (f" ({skipped} unresolvable event(s) skipped)" if skipped else "")
+        + "\n"
     )
-    out.write(frontend.format_stats(s) + "\n")
     return 0
-
-
-def _write_openloop(s, out) -> None:
-    if s.depth is not None:
-        offered = f"depth {s.depth}"
-        knee = "queue-gated"
-    else:
-        offered = f"offered {s.offered_rate}/cyc"
-        knee = "SATURATED" if s.saturated else "below the knee"
-    out.write(
-        f"{s.config_name} open-loop {s.pattern}: {offered}, "
-        f"achieved {s.achieved_rate:.2f}/cyc, mean latency "
-        f"{s.mean_latency:.1f} cyc, p99 {s.p99_latency} cyc, {knee}\n"
-    )
-
-
-def _cmd_trace(args, out) -> int:
-    from repro.workloads.tracefmt import WorkloadTrace, trace_from_tracer
-
-    if args.trace_command == "record":
-        from repro.workloads.registry import WORKLOADS
-        from repro.workloads.replay import record_workload
-
-        cfg = resolve_config(args.config)
-        frontend = WORKLOADS.get(args.workload)
-        stats, trace = record_workload(
-            args.workload, cfg, {"threads": args.threads}
-        )
-        path = trace.dump(args.output)
-        out.write(frontend.format_stats(stats) + "\n")
-        out.write(
-            f"recorded {len(trace.requests)} request(s) from "
-            f"{len(trace.threads)} thread(s) to {path} "
-            f"(digest {trace.digest()})\n"
-        )
-        return 0
-
-    if args.trace_command == "convert":
-        from pathlib import Path
-
-        source = Path(args.trace_file)
-        if not source.exists():
-            out.write(f"trace file {source} does not exist\n")
-            return 1
-        trace, skipped = trace_from_tracer(source.read_text())
-        path = trace.dump(args.output)
-        out.write(
-            f"converted {len(trace.requests)} request(s) to {path}"
-            + (f" ({skipped} unresolvable event(s) skipped)" if skipped else "")
-            + "\n"
-        )
-        return 0
-
-    # replay
-    from repro.workloads.replay import replay_open_loop, replay_trace
-
-    trace = WorkloadTrace.load(args.trace_file)
-    cfg = None
-    if args.config or args.components:
-        cfg = resolve_config(args.config or trace.config_name, args.components)
-    if args.mode == "open":
-        s = replay_open_loop(trace, config=cfg, rate=args.rate, depth=args.depth)
-        _write_openloop(s, out)
-        return 0
-    rs = replay_trace(trace, config=cfg)
-    r = rs.result
-    out.write(
-        f"{rs.config_name} trace replay"
-        + (f" [{rs.workload}]" if rs.workload else "")
-        + f": {len(r.threads)} thread(s), {r.total_cycles} cycles, "
-        f"min={r.min_cycle} max={r.max_cycle} avg={r.avg_cycle:.2f}\n"
-    )
-    match = rs.matches_baseline
-    if match is None:
-        out.write("no baseline in the trace header; nothing to check\n")
-        return 0
-    if match:
-        out.write("baseline: per-thread cycles match the recording\n")
-        return 0
-    out.write("baseline MISMATCH:\n")
-    for line in rs.mismatches():
-        out.write(f"  {line}\n")
-    return 1
-
-
-def _cmd_graph(args, out) -> int:
-    from repro.workloads.registry import WORKLOADS
-
-    cfg = resolve_config(args.config, args.components)
-    frontend = WORKLOADS.get(f"graph:{args.scenario}")
-    s = frontend.run(cfg, {})
-    out.write(
-        f"{s.config_name} graph:{args.scenario}: {s.tasks} task(s) on "
-        f"{s.threads} thread(s), {s.total_cycles} cycles, "
-        f"verified={s.verified}\n"
-    )
-    if args.schedule:
-        for name, (start, done) in sorted(
-            s.schedule.items(), key=lambda kv: (kv[1], kv[0])
-        ):
-            out.write(f"  {name}: cycles {start}..{done}\n")
-    return 0 if s.verified else 1
 
 
 def _cmd_analyze(args, out) -> int:
-    from pathlib import Path
-
     from repro.analysis.traceview import analyze_trace
+    from repro.workloads.tracefmt import read_trace_file
 
-    path = Path(args.trace)
-    if not path.exists():
-        out.write(f"trace file {path} does not exist\n")
-        return 1
-    a = analyze_trace(path.read_text())
+    a = analyze_trace(read_trace_file(args.trace))
     out.write(a.summary() + "\n")
     if args.histogram and a.latencies:
         out.write("latency histogram (4-cycle buckets):\n")
@@ -803,40 +730,10 @@ def _cmd_info(args, out) -> int:
 _FUZZ_ROTATION = ("mixed", "cmc", "spec", "faulty", "deep_queue")
 
 
-def _parse_seed_list(args) -> List[int]:
-    """``--seeds`` as a seed list: a count (from ``--seed``) or LO-HI."""
-    spec = str(args.seeds)
-    if "-" in spec.lstrip("-"):
-        lo_s, _, hi_s = spec.lstrip("-").partition("-")
-        try:
-            lo, hi = int(lo_s, 0), int(hi_s, 0)
-        except ValueError:
-            raise SystemExit(
-                f"hmcsim-repro: error: bad --seeds range {spec!r} "
-                f"(expected LO-HI)"
-            )
-        if hi < lo:
-            raise SystemExit(
-                f"hmcsim-repro: error: empty --seeds range {spec!r}"
-            )
-        return list(range(lo, hi + 1))
-    try:
-        n = int(spec, 0)
-    except ValueError:
-        raise SystemExit(
-            f"hmcsim-repro: error: bad --seeds value {spec!r} "
-            f"(expected a count or LO-HI)"
-        )
-    if n < 1:
-        raise SystemExit("hmcsim-repro: error: --seeds must be >= 1")
-    return list(range(args.seed, args.seed + n))
-
-
 def _cmd_fuzz(args, out) -> int:
     from pathlib import Path
 
     from repro.oracle import (
-        PROFILES,
         emit_repro,
         farm_task_spec,
         format_seed_line,
@@ -849,131 +746,74 @@ def _cmd_fuzz(args, out) -> int:
     from repro.parallel.progress import make_progress
 
     if args.trace_path is None and args.profile == "trace":
-        raise SystemExit(
-            "hmcsim-repro: error: the 'trace' profile replays a recorded "
-            "workload trace; pass one with --trace PATH"
+        raise WorkloadError(
+            "the 'trace' profile replays a recorded workload trace; "
+            "pass one with --trace PATH"
         )
-    if (
-        args.trace_path is None
-        and args.profile != "all"
-        and args.profile not in PROFILES
-    ):
-        raise SystemExit(
-            f"hmcsim-repro: error: unknown profile {args.profile!r} "
-            f"(have: all, trace, {', '.join(sorted(PROFILES))})"
-        )
-    wtrace = None
-    if args.trace_path is not None:
-        from repro.workloads.tracefmt import WorkloadTrace
-
-        wtrace = WorkloadTrace.load(args.trace_path)
-    seeds = _parse_seed_list(args)
+    if args.farm and args.trace_path is not None:
+        raise WorkloadError("--farm generates its own traces; it cannot replay --trace")
+    seeds = args.seeds
+    if not isinstance(seeds, range):
+        seeds = range(args.seed, args.seed + seeds)
     overrides = dict(args.components) if args.components else None
-
-    def profile_for(seed: int) -> str:
-        return (
-            _FUZZ_ROTATION[seed % len(_FUZZ_ROTATION)]
-            if args.profile == "all" else args.profile
-        )
 
     def runner(t):
         return run_trace(t, config_overrides=overrides)
 
-    if args.farm:
-        if wtrace is not None:
-            raise SystemExit(
-                "hmcsim-repro: error: --farm generates its own traces; "
-                "it cannot replay --trace"
+    if args.trace_path is None:
+        def trace_for(seed: int, profile: str):
+            return generate_trace(
+                seed, profile=profile, count=args.count, config_name=args.config
             )
+
+        rotation = _FUZZ_ROTATION if args.profile == "all" else (args.profile,)
         specs = [
             farm_task_spec(
-                seed,
-                profile=profile_for(seed),
-                count=args.count,
-                config_name=args.config,
-                overrides=overrides,
+                seed, profile=rotation[seed % len(rotation)], count=args.count,
+                config_name=args.config, overrides=overrides,
             )
             for seed in seeds
         ]
-        progress = make_progress(sys.stderr) if args.jobs != 1 else None
         results = run_farm(
-            specs, jobs=args.jobs, use_cache=not args.no_cache,
-            progress=progress,
+            specs, jobs=args.jobs, use_cache=args.farm and not args.no_cache,
+            progress=make_progress(sys.stderr) if args.jobs != 1 else None,
         )
-        # The self-growing corpus: divergent seeds are shrunk and land
-        # in the regression-fixture directory by default.
-        repro_dir = Path(args.emit_repro or "tests/oracle/repros")
-        failures = skips = 0
-        for seed, r in zip(seeds, results):
-            out.write(format_seed_line(r) + "\n")
-            if r.skipped is not None:
-                skips += 1
-                continue
-            if r.ok:
-                continue
-            failures += 1
-            for m in r.mismatches:
-                out.write(m + "\n")
-            trace = generate_trace(
-                seed, profile=r.profile, count=args.count,
-                config_name=args.config,
-            )
-            shrunk = shrink_trace(trace, runner=runner)
-            repro_dir.mkdir(parents=True, exist_ok=True)
-            path = emit_repro(
-                shrunk, repro_dir / f"repro_seed{seed}_{r.profile}.json"
-            )
-            out.write(
-                f"  shrunk to {len(shrunk.requests)} request(s); "
-                f"fixture written to {path}\n"
-            )
-        if failures:
-            out.write(f"FAIL: {failures}/{len(seeds)} seed(s) diverged\n")
-            return 1
-        tail = f", {skips} skipped" if skips else ""
-        out.write(f"OK: {len(seeds)} seed(s), no divergence{tail}\n")
-        return 0
+    else:
+        from repro.oracle.workload_traces import trace_from_workload
+        from repro.workloads.tracefmt import WorkloadTrace
 
-    failures = skips = 0
-    for seed in seeds:
-        if wtrace is not None:
-            from repro.oracle.workload_traces import trace_from_workload
+        wtrace = WorkloadTrace.load(args.trace_path)
 
-            profile = "trace"
-            trace = trace_from_workload(wtrace, seed=seed)
-        else:
-            profile = profile_for(seed)
-            trace = generate_trace(
-                seed, profile=profile, count=args.count, config_name=args.config
-            )
-        result = run_trace(trace, config_overrides=overrides)
-        out.write(format_seed_line(result_from_diff(result)) + "\n")
-        if result.skipped is not None:
-            skips += 1
-            continue
-        if result.ok:
+        def trace_for(seed: int, profile: str):
+            return trace_from_workload(wtrace, seed=seed)
+
+        results = [result_from_diff(runner(trace_for(s, "trace"))) for s in seeds]
+    # The self-growing corpus: under --farm, divergent seeds are shrunk
+    # and land in the regression-fixture directory by default.
+    repro_dir = args.emit_repro or ("tests/oracle/repros" if args.farm else None)
+    failures = 0
+    for r in results:
+        out.write(format_seed_line(r) + "\n")
+        if r.ok or r.skipped is not None:
             continue
         failures += 1
-        for m in result.mismatches:
-            out.write(m.describe() + "\n")
-        if args.shrink:
+        out.writelines(m + "\n" for m in r.mismatches)
+        trace = trace_for(r.seed, r.profile)
+        if args.shrink or args.farm:
             trace = shrink_trace(trace, runner=runner)
             out.write(
                 f"  shrunk to {len(trace.requests)} request(s), "
                 f"{len(trace.preloads)} preload(s):\n"
             )
-            for req in trace.requests:
-                out.write(f"    {req.describe()}\n")
-        if args.emit_repro:
-            directory = Path(args.emit_repro)
-            directory.mkdir(parents=True, exist_ok=True)
-            path = emit_repro(
-                trace, directory / f"repro_seed{seed}_{profile}.json"
-            )
-            out.write(f"  fixture written to {path}\n")
+            out.writelines(f"    {req.describe()}\n" for req in trace.requests)
+        if repro_dir:
+            Path(repro_dir).mkdir(parents=True, exist_ok=True)
+            path = Path(repro_dir) / f"repro_seed{r.seed}_{r.profile}.json"
+            out.write(f"  fixture written to {emit_repro(trace, path)}\n")
     if failures:
         out.write(f"FAIL: {failures}/{len(seeds)} seed(s) diverged\n")
         return 1
+    skips = sum(r.skipped is not None for r in results)
     tail = f", {skips} skipped" if skips else ""
     out.write(f"OK: {len(seeds)} seed(s), no divergence{tail}\n")
     return 0
@@ -1007,7 +847,7 @@ def _client_submit(client, args, out) -> int:
     from repro.errors import ServeError
     from repro.serve import schemas
 
-    spec = json.loads(args.spec)
+    spec = args.spec
     session = args.session
     if session is not None:
         try:
@@ -1029,18 +869,9 @@ def _client_submit(client, args, out) -> int:
             f"session {session} submission {reply['submission']} queued\n"
         )
         return 0
-    out.write(
-        schemas.canonical_json(
-            {
-                "session": session,
-                "submission": reply["submission"],
-                "status": reply["status"],
-                "payload": reply.get("payload"),
-                "error": reply.get("error"),
-            }
-        )
-        + "\n"
-    )
+    fields = ("submission", "status", "payload", "error")
+    doc = {"session": session, **{k: reply.get(k) for k in fields}}
+    out.write(schemas.canonical_json(doc) + "\n")
     return 0 if reply["status"] == "done" else 1
 
 

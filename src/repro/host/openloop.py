@@ -104,6 +104,19 @@ class OpenLoopStats:
         """True when the device could not absorb the offered load."""
         return self.backlogged > 0 or self.achieved_rate < self.offered_rate * 0.95
 
+    def summary(self) -> str:
+        """The one-line report of ``openloop`` and open-mode trace replay."""
+        if self.depth is not None:
+            offered, knee = f"depth {self.depth}", "queue-gated"
+        else:
+            offered = f"offered {self.offered_rate}/cyc"
+            knee = "SATURATED" if self.saturated else "below the knee"
+        return (
+            f"{self.config_name} open-loop {self.pattern}: {offered}, "
+            f"achieved {self.achieved_rate:.2f}/cyc, mean latency "
+            f"{self.mean_latency:.1f} cyc, p99 {self.p99_latency} cyc, {knee}"
+        )
+
 
 def drive_open_loop(
     sim: HMCSim,

@@ -43,7 +43,7 @@ import base64
 import json
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Dict, Iterable, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.errors import ServeError
 from repro.hmc.config import CONFIGS
@@ -333,11 +333,3 @@ def canonical_json(value: Any) -> str:
     """The canonical (sorted, compact) JSON form — the byte-for-byte
     comparison target for "bit-identical to a direct run"."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def iter_lines(buffer: bytes) -> Iterable[str]:  # pragma: no cover - helper
-    """Split a received chunk into complete message lines."""
-    for raw in buffer.split(b"\n"):
-        line = raw.strip()
-        if line:
-            yield line.decode("utf-8")

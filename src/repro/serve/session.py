@@ -396,7 +396,7 @@ class SimSession:
             if not hasattr(frontend, "task_spec"):
                 raise ServeError(
                     "bad_request",
-                    f"workload {name!r} cannot be swept (no task_spec)",
+                    f"workload {frontend.name!r} cannot be swept (no task_spec)",
                 )
             threads = spec.get("threads")
             if (

@@ -45,6 +45,15 @@ the single driver; a frontend states each step of its workload once:
     Post-run correctness check (``None`` when the workload has no
     memory-checkable answer).
 
+``format_stats(stats, fault_plan)`` / ``passed(stats)``
+    What the CLI prints for a run, and whether the run passed its
+    checks (the CLI exits 1 when one did not).
+
+A CLI subcommand backed by a frontend is a view of it: each flag's
+dest is a ``default_params()`` name or one of ``repro.cli.CLI_ONLY``;
+``cli_variants`` turns the params into the invocation's runs, and
+``default_config`` names the configuration a run takes by default.
+
 Frontends register themselves by string name in
 :data:`repro.workloads.registry.WORKLOADS`; no module but the one that
 defines a concrete frontend class may name it — the same discipline the
@@ -221,6 +230,29 @@ class WorkloadFrontend(ABC):
                 f"workload {self.name!r} failed post-run verification"
             )
         return result
+
+    # -- the command line -----------------------------------------------------
+
+    def cli_variants(self, params: Dict[str, Any]) -> List[Dict[str, Any]]:
+        """The runs one CLI invocation makes from its flags' params."""
+        return [params]
+
+    def default_config(self, params: Dict[str, Any]) -> Optional[str]:
+        """The named configuration a run takes when the caller names none
+        (``None``: the caller's default)."""
+        return None
+
+    def format_stats(self, stats: Any, fault_plan: Any = None) -> str:
+        """The run's CLI rendering (each built-in frontend has its own)."""
+        return repr(stats)
+
+    def passed(self, stats: Any) -> bool:
+        """Whether the run passed its checks: neither ``verified`` nor
+        ``matches_baseline`` is False (``None`` checks nothing)."""
+        return not (
+            getattr(stats, "verified", None) is False
+            or getattr(stats, "matches_baseline", None) is False
+        )
 
     # -- driving --------------------------------------------------------------
 

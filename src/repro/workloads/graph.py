@@ -285,6 +285,13 @@ class GraphWorkload(WorkloadFrontend):
         stats.verified = self.verify(sim, params, stats)
         return stats
 
+    def format_stats(self, s: GraphStats, fault_plan: Any = None) -> str:
+        return (
+            f"{s.config_name} {s.scenario}: {s.tasks} task(s) on "
+            f"{s.threads} thread(s), {s.total_cycles} cycles, "
+            f"verified={s.verified}"
+        )
+
 
 @register_workload
 class CounterGraphWorkload(GraphWorkload):

@@ -45,16 +45,11 @@ def link_flits(sim: HMCSim) -> int:
 
 
 class KernelWorkload(WorkloadFrontend):
-    """Shared shape of the kernel frontends.  Each also supplies
-    ``format_stats(stats, fault_plan=None)``: its one CLI output line."""
+    """Shared shape of the kernel frontends, each printed as one line."""
 
     kind = "kernel"
     #: Whether the ``kernel`` CLI subcommand offers this workload.
     cli_kernel = True
-
-    def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
-        """Parameter dicts the ``kernel`` subcommand runs, in order."""
-        return [{"threads": threads}]
 
 
 class WaveWorkload(KernelWorkload):

@@ -109,8 +109,8 @@ class BFSWorkload(WaveWorkload):
             verified=self.verify(sim, p, None),
         )
 
-    def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
-        return [{"threads": threads, "cas": cas} for cas in (False, True)]
+    def cli_variants(self, params: Dict[str, Any]) -> List[Dict[str, Any]]:
+        return [dict(params, cas=cas) for cas in (False, True)]
 
     def format_stats(self, s, fault_plan=None) -> str:
         return (

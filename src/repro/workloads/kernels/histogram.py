@@ -104,11 +104,8 @@ class HistogramWorkload(KernelWorkload):
             lost_updates=lost,
         )
 
-    def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
-        return [
-            {"threads": threads, "mode": mode}
-            for mode in ("rmw", "atomic", "posted")
-        ]
+    def cli_variants(self, params: Dict[str, Any]) -> List[Dict[str, Any]]:
+        return [dict(params, mode=mode) for mode in ("rmw", "atomic", "posted")]
 
     def format_stats(self, s, fault_plan=None) -> str:
         return (

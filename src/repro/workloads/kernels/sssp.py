@@ -115,8 +115,8 @@ class SSSPWorkload(WaveWorkload):
             verified=self.verify(sim, p, None),
         )
 
-    def cli_variants(self, threads: int) -> List[Dict[str, Any]]:
-        return [{"threads": threads, "amin": amin} for amin in (False, True)]
+    def cli_variants(self, params: Dict[str, Any]) -> List[Dict[str, Any]]:
+        return [dict(params, amin=amin) for amin in (False, True)]
 
     def format_stats(self, s, fault_plan=None) -> str:
         return (

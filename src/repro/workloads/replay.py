@@ -212,6 +212,24 @@ class ReplayStats:
                 out.append(f"tid{tid}: recorded {want} cycles, replayed {got}")
         return out
 
+    def summary(self) -> str:
+        """The replay's report: its cycles, then the baseline verdict."""
+        r = self.result
+        lines = [
+            f"{self.config_name} trace replay"
+            + (f" [{self.workload}]" if self.workload else "")
+            + f": {len(r.threads)} thread(s), {r.total_cycles} cycles, "
+            f"min={r.min_cycle} max={r.max_cycle} avg={r.avg_cycle:.2f}"
+        ]
+        match = self.matches_baseline
+        if match is None:
+            lines.append("no baseline in the trace header; nothing to check")
+        elif match:
+            lines.append("baseline: per-thread cycles match the recording")
+        else:
+            lines += ["baseline MISMATCH:", *(f"  {m}" for m in self.mismatches())]
+        return "\n".join(lines)
+
 
 def replay_trace(
     trace: WorkloadTrace,
@@ -364,10 +382,18 @@ class TraceReplayWorkload(WorkloadFrontend):
         if params["trace"] is not None:
             return params["trace"]
         if params["path"] is None:
-            raise WorkloadError(
-                "trace replay needs a 'path' (or in-memory 'trace') param"
-            )
-        return WorkloadTrace.load(params["path"])
+            raise WorkloadError("trace replay needs a 'path' or 'trace' param")
+        # One load per path: the CLI reads the header's config before run.
+        if getattr(self, "_loaded", (None,))[0] != params["path"]:
+            self._loaded = (params["path"], WorkloadTrace.load(params["path"]))
+        return self._loaded[1]
+
+    def default_config(self, params: Dict[str, Any]) -> Optional[str]:
+        name = self._trace(self.resolve_params(params)).config_name
+        return name if name in CONFIGS else None
+
+    def format_stats(self, stats: Any, fault_plan: Any = None) -> str:
+        return stats.summary()
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         raise WorkloadError(

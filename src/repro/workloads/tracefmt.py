@@ -58,11 +58,20 @@ __all__ = [
     "TraceThread",
     "TraceRecord",
     "WorkloadTrace",
+    "read_trace_file",
     "trace_from_tracer",
 ]
 
 TRACE_FORMAT = "hmcsim-workload-trace"
 TRACE_VERSION = 1
+
+
+def read_trace_file(path: Union[str, Path]) -> str:
+    """A trace file's text; an unreadable file is refused input."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise WorkloadError(f"cannot read trace file {path}: {exc.strerror}") from None
 
 
 @dataclass(frozen=True)
@@ -234,13 +243,7 @@ class WorkloadTrace:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkloadTrace":
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise WorkloadError(
-                f"cannot read workload trace {path}: {exc.strerror}"
-            ) from None
-        return cls.loads(text)
+        return cls.loads(read_trace_file(path))
 
     def digest(self) -> str:
         """A stable content digest (serialization is canonical)."""

@@ -1,6 +1,8 @@
 """CLI tests (argument parsing and command output)."""
 
+import argparse
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -137,9 +139,30 @@ class TestCommands:
         assert "hmc_lock=1" in out
         assert "0-3: 1" in out
 
-    def test_analyze_missing_file(self, tmp_path):
-        rc, out = run_cli("analyze", str(tmp_path / "none.trace"))
+    def test_divergent_seed_reports_one_way_with_or_without_farm(
+        self, tmp_path, monkeypatch
+    ):
+        # Stripped conflict fencing makes seed 0 of the spec profile race
+        # (tests/oracle/test_repros.py): a stand-in for a datapath bug.
+        import repro.oracle
+        import repro.oracle.farm
+
+        real = repro.oracle.generate_trace
+
+        def raced(*args, **kwargs):
+            t = real(*args, **kwargs)
+            unfenced = (replace(r, footprint=0, mutates=False) for r in t.requests)
+            return replace(t, requests=tuple(unfenced))
+
+        monkeypatch.setattr(repro.oracle, "generate_trace", raced)
+        monkeypatch.setattr(repro.oracle.farm, "generate_trace", raced)
+        argv = ["fuzz", "--profile", "spec", "--count", "64", "--emit-repro", str(tmp_path)]
+        rc, serial = run_cli(*argv, "--shrink")
         assert rc == 1
+        assert "  shrunk to 2 request(s), 0 preload(s):\n" in serial
+        assert f"fixture written to {tmp_path / 'repro_seed0_spec.json'}" in serial
+        assert serial.endswith("FAIL: 1/1 seed(s) diverged\n")
+        assert run_cli(*argv, "--farm", "--no-cache") == (1, serial)
 
     def test_verify_reduced_axis(self):
         rc, out = run_cli("verify", "--threads", "2:100:97")
@@ -227,8 +250,13 @@ class TestRefusedInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [["trace", "replay"], ["fuzz", "--trace"]],
-        ids=["trace-replay", "fuzz-trace"],
+        [
+            ["trace", "replay"],
+            ["fuzz", "--trace"],
+            ["trace", "convert", "-o", "unwritten.jsonl"],
+            ["analyze"],
+        ],
+        ids=["trace-replay", "fuzz-trace", "trace-convert", "analyze"],
     )
     def test_missing_trace_file(self, argv, tmp_path, capsys):
         missing = tmp_path / "missing.jsonl"
@@ -246,9 +274,90 @@ class TestRefusedInput:
         assert exc.value.code == 2
         assert "--count" in err and "1..2048" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--seeds", "0-x"],
+            ["--seeds", "0"],
+            ["--profile", "nope"],
+            ["--profile", "trace"],
+            ["--farm", "--trace", "<trace>"],
+        ],
+        ids=["seed-range", "no-seeds", "profile", "trace-profile", "farm-trace"],
+    )
+    def test_fuzz_refusals_exit_2(self, argv, tmp_path, capsys):
+        # Exit 1 means "seeds diverged": refused input must not say so.
+        trace = str(tmp_path / "run.jsonl")
+        run_cli("trace", "record", "mutex", "--threads", "2", "-o", trace)
+        capsys.readouterr()
+        out = io.StringIO()
+        try:
+            rc = main(["fuzz", *(trace if a == "<trace>" else a for a in argv)], out=out)
+        except SystemExit as exc:
+            rc = exc.code
+        std = capsys.readouterr()
+        assert rc == 2
+        assert out.getvalue() == std.out == ""
+        assert "Traceback" not in std.err
+        assert std.err.splitlines()[-1].startswith("hmcsim-repro")
+
+    @pytest.mark.parametrize("spec", ["{bad", "[1, 2]"], ids=["not-json", "not-object"])
+    def test_client_submit_spec_must_be_a_json_object(self, spec, tmp_path, capsys):
+        # Refused before any connection: no server is listening here.
+        argv = ["client", "--socket", str(tmp_path / "none.sock"), "submit", spec]
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "JSON object" in err and "Traceback" not in err
+
     def test_client_on_an_unreachable_socket(self, tmp_path, capsys):
         missing = tmp_path / "missing.sock"
         rc, out = run_cli("client", "--socket", str(missing), "stat")
         assert rc == 1
         assert str(missing) in out and out.count("\n") == 1
         assert capsys.readouterr().err == ""
+
+
+class TestFrontendSeam:
+    """The workload subcommands are generated views of the frontends:
+    each flag names a frontend parameter or one of ``CLI_ONLY``."""
+
+    @staticmethod
+    def _subparser(*path):
+        parser = build_parser()
+        for name in path:
+            action = next(
+                a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)
+            )
+            parser = action.choices[name]
+        return parser
+
+    def test_every_workload_formats_its_stats(self):
+        from repro.workloads.base import WorkloadFrontend
+        from repro.workloads.registry import WORKLOADS
+
+        for key in WORKLOADS.keys():
+            frontend = WORKLOADS.get(key)
+            assert type(frontend).format_stats is not WorkloadFrontend.format_stats, key
+
+    @pytest.mark.parametrize(
+        "path",
+        [["kernel"], ["chase"], ["graph"], ["trace", "record"], ["trace", "replay"]],
+        ids=" ".join,
+    )
+    def test_every_flag_reaches_its_frontend(self, path):
+        from repro.cli import CLI_ONLY, _Workloads
+        from repro.workloads.registry import WORKLOADS
+
+        sub = self._subparser(*path)
+        key = sub.get_default("key")
+        selectors = [a for a in sub._actions if isinstance(a.choices, _Workloads)]
+        keys = [
+            key.format_map({a.dest: name}) for a in selectors for name in a.choices
+        ] or [key]
+        params = set().union(*(WORKLOADS.get(k).default_params() for k in keys))
+        for action in sub._actions:
+            if action.dest != "help" and action not in selectors:
+                assert action.dest in params | CLI_ONLY, action.dest

@@ -33,6 +33,9 @@ from repro.cli import main
 GOLDEN = Path(__file__).with_name("golden_cli_stdout.json")
 TRACE = "<trace>"
 
+#: Records the trace the replay cases read.
+_RECORD = ["trace", "record", "mutex", "--threads", "4", "-o", TRACE]
+
 #: case name -> one or more argv lists, run in order.
 CASES = {
     "info": [["info"]],
@@ -49,12 +52,37 @@ CASES = {
     "graph-kvstore": [["graph", "kvstore", "--schedule"]],
     "openloop": [["openloop"]],
     "trace-record-replay": [
-        ["trace", "record", "mutex", "--threads", "4", "-o", TRACE],
+        _RECORD,
         ["trace", "replay", TRACE],
     ],
     "fuzz": [["fuzz", "--seeds", "0-4", "--count", "64"]],
     "sweep": [["sweep", "--threads", "2:6", "--no-cache"]],
+    "kernel-mutex-fault": [
+        ["kernel", "mutex", "--threads", "4", "--fault", "cmc_crash=0.2"]
+    ],
+    "kernel-mutex-oracle": [
+        ["kernel", "mutex", "--threads", "4", "--oracle-sample", "2"]
+    ],
+    "chase-scatter-timing": [["chase", "--scatter", "--timing"]],
+    "graph-pipeline-plain": [["graph", "pipeline"]],
+    "openloop-depth-stride": [
+        ["openloop", "--depth", "8", "--pattern", "stride"]
+    ],
+    **{
+        f"trace-replay-{name}": [_RECORD, ["trace", "replay", TRACE, *flags]]
+        for name, flags in {
+            "open": ["--mode", "open"],
+            "open-depth": ["--mode", "open", "--depth", "8"],
+            "8link": ["--config", "8link"],
+            "ideal-xbar": ["--component", "xbar=ideal"],
+        }.items()
+    },
+    "fuzz-trace": [_RECORD, ["fuzz", "--trace", TRACE]],
 }
+
+#: The farm fans the ``fuzz`` case's seeds across the sweep pool: its
+#: stdout is the serial loop's, byte for byte.
+FARM = ["fuzz", "--farm", "--seeds", "0-4", "--count", "64", "--no-cache"]
 
 #: Every subcommand path, for its ``--help`` case.
 _COMMANDS = [
@@ -107,6 +135,15 @@ def test_stdout_matches_golden(name, tmp_path):
 def test_parser_output_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())
     assert run_parser_case(name) == golden[name]
+
+
+def test_farm_stdout_matches_the_serial_fuzz_case(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    golden = json.loads(GOLDEN.read_text())["fuzz"]
+    out = io.StringIO()
+    assert main(FARM, out=out) == golden["codes"][0]
+    assert out.getvalue() == golden["stdout"]
+    assert not (tmp_path / "cache").exists()
 
 
 def test_golden_covers_every_case():

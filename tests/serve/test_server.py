@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
 import time
@@ -146,6 +147,20 @@ class TestStreams:
             with pytest.raises(ServeError) as exc:
                 client.submit(name, "workload", _mutex())
             assert exc.value.code == "unknown_session"
+
+    def test_sweep_refusal_over_the_wire(self, make_server):
+        from repro.cli import main
+
+        server = make_server()
+        argv = [
+            "client", "--socket", str(server.config.socket_path), "submit",
+            "--kind", "sweep", '{"workload": "ticket", "threads": [2]}',
+        ]
+        out = io.StringIO()
+        assert main(argv, out=out) == 1
+        assert out.getvalue() == (
+            "error bad_request: workload 'ticket' cannot be swept (no task_spec)\n"
+        )
 
 
 class TestFaultBarrier:

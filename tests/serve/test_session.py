@@ -214,6 +214,13 @@ class TestValidation:
         session.accept("raw", {"requests": [{"cmd": "CMC125", "addr": 0x40, "data": "00" * 16}]})
         assert [session.execute_next().status for _ in range(2)] == ["done", "done"]
 
+    def test_sweep_of_a_workload_without_task_spec(self, tmp_path):
+        session = make_session(tmp_path)
+        with pytest.raises(ServeError) as exc:
+            session.accept("sweep", {"workload": "ticket", "threads": [2]})
+        assert exc.value.code == "bad_request"
+        assert "'ticket' cannot be swept" in str(exc.value)
+
     def test_sweep_bad_threads(self, tmp_path):
         session = make_session(tmp_path)
         with pytest.raises(ServeError):

@@ -64,7 +64,7 @@ def cases(name):
     frontend = WORKLOADS.get(name)
     variants = [{}] + EXTRA.get(name, [])
     if frontend.cli_kernel:
-        variants += frontend.cli_variants(PARAMS[name]["threads"])
+        variants += frontend.cli_variants({"threads": PARAMS[name]["threads"]})
     seen = []
     for variant in variants:
         params = {**PARAMS[name], **variant}
@@ -129,7 +129,7 @@ def test_cli_variant_params_resolve_for_every_cli_kernel():
         frontend = WORKLOADS.get(name)
         if not frontend.cli_kernel:
             continue
-        for variant in frontend.cli_variants(4):
+        for variant in frontend.cli_variants({"threads": 4}):
             frontend.resolve_params(variant)
 
 
