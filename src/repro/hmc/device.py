@@ -134,9 +134,8 @@ class Device(Stateful):
     # -- host interface --------------------------------------------------------
 
     def send(self, link: int, pkt: RequestPacket, cycle: int) -> bool:
-        """Inject a request on ``link``; False = HMC_STALL (queue full)."""
-        if not 0 <= link < self.config.num_links:
-            raise ValueError(f"device {self.dev} has no link {link}")
+        """Inject a request on ``link`` (:meth:`HMCSim.send` checked it);
+        False = HMC_STALL (queue full)."""
         hook = self._send_hook
         if hook is not None:
             handled = hook(self, pkt, link, cycle)

@@ -135,6 +135,7 @@ class HMCSim(Stateful):
         self.cmc = CMCRegistry()
         self.devices = [Device(d, config, self) for d in range(config.num_devs)]
         self._num_devs = config.num_devs
+        self._num_links = config.num_links
         self.topology: TopologyRouter = build_topology(self)
         self._cycle = 0
         self._strict_tags = strict_tags
@@ -292,16 +293,20 @@ class HMCSim(Stateful):
 
         Raises:
             HMCSimError: ``dev`` or the packet's ``cub`` names no cube
-                of this context.
+                of this context, or ``link`` no link of the device.
             TagError: (strict mode) the tag is already outstanding on
                 this device and the request expects a response.
         """
         if not self._initialized:
             self._check_init()
-        if not (0 <= dev < self._num_devs and 0 <= pkt.cub < self._num_devs):
-            if 0 <= dev < self._num_devs:
+        if not (
+            0 <= dev < self._num_devs
+            and 0 <= link < self._num_links
+            and 0 <= pkt.cub < self._num_devs
+        ):
+            if 0 <= dev < self._num_devs and 0 <= link < self._num_links:
                 raise HMCSimError(f"no cube {pkt.cub} in this context")
-            raise HMCSimError(f"no device {dev} in this context")
+            raise self._no_port(dev, link)
         cmd = pkt.cmd
         expects = _EXPECTS[cmd]
         if expects is None and (
@@ -323,10 +328,22 @@ class HMCSim(Stateful):
         self.send_stalls += 1
         return _STALL
 
+    def _no_port(self, dev: int, link: int) -> HMCSimError:
+        """The error for a ``dev``/``link`` pair outside this context."""
+        if not 0 <= dev < self._num_devs:
+            return HMCSimError(f"no device {dev} in this context")
+        return HMCSimError(f"device {dev} has no link {link}")
+
     def recv(self, *, dev: int = 0, link: int = 0) -> Optional[ResponsePacket]:
-        """Collect the oldest retired response on a device link, or None."""
+        """Collect the oldest retired response on a device link, or None.
+
+        Raises:
+            HMCSimError: ``dev`` or ``link`` is outside this context.
+        """
         if not self._initialized:
             self._check_init()
+        if not (0 <= dev < self._num_devs and 0 <= link < self._num_links):
+            raise self._no_port(dev, link)
         rsp = self.devices[dev].links[link].recv()
         if rsp is not None:
             self.recvd_rsps += 1
@@ -346,6 +363,8 @@ class HMCSim(Stateful):
         """
         if not self._initialized:
             self._check_init()
+        if not (0 <= dev < self._num_devs and 0 <= link < self._num_links):
+            raise self._no_port(dev, link)
         retired = self.devices[dev].links[link].retired
         if not retired:
             return []

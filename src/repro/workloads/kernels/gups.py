@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import struct
+import sys
+from array import array
 from typing import Any, Dict, List
 
 from repro.hmc.config import HMCConfig
@@ -17,6 +18,9 @@ from repro.workloads.kernels.base import (
 )
 
 __all__ = ["GUPSWorkload"]
+
+#: Simulated memory is little-endian; a big-endian host swaps.
+_SWAP = sys.byteorder == "big"
 
 
 @register_kernel
@@ -45,11 +49,17 @@ class GUPSWorkload(KernelWorkload):
             "max_cycles": 2_000_000,
         }
 
-    @staticmethod
-    def _updates(params: Dict[str, Any]) -> List[int]:
-        return gups.hpcc_random_stream(
-            params["seed"], params["threads"] * params["updates_per_thread"]
-        )
+    def _updates(self, params: Dict[str, Any]) -> array:
+        """The update stream, packed; kept, so one run's :meth:`build`
+        and check compute it once."""
+        key = (params["seed"], params["threads"] * params["updates_per_thread"])
+        kept = getattr(self, "_kept_updates", None)
+        if kept is None or kept[0] != key:
+            kept = self._kept_updates = (
+                key,
+                array("Q", gups.hpcc_random_stream(*key)),
+            )
+        return kept[1]
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         upd = params["updates_per_thread"]
@@ -69,12 +79,14 @@ class GUPSWorkload(KernelWorkload):
         """Whether the table equals the XOR-fold of every update (which
         is order-independent, so exact whenever no update was lost)."""
         entries = params["table_entries"]
-        ref = [0] * entries
+        table = sim.mem_read(self._TABLE_BASE, entries * 16)
+        ref = array("Q", [0]) * entries
         for r in self._updates(params):
             ref[r % entries] ^= r
-        table = sim.mem_read(self._TABLE_BASE, entries * 16)
-        # Every entry's low word, in one unpack.
-        return list(struct.unpack(f"<{2 * entries}Q", table)[::2]) == ref
+        if _SWAP:
+            ref.byteswap()
+        # Every entry's low word, through a strided view: compared in C.
+        return memoryview(table).cast("Q")[::2] == ref
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
         if not params["atomic"]:

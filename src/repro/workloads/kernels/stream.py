@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import operator
-import struct
-from itertools import repeat
-from typing import Any, Dict, List, Tuple
+import sys
+from array import array
+from typing import Any, Dict, List
 
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
@@ -20,6 +21,22 @@ from repro.workloads.kernels.base import (
 )
 
 __all__ = ["StreamWorkload"]
+
+#: One period of each input: ``b[i] = i % 97`` and ``c[i] = 7i % 31``.
+#: The periods are coprime, so the triad repeats every 97 * 31 elements.
+_B_PERIOD = [float(i) for i in range(97)]
+_C_PERIOD = [float((i * 7) % 31) for i in range(31)]
+_TRIAD_PERIOD = len(_B_PERIOD) * len(_C_PERIOD)
+
+#: Simulated memory is little-endian; a big-endian host swaps.
+_SWAP = sys.byteorder == "big"
+
+
+def _tiled(period: List[float], n: int) -> array:
+    """``period`` repeated to ``n`` packed doubles (the repeat runs in C)."""
+    out = array("d", period) * -(-n // len(period))
+    del out[n:]
+    return out
 
 
 @register_kernel
@@ -54,27 +71,23 @@ class StreamWorkload(KernelWorkload):
             "max_cycles": 1_000_000,
         }
 
-    def _inputs(self, params: Dict[str, Any]) -> Tuple[List[float], List[float]]:
-        """The ``b`` and ``c`` vectors the run is preloaded with (kept:
-        preloading and verifying one run would build them twice)."""
-        n = (
+    @staticmethod
+    def _n(params: Dict[str, Any]) -> int:
+        """Elements per array."""
+        return (
             params["threads"]
             * params["blocks_per_thread"]
             * (params["block_bytes"] // 8)
         )
-        kept = getattr(self, "_kept_inputs", None)
-        if kept is None or len(kept[0]) != n:
-            kept = self._kept_inputs = (
-                [float(i % 97) for i in range(n)],
-                [float((i * 7) % 31) for i in range(n)],
-            )
-        return kept
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
         _, b_base, c_base = self._BASES
-        b_vals, c_vals = self._inputs(params)
-        sim.mem_write(b_base, struct.pack(f"<{len(b_vals)}d", *b_vals))
-        sim.mem_write(c_base, struct.pack(f"<{len(c_vals)}d", *c_vals))
+        n = self._n(params)
+        for base, period in ((b_base, _B_PERIOD), (c_base, _C_PERIOD)):
+            values = _tiled(period, n)
+            if _SWAP:
+                values.byteswap()
+            sim.mem_write(base, values.tobytes())
 
     def new_engine(self, sim: HMCSim, params: Dict[str, Any], fault_plan: Any):
         if not params["windowed"]:
@@ -103,11 +116,23 @@ class StreamWorkload(KernelWorkload):
 
     def _max_abs_error(self, sim: HMCSim, params: Dict[str, Any]) -> float:
         """Largest deviation of ``a`` from the host-side triad."""
-        b_vals, c_vals = self._inputs(params)
-        n, q = len(b_vals), params["q"]
-        got = struct.unpack(f"<{n}d", sim.mem_read(self._BASES[0], n * 8))
+        n, q = self._n(params), params["q"]
+        got = array("d", sim.mem_read(self._BASES[0], n * 8))
+        if _SWAP:
+            got.byteswap()
+        # One period computed as the kernel computes each element, then
+        # repeated: the whole expected ``a`` without a float object each.
+        period = [
+            b + q * c
+            for b, c in zip(
+                _tiled(_B_PERIOD, _TRIAD_PERIOD), _tiled(_C_PERIOD, _TRIAD_PERIOD)
+            )
+        ]
+        want = _tiled(period, n)
+        if got == want and all(map(math.isfinite, period)):
+            # Every difference is exactly zero (inf - inf would not be).
+            return 0.0
         # Lazy map()s over C functions: no frame and no list per element.
-        want = map(operator.add, b_vals, map(operator.mul, repeat(q), c_vals))
         return max(map(abs, map(operator.sub, got, want)))
 
     def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
@@ -119,7 +144,7 @@ class StreamWorkload(KernelWorkload):
         return stream.StreamStats(
             config_name=sim.config.describe(),
             threads=params["threads"],
-            elements=total_blocks * (params["block_bytes"] // 8),
+            elements=self._n(params),
             cycles=result.total_cycles,
             bytes_moved=bytes_moved,
             bytes_per_cycle=bytes_moved / result.total_cycles,

@@ -275,8 +275,39 @@ class TestAPIErrors:
             sim.send(pkt, dev=2)  # a bad device is still named first
 
     def test_send_bad_link(self, sim):
-        with pytest.raises(ValueError):
+        with pytest.raises(HMCSimError, match="device 0 has no link 9"):
             sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 0), link=9)
+
+    @pytest.mark.parametrize("past_end", [False, True], ids=["minus1", "n"])
+    @pytest.mark.parametrize("port", ["dev", "link"])
+    @pytest.mark.parametrize("call", ["send", "recv", "recv_batch"])
+    def test_host_interface_refuses_out_of_range_port(
+        self, sim, call, port, past_end
+    ):
+        """An out-of-range ``dev`` or ``link`` is named by an
+        HMCSimError: -1 must not wrap to the last cube or link, and one
+        past the end is neither an IndexError nor the device's
+        ValueError.  Nothing moves: the response waiting on link 3 (the
+        one ``link=-1`` used to alias) stays there."""
+        last = sim.config.num_links - 1
+        waiting = sim.build_memrequest(hmc_rqst_t.RD16, 0, 1)
+        assert sim.send(waiting, link=last) is HMCStatus.OK
+        sim.drain()
+        if port == "dev":
+            bad = sim.config.num_devs if past_end else -1
+            message = f"no device {bad} in this context"
+        else:
+            bad = sim.config.num_links if past_end else -1
+            message = f"device 0 has no link {bad}"
+        ports = {"dev": 0, "link": 0, port: bad}
+        args = ()
+        if call == "send":
+            args = (sim.build_memrequest(hmc_rqst_t.RD16, 0, 2),)
+        with pytest.raises(HMCSimError, match=message):
+            getattr(sim, call)(*args, **ports)
+        assert sim.stats()["sent_rqsts"] == 1
+        rsp = sim.recv(link=last)
+        assert rsp is not None and rsp.tag == 1
 
     def test_build_cmc_before_load_fails(self, sim):
         from repro.errors import CMCNotActiveError

@@ -99,6 +99,22 @@ class TestTraffic:
         hmc = make_ctx()
         assert hmcsim_send(hmc, [0, 0, 0], 0, 0) == HMC_ERROR
 
+    def test_send_bad_link_is_error(self):
+        hmc = make_ctx()
+        _, _, packet = hmcsim_build_memrequest(hmc, 0, 0, 0, hmc_rqst_t.RD16, 0)
+        assert hmcsim_send(hmc, packet, 0, 9) == HMC_ERROR
+
+    @pytest.mark.parametrize("link", [-1, 9])
+    def test_recv_bad_link_returns_none(self, link):
+        """Not an IndexError, and -1 does not alias link 3's response."""
+        hmc = make_ctx()
+        _, _, packet = hmcsim_build_memrequest(hmc, 0, 0, 0, hmc_rqst_t.RD16, 0)
+        assert hmcsim_send(hmc, packet, 0, 3) == HMC_OK
+        for _ in range(3):
+            hmcsim_clock(hmc)
+        assert hmcsim_recv(hmc, 0, link) is None
+        assert hmcsim_recv(hmc, 0, 3) is not None
+
     def test_build_bad_request_returns_none(self):
         hmc = make_ctx()
         assert hmcsim_build_memrequest(hmc, 0, 0, 5000, hmc_rqst_t.RD16, 0) is None

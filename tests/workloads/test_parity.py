@@ -18,6 +18,7 @@ bumps the frontend's ``version``; the diff is the review artifact.
 from __future__ import annotations
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -52,6 +53,34 @@ EXTRA = {
     "chase": [{"scatter": True}, {"timing": True}],
 }
 
+#: Whole parameter sets run beside the reduced ones.  STREAM past one
+#: period of both inputs (97 x 31 = 3,007 elements) and a multiple of
+#: neither, at both ends of the block sizes, with a ``q`` whose triad
+#: rounds; GUPS over a non-power-of-two table from the LFSR's zero seed.
+SIZED = {
+    "stream": [
+        {"threads": 5, "blocks_per_thread": 400, "block_bytes": 16, "q": 0.1},
+        {"threads": 5, "blocks_per_thread": 100, "block_bytes": 256, "q": 0.1},
+        {
+            "threads": 5,
+            "blocks_per_thread": 100,
+            "block_bytes": 256,
+            "q": 0.1,
+            "windowed": True,
+        },
+    ],
+    "gups": [
+        {
+            "threads": 4,
+            "updates_per_thread": 64,
+            "table_entries": 1000,
+            "seed": 0,
+            "atomic": atomic,
+        }
+        for atomic in (False, True)
+    ],
+}
+
 #: The fault plan of the ``mutex`` faulty case (lossy kinds, so the
 #: watchdog's retransmission path is part of the pinned stats).
 FAULT_SPECS = ("xbar_drop=0.02", "xbar_dup=0.01")
@@ -72,6 +101,8 @@ def cases(name):
         if resolved not in seen:  # a variant restating a default
             seen.append(resolved)
             yield json.dumps(params, sort_keys=True), params, None
+    for params in SIZED.get(name, []):
+        yield json.dumps(params, sort_keys=True), params, None
     if name == "mutex":
         plan = FaultPlan.parse(list(FAULT_SPECS), seed=FAULT_SEED)
         yield "faults", {"threads": FAULT_THREADS}, plan
@@ -110,6 +141,67 @@ def test_golden_has_no_unvisited_cases(golden):
         for key, _, _ in cases(name)
     }
     assert set(golden) == expected
+
+
+def _run_keeping_sim(name, params):
+    """``WORKLOADS.get(name).run`` on 4Link-4GB up to the check:
+    returns the frontend, the context, the resolved params and the
+    engine result."""
+    frontend = WORKLOADS.get(name)
+    resolved = frontend.resolve_params(params)
+    sim = frontend.new_sim(HMCConfig.cfg_4link_4gb(), resolved)
+    frontend.prepare(sim, resolved)
+    engine = frontend.new_engine(sim, resolved, None)
+    for factory in frontend.build(sim, resolved):
+        engine.add_thread(factory)
+    result = engine.run()
+    frontend.finish(sim, resolved)
+    return frontend, sim, resolved, result
+
+
+@pytest.mark.parametrize(
+    "index, corrupt",
+    [
+        (3100, lambda old: old + 0.375),  # past one triad period
+        (3999, lambda old: old - 1e9),  # the last element
+        (7, lambda old: old * (1 + 2**-52)),  # one ulp-sized error
+        (0, lambda old: -old),  # a[0] is 0.0: -0.0 differs by bits only
+    ],
+    ids=["past_period", "last", "tiny", "negative_zero"],
+)
+def test_stream_reports_the_exact_error_of_a_corrupted_element(index, corrupt):
+    """The check's mismatch path: one ``a`` element overwritten after
+    the run is reported as exactly its |difference|, and ``verify``
+    fails unless that difference is zero."""
+    params = SIZED["stream"][0]
+    frontend, sim, resolved, result = _run_keeping_sim("stream", params)
+    assert frontend.stats(sim, resolved, result).max_abs_error == 0.0
+    a_base = frontend.footprint(sim.config, resolved)[0][0]
+    addr = a_base + index * 8
+    (old,) = struct.unpack("<d", sim.mem_read(addr, 8))
+    new = corrupt(old)
+    sim.mem_write(addr, struct.pack("<d", new))
+    error = frontend.stats(sim, resolved, result).max_abs_error
+    assert error == abs(new - old)
+    assert frontend.verify(sim, resolved, result) is (error == 0.0)
+    if index:
+        assert error > 0.0
+
+
+@pytest.mark.parametrize(
+    "offset, matches", [(0, False), (8, True)], ids=["low", "high"]
+)
+def test_gups_check_compares_every_low_word(offset, matches):
+    """The table check reads each entry's low word and nothing else: a
+    flipped low word of the last entry fails it, a high word does not."""
+    params = SIZED["gups"][1]
+    frontend, sim, resolved, result = _run_keeping_sim("gups", params)
+    assert frontend.verify(sim, resolved, result) is True
+    table_base = frontend.footprint(sim.config, resolved)[0][0]
+    addr = table_base + (params["table_entries"] - 1) * 16 + offset
+    sim.mem_write(addr, bytes(b ^ 0xFF for b in sim.mem_read(addr, 8)))
+    assert frontend.verify(sim, resolved, result) is matches
+    assert frontend.stats(sim, resolved, result).verified is matches
 
 
 @pytest.mark.parametrize("name", sorted(PARAMS))
