@@ -2,15 +2,16 @@
 
 Regenerates the MAX_CYCLE series from the shared session sweep
 (parallelizable via ``REPRO_JOBS``).  Paper anchors asserted: the
-worst-case maxima land near the paper's 392 (4-link) / 387 (8-link),
-the series grows with thread count, and the 8-link worst case is
-better by a small margin ("only 1.2%" in the paper; we allow <10%).
+worst-case maxima land near Table VI's (``PAPER_ANCHORS`` in
+:mod:`repro.analysis.verify`), the series grows with thread count, and
+the 8-link worst case is better by a small margin (§V.C's "only" a few
+percent; we allow <10%).
 """
 
 from conftest import emit
 
-from repro.analysis.stats import relative_difference_pct
 from repro.analysis.tables import render_figure_series
+from repro.analysis.verify import relative_difference_pct
 from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
 
@@ -23,7 +24,7 @@ def test_fig6_max_cycles(sweeps, artifact_dir):
 
     worst4 = max(s4.max_cycles)
     worst8 = max(s8.max_cycles)
-    # Paper: 392 @ 99 threads (4L), 387 @ 100 threads (8L).
+    # Paper: the 4L worst case is at 99 threads, the 8L one at 100.
     assert 300 <= worst4 <= 480, worst4
     assert 300 <= worst8 <= 480, worst8
     assert worst8 <= worst4

@@ -2,14 +2,15 @@
 
 Regenerates the AVG_CYCLE series from the shared session sweep
 (parallelizable via ``REPRO_JOBS``).  Paper anchors asserted: worst-case
-averages near the paper's 226.48 (4-link) / 221.48 (8-link), with the
-8-link device ahead by a small margin ("only 2.2%"; we allow <10%).
+averages near Table VI's (``PAPER_ANCHORS`` in
+:mod:`repro.analysis.verify`), with the 8-link device ahead by a small
+margin (§V.C's "only" a few percent; we allow <10%).
 """
 
 from conftest import emit
 
-from repro.analysis.stats import relative_difference_pct
 from repro.analysis.tables import render_figure_series
+from repro.analysis.verify import relative_difference_pct
 from repro.hmc.config import HMCConfig
 from repro.workloads.registry import WORKLOADS
 
@@ -22,7 +23,7 @@ def test_fig7_avg_cycles(sweeps, artifact_dir):
 
     worst4 = max(s4.avg_cycles)
     worst8 = max(s8.avg_cycles)
-    # Paper: 226.48 (4L @ 99 threads), 221.48 (8L @ 100 threads).
+    # Paper: the 4L worst case is at 99 threads, the 8L one at 100.
     assert 170 <= worst4 <= 280, worst4
     assert 170 <= worst8 <= 280, worst8
     assert worst8 <= worst4

@@ -15,6 +15,7 @@ import sys
 
 from repro import HMCConfig
 from repro.analysis.tables import format_table
+from repro.analysis.verify import PAPER_ANCHORS
 from repro.workloads.registry import WORKLOADS
 
 
@@ -38,9 +39,12 @@ def main():
     print("Algorithm 1 (CMC mutex) cycle statistics\n")
     print(format_table(headers, rows))
 
+    paper = {key: claim.value for key, claim in PAPER_ANCHORS.items()}
     print(
-        "\nPaper anchors: MIN=6 overall; worst case 392 cycles / 226.48 avg "
-        "(4Link @ 99 threads) vs 387 / 221.48 (8Link @ 100 threads); "
+        f"\nPaper anchors: MIN={paper['table6_min_4link']:g} overall; worst case "
+        f"{paper['table6_max_4link']:g} cycles / {paper['table6_avg_4link']:g} avg "
+        f"(4Link @ 99 threads) vs {paper['table6_max_8link']:g} / "
+        f"{paper['table6_avg_8link']:g} (8Link @ 100 threads); "
         "configurations identical at low thread counts."
     )
 

@@ -1,6 +1,6 @@
-"""Analysis utilities: statistics, traffic models, sweeps, trace
-analysis, plotting, CSV export, and the table/series printers that
-regenerate the paper's tables and figures."""
+"""Analysis utilities: traffic models, sweeps, paper-anchor
+verification, trace analysis, plotting, CSV export, and the
+table/series printers that regenerate the paper's tables and figures."""
 
 from repro.registry import lazy_exports
 
@@ -8,8 +8,6 @@ from repro.registry import lazy_exports
 _EXPORTS = {
     "AMOTrafficRow": "repro.analysis.amo_traffic:AMOTrafficRow",
     "table2_rows": "repro.analysis.amo_traffic:table2_rows",
-    "SeriesStats": "repro.analysis.stats:SeriesStats",
-    "summarize": "repro.analysis.stats:summarize",
     "MutexSweep": "repro.analysis.sweep:MutexSweep",
     "run_mutex_sweep": "repro.analysis.sweep:run_mutex_sweep",
     "ascii_plot": "repro.analysis.plot:ascii_plot",

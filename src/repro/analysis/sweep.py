@@ -39,15 +39,10 @@ from repro.parallel.progress import ProgressFn
 from repro.parallel.tasks import cache_key
 from repro.workloads.registry import WORKLOADS
 
-__all__ = ["MutexSweep", "run_mutex_sweep", "PAPER_THREAD_RANGE", "paper_configs"]
+__all__ = ["MutexSweep", "run_mutex_sweep", "PAPER_THREAD_RANGE"]
 
 #: The paper varies "the number of threads from two to one hundred".
 PAPER_THREAD_RANGE: Tuple[int, ...] = tuple(range(2, 101))
-
-
-def paper_configs() -> List[HMCConfig]:
-    """The two §V.B evaluation configurations."""
-    return [HMCConfig.cfg_4link_4gb(), HMCConfig.cfg_8link_8gb()]
 
 
 @dataclass

@@ -92,9 +92,6 @@ class HMCSim(Stateful):
             With no plan (the default) every hook is a single
             ``is None`` test and the datapath is bit-identical to the
             fault-free baseline.
-        strict_tags: when True (default), reject a send whose tag is
-            already outstanding on the same device — catching the host
-            bug the 11-bit TAG field cannot express.
         **kwargs: forwarded to :class:`HMCConfig` when ``config`` is
             not given.
 
@@ -112,7 +109,6 @@ class HMCSim(Stateful):
         power: Optional[HMCPowerModel] = None,
         flow: Optional[LinkFlow] = None,
         faults: Optional[object] = None,
-        strict_tags: bool = True,
         **kwargs: object,
     ):
         if config is None:
@@ -138,7 +134,6 @@ class HMCSim(Stateful):
         self._num_links = config.num_links
         self.topology: TopologyRouter = build_topology(self)
         self._cycle = 0
-        self._strict_tags = strict_tags
         #: Outstanding (cub, tag) pairs, packed as ``(cub << 11) | tag``
         #: — the tag field is 11 bits, so the packing is collision-free
         #: and avoids a tuple allocation per send/recv.
@@ -294,8 +289,9 @@ class HMCSim(Stateful):
         Raises:
             HMCSimError: ``dev`` or the packet's ``cub`` names no cube
                 of this context, or ``link`` no link of the device.
-            TagError: (strict mode) the tag is already outstanding on
-                this device and the request expects a response.
+            TagError: the tag is already outstanding on this device and
+                the request expects a response (the host bug the 11-bit
+                TAG field cannot express).
         """
         if not self._initialized:
             self._check_init()
@@ -316,7 +312,7 @@ class HMCSim(Stateful):
             # A CMC code the memo cannot answer for this registry epoch.
             expects = self.expects_response(pkt)
         key = (pkt.cub << 11) | pkt.tag
-        if expects and self._strict_tags and key in self._outstanding:
+        if expects and key in self._outstanding:
             raise TagError(
                 f"tag {pkt.tag} is already outstanding on cube {pkt.cub}"
             )

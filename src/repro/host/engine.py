@@ -37,15 +37,6 @@ _BY_TID = attrgetter("tid")
 _WAITING = ThreadState.WAITING
 
 
-def _recv_iter(sim, dev, link):
-    """One-at-a-time drain of a link (the unbatched retirement path)."""
-    while True:
-        rsp = sim.recv(dev=dev, link=link)
-        if rsp is None:
-            return
-        yield rsp
-
-
 @dataclass(frozen=True)
 class ThreadResult:
     """Completion record for one simulated thread."""
@@ -128,18 +119,11 @@ class HostEngine:
         max_cycles: int = 1_000_000,
         watchdog: Optional[TagWatchdog] = None,
         invariants: Union[bool, InvariantChecker, None] = None,
-        batched: bool = True,
         oracle_sample: Optional[int] = None,
     ):
         self.sim = sim
         self.max_cycles = max_cycles
         self.watchdog = watchdog
-        #: Batched host-side retirement: drain each link's whole retire
-        #: buffer with one ``recv_batch`` call per cycle instead of one
-        #: ``recv`` round-trip per response.  Identical semantics (the
-        #: parity tests pin per-thread completion cycles); ``False``
-        #: keeps the one-at-a-time path for those comparisons.
-        self.batched = batched
         if invariants is True:
             invariants = InvariantChecker(sim)
         elif invariants is False:
@@ -305,7 +289,6 @@ class HostEngine:
         wd = self.watchdog
         checker = self.invariants
         resilient = self.resilient
-        batched = self.batched
         while live:
             cyc = sim.cycle
             if cyc >= deadline:
@@ -351,31 +334,27 @@ class HostEngine:
             sim.clock()
             cyc = sim.cycle
             # Phase 3: drain responses, resume threads, same-cycle
-            # reissue.  Batched mode takes each link's completed
-            # responses as one vector per cycle; the one-at-a-time
-            # recv loop below it is behaviourally identical (responses
-            # only appear during ``sim.clock``, so nothing can land in
-            # the retire buffer mid-drain) and kept for parity tests.
+            # reissue.  Each link's completed responses come out as one
+            # ``recv_batch`` vector per cycle: responses only appear
+            # during ``sim.clock``, so nothing can land in the retire
+            # buffer mid-drain and the vector is exactly what one
+            # ``recv`` per response would pop
+            # (``tests/host/test_batched_retirement.py`` pins it).
             for dev in range(num_devs):
                 links = sim.devices[dev].links
                 for link in range(num_links):
                     if not links[link].retired:
                         # Nothing to collect: skip the recv call.
                         continue
-                    if batched:
-                        responses = sim.recv_batch(dev=dev, link=link)
-                    else:
-                        responses = _recv_iter(sim, dev, link)
-                    for rsp in responses:
-                        if batched and resilient:
-                            # The serial path discards the outstanding
-                            # key as each response is popped, so a
-                            # duplicated response arriving *after* a
-                            # same-cycle reissue re-armed the tag
-                            # consumes the reissue's entry.  recv_batch
-                            # discharged the whole vector up front;
-                            # re-discard here or the reissued thread's
-                            # next strict-tag send diverges.
+                    for rsp in sim.recv_batch(dev=dev, link=link):
+                        if resilient:
+                            # recv_batch discharged the whole vector up
+                            # front.  A duplicated response that follows
+                            # a same-cycle reissue of its tag must
+                            # consume the reissue's outstanding entry,
+                            # as a response popped one at a time would;
+                            # without this re-discard the reissued
+                            # thread's next send raises TagError.
                             sim._outstanding.discard(
                                 (rsp.cub << 11) | rsp.tag
                             )

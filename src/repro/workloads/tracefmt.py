@@ -252,11 +252,7 @@ class WorkloadTrace:
 
 # -- converter from the simulator's own Tracer output -------------------------
 
-def trace_from_tracer(
-    source: Union[str, Iterable[str]],
-    *,
-    cmc_names: Optional[Dict[str, str]] = None,
-) -> Tuple[WorkloadTrace, int]:
+def trace_from_tracer(source: Union[str, Iterable[str]]) -> Tuple[WorkloadTrace, int]:
     """Convert rendered :class:`repro.hmc.trace.Tracer` output.
 
     The Tracer's ``CMD``-level ``RQST=`` events carry the command name
@@ -264,16 +260,14 @@ def trace_from_tracer(
     conversion is *lossy by design*: it yields an open-loop traffic
     trace (address/command stream) suitable for rate-driven replay and
     load studies, not a semantic re-execution.  CMC events are named by
-    the plugin's ``cmc_str`` (e.g. ``hmc_lock``); pass ``cmc_names``
-    mapping those strings to ``hmc_rqst_t`` member names (build it from
-    a live context's ``sim.cmc.operations()``).
+    the plugin's ``cmc_str`` (e.g. ``hmc_lock``), which names no
+    ``hmc_rqst_t`` member, so they are skipped.
 
     Returns ``(trace, skipped)`` where ``skipped`` counts request
     events whose command could not be resolved.
     """
     from repro.analysis.traceview import parse_trace
 
-    names = cmc_names or {}
     records: List[TraceRecord] = []
     skipped = 0
     for event in parse_trace(source):
@@ -282,12 +276,11 @@ def trace_from_tracer(
         op = event.get("RQST")
         if op is None:
             continue  # RSP events carry no request to replay
-        cmd = op if op in hmc_rqst_t.__members__ else names.get(op)
-        if cmd is None:
+        if op not in hmc_rqst_t.__members__:
             skipped += 1
             continue
         addr = int(event.get("ADDR", "0"), 0)
         records.append(
-            TraceRecord(cycle=event.cycle, tid=0, cmd=cmd, addr=addr)
+            TraceRecord(cycle=event.cycle, tid=0, cmd=op, addr=addr)
         )
     return WorkloadTrace(requests=tuple(records)), skipped

@@ -1,4 +1,4 @@
-"""Analysis-layer tests: stats, Table II model, sweeps, table rendering."""
+"""Analysis-layer tests: the §V.C metric, Table II model, sweeps, table rendering."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.analysis.amo_traffic import (
     table2_rows,
     traffic_reduction_factor,
 )
-from repro.analysis.stats import relative_difference_pct, summarize
 from repro.analysis.sweep import run_mutex_sweep
 from repro.analysis.tables import (
     format_table,
@@ -19,24 +18,17 @@ from repro.analysis.tables import (
     render_table6,
     render_figure_series,
 )
+from repro.analysis.verify import PAPER_ANCHORS, relative_difference_pct
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 
 
 class TestStats:
-    def test_summarize(self):
-        s = summarize([1, 2, 3, 4])
-        assert s.count == 4
-        assert s.minimum == 1 and s.maximum == 4
-        assert s.mean == 2.5
-
-    def test_summarize_empty(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
     def test_relative_difference(self):
-        # The paper's 392 vs 387 = 1.2%-ish better.
-        assert relative_difference_pct(392, 387) == pytest.approx(1.275, abs=0.01)
+        # Table VI's maxima give §V.C's "1.2%"-ish 8-link advantage.
+        max4 = PAPER_ANCHORS["table6_max_4link"].value
+        max8 = PAPER_ANCHORS["table6_max_8link"].value
+        assert relative_difference_pct(max4, max8) == pytest.approx(1.275, abs=0.01)
 
     def test_relative_difference_zero_ref(self):
         with pytest.raises(ValueError):

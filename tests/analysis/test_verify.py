@@ -1,5 +1,8 @@
 """Paper-anchor verification tests."""
 
+import io
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.sweep import run_mutex_sweep
@@ -9,6 +12,7 @@ from repro.analysis.verify import (
     render_verification_report,
     verify_all,
 )
+from repro.cli import main
 from repro.hmc.config import HMCConfig
 
 
@@ -77,3 +81,29 @@ class TestVerifyAll:
         )
         assert "FAIL" in text
         assert "0/1" in text
+
+
+class TestCommittedArtifacts:
+    """``verify`` and ``table 6`` on the axis [2, 99, 100] print the
+    committed full-axis artifacts: both extremes of the paper's sweep
+    sit on that axis, so every anchor sees its full-sweep value."""
+
+    OUT = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
+    AXIS = ["--threads", "2:100:97", "--no-cache"]
+
+    def _run(self, argv, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        out = io.StringIO()
+        code = main(argv + self.AXIS, out=out)
+        return code, out.getvalue()
+
+    def test_verify_prints_verification_txt(self, tmp_path, monkeypatch):
+        code, text = self._run(["verify"], tmp_path, monkeypatch)
+        assert code == 0
+        assert text == (self.OUT / "verification.txt").read_text()
+
+    def test_table6_prints_the_summary_table(self, tmp_path, monkeypatch):
+        code, text = self._run(["table", "6"], tmp_path, monkeypatch)
+        head = (self.OUT / "table6_summary.txt").read_text().splitlines(True)[:4]
+        assert code == 0
+        assert text == "".join(head)

@@ -237,7 +237,6 @@ REBUILT: Dict[type, Dict[str, str]] = {
         "_num_devs": _DERIVED,
         "_num_links": _DERIVED,
         "tracer": "an observation sink the caller configures, not simulated state",
-        "_strict_tags": "a constructor argument (host policy, not device state)",
         "_cmc_expects": "a memo rebuilt on the next registry epoch",
         "_cmc_expects_epoch": "a memo rebuilt on the next registry epoch",
         "_initialized": "a restored context is live",

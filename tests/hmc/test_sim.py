@@ -203,11 +203,6 @@ class TestTagPolicing:
         op.active = False  # no longer held: nobody to tell
         assert sim.cmc.epoch == start + 4
 
-    def test_strict_tags_disabled(self, cfg4):
-        sim = HMCSim(cfg4, strict_tags=False)
-        sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 7))
-        sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 64, 7))  # no raise
-
     def test_same_tag_different_cubes_ok(self):
         sim = HMCSim(HMCConfig(num_devs=2, capacity=2))
         sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 7, cub=0), dev=0)
