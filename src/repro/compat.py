@@ -97,19 +97,21 @@ def hmcsim_util_set_max_blocksize(hmc: HMCSim, bsize: int) -> int:
     """Set the maximum block size (``hmcsim_util_set_max_blocksize``).
 
     The block size controls the address interleave, so in this
-    implementation it rebuilds the context's address map.  Returns
-    ``-1`` for unsupported sizes.
+    implementation it rebuilds the context's address map and every
+    device routes by the new one.  Returns ``-1`` for unsupported sizes.
     """
     from dataclasses import replace
 
     from repro.hmc.addrmap import AddressMap
 
     try:
-        new_config = replace(hmc.config, bsize=bsize)
-        hmc.config = new_config
-        hmc.addrmap = AddressMap(new_config)
+        config = replace(hmc.config, bsize=bsize)
+        addrmap = AddressMap(config)
     except HMCSimError:
         return HMC_ERROR
+    hmc.config, hmc.addrmap = config, addrmap
+    for device in hmc.devices:
+        device.route_by(config, addrmap)
     return HMC_OK
 
 

@@ -11,9 +11,9 @@ renders into the exception message, so a hang is diagnosable from the
 traceback alone.
 
 Everything here is duck-typed against the simulation context: the
-module imports nothing from :mod:`repro.hmc`, so the ``hmc`` modules
-can import it at module top (the lint gate bans function-level imports
-there) without a cycle.
+module imports nothing from :mod:`repro.hmc` but the wire format's
+``MAX_TAG``, so the ``hmc`` modules can import it at module top (the
+lint gate bans function-level imports there) without a cycle.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["DeadlockDump", "collect_deadlock_dump"]
+from repro.hmc.packet import MAX_TAG
 
-#: Tags carry 11 bits; sim._outstanding packs (cub << 11) | tag.
-_TAG_MASK = 0x7FF
+__all__ = ["DeadlockDump", "collect_deadlock_dump"]
 
 #: Per-section cap on rendered items, keeping exception messages bounded
 #: even when thousands of requests are stuck.
@@ -105,7 +104,7 @@ def collect_deadlock_dump(
     (no flow model, no faults, single-device topology).
     """
     outstanding = tuple(
-        sorted((key >> 11, key & _TAG_MASK) for key in sim._outstanding)
+        sorted((key >> 11, key & MAX_TAG) for key in sim._outstanding)
     )
 
     occupancies: List[Tuple[str, int]] = []

@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from repro.errors import FaultError
+from repro.faults.plan import splitmix64
 from repro.faults.registry import register_fault
 from repro.hmc.flow import ErrorModel
 from repro.hmc.vault import ERRSTAT_ECC_UNCORRECTABLE
@@ -57,18 +58,25 @@ __all__ = [
 
 _M64 = (1 << 64) - 1
 
+#: The domain of every rate and probability parameter.
+_UNIT = (0.0, 1.0)
 
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
+
+class _Injector:
+    """What every injector keeps: its controller, rate and seed."""
+
+    param_domains: Dict[str, Any] = {"rate": _UNIT}
+
+    def __init__(self, ctl: "FaultController", params: Dict[str, Any], seed: int):
+        self.ctl = ctl
+        self.rate = float(params["rate"])
+        self.seed = seed
 
 
 def _hash(seed: int, *keys: int) -> int:
     h = seed
     for k in keys:
-        h = _splitmix64(h ^ (k & _M64))
+        h = splitmix64(h ^ (k & _M64))
     return h
 
 
@@ -77,20 +85,13 @@ def _draw(seed: int, *keys: int) -> float:
     return _hash(seed, *keys) / float(1 << 64)
 
 
-def _rate(params: Dict[str, Any], name: str = "rate") -> float:
-    rate = float(params[name])
-    if not 0.0 <= rate <= 1.0:
-        raise FaultError(f"fault parameter {name}={rate!r} outside [0, 1]")
-    return rate
-
-
 @register_fault(
     "dram_bitflip",
     primary="rate",
     defaults={"rate": 0.0, "uncorrectable": 0.25},
     doc="ECC bit flips on DRAM reads (SECDED: corrected vs. poisoned)",
 )
-class DramBitFlipInjector:
+class DramBitFlipInjector(_Injector):
     """Seeded bit flips on read, filtered through a SECDED ECC model.
 
     ``rate`` is the per-read probability of any flip; of those,
@@ -99,12 +100,11 @@ class DramBitFlipInjector:
     """
 
     site = "dram"
+    param_domains = {"rate": _UNIT, "uncorrectable": _UNIT}
 
     def __init__(self, ctl: "FaultController", params: Dict[str, Any], seed: int):
-        self.ctl = ctl
-        self.rate = _rate(params)
-        self.uncorrectable = _rate(params, "uncorrectable")
-        self.seed = seed
+        super().__init__(ctl, params, seed)
+        self.uncorrectable = float(params["uncorrectable"])
 
     def on_read(
         self, device: Any, flight: Any, data: bytes, cycle: int
@@ -153,7 +153,7 @@ class DramBitFlipInjector:
     defaults={"rate": 0.0, "duration": 8},
     doc="transient vault freezes (whole vault idles for `duration` cycles)",
 )
-class VaultStallInjector:
+class VaultStallInjector(_Injector):
     """Transient vault/bank stall faults.
 
     Time is tiled into ``duration``-cycle windows per (device, vault);
@@ -165,14 +165,11 @@ class VaultStallInjector:
     """
 
     site = "vault"
+    param_domains = {"rate": _UNIT, "duration": (1, None)}
 
     def __init__(self, ctl: "FaultController", params: Dict[str, Any], seed: int):
-        self.ctl = ctl
-        self.rate = _rate(params)
-        self.duration = int(params["duration"])
-        if self.duration < 1:
-            raise FaultError(f"vault_stall duration must be >= 1, got {self.duration}")
-        self.seed = seed
+        super().__init__(ctl, params, seed)
+        self.duration = params["duration"]
 
     def stalled(self, dev: int, vault: int, cycle: int) -> bool:
         """True when (dev, vault) is frozen at ``cycle``."""
@@ -182,19 +179,12 @@ class VaultStallInjector:
         return True
 
 
-class _ResponseFaultBase:
+class _ResponseFaultBase(_Injector):
     """Shared draw logic for the two crossbar response faults."""
-
-    def __init__(self, ctl: "FaultController", params: Dict[str, Any], seed: int):
-        self.ctl = ctl
-        self.rate = _rate(params)
-        self.seed = seed
 
     def fires(self, dev: int, link: int, rsp: Any, cycle: int) -> bool:
         """Deterministic per-retirement draw."""
-        return (
-            _draw(self.seed, dev, link, rsp.tag, cycle) < self.rate
-        )
+        return _draw(self.seed, dev, link, rsp.tag, cycle) < self.rate
 
 
 @register_fault(
@@ -223,7 +213,7 @@ class ResponseDupInjector(_ResponseFaultBase):
     defaults={"rate": 0.0},
     doc="CMC plugin executions fail (isolated into RSP_ERROR responses)",
 )
-class CmcCrashInjector:
+class CmcCrashInjector(_Injector):
     """Deterministic CMC-plugin failures.
 
     A hit makes :func:`repro.hmc.vault.process_rqst` raise
@@ -234,11 +224,6 @@ class CmcCrashInjector:
     """
 
     site = "cmc"
-
-    def __init__(self, ctl: "FaultController", params: Dict[str, Any], seed: int):
-        self.ctl = ctl
-        self.rate = _rate(params)
-        self.seed = seed
 
     def crashes(self, dev: int, flight: Any, cycle: int) -> bool:
         """Whether this CMC execution is forced to fail."""
@@ -257,7 +242,7 @@ class CmcCrashInjector:
     defaults={"rate": 0.0},
     doc="CRC corruption on request links (needs link_flow=tokens)",
 )
-class LinkCrcInjector:
+class LinkCrcInjector(_Injector):
     """The existing link :class:`~repro.hmc.flow.ErrorModel`, unified.
 
     Build-time only: installing this kind attaches a seeded
@@ -270,8 +255,7 @@ class LinkCrcInjector:
     site = "link"
 
     def __init__(self, ctl: "FaultController", params: Dict[str, Any], seed: int):
-        self.ctl = ctl
-        self.rate = _rate(params)
+        super().__init__(ctl, params, seed)
         flow = ctl.sim.flow
         if flow is None or not hasattr(flow, "errors"):
             raise FaultError(

@@ -36,10 +36,9 @@ from __future__ import annotations
 from typing import Any, Iterable, List, Set, Tuple
 
 from repro.errors import InvariantViolation
+from repro.hmc.packet import MAX_TAG
 
 __all__ = ["InvariantChecker"]
-
-_TAG_MASK = 0x7FF
 
 
 class InvariantChecker:
@@ -177,7 +176,7 @@ class InvariantChecker:
     def _check_tag_conservation(self, cycle: int) -> None:
         sim = self.sim
         outstanding = {
-            (key >> 11, key & _TAG_MASK) for key in sim._outstanding
+            (key >> 11, key & MAX_TAG) for key in sim._outstanding
         }
         if not outstanding:
             return

@@ -14,10 +14,10 @@ sweep-cache key (:func:`repro.parallel.tasks.cache_key`), so a cached
 faulty point can never alias a fault-free one or a point injected under
 a different plan or seed.
 
-Plans validate eagerly: an unknown kind or parameter raises
+Plans validate eagerly: an unknown kind or parameter, or a value
+outside its kind's ``param_domains``, raises
 :class:`~repro.errors.FaultError` at construction (or CLI parse) time,
-mirroring how ``HMCConfig`` rejects unknown component keys before a
-simulation is built.
+before any simulation or sweep worker exists.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.controller import FaultController
     from repro.hmc.sim import HMCSim
 
-__all__ = ["FaultSpec", "FaultPlan", "DEFAULT_FAULT_SEED"]
+__all__ = ["FaultSpec", "FaultPlan", "DEFAULT_FAULT_SEED", "splitmix64"]
 
 #: Seed used when a plan does not specify one.
 DEFAULT_FAULT_SEED = 0xFA017
@@ -42,7 +42,8 @@ DEFAULT_FAULT_SEED = 0xFA017
 _M64 = (1 << 64) - 1
 
 
-def _splitmix64(x: int) -> int:
+def splitmix64(x: int) -> int:
+    """One splitmix64 step: every fault draw and derived seed mixes with it."""
     x = (x + 0x9E3779B97F4A7C15) & _M64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
@@ -58,7 +59,7 @@ class FaultSpec:
 
     def __post_init__(self) -> None:
         # Validate eagerly: the kind must exist and every named
-        # parameter must be one the kind declares.
+        # parameter must be one the kind declares, inside its domain.
         FAULTS.get(self.kind).resolve_params(dict(self.params))
 
     def param_dict(self) -> Dict[str, Any]:
@@ -147,9 +148,9 @@ class FaultPlan:
         """The injector seed for spec ``index``: a splitmix64 fold of
         the plan seed, the spec position, and the kind name, so two
         kinds (or two positions) never share a draw stream."""
-        h = _splitmix64(self.seed ^ (index * 0x9E3779B97F4A7C15 & _M64))
+        h = splitmix64(self.seed ^ (index * 0x9E3779B97F4A7C15 & _M64))
         for byte in kind.encode("utf-8"):
-            h = _splitmix64(h ^ byte)
+            h = splitmix64(h ^ byte)
         return h
 
     def fingerprint(self) -> str:

@@ -13,8 +13,9 @@ Each registration carries the metadata the plan parser needs:
 
 * ``primary`` — the parameter a bare ``kind=value`` spec assigns
   (conventionally the fault's rate);
-* ``defaults`` — the full parameter set with default values, so a spec
-  naming an unknown parameter fails at parse time, not mid-simulation;
+* ``defaults`` — the full parameter set with default values, so with
+  the factory's ``param_domains`` a spec naming an unknown parameter or
+  a bad value fails at parse time, not mid-simulation;
 * ``doc`` — a one-line description rendered by ``hmcsim-repro info``.
 """
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
 from repro.errors import FaultError
-from repro.registry import Registry
+from repro.registry import Registry, resolve_params
 
 __all__ = ["FaultKind", "FAULTS", "register_fault"]
 
@@ -47,17 +48,12 @@ class FaultKind:
             )
 
     def resolve_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
-        """Merge ``params`` over the defaults, rejecting unknown names."""
-        merged = dict(self.defaults)
-        for name, value in params.items():
-            if name not in merged:
-                known = ", ".join(sorted(merged))
-                raise FaultError(
-                    f"fault kind {self.key!r} has no parameter {name!r} "
-                    f"(known parameters: {known})"
-                )
-            merged[name] = value
-        return merged
+        """Merge ``params`` over the defaults, refusing unknown names and
+        values outside the factory's ``param_domains``."""
+        return resolve_params(
+            f"fault kind {self.key!r}", dict(self.defaults), params,
+            getattr(self.factory, "param_domains", {}), FaultError,
+        )
 
 
 #: The process-wide fault-kind registry; the built-in kinds register
@@ -85,6 +81,7 @@ def register_fault(
         @register_fault("dram_bitflip", primary="rate",
                         defaults={"rate": 0.0}, doc="...")
         class DramBitFlipInjector:
+            param_domains = {"rate": (0.0, 1.0)}
             def __init__(self, controller, params, seed): ...
     """
 

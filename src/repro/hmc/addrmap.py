@@ -167,15 +167,6 @@ class AddressMap:
         lo = self._boff_bits + self._vault_bits if self._vault_first else self._boff_bits
         return (addr >> lo) & (self.config.num_banks - 1)
 
-    def row_of(self, addr: int) -> int:
-        """Fast path: just the row coordinate of ``addr``.
-
-        The row field sits above both the vault and bank selects
-        regardless of interleave order, so it is a single shift+mask —
-        no full :meth:`decode` needed on the bank-timing hot path.
-        """
-        return (addr >> self._row_lo) & ((1 << self._row_bits) - 1)
-
     def dev_of(self, addr: int) -> int:
         """Fast path: the cube (device) index of ``addr``."""
         return addr // self.config.capacity_bytes
@@ -190,7 +181,7 @@ class AddressMap:
             bank  = (a >> bank_lo)  & bank_mask
             row   = (a >> row_lo)   & row_mask
 
-        reproduce :meth:`vault_of` / :meth:`bank_of` / :meth:`row_of`.
+        reproduce :meth:`vault_of`, :meth:`bank_of` and :meth:`decode`'s row.
         """
         cfg = self.config
         if self._vault_first:

@@ -17,11 +17,12 @@ through :func:`resolve_config`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ComponentError, HMCConfigError
 from repro.hmc.components import SEAMS, seam_registry
+from repro.registry import resolve_params
 
 __all__ = [
     "HMCConfig",
@@ -34,13 +35,26 @@ __all__ = [
 #: An HMC device always has four logic-layer quadrants.
 NUM_QUADS = 4
 
-_VALID_LINKS = (4, 8)
-_VALID_CAPACITY_GB = (2, 4, 8)
-_VALID_VAULTS = (16, 32)
-_VALID_BANKS = (8, 16)
-_VALID_DRAMS = (16, 20)
-_VALID_BSIZE = (32, 64, 128, 256)
-_MAX_DEVS = 8  # CUB field is 3 bits
+#: Each field's domain (:func:`repro.registry.resolve_params`): ``(lo,
+#: hi)`` inclusive bounds (``hi`` None = unbounded) or the accepted
+#: values.  A field's type is its default's; fields not listed are
+#: checked for type only.
+_DOMAINS: Dict[str, Any] = {
+    "num_devs": (1, 8),  # the CUB field is 3 bits
+    "num_links": frozenset({4, 8}),
+    "num_vaults": frozenset({16, 32}),
+    "queue_depth": (2, None),
+    "num_banks": frozenset({8, 16}),
+    "num_drams": frozenset({16, 20}),
+    "capacity": frozenset({2, 4, 8}),  # GB
+    "xbar_depth": (2, None),
+    # Table I's block sizes: the address-interleave boundary.
+    "bsize": frozenset({32, 64, 128, 256}),
+    "nonlocal_hop_cycles": (0, None),
+    "link_rsp_rate": (1, None),
+    "vault_rsp_rate": (1, None),
+    "addr_interleave": frozenset({"vault", "bank"}),
+}
 
 
 @dataclass(frozen=True)
@@ -105,36 +119,7 @@ class HMCConfig:
     memory: str = "paged"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_devs <= _MAX_DEVS:
-            raise HMCConfigError(
-                f"num_devs={self.num_devs}: the 3-bit CUB field supports 1..{_MAX_DEVS} devices"
-            )
-        if self.num_links not in _VALID_LINKS:
-            raise HMCConfigError(f"num_links={self.num_links}: must be one of {_VALID_LINKS}")
-        if self.num_vaults not in _VALID_VAULTS:
-            raise HMCConfigError(f"num_vaults={self.num_vaults}: must be one of {_VALID_VAULTS}")
-        if self.num_banks not in _VALID_BANKS:
-            raise HMCConfigError(f"num_banks={self.num_banks}: must be one of {_VALID_BANKS}")
-        if self.num_drams not in _VALID_DRAMS:
-            raise HMCConfigError(f"num_drams={self.num_drams}: must be one of {_VALID_DRAMS}")
-        if self.capacity not in _VALID_CAPACITY_GB:
-            raise HMCConfigError(f"capacity={self.capacity}: must be one of {_VALID_CAPACITY_GB} (GB)")
-        if self.queue_depth < 2:
-            raise HMCConfigError(f"queue_depth={self.queue_depth}: minimum depth is 2")
-        if self.xbar_depth < 2:
-            raise HMCConfigError(f"xbar_depth={self.xbar_depth}: minimum depth is 2")
-        if self.bsize not in _VALID_BSIZE:
-            raise HMCConfigError(f"bsize={self.bsize}: must be one of {_VALID_BSIZE}")
-        if self.nonlocal_hop_cycles < 0:
-            raise HMCConfigError("nonlocal_hop_cycles must be >= 0")
-        if self.link_rsp_rate < 1:
-            raise HMCConfigError("link_rsp_rate must be >= 1")
-        if self.vault_rsp_rate < 1:
-            raise HMCConfigError("vault_rsp_rate must be >= 1")
-        if self.addr_interleave not in ("vault", "bank"):
-            raise HMCConfigError(
-                f"addr_interleave={self.addr_interleave!r}: must be 'vault' or 'bank'"
-            )
+        resolve_params("HMCConfig", _DEFAULTS, vars(self), _DOMAINS, HMCConfigError)
         for seam in SEAMS:
             validate_selection(seam, getattr(self, seam))
 
@@ -197,6 +182,9 @@ class HMCConfig:
         """(devices, links, vaults, banks) tuple for quick inspection."""
         return (self.num_devs, self.num_links, self.num_vaults, self.num_banks)
 
+
+#: Every field's default, whose type the field's value must have.
+_DEFAULTS: Dict[str, Any] = {f.name: f.default for f in fields(HMCConfig)}
 
 #: The named configurations, by the name a CLI flag, a serve ``create``
 #: request, a trace header or a fuzz trace uses.

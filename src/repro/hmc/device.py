@@ -36,6 +36,7 @@ from repro.hmc.vault import Vault
 from repro.hmc.xbar import Flight
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.hmc.addrmap import AddressMap
     from repro.hmc.sim import HMCSim
 
 __all__ = ["Device"]
@@ -95,16 +96,7 @@ class Device(Stateful):
         # response slot are both empty.  Between phases the set is
         # exactly {v : v.rqst_queue or v._pending_rsp}.
         self._active_vaults: Set[int] = set()
-        # Inlined routing constants for the send hot path.
-        self._cap_mask = config.capacity_bytes - 1
-        (
-            self._vault_lo,
-            self._vault_mask,
-            self._bank_lo,
-            self._bank_mask,
-            self._row_lo,
-            self._row_mask,
-        ) = sim.addrmap.routing_constants()
+        self.route_by(config, sim.addrmap)
         self._quads_of_vaults = tuple(
             config.quad_of_vault(v) for v in range(config.num_vaults)
         )
@@ -123,6 +115,20 @@ class Device(Stateful):
         self.flow_packets = 0
         self.forwarded_rqsts = 0
         self.retired_rsps = 0
+
+    def route_by(self, config: HMCConfig, addrmap: "AddressMap") -> None:
+        """Adopt ``config`` and read the send path's inlined routing
+        constants from ``addrmap`` (again when the block size changes)."""
+        self.config = config
+        self._cap_mask = config.capacity_bytes - 1
+        (
+            self._vault_lo,
+            self._vault_mask,
+            self._bank_lo,
+            self._bank_mask,
+            self._row_lo,
+            self._row_mask,
+        ) = addrmap.routing_constants()
 
     # -- services shared with the vault pipeline ------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
+from repro.faults.plan import splitmix64
 from repro.hmc.components import LinkFlow, register_component
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -36,13 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["ErrorModel", "LinkFlowModel", "LinkFlowState", "RetryEvent"]
 
 _M64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) & _M64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _M64
-    return x ^ (x >> 31)
 
 
 @dataclass(frozen=True)
@@ -64,7 +58,7 @@ class ErrorModel:
         (the link's running packet counter) suffers a CRC error."""
         if self.flit_error_rate <= 0.0:
             return False
-        h = _splitmix64(self.seed ^ (sequence * 0x9E3779B97F4A7C15 & _M64))
+        h = splitmix64(self.seed ^ (sequence * 0x9E3779B97F4A7C15 & _M64))
         # One draw per FLIT, folded into a single per-packet probability.
         p_ok = (1.0 - self.flit_error_rate) ** flits
         return (h / float(1 << 64)) >= p_ok

@@ -27,6 +27,7 @@ from repro.errors import HMCSimError, SimDeadlockError
 from repro.faults.diagnostics import collect_deadlock_dump
 from repro.faults.invariants import InvariantChecker
 from repro.faults.watchdog import TagWatchdog
+from repro.hmc.packet import MAX_TAG
 from repro.hmc.sim import _EXPECTS, _STALL, HMCSim
 from repro.host.thread import Program, SimThread, ThreadCtx, ThreadState
 
@@ -163,8 +164,10 @@ class HostEngine:
         given — the distribution the paper's simulations use.
         """
         tid = len(self.threads)
-        if tid > 0x7FF:
-            raise HMCSimError("the 11-bit tag space bounds the engine at 2048 threads")
+        if tid > MAX_TAG:
+            raise HMCSimError(
+                f"the 11-bit tag space bounds the engine at {MAX_TAG + 1} threads"
+            )
         if link is None:
             link = tid % self.sim.config.num_links
         ctx = ThreadCtx(self.sim, tid, link, cub)

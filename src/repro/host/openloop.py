@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
+from repro.hmc.packet import MAX_TAG
 from repro.hmc.sim import _EXPECTS, _STALL, HMCSim
 
 __all__ = ["OpenLoopStats", "drive_open_loop", "run_open_loop"]
@@ -161,7 +162,7 @@ def drive_open_loop(
     num_links = sim.config.num_links
     links = sim.devices[0].links
     latencies = stats.latencies
-    free_tags = list(range(0x800))
+    free_tags = list(range(MAX_TAG + 1))
     inject_cycle: Dict[int, int] = {}
 
     credit = 0.0

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.errors import HMCSimError, HMCStatus, SimDeadlockError
 from repro.faults.diagnostics import collect_deadlock_dump
-from repro.hmc.packet import RequestPacket, ResponsePacket
+from repro.hmc.packet import MAX_TAG, RequestPacket, ResponsePacket
 from repro.hmc.sim import HMCSim
 from repro.host.thread import ThreadCtx
 
@@ -107,10 +107,10 @@ class WindowedEngine:
     ) -> None:
         """Register a windowed thread (round-robin link assignment)."""
         tid = len(self.threads)
-        if (tid + 1) * self.window > 0x800:
+        if (tid + 1) * self.window > MAX_TAG + 1:
             raise HMCSimError(
                 f"threads x window exceeds the 11-bit tag space "
-                f"({tid + 1} x {self.window} > 2048)"
+                f"({tid + 1} x {self.window} > {MAX_TAG + 1})"
             )
         if link is None:
             link = tid % self.sim.config.num_links

@@ -17,6 +17,9 @@ listing the keys, a miss and a replacement import all of it.  The same
 import-on-demand rule serves package re-exports: :func:`resolve` turns a
 ``module:qualname`` path into the object, and :func:`lazy_exports` gives
 a package a module ``__getattr__`` over a table of such paths.
+
+:func:`resolve_params` is the one contract for declared parameters:
+workload and fault-kind parameters and ``HMCConfig`` fields.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ import hashlib
 import importlib
 import sys
 import threading
-from typing import Any, Callable, Dict, Generic, List, Mapping, Tuple, Type, TypeVar
+from typing import Any, Callable, Dict, Generic, List, Mapping, Optional, Tuple, Type, TypeVar
 
-__all__ = ["Registry", "resolve", "lazy_exports"]
+__all__ = ["Registry", "resolve", "lazy_exports", "resolve_params"]
 
 T = TypeVar("T")
 
@@ -210,3 +213,62 @@ def lazy_exports(
         return sorted(set(vars(sys.modules[package])) | set(exports))
 
     return __getattr__, __dir__
+
+
+#: Accepted value types per default-value type, and how to name them.
+_PARAM_KINDS = {
+    bool: ((bool,), "a boolean"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
+
+
+def resolve_params(
+    owner: str,
+    defaults: Mapping[str, Any],
+    params: Optional[Mapping[str, Any]],
+    domains: Mapping[str, Any],
+    error: Type[Exception],
+) -> Dict[str, Any]:
+    """``params`` merged over ``defaults``, every value checked.
+
+    Raises ``error`` naming ``owner`` (``"workload 'mutex'"``) for an
+    unknown key, a value whose type differs from its default's (a bool
+    is not an int; an int is a number; a ``None`` default types nothing
+    unless bounds make it a number), or one outside its entry in
+    ``domains``: ``(lo, hi)`` inclusive bounds (``hi`` None =
+    unbounded) or a ``frozenset`` of choices.  Values are returned as
+    given, never coerced, so a digest over them does not move.
+    """
+    merged = dict(defaults)
+    for key, value in (params or {}).items():
+        if key not in merged:
+            raise error(
+                f"{owner} has no parameter {key!r} "
+                f"(have: {', '.join(sorted(merged)) or '<none>'})"
+            )
+        merged[key] = value
+    for key, value in merged.items():
+        default = defaults[key]
+        if value is None and default is None:
+            continue
+        domain = domains.get(key)
+        bounded = isinstance(domain, tuple)
+        types, valid = _PARAM_KINDS.get(
+            type(default), _PARAM_KINDS[float] if bounded else ((), "")
+        )
+        # bool is an int to isinstance(); a flag is not a count.
+        ok = not types or (
+            isinstance(value, types) and isinstance(value, bool) == (types == (bool,))
+        )
+        if bounded:
+            lo, hi = domain
+            ok = ok and value >= lo and (hi is None or value <= hi)
+            valid += f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        elif domain is not None:
+            ok = ok and value in domain
+            valid = "one of " + ", ".join(sorted(map(repr, domain)))
+        if not ok:
+            raise error(f"{owner} parameter {key!r} must be {valid}, got {value!r}")
+    return merged

@@ -72,6 +72,7 @@ from typing import IO, Any, Callable, Dict, List, Optional
 
 from repro.errors import HMCSimError, HMCStatus, ServeError, WorkloadError
 from repro.fsutil import atomic_write_text
+from repro.hmc.packet import MAX_TAG
 from repro.serve.schemas import canonical_json, encode_value
 
 __all__ = ["SessionState", "SubmissionRecord", "SimSession", "build_session_config"]
@@ -531,7 +532,7 @@ class SimSession:
         requests = spec["requests"]
         max_cycles = int(spec.get("max_cycles", _RAW_MAX_CYCLES))
         num_links = sim.config.num_links
-        free_tags = list(range(min(0x800, 2 * len(requests) + 4)))
+        free_tags = list(range(min(MAX_TAG + 1, 2 * len(requests) + 4)))
         tag_to_index: Dict[int, int] = {}
         responses: List[Optional[Dict[str, Any]]] = [None] * len(requests)
         cycles = 0

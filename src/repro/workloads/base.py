@@ -11,8 +11,10 @@ the single driver; a frontend states each step of its workload once:
 
 ``default_params()`` / ``param_domains``
     The parameter set and each parameter's valid range.
-    :meth:`~WorkloadFrontend.resolve_params` is the one place that
-    rejects unknown, mistyped, or out-of-range parameters.
+    :meth:`~WorkloadFrontend.resolve_params` rejects unknown,
+    mistyped, or out-of-range parameters through
+    :func:`repro.registry.resolve_params`, the one contract fault kinds
+    and ``HMCConfig`` fields share.
 
 ``prepare(sim, params)``
     Initial device state: CMC modules to load, memory preloads.
@@ -71,6 +73,7 @@ from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
 from repro.host.thread import Program, ThreadCtx
+from repro.registry import resolve_params
 
 __all__ = ["Footprint", "WorkloadFrontend", "WorkloadError"]
 
@@ -79,14 +82,6 @@ Footprint = Tuple[Tuple[int, int], ...]
 
 #: A thread-program factory, as the host engine consumes them.
 ProgramFactory = Callable[[ThreadCtx], Program]
-
-#: Accepted value types per default-value type, and how to name them.
-_PARAM_KINDS = {
-    bool: ((bool,), "a boolean"),
-    int: ((int,), "an integer"),
-    float: ((int, float), "a number"),
-    str: ((str,), "a string"),
-}
 
 
 class WorkloadFrontend(ABC):
@@ -142,46 +137,12 @@ class WorkloadFrontend(ABC):
         where every bad one is refused: an unknown key, a value whose
         type differs from the default's, or one outside the parameter's
         declared domain raises :class:`WorkloadError` naming the
-        parameter and what it accepts.
+        parameter and what it accepts (:func:`repro.registry.resolve_params`).
         """
-        defaults = self.default_params()
-        merged = dict(defaults)
-        for key, value in (params or {}).items():
-            if key not in merged:
-                raise WorkloadError(
-                    f"workload {self.name!r} has no parameter {key!r} "
-                    f"(have: {', '.join(sorted(merged)) or '<none>'})"
-                )
-            merged[key] = value
-        for key, value in merged.items():
-            self._check_param(key, value, defaults[key])
-        return merged
-
-    def _check_param(self, key: str, value: Any, default: Any) -> None:
-        if value is None and default is None:
-            return
-        domain = self.param_domains.get(key)
-        bounded = isinstance(domain, tuple)
-        # A ``None`` default types nothing, unless bounds make it a number.
-        types, valid = _PARAM_KINDS.get(
-            type(default), _PARAM_KINDS[float] if bounded else ((), "")
+        return resolve_params(
+            f"workload {self.name!r}", self.default_params(), params,
+            self.param_domains, WorkloadError,
         )
-        # bool is an int to isinstance(); a flag is not a count.
-        ok = not types or (
-            isinstance(value, types) and isinstance(value, bool) == (types == (bool,))
-        )
-        if bounded:
-            lo, hi = domain
-            ok = ok and value >= lo and (hi is None or value <= hi)
-            valid += f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-        elif domain is not None:
-            ok = ok and value in domain
-            valid = "one of " + ", ".join(sorted(map(repr, domain)))
-        if not ok:
-            raise WorkloadError(
-                f"workload {self.name!r} parameter {key!r} must be {valid}, "
-                f"got {value!r}"
-            )
 
     # -- the seam -------------------------------------------------------------
 

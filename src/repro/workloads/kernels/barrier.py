@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.hmc.config import HMCConfig
+from repro.hmc.packet import MAX_TAG
 from repro.hmc.sim import HMCSim
 from repro.host.kernels import barrier
 from repro.workloads.base import Footprint, ProgramFactory
@@ -27,7 +28,7 @@ class BarrierWorkload(KernelWorkload):
     description = "sense-reversing barrier (CMC04 fadd64 arrival counter)"
     param_domains = {
         **COMMON,
-        "threads": (2, 2048),  # a barrier of one never waits
+        "threads": (2, MAX_TAG + 1),  # a barrier of one never waits
         "rounds": POSITIVE,
         "addr": NON_NEGATIVE,
     }

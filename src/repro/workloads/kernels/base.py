@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
+from repro.hmc.packet import MAX_TAG
 from repro.hmc.sim import HMCSim
 from repro.workloads.base import ProgramFactory, WorkloadFrontend
 from repro.workloads.registry import register_workload
@@ -29,7 +30,7 @@ __all__ = [
 #: and its thread count: the engine's 11-bit tag space ends at 2048.
 POSITIVE = (1, None)
 NON_NEGATIVE = (0, None)
-COMMON = {"threads": (1, 2048), "max_cycles": POSITIVE}
+COMMON = {"threads": (1, MAX_TAG + 1), "max_cycles": POSITIVE}
 
 
 def u64_at(data: bytes, slot: int) -> int:

@@ -128,9 +128,6 @@ class WorkloadTrace:
             grouped.setdefault(rec.tid, []).append(rec)
         return grouped
 
-    def thread_info(self) -> Dict[int, TraceThread]:
-        return {t.tid: t for t in self.threads}
-
     # -- serialization --------------------------------------------------------
 
     def dumps(self) -> str:

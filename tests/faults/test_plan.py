@@ -69,10 +69,10 @@ class TestSpecParsing:
             with pytest.raises(FaultError):
                 FaultSpec.parse(bad)
 
-    def test_rate_out_of_range_rejected_at_build(self, sim):
-        plan = FaultPlan.parse(["xbar_drop=1.5"])
-        with pytest.raises(FaultError, match="outside"):
-            plan.build(sim)
+    def test_rate_out_of_range_rejected_at_build(self):
+        # Refused when the plan is parsed, before any context is built.
+        with pytest.raises(FaultError, match=r"'rate' must be a number in \[0.0, 1.0\], got 1.5"):
+            FaultPlan.parse(["xbar_drop=1.5"])
 
 
 class TestPlan:

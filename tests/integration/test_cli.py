@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.cli import _parse_threads, build_parser, main
+from repro.parallel.pool import SweepExecutor
 
 
 def run_cli(*argv):
@@ -222,12 +223,46 @@ class TestRefusedInput:
     """Refused input is one ``hmcsim-repro: error:`` line and exit 2."""
 
     def test_fault_an_injector_refuses(self, capsys):
-        rc, _ = run_cli(
-            "sweep", "--threads", "2:4", "--no-cache", "--fault", "xbar_drop=2"
-        )
+        # Out of the kind's declared domain: refused while parsing.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["sweep", "--threads", "2:4", "--no-cache", "--fault", "xbar_drop=2"],
+                out=io.StringIO(),
+            )
         err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("hmcsim-repro: error:") and "rate=2" in err
+        assert exc.value.code == 2
+        assert "argument --fault" in err and "'rate'" in err and "got 2" in err
+
+    @pytest.mark.parametrize(
+        "argv,named",
+        [
+            (["kernel", "mutex", "--threads", "4", "--fault", "xbar_drop=abc"],
+             ("'rate'", "'abc'")),
+            (["kernel", "mutex", "--threads", "4",
+              "--fault", "dram_bitflip=0.01,uncorrectable=zz"],
+             ("'uncorrectable'", "'zz'")),
+            (["kernel", "mutex", "--threads", "4",
+              "--fault", "vault_stall=0.01,duration=1.5"],
+             ("'duration'", "1.5")),
+            (["sweep", "--threads", "2:4", "--jobs", "2", "--no-cache",
+              "--fault", "xbar_drop=abc"],
+             ("'rate'", "'abc'")),
+        ],
+        ids=["non-numeric-rate", "non-numeric-param", "non-integral", "sweep-jobs"],
+    )
+    def test_fault_parameter_refused_at_parse(self, argv, named, capsys, monkeypatch):
+        def no_pool(self, specs):
+            raise AssertionError("the sweep ran before the refusal")
+
+        monkeypatch.setattr(SweepExecutor, "run", no_pool)
+        out = io.StringIO()
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=out)
+        std = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out.getvalue() == std.out == ""
+        assert "Traceback" not in std.err and "argument --fault" in std.err
+        assert all(name in std.err for name in named)
 
     def test_oracle_sample_under_a_fault_plan(self, capsys):
         rc, _ = run_cli(

@@ -20,6 +20,7 @@ from repro.compat import (
     hmcsim_send,
     hmcsim_trace_handle,
     hmcsim_trace_level,
+    hmcsim_util_decode_vault,
     hmcsim_util_set_max_blocksize,
 )
 from repro.hmc.commands import hmc_response_t, hmc_rqst_t
@@ -45,6 +46,10 @@ class TestInit:
         assert make_ctx(capacity=3) is None
         assert make_ctx(queue_depth=0) is None
 
+    def test_non_integral_field_returns_none(self):
+        # A float is not a capacity: None, not a TypeError mid-build.
+        assert hmcsim_init(1, 4, 32, 64, 16, 20, 4.0, 128) is None
+
     def test_free(self):
         hmc = make_ctx()
         assert hmcsim_free(hmc) == HMC_OK
@@ -55,6 +60,21 @@ class TestInit:
         assert hmcsim_util_set_max_blocksize(hmc, 128) == HMC_OK
         assert hmc.config.bsize == 128
         assert hmcsim_util_set_max_blocksize(hmc, 48) == HMC_ERROR
+
+    def test_set_max_blocksize_routes_by_the_new_map(self):
+        # 0x40 is vault 1 at the 64-byte default and vault 0 at 128.
+        hmc = make_ctx()
+        assert hmcsim_util_set_max_blocksize(hmc, 128) == HMC_OK
+        vault = hmcsim_util_decode_vault(hmc, 0x40)
+        vaults = hmc.devices[0].vaults
+        before = [v.processed for v in vaults]
+        _, _, packet = hmcsim_build_memrequest(hmc, 0, 0x40, 1, hmc_rqst_t.RD16, 0)
+        assert hmcsim_send(hmc, packet, 0, 0) == HMC_OK
+        for _ in range(3):
+            assert hmcsim_clock(hmc) == HMC_OK
+        assert hmcsim_recv(hmc, 0, 0) is not None
+        grown = [i for i, v in enumerate(vaults) if v.processed > before[i]]
+        assert grown == [vault] == [0]
 
 
 class TestTraffic:
