@@ -20,8 +20,8 @@ from conftest import emit
 from repro.analysis.tables import format_table
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
+from repro.host.engine import HostEngine
 from repro.host.openloop import run_open_loop
-from repro.host.window import WindowedEngine
 
 THREADS = 8
 WINDOW = 16
@@ -38,12 +38,12 @@ def _stream_rate(cfg) -> float:
             yield [ctx.read(addr + i * 64, 16) for i in range(WINDOW)]
             addr += WINDOW * 64
 
-    engine = WindowedEngine(sim, window=WINDOW)
+    engine = HostEngine(sim, window=WINDOW)
     for t in range(THREADS):
         # Contiguous per-thread regions, 8 KiB apart.
         engine.add_thread(lambda ctx, t=t: program(ctx, t * (1 << 13)))
     result = engine.run()
-    return result.requests / result.total_cycles
+    return sum(t.requests for t in result.threads) / result.total_cycles
 
 
 def test_ablation_interleave(artifact_dir):

@@ -15,7 +15,7 @@ from repro.analysis.tables import format_table
 from repro.hmc.commands import command_info, hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.host.window import WindowedEngine
+from repro.host.engine import HostEngine
 
 FOOTPRINT = 16 * 1024  # bytes streamed per thread
 THREADS = 4
@@ -39,7 +39,7 @@ def _payload_rate(granule: int) -> float:
             addr += batch * granule
             remaining -= batch
 
-    engine = WindowedEngine(sim, window=WINDOW)
+    engine = HostEngine(sim, window=WINDOW)
     for t in range(THREADS):
         engine.add_thread(lambda ctx, t=t: program(ctx, t * (1 << 20)))
     result = engine.run()

@@ -15,7 +15,7 @@ from conftest import emit
 from repro.analysis.tables import format_table
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.host.window import WindowedEngine
+from repro.host.engine import HostEngine
 
 WINDOWS = (1, 2, 4, 8, 16)
 THREADS = 8
@@ -24,7 +24,7 @@ READS_PER_THREAD = 64
 
 def _run(cfg, window):
     sim = HMCSim(cfg)
-    engine = WindowedEngine(sim, window=window)
+    engine = HostEngine(sim, window=window)
 
     def program(ctx, base):
         addr = base
@@ -35,7 +35,7 @@ def _run(cfg, window):
     for t in range(THREADS):
         engine.add_thread(lambda ctx, t=t: program(ctx, t * 0x100000))
     result = engine.run()
-    return result.requests / result.total_cycles
+    return sum(t.requests for t in result.threads) / result.total_cycles
 
 
 def test_ext_window_scaling(artifact_dir):

@@ -187,9 +187,6 @@ class FlightTable:
         values = self.meta[idx]
         return values[F_CUB], values[F_TAG]
 
-    def mark_vault(self, idx: int) -> None:
-        self.phase[idx] = PHASE_VAULT
-
     def free_row(self, idx: int) -> None:
         """Release a row back to the pool."""
         self.phase[idx] = PHASE_FREE

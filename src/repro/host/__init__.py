@@ -27,8 +27,6 @@ _EXPORTS = {
     "SimThread": "repro.host.thread:SimThread",
     "ThreadCtx": "repro.host.thread:ThreadCtx",
     "ThreadState": "repro.host.thread:ThreadState",
-    "WindowedEngine": "repro.host.window:WindowedEngine",
-    "WindowedResult": "repro.host.window:WindowedResult",
     "OpenLoopStats": "repro.host.openloop:OpenLoopStats",
     "run_open_loop": "repro.host.openloop:run_open_loop",
 }

@@ -13,6 +13,10 @@ each engine cycle (= one device cycle)
    makes the paper's uncontended Algorithm-1 fast path cost exactly
    6 cycles (3 per round trip, two round trips).
 
+A program that yields lists of packets keeps each list in flight
+together (a :class:`~repro.host.thread.BatchThread`, the paper's §III
+bandwidth argument); phase 1 injects its next batch.
+
 The engine reports per-thread completion cycles and the paper's
 MIN/MAX/AVG statistics (§V.B: MIN_CYCLE, MAX_CYCLE, AVG_CYCLE).
 """
@@ -29,7 +33,7 @@ from repro.faults.invariants import InvariantChecker
 from repro.faults.watchdog import TagWatchdog
 from repro.hmc.packet import MAX_TAG
 from repro.hmc.sim import _EXPECTS, _STALL, HMCSim
-from repro.host.thread import Program, SimThread, ThreadCtx, ThreadState
+from repro.host.thread import BatchThread, Program, SimThread, ThreadCtx, ThreadState
 
 __all__ = ["HostEngine", "EngineResult", "ThreadResult"]
 
@@ -111,6 +115,9 @@ class HostEngine:
             :class:`~repro.errors.OracleDivergenceError`.  Rejected
             when ``sim`` has a fault plan attached — faults diverge
             from the functional contract by design.
+        window: the most packets one batch may hold; thread ``t`` owns
+            tags ``t*window .. t*window+window-1``.  A batch is refused
+            beside ``watchdog``, ``oracle_sample`` or a recorder.
     """
 
     def __init__(
@@ -121,8 +128,12 @@ class HostEngine:
         watchdog: Optional[TagWatchdog] = None,
         invariants: Union[bool, InvariantChecker, None] = None,
         oracle_sample: Optional[int] = None,
+        window: int = 1,
     ):
+        if window < 1:
+            raise HMCSimError("window must be >= 1")
         self.sim = sim
+        self.window = window
         self.max_cycles = max_cycles
         self.watchdog = watchdog
         if invariants is True:
@@ -164,16 +175,17 @@ class HostEngine:
         given — the distribution the paper's simulations use.
         """
         tid = len(self.threads)
-        if tid > MAX_TAG:
+        if (tid + 1) * self.window > MAX_TAG + 1:
             raise HMCSimError(
-                f"the 11-bit tag space bounds the engine at {MAX_TAG + 1} threads"
+                f"threads x window exceeds the 11-bit tag space "
+                f"({tid + 1} x {self.window} > {MAX_TAG + 1})"
             )
         if link is None:
             link = tid % self.sim.config.num_links
-        ctx = ThreadCtx(self.sim, tid, link, cub)
+        ctx = ThreadCtx(self.sim, tid, link, cub, tag=tid * self.window)
         thread = SimThread(tid, ctx, program_fn(ctx))
         self.threads.append(thread)
-        self._by_tag[tid] = thread
+        self._by_tag[ctx.tag] = thread
         return thread
 
     def add_threads(
@@ -240,6 +252,24 @@ class HostEngine:
             # next request, injected on a later cycle.
             thread.resume(None, cycle)
 
+    def _send_batch(self, thread: BatchThread, cycle: int) -> None:
+        """Inject a batch thread's unsent packets in slot order; a
+        stalled one retries next cycle.  A batch with nothing to send
+        or await (all posted) resumes the program at once."""
+        sim, ctx = self.sim, thread.ctx
+        unsent = []
+        for pkt in thread.unsent:
+            if sim.send(pkt, dev=ctx.cub, link=ctx.link) is _STALL:
+                thread.stalls += 1
+                unsent.append(pkt)
+                continue
+            thread.requests += 1
+            if sim.expects_response(pkt):
+                thread.awaiting.add(pkt.tag)
+        thread.unsent = unsent
+        thread.state = _WAITING
+        thread.resume(None, cycle)  # resumes the program only if all posted
+
     def run(self) -> EngineResult:
         """Run until every thread completes; return the statistics.
 
@@ -256,9 +286,20 @@ class HostEngine:
         if shadow is not None:
             shadow.begin_run()
 
-        for thread in self.threads:
+        batched: List[BatchThread] = []  # batch threads with packets to inject
+        for i, thread in enumerate(self.threads):
             thread.start_cycle = self.sim.cycle
-            thread.start()
+            thread.resume(None, thread.start_cycle)  # the first request
+            if type(thread.pending) is list:  # the first yield decides, once
+                if any(x is not None for x in (self.watchdog, shadow, self.recorder)):
+                    raise HMCSimError(
+                        f"thread {thread.tid} yielded a batch: watchdog, "
+                        f"oracle_sample and recorder drive one-request threads only"
+                    )
+                self.threads[i] = thread = BatchThread(thread, self.window)
+                for slot in range(self.window):
+                    self._by_tag[thread.ctx.tag + slot] = thread
+                batched.append(thread)
 
         start = self.sim.cycle
         deadline = start + self.max_cycles
@@ -333,6 +374,12 @@ class HostEngine:
                         inject[keep] = thread
                         keep += 1
                 del inject[keep:]
+            if batched:
+                batched.sort(key=by_tid)
+                for thread in batched:
+                    self._send_batch(thread, cyc)
+                    finished = finished or thread.done
+                batched = [t for t in batched if t.unsent or t.state is READY]
             # Phase 2: one device cycle.
             sim.clock()
             cyc = sim.cycle
@@ -394,6 +441,8 @@ class HostEngine:
                                 # a posted send): retry next phase 1.
                                 inject.append(thread)
                                 inject_dirty = True
+                        elif thread.state is READY:
+                            batched.append(thread)  # a batch thread's next batch
             # Phase 4 (resilience, only when configured): retransmit
             # timed-out tags, then verify conservation invariants.
             if wd is not None:
@@ -464,12 +513,13 @@ class HostEngine:
 
     def _thread_dump(self, live: Sequence[SimThread]) -> Dict[str, str]:
         """Thread-state context for a deadlock dump: names every stuck
-        thread and the tag it is waiting on."""
-        shown = [
-            f"tid{t.tid}:{t.state.name}"
-            + (f"(tag={t.tid})" if t.state is ThreadState.WAITING else "")
-            for t in live[:32]
-        ]
+        thread and the tags it is waiting on."""
+        shown = []
+        for t in live[:32]:
+            tags = sorted(t.awaiting) if type(t) is BatchThread else [t.ctx.tag]
+            waiting = t.state is _WAITING and tags
+            tag = f"(tag={','.join(map(str, tags))})" if waiting else ""
+            shown.append(f"tid{t.tid}:{t.state.name}{tag}")
         if len(live) > 32:
             shown.append(f"... (+{len(live) - 32} more)")
         summary = " ".join(shown) if shown else "<none>"

@@ -69,7 +69,8 @@ def windowed_triad_program(
     block_bytes: int,
 ):
     """Triad with batched issue: both input reads of a block in flight
-    together (for :class:`repro.host.window.WindowedEngine`)."""
+    together (a batch program for a :class:`repro.host.engine.HostEngine`
+    of window 2)."""
     block = struct.Struct(f"<{block_bytes // 8}d")
     for blk in range(start_block, start_block + num_blocks):
         off = blk * block_bytes

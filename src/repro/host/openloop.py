@@ -1,12 +1,11 @@
 """Open-loop traffic injection: latency versus offered load.
 
-The closed-loop engines (:mod:`repro.host.engine`,
-:mod:`repro.host.window`) model threads that wait for their own
-responses.  Memory-system characterization also needs the *open-loop*
-view: requests arrive at a fixed offered rate regardless of completion
-— the setup behind every latency-vs-bandwidth "knee" curve, and the
-regime where the HMC-Sim queueing structures (and their stalls)
-actually fill.
+The closed-loop engine (:mod:`repro.host.engine`) models threads that
+wait for their own responses.  Memory-system characterization also
+needs the *open-loop* view: requests arrive at a fixed offered rate
+regardless of completion — the setup behind every latency-vs-bandwidth
+"knee" curve, and the regime where the HMC-Sim queueing structures
+(and their stalls) actually fill.
 
 :func:`drive_open_loop` is the injector itself: it pulls packets from
 a ``build(idx, tag)`` callback at ``offered_rate`` requests/cycle for
@@ -130,6 +129,7 @@ def drive_open_loop(
     max_drain: int = 100_000,
     link_for: Optional[Callable[[int], int]] = None,
     depth: Optional[int] = None,
+    on_response: Optional[Callable[[List[object]], None]] = None,
 ) -> OpenLoopStats:
     """Inject ``count`` requests at a fixed rate; fill in ``stats``.
 
@@ -158,6 +158,8 @@ def drive_open_loop(
             genuine queue refusals count as ``backlogged``.
             ``stats.duration`` is rewritten to the *measured* injection
             window so ``achieved_rate`` stays honest.
+        on_response: when set, called with each link's vector of
+            responses as it is collected, after their tags are freed.
     """
     num_links = sim.config.num_links
     links = sim.devices[0].links
@@ -182,6 +184,8 @@ def drive_open_loop(
                 for rsp in done:
                     latencies.append(now - inject_cycle.pop(rsp.tag))
                     free_tags.append(rsp.tag)
+                if on_response is not None:
+                    on_response(done)
 
     if depth is not None:
         if depth < 1:

@@ -17,6 +17,8 @@ Algorithm 1::
                     break
             yield ctx.unlock(LOCK_ADDR)
 
+A program that yields *lists* of packets runs as a :class:`BatchThread`.
+
 :class:`ThreadCtx` provides packet builders bound to the thread's
 identity (tag and thread-id payload value), so programs never manage
 tags themselves.
@@ -25,14 +27,15 @@ tags themselves.
 from __future__ import annotations
 
 import enum
-from typing import Generator, Iterator, Optional
+from typing import Generator, Iterator, List, Optional, Set
 
 from repro.cmc_ops import mutex as _mutex
+from repro.errors import HMCSimError
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.packet import RequestPacket
 from repro.hmc.sim import HMCSim
 
-__all__ = ["ThreadState", "ThreadCtx", "SimThread", "Program"]
+__all__ = ["ThreadState", "ThreadCtx", "SimThread", "BatchThread", "Program"]
 
 #: A thread program: a generator yielding request packets.
 Program = Generator[RequestPacket, Optional[object], None]
@@ -62,14 +65,19 @@ class ThreadCtx:
             initialized lock structure).
         link: device link this thread injects on.
         cub: target cube for all of this thread's requests.
+        tag: the tag of every built packet (``tid`` unless the
+            engine's window gives each thread several).
     """
 
-    def __init__(self, sim: HMCSim, tid: int, link: int, cub: int = 0):
+    def __init__(
+        self, sim: HMCSim, tid: int, link: int, cub: int = 0, tag: Optional[int] = None
+    ):
         self.sim = sim
         self.tid = tid
         self.tid_value = tid + 1
         self.link = link
         self.cub = cub
+        self.tag = tid if tag is None else tag
         # Mutex packets are immutable per (op, addr) for a given
         # thread — same tag, tid payload, cub, and link — and a thread
         # never has two requests in flight, so the spin loop of
@@ -86,7 +94,7 @@ class ThreadCtx:
         pkt = self._mutex_cache.get(key)
         if pkt is None:
             pkt = self._mutex_cache[key] = _mutex.build_lock(
-                self.sim, addr, self.tid, self.tid_value, cub=self.cub
+                self.sim, addr, self.tag, self.tid_value, cub=self.cub
             )
         return pkt
 
@@ -96,7 +104,7 @@ class ThreadCtx:
         pkt = self._mutex_cache.get(key)
         if pkt is None:
             pkt = self._mutex_cache[key] = _mutex.build_trylock(
-                self.sim, addr, self.tid, self.tid_value, cub=self.cub
+                self.sim, addr, self.tag, self.tid_value, cub=self.cub
             )
         return pkt
 
@@ -106,7 +114,7 @@ class ThreadCtx:
         pkt = self._mutex_cache.get(key)
         if pkt is None:
             pkt = self._mutex_cache[key] = _mutex.build_unlock(
-                self.sim, addr, self.tid, self.tid_value, cub=self.cub
+                self.sim, addr, self.tag, self.tid_value, cub=self.cub
             )
         return pkt
 
@@ -116,7 +124,7 @@ class ThreadCtx:
 
     def request(self, rqst: hmc_rqst_t, addr: int, data: bytes = b"") -> RequestPacket:
         """Build any request with this thread's tag."""
-        return self.sim.build_memrequest(rqst, addr, self.tid, cub=self.cub, data=data)
+        return self.sim.build_memrequest(rqst, addr, self.tag, cub=self.cub, data=data)
 
     def read(self, addr: int, nbytes: int = 16) -> RequestPacket:
         """Build an RD16..RD256 request for ``nbytes`` (16-byte granule)."""
@@ -125,7 +133,7 @@ class ThreadCtx:
             raise _granule_error("read", nbytes)
         if not self.sim._initialized:
             self.sim._check_init()
-        return RequestPacket.build(rqst, addr, self.tid, cub=self.cub)
+        return RequestPacket.build(rqst, addr, self.tag, cub=self.cub)
 
     def write(self, addr: int, data: bytes, posted: bool = False) -> RequestPacket:
         """Build a WR/P_WR request sized to ``data``."""
@@ -135,7 +143,7 @@ class ThreadCtx:
         if not self.sim._initialized:
             self.sim._check_init()
         return RequestPacket.build(
-            pair[1] if posted else pair[0], addr, self.tid, cub=self.cub, data=data
+            pair[1] if posted else pair[0], addr, self.tag, cub=self.cub, data=data
         )
 
     def inc8(self, addr: int, posted: bool = False) -> RequestPacket:
@@ -143,14 +151,14 @@ class ThreadCtx:
         if not self.sim._initialized:
             self.sim._check_init()
         return RequestPacket.build(
-            _P_INC8 if posted else _INC8, addr, self.tid, cub=self.cub
+            _P_INC8 if posted else _INC8, addr, self.tag, cub=self.cub
         )
 
     def xor16(self, addr: int, operand: bytes) -> RequestPacket:
         """Build a XOR16 atomic."""
         if not self.sim._initialized:
             self.sim._check_init()
-        return RequestPacket.build(_XOR16, addr, self.tid, cub=self.cub, data=operand)
+        return RequestPacket.build(_XOR16, addr, self.tag, cub=self.cub, data=operand)
 
     def caseq8(self, addr: int, compare: int, swap: int) -> RequestPacket:
         """Build a CASEQ8 atomic (compare low word, swap high word)."""
@@ -159,7 +167,7 @@ class ThreadCtx:
         )
         if not self.sim._initialized:
             self.sim._check_init()
-        return RequestPacket.build(_CASEQ8, addr, self.tid, cub=self.cub, data=payload)
+        return RequestPacket.build(_CASEQ8, addr, self.tag, cub=self.cub, data=payload)
 
 
 _M64 = (1 << 64) - 1
@@ -197,18 +205,9 @@ class SimThread:
         self.stalls = 0
         self.responses = 0
 
-    def start(self) -> None:
-        """Prime the generator: obtain the first request (or finish)."""
-        try:
-            self.pending = next(self.program)
-            self.state = ThreadState.READY
-        except StopIteration:
-            self.state = ThreadState.DONE
-            self.done = True
-            self.finish_cycle = self.start_cycle
-
     def resume(self, rsp: Optional[object], cycle: int) -> None:
-        """Deliver a response (or None for posted) and fetch the next request."""
+        """Deliver a response (or None for posted) and fetch the next
+        request; ``resume(None, start_cycle)`` primes the program."""
         if rsp is not None:
             self.responses += 1
         try:
@@ -226,3 +225,50 @@ class SimThread:
         if self.finish_cycle is None:
             return None
         return self.finish_cycle - self.start_cycle
+
+
+class BatchThread(SimThread):
+    """A thread whose program yields lists of up to ``window`` packets.
+
+    Slot ``s`` carries tag ``ctx.tag + s``.  Once every slot is sent
+    and answered, the program resumes with the responses in slot order
+    (``None`` for a posted slot).  ``pending`` stays ``None``: a READY
+    batch thread holds a batch the engine has yet to inject.
+    """
+
+    def __init__(self, thread: SimThread, window: int):
+        super().__init__(thread.tid, thread.ctx, thread.program)
+        self.start_cycle = thread.start_cycle
+        self.window = window
+        #: Tags of accepted packets still awaiting their response.
+        self.awaiting: Set[int] = set()
+        self._begin(thread.pending)
+
+    def _begin(self, batch: List[RequestPacket]) -> None:
+        if len(batch) > self.window:
+            raise HMCSimError(
+                f"thread {self.tid} yielded a batch of {len(batch)} "
+                f"packets; the window is {self.window}"
+            )
+        for slot, pkt in enumerate(batch):
+            pkt.tag = self.ctx.tag + slot
+        self.unsent = list(batch)
+        self.slots: List[Optional[object]] = [None] * len(batch)
+        self.state = _READY
+
+    def resume(self, rsp: Optional[object], cycle: int) -> None:
+        """Deliver one slot's response (``None``: the last send left
+        nothing to await); resume the program once the batch is in."""
+        if rsp is not None:
+            if rsp.tag not in self.awaiting:
+                raise HMCSimError(f"response tag {rsp.tag} matches no outstanding slot")
+            self.awaiting.remove(rsp.tag)
+            self.slots[rsp.tag - self.ctx.tag] = rsp
+            self.responses += 1
+        if not (self.awaiting or self.unsent):
+            try:
+                self._begin(self.program.send(self.slots))
+            except StopIteration:
+                self.state = ThreadState.DONE
+                self.done = True
+                self.finish_cycle = cycle

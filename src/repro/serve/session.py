@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, List, Optional
 
-from repro.errors import HMCSimError, HMCStatus, ServeError, WorkloadError
+from repro.errors import HMCSimError, ServeError, WorkloadError
 from repro.fsutil import atomic_write_text
 from repro.hmc.packet import MAX_TAG
 from repro.serve.schemas import canonical_json, encode_value
@@ -522,76 +522,48 @@ class SimSession:
     def _run_raw(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Drive a pipelined request stream on the warm sim.
 
-        Requests issue in order (stalls retry after a clock), responses
-        are matched back to issue order by tag; the stream then drains
-        to the fence.
+        :func:`~repro.host.openloop.drive_open_loop` issues the requests
+        in order, as deep as the tag space allows, then drains; responses
+        are matched back to issue order by tag.  A stream that needs
+        more than ``max_cycles`` cycles fails.
         """
         from repro.hmc.commands import hmc_rqst_t
+        from repro.host.openloop import OpenLoopStats, drive_open_loop
 
         sim = self.sim
         requests = spec["requests"]
         max_cycles = int(spec.get("max_cycles", _RAW_MAX_CYCLES))
-        num_links = sim.config.num_links
-        free_tags = list(range(min(MAX_TAG + 1, 2 * len(requests) + 4)))
-        tag_to_index: Dict[int, int] = {}
-        responses: List[Optional[Dict[str, Any]]] = [None] * len(requests)
-        cycles = 0
+        deadline = sim.cycle + max_cycles
+        over = ServeError("internal", f"raw stream exceeded max_cycles ({max_cycles})")
+        index_of: Dict[int, int] = {}  # tag -> the request it was last leased to
+        # A posted request keeps its entry: nothing answers it.
+        responses = [dict(index=i, data="", cycle=-1) for i in range(len(requests))]
 
-        def collect() -> None:
-            for link in range(num_links):
-                for rsp in sim.recv_batch(link=link):
-                    idx = tag_to_index.pop(rsp.tag)
-                    free_tags.append(rsp.tag)
-                    responses[idx] = {
-                        "index": idx,
-                        "data": base64.b64encode(rsp.data).decode("ascii")
-                        if rsp.data
-                        else "",
-                        "cycle": sim.cycle,
-                    }
+        def build(idx: int, tag: int) -> Any:
+            rq = requests[idx]
+            index_of[tag] = idx
+            cmd, data = hmc_rqst_t[rq["cmd"]], bytes.fromhex(rq.get("data") or "")
+            return sim.build_memrequest(cmd, rq["addr"], tag, data=data)
 
-        for idx, rq in enumerate(requests):
-            cmd = hmc_rqst_t[rq["cmd"]]
-            data = bytes.fromhex(rq.get("data", "") or "")
-            link = int(rq.get("link", idx % num_links)) % num_links
-            while not free_tags:
-                sim.clock()
-                collect()
-                cycles += 1
-                if cycles > max_cycles:
-                    raise ServeError(
-                        "internal", "raw stream exceeded max_cycles (tags)"
-                    )
-            tag = free_tags.pop()
-            pkt = sim.build_memrequest(cmd, rq["addr"], tag, data=data)
-            while True:
-                status = sim.send(pkt, link=link)
-                if status is not HMCStatus.STALL:
-                    break
-                sim.clock()
-                collect()
-                cycles += 1
-                if cycles > max_cycles:
-                    raise ServeError(
-                        "internal", "raw stream exceeded max_cycles (stall)"
-                    )
-            if sim.expects_response(pkt):
-                tag_to_index[tag] = idx
-            else:
-                free_tags.append(tag)
-                responses[idx] = {"index": idx, "data": "", "cycle": -1}
+        def record(done: List[Any]) -> None:
+            if sim.cycle > deadline:
+                raise over
+            for rsp in done:
+                idx = index_of[rsp.tag]
+                data = base64.b64encode(rsp.data or b"").decode("ascii")
+                responses[idx] = dict(index=idx, data=data, cycle=sim.cycle)
 
-        while tag_to_index and cycles <= max_cycles:
-            sim.clock()
-            collect()
-            cycles += 1
-        if tag_to_index:
-            raise ServeError("internal", "raw stream failed to drain")
-        return {
-            "responses": [r for r in responses if r is not None],
-            "issued": len(requests),
-            "cycle": sim.cycle,
-        }
+        # The injector gives up only after max_drain cycles without
+        # progress, so a stream it leaves unfinished ends past the deadline.
+        drive_open_loop(
+            sim, OpenLoopStats("", "raw", 0.0, 0, 0, 0, 0, 0), len(requests), build,
+            offered_rate=0.0, duration=0, max_drain=max_cycles + 1,
+            depth=MAX_TAG + 1, on_response=record,
+            link_for=lambda i: int(requests[i].get("link", i)) % sim.config.num_links,
+        )
+        if sim.cycle > deadline:
+            raise over
+        return {"responses": responses, "issued": len(requests), "cycle": sim.cycle}
 
     def _run_sweep(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Fan a thread sweep over the shared executor + disk cache.

@@ -10,8 +10,8 @@ from typing import Any, Dict, List
 
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
+from repro.host.engine import HostEngine
 from repro.host.kernels import stream
-from repro.host.window import WindowedEngine
 from repro.workloads.base import Footprint, ProgramFactory
 from repro.workloads.kernels.base import (
     COMMON,
@@ -45,7 +45,7 @@ class StreamWorkload(KernelWorkload):
 
     With ``windowed=True`` each thread keeps both input reads of a
     block in flight concurrently (memory-level parallelism inside the
-    kernel), which needs the windowed engine's batch-yield protocol.
+    kernel): its program yields batches to an engine of window 2.
     """
 
     name = "stream"
@@ -90,9 +90,8 @@ class StreamWorkload(KernelWorkload):
             sim.mem_write(base, values.tobytes())
 
     def new_engine(self, sim: HMCSim, params: Dict[str, Any], fault_plan: Any):
-        if not params["windowed"]:
-            return super().new_engine(sim, params, fault_plan)
-        return WindowedEngine(sim, window=2, max_cycles=params["max_cycles"])
+        window = 2 if params["windowed"] else 1
+        return HostEngine(sim, max_cycles=params["max_cycles"], window=window)
 
     def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
         program = (

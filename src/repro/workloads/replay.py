@@ -174,7 +174,7 @@ def _replay_program(ctx: ThreadCtx, records: List[TraceRecord]) -> Program:
         yield sim.build_memrequest(
             rec.rqst(),
             rec.addr,
-            ctx.tid,
+            ctx.tag,
             cub=rec.cub,
             data=_payload_for(sim, rec),
         )

@@ -225,15 +225,17 @@ class TestDeadlockDiagnostics:
         assert "hello" in str(dump)
 
     def test_windowed_engine_deadlock_dump(self):
-        from repro.host.window import WindowedEngine
-
+        # Every response is dropped: the dump names each batch thread
+        # and the tags of its window it still waits on.
         sim = _faulty_sim("xbar_drop=1.0")
 
-        def batch_program(ctx):
-            yield [ctx.read(0, 16)]
+        def batch_program(ctx, width):
+            yield [ctx.read(i * 64, 16) for i in range(width)]
 
-        engine = WindowedEngine(sim, window=2, max_cycles=60)
-        engine.add_thread(batch_program)
-        with pytest.raises(SimDeadlockError, match="windowed workload") as exc:
+        engine = HostEngine(sim, window=2, max_cycles=60)
+        engine.add_thread(lambda ctx: batch_program(ctx, 1))
+        engine.add_thread(lambda ctx: batch_program(ctx, 2))
+        with pytest.raises(SimDeadlockError, match="did not complete within") as exc:
             engine.run()
-        assert "awaiting slots" in str(exc.value)
+        assert "tid0:WAITING(tag=0)" in str(exc.value)
+        assert "tid1:WAITING(tag=2,3)" in str(exc.value)

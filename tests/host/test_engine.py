@@ -113,6 +113,20 @@ class TestRunSemantics:
         # With 12 threads on 4 two-deep queues, someone must have stalled.
         assert result.send_stalls > 0
 
+    def test_windowed_run_ends_with_its_last_thread(self):
+        # Threads that all start at cycle 0 finish together with the
+        # run: no idle cycle is clocked after the last one completes.
+        def batches(ctx, window):
+            for i in range(8 // window):
+                yield [ctx.read((i * window + s) * 64, 16) for s in range(window)]
+
+        for window in (1, 4):
+            engine = HostEngine(HMCSim(HMCConfig.cfg_4link_4gb()), window=window)
+            engine.add_threads(8, lambda ctx: batches(ctx, window))
+            result = engine.run()
+            assert result.total_cycles == result.max_cycle
+            assert result.max_cycle == (24 if window == 1 else 8)
+
     def test_thread_results_ordered_by_tid(self, sim):
         engine = HostEngine(sim)
         engine.add_threads(5, read_program)
