@@ -71,7 +71,7 @@ def test_ext_blocksize(artifact_dir):
 
     # Larger granules must deliver more payload per cycle, and the
     # 256-byte command must beat the 16-byte command by a wide margin
-    # (the analytic efficiency gap is 94% vs 50%, and fewer packets
+    # (the analytic efficiency gap is 89% vs 33%, and fewer packets
     # also means fewer per-packet response slots consumed).
     assert rates[256] > rates[64] > rates[16]
     assert rates[256] / rates[16] > 3.0

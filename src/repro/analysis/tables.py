@@ -7,16 +7,13 @@ regenerated table/figure data.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Sequence
 
-from repro.analysis.amo_traffic import table2_rows
-from repro.analysis.sweep import MutexSweep
-from repro.core.cmc import CMCRegistry
-from repro.hmc.commands import (
-    COMMAND_TABLE,
-    CommandKind,
-    hmc_response_t,
-)
+from repro.hmc.commands import COMMAND_TABLE, hmc_response_t
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.sweep import MutexSweep
+    from repro.core.cmc import CMCRegistry
 
 __all__ = [
     "render_table1",
@@ -68,6 +65,8 @@ def render_table1() -> str:
 
 def render_table2() -> str:
     """Table II: HMC Gen2 atomic memory operation efficiency."""
+    from repro.analysis.amo_traffic import table2_rows
+
     rows = []
     for r in table2_rows():
         rows.append(

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.cmc_ops import base
-from repro.core.cmc import CMCOperation
 from repro.hmc.commands import hmc_rqst_t
-from repro.hmc.packet import RequestPacket
-from repro.hmc.sim import HMCSim
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.cmc import CMCOperation
+    from repro.hmc.packet import RequestPacket
+    from repro.hmc.sim import HMCSim
 
 __all__ = [
     "MUTEX_PLUGINS",

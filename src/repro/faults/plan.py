@@ -60,11 +60,13 @@ class FaultSpec:
     def __post_init__(self) -> None:
         # Validate eagerly: the kind must exist and every named
         # parameter must be one the kind declares, inside its domain.
-        FAULTS.get(self.kind).resolve_params(dict(self.params))
+        # Kept outside the fields (not in eq, hash or repr) for param_dict().
+        resolved = FAULTS.get(self.kind).resolve_params(dict(self.params))
+        object.__setattr__(self, "_resolved", tuple(resolved.items()))
 
     def param_dict(self) -> Dict[str, Any]:
         """Parameters merged over the kind's defaults."""
-        return FAULTS.get(self.kind).resolve_params(dict(self.params))
+        return dict(self._resolved)
 
     @classmethod
     def parse(cls, spec: str) -> "FaultSpec":

@@ -56,6 +56,9 @@ FLIT_BYTES = 16
 #: The largest legal packet: a 256-byte write (1 overhead FLIT + 16 data FLITs).
 MAX_PACKET_FLITS = 17
 
+#: Largest encodable tag (11-bit TAG field).
+MAX_TAG = (1 << 11) - 1
+
 #: Width of the request command field in bits.
 CMD_FIELD_WIDTH = 7
 

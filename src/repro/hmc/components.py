@@ -314,15 +314,24 @@ class MemoryModel(ABC):
 
 
 #: Per seam, in pipeline order: the interface its implementations
-#: produce, and the home module whose import registers its built-ins.
-#: The composition root joins every seam's catalog (it registers the
-#: no-model ``link_flow`` baseline and the optional ``vector`` crossbar).
-_SEAM_SPEC: Dict[str, Tuple[type, str]] = {
-    "xbar": (CrossbarModel, "repro.hmc.xbar"),
-    "vault_scheduler": (VaultScheduler, "repro.hmc.vault"),
-    "link_flow": (LinkFlow, "repro.hmc.flow"),
-    "topology": (TopologyRouter, "repro.hmc.topology"),
-    "memory": (MemoryModel, "repro.hmc.memory"),
+#: produce, the home module whose import registers its built-ins, and
+#: their declared identities, so that validating or fingerprinting a
+#: selection imports no datapath.  The composition root joins every
+#: seam's catalog (the no-model ``link_flow`` and ``vector`` crossbar).
+_SEAM_SPEC: Dict[str, Tuple[type, str, Dict[str, str]]] = {
+    "xbar": (CrossbarModel, "repro.hmc.xbar", {
+        "queued": "repro.hmc.xbar:XBar", "ideal": "repro.hmc.xbar:IdealXBar",
+        "vector": "repro.hmc.composition:_vector_xbar"}),
+    "vault_scheduler": (VaultScheduler, "repro.hmc.vault", {
+        "fifo": "repro.hmc.vault:FIFOVaultScheduler",
+        "round_robin": "repro.hmc.vault:RoundRobinVaultScheduler"}),
+    "link_flow": (LinkFlow, "repro.hmc.flow", {
+        "none": "repro.hmc.composition:_no_flow", "tokens": "repro.hmc.flow:_tokens_flow"}),
+    "topology": (TopologyRouter, "repro.hmc.topology", {
+        "chain": "repro.hmc.topology:ChainTopology", "ring": "repro.hmc.topology:RingTopology"}),
+    "memory": (MemoryModel, "repro.hmc.memory", {
+        "paged": "repro.hmc.memory:MemoryBackend",
+        "chunked": "repro.hmc.memory:ChunkedMemoryBackend"}),
 }
 
 #: The recognised seam names, in pipeline order.
@@ -335,6 +344,7 @@ COMPONENTS: Dict[str, Registry] = {
         f"{seam!r} implementation",
         ComponentError,
         catalog=(_SEAM_SPEC[seam][1], "repro.hmc.composition"),
+        declared=_SEAM_SPEC[seam][2],
     )
     for seam in SEAMS
 }

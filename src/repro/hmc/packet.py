@@ -63,6 +63,7 @@ from repro.hmc.commands import (
     COMMAND_TABLE_LIST,
     FLIT_BYTES,
     MAX_PACKET_FLITS,
+    MAX_TAG,
     hmc_response_t,
     hmc_rqst_t,
 )
@@ -83,8 +84,6 @@ __all__ = [
 
 _U64 = (1 << 64) - 1
 
-#: Largest encodable tag (11-bit TAG field).
-MAX_TAG = (1 << 11) - 1
 #: Largest encodable cube id (3-bit CUB field).
 MAX_CUB = (1 << 3) - 1
 #: Mask for the 34-bit ADRS field.

@@ -25,15 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import HMCSimError, SimDeadlockError
 from repro.faults.diagnostics import collect_deadlock_dump
-from repro.faults.invariants import InvariantChecker
-from repro.faults.watchdog import TagWatchdog
 from repro.hmc.packet import MAX_TAG
 from repro.hmc.sim import _EXPECTS, _STALL, HMCSim
 from repro.host.thread import BatchThread, Program, SimThread, ThreadCtx, ThreadState
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.invariants import InvariantChecker
+    from repro.faults.watchdog import TagWatchdog
 
 __all__ = ["HostEngine", "EngineResult", "ThreadResult"]
 
@@ -137,6 +139,8 @@ class HostEngine:
         self.max_cycles = max_cycles
         self.watchdog = watchdog
         if invariants is True:
+            from repro.faults.invariants import InvariantChecker
+
             invariants = InvariantChecker(sim)
         elif invariants is False:
             invariants = None
@@ -223,9 +227,15 @@ class HostEngine:
                 return
         sim = self.sim
         ctx = thread.ctx
-        if sim.send(pkt, dev=ctx.cub, link=ctx.link) is _STALL:
-            thread.stalls += 1
-            return
+        try:
+            if sim.send(pkt, dev=ctx.cub, link=ctx.link) is _STALL:
+                thread.stalls += 1
+                return
+        except AttributeError:  # no check on the one-request path
+            if type(pkt) is list:
+                raise HMCSimError(f"thread {thread.tid} yielded a batch after a "
+                                  f"single request; its first yield fixes its kind") from None
+            raise
         thread.requests += 1
         thread.pending = None
         if self.recorder is not None:

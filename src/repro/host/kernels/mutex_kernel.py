@@ -28,9 +28,12 @@ point of Figures 5-7 / Table VI and reports MIN/MAX/AVG cycles as a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.cmc_ops.mutex import decode_lock_response
-from repro.host.thread import Program, ThreadCtx
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.host.thread import Program, ThreadCtx
 
 __all__ = [
     "mutex_program",

@@ -245,6 +245,9 @@ class BatchThread(SimThread):
         self._begin(thread.pending)
 
     def _begin(self, batch: List[RequestPacket]) -> None:
+        if type(batch) is not list:
+            raise HMCSimError(f"thread {self.tid} yielded {type(batch).__name__} "
+                              f"after a batch; its first yield fixes its kind")
         if len(batch) > self.window:
             raise HMCSimError(
                 f"thread {self.tid} yielded a batch of {len(batch)} "

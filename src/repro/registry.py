@@ -13,7 +13,9 @@ is the implementation itself (a class or factory), or a record naming
 it as ``factory`` (a fault kind).
 
 A lookup imports the catalog in order only until its key is registered;
-listing the keys, a miss and a replacement import all of it.  The same
+listing the keys, a miss and a replacement import all of it, but a key
+whose identity the registry *declares* is answered by ``has`` and
+``identity`` without an import (its registration must match).  The same
 import-on-demand rule serves package re-exports: :func:`resolve` turns a
 ``module:qualname`` path into the object, and :func:`lazy_exports` gives
 a package a module ``__getattr__`` over a table of such paths.
@@ -46,6 +48,7 @@ class Registry(Generic[T]):
             instead of the class (per-run state never leaks).
         tag: prefix of :meth:`fingerprint` digests.
         columns: entry attributes :meth:`describe` lists after the key.
+        declared: key -> :meth:`identity` of catalog entries, known unloaded.
     """
 
     def __init__(
@@ -57,12 +60,14 @@ class Registry(Generic[T]):
         fresh: bool = False,
         tag: str = "",
         columns: Tuple[str, ...] = (),
+        declared: Mapping[str, str] = {},
     ) -> None:
         self.noun = noun
         self.error = error
         self._fresh = fresh
         self._tag = tag
         self._columns = columns
+        self._declared = dict(declared)
         self._entries: Dict[str, T] = {}
         #: Catalog modules not imported yet, in catalog order.
         self._pending = list(catalog)
@@ -108,6 +113,9 @@ class Registry(Generic[T]):
                 f"{self.noun} {key!r} is already registered "
                 f"(pass replace=True to override)"
             )
+        if key in self._declared and not replace and self._declared[key] != _identity(entry):
+            raise self.error(f"{self.noun} {key!r} is declared as "
+                             f"{self._declared[key]}, not {_identity(entry)}")
         self._entries[key] = entry
         return entry
 
@@ -127,7 +135,9 @@ class Registry(Generic[T]):
         return found() if self._fresh else found
 
     def has(self, key: str) -> bool:
-        """True when ``key`` is registered."""
+        """True when ``key`` is registered or declared."""
+        if _found(key, self._declared):
+            return True
         self._load(key)
         return key in self._entries
 
@@ -159,13 +169,10 @@ class Registry(Generic[T]):
         ``@version`` when it declares one.  An implementation moved after
         its fingerprint was published names its old module in its own
         (not inherited) ``published_module``, so the move changes no
-        served payload or cache key."""
-        impl = _impl(self._entry(key))
-        name = getattr(impl, "__qualname__", type(impl).__name__)
-        module = getattr(impl, "__dict__", {}).get("published_module", impl.__module__)
-        version = getattr(impl, "version", None)
-        suffix = "" if version is None else f"@{version}"
-        return f"{module}:{name}{suffix}"
+        served payload or cache key.  A declared key answers unloaded."""
+        if _found(key, self._declared) and key not in self._entries:
+            return self._declared[key]
+        return _identity(self._entry(key))
 
     def fingerprint(self, key: str) -> str:
         """A short digest of :meth:`identity`: it changes when the name
@@ -176,6 +183,15 @@ class Registry(Generic[T]):
 
 def _impl(entry: Any) -> Any:
     return getattr(entry, "factory", entry)
+
+
+def _identity(entry: Any) -> str:
+    impl = _impl(entry)
+    name = getattr(impl, "__qualname__", type(impl).__name__)
+    module = getattr(impl, "__dict__", {}).get("published_module", impl.__module__)
+    version = getattr(impl, "version", None)
+    suffix = "" if version is None else f"@{version}"
+    return f"{module}:{name}{suffix}"
 
 
 def _found(key: Any, entries: Dict[str, Any]) -> bool:

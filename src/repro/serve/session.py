@@ -16,7 +16,8 @@ The session directory is the durable record::
         meta.json        O(1) header (identity, state): create/drain/close
         journal.jsonl    append-only: a line per accept, a line per completion
         checkpoint.json  the last fence (every ``checkpoint_every``
-                         submissions) with its label ``checkpointed_through``
+                         submissions, and whenever the journal drains)
+                         with its label ``checkpointed_through``
         result-<seq>.json  canonical result payload per submission
 
 No write grows with the session.  The accept line is flushed *before*
@@ -164,7 +165,8 @@ class SimSession:
         components: ``{seam: impl}`` pipeline overrides.
         root: parent directory for the session directory.
         checkpoint_every: fence (drain + checkpoint) after every N-th
-            completed submission; 1 fences every submission.
+            completed submission and whenever none is left pending, so
+            a client that waits on each submission fences each one.
         sweep_runner: ``(specs) -> results`` callable for sweep
             submissions; the server injects one bound to the shared
             executor + disk cache.  ``None`` runs them in-process.

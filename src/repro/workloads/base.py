@@ -66,14 +66,15 @@ structural lint.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
-from repro.host.thread import Program, ThreadCtx
 from repro.registry import resolve_params
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hmc.config import HMCConfig
+    from repro.hmc.sim import HMCSim
+    from repro.host.thread import Program, ThreadCtx
 
 __all__ = ["Footprint", "WorkloadFrontend", "WorkloadError"]
 
@@ -81,7 +82,7 @@ __all__ = ["Footprint", "WorkloadFrontend", "WorkloadError"]
 Footprint = Tuple[Tuple[int, int], ...]
 
 #: A thread-program factory, as the host engine consumes them.
-ProgramFactory = Callable[[ThreadCtx], Program]
+ProgramFactory = Callable[["ThreadCtx"], "Program"]
 
 
 class WorkloadFrontend(ABC):
@@ -155,10 +156,14 @@ class WorkloadFrontend(ABC):
 
     def new_sim(self, config: HMCConfig, params: Dict[str, Any]) -> HMCSim:
         """The simulation context of a run the caller brought none to."""
+        from repro.hmc.sim import HMCSim
+
         return HMCSim(config)
 
     def new_engine(self, sim: HMCSim, params: Dict[str, Any], fault_plan: Any) -> Any:
         """The engine one run drives :meth:`build`'s programs with."""
+        from repro.host.engine import HostEngine
+
         return HostEngine(sim, max_cycles=params.get("max_cycles", 1_000_000))
 
     @abstractmethod

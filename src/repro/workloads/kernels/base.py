@@ -7,13 +7,15 @@ the level-synchronous kernels, and :func:`register_kernel`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.hmc.packet import MAX_TAG
-from repro.hmc.sim import HMCSim
+from repro.hmc.commands import MAX_TAG
 from repro.workloads.base import ProgramFactory, WorkloadFrontend
 from repro.workloads.registry import register_workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hmc.sim import HMCSim
 
 __all__ = [
     "POSITIVE",

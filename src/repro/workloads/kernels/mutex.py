@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from repro.cmc_ops.mutex import init_lock, load_mutex_ops
-from repro.faults.watchdog import TagWatchdog
-from repro.hmc.config import HMCConfig
-from repro.hmc.sim import HMCSim
-from repro.host.engine import HostEngine
 from repro.host.kernels import mutex_kernel
-from repro.parallel.tasks import TaskSpec
 from repro.workloads.base import Footprint, ProgramFactory
 from repro.workloads.kernels.base import (
     COMMON,
@@ -20,6 +15,11 @@ from repro.workloads.kernels.base import (
     register_kernel,
     u64_at,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.hmc.config import HMCConfig
+    from repro.hmc.sim import HMCSim
+    from repro.parallel.tasks import TaskSpec
 
 __all__ = ["MutexWorkload"]
 
@@ -61,15 +61,17 @@ class MutexWorkload(KernelWorkload):
         init_lock(sim, params["lock_addr"])
 
     def new_engine(self, sim: HMCSim, params: Dict[str, Any], fault_plan: Any):
+        from repro.host.engine import HostEngine
+
         if fault_plan is not None and sim.faults is None:
             sim.attach_faults(fault_plan)
         # A faulty run gets a per-tag watchdog: dropped responses are
         # retransmitted instead of deadlocking the sweep.
-        watchdog = (
-            TagWatchdog(timeout=mutex_kernel.FAULT_WATCHDOG_TIMEOUT)
-            if sim.faults is not None
-            else None
-        )
+        watchdog = None
+        if sim.faults is not None:
+            from repro.faults.watchdog import TagWatchdog
+
+            watchdog = TagWatchdog(timeout=mutex_kernel.FAULT_WATCHDOG_TIMEOUT)
         return HostEngine(
             sim,
             max_cycles=params["max_cycles"],
@@ -125,6 +127,8 @@ class MutexWorkload(KernelWorkload):
         component fingerprints — and the fault-plan fingerprint when
         one is attached (see :mod:`repro.parallel.tasks`).
         """
+        from repro.parallel.tasks import TaskSpec
+
         return TaskSpec(
             kernel=self.name,
             kernel_version=self.version,

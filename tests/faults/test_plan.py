@@ -94,6 +94,19 @@ class TestPlan:
         )
         assert base.fingerprint() != FaultPlan.parse(["xbar_dup=0.1"]).fingerprint()
 
+    def test_fingerprint_reuses_the_resolved_params(self, monkeypatch):
+        # Resolved once, at construction: a sweep's cache keys call
+        # fingerprint() per point and must not re-run the resolution.
+        plan = FaultPlan.parse(["vault_stall=1e-3"])
+        before = plan.fingerprint()
+
+        def refuse(kind, params):
+            raise AssertionError("resolved again")
+
+        monkeypatch.setattr(FaultKind, "resolve_params", refuse)
+        assert plan.fingerprint() == before
+        assert plan.specs[0].param_dict() == {"rate": 1e-3, "duration": 8}
+
     def test_derived_seeds_distinct_per_kind_and_index(self):
         plan = FaultPlan.parse(["xbar_drop=0.1", "xbar_dup=0.1"])
         assert plan.derived_seed(0, "xbar_drop") != plan.derived_seed(1, "xbar_dup")

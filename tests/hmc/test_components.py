@@ -18,6 +18,7 @@ from repro.cmc_ops.mutex import init_lock, load_mutex_ops
 from repro.errors import ComponentError, HMCAddressError, HMCConfigError
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.components import (
+    _SEAM_SPEC,
     COMPONENTS,
     SEAMS,
     CrossbarModel,
@@ -34,6 +35,7 @@ from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
 from repro.host.kernels.gups import gups_program, hpcc_random_stream
 from repro.host.kernels.mutex_kernel import mutex_program
+from repro.parallel.tasks import component_fingerprint
 from tests.conftest import roundtrip
 
 _IFACE = {
@@ -104,8 +106,27 @@ class TestRegistry:
             # ...and the key is immediately valid in HMCConfig.
             cfg = HMCConfig.cfg_4link_4gb(memory="_test_tmp")
             assert cfg.memory == "_test_tmp"
+            # ...and fingerprints through the registry, not a declaration.
+            assert COMPONENTS["memory"].identity("_test_tmp").endswith(".<locals>._TmpMem")
+            assert component_fingerprint(cfg) != component_fingerprint(
+                HMCConfig.cfg_4link_4gb()
+            )
         finally:
             del COMPONENTS["memory"]._entries["_test_tmp"]
+
+    def test_declared_identities_are_the_registered_ones(self):
+        # A config validates and fingerprints its built-in selections
+        # from the declared table, importing no datapath: the table must
+        # name every built-in and what its import really registers.
+        declared = {(seam, k): v for seam in SEAMS for k, v in _SEAM_SPEC[seam][2].items()}
+        live = {
+            (seam, key): COMPONENTS[seam].identity(key)
+            for seam in SEAMS
+            for key, impl in COMPONENTS[seam].classes().items()  # imports all
+            if impl.__module__.startswith("repro.")
+        }
+        assert len(declared) == 11
+        assert live == declared
 
     def test_config_rejects_unregistered_selection(self):
         for field in ("xbar", "vault_scheduler", "link_flow", "topology", "memory"):

@@ -136,6 +136,27 @@ class TestWindowedBasics:
         result = engine.run()
         assert [t.requests for t in result.threads] == [4, 1]
 
+    def test_batch_after_single_request_refused_by_name(self, sim):
+        def mixed(ctx):
+            yield ctx.read(0, 16)
+            yield [ctx.read(0x40, 16)]
+
+        engine = HostEngine(sim, window=2)
+        engine.add_thread(lambda ctx: batch_reads(ctx, 0x1000, 1, 2))
+        engine.add_thread(mixed)
+        with pytest.raises(HMCSimError, match="thread 1 yielded a batch after a single request"):
+            engine.run()
+
+    def test_single_request_after_batch_refused_by_name(self, sim):
+        def mixed(ctx):
+            yield [ctx.read(0, 16)]
+            yield ctx.read(0x40, 16)
+
+        engine = HostEngine(sim, window=2)
+        engine.add_thread(mixed)
+        with pytest.raises(HMCSimError, match="thread 0 yielded RequestPacket after a batch"):
+            engine.run()
+
     @pytest.mark.parametrize("machinery", ["watchdog", "oracle_sample", "recorder"])
     def test_batch_refused_beside_one_request_machinery(self, sim, machinery):
         engine = HostEngine(

@@ -81,6 +81,15 @@ class TestJournal:
         session.execute_next()  # last pending -> forced fence
         assert session.checkpointed_through == 3
 
+    def test_waited_submissions_fence_each_at_any_checkpoint_every(self, tmp_path):
+        # The journal drains after every waited submission, and a drained
+        # journal fences: N spaces fences only within a backlog.
+        session = make_session(tmp_path, checkpoint_every=5)
+        for _ in range(3):
+            seq = session.accept("workload", _mutex())
+            session.execute_next()
+            assert session.checkpointed_through == seq
+
     def test_failed_submission_does_not_kill_session(self, tmp_path):
         session = make_session(tmp_path)
         session.accept("workload", {"workload": "mutex", "params": {"threads": 2, "max_cycles": 1}})

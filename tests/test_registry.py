@@ -20,7 +20,7 @@ import pytest
 
 from repro.faults.registry import FAULTS, FaultKind
 from repro.hmc.components import COMPONENTS
-from repro.registry import Registry
+from repro.registry import Registry, _identity
 from repro.workloads.base import WorkloadFrontend
 from repro.workloads.registry import WORKLOADS
 
@@ -139,6 +139,29 @@ def test_concurrent_first_lookup_sees_the_whole_catalog(case, tmp_path, monkeypa
         thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in threads)
     assert seen == [True, True]
+
+
+def test_declared_key_answers_without_importing_the_catalog(case):
+    live, a, _ = case
+    registry = Registry(
+        live.noun, live.error, catalog=("_missing_catalog",),
+        declared={KEY: _identity(a)},
+    )
+    # The catalog module does not exist: importing it would raise.
+    assert registry.has(KEY)
+    assert registry.identity(KEY) == _identity(a)
+    assert "_missing_catalog" not in sys.modules
+
+
+def test_registration_must_match_its_declaration(case):
+    live, a, b = case
+    registry = Registry(live.noun, live.error, declared={KEY: _identity(a)})
+    with pytest.raises(registry.error, match="is declared as"):
+        registry.register(KEY, b)
+    registry.register(KEY, a)
+    # A replacement is the caller's choice, and the live entry answers.
+    registry.register(KEY, b, replace=True)
+    assert registry.identity(KEY) == _identity(b)
 
 
 @pytest.fixture
