@@ -23,7 +23,8 @@ datapath is bit-identical to the baseline — the paper's
 The controller also owns the bookkeeping the resilience layer shares:
 
 * ``counts`` — per-event fault counters, surfaced by ``HMCSim.stats()``
-  and sampled by :class:`repro.hmc.stats.SimSampler`;
+  and sampled, cumulative per kind, into
+  :attr:`repro.hmc.stats.SimSampler.fault_series`;
 * the *lost-tag* map — ``(cub, tag)`` pairs whose response a fault
   destroyed, to the fault kind that destroyed it, consulted by the
   :class:`~repro.faults.invariants.InvariantChecker` (a lost tag is

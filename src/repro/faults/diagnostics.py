@@ -109,14 +109,18 @@ def collect_deadlock_dump(
 
     occupancies: List[Tuple[str, int]] = []
     for device in sim.devices:
-        for q in device.xbar.rqst_queues + device.xbar.rsp_queues:
-            if len(q._q):
-                occupancies.append((q.name, len(q._q)))
-        for vault in device.vaults:
-            n = len(vault.rqst_queue._q)
+        # A vault's parked response is listed right after its queue.
+        parked = {
+            vault.rqst_queue: vault
+            for vault in device.vaults
+            if vault._pending_rsp is not None
+        }
+        for q in device.queues:
+            n = len(q._q)
             if n:
-                occupancies.append((vault.rqst_queue.name, n))
-            if vault._pending_rsp is not None:
+                occupancies.append((q.name, n))
+            vault = parked.get(q)
+            if vault is not None:
                 occupancies.append(
                     (f"dev{device.dev}.vault{vault.index}.pending_rsp", 1)
                 )

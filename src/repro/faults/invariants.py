@@ -33,7 +33,7 @@ the context and imports nothing from :mod:`repro.hmc`.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Set, Tuple
+from typing import Any, List, Set, Tuple
 
 from repro.errors import InvariantViolation
 from repro.hmc.packet import MAX_TAG
@@ -64,22 +64,14 @@ class InvariantChecker:
 
     # -- queue bounds ----------------------------------------------------------
 
-    def _iter_queues(self) -> Iterable[Any]:
-        for device in self.sim.devices:
-            for q in device.xbar.rqst_queues:
-                yield q
-            for q in device.xbar.rsp_queues:
-                yield q
-            for vault in device.vaults:
-                yield vault.rqst_queue
-
     def _check_queue_bounds(self, cycle: int) -> None:
-        for q in self._iter_queues():
-            if len(q._q) > q.depth:
-                raise InvariantViolation(
-                    f"queue-bound invariant violated at cycle {cycle}: "
-                    f"{q.name} holds {len(q._q)} entries, depth {q.depth}"
-                )
+        for device in self.sim.devices:
+            for q in device.queues:
+                if len(q._q) > q.depth:
+                    raise InvariantViolation(
+                        f"queue-bound invariant violated at cycle {cycle}: "
+                        f"{q.name} holds {len(q._q)} entries, depth {q.depth}"
+                    )
 
     def _check_queue_counters(self, cycle: int) -> None:
         """``pushes - pops == occupancy`` for every bounded queue.
@@ -90,14 +82,15 @@ class InvariantChecker:
         catches any path that removes an entry without booking the pop
         (or vice versa).
         """
-        for q in self._iter_queues():
-            if q.pushes - q.pops != len(q._q):
-                raise InvariantViolation(
-                    f"queue-counter invariant violated at cycle {cycle}: "
-                    f"{q.name} has pushes={q.pushes} pops={q.pops} but "
-                    f"holds {len(q._q)} entries "
-                    f"(drift {q.pushes - q.pops - len(q._q):+d})"
-                )
+        for device in self.sim.devices:
+            for q in device.queues:
+                if q.pushes - q.pops != len(q._q):
+                    raise InvariantViolation(
+                        f"queue-counter invariant violated at cycle {cycle}: "
+                        f"{q.name} has pushes={q.pushes} pops={q.pops} but "
+                        f"holds {len(q._q)} entries "
+                        f"(drift {q.pushes - q.pops - len(q._q):+d})"
+                    )
 
     # -- token conservation ----------------------------------------------------
 
@@ -135,21 +128,16 @@ class InvariantChecker:
             # flight table); such a model exposes a ``resolve_tag``
             # capability mapping a handle to its (cub, tag).
             resolve = getattr(device.xbar, "resolve_tag", None)
-            for q in device.xbar.rqst_queues:
-                for flight in q._q:
-                    if resolve is not None and isinstance(flight, int):
-                        present.add(resolve(flight))
+            for q in device.queues:
+                for entry in q._q:
+                    if resolve is not None and isinstance(entry, int):
+                        present.add(resolve(entry))
                     else:
-                        present.add((flight.pkt.cub, flight.pkt.tag))
-            for q in device.xbar.rsp_queues:
-                for rsp in q._q:
-                    present.add((rsp.cub, rsp.tag))
+                        # A request queue holds Flights, which carry
+                        # their packet; a response queue holds packets.
+                        pkt = getattr(entry, "pkt", entry)
+                        present.add((pkt.cub, pkt.tag))
             for vault in device.vaults:
-                for flight in vault.rqst_queue._q:
-                    if resolve is not None and isinstance(flight, int):
-                        present.add(resolve(flight))
-                    else:
-                        present.add((flight.pkt.cub, flight.pkt.tag))
                 if vault._pending_rsp is not None:
                     _flight, rsp = vault._pending_rsp
                     present.add((rsp.cub, rsp.tag))

@@ -113,16 +113,17 @@ class CrossbarModel(Stateful, ABC):
 
     Connects a device's links to its vaults through per-link request
     and response queues.  The contract is what
-    :class:`repro.hmc.device.Device` uses, and half of it is state:
+    :class:`repro.hmc.device.Device` uses, and most of it is state:
     the device moves queue entries itself, a run at a time, so a model
-    owns the four attributes below, the two cold entry points and two
-    statistics.  There is no pop-side method: nothing would call it.
+    owns the four attributes below and the two cold entry points.
+    There is no pop-side method: nothing would call it.
 
     Factory signature: ``factory(config, dev) -> CrossbarModel``.
     """
 
     #: One :class:`~repro.hmc.queue.StallQueue` per link, each way;
-    #: their ``depth`` is the capacity model.
+    #: their ``depth`` is the capacity model.  The device lists them
+    #: once, at construction (``Device.queues``): never replace them.
     rqst_queues: List[Any]
     rsp_queues: List[Any]
     #: O(1) entry counts over those lists: the device adjusts them per
@@ -139,14 +140,6 @@ class CrossbarModel(Stateful, ABC):
     def push_response(self, link: int, rsp: Any) -> bool:
         """Push a vault's parked response toward its source link and
         count it in ``rsp_occ``; False on stall."""
-
-    @abstractmethod
-    def total_stalls(self) -> int:
-        """Stall count across all crossbar queues."""
-
-    @abstractmethod
-    def occupancy(self) -> int:
-        """Entries currently queued across all crossbar queues."""
 
 
 class VaultScheduler(Stateful, ABC):

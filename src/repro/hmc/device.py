@@ -20,7 +20,7 @@ Algorithm 1 fast path cost MIN_CYCLE = 6:
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Set
+from typing import TYPE_CHECKING, List, Set
 
 from repro.faults.controller import FATE_DROP, FATE_DUP
 from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST
@@ -30,6 +30,7 @@ from repro.hmc.config import HMCConfig
 from repro.hmc.link import Link
 from repro.hmc.memory import MemoryView
 from repro.hmc.packet import RequestPacket
+from repro.hmc.queue import StallQueue
 from repro.hmc.registers import RegisterFile
 from repro.hmc.trace import TraceLevel
 from repro.hmc.vault import Vault
@@ -87,6 +88,16 @@ class Device(Stateful):
             for v in range(config.num_vaults)
         ]
         self.registers = RegisterFile(config, dev)
+        #: Every bounded queue of this device, listed once: crossbar
+        #: request queues, crossbar response queues, then each vault's
+        #: request queue.  ``HMCSim.stats()``, the invariant checker,
+        #: deadlock dumps and ``SimSampler`` all read this list, in
+        #: this order; nothing reassigns the parts' queue lists.
+        self.queues: List[StallQueue] = [
+            *self.xbar.rqst_queues,
+            *self.xbar.rsp_queues,
+            *(vault.rqst_queue for vault in self.vaults),
+        ]
         self._mem: MemoryView = sim.backend.view(
             dev * config.capacity_bytes, config.capacity_bytes
         )
@@ -513,25 +524,3 @@ class Device(Stateful):
             if moved:
                 queue.pops += moved
                 xbar.rqst_occ -= moved
-
-    # -- statistics ------------------------------------------------------------
-
-    def queue_stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-queue stall/occupancy statistics for this device."""
-        stats: Dict[str, Dict[str, int]] = {}
-        for q in self.xbar.rqst_queues + self.xbar.rsp_queues:
-            stats[q.name] = {
-                "pushes": q.pushes,
-                "pops": q.pops,
-                "stalls": q.stalls,
-                "high_water": q.high_water,
-            }
-        for v in self.vaults:
-            q = v.rqst_queue
-            stats[q.name] = {
-                "pushes": q.pushes,
-                "pops": q.pops,
-                "stalls": q.stalls,
-                "high_water": q.high_water,
-            }
-        return stats

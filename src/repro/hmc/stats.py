@@ -19,6 +19,10 @@ from repro.hmc.sim import HMCSim
 
 __all__ = ["OccupancySeries", "SimSampler"]
 
+#: How a vault's request queue name ends (``dev0.vault3.rqst``); the
+#: crossbar's end ``xbar_rqst`` / ``xbar_rsp``.
+_VAULT_QUEUE = ".rqst"
+
 
 @dataclass
 class OccupancySeries:
@@ -64,8 +68,13 @@ class SimSampler:
         self.sim = sim
         self.interval = interval
         self.cycles_sampled = 0
-        self._vault_series: Dict[str, OccupancySeries] = {}
-        self._xbar_series: Dict[str, OccupancySeries] = {}
+        #: One series per device queue, in ``Device.queues`` order; a
+        #: vault's request queue is labelled by its vault.
+        self._queues = [
+            (q, OccupancySeries(q.name.removesuffix(_VAULT_QUEUE)))
+            for device in sim.devices
+            for q in device.queues
+        ]
         #: Cumulative fault counters per kind (only when a fault plan
         #: is attached); a series' growth locates fault bursts in time.
         self._fault_series: Dict[str, OccupancySeries] = {}
@@ -73,41 +82,25 @@ class SimSampler:
         self._last_cycle: Optional[int] = None
         self._flits_at_start: Optional[int] = None
 
-    def _series(self, table: Dict[str, OccupancySeries], name: str) -> OccupancySeries:
-        s = table.get(name)
-        if s is None:
-            s = OccupancySeries(name)
-            table[name] = s
-        return s
-
     def tick(self) -> None:
         """Take one sample if the cadence allows."""
         cycle = self.sim.cycle
         if self._first_cycle is None:
             self._first_cycle = cycle
-            self._flits_at_start = self._total_flits()
+            self._flits_at_start = self.sim.link_flits()
         if cycle % self.interval != 0:
             return
         self._last_cycle = cycle
         self.cycles_sampled += 1
-        for device in self.sim.devices:
-            for vault in device.vaults:
-                self._series(
-                    self._vault_series, f"dev{device.dev}.vault{vault.index}"
-                ).samples.append(len(vault.rqst_queue))
-            for q in device.xbar.rqst_queues + device.xbar.rsp_queues:
-                self._series(self._xbar_series, q.name).samples.append(len(q))
+        for q, series in self._queues:
+            series.samples.append(len(q._q))
         faults = self.sim.faults
         if faults is not None:
+            table = self._fault_series
             for kind, count in faults.counters().items():
-                self._series(self._fault_series, kind).samples.append(count)
-
-    def _total_flits(self) -> int:
-        return sum(
-            link.flits_in + link.flits_out
-            for device in self.sim.devices
-            for link in device.links
-        )
+                if kind not in table:
+                    table[kind] = OccupancySeries(kind)
+                table[kind].samples.append(count)
 
     def run_sampled(self, cycles: int) -> None:
         """Clock the context ``cycles`` times, sampling after each."""
@@ -117,15 +110,22 @@ class SimSampler:
 
     # -- results ---------------------------------------------------------------
 
+    def _table(self, vaults: bool) -> Dict[str, OccupancySeries]:
+        return {
+            series.name: series
+            for q, series in self._queues
+            if self.cycles_sampled and q.name.endswith(_VAULT_QUEUE) == vaults
+        }
+
     @property
     def vault_series(self) -> Dict[str, OccupancySeries]:
         """Per-vault request-queue occupancy series."""
-        return self._vault_series
+        return self._table(vaults=True)
 
     @property
     def xbar_series(self) -> Dict[str, OccupancySeries]:
         """Per-crossbar-queue occupancy series."""
-        return self._xbar_series
+        return self._table(vaults=False)
 
     @property
     def fault_series(self) -> Dict[str, OccupancySeries]:
@@ -136,18 +136,14 @@ class SimSampler:
     def hottest_vaults(self, n: int = 5) -> List[OccupancySeries]:
         """The ``n`` vaults with the highest peak occupancy."""
         return sorted(
-            self._vault_series.values(), key=lambda s: s.peak, reverse=True
+            self.vault_series.values(), key=lambda s: s.peak, reverse=True
         )[:n]
 
     def link_bandwidth(self) -> float:
         """Delivered FLITs per cycle across all links since sampling began."""
-        if (
-            self._first_cycle is None
-            or self._last_cycle is None
-            or self._last_cycle == self._first_cycle
-        ):
+        if self._last_cycle is None or self._last_cycle == self._first_cycle:
             return 0.0
-        moved = self._total_flits() - (self._flits_at_start or 0)
+        moved = self.sim.link_flits() - (self._flits_at_start or 0)
         return moved / (self._last_cycle - self._first_cycle)
 
     def report(self) -> str:
@@ -166,7 +162,7 @@ class SimSampler:
                 )
             )
         busiest_xbar = sorted(
-            self._xbar_series.values(), key=lambda s: s.peak, reverse=True
+            self.xbar_series.values(), key=lambda s: s.peak, reverse=True
         )[:2]
         if busiest_xbar:
             lines.append(

@@ -125,18 +125,6 @@ class XBar(CrossbarModel):
         self.rsp_occ += 1
         return True
 
-    # -- statistics -----------------------------------------------------------
-
-    def total_stalls(self) -> int:
-        """Stall count across all crossbar queues."""
-        return sum(q.stalls for q in self.rqst_queues) + sum(
-            q.stalls for q in self.rsp_queues
-        )
-
-    def occupancy(self) -> int:
-        """Entries currently queued across all crossbar queues."""
-        return self.rqst_occ + self.rsp_occ
-
 
 #: Queue depth used by the ideal crossbar: deep enough that no workload
 #: ever fills it, so inject/push_response never stall.

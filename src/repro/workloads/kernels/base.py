@@ -1,6 +1,6 @@
 """What the kernel frontends share.
 
-The parameter domains every kernel bounds, two readers of device state,
+The parameter domains every kernel bounds, a reader of returned words,
 the :class:`KernelWorkload` shape, the :class:`WaveWorkload` shape of
 the level-synchronous kernels, and :func:`register_kernel`.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "NON_NEGATIVE",
     "COMMON",
     "u64_at",
-    "link_flits",
     "KernelWorkload",
     "WaveWorkload",
     "register_kernel",
@@ -38,13 +37,6 @@ COMMON = {"threads": (1, MAX_TAG + 1), "max_cycles": POSITIVE}
 def u64_at(data: bytes, slot: int) -> int:
     """The low word of the ``slot``-th 16-byte block of ``data``."""
     return int.from_bytes(data[slot * 16 : slot * 16 + 8], "little")
-
-
-def link_flits(sim: HMCSim) -> int:
-    """Request+response FLITs moved across every link so far."""
-    return sum(
-        link.flits_in + link.flits_out for d in sim.devices for link in d.links
-    )
 
 
 class KernelWorkload(WorkloadFrontend):

@@ -11,7 +11,6 @@ from repro.workloads.kernels.base import (
     NON_NEGATIVE,
     POSITIVE,
     WaveWorkload,
-    link_flits,
     register_kernel,
     u64_at,
 )
@@ -105,7 +104,7 @@ class BFSWorkload(WaveWorkload):
             levels=max(levels.values()),
             cycles=sim.cycle - start,
             requests=requests,
-            flits=link_flits(sim),
+            flits=sim.link_flits(),
             verified=self.verify(sim, p, None),
         )
 

@@ -12,7 +12,6 @@ from repro.workloads.kernels.base import (
     COMMON,
     POSITIVE,
     KernelWorkload,
-    link_flits,
     register_kernel,
     u64_at,
 )
@@ -88,7 +87,7 @@ class HistogramWorkload(KernelWorkload):
 
     def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
         lost = self._lost_updates(sim, params)
-        flits = link_flits(sim)
+        flits = sim.link_flits()
         n = params["threads"] * params["samples_per_thread"]
         return histogram.HistogramStats(
             config_name=sim.config.describe(),

@@ -258,6 +258,7 @@ REBUILT: Dict[type, Dict[str, str]] = {
         "_quads_of_links": _DERIVED,
         "_send_hook": "a capability of the configured crossbar",
         "_cycle_hook": "a capability of the configured crossbar",
+        "queues": "a list of the parts' queues, which the parts checkpoint",
     },
     Link: {"link_id": _DERIVED, "quad": _DERIVED},
     XBar: {"config": _CONFIG, "dev": _DERIVED, "rqst_occ": _QUIESCED, "rsp_occ": _QUIESCED},

@@ -3,9 +3,11 @@ queue capacity semantics, and error responses."""
 
 import pytest
 
-from repro.errors import HMCStatus
+from repro.errors import ComponentError, HMCStatus
 from repro.hmc.commands import hmc_response_t, hmc_rqst_t
+from repro.hmc.components import COMPONENTS
 from repro.hmc.config import HMCConfig
+from repro.hmc.queue import StallQueue
 from repro.hmc.sim import HMCSim
 from repro.hmc.vault import ERRSTAT_ADDRESS, ERRSTAT_CMC_INACTIVE
 
@@ -213,3 +215,31 @@ class TestDrainAndStats:
         dev0 = stats["devices"]["dev0"]
         assert dev0["retired_rsps"] == 1
         assert any(q["pushes"] for q in dev0["queues"].values())
+
+    @pytest.mark.parametrize("key", COMPONENTS["xbar"].keys())
+    def test_queue_list_is_every_declared_queue(self, key):
+        """``Device.queues`` is every StallQueue reachable through the
+        parts' PARTS declarations, in walk order, so a queue a part
+        declares is never missed by stats(), the invariant checker,
+        deadlock dumps or SimSampler."""
+
+        def walk(part):
+            if isinstance(part, StallQueue):
+                yield part
+                return
+            for name in getattr(part, "PARTS", ()):
+                sub = getattr(part, name)
+                for p in sub if isinstance(sub, list) else [sub]:
+                    if p is not None:
+                        yield from walk(p)
+
+        try:
+            sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar=key, num_devs=2))
+        except ComponentError as exc:
+            if "numpy" in str(exc):
+                pytest.skip(str(exc))
+            raise
+        for device in sim.devices:
+            walked = list(walk(device))
+            assert [q.name for q in device.queues] == [q.name for q in walked]
+            assert all(a is b for a, b in zip(device.queues, walked))

@@ -64,7 +64,18 @@ class TestExamples:
     def test_device_telemetry(self):
         out = run_example("device_telemetry.py")
         assert "saturated" in out
-        assert "hottest vault queues" in out
+        # The sampled block is deterministic: pinned line for line.
+        block = out[out.index("--- sampled telemetry") :].splitlines()
+        assert block == [
+            "--- sampled telemetry at 20 req/cycle offered ---",
+            "sampled 256 points over cycles 1..256",
+            "delivered link bandwidth: 51.87 FLITs/cycle",
+            "hottest vault queues: dev0.vault29 (peak 64, mean 18.9), "
+            "dev0.vault30 (peak 64, mean 19.5), "
+            "dev0.vault31 (peak 64, mean 19.1)",
+            "busiest crossbar queues: dev0.link0.xbar_rsp (peak 128), "
+            "dev0.link1.xbar_rsp (peak 128)",
+        ]
 
     def test_every_example_has_a_smoke_test(self):
         scripts = {p.name for p in EXAMPLES.glob("*.py")}
