@@ -1,13 +1,17 @@
-"""Workload kernels.
+"""Workload kernels, one module each.
 
-These modules hold each kernel's thread programs, data generators
-(update streams, chains, graphs, host-side references), and stats
-dataclass — nothing here builds a simulation context or an engine.
-A kernel is *run* by name through the workload registry
-(:data:`repro.workloads.registry.WORKLOADS` — see
-:mod:`repro.workloads`), whose frontends state the parameter set,
-device preparation, thread fan-out, and verification of each kernel
-exactly once.
+Each module is the one statement of its kernel: the thread programs,
+the data generators (update streams, chains, graphs, host-side
+references), the stats dataclass, and the workload frontend behind the
+:class:`~repro.workloads.base.WorkloadFrontend` seam — the parameter
+set and its valid ranges, the initial device state (``prepare``), the
+thread fan-out (``build``), the check of the answer (``verify``) and
+the stats built from the engine result (``stats``).  A kernel is *run*
+by name through the workload registry
+(:data:`repro.workloads.registry.WORKLOADS`), whose catalog lists these
+modules in order and stops at the key, so resolving one name imports
+one kernel.  Each frontend registers itself; no other module may import
+one (workload-containment lint) — resolve it by name.
 
 * :mod:`repro.host.kernels.mutex_kernel` — the paper's Algorithm 1
   (the §V evaluation workload).
@@ -28,9 +32,10 @@ exactly once.
 * :mod:`repro.host.kernels.barrier` — a sense-reversing barrier
   composed from CMC operations.
 * :mod:`repro.host.kernels.sssp` — single-source shortest paths with
-  CAS-offloaded relaxations versus a host-side baseline.
+  atomic-min (CMC07) relaxations versus a host-side baseline.
+
+:mod:`repro.host.kernels.base` holds what the frontends share: the
+parameter domains, :class:`~repro.host.kernels.base.KernelWorkload`
+and the multi-phase :class:`~repro.host.kernels.base.WaveWorkload`
+(BFS, SSSP).
 """
-
-from repro.host.kernels.mutex_kernel import MutexRunStats, mutex_program
-
-__all__ = ["mutex_program", "MutexRunStats"]

@@ -19,12 +19,22 @@ every thread has finished round ``r``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Any, Dict, List
 
-from repro.hmc.commands import hmc_rqst_t
+from repro.hmc.commands import MAX_TAG, hmc_rqst_t
+from repro.hmc.config import HMCConfig
+from repro.hmc.sim import HMCSim
+from repro.host.kernels.base import (
+    COMMON,
+    NON_NEGATIVE,
+    POSITIVE,
+    KernelWorkload,
+    register_kernel,
+)
 from repro.host.thread import Program, ThreadCtx
+from repro.workloads.base import Footprint, ProgramFactory
 
-__all__ = ["barrier_program", "check_order", "BarrierStats"]
+__all__ = ["barrier_program", "check_order", "BarrierStats", "BarrierWorkload"]
 
 _M64 = (1 << 64) - 1
 
@@ -91,3 +101,65 @@ def check_order(log: List, num_threads: int, rounds: int) -> bool:
         if exit_counts[r] > num_threads:
             return False
     return all(c == num_threads for c in exit_counts)
+
+
+@register_kernel
+class BarrierWorkload(KernelWorkload):
+    """Sense-reversing barrier over the fadd64 CMC op."""
+
+    name = "barrier"
+    description = "sense-reversing barrier (CMC04 fadd64 arrival counter)"
+    param_domains = {
+        **COMMON,
+        "threads": (2, MAX_TAG + 1),  # a barrier of one never waits
+        "rounds": POSITIVE,
+        "addr": NON_NEGATIVE,
+    }
+
+    def default_params(self) -> Dict[str, Any]:
+        return {
+            "threads": 8,
+            "rounds": 4,
+            "addr": 0x0,
+            "max_cycles": 2_000_000,
+        }
+
+    def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
+        if sim.cmc.lookup(4) is None:
+            sim.load_cmc("repro.cmc_ops.fadd64")
+        sim.mem_write(params["addr"], bytes(16))
+
+    def build(self, sim: HMCSim, params: Dict[str, Any]) -> List[ProgramFactory]:
+        addr, threads, rounds = params["addr"], params["threads"], params["rounds"]
+        self._log: List = []
+        log = self._log
+        return [
+            lambda ctx: barrier_program(ctx, addr, threads, rounds, log)
+            for _ in range(threads)
+        ]
+
+    def footprint(self, config: HMCConfig, params: Dict[str, Any]) -> Footprint:
+        return ((params["addr"], 16),)
+
+    def verify(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        log = getattr(self, "_log", None)
+        if log is None:
+            return None
+        return check_order(log, params["threads"], params["rounds"])
+
+    def stats(self, sim: HMCSim, params: Dict[str, Any], result: Any):
+        return BarrierStats(
+            config_name=sim.config.describe(),
+            threads=params["threads"],
+            rounds=params["rounds"],
+            total_cycles=result.total_cycles,
+            cycles_per_round=result.total_cycles / params["rounds"],
+            order_correct=self.verify(sim, params, result),
+        )
+
+    def format_stats(self, s, fault_plan=None) -> str:
+        return (
+            f"{s.config_name} barrier x{s.threads}: {s.rounds} rounds, "
+            f"{s.total_cycles} cycles ({s.cycles_per_round:.1f}/round), "
+            f"order={'ok' if s.order_correct else 'BROKEN'}"
+        )

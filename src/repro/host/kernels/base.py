@@ -27,8 +27,9 @@ __all__ = [
     "register_kernel",
 ]
 
-#: Shared parameter domains.  Every kernel bounds its deadlock guard
-#: and its thread count: the engine's 11-bit tag space ends at 2048.
+#: Shared parameter domains.  A multi-threaded kernel bounds its
+#: deadlock guard and its thread count: the engine's 11-bit tag space
+#: ends at 2048.
 POSITIVE = (1, None)
 NON_NEGATIVE = (0, None)
 COMMON = {"threads": (1, MAX_TAG + 1), "max_cycles": POSITIVE}

@@ -19,7 +19,7 @@ on-disk result cache underneath:
 The engine is kernel-agnostic: any future sweep (block-size,
 latency-load, window-scaling) parallelizes by giving its workload
 frontend a ``task_spec`` — see the ``mutex`` frontend in
-:mod:`repro.workloads.kernels.mutex` for the pattern; workers execute every
+:mod:`repro.host.kernels.mutex_kernel` for the pattern; workers execute every
 such spec through :func:`repro.workloads.registry.run_spec`.
 """
 

@@ -12,8 +12,9 @@ does not pull in the kernel catalog until the first lookup):
   single driver (resolve params → context → ``prepare`` → engine →
   ``build`` → run → ``finish`` → ``stats``).
 - :mod:`repro.workloads.registry` — the string-keyed registry.
-- :mod:`repro.workloads.kernels` — the nine kernels as native
-  frontends, one module each (a lookup imports only the one it names).
+- :mod:`repro.host.kernels` — the nine kernels, one module each with
+  its programs, stats and frontend (a lookup imports only the one it
+  names).
 - :mod:`repro.workloads.tracefmt` — the versioned JSONL trace format.
 - :mod:`repro.workloads.replay` — trace record/replay.
 - :mod:`repro.workloads.graph` — the task-graph runtime.

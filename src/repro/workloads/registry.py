@@ -6,10 +6,12 @@
 instance* per call, so frontends may keep per-run state (a loaded
 trace, a built graph) without leaking it across runs.  The built-ins
 register themselves with :func:`register_workload` in the modules that
-define them, which are the registry's catalog: a lookup imports them in
-order until its name is registered (``mutex`` first, the one every sweep
-and the ``kernel mutex`` CLI resolve), so importing this module stays
-cheap and cycle-free and one name imports one kernel frontend.
+define them (the nine kernel modules of :mod:`repro.host.kernels`, then
+replay and the task graphs), which are the registry's catalog: a lookup
+imports them in order until its name is registered (``mutex`` first,
+the one every sweep and the ``kernel mutex`` CLI resolve), so importing
+this module stays cheap and cycle-free and one name imports one kernel
+module.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ WORKLOADS: Registry[Type[WorkloadFrontend]] = Registry(
     WorkloadError,
     catalog=(
         *(
-            f"repro.workloads.kernels.{kernel}"
+            f"repro.host.kernels.{kernel}"
             for kernel in (
-                "mutex", "ticket", "stream", "gups", "histogram",
+                "mutex_kernel", "ticket_kernel", "stream", "gups", "histogram",
                 "pointer_chase", "barrier", "bfs", "sssp",
             )
         ),

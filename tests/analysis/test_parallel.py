@@ -158,7 +158,7 @@ class TestTaskSpecs:
     def test_repointing_the_registry_name_changes_the_key(self):
         # No-alias: the cache key must track the implementation behind
         # the registry name, not the name alone.
-        from repro.workloads.kernels.mutex import MutexWorkload
+        from repro.host.kernels.mutex_kernel import MutexWorkload
         from repro.workloads.registry import register_workload
 
         spec = mutex_spec(HMCConfig.cfg_4link_4gb(), 2)

@@ -126,11 +126,13 @@ def test_workload_classes_are_contained() -> None:
 
 
 def test_workload_containment_flags_a_planted_violation(tmp_path: Path) -> None:
-    """A module naming a concrete frontend class is caught."""
+    """A module naming a concrete frontend class is caught; the stats
+    class defined beside it is not."""
     lint = _load_lint()
     bad = tmp_path / "rogue.py"
     bad.write_text(
-        "from repro.workloads.kernels.mutex import MutexWorkload\n"
+        "from repro.host.kernels.mutex_kernel import MutexWorkload\n"
+        "from repro.host.kernels.mutex_kernel import MutexRunStats\n"
         "from repro.workloads.graph import CounterGraphWorkload, TaskGraph\n"
         "from repro.workloads.registry import WORKLOADS  # the seam: allowed\n"
     )
@@ -139,13 +141,14 @@ def test_workload_containment_flags_a_planted_violation(tmp_path: Path) -> None:
     assert any("MutexWorkload" in d for d in diags)
     assert any("CounterGraphWorkload" in d for d in diags)
     assert not any("TaskGraph" in d for d in diags)
+    assert not any("MutexRunStats" in d for d in diags)
 
 
 def test_workload_containment_exempts_the_catalog(tmp_path: Path) -> None:
     """The allow-list actually exempts the composition root."""
     lint = _load_lint()
     allowed = tmp_path / "catalog.py"
-    allowed.write_text("from repro.workloads.kernels.mutex import MutexWorkload\n")
+    allowed.write_text("from repro.host.kernels.mutex_kernel import MutexWorkload\n")
     diags = lint.contain("workload", scope=(tmp_path,), allowed=(allowed,))
     assert diags == []
 

@@ -173,6 +173,18 @@ def test_bad_parameter_is_a_workload_error_naming_it(name, params, message):
         frontend.run(HMCConfig.cfg_4link_4gb(), params)
 
 
+def test_every_domain_bounds_a_parameter_the_workload_takes():
+    # A domain on a name the workload does not take bounds nothing, and
+    # run() refuses that name as unknown.
+    stray = {}
+    for name in WORKLOADS.keys():
+        frontend = WORKLOADS.get(name)
+        extra = set(frontend.param_domains) - set(frontend.default_params())
+        if extra:
+            stray[name] = sorted(extra)
+    assert stray == {}
+
+
 def test_unset_optional_and_numeric_widening_are_accepted():
     assert WORKLOADS.get("mutex").resolve_params({"oracle_sample": None})
     assert WORKLOADS.get("stream").resolve_params({"q": 2})["q"] == 2
