@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Dict, Tuple
 from repro.errors import FaultError
 from repro.faults.registry import FAULTS
 from repro.hmc.components import Stateful
+from repro.hmc.device import FATE_DELIVER, FATE_DROP, FATE_DUP
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
@@ -56,11 +57,6 @@ __all__ = [
     "FATE_DROP",
     "FATE_DUP",
 ]
-
-#: Response fates returned by :meth:`FaultController.response_fate`.
-FATE_DELIVER = 0
-FATE_DROP = 1
-FATE_DUP = 2
 
 #: Sites an injector may occupy (class attribute ``site`` on injectors).
 _SITES = ("dram", "vault", "rsp_drop", "rsp_dup", "cmc", "link")

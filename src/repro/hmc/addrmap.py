@@ -65,15 +65,18 @@ class AddressMap:
 
     def __init__(self, config: HMCConfig):
         self.config = config
-        self._boff_bits = _log2(config.bsize)
-        self._vault_bits = _log2(config.num_vaults)
-        self._bank_bits = _log2(config.num_banks)
-        self._vault_first = config.addr_interleave == "vault"
-        self._dev_bits = max(0, (config.num_devs - 1).bit_length())
-        cap_bits = _log2(config.capacity_bytes)
-        self._row_lo = self._boff_bits + self._vault_bits + self._bank_bits
-        self._row_bits = cap_bits - self._row_lo
-        if self._row_bits < 0:
+        boff_bits = _log2(config.bsize)
+        vault_bits = _log2(config.num_vaults)
+        bank_bits = _log2(config.num_banks)
+        # The interleave, decided once: the low bits of each field.
+        if config.addr_interleave == "vault":
+            self.vault_lo, self.bank_lo = boff_bits, boff_bits + vault_bits
+        else:
+            self.bank_lo, self.vault_lo = boff_bits, boff_bits + bank_bits
+        self.row_lo = boff_bits + vault_bits + bank_bits
+        #: Number of row-address bits per bank.
+        self.row_bits = _log2(config.capacity_bytes) - self.row_lo
+        if self.row_bits < 0:
             raise HMCAddressError(
                 f"capacity {config.capacity} GB too small for "
                 f"{config.num_vaults} vaults x {config.num_banks} banks "
@@ -81,7 +84,8 @@ class AddressMap:
             )
         # DRAM die select: the top bits of the row are attributed to the
         # stacked die, mirroring how HMC-Sim reports DRAM coordinates.
-        self._dram_bits = min(self._row_bits, (config.num_drams - 1).bit_length())
+        dram_bits = min(self.row_bits, (config.num_drams - 1).bit_length())
+        self._dram_shift = self.row_bits - dram_bits
 
     # -- forward ------------------------------------------------------------
 
@@ -97,32 +101,17 @@ class AddressMap:
                 f"address {addr:#x} outside capacity "
                 f"({cfg.num_devs} x {cfg.capacity} GB)"
             )
-        a = addr
-        offset = a & (cfg.bsize - 1)
-        a >>= self._boff_bits
-        if self._vault_first:
-            vault = a & (cfg.num_vaults - 1)
-            a >>= self._vault_bits
-            bank = a & (cfg.num_banks - 1)
-            a >>= self._bank_bits
-        else:
-            bank = a & (cfg.num_banks - 1)
-            a >>= self._bank_bits
-            vault = a & (cfg.num_vaults - 1)
-            a >>= self._vault_bits
-        row = a & ((1 << self._row_bits) - 1)
-        a >>= self._row_bits
-        dev = a
-        dram = (row >> max(0, self._row_bits - self._dram_bits)) % cfg.num_drams
+        vault = self.vault_of(addr)
+        row = (addr >> self.row_lo) & ((1 << self.row_bits) - 1)
         return DecodedAddress(
             addr=addr,
-            dev=dev,
+            dev=self.dev_of(addr),
             quad=cfg.quad_of_vault(vault),
             vault=vault,
-            bank=bank,
-            dram=dram,
+            bank=self.bank_of(addr),
+            dram=(row >> self._dram_shift) % cfg.num_drams,
             row=row,
-            offset=offset,
+            offset=addr & (cfg.bsize - 1),
         )
 
     # -- inverse ------------------------------------------------------------
@@ -140,32 +129,27 @@ class AddressMap:
             raise HMCAddressError(f"vault {vault} out of range")
         if not 0 <= bank < cfg.num_banks:
             raise HMCAddressError(f"bank {bank} out of range")
-        if not 0 <= row < (1 << self._row_bits):
+        if not 0 <= row < (1 << self.row_bits):
             raise HMCAddressError(f"row {row} out of range")
         if not 0 <= offset < cfg.bsize:
             raise HMCAddressError(f"offset {offset} out of range")
         if not 0 <= dev < cfg.num_devs:
             raise HMCAddressError(f"dev {dev} out of range")
-        a = dev
-        a = (a << self._row_bits) | row
-        if self._vault_first:
-            a = (a << self._bank_bits) | bank
-            a = (a << self._vault_bits) | vault
-        else:
-            a = (a << self._vault_bits) | vault
-            a = (a << self._bank_bits) | bank
-        a = (a << self._boff_bits) | offset
-        return a
+        return (
+            dev * cfg.capacity_bytes
+            | row << self.row_lo
+            | bank << self.bank_lo
+            | vault << self.vault_lo
+            | offset
+        )
 
     def vault_of(self, addr: int) -> int:
         """Fast path: just the vault index of ``addr``."""
-        lo = self._boff_bits if self._vault_first else self._boff_bits + self._bank_bits
-        return (addr >> lo) & (self.config.num_vaults - 1)
+        return (addr >> self.vault_lo) & (self.config.num_vaults - 1)
 
     def bank_of(self, addr: int) -> int:
         """Fast path: just the bank index of ``addr``."""
-        lo = self._boff_bits + self._vault_bits if self._vault_first else self._boff_bits
-        return (addr >> lo) & (self.config.num_banks - 1)
+        return (addr >> self.bank_lo) & (self.config.num_banks - 1)
 
     def dev_of(self, addr: int) -> int:
         """Fast path: the cube (device) index of ``addr``."""
@@ -184,25 +168,14 @@ class AddressMap:
         reproduce :meth:`vault_of`, :meth:`bank_of` and :meth:`decode`'s row.
         """
         cfg = self.config
-        if self._vault_first:
-            vault_lo = self._boff_bits
-            bank_lo = self._boff_bits + self._vault_bits
-        else:
-            bank_lo = self._boff_bits
-            vault_lo = self._boff_bits + self._bank_bits
         return (
-            vault_lo,
+            self.vault_lo,
             cfg.num_vaults - 1,
-            bank_lo,
+            self.bank_lo,
             cfg.num_banks - 1,
-            self._row_lo,
-            (1 << self._row_bits) - 1,
+            self.row_lo,
+            (1 << self.row_bits) - 1,
         )
-
-    @property
-    def row_bits(self) -> int:
-        """Number of row-address bits per bank."""
-        return self._row_bits
 
     def coordinates(self, addr: int) -> Tuple[int, int, int, int]:
         """(dev, quad, vault, bank) of ``addr`` without full decode cost."""

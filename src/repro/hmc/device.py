@@ -22,7 +22,6 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, List, Set
 
-from repro.faults.controller import FATE_DROP, FATE_DUP
 from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST
 from repro.hmc.components import CrossbarModel, Stateful
 from repro.hmc.composition import build_vault_scheduler, build_xbar
@@ -40,7 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hmc.addrmap import AddressMap
     from repro.hmc.sim import HMCSim
 
-__all__ = ["Device"]
+__all__ = ["Device", "FATE_DELIVER", "FATE_DROP", "FATE_DUP"]
+
+#: What the crossbar retire port does with a response, as decided by
+#: :meth:`repro.faults.controller.FaultController.response_fate`.
+FATE_DELIVER = 0
+FATE_DROP = 1
+FATE_DUP = 2
 
 _T_CMD = int(TraceLevel.CMD)
 _T_LATENCY = int(TraceLevel.LATENCY)

@@ -7,46 +7,13 @@ words; the head is the low 64 bits of the first FLIT and the tail the
 high 64 bits of the last FLIT, leaving ``(L-1) * 16`` bytes of data
 payload in between.
 
-Field layout (HMC-Sim 2.0 conventions for the 2.0/2.1 specification):
-
-Request head::
-
-    [6:0]   CMD   request command
-    [11:7]  LNG   packet length in FLITs (includes head+tail)
-    [22:12] TAG   host-assigned tag echoed in the response
-    [57:24] ADRS  34-bit target byte address
-    [60:58] RES   reserved
-    [63:61] CUB   target cube id (device routing)
-
-Request tail::
-
-    [8:0]   RRP   return retry pointer
-    [17:9]  FRP   forward retry pointer
-    [20:18] SEQ   sequence number
-    [21]    Pb    poison bit
-    [24:22] SLID  source link id
-    [28:25] RES   reserved
-    [31:29] RTC   return token count
-    [63:32] CRC   Koopman CRC-32 over the packet
-
-Response head::
-
-    [6:0]   CMD   response command
-    [11:7]  LNG   packet length in FLITs
-    [22:12] TAG   echoed request tag
-    [25:23] SLID  source link id (for host-side routing)
-    [60:26] RES   reserved
-    [63:61] CUB   originating cube id
-
-Response tail::
-
-    [8:0]   RRP
-    [17:9]  FRP
-    [20:18] SEQ
-    [21]    DINV  data-invalid (CRC failure) flag
-    [28:22] ERRSTAT  7-bit error status
-    [31:29] RTC
-    [63:32] CRC
+The field layout (HMC-Sim 2.0 conventions for the 2.0/2.1
+specification) is stated once, as one ``(field, lo, width)`` table per
+wire word: :data:`RQST_HEAD`, :data:`RQST_TAIL`, :data:`RSP_HEAD` and
+:data:`RSP_TAIL`.  Two fields are derived rather than stored: LNG
+(:data:`LNG_BITS`, head ``[11:7]``, the packet length in FLITs) and CRC
+(:data:`CRC_BITS`, tail ``[63:32]``, Koopman CRC-32 over the packet).
+Bits no table names are reserved and encode as zero.
 """
 
 from __future__ import annotations
@@ -54,6 +21,7 @@ from __future__ import annotations
 import base64
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HMCPacketError
@@ -71,6 +39,12 @@ from repro.hmc.commands import (
 __all__ = [
     "RequestPacket",
     "ResponsePacket",
+    "RQST_HEAD",
+    "RQST_TAIL",
+    "RSP_HEAD",
+    "RSP_TAIL",
+    "LNG_BITS",
+    "CRC_BITS",
     "pack_data",
     "unpack_data",
     "field_get",
@@ -88,6 +62,50 @@ _U64 = (1 << 64) - 1
 MAX_CUB = (1 << 3) - 1
 #: Mask for the 34-bit ADRS field.
 ADDR_MASK = (1 << 34) - 1
+
+Layout = Tuple[Tuple[str, int, int], ...]
+#: (head, data words, CRC-stamped tail): a packet's wire form.
+Wire = Tuple[int, Tuple[int, ...], int]
+
+# Each table lists its packet class's fields in declaration order, which
+# is also the positional order of the memoized builders below: head
+# fields, then ``data``, then tail fields.
+
+#: Request head word.
+RQST_HEAD: Layout = (
+    ("cmd", 0, 7),  # request command
+    ("tag", 12, 11),  # host-assigned tag echoed in the response
+    ("addr", 24, 34),  # target byte address
+    ("cub", 61, 3),  # target cube id (device routing)
+)
+#: Request tail word.
+RQST_TAIL: Layout = (
+    ("rrp", 0, 9),  # return retry pointer
+    ("frp", 9, 9),  # forward retry pointer
+    ("seq", 18, 3),  # sequence number
+    ("pb", 21, 1),  # poison bit
+    ("slid", 22, 3),  # source link id
+    ("rtc", 29, 3),  # return token count
+)
+#: Response head word.
+RSP_HEAD: Layout = (
+    ("cmd", 0, 7),  # response command
+    ("tag", 12, 11),  # echoed request tag
+    ("cub", 61, 3),  # originating cube id
+    ("slid", 23, 3),  # source link id (host-side routing)
+)
+#: Response tail word.
+RSP_TAIL: Layout = (
+    ("rrp", 0, 9),
+    ("frp", 9, 9),
+    ("seq", 18, 3),
+    ("dinv", 21, 1),  # data-invalid (CRC failure) flag
+    ("errstat", 22, 7),  # error status
+    ("rtc", 29, 3),
+)
+#: ``(lo, width)`` of the derived fields: LNG in the head, CRC in the tail.
+LNG_BITS = (7, 5)
+CRC_BITS = (32, 32)
 
 
 def field_get(word: int, lo: int, width: int) -> int:
@@ -127,95 +145,143 @@ def unpack_data(words: Sequence[int]) -> bytes:
     return b"".join((w & _U64).to_bytes(8, "little") for w in words)
 
 
-# ---------------------------------------------------------------------------
-# Memoized wire-form builders.
-#
-# A packet's wire form (head word, data words, CRC-carrying tail word) is a
-# pure function of its wire fields, so it is computed once per distinct
-# field combination and shared.  The builders are keyed on *every* wire
-# field — mutating a packet simply selects a different cache line — and the
-# Koopman CRC-32 is computed exactly once per combination, which is what
-# turns ``check_crc`` verification and CMC head/tail materialization from a
-# per-packet cost into a cache hit.  field_set is retained so out-of-range
-# field values raise the same HMCPacketError as the unmemoized encoders
-# (exceptions are never cached by lru_cache).
-# ---------------------------------------------------------------------------
+def _pack(layout: Layout, values: Sequence[int]) -> int:
+    word = 0
+    for (_name, lo, width), value in zip(layout, values):
+        word = field_set(word, lo, width, value)
+    return word
+
+
+def _encode(
+    head_layout: Layout, head_values: Sequence[int], data: bytes,
+    tail_layout: Layout, tail_values: Sequence[int],
+) -> Wire:
+    """(head, data words, CRC-stamped tail) of one packet."""
+    lng = 1 + len(data) // FLIT_BYTES
+    head = field_set(_pack(head_layout, head_values), *LNG_BITS, lng)
+    tail = _pack(tail_layout, tail_values)
+    words = pack_data(data)
+    crc = _crc.packet_crc([head] + words + [tail])
+    return head, tuple(words), field_set(tail, *CRC_BITS, crc)
+
+
+def _check_crc(kind: str, words: Sequence[int]) -> None:
+    want = _crc.packet_crc(words)
+    got = field_get(words[-1], *CRC_BITS)
+    if want != got:
+        raise HMCPacketError(
+            f"{kind} CRC mismatch: packet carries {got:#010x}, "
+            f"computed {want:#010x}"
+        )
+
+
+# Memoized wire-form builders.  A packet's wire form is a pure function of
+# its wire fields, so it is encoded, CRC included, once per distinct field
+# combination: mutating a packet selects a different cache line, and
+# ``check_crc`` verification and CMC head/tail materialization are cache
+# hits.  Out-of-range fields raise HMCPacketError from field_set
+# (lru_cache never caches an exception).
 
 
 @lru_cache(maxsize=4096)
 def _rqst_wire(
-    cmd: int,
-    tag: int,
-    addr: int,
-    cub: int,
-    data: bytes,
-    rrp: int,
-    frp: int,
-    seq: int,
-    pb: int,
-    slid: int,
-    rtc: int,
-) -> Tuple[int, Tuple[int, ...], int]:
-    lng = 1 + len(data) // FLIT_BYTES
-    head = 0
-    head = field_set(head, 0, 7, cmd)
-    head = field_set(head, 7, 5, lng)
-    head = field_set(head, 12, 11, tag)
-    head = field_set(head, 24, 34, addr & ADDR_MASK)
-    head = field_set(head, 61, 3, cub)
-    tail = 0
-    tail = field_set(tail, 0, 9, rrp)
-    tail = field_set(tail, 9, 9, frp)
-    tail = field_set(tail, 18, 3, seq)
-    tail = field_set(tail, 21, 1, pb)
-    tail = field_set(tail, 22, 3, slid)
-    tail = field_set(tail, 29, 3, rtc)
-    words = pack_data(data)
-    crc = _crc.packet_crc([head] + words + [tail])
-    return head, tuple(words), field_set(tail, 32, 32, crc)
+    cmd: int, tag: int, addr: int, cub: int, data: bytes,
+    rrp: int, frp: int, seq: int, pb: int, slid: int, rtc: int,
+) -> Wire:
+    return _encode(RQST_HEAD, (cmd, tag, addr & ADDR_MASK, cub), data,
+                   RQST_TAIL, (rrp, frp, seq, pb, slid, rtc))
 
 
 @lru_cache(maxsize=4096)
 def _rsp_wire(
-    cmd: int,
-    tag: int,
-    cub: int,
-    slid: int,
-    data: bytes,
-    rrp: int,
-    frp: int,
-    seq: int,
-    dinv: int,
-    errstat: int,
-    rtc: int,
-) -> Tuple[int, Tuple[int, ...], int]:
-    lng = 1 + len(data) // FLIT_BYTES
-    head = 0
-    head = field_set(head, 0, 7, cmd)
-    head = field_set(head, 7, 5, lng)
-    head = field_set(head, 12, 11, tag)
-    head = field_set(head, 23, 3, slid)
-    head = field_set(head, 61, 3, cub)
-    tail = 0
-    tail = field_set(tail, 0, 9, rrp)
-    tail = field_set(tail, 9, 9, frp)
-    tail = field_set(tail, 18, 3, seq)
-    tail = field_set(tail, 21, 1, dinv)
-    tail = field_set(tail, 22, 7, errstat)
-    tail = field_set(tail, 29, 3, rtc)
-    words = pack_data(data)
-    crc = _crc.packet_crc([head] + words + [tail])
-    return head, tuple(words), field_set(tail, 32, 32, crc)
+    cmd: int, tag: int, cub: int, slid: int, data: bytes,
+    rrp: int, frp: int, seq: int, dinv: int, errstat: int, rtc: int,
+) -> Wire:
+    return _encode(RSP_HEAD, (cmd, tag, cub, slid), data,
+                   RSP_TAIL, (rrp, frp, seq, dinv, errstat, rtc))
+
+
+def _wire_key(head: Layout, tail: Layout) -> attrgetter:
+    """A packet's wire fields in the builders' positional order."""
+    return attrgetter(*(n for n, _, _ in head), "data", *(n for n, _, _ in tail))
+
+
+class _Packet:
+    """Wire form shared by both packet classes, read from their tables."""
+
+    __slots__ = ()
+
+    def _wire(self) -> Wire:
+        """(head, data words, tail) from the memoized wire builder."""
+        return self._BUILD(*self._KEY(self))
+
+    @property
+    def lng(self) -> int:
+        """Packet length in FLITs."""
+        return 1 + len(self.data) // FLIT_BYTES
+
+    def head(self) -> int:
+        """Encode the 64-bit head word."""
+        return self._wire()[0]
+
+    def tail(self) -> int:
+        """Encode the 64-bit tail word, CRC included."""
+        return self._wire()[2]
+
+    def encode(self) -> List[int]:
+        """Encode the full packet as ``2*lng`` 64-bit words."""
+        head, data_words, tail = self._wire()
+        return [head, *data_words, tail]
+
+    def verify_crc(self) -> None:
+        """Recompute the packet CRC and check it against the tail.
+
+        Equivalent to ``decode(pkt.encode(), check_crc=True)`` without
+        the decode half of the round trip.
+
+        Raises:
+            HMCPacketError: on CRC mismatch.
+        """
+        _check_crc(self._KIND, self.encode())
+
+    @classmethod
+    def decode(cls, words: Sequence[int], *, check_crc: bool = False):
+        """Decode a packet from its 64-bit word representation.
+
+        Raises:
+            HMCPacketError: if the word count disagrees with the LNG
+                field, or (with ``check_crc``) the CRC does not match.
+        """
+        if len(words) < 2:
+            raise HMCPacketError("a packet is at least two words (head + tail)")
+        head, tail = words[0], words[-1]
+        lng = field_get(head, *LNG_BITS)
+        if len(words) != 2 * lng:
+            raise HMCPacketError(
+                f"LNG field says {lng} FLITs ({2 * lng} words) "
+                f"but buffer holds {len(words)} words"
+            )
+        if check_crc:
+            _check_crc(cls._KIND, words)
+        return cls(
+            data=unpack_data(words[1:-1]),
+            **{name: field_get(head, lo, w) for name, lo, w in cls._HEAD},
+            **{name: field_get(tail, lo, w) for name, lo, w in cls._TAIL},
+        )
 
 
 @dataclass(slots=True)
-class RequestPacket:
+class RequestPacket(_Packet):
     """A decoded HMC request packet.
 
     ``data`` is the raw payload (``(lng-1)*16`` bytes).  Tail link-layer
     fields default to zero; the simulator populates ``slid`` on send so
     responses can be routed back to the originating link.
     """
+
+    _HEAD, _TAIL, _KIND = RQST_HEAD, RQST_TAIL, "request"
+    _KEY = _wire_key(RQST_HEAD, RQST_TAIL)
+    _BUILD = staticmethod(_rqst_wire)
 
     cmd: int
     tag: int
@@ -281,119 +347,19 @@ class RequestPacket:
             raise HMCPacketError(f"address {addr:#x} outside 34-bit ADRS space")
         return cls(int(rqst), tag, addr, cub, data)
 
-    # -- wire form ---------------------------------------------------------
-
-    @property
-    def lng(self) -> int:
-        """Packet length in FLITs."""
-        return 1 + len(self.data) // FLIT_BYTES
-
     @property
     def rqst(self) -> hmc_rqst_t:
         """The request enum member for this packet's command code."""
         return hmc_rqst_t(self.cmd)
 
-    def _wire(self) -> Tuple[int, Tuple[int, ...], int]:
-        """(head, data words, tail) from the memoized wire builder."""
-        return _rqst_wire(
-            self.cmd,
-            self.tag,
-            self.addr,
-            self.cub,
-            self.data,
-            self.rrp,
-            self.frp,
-            self.seq,
-            self.pb,
-            self.slid,
-            self.rtc,
-        )
-
-    def head(self) -> int:
-        """Encode the 64-bit request header."""
-        return self._wire()[0]
-
-    def tail(self, crc: Optional[int] = None) -> int:
-        """Encode the 64-bit request tail (CRC computed unless given)."""
-        if crc is not None:
-            w = 0
-            w = field_set(w, 0, 9, self.rrp)
-            w = field_set(w, 9, 9, self.frp)
-            w = field_set(w, 18, 3, self.seq)
-            w = field_set(w, 21, 1, self.pb)
-            w = field_set(w, 22, 3, self.slid)
-            w = field_set(w, 29, 3, self.rtc)
-            return field_set(w, 32, 32, crc)
-        return self._wire()[2]
-
-    def encode(self) -> List[int]:
-        """Encode the full packet as ``2*lng`` 64-bit words."""
-        head, data_words, tail = self._wire()
-        return [head, *data_words, tail]
-
-    def verify_crc(self) -> None:
-        """Recompute the packet CRC and check it against the tail.
-
-        Equivalent to ``RequestPacket.decode(pkt.encode(),
-        check_crc=True)`` but verifies the already-encoded words
-        directly instead of paying a full encode→decode round trip.
-
-        Raises:
-            HMCPacketError: on CRC mismatch.
-        """
-        head, data_words, tail = self._wire()
-        want = _crc.packet_crc([head, *data_words, tail])
-        got = field_get(tail, 32, 32)
-        if want != got:
-            raise HMCPacketError(
-                f"request CRC mismatch: packet carries {got:#010x}, "
-                f"computed {want:#010x}"
-            )
-
-    @classmethod
-    def decode(cls, words: Sequence[int], *, check_crc: bool = False) -> "RequestPacket":
-        """Decode a request packet from its 64-bit word representation.
-
-        Raises:
-            HMCPacketError: if the word count disagrees with the LNG
-                field, or (with ``check_crc``) the CRC does not match.
-        """
-        if len(words) < 2:
-            raise HMCPacketError("a packet is at least two words (head + tail)")
-        head, tail = words[0], words[-1]
-        lng = field_get(head, 7, 5)
-        if len(words) != 2 * lng:
-            raise HMCPacketError(
-                f"LNG field says {lng} FLITs ({2 * lng} words) "
-                f"but buffer holds {len(words)} words"
-            )
-        pkt = cls(
-            cmd=field_get(head, 0, 7),
-            tag=field_get(head, 12, 11),
-            addr=field_get(head, 24, 34),
-            cub=field_get(head, 61, 3),
-            data=unpack_data(words[1:-1]),
-            rrp=field_get(tail, 0, 9),
-            frp=field_get(tail, 9, 9),
-            seq=field_get(tail, 18, 3),
-            pb=field_get(tail, 21, 1),
-            slid=field_get(tail, 22, 3),
-            rtc=field_get(tail, 29, 3),
-        )
-        if check_crc:
-            want = _crc.packet_crc(list(words))
-            got = field_get(tail, 32, 32)
-            if want != got:
-                raise HMCPacketError(
-                    f"request CRC mismatch: packet carries {got:#010x}, "
-                    f"computed {want:#010x}"
-                )
-        return pkt
-
 
 @dataclass(slots=True)
-class ResponsePacket:
+class ResponsePacket(_Packet):
     """A decoded HMC response packet."""
+
+    _HEAD, _TAIL, _KIND = RSP_HEAD, RSP_TAIL, "response"
+    _KEY = _wire_key(RSP_HEAD, RSP_TAIL)
+    _BUILD = staticmethod(_rsp_wire)
 
     cmd: int
     tag: int
@@ -418,115 +384,12 @@ class ResponsePacket:
     origin_link: int = field(default=-1, compare=False)
 
     @property
-    def lng(self) -> int:
-        """Packet length in FLITs."""
-        return 1 + len(self.data) // FLIT_BYTES
-
-    @property
     def response(self) -> Optional[hmc_response_t]:
         """The response enum member, or None for custom CMC codes."""
         try:
             return hmc_response_t(self.cmd)
         except ValueError:
             return None
-
-    def _wire(self) -> Tuple[int, Tuple[int, ...], int]:
-        """(head, data words, tail) from the memoized wire builder."""
-        return _rsp_wire(
-            self.cmd,
-            self.tag,
-            self.cub,
-            self.slid,
-            self.data,
-            self.rrp,
-            self.frp,
-            self.seq,
-            self.dinv,
-            self.errstat,
-            self.rtc,
-        )
-
-    def head(self) -> int:
-        """Encode the 64-bit response header."""
-        return self._wire()[0]
-
-    def tail(self, crc: Optional[int] = None) -> int:
-        """Encode the 64-bit response tail (CRC computed unless given)."""
-        if crc is not None:
-            w = 0
-            w = field_set(w, 0, 9, self.rrp)
-            w = field_set(w, 9, 9, self.frp)
-            w = field_set(w, 18, 3, self.seq)
-            w = field_set(w, 21, 1, self.dinv)
-            w = field_set(w, 22, 7, self.errstat)
-            w = field_set(w, 29, 3, self.rtc)
-            return field_set(w, 32, 32, crc)
-        return self._wire()[2]
-
-    def encode(self) -> List[int]:
-        """Encode the full packet as ``2*lng`` 64-bit words."""
-        head, data_words, tail = self._wire()
-        return [head, *data_words, tail]
-
-    def verify_crc(self) -> None:
-        """Recompute the packet CRC and check it against the tail.
-
-        Equivalent to ``ResponsePacket.decode(rsp.encode(),
-        check_crc=True)`` but verifies the already-encoded words
-        directly instead of paying a full encode→decode round trip.
-
-        Raises:
-            HMCPacketError: on CRC mismatch.
-        """
-        head, data_words, tail = self._wire()
-        want = _crc.packet_crc([head, *data_words, tail])
-        got = field_get(tail, 32, 32)
-        if want != got:
-            raise HMCPacketError(
-                f"response CRC mismatch: packet carries {got:#010x}, "
-                f"computed {want:#010x}"
-            )
-
-    @classmethod
-    def decode(
-        cls, words: Sequence[int], *, check_crc: bool = False
-    ) -> "ResponsePacket":
-        """Decode a response packet from its 64-bit word representation.
-
-        Raises:
-            HMCPacketError: on length or (optional) CRC mismatch.
-        """
-        if len(words) < 2:
-            raise HMCPacketError("a packet is at least two words (head + tail)")
-        head, tail = words[0], words[-1]
-        lng = field_get(head, 7, 5)
-        if len(words) != 2 * lng:
-            raise HMCPacketError(
-                f"LNG field says {lng} FLITs ({2 * lng} words) "
-                f"but buffer holds {len(words)} words"
-            )
-        pkt = cls(
-            cmd=field_get(head, 0, 7),
-            tag=field_get(head, 12, 11),
-            cub=field_get(head, 61, 3),
-            slid=field_get(head, 23, 3),
-            data=unpack_data(words[1:-1]),
-            rrp=field_get(tail, 0, 9),
-            frp=field_get(tail, 9, 9),
-            seq=field_get(tail, 18, 3),
-            dinv=field_get(tail, 21, 1),
-            errstat=field_get(tail, 22, 7),
-            rtc=field_get(tail, 29, 3),
-        )
-        if check_crc:
-            want = _crc.packet_crc(list(words))
-            got = field_get(tail, 32, 32)
-            if want != got:
-                raise HMCPacketError(
-                    f"response CRC mismatch: packet carries {got:#010x}, "
-                    f"computed {want:#010x}"
-                )
-        return pkt
 
 
 def packet_state(pkt: object) -> Dict[str, object]:

@@ -28,7 +28,7 @@ A thin functional facade with the original C names lives in
 from __future__ import annotations
 
 from base64 import b64decode, b64encode
-from typing import IO, Dict, List, Optional, Set, Tuple, Union
+from typing import IO, TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.cmc import CMCOperation, CMCRegistry
 from repro.core.loader import load_cmc as _load_cmc_plugin
@@ -53,10 +53,13 @@ from repro.hmc.composition import build_link_flow, build_memory, build_topology
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import Device
 from repro.hmc.packet import RequestPacket, ResponsePacket
-from repro.hmc.power import HMCPowerModel, PowerReport
+from repro.hmc.power import PowerReport
 from repro.hmc.queue import StallQueue
-from repro.hmc.timing import HMCTimingModel
 from repro.hmc.trace import TraceLevel, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.hmc.power import HMCPowerModel
+    from repro.hmc.timing import HMCTimingModel
 
 __all__ = ["HMCSim"]
 

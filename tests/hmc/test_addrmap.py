@@ -109,3 +109,40 @@ class TestBlockSizes:
         amap.decode((2 << 30) - 1)
         with pytest.raises(HMCAddressError):
             amap.decode(2 << 30)
+
+
+_ROUTED = [
+    (factory, interleave, bsize)
+    for factory in (HMCConfig.cfg_4link_4gb, HMCConfig.cfg_8link_8gb)
+    for interleave in ("vault", "bank")
+    for bsize in (32, 64, 128, 256)
+]
+
+
+class TestRoutingConstants:
+    """The send path's inlined routing (``routing_constants``) agrees
+    with ``decode`` for every interleave and block size."""
+
+    @pytest.mark.parametrize("factory,interleave,bsize", _ROUTED)
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_inlined_routing_matches_decode(self, factory, interleave, bsize, data):
+        cfg = factory(bsize=bsize, addr_interleave=interleave)
+        amap = AddressMap(cfg)
+        addr = data.draw(st.integers(0, cfg.total_bytes - 1))
+        vault_lo, vault_mask, bank_lo, bank_mask, row_lo, row_mask = (
+            amap.routing_constants()
+        )
+        local = addr & (cfg.capacity_bytes - 1)
+        d = amap.decode(addr)
+        assert (local >> vault_lo) & vault_mask == d.vault
+        assert (local >> bank_lo) & bank_mask == d.bank
+        assert (local >> row_lo) & row_mask == d.row
+        assert amap.encode(d.vault, d.bank, d.row, d.offset, d.dev) == addr
+
+    @pytest.mark.parametrize("bsize", [32, 64, 128, 256])
+    def test_bank_interleave_sweeps_banks_first(self, bsize):
+        cfg = HMCConfig.cfg_4link_4gb(bsize=bsize, addr_interleave="bank")
+        amap = AddressMap(cfg)
+        assert [amap.decode(i * bsize).bank for i in range(3)] == [0, 1, 2]
+        assert amap.decode(cfg.num_banks * bsize).vault == 1

@@ -1,5 +1,7 @@
 """Packet format tests: field layout, round trips, CRC, error paths."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from repro.errors import HMCPacketError
 from repro.hmc.commands import hmc_response_t, hmc_rqst_t
 from repro.hmc.packet import (
     ADDR_MASK,
+    CRC_BITS,
+    LNG_BITS,
     MAX_CUB,
     MAX_TAG,
     RequestPacket,
@@ -17,6 +21,41 @@ from repro.hmc.packet import (
     pack_data,
     unpack_data,
 )
+
+
+def _bits(lo, width):
+    return set(range(lo, lo + width))
+
+
+@pytest.mark.parametrize("cls", [RequestPacket, ResponsePacket])
+class TestLayoutTables:
+    """Each packet class's head and tail tables are its whole wire layout."""
+
+    def test_every_wire_field_in_exactly_one_table(self, cls):
+        # Head fields, data, tail fields, each once: the declaration
+        # order, which is the memoized builders' positional order.
+        head = [name for name, _, _ in cls._HEAD]
+        tail = [name for name, _, _ in cls._TAIL]
+        assert head + ["data"] + tail == [f.name for f in fields(cls) if f.compare]
+
+    def test_no_two_ranges_in_a_word_overlap(self, cls):
+        for table in (cls._HEAD, cls._TAIL):
+            taken = set()
+            for name, lo, width in table:
+                bits = _bits(lo, width)
+                assert not bits & taken, name
+                assert max(bits) < 64, name
+                taken |= bits
+
+    def test_no_range_touches_lng_or_crc(self, cls):
+        for name, lo, width in cls._HEAD:
+            assert not _bits(lo, width) & _bits(*LNG_BITS), name
+        for name, lo, width in cls._TAIL:
+            assert not _bits(lo, width) & _bits(*CRC_BITS), name
+
+    def test_instances_have_no_dict(self, cls):
+        pkt = cls(**{name: 0 for name, _, _ in cls._HEAD})
+        assert not hasattr(pkt, "__dict__")
 
 
 class TestFieldHelpers:
