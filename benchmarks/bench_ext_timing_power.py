@@ -2,34 +2,31 @@
 
 The paper's future work proposes distilling public Gen2 device data
 into "the timing and power characteristics of an arbitrary HMC
-device".  This bench exercises the opt-in models: the same mutex
-workload with and without DRAM timing attached (the timing model must
-slow the hot-spot workload down and surface bank conflicts), and a
-mixed kernel under the power model with a per-operation energy
-breakdown.
+device".  This bench exercises the two model seams: the same mutex
+workload under ``timing=none`` and ``timing=open_page`` (the timing
+model must slow the hot-spot workload down and surface bank
+conflicts), and a mixed kernel under ``power=energy`` with a
+per-operation energy breakdown.
 """
 
 from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.hmc.config import HMCConfig
-from repro.hmc.power import HMCPowerModel
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import HMCTimingModel
 from repro.workloads.registry import WORKLOADS
 
 THREADS = 32
 
 
-def _timed_mutex(timing):
-    cfg = HMCConfig.cfg_4link_4gb()
-    sim = HMCSim(cfg, timing=timing)
-    return WORKLOADS.get("mutex").run(cfg, {"threads": THREADS}, sim=sim)
+def _mutex(timing):
+    cfg = HMCConfig.cfg_4link_4gb(timing=timing)
+    return WORKLOADS.get("mutex").run(cfg, {"threads": THREADS})
 
 
 def test_ext_timing_power(artifact_dir):
-    baseline = _timed_mutex(None)
-    timed = _timed_mutex(HMCTimingModel(t_cl=2, t_rcd=2, t_rp=2))
+    baseline = _mutex("none")
+    timed = _mutex("open_page")
     # DRAM timing must cost cycles on a bank-hot-spot workload.
     assert timed.max_cycle > baseline.max_cycle
     assert timed.avg_cycle > baseline.avg_cycle
@@ -42,8 +39,7 @@ def test_ext_timing_power(artifact_dir):
     text += format_table(["model", "max_cycle", "avg_cycle"], rows)
 
     # Power accounting on a mixed atomic workload.
-    cfg = HMCConfig.cfg_4link_4gb()
-    sim = HMCSim(cfg, power=HMCPowerModel())
+    sim = HMCSim(HMCConfig.cfg_4link_4gb(power="energy"))
     from repro.host.engine import HostEngine
 
     def program(ctx):

@@ -366,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chase = _workload_parser(sub, "chase", "chase", "pointer-chase latency kernel")
     p_chase.add_argument("--length", type=int, default=64)
     p_chase.add_argument("--scatter", action="store_true")
-    p_chase.add_argument("--timing", action="store_true", help="attach DRAM timing")
     p_chase.add_argument("--config", choices=_LINKS, default="4link")
     _add_component_arg(p_chase)
 
@@ -708,11 +707,11 @@ def _cmd_info(args, out) -> int:
             f"block {cfg.bsize}B\n"
         )
     out.write(f"CMC codes: {', '.join(str(c) for c in CMC_CODES[:12])}, ...\n")
-    defaults = HMCConfig.cfg_4link_4gb().component_selection()
+    defaults = HMCConfig.cfg_4link_4gb()
     out.write("pipeline components (--component seam=impl, * = default):\n")
     for seam, registry in COMPONENTS.items():
         keys = ", ".join(
-            f"{k}*" if k == defaults[seam] else k for k in registry.keys()
+            f"{k}*" if k == getattr(defaults, seam) else k for k in registry.keys()
         )
         out.write(f"  {seam}: {keys}\n")
     out.write("fault kinds (--fault kind=param, primary param shown):\n")

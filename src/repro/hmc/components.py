@@ -7,10 +7,10 @@ new *memory-side operations* without touching the simulator core
 interface, and concrete implementations register here under string
 keys — exactly how :class:`repro.core.cmc.CMCRegistry` keys custom
 operations by command code — so new crossbar models, vault scheduling
-policies, link-flow models, multi-cube topologies, and memory backends
-become plugin-sized changes selected through :class:`HMCConfig`.
+policies, link-flow models, topologies, memory backends and §VII timing
+and power models become plugin-sized changes selected through :class:`HMCConfig`.
 
-The five seams:
+The seven seams:
 
 =================  ==========================  ===========================
 seam               interface                   built-in keys
@@ -20,6 +20,8 @@ seam               interface                   built-in keys
 ``link_flow``      :class:`LinkFlow`           ``none``, ``tokens``
 ``topology``       :class:`TopologyRouter`     ``chain``, ``ring``
 ``memory``         :class:`MemoryModel`        ``paged``, ``chunked``
+``timing``         :class:`TimingModel`        ``none``, ``open_page``
+``power``          :class:`PowerModel`         ``none``, ``energy``
 =================  ==========================  ===========================
 
 Each seam has its own :class:`repro.registry.Registry` in
@@ -57,6 +59,8 @@ __all__ = [
     "LinkFlow",
     "TopologyRouter",
     "MemoryModel",
+    "TimingModel",
+    "PowerModel",
     "Stateful",
 ]
 
@@ -306,11 +310,33 @@ class MemoryModel(ABC):
         """Drop all state, returning the store to all-zeros."""
 
 
+class TimingModel(ABC):
+    """DRAM bank timing (seam ``timing``; ``none`` is no model).
+    Factory signature: ``factory(config) -> Optional[TimingModel]``."""
+
+    @abstractmethod
+    def request_cycles(self, info: Any, open_row: int, row: int) -> int:
+        """Bank busy cycles for one request given row-buffer state."""
+
+
+class PowerModel(ABC):
+    """Per-request energy (seam ``power``; ``none`` is no model).
+    Factory signature: ``factory(config) -> Optional[PowerModel]``."""
+
+    @abstractmethod
+    def request_energy(self, info: Any, rqst_flits: int, rsp_flits: int) -> float:
+        """Picojoules for one executed request."""
+
+    @abstractmethod
+    def new_report(self) -> Stateful:
+        """A fresh accumulator of charges (``add(op, pj)``, ``total_pj``)."""
+
+
 #: Per seam, in pipeline order: the interface its implementations
 #: produce, the home module whose import registers its built-ins, and
 #: their declared identities, so that validating or fingerprinting a
-#: selection imports no datapath.  The composition root joins every
-#: seam's catalog (the no-model ``link_flow`` and ``vector`` crossbar).
+#: selection imports no datapath.  The composition root (``none`` keys, the
+#: ``vector`` crossbar) heads every catalog: ``none`` imports no model.
 _SEAM_SPEC: Dict[str, Tuple[type, str, Dict[str, str]]] = {
     "xbar": (CrossbarModel, "repro.hmc.xbar", {
         "queued": "repro.hmc.xbar:XBar", "ideal": "repro.hmc.xbar:IdealXBar",
@@ -325,7 +351,15 @@ _SEAM_SPEC: Dict[str, Tuple[type, str, Dict[str, str]]] = {
     "memory": (MemoryModel, "repro.hmc.memory", {
         "paged": "repro.hmc.memory:MemoryBackend",
         "chunked": "repro.hmc.memory:ChunkedMemoryBackend"}),
+    "timing": (TimingModel, "repro.hmc.timing", {
+        "none": "repro.hmc.composition:_no_model", "open_page": "repro.hmc.timing:_open_page"}),
+    "power": (PowerModel, "repro.hmc.power", {
+        "none": "repro.hmc.composition:_no_model", "energy": "repro.hmc.power:_energy"}),
 }
+
+#: Seams whose ``none`` adds nothing to any identity (fingerprints, cache
+#: keys, checkpoints): a config selecting no model keeps its published keys.
+SILENT_NONE = frozenset({"timing", "power"})
 
 #: The recognised seam names, in pipeline order.
 SEAMS: Tuple[str, ...] = tuple(_SEAM_SPEC)
@@ -336,7 +370,7 @@ COMPONENTS: Dict[str, Registry] = {
     seam: Registry(
         f"{seam!r} implementation",
         ComponentError,
-        catalog=(_SEAM_SPEC[seam][1], "repro.hmc.composition"),
+        catalog=("repro.hmc.composition", _SEAM_SPEC[seam][1]),
         declared=_SEAM_SPEC[seam][2],
     )
     for seam in SEAMS
@@ -357,8 +391,8 @@ def create(seam: str, key: str, *args: Any) -> Any:
     """Instantiate the component at ``(seam, key)``.
 
     The created instance is checked against the seam's interface
-    (``None`` is allowed — the ``link_flow`` seam uses it for the
-    no-model baseline).
+    (``None`` is allowed — the ``none`` key of ``link_flow``,
+    ``timing`` and ``power`` is the no-model baseline).
     """
     component = seam_registry(seam).get(key)(*args)
     iface = _SEAM_SPEC[seam][0]

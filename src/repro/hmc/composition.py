@@ -5,8 +5,8 @@ component implementations.  The ``build_*`` helpers below are how
 :class:`HMCSim` and :class:`Device` construct their pipeline stages —
 always through the per-seam registries in
 :data:`repro.hmc.components.COMPONENTS`, never by naming a class.  Each
-registry imports its seam's home module (and this one) as its catalog
-on first lookup.  ``scripts/lint_no_function_imports.py`` enforces that
+registry's catalog is this module, then its seam's home module.
+``scripts/lint_no_function_imports.py`` enforces that
 :mod:`repro.hmc.device` and :mod:`repro.hmc.sim` import no concrete
 seam implementation directly, so swapping an implementation is always a
 config change, never a core edit.
@@ -19,7 +19,7 @@ registry).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ComponentError
 from repro.hmc.components import create, register_component
@@ -27,18 +27,15 @@ from repro.hmc.components import create, register_component
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hmc.components import (
         CrossbarModel,
-        LinkFlow,
         MemoryModel,
         TopologyRouter,
-        VaultScheduler,
     )
     from repro.hmc.config import HMCConfig
     from repro.hmc.sim import HMCSim
 
 __all__ = [
+    "build",
     "build_xbar",
-    "build_vault_scheduler",
-    "build_link_flow",
     "build_topology",
     "build_memory",
 ]
@@ -49,6 +46,13 @@ def _no_flow(config: "HMCConfig") -> None:
     """The baseline datapath (seam key ``none``): no flow-control model
     at all, so sends are never token-limited and no retry state exists —
     the paper's "No Simulation Perturbation" default."""
+    return None
+
+
+@register_component("timing", "none")
+@register_component("power", "none")
+def _no_model(config: "HMCConfig") -> None:
+    """No timing or energy model (seam key ``none``): zero-latency banks."""
     return None
 
 
@@ -74,7 +78,7 @@ def _vector_xbar(config: "HMCConfig", dev: int):
     return VectorXBar(config, dev)
 
 
-# -- builders (one per seam, in pipeline order) ------------------------------
+# -- builders, one per factory signature -------------------------------------
 
 
 def build_xbar(config: "HMCConfig", dev: int) -> "CrossbarModel":
@@ -82,14 +86,10 @@ def build_xbar(config: "HMCConfig", dev: int) -> "CrossbarModel":
     return create("xbar", config.xbar, config, dev)
 
 
-def build_vault_scheduler(config: "HMCConfig") -> "VaultScheduler":
-    """A fresh scheduler instance (one per vault) per ``config.vault_scheduler``."""
-    return create("vault_scheduler", config.vault_scheduler, config)
-
-
-def build_link_flow(config: "HMCConfig") -> Optional["LinkFlow"]:
-    """The flow model selected by ``config.link_flow`` (None for ``none``)."""
-    return create("link_flow", config.link_flow, config)
+def build(seam: str, config: "HMCConfig") -> Any:
+    """A fresh ``config`` selection of a seam built from the config alone:
+    ``vault_scheduler`` (one per vault), ``link_flow``, ``timing``, ``power``."""
+    return create(seam, getattr(config, seam), config)
 
 
 def build_topology(sim: "HMCSim") -> "TopologyRouter":

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ComponentError, HMCConfigError
-from repro.hmc.components import SEAMS, seam_registry
+from repro.hmc.components import SEAMS, SILENT_NONE, seam_registry
 from repro.registry import resolve_params
 
 __all__ = [
@@ -74,8 +74,8 @@ class HMCConfig:
         xbar_depth: per-link crossbar queue depth in slots.
         bsize: maximum block size in bytes (32..256); controls the
             address-interleave boundary.
-        check_crc: verify packet CRCs on receive (slower; default off,
-            matching HMC-Sim's behaviour of trusting its own encoder).
+        check_crc: verify CRCs of the words a caller hands to ``compat``'s
+            ``hmcsim_send``; built packets carry a CRC of their own fields.
         nonlocal_hop_cycles: extra crossbar cycles when a request enters
             on a link whose quad does not own the target vault.
         link_rsp_rate: response packets a link can retire to the host
@@ -117,6 +117,8 @@ class HMCConfig:
     link_flow: str = "none"
     topology: str = "chain"
     memory: str = "paged"
+    timing: str = "none"
+    power: str = "none"
 
     def __post_init__(self) -> None:
         resolve_params("HMCConfig", _DEFAULTS, vars(self), _DOMAINS, HMCConfigError)
@@ -124,8 +126,9 @@ class HMCConfig:
             validate_selection(seam, getattr(self, seam))
 
     def component_selection(self) -> Dict[str, str]:
-        """The selected implementation key for every pipeline seam."""
-        return {seam: getattr(self, seam) for seam in SEAMS}
+        """Every seam's selected key, less a ``SILENT_NONE`` seam left at
+        ``none``: what each identity of this configuration folds in."""
+        return {s: k for s in SEAMS if (k := getattr(self, s)) != "none" or s not in SILENT_NONE}
 
     # -- derived geometry ---------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, List, Set
 
 from repro.hmc.commands import ARM_FLOW, COMMAND_TABLE_LIST
 from repro.hmc.components import CrossbarModel, Stateful
-from repro.hmc.composition import build_vault_scheduler, build_xbar
+from repro.hmc.composition import build, build_xbar
 from repro.hmc.config import HMCConfig
 from repro.hmc.link import Link
 from repro.hmc.memory import MemoryView
@@ -88,7 +88,7 @@ class Device(Stateful):
                 config.queue_depth,
                 config.num_banks,
                 dev,
-                scheduler=build_vault_scheduler(config),
+                scheduler=build("vault_scheduler", config),
             )
             for v in range(config.num_vaults)
         ]

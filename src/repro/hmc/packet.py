@@ -165,22 +165,11 @@ def _encode(
     return head, tuple(words), field_set(tail, *CRC_BITS, crc)
 
 
-def _check_crc(kind: str, words: Sequence[int]) -> None:
-    want = _crc.packet_crc(words)
-    got = field_get(words[-1], *CRC_BITS)
-    if want != got:
-        raise HMCPacketError(
-            f"{kind} CRC mismatch: packet carries {got:#010x}, "
-            f"computed {want:#010x}"
-        )
-
-
 # Memoized wire-form builders.  A packet's wire form is a pure function of
 # its wire fields, so it is encoded, CRC included, once per distinct field
-# combination: mutating a packet selects a different cache line, and
-# ``check_crc`` verification and CMC head/tail materialization are cache
-# hits.  Out-of-range fields raise HMCPacketError from field_set
-# (lru_cache never caches an exception).
+# combination: a mutated packet selects another cache line, and CMC head/tail
+# materialization is a hit.  Out-of-range fields raise HMCPacketError from
+# field_set (lru_cache never caches an exception).
 
 
 @lru_cache(maxsize=4096)
@@ -233,17 +222,6 @@ class _Packet:
         head, data_words, tail = self._wire()
         return [head, *data_words, tail]
 
-    def verify_crc(self) -> None:
-        """Recompute the packet CRC and check it against the tail.
-
-        Equivalent to ``decode(pkt.encode(), check_crc=True)`` without
-        the decode half of the round trip.
-
-        Raises:
-            HMCPacketError: on CRC mismatch.
-        """
-        _check_crc(self._KIND, self.encode())
-
     @classmethod
     def decode(cls, words: Sequence[int], *, check_crc: bool = False):
         """Decode a packet from its 64-bit word representation.
@@ -261,8 +239,10 @@ class _Packet:
                 f"LNG field says {lng} FLITs ({2 * lng} words) "
                 f"but buffer holds {len(words)} words"
             )
-        if check_crc:
-            _check_crc(cls._KIND, words)
+        if check_crc and (want := _crc.packet_crc(words)) != (got := field_get(tail, *CRC_BITS)):
+            raise HMCPacketError(
+                f"{cls._KIND} CRC mismatch: packet carries {got:#010x}, computed {want:#010x}"
+            )
         return cls(
             data=unpack_data(words[1:-1]),
             **{name: field_get(head, lo, w) for name, lo, w in cls._HEAD},

@@ -1,11 +1,11 @@
 """Power/energy accounting extension (paper §VII, Future Work).
 
-Companion to :mod:`repro.hmc.timing`: an opt-in per-operation energy
-model.  Each executed request is charged a FLIT-proportional link
-transfer cost plus an operation cost (DRAM activate/column access and,
-for atomics and CMC ops, logic-layer ALU energy).  Totals are
-accumulated per command name so a simulation can report where its
-energy went — the cost side of the paper's cost-benefit analysis
+Companion to :mod:`repro.hmc.timing`: ``power="energy"`` selects a
+per-operation energy model.  Each executed request is charged a
+FLIT-proportional link transfer cost plus an operation cost (DRAM
+activate/column access and, for atomics and CMC ops, logic-layer ALU
+energy).  Totals accumulate per command name, so a simulation reports
+where its energy went: the cost side of the paper's cost-benefit
 motivation for CMC research (§I).
 
 All figures are simple defaults in picojoules; they are parameters, not
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.hmc.commands import CommandInfo, CommandKind
-from repro.hmc.components import Stateful
+from repro.hmc.components import PowerModel, Stateful, register_component
 
 __all__ = ["HMCPowerModel", "PowerReport"]
 
@@ -49,7 +49,7 @@ class PowerReport(Stateful):
 
 
 @dataclass(frozen=True)
-class HMCPowerModel:
+class HMCPowerModel(PowerModel):
     """Per-operation energy parameters (picojoules).
 
     Attributes:
@@ -75,3 +75,13 @@ class HMCPowerModel:
         elif info.kind is CommandKind.CMC:
             pj += self.pj_cmc_alu
         return pj
+
+    def new_report(self) -> PowerReport:
+        """An empty :class:`PowerReport`."""
+        return PowerReport()
+
+
+@register_component("power", "energy")
+def _energy(config: object) -> HMCPowerModel:
+    """Seam key ``energy``: the default :class:`HMCPowerModel`."""
+    return HMCPowerModel()

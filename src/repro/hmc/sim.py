@@ -2,7 +2,7 @@
 
 :class:`HMCSim` owns everything a simulation needs — configuration,
 backing memory, address map, devices, the CMC registry, tracing, and
-the optional timing/power extensions — and exposes the object-oriented
+the selected timing/power extensions — and exposes the object-oriented
 equivalent of the HMC-Sim user API:
 
 ===========================  =====================================
@@ -28,7 +28,7 @@ A thin functional facade with the original C names lives in
 from __future__ import annotations
 
 from base64 import b64decode, b64encode
-from typing import IO, TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import IO, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.cmc import CMCOperation, CMCRegistry
 from repro.core.loader import load_cmc as _load_cmc_plugin
@@ -49,17 +49,12 @@ from repro.hmc.commands import (
     hmc_rqst_t,
 )
 from repro.hmc.components import LinkFlow, MemoryModel, Stateful, TopologyRouter
-from repro.hmc.composition import build_link_flow, build_memory, build_topology
+from repro.hmc.composition import build, build_memory, build_topology
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import Device
 from repro.hmc.packet import RequestPacket, ResponsePacket
-from repro.hmc.power import PowerReport
 from repro.hmc.queue import StallQueue
 from repro.hmc.trace import TraceLevel, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.hmc.power import HMCPowerModel
-    from repro.hmc.timing import HMCTimingModel
 
 __all__ = ["HMCSim"]
 
@@ -96,8 +91,6 @@ class HMCSim(Stateful):
     Args:
         config: a validated :class:`HMCConfig`; alternatively pass the
             config fields as keyword arguments.
-        timing: optional DRAM timing model (future-work extension).
-        power: optional power model (future-work extension).
         flow: optional link-layer flow-control/retry model.  When
             omitted, the model selected by ``config.link_flow`` is
             built through the component registry (the default ``none``
@@ -112,18 +105,16 @@ class HMCSim(Stateful):
         **kwargs: forwarded to :class:`HMCConfig` when ``config`` is
             not given.
 
-    Every pipeline stage — memory backend, per-device crossbars and
-    vault schedulers, link flow, and the multi-cube topology — is
-    constructed through the component registry from the selection
-    fields of :class:`HMCConfig` (see ``docs/ARCHITECTURE.md``).
+    Every pipeline stage and model — memory, crossbars, vault
+    schedulers, link flow, topology, timing and power (``power_report``
+    is None without one) — is built through the component registry from
+    the selection fields of :class:`HMCConfig` (``docs/ARCHITECTURE.md``).
     """
 
     def __init__(
         self,
         config: Optional[HMCConfig] = None,
         *,
-        timing: Optional[HMCTimingModel] = None,
-        power: Optional[HMCPowerModel] = None,
         flow: Optional[LinkFlow] = None,
         faults: Optional[object] = None,
         **kwargs: object,
@@ -133,12 +124,10 @@ class HMCSim(Stateful):
         elif kwargs:
             raise HMCSimError("pass either a config object or field overrides, not both")
         self.config = config
-        self.timing = timing
-        self.power = power
-        self.flow: Optional[LinkFlow] = (
-            flow if flow is not None else build_link_flow(config)
-        )
-        self.power_report = PowerReport()
+        self.timing = build("timing", config)
+        self.power = build("power", config)
+        self.flow: Optional[LinkFlow] = flow if flow is not None else build("link_flow", config)
+        self.power_report = None if self.power is None else self.power.new_report()
         #: The built FaultController when a plan is attached, else None
         #: — every datapath hook gates on this exact attribute.
         self.faults = None
@@ -361,8 +350,6 @@ class HMCSim(Stateful):
         if rsp is not None:
             self.recvd_rsps += 1
             self._outstanding.discard((rsp.cub << 11) | rsp.tag)
-            if self.config.check_crc:
-                rsp.verify_crc()
         return rsp
 
     def recv_batch(self, *, dev: int = 0, link: int = 0) -> List[ResponsePacket]:
@@ -385,11 +372,8 @@ class HMCSim(Stateful):
         retired.clear()
         self.recvd_rsps += len(out)
         discard = self._outstanding.discard
-        check_crc = self.config.check_crc
         for rsp in out:
             discard((rsp.cub << 11) | rsp.tag)
-            if check_crc:
-                rsp.verify_crc()
         return out
 
     # -- time (hmcsim_clock) -----------------------------------------------------
@@ -574,7 +558,7 @@ class HMCSim(Stateful):
             "cmc_ops": {
                 op.op_name: op.executions for op in self.cmc.operations()
             },
-            "energy_pj": self.power_report.total_pj if self.power else 0.0,
+            "energy_pj": 0.0 if self.power_report is None else self.power_report.total_pj,
             "devices": per_dev,
         }
         if self.faults is not None:

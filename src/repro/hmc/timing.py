@@ -2,17 +2,16 @@
 
 The paper deliberately keeps timing data out of the HMC-Sim core to
 stay implementation-agnostic, but names "more accurate timing and
-power resolution" as the community's most-requested extension.  This
-module supplies it as an *opt-in* model: when an
-:class:`HMCTimingModel` is attached to a simulation, each request
-holds its target bank busy for a number of device cycles derived from
-row-buffer state, turning the zero-latency bank of the baseline model
-into an open-page DRAM.
+power resolution" as the community's most-requested extension.  Under
+``HMCConfig(timing="open_page")`` each request holds its target bank
+busy for a number of device cycles derived from row-buffer state,
+turning the zero-latency bank of the baseline model into an open-page
+DRAM.
 
-With no timing model attached the simulator reproduces the paper's
-published behaviour exactly (bank busy time = 0, latency dominated by
-queueing) — attaching one is the "No Simulation Perturbation"
-requirement honoured: the default path is untouched.
+The default, ``timing="none"``, builds no model and imports nothing
+from here: the simulator reproduces the paper's published behaviour
+exactly (bank busy time = 0, latency dominated by queueing) — the "No
+Simulation Perturbation" requirement honoured.
 """
 
 from __future__ import annotations
@@ -20,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hmc.commands import CommandInfo, CommandKind
+from repro.hmc.components import TimingModel, register_component
 
 __all__ = ["HMCTimingModel", "DEFAULT_TIMING"]
 
 
 @dataclass(frozen=True)
-class HMCTimingModel:
+class HMCTimingModel(TimingModel):
     """Open-page DRAM timing in device cycles.
 
     Attributes:
@@ -65,3 +65,9 @@ class HMCTimingModel:
 
 #: A reasonable default parameterization for the extension benches.
 DEFAULT_TIMING = HMCTimingModel()
+
+
+@register_component("timing", "open_page")
+def _open_page(config: object) -> HMCTimingModel:
+    """Seam key ``open_page``: :data:`DEFAULT_TIMING`."""
+    return DEFAULT_TIMING

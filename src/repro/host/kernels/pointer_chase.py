@@ -5,8 +5,8 @@ cannot — every load depends on the previous one, so the traversal rate
 *is* the round-trip latency.  The chain is laid out by the host
 (optionally scattered across vaults), then a thread follows ``next``
 pointers with dependent RD16s.  With the baseline model every hop
-costs exactly the 3-cycle round trip; with the DRAM timing extension
-attached the row-buffer behaviour of the layout becomes visible
+costs exactly the 3-cycle round trip; under ``timing=open_page`` (the
+DRAM timing extension) the row-buffer behaviour of the layout becomes visible
 (sequential layout enjoys row hits, scattered layout does not).
 """
 
@@ -17,7 +17,6 @@ from typing import Any, Dict, List
 
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import DEFAULT_TIMING
 from repro.host.kernels.base import (
     NON_NEGATIVE,
     POSITIVE,
@@ -109,13 +108,9 @@ class PointerChaseWorkload(KernelWorkload):
         return {
             "length": 64,
             "scatter": False,
-            "timing": False,
             "base": 1 << 20,
             "max_cycles": 1_000_000,
         }
-
-    def new_sim(self, config: HMCConfig, params: Dict[str, Any]) -> HMCSim:
-        return HMCSim(config, timing=DEFAULT_TIMING if params["timing"] else None)
 
     def prepare(self, sim: HMCSim, params: Dict[str, Any]) -> None:
         self._head = build_chain(
@@ -142,7 +137,7 @@ class PointerChaseWorkload(KernelWorkload):
             config_name=sim.config.describe(),
             length=params["length"],
             scattered=params["scatter"],
-            timed=params["timing"],
+            timed=sim.timing is not None,
             cycles=result.total_cycles,
             cycles_per_hop=result.total_cycles / params["length"],
             order_correct=self.verify(sim, params, result),

@@ -60,9 +60,6 @@ class SweepExecutor:
             :mod:`repro.parallel.progress`).
         chunk_size: specs per worker chunk; default sizes to roughly
             four chunks per worker.
-        mp_context: multiprocessing start-method context; default is
-            the platform default (``fork`` on Linux — cheap and
-            sufficient since specs carry everything workers need).
     """
 
     def __init__(
@@ -72,13 +69,11 @@ class SweepExecutor:
         cache: Optional[SweepCache] = None,
         progress: Optional[ProgressFn] = None,
         chunk_size: Optional[int] = None,
-        mp_context: Optional[Any] = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.cache = cache
         self.progress = progress or null_progress
         self.chunk_size = chunk_size
-        self.mp_context = mp_context
 
     def run(self, specs: Sequence[TaskSpec]) -> List[Any]:
         """Execute every spec; results ordered like ``specs``."""
@@ -117,7 +112,6 @@ class SweepExecutor:
         import multiprocessing
 
         chunks = self._chunk([specs[i] for i in pending], workers)
-        ctx = self.mp_context or multiprocessing.get_context()
         cursor = 0
         # Explicit terminate-on-error cleanup rather than the bare
         # ``with`` block: a worker exception surfacing from ``imap`` (or
@@ -127,7 +121,7 @@ class SweepExecutor:
         # orphaned pool processes behind exactly when a long-lived
         # caller (the serve fleet multiplexes sessions over this pool)
         # would accumulate them.
-        pool = ctx.Pool(processes=workers)
+        pool = multiprocessing.Pool(processes=workers)
         try:
             for chunk_results in pool.imap(_run_chunk, chunks):
                 for result in chunk_results:

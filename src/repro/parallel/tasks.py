@@ -12,9 +12,9 @@ The spec also defines the *cache identity* of the point.  The
 persistent result cache (:mod:`repro.parallel.cache`) keys an entry by
 :func:`cache_key`, which folds together
 
-* the **config fingerprint** — every field of the configuration, so
-  two configs that differ in any knob (including component overrides)
-  can never alias;
+* the **config fingerprint** — every field of the configuration, less
+  a ``timing``/``power`` seam left at ``none``, so two configs that
+  differ in any knob can never alias;
 * the **component fingerprint** — the ``module:qualname`` of the
   factory registered for each selected seam implementation, so
   swapping the code behind a registry key invalidates old entries;
@@ -28,8 +28,7 @@ persistent result cache (:mod:`repro.parallel.cache`) keys an entry by
 * the **fault-plan fingerprint** — present only when the spec carries a
   :class:`~repro.faults.plan.FaultPlan` (it folds each kind's registered
   implementation, like the two above), so a faulty point can never
-  alias a fault-free one (and fault-free keys are unchanged from before
-  fault injection existed);
+  alias a fault-free one;
 * the thread count and sorted kernel parameters.
 """
 
@@ -41,7 +40,7 @@ from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
-from repro.hmc.components import COMPONENTS
+from repro.hmc.components import COMPONENTS, SEAMS
 from repro.hmc.config import HMCConfig
 from repro.registry import resolve
 
@@ -94,16 +93,12 @@ class TaskSpec:
 
 
 def config_fingerprint(config: HMCConfig) -> str:
-    """Hex digest over *every* configuration field.
-
-    Unlike the retired in-process sweep cache (keyed on the config's
-    ``repr``), the fingerprint is explicit about its inputs: the full
-    validated field set, serialized canonically.  Two configurations
-    differing in any knob — queue depths, rates, interleave, component
-    selections — get distinct fingerprints.
-    """
-    doc = {f.name: getattr(config, f.name) for f in fields(config)}
-    return _digest(doc)
+    """Hex digest over every configuration field, serialized
+    canonically, the seams as
+    :meth:`~repro.hmc.config.HMCConfig.component_selection` reports
+    them: configurations differing in any knob differ here."""
+    doc = {f.name: getattr(config, f.name) for f in fields(config) if f.name not in SEAMS}
+    return _digest({**doc, **config.component_selection()})
 
 
 def component_fingerprint(config: HMCConfig) -> str:

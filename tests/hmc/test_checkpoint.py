@@ -553,35 +553,29 @@ class TestFingerprintCoversAttachedModels:
     @pytest.mark.parametrize(
         "saved, target, field",
         [
-            ({"timing": "HMCTimingModel"}, {}, "timing"),
-            ({}, {"timing": "HMCTimingModel"}, "timing"),
-            ({"power": "HMCPowerModel"}, {}, "power"),
+            ({"timing": "open_page"}, {}, "timing"),
+            ({}, {"timing": "open_page"}, "timing"),
+            ({"power": "energy"}, {}, "power"),
             ({"flow": 0.05}, {"flow": 0.01}, "flow"),
         ],
     )
     def test_model_mismatch_is_refused(self, tmp_path, saved, target, field):
         from repro.hmc.flow import ErrorModel, LinkFlowModel
-        from repro.hmc.power import HMCPowerModel
-        from repro.hmc.timing import HMCTimingModel
 
         def build(models):
-            kwargs = {}
-            if "timing" in models:
-                kwargs["timing"] = HMCTimingModel()
-            if "power" in models:
-                kwargs["power"] = HMCPowerModel()
-            if "flow" in models:
-                kwargs["flow"] = LinkFlowModel(errors=ErrorModel(models["flow"]))
-            return HMCSim(HMCConfig.cfg_4link_4gb(), **kwargs)
+            models = dict(models)
+            flow = models.pop("flow", None)
+            if flow is not None:
+                flow = LinkFlowModel(errors=ErrorModel(flow))
+            return HMCSim(HMCConfig.cfg_4link_4gb(**models), flow=flow)
 
         p = save_checkpoint(build(saved), tmp_path / "cp.json")
         with pytest.raises(HMCSimError, match=f"does not match.*{field}: "):
             restore_checkpoint(build(target), p)
 
     def test_timing_error_names_both_sides(self, cfg4, tmp_path):
-        from repro.hmc.timing import HMCTimingModel
-
-        p = save_checkpoint(HMCSim(cfg4, timing=HMCTimingModel()), tmp_path / "cp.json")
+        timed = HMCSim(HMCConfig.cfg_4link_4gb(timing="open_page"))
+        p = save_checkpoint(timed, tmp_path / "cp.json")
         with pytest.raises(HMCSimError) as exc:
             restore_checkpoint(HMCSim(cfg4), p)
         msg = str(exc.value)

@@ -28,16 +28,15 @@ from repro.hmc.bank import Bank
 from repro.hmc.checkpoint import restore_checkpoint, save_checkpoint
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.components import MemoryModel
-from repro.hmc.config import HMCConfig
+from repro.hmc.config import HMCConfig, resolve_config
 from repro.hmc.device import Device
 from repro.hmc.flow import ErrorModel, LinkFlowModel, LinkFlowState
 from repro.hmc.link import Link
 from repro.hmc.packet import RequestPacket, ResponsePacket, packet_state
-from repro.hmc.power import HMCPowerModel, PowerReport
+from repro.hmc.power import PowerReport
 from repro.hmc.queue import StallQueue
 from repro.hmc.registers import RegisterFile
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import HMCTimingModel
 from repro.hmc.topology import Topology
 from repro.hmc.vault import RoundRobinVaultScheduler, Vault
 from repro.hmc.xbar import Flight, XBar
@@ -169,8 +168,13 @@ CELLS: Dict[str, Callable[[], Cell]] = {
     "round_robin": lambda: _kernels(
         lambda: HMCSim(HMCConfig.cfg_4link_4gb(vault_scheduler="round_robin"))
     ),
-    "timing": lambda: _kernels(lambda: HMCSim(CFG4, timing=HMCTimingModel())),
-    "power": lambda: _kernels(lambda: HMCSim(CFG4, power=HMCPowerModel())),
+    "timing": lambda: _kernels(
+        lambda: HMCSim(HMCConfig.cfg_4link_4gb(timing="open_page"))
+    ),
+    "power": lambda: _kernels(lambda: HMCSim(HMCConfig.cfg_4link_4gb(power="energy"))),
+    "timing_power": lambda: _kernels(
+        lambda: HMCSim(resolve_config("4link", {"timing": "open_page", "power": "energy"}))
+    ),
     "tokens_crc": lambda: _kernels(
         lambda: HMCSim(CFG4, flow=LinkFlowModel(errors=ErrorModel(0.05)))
     ),

@@ -21,9 +21,12 @@ from repro.hmc.components import (
     _SEAM_SPEC,
     COMPONENTS,
     SEAMS,
+    SILENT_NONE,
     CrossbarModel,
     LinkFlow,
     MemoryModel,
+    PowerModel,
+    TimingModel,
     TopologyRouter,
     VaultScheduler,
     create,
@@ -35,7 +38,7 @@ from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
 from repro.host.kernels.gups import gups_program, hpcc_random_stream
 from repro.host.kernels.mutex_kernel import mutex_program
-from repro.parallel.tasks import component_fingerprint
+from repro.parallel.tasks import component_fingerprint, config_fingerprint
 from tests.conftest import roundtrip
 
 _IFACE = {
@@ -44,6 +47,8 @@ _IFACE = {
     "link_flow": LinkFlow,
     "topology": TopologyRouter,
     "memory": MemoryModel,
+    "timing": TimingModel,
+    "power": PowerModel,
 }
 
 
@@ -74,8 +79,19 @@ class TestRegistry:
             del COMPONENTS["xbar"]._entries["_bogus"]
 
     def test_create_allows_none(self):
-        # The link_flow seam's "none" baseline: a factory may yield None.
-        assert create("link_flow", "none", HMCConfig.cfg_4link_4gb()) is None
+        # The "none" baseline: a factory may yield None.
+        for seam in ("link_flow", *SILENT_NONE):
+            assert create(seam, "none", HMCConfig.cfg_4link_4gb()) is None
+
+    def test_a_model_left_at_none_adds_nothing_to_identities(self):
+        cfg = HMCConfig.cfg_4link_4gb()
+        assert cfg.component_selection()["link_flow"] == "none"
+        assert not SILENT_NONE & set(cfg.component_selection())
+        for seam, key in (("timing", "open_page"), ("power", "energy")):
+            chosen = HMCConfig.cfg_4link_4gb(**{seam: key})
+            assert chosen.component_selection()[seam] == key
+            assert config_fingerprint(chosen) != config_fingerprint(cfg)
+            assert component_fingerprint(chosen) != component_fingerprint(cfg)
 
     def test_decorator_registers_and_returns_factory(self):
         try:
@@ -125,11 +141,11 @@ class TestRegistry:
             for key, impl in COMPONENTS[seam].classes().items()  # imports all
             if impl.__module__.startswith("repro.")
         }
-        assert len(declared) == 11
+        assert len(declared) == 15
         assert live == declared
 
     def test_config_rejects_unregistered_selection(self):
-        for field in ("xbar", "vault_scheduler", "link_flow", "topology", "memory"):
+        for field in SEAMS:
             with pytest.raises(HMCConfigError, match="known keys"):
                 HMCConfig.cfg_4link_4gb(**{field: "not_a_thing"})
 
@@ -282,6 +298,24 @@ class TestLinkFlowContract:
         sim.mem_write(0x80, b"\x33" * 16)
         rsp = roundtrip(sim, sim.build_memrequest(hmc_rqst_t.RD16, 0x80, 4))
         assert rsp.data == b"\x33" * 16
+
+
+@pytest.mark.parametrize(
+    "seam, key",
+    [(seam, key) for seam in sorted(SILENT_NONE) for key in COMPONENTS[seam].keys()],
+)
+class TestTimingPowerContract:
+    def test_factory_yields_model_or_none(self, seam, key):
+        model = create(seam, key, HMCConfig.cfg_4link_4gb())
+        assert (model is None) == (key == "none")
+        assert model is None or isinstance(model, _IFACE[seam])
+
+    def test_simulation_runs_under_selection(self, seam, key):
+        sim = HMCSim(HMCConfig.cfg_4link_4gb(**{seam: key}))
+        sim.mem_write(0x80, b"\x33" * 16)
+        rsp = roundtrip(sim, sim.build_memrequest(hmc_rqst_t.RD16, 0x80, 4))
+        assert rsp.data == b"\x33" * 16
+        assert (getattr(sim, seam) is None) == (key == "none")
 
 
 @pytest.mark.parametrize("key", COMPONENTS["topology"].keys())

@@ -71,10 +71,10 @@ def test_golden_covers_all_workloads(golden: dict) -> None:
 
 
 def _timed_sim() -> HMCSim:
-    return HMCSim(
-        HMCConfig.cfg_4link_4gb(),
-        timing=HMCTimingModel(t_cl=3, t_rcd=4, t_rp=5),
-    )
+    # Non-default parameters no seam key names: set on the built context.
+    sim = HMCSim(HMCConfig.cfg_4link_4gb())
+    sim.timing = HMCTimingModel(t_cl=3, t_rcd=4, t_rp=5)
+    return sim
 
 
 def _send_and_drain(sim: HMCSim, addr: int, tag: int) -> None:

@@ -29,7 +29,6 @@ from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.packet import RequestPacket
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import HMCTimingModel
 from repro.host.openloop import OpenLoopStats, drive_open_loop
 from repro.workloads.registry import WORKLOADS
 
@@ -85,9 +84,9 @@ def _timed_parking():
     rng = random.Random(24)
     sim = HMCSim(
         HMCConfig.cfg_4link_4gb(
-            xbar_depth=4, link_rsp_rate=1, vault_scheduler="round_robin"
-        ),
-        timing=HMCTimingModel(),
+            xbar_depth=4, link_rsp_rate=1, vault_scheduler="round_robin",
+            timing="open_page",
+        )
     )
     addrmap = sim.addrmap
     packets = [

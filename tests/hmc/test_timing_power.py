@@ -6,7 +6,7 @@ from repro.hmc.commands import command_info, hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.power import HMCPowerModel, PowerReport
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import DEFAULT_TIMING, HMCTimingModel
+from repro.hmc.timing import HMCTimingModel
 from repro.hmc.trace import TraceLevel
 
 
@@ -44,7 +44,7 @@ class TestTimingInPipeline:
     def test_bank_serializes_under_timing(self):
         # With the timing model, two same-bank requests can no longer
         # complete in one cycle — the second sees a busy bank.
-        sim = HMCSim(HMCConfig.cfg_4link_4gb(), timing=DEFAULT_TIMING)
+        sim = HMCSim(HMCConfig.cfg_4link_4gb(timing="open_page"))
         sim.trace_level(TraceLevel.BANK)
         for tag in range(2):
             sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, tag))
@@ -62,7 +62,7 @@ class TestTimingInPipeline:
         assert any(ev.level is TraceLevel.BANK for ev in sim.tracer.events)
 
     def test_different_banks_still_parallel(self):
-        sim = HMCSim(HMCConfig.cfg_4link_4gb(), timing=DEFAULT_TIMING)
+        sim = HMCSim(HMCConfig.cfg_4link_4gb(timing="open_page"))
         cfg = sim.config
         # Same vault, different banks: bank stride is bsize * num_vaults.
         bank_stride = cfg.bsize * cfg.num_vaults
@@ -81,7 +81,7 @@ class TestTimingInPipeline:
 
     def test_row_buffer_locality_visible(self):
         # Two requests to the same row: second is faster (row hit).
-        sim = HMCSim(HMCConfig.cfg_4link_4gb(), timing=DEFAULT_TIMING)
+        sim = HMCSim(HMCConfig.cfg_4link_4gb(timing="open_page"))
         bank = sim.devices[0].vaults[0].banks[0]
         sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 0))
         sim.drain()
@@ -128,7 +128,7 @@ class TestPowerModel:
         assert r.average_pj("never") == 0.0
 
     def test_pipeline_accounts_energy(self):
-        sim = HMCSim(HMCConfig.cfg_4link_4gb(), power=HMCPowerModel())
+        sim = HMCSim(HMCConfig.cfg_4link_4gb(power="energy"))
         sim.trace_level(TraceLevel.POWER)
         sim.send(sim.build_memrequest(hmc_rqst_t.INC8, 0, 0))
         sim.drain()

@@ -6,7 +6,6 @@ import pytest
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import HMCTimingModel
 
 
 def bank_addr(cfg, vault, bank, row=0):
@@ -18,10 +17,7 @@ def bank_addr(cfg, vault, bank, row=0):
 
 @pytest.fixture
 def tsim():
-    return HMCSim(
-        HMCConfig.cfg_4link_4gb(),
-        timing=HMCTimingModel(t_cl=2, t_rcd=2, t_rp=2),
-    )
+    return HMCSim(HMCConfig.cfg_4link_4gb(timing="open_page"))
 
 
 def collect_all(sim, n, max_cycles=200):

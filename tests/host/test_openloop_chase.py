@@ -1,5 +1,7 @@
 """Open-loop injector and pointer-chase kernel tests."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.faults.plan import FaultPlan
@@ -86,9 +88,9 @@ class TestPointerChase:
         assert seq.cycles == sca.cycles
 
     def test_timing_model_penalizes_scatter(self, cfg):
-        # timing=True attaches the default DRAM timing model.
-        seq = run_workload("chase", cfg, length=64, timing=True)
-        sca = run_workload("chase", cfg, length=64, scatter=True, timing=True)
+        timed = replace(cfg, timing="open_page")
+        seq = run_workload("chase", timed, length=64)
+        sca = run_workload("chase", timed, length=64, scatter=True)
         # Sequential layout gets row hits; scattered pays activates.
         assert seq.cycles <= sca.cycles
 

@@ -124,7 +124,9 @@ class TestCommands:
         assert "order=ok" in out
 
     def test_chase_timed_scatter(self):
-        rc, out = run_cli("chase", "--length", "16", "--scatter", "--timing")
+        rc, out = run_cli(
+            "chase", "--length", "16", "--scatter", "--component", "timing=open_page"
+        )
         assert rc == 0
         assert "scattered, timed" in out
 

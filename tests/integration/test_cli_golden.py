@@ -63,7 +63,9 @@ CASES = {
     "kernel-mutex-oracle": [
         ["kernel", "mutex", "--threads", "4", "--oracle-sample", "2"]
     ],
-    "chase-scatter-timing": [["chase", "--scatter", "--timing"]],
+    "chase-scatter-timing": [
+        ["chase", "--scatter", "--component", "timing=open_page"]
+    ],
     "graph-pipeline-plain": [["graph", "pipeline"]],
     "openloop-depth-stride": [
         ["openloop", "--depth", "8", "--pattern", "stride"]

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.flow import ErrorModel, LinkFlowModel
-from repro.hmc.power import HMCPowerModel
 from repro.hmc.sim import HMCSim
-from repro.hmc.timing import HMCTimingModel
 from tests.conftest import roundtrip, run_workload
 
 
@@ -18,9 +16,7 @@ class TestAllModelsTogether:
     @pytest.fixture
     def full_sim(self):
         return HMCSim(
-            HMCConfig.cfg_4link_4gb(),
-            timing=HMCTimingModel(),
-            power=HMCPowerModel(),
+            HMCConfig.cfg_4link_4gb(timing="open_page", power="energy"),
             flow=LinkFlowModel(
                 tokens_per_link=64,
                 retry_latency=4,

@@ -99,6 +99,26 @@ class TestAdmission:
                 client.create(components={"xbar": "nope"})
             assert exc.value.code == "bad_request"
 
+    def test_timing_selection_reaches_the_session(self, make_server):
+        from repro.hmc.config import resolve_config
+        from repro.workloads.registry import WORKLOADS
+
+        server = make_server()
+        with ServeClient(str(server.config.socket_path)) as client:
+            name = client.create(components={"timing": "open_page"})
+            reply = client.submit(name, "workload", _mutex(4), wait=True)
+        assert reply["status"] == "done"
+        mutex = WORKLOADS.get("mutex")
+        timed = mutex.run(resolve_config("4link", {"timing": "open_page"}), {"threads": 4})
+        assert reply["payload"] == {
+            "workload": "mutex",
+            "warm": True,
+            "fingerprint": WORKLOADS.fingerprint("mutex"),
+            "stats": schemas.encode_value(timed),
+        }
+        untimed = mutex.run(resolve_config("4link"), {"threads": 4})
+        assert timed.max_cycle != untimed.max_cycle
+
     def test_tiny_queue_still_completes(self, make_server):
         # queue_depth=1 forces the backpressure path: later submits
         # wait for queue space instead of erroring.

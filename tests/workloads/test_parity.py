@@ -4,7 +4,8 @@
 still had the per-kernel ``run_*`` entrypoints under
 ``repro.host.kernels``, by calling those entrypoints directly: every
 kernel, both shipped configurations, every ``cli_variants`` variant,
-the modes no CLI variant reaches (``EXTRA``), and Algorithm 1 under a
+the modes no CLI variant reaches (``EXTRA``), the component selections
+a kernel is also pinned under (``SELECTED``), and Algorithm 1 under a
 fault plan.  The entrypoints are gone; the registry frontends are the
 only statement of each kernel, and this suite pins them to the captured
 stats field for field (cycle counts, request counts, verification
@@ -50,8 +51,12 @@ PARAMS = {
 EXTRA = {
     "mutex": [{"oracle_sample": 4}],
     "stream": [{"windowed": True}],
-    "chase": [{"scatter": True}, {"timing": True}],
+    "chase": [{"scatter": True}],
 }
+
+#: Component selections a kernel also runs under, keyed
+#: ``<kernel>/<config>+<seam>=<impl>/<params>``.
+SELECTED = {"chase": [{"timing": "open_page"}]}
 
 #: Whole parameter sets run beside the reduced ones.  STREAM past one
 #: period of both inputs (97 x 31 = 3,007 elements) and a multiple of
@@ -89,7 +94,8 @@ FAULT_THREADS = 12
 
 
 def cases(name):
-    """``(key, params, fault_plan)`` for every pinned run of ``name``."""
+    """``(key, params, fault_plan, components)`` for every pinned run
+    of ``name``."""
     frontend = WORKLOADS.get(name)
     variants = [{}] + EXTRA.get(name, [])
     if frontend.cli_kernel:
@@ -100,21 +106,29 @@ def cases(name):
         resolved = frontend.resolve_params(params)
         if resolved not in seen:  # a variant restating a default
             seen.append(resolved)
-            yield json.dumps(params, sort_keys=True), params, None
+            yield json.dumps(params, sort_keys=True), params, None, {}
     for params in SIZED.get(name, []):
-        yield json.dumps(params, sort_keys=True), params, None
+        yield json.dumps(params, sort_keys=True), params, None, {}
+    for components in SELECTED.get(name, []):
+        yield json.dumps(PARAMS[name], sort_keys=True), PARAMS[name], None, components
     if name == "mutex":
         plan = FaultPlan.parse(list(FAULT_SPECS), seed=FAULT_SEED)
-        yield "faults", {"threads": FAULT_THREADS}, plan
+        yield "faults", {"threads": FAULT_THREADS}, plan, {}
+
+
+def _label(name, cfg_name, key, components):
+    selected = "".join(f"+{seam}={impl}" for seam, impl in components.items())
+    return f"{name}/{cfg_name}{selected}/{key}"
 
 
 def _run_all(name, cfg_name):
-    cfg = getattr(HMCConfig, cfg_name)()
     return {
-        f"{name}/{cfg_name}/{key}": encode_result(
-            WORKLOADS.get(name).run(cfg, params, fault_plan=plan)
+        _label(name, cfg_name, key, components): encode_result(
+            WORKLOADS.get(name).run(
+                getattr(HMCConfig, cfg_name)(**components), params, fault_plan=plan
+            )
         )
-        for key, params, plan in cases(name)
+        for key, params, plan, components in cases(name)
     }
 
 
@@ -135,10 +149,10 @@ def test_registry_run_matches_legacy_entrypoint(name, cfg_name, golden):
 
 def test_golden_has_no_unvisited_cases(golden):
     expected = {
-        f"{name}/{cfg_name}/{key}"
+        _label(name, cfg_name, key, components)
         for name in PARAMS
         for cfg_name in CONFIGS
-        for key, _, _ in cases(name)
+        for key, _, _, components in cases(name)
     }
     assert set(golden) == expected
 
