@@ -29,7 +29,6 @@ __all__ = [
     "lock_struct_unpack",
     "payload_u64",
     "store_u64",
-    "read_lock_struct",
     "write_lock_struct",
 ]
 
@@ -69,11 +68,6 @@ def payload_u64(payload: Sequence[int], index: int) -> int:
 def store_u64(payload: List[int], index: int, value: int) -> None:
     """Write 64-bit word ``index`` of a raw payload buffer in place."""
     payload[index] = value & _M64
-
-
-def read_lock_struct(hmc, dev: int, addr: int) -> Tuple[int, int]:
-    """Read the lock structure at a device address; ``(tid, lock)``."""
-    return lock_struct_unpack(hmc.mem_read(addr, LOCK_STRUCT_BYTES, dev=dev))
 
 
 def write_lock_struct(hmc, dev: int, addr: int, tid: int, lock: int) -> None:

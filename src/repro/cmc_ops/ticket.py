@@ -29,16 +29,11 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.cmc import CMCOperation
-from repro.hmc.commands import hmc_rqst_t
-from repro.hmc.packet import RequestPacket
 from repro.hmc.sim import HMCSim
 
 __all__ = [
     "TICKET_PLUGINS",
     "load_ticket_ops",
-    "build_enter",
-    "build_wait",
-    "build_exit",
     "decode_enter",
     "decode_serving",
     "init_ticket_lock",
@@ -62,21 +57,6 @@ def load_ticket_ops(sim: HMCSim) -> List[CMCOperation]:
 def init_ticket_lock(sim: HMCSim, addr: int, *, dev: int = 0) -> None:
     """Initialize a ticket lock: next_ticket = now_serving = 0."""
     sim.mem_write(addr, bytes(16), dev=dev)
-
-
-def build_enter(sim: HMCSim, addr: int, tag: int, *, cub: int = 0) -> RequestPacket:
-    """Build an ``hmc_ticket_enter`` request (1 FLIT, no payload)."""
-    return sim.build_memrequest(hmc_rqst_t.CMC21, addr, tag, cub=cub)
-
-
-def build_wait(sim: HMCSim, addr: int, tag: int, *, cub: int = 0) -> RequestPacket:
-    """Build an ``hmc_ticket_wait`` request (1 FLIT, no payload)."""
-    return sim.build_memrequest(hmc_rqst_t.CMC22, addr, tag, cub=cub)
-
-
-def build_exit(sim: HMCSim, addr: int, tag: int, *, cub: int = 0) -> RequestPacket:
-    """Build an ``hmc_ticket_exit`` request (1 FLIT, no payload)."""
-    return sim.build_memrequest(hmc_rqst_t.CMC23, addr, tag, cub=cub)
 
 
 def decode_enter(data: bytes) -> Tuple[int, int]:

@@ -407,7 +407,3 @@ class CMCRegistry:
             ) from None
         op.executions += 1
         return op, rsp_data, wire_rsp_cmd
-
-    def str_for(self, cmd: int) -> str:
-        """Resolve the trace name for a CMC command via its ``cmc_str``."""
-        return self.get(cmd).cmc_str()

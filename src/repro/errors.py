@@ -155,7 +155,7 @@ class OracleDivergenceError(HMCSimError):
     (``HostEngine(oracle_sample=N)``) when a shadow-executed request's
     expected response does not match the one the datapath produced.
     Like :class:`SimDeadlockError` it carries a
-    :class:`repro.faults.diagnostics.DeadlockDump` (``dump``
+    :class:`repro.hmc.sim.DeadlockDump` (``dump``
     attribute) whose ``extra`` section names the sampled request, the
     expectation, and the actual response — a divergence is a simulator
     bug and must be diagnosable from the exception alone.
@@ -172,7 +172,7 @@ class SimDeadlockError(HMCSimError):
     """A workload stopped making forward progress.
 
     Replaces the bare ``max_cycles``-overrun raises: carries a
-    :class:`repro.faults.diagnostics.DeadlockDump` (``dump`` attribute)
+    :class:`repro.hmc.sim.DeadlockDump` (``dump`` attribute)
     with queue occupancies, outstanding tags, and token counts so a
     hang is diagnosable from the exception alone.  The dump's text is
     appended to the message; ``dump`` may be ``None`` for callers that

@@ -5,7 +5,8 @@ fault injection across the simulated datapath (DRAM ECC bit flips,
 transient vault stalls, dropped/duplicated responses at the crossbar,
 CMC-plugin crashes, link CRC corruption) plus the host-side machinery
 for surviving and diagnosing it (per-tag watchdog, cycle-wise
-invariant checking, deadlock dumps).
+invariant checking; the deadlock dumps live with the simulation
+context, :mod:`repro.hmc.sim`).
 
 Structure mirrors the component architecture:
 
@@ -19,9 +20,8 @@ Structure mirrors the component architecture:
   catalog, imported on first lookup);
 * :mod:`~repro.faults.controller` — the per-simulation object a built
   plan becomes (``sim.faults``);
-* :mod:`~repro.faults.watchdog` / :mod:`~repro.faults.invariants` /
-  :mod:`~repro.faults.diagnostics` — the resilience layer used by
-  :class:`repro.host.engine.HostEngine`.
+* :mod:`~repro.faults.watchdog` / :mod:`~repro.faults.invariants` —
+  the resilience layer used by :class:`repro.host.engine.HostEngine`.
 
 With no plan attached, the simulated datapath is bit-identical to the
 fault-free baseline — the paper's "No Simulation Perturbation"
@@ -46,8 +46,8 @@ _EXPORTS = {
     "TagWatchdog": "repro.faults.watchdog:TagWatchdog",
     "ArmedTag": "repro.faults.watchdog:ArmedTag",
     "InvariantChecker": "repro.faults.invariants:InvariantChecker",
-    "DeadlockDump": "repro.faults.diagnostics:DeadlockDump",
-    "collect_deadlock_dump": "repro.faults.diagnostics:collect_deadlock_dump",
+    "DeadlockDump": "repro.hmc.sim:DeadlockDump",
+    "collect_deadlock_dump": "repro.hmc.sim:collect_deadlock_dump",
 }
 
 __all__ = list(_EXPORTS)

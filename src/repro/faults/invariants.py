@@ -27,8 +27,8 @@ Checked invariants:
 
 The checker is opt-in and O(system) per call — it walks every queue —
 so hosts enable it in chaos/regression runs, not in performance
-sweeps.  Like :mod:`repro.faults.diagnostics` it is duck-typed against
-the context and imports nothing from :mod:`repro.hmc`.
+sweeps.  It is duck-typed against the context and imports nothing
+from :mod:`repro.hmc` but the wire format's ``MAX_TAG``.
 """
 
 from __future__ import annotations

@@ -22,13 +22,12 @@ before any simulation or sweep worker exists.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Sequence, Tuple, Union
 
 from repro.errors import FaultError
 from repro.faults.registry import FAULTS
+from repro.registry import digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.controller import FaultController
@@ -171,8 +170,7 @@ class FaultPlan:
                 for s in self.specs
             ],
         }
-        blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return digest(doc)
 
     def build(self, sim: "HMCSim") -> "FaultController":
         """Instantiate every injector against ``sim``.

@@ -8,7 +8,7 @@ passed so the engine can retransmit them — each timeout doubles (by
 ``backoff``) the next deadline, and a tag that stays unanswered after
 ``max_retries`` retransmissions is reported as exhausted, which the
 engine turns into a :class:`~repro.errors.SimDeadlockError` carrying a
-full :class:`~repro.faults.diagnostics.DeadlockDump`.
+full :class:`~repro.hmc.sim.DeadlockDump`.
 
 The watchdog is pure mechanism: it tracks deadlines and attempt
 counts but never touches the simulation — retransmission itself

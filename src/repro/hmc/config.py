@@ -156,10 +156,6 @@ class HMCConfig:
         """Quadrant that owns ``vault``."""
         return vault // self.vaults_per_quad
 
-    def local_link_of_quad(self, quad: int) -> int:
-        """The first (lowest-numbered) link attached to ``quad``."""
-        return quad * self.links_per_quad
-
     def quad_of_link(self, link: int) -> int:
         """Quadrant a link is physically attached to."""
         return link // self.links_per_quad

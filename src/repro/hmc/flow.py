@@ -267,10 +267,6 @@ class LinkFlowModel(LinkFlow):
         """Retries across every link."""
         return sum(st.retries for st in self._links.values())
 
-    def total_token_stalls(self) -> int:
-        """Token stalls across every link."""
-        return sum(st.token_stalls for st in self._links.values())
-
     def outstanding(self, dev: int, link: int) -> int:
         """Unacknowledged packets currently held in a retry buffer."""
         return len(self.state(dev, link).retry_buffer)

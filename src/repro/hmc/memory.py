@@ -18,8 +18,7 @@ Two page geometries register with the component registry:
   dense streaming workloads (STREAM, GUPS tables) at 16x the
   first-touch cost.
 
-Typed accessors for the 8- and 16-byte operands used by the Gen2
-atomics are provided; all multi-byte values are little-endian.
+All multi-byte values are little-endian.
 """
 
 from __future__ import annotations
@@ -129,56 +128,12 @@ class MemoryBackend(MemoryModel):
             addr += take
             pos += take
 
-    # -- typed accessors (little-endian) --------------------------------------
-
-    def read_u64(self, addr: int) -> int:
-        """Read an unsigned 64-bit value."""
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        """Write an unsigned 64-bit value (masked to 64 bits)."""
-        self.write(addr, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
-
-    def read_i64(self, addr: int) -> int:
-        """Read a signed 64-bit value."""
-        return int.from_bytes(self.read(addr, 8), "little", signed=True)
-
-    def write_i64(self, addr: int, value: int) -> None:
-        """Write a signed 64-bit value (two's-complement wrapped)."""
-        self.write_u64(addr, value & ((1 << 64) - 1))
-
-    def read_u128(self, addr: int) -> int:
-        """Read an unsigned 128-bit value."""
-        return int.from_bytes(self.read(addr, 16), "little")
-
-    def write_u128(self, addr: int, value: int) -> None:
-        """Write an unsigned 128-bit value (masked to 128 bits)."""
-        self.write(addr, (value & ((1 << 128) - 1)).to_bytes(16, "little"))
-
-    def read_i128(self, addr: int) -> int:
-        """Read a signed 128-bit value."""
-        return int.from_bytes(self.read(addr, 16), "little", signed=True)
-
-    def write_i128(self, addr: int, value: int) -> None:
-        """Write a signed 128-bit value (two's-complement wrapped)."""
-        self.write_u128(addr, value & ((1 << 128) - 1))
-
     # -- introspection ---------------------------------------------------------
 
     @property
     def page_size(self) -> int:
         """Bytes per lazily-allocated page of this store."""
         return self._psize
-
-    @property
-    def resident_pages(self) -> int:
-        """Number of pages materialized so far."""
-        return len(self._pages)
-
-    @property
-    def resident_bytes(self) -> int:
-        """Bytes of host memory consumed by materialized pages."""
-        return len(self._pages) * self._psize
 
     def iter_resident(self) -> Iterator[Tuple[int, bytes]]:
         """Yield ``(base_address, page_bytes)`` for each materialized page."""
@@ -279,19 +234,3 @@ class MemoryView:
             page[off : off + nbytes] = data
             return
         self._backend.write(a, data)
-
-    def read_u64(self, addr: int) -> int:
-        """Read an unsigned 64-bit value."""
-        return int.from_bytes(self.read(addr, 8), "little")
-
-    def write_u64(self, addr: int, value: int) -> None:
-        """Write an unsigned 64-bit value (masked to 64 bits)."""
-        self.write(addr, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
-
-    def read_u128(self, addr: int) -> int:
-        """Read an unsigned 128-bit value."""
-        return int.from_bytes(self.read(addr, 16), "little")
-
-    def write_u128(self, addr: int, value: int) -> None:
-        """Write an unsigned 128-bit value (masked to 128 bits)."""
-        self.write(addr, (value & ((1 << 128) - 1)).to_bytes(16, "little"))

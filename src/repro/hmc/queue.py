@@ -86,19 +86,6 @@ class StallQueue(Stateful, Generic[T]):
         """Drop all entries (statistics are preserved)."""
         self._q.clear()
 
-    def reset_stats(self) -> None:
-        """Start a fresh statistics epoch.
-
-        Entries still queued are carried into the new epoch as pushes
-        (``pushes = occupancy``, ``pops = 0``): zeroing both counters
-        on a non-empty queue would silently break the ``pushes - pops
-        == occupancy`` identity that the invariant checker audits every
-        cycle.
-        """
-        self.pushes = len(self._q)
-        self.pops = self.stalls = 0
-        self.high_water = len(self._q)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"StallQueue({self.name!r}, {len(self._q)}/{self.depth}, "

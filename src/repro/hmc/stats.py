@@ -59,7 +59,7 @@ class SimSampler:
         print(sampler.report())
 
     The host engines do not call this automatically (zero overhead when
-    unused); wrap the clock loop or use :meth:`run_sampled`.
+    unused); call :meth:`tick` after each clock.
     """
 
     def __init__(self, sim: HMCSim, interval: int = 1):
@@ -101,12 +101,6 @@ class SimSampler:
                 if kind not in table:
                     table[kind] = OccupancySeries(kind)
                 table[kind].samples.append(count)
-
-    def run_sampled(self, cycles: int) -> None:
-        """Clock the context ``cycles`` times, sampling after each."""
-        for _ in range(cycles):
-            self.sim.clock()
-            self.tick()
 
     # -- results ---------------------------------------------------------------
 

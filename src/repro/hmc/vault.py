@@ -502,7 +502,10 @@ def process_rqst(
         if power is not None:
             rsp_flits = 1 + len(rsp_data) // 16 if not posted else 0
             pj = power.request_energy(info, pkt.lng, rsp_flits)
-            sim.power_report.add(op_name, pj)
+            report = sim.power_report
+            if report is None:  # a model assigned after construction
+                report = sim.power_report = power.new_report()
+            report.add(op_name, pj)
             tracer.trace_power(cycle, op=op_name, energy_pj=pj)
 
     if posted:

@@ -28,9 +28,8 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.errors import HMCSimError, SimDeadlockError
-from repro.faults.diagnostics import collect_deadlock_dump
 from repro.hmc.packet import MAX_TAG
-from repro.hmc.sim import _EXPECTS, _STALL, HMCSim
+from repro.hmc.sim import _EXPECTS, _STALL, HMCSim, collect_deadlock_dump
 from repro.host.thread import BatchThread, Program, SimThread, ThreadCtx, ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

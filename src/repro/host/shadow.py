@@ -43,10 +43,10 @@ from dataclasses import replace as dc_replace
 from typing import Any, Dict, Optional
 
 from repro.errors import HMCSimError, OracleDivergenceError
-from repro.faults.diagnostics import collect_deadlock_dump
 from repro.hmc.amo import is_amo
 from repro.hmc.commands import CommandKind, command_for_code
 from repro.hmc.packet import RequestPacket
+from repro.hmc.sim import collect_deadlock_dump
 
 # _AMO_FOOTPRINT is the oracle's own read-footprint table; the shadow
 # checker must sync exactly the bytes the oracle will read (syncing a

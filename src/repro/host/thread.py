@@ -219,13 +219,6 @@ class SimThread:
             self.done = True
             self.finish_cycle = cycle
 
-    @property
-    def elapsed(self) -> Optional[int]:
-        """Cycles from start to completion, or None while running."""
-        if self.finish_cycle is None:
-            return None
-        return self.finish_cycle - self.start_cycle
-
 
 class BatchThread(SimThread):
     """A thread whose program yields lists of up to ``window`` packets.

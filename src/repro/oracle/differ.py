@@ -117,26 +117,6 @@ class DiffResult:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def summary(self) -> str:
-        status = "OK" if self.ok else f"{len(self.mismatches)} mismatch(es)"
-        if self.skipped is not None:
-            status = f"SKIPPED ({self.skipped})"
-        line = (
-            f"seed={self.trace.seed} profile={self.trace.profile} "
-            f"requests={len(self.trace.requests)} responses={self.responses} "
-            f"cycles={self.cycles}: {status}"
-        )
-        if self.fault_counts:
-            counts = " ".join(
-                f"{k}={v}" for k, v in sorted(self.fault_counts.items())
-            )
-            line += (
-                f" [faults: {counts}; watchdog: {self.timeouts} timeouts, "
-                f"{self.retransmits} retransmits, "
-                f"{self.duplicates_suppressed} dups suppressed]"
-            )
-        return line
-
 
 class _SkipTrace(Exception):
     """Internal: abandon the diff without a verdict (records ``skipped``)."""

@@ -23,15 +23,14 @@ by the CLI layer, which is how the regression corpus grows itself.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.hmc.config import resolve_config
 from repro.oracle.differ import DiffResult, run_trace
 from repro.oracle.trafficgen import generate_trace
 from repro.parallel.tasks import TaskSpec
+from repro.registry import digest
 
 __all__ = [
     "FARM_VERSION",
@@ -78,11 +77,6 @@ class FarmSeedResult:
     digest: str = ""
 
 
-def _digest(doc: Dict[str, Any]) -> str:
-    blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
 def result_from_diff(result: DiffResult) -> FarmSeedResult:
     """Compress a differential result into its farm record."""
     doc = {
@@ -100,7 +94,7 @@ def result_from_diff(result: DiffResult) -> FarmSeedResult:
         "fault_counts": dict(result.fault_counts),
         "mismatches": [m.describe() for m in result.mismatches],
     }
-    return FarmSeedResult(digest=_digest(doc), **doc)
+    return FarmSeedResult(digest=digest(doc), **doc)
 
 
 def format_seed_line(r: FarmSeedResult) -> str:

@@ -40,8 +40,6 @@ _EXPORTS = {
     "cache_key": "repro.parallel.tasks:cache_key",
     "component_fingerprint": "repro.parallel.tasks:component_fingerprint",
     "config_fingerprint": "repro.parallel.tasks:config_fingerprint",
-    "decode_result": "repro.parallel.tasks:decode_result",
-    "encode_result": "repro.parallel.tasks:encode_result",
     "run_task": "repro.parallel.tasks:run_task",
 }
 

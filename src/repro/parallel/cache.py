@@ -27,14 +27,15 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.fsutil import atomic_write_text
 
 __all__ = ["CacheStats", "SweepCache", "default_cache_root"]
 
 #: Bump to invalidate every existing cache entry (schema changes).
-CACHE_SCHEMA = 1
+#: 2: payloads are :func:`repro.registry.encode_value` documents.
+CACHE_SCHEMA = 2
 
 
 def default_cache_root() -> Path:
@@ -77,7 +78,7 @@ class SweepCache:
         """The entry file backing ``key``."""
         return self.root / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
+    def get(self, key: str) -> Any:
         """The stored payload for ``key``, or None on a miss."""
         path = self.path_for(key)
         try:
@@ -91,7 +92,7 @@ class SweepCache:
         self.stats.hits += 1
         return doc["payload"]
 
-    def put(self, key: str, payload: Dict[str, Any]) -> None:
+    def put(self, key: str, payload: Any) -> None:
         """Store ``payload`` under ``key`` (atomic replace)."""
         self.root.mkdir(parents=True, exist_ok=True)
         doc = {"schema": CACHE_SCHEMA, "key": key, "payload": payload}

@@ -32,7 +32,8 @@ from typing import Any, List, Optional, Sequence
 
 from repro.parallel.cache import SweepCache
 from repro.parallel.progress import ProgressFn, null_progress
-from repro.parallel.tasks import TaskSpec, cache_key, decode_result, encode_result, run_task
+from repro.parallel.tasks import TaskSpec, cache_key, run_task
+from repro.registry import decode_value, encode_value
 
 __all__ = ["SweepExecutor", "resolve_jobs"]
 
@@ -90,7 +91,7 @@ class SweepExecutor:
                 if payload is None:
                     pending.append(i)
                 else:
-                    results[i] = decode_result(payload)
+                    results[i] = decode_value(payload)
                     done += 1
                     self.progress(done, total, spec, True)
         else:
@@ -140,7 +141,7 @@ class SweepExecutor:
 
     def _finish(self, spec: TaskSpec, result: Any) -> Any:
         if self.cache is not None:
-            self.cache.put(cache_key(spec), encode_result(result))
+            self.cache.put(cache_key(spec), encode_value(result))
         return result
 
     def _chunk(self, specs: List[TaskSpec], workers: int) -> List[List[TaskSpec]]:

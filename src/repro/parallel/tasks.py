@@ -30,19 +30,23 @@ persistent result cache (:mod:`repro.parallel.cache`) keys an entry by
   implementation, like the two above), so a faulty point can never
   alias a fault-free one;
 * the thread count and sorted kernel parameters.
+
+Cached results are stored as JSON in the one lossless codec the serve
+wire also uses (:func:`repro.registry.encode_value`): dataclasses keep
+their ``module:qualname`` and are rebuilt on decode, tuples stay tuples
+and dicts keep non-string keys, so a warm run returns what the cold run
+computed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.hmc.components import COMPONENTS, SEAMS
 from repro.hmc.config import HMCConfig
-from repro.registry import resolve
+from repro.registry import digest, resolve
 
 __all__ = [
     "TaskSpec",
@@ -50,8 +54,6 @@ __all__ = [
     "component_fingerprint",
     "cache_key",
     "run_task",
-    "encode_result",
-    "decode_result",
 ]
 
 
@@ -98,7 +100,7 @@ def config_fingerprint(config: HMCConfig) -> str:
     :meth:`~repro.hmc.config.HMCConfig.component_selection` reports
     them: configurations differing in any knob differ here."""
     doc = {f.name: getattr(config, f.name) for f in fields(config) if f.name not in SEAMS}
-    return _digest({**doc, **config.component_selection()})
+    return digest({**doc, **config.component_selection()})
 
 
 def component_fingerprint(config: HMCConfig) -> str:
@@ -113,7 +115,7 @@ def component_fingerprint(config: HMCConfig) -> str:
         seam: COMPONENTS[seam].identity(key)
         for seam, key in config.component_selection().items()
     }
-    return _digest(doc)
+    return digest(doc)
 
 
 def cache_key(spec: TaskSpec) -> str:
@@ -142,16 +144,11 @@ def cache_key(spec: TaskSpec) -> str:
         config_fingerprint(spec.config),
         component_fingerprint(spec.config),
         f"t{spec.threads}",
-        _digest({k: v for k, v in spec.params}),
+        digest({k: v for k, v in spec.params}),
     ]
     if spec.fault_plan is not None:
         segments.append(f"f{spec.fault_plan.fingerprint()}")
     return "-".join(segments)
-
-
-def _digest(doc: Dict[str, Any]) -> str:
-    blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def run_task(spec: TaskSpec) -> Any:
@@ -162,24 +159,3 @@ def run_task(spec: TaskSpec) -> Any:
     serial/parallel parity is structural rather than tested-only.
     """
     return resolve(spec.runner)(spec)
-
-
-# -- result (de)serialization -------------------------------------------------
-#
-# Cached results are stored as JSON.  A result dataclass round-trips
-# through its field dict plus the dotted path of its class, resolved by
-# import on decode — the cache layer stays ignorant of kernel-specific
-# result types.
-
-
-def encode_result(result: Any) -> Dict[str, Any]:
-    """Encode a result dataclass as a JSON-safe dict."""
-    return {
-        "__dataclass__": f"{result.__class__.__module__}:{result.__class__.__qualname__}",
-        "fields": asdict(result),
-    }
-
-
-def decode_result(doc: Dict[str, Any]) -> Any:
-    """Reconstruct a result encoded by :func:`encode_result`."""
-    return resolve(doc["__dataclass__"])(**doc["fields"])

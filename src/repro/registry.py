@@ -22,17 +22,35 @@ a package a module ``__getattr__`` over a table of such paths.
 
 :func:`resolve_params` is the one contract for declared parameters:
 workload and fault-kind parameters and ``HMCConfig`` fields.
+
+The reverse direction lives here too.  :func:`encode_value` turns a
+result into a lossless JSON document whose dataclasses carry their
+``module:qualname``, and :func:`decode_value` rebuilds it through
+:func:`resolve`; the sweep cache and the serve wire both store that
+document.  :func:`digest` is the one content hash behind every cache
+key, fault-plan fingerprint and farm digest.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import importlib
+import json
 import sys
 import threading
+from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, Generic, List, Mapping, Optional, Tuple, Type, TypeVar
 
-__all__ = ["Registry", "resolve", "lazy_exports", "resolve_params"]
+__all__ = [
+    "Registry",
+    "resolve",
+    "lazy_exports",
+    "resolve_params",
+    "encode_value",
+    "decode_value",
+    "digest",
+]
 
 T = TypeVar("T")
 
@@ -229,6 +247,79 @@ def lazy_exports(
         return sorted(set(vars(sys.modules[package])) | set(exports))
 
     return __getattr__, __dir__
+
+
+# -- result value codec --------------------------------------------------------
+#
+# Results are stored losslessly: dataclasses keep their type tag
+# (module:qualname) and are rebuilt on decode, bytes round-trip via
+# base64, dicts keep non-string keys via an explicit pair list, tuples
+# stay tuples.  The encoding is deterministic, so two encodings of
+# bit-identical stats are byte-identical in canonical JSON form.  A
+# value outside that set raises ServeError("internal"), imported where
+# it is raised so that ``import repro`` still loads this module alone.
+
+
+def encode_value(value: Any) -> Any:
+    """JSON-safe, lossless encoding of a result value."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, bytes):
+        return {"__bytes__": base64.b64encode(value).decode("ascii")}
+    if is_dataclass(value) and not isinstance(value, type):
+        return {
+            "__dc__": f"{value.__class__.__module__}:{value.__class__.__qualname__}",
+            "fields": {
+                f.name: encode_value(getattr(value, f.name))
+                for f in fields(value)
+            },
+        }
+    if isinstance(value, tuple):
+        return {"__tuple__": [encode_value(v) for v in value]}
+    if isinstance(value, list):
+        return [encode_value(v) for v in value]
+    if isinstance(value, dict):
+        return {
+            "__map__": [
+                [encode_value(k), encode_value(v)]
+                for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
+            ]
+        }
+    from repro.errors import ServeError
+
+    raise ServeError(
+        "internal", f"cannot encode value of type {type(value).__name__}"
+    )
+
+
+def decode_value(doc: Any) -> Any:
+    """Invert :func:`encode_value` (rebuilding dataclass instances)."""
+    if doc is None or isinstance(doc, (bool, int, float, str)):
+        return doc
+    if isinstance(doc, list):
+        return [decode_value(v) for v in doc]
+    if isinstance(doc, dict):
+        if "__bytes__" in doc:
+            return base64.b64decode(doc["__bytes__"])
+        if "__tuple__" in doc:
+            return tuple(decode_value(v) for v in doc["__tuple__"])
+        if "__map__" in doc:
+            return {decode_value(k): decode_value(v) for k, v in doc["__map__"]}
+        if "__dc__" in doc:
+            return resolve(doc["__dc__"])(
+                **{k: decode_value(v) for k, v in doc["fields"].items()}
+            )
+        return {k: decode_value(v) for k, v in doc.items()}
+    from repro.errors import ServeError
+
+    raise ServeError("internal", f"cannot decode value {doc!r}")
+
+
+def digest(doc: Any) -> str:
+    """16 hex digits of sha256 over ``doc`` as sorted-key JSON (values
+    JSON cannot hold are written as ``str``)."""
+    blob = json.dumps(doc, sort_keys=True, default=str).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 #: Accepted value types per default-value type, and how to name them.

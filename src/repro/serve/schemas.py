@@ -31,23 +31,25 @@ Submission kinds::
     sweep     {"workload": name, "threads": [...]}  fanned over the
               shared parallel pool + disk cache (fingerprint dedup)
 
-The value codec (:func:`encode_value` / :func:`decode_value`) is the
-result-payload contract: a lossless, canonical JSON encoding of the
-stats dataclasses the workloads return, so "bit-identical to a direct
-run" is checkable byte-for-byte on the canonical form.
+The value codec (:func:`encode_value` / :func:`decode_value`, defined
+in :mod:`repro.registry` and re-exported here) is the result-payload
+contract: a lossless, canonical JSON encoding of the stats dataclasses
+the workloads return, so "bit-identical to a direct run" is checkable
+byte-for-byte on the canonical form.  The sweep cache stores the same
+documents (``CACHE_SCHEMA`` 2), so a cached result and a served one are
+one format.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import ServeError
 from repro.hmc.config import CONFIGS
-from repro.registry import resolve
+from repro.registry import decode_value, encode_value
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -267,66 +269,6 @@ def telemetry_msg(snapshot: Dict[str, Any]) -> Dict[str, Any]:
 def event_msg(event: str, **extra: Any) -> Dict[str, Any]:
     """A server lifecycle event (e.g. ``draining``), streamed."""
     return {"v": PROTOCOL_VERSION, "type": "event", "event": event, **extra}
-
-
-# -- result value codec --------------------------------------------------------
-#
-# Stats objects cross the wire losslessly: dataclasses keep their type
-# tag (module:qualname) and are rebuilt on decode, bytes round-trip via
-# base64, dicts keep non-string keys via an explicit pair list, tuples
-# stay tuples.  The encoding is deterministic, so two encodings of
-# bit-identical stats are byte-identical in canonical JSON form.
-
-
-def encode_value(value: Any) -> Any:
-    """JSON-safe, lossless encoding of a result value."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    if is_dataclass(value) and not isinstance(value, type):
-        return {
-            "__dc__": f"{value.__class__.__module__}:{value.__class__.__qualname__}",
-            "fields": {
-                f.name: encode_value(getattr(value, f.name))
-                for f in fields(value)
-            },
-        }
-    if isinstance(value, tuple):
-        return {"__tuple__": [encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {
-            "__map__": [
-                [encode_value(k), encode_value(v)]
-                for k, v in sorted(value.items(), key=lambda kv: repr(kv[0]))
-            ]
-        }
-    raise ServeError(
-        "internal", f"cannot encode value of type {type(value).__name__}"
-    )
-
-
-def decode_value(doc: Any) -> Any:
-    """Invert :func:`encode_value` (rebuilding dataclass instances)."""
-    if doc is None or isinstance(doc, (bool, int, float, str)):
-        return doc
-    if isinstance(doc, list):
-        return [decode_value(v) for v in doc]
-    if isinstance(doc, dict):
-        if "__bytes__" in doc:
-            return base64.b64decode(doc["__bytes__"])
-        if "__tuple__" in doc:
-            return tuple(decode_value(v) for v in doc["__tuple__"])
-        if "__map__" in doc:
-            return {decode_value(k): decode_value(v) for k, v in doc["__map__"]}
-        if "__dc__" in doc:
-            return resolve(doc["__dc__"])(
-                **{k: decode_value(v) for k, v in doc["fields"].items()}
-            )
-        return {k: decode_value(v) for k, v in doc.items()}
-    raise ServeError("internal", f"cannot decode value {doc!r}")
 
 
 def canonical_json(value: Any) -> str:

@@ -11,23 +11,27 @@ from __future__ import annotations
 
 import os
 import pickle
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import pytest
 
 from repro.analysis import sweep as sweep_mod
 from repro.analysis.sweep import run_mutex_sweep
+from repro.faults.plan import FaultPlan
 from repro.hmc.config import HMCConfig
+from repro.oracle.farm import farm_task_spec, run_farm_task
 from repro.parallel import (
     SweepCache,
     SweepExecutor,
     cache_key,
     component_fingerprint,
     config_fingerprint,
-    decode_result,
-    encode_result,
+    TaskSpec,
     resolve_jobs,
     run_task,
 )
+from repro.registry import decode_value, encode_value
 from repro.workloads.registry import WORKLOADS
 
 #: Reduced sweep axis: cheap, but still spans low and contended counts.
@@ -120,7 +124,22 @@ class TestCache:
     def test_result_codec_round_trip(self):
         cfg = HMCConfig.cfg_4link_4gb()
         stats = run_task(mutex_spec(cfg, 3))
-        assert decode_result(encode_result(stats)) == stats
+        assert decode_value(encode_value(stats)) == stats
+
+    def test_warm_result_keeps_tuples_and_int_keys(self, tmp_path):
+        spec = TaskSpec(
+            kernel="shaped",
+            kernel_version="1",
+            runner="tests.analysis.test_parallel:_shaped_runner",
+            config=HMCConfig.cfg_4link_4gb(),
+            threads=1,
+        )
+        cold = SweepExecutor(jobs=1, cache=SweepCache(tmp_path)).run([spec])
+        warm_cache = SweepCache(tmp_path)
+        warm = SweepExecutor(jobs=1, cache=warm_cache).run([spec])
+        assert warm_cache.stats.hits == 1
+        assert warm == cold == [_shaped_runner(spec)]
+        assert type(warm[0].hist) is tuple
 
     def test_clear_removes_entries(self, tmp_path):
         cache = SweepCache(tmp_path)
@@ -128,6 +147,34 @@ class TestCache:
         cache.put("k2", {"x": 2})
         assert cache.clear() == 2
         assert len(cache) == 0
+
+
+#: Cache keys, a plan fingerprint and a farm digest as the releases
+#: before the single :func:`repro.registry.digest` wrote them: entries
+#: and seed lines already on disk must keep their names.
+_PLAN = ("cmc_crash=0.2", "link_crc=0.01")
+PUBLISHED = {
+    "mutex": "mutex-w8b409718bcb9a22c-7157262fa7b02ab8-cb92fe41759844c0-t8-d2c89cc01bbde5ab",
+    "plan": "9dab90ba27f676d7",
+    "farm": "fuzz-fuzz-farm-1-7157262fa7b02ab8-cb92fe41759844c0-t0-67953ad3d4830e96",
+    "farm_seed0": "2f1a7753d0cf0691",
+}
+
+
+class TestPublishedDigests:
+    def test_mutex_cache_keys_and_plan_fingerprint(self):
+        cfg = HMCConfig.cfg_4link_4gb()
+        plan = FaultPlan.parse(list(_PLAN), seed=3)
+        assert plan.fingerprint() == PUBLISHED["plan"]
+        assert cache_key(mutex_spec(cfg, 8)) == PUBLISHED["mutex"]
+        assert cache_key(mutex_spec(cfg, 8, fault_plan=plan)) == (
+            PUBLISHED["mutex"] + "-f" + PUBLISHED["plan"]
+        )
+
+    def test_farm_key_and_seed_digest(self):
+        spec = farm_task_spec(0, profile="mixed")
+        assert cache_key(spec) == PUBLISHED["farm"]
+        assert run_farm_task(spec).digest == PUBLISHED["farm_seed0"]
 
 
 class TestTaskSpecs:
@@ -224,6 +271,18 @@ class TestProgress:
         assert all(c[3] for c in calls)  # warm run: every point cached
 
 
+@dataclass(frozen=True)
+class _Shaped:
+    """A result whose fields JSON alone would reshape."""
+
+    hist: Tuple[int, ...]
+    by_vault: Dict[int, int]
+
+
+def _shaped_runner(spec):
+    return _Shaped(hist=(1, 2, 3), by_vault={0: 5, 7: 9})
+
+
 def _boom_runner(spec):
     """Worker-side runner that fails on one sweep point (picklable by
     dotted path, like every TaskSpec runner)."""
@@ -233,8 +292,6 @@ def _boom_runner(spec):
 
 
 def _boom_specs(n=8):
-    from repro.parallel.tasks import TaskSpec
-
     cfg = HMCConfig.cfg_4link_4gb()
     return [
         TaskSpec(

@@ -4,9 +4,6 @@ fetchclear64, list push, dot product."""
 import pytest
 
 from repro.cmc_ops.ticket import (
-    build_enter,
-    build_exit,
-    build_wait,
     decode_enter,
     decode_serving,
     init_ticket_lock,
@@ -23,6 +20,10 @@ def u64(v):
     return (v & _M64).to_bytes(8, "little")
 
 
+#: The ticket ops' commands; each request is one FLIT with no payload.
+ENTER, WAIT, EXIT = hmc_rqst_t.CMC21, hmc_rqst_t.CMC22, hmc_rqst_t.CMC23
+
+
 class TestTicketOps:
     @pytest.fixture
     def tsim(self, sim):
@@ -31,43 +32,43 @@ class TestTicketOps:
         return sim
 
     def test_first_enter_owns_immediately(self, tsim, do_roundtrip):
-        rsp = do_roundtrip(tsim, build_enter(tsim, 0x100, 1))
+        rsp = do_roundtrip(tsim, tsim.build_memrequest(ENTER, 0x100, 1))
         my, serving = decode_enter(rsp.data)
         assert my == 0 and serving == 0  # arrival owns the lock
 
     def test_tickets_issued_in_order(self, tsim, do_roundtrip):
         tickets = []
         for tag in range(4):
-            rsp = do_roundtrip(tsim, build_enter(tsim, 0x100, tag))
+            rsp = do_roundtrip(tsim, tsim.build_memrequest(ENTER, 0x100, tag))
             tickets.append(decode_enter(rsp.data)[0])
         assert tickets == [0, 1, 2, 3]
 
     def test_wait_reports_serving(self, tsim, do_roundtrip):
-        do_roundtrip(tsim, build_enter(tsim, 0x100, 1))
-        rsp = do_roundtrip(tsim, build_wait(tsim, 0x100, 2))
+        do_roundtrip(tsim, tsim.build_memrequest(ENTER, 0x100, 1))
+        rsp = do_roundtrip(tsim, tsim.build_memrequest(WAIT, 0x100, 2))
         assert decode_serving(rsp.data) == 0
 
     def test_exit_advances_serving(self, tsim, do_roundtrip):
-        do_roundtrip(tsim, build_enter(tsim, 0x100, 1))
-        rsp = do_roundtrip(tsim, build_exit(tsim, 0x100, 2))
+        do_roundtrip(tsim, tsim.build_memrequest(ENTER, 0x100, 1))
+        rsp = do_roundtrip(tsim, tsim.build_memrequest(EXIT, 0x100, 2))
         assert decode_serving(rsp.data) == 1
-        rsp = do_roundtrip(tsim, build_wait(tsim, 0x100, 3))
+        rsp = do_roundtrip(tsim, tsim.build_memrequest(WAIT, 0x100, 3))
         assert decode_serving(rsp.data) == 1
 
     def test_full_handoff_sequence(self, tsim, do_roundtrip):
         # Two arrivals; second must wait until first exits.
-        r1 = do_roundtrip(tsim, build_enter(tsim, 0x100, 1))
-        r2 = do_roundtrip(tsim, build_enter(tsim, 0x100, 2))
+        r1 = do_roundtrip(tsim, tsim.build_memrequest(ENTER, 0x100, 1))
+        r2 = do_roundtrip(tsim, tsim.build_memrequest(ENTER, 0x100, 2))
         t1, s1 = decode_enter(r1.data)
         t2, s2 = decode_enter(r2.data)
         assert (t1, s1) == (0, 0)
         assert (t2, s2) == (1, 0)  # not yet served
-        do_roundtrip(tsim, build_exit(tsim, 0x100, 3))
-        rsp = do_roundtrip(tsim, build_wait(tsim, 0x100, 4))
+        do_roundtrip(tsim, tsim.build_memrequest(EXIT, 0x100, 3))
+        rsp = do_roundtrip(tsim, tsim.build_memrequest(WAIT, 0x100, 4))
         assert decode_serving(rsp.data) == 1 == t2
 
     def test_enter_is_one_flit(self, tsim):
-        assert build_enter(tsim, 0x100, 1).lng == 1
+        assert tsim.build_memrequest(ENTER, 0x100, 1).lng == 1
 
 
 class TestTicketKernel:

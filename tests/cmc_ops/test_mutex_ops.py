@@ -73,14 +73,14 @@ class TestHmcLock:
         rsp = do_roundtrip(msim, build_lock(msim, LOCK, 1, tid=42))
         assert rsp.cmd == int(hmc_response_t.WR_RS)
         assert decode_lock_response(rsp.data) == 1
-        tid, lock = base.read_lock_struct(msim, 0, LOCK)
+        tid, lock = base.lock_struct_unpack(msim.mem_read(LOCK, 16))
         assert (tid, lock) == (42, 1)
 
     def test_lock_held_returns_zero_and_preserves_owner(self, msim, do_roundtrip):
         do_roundtrip(msim, build_lock(msim, LOCK, 1, tid=42))
         rsp = do_roundtrip(msim, build_lock(msim, LOCK, 2, tid=43))
         assert decode_lock_response(rsp.data) == 0
-        tid, lock = base.read_lock_struct(msim, 0, LOCK)
+        tid, lock = base.lock_struct_unpack(msim.mem_read(LOCK, 16))
         assert (tid, lock) == (42, 1)  # Table V: ELSE branch does not modify
 
     def test_nonzero_lock_value_means_held(self, msim, do_roundtrip):
@@ -95,7 +95,7 @@ class TestHmcTrylock:
         rsp = do_roundtrip(msim, build_trylock(msim, LOCK, 1, tid=42))
         assert rsp.cmd == int(hmc_response_t.RD_RS)
         assert decode_lock_response(rsp.data) == 42
-        tid, lock = base.read_lock_struct(msim, 0, LOCK)
+        tid, lock = base.lock_struct_unpack(msim.mem_read(LOCK, 16))
         assert (tid, lock) == (42, 1)
 
     def test_returns_holder_tid_when_held(self, msim, do_roundtrip):
@@ -104,7 +104,7 @@ class TestHmcTrylock:
         # §V.A: "the response payload will contain the thread or task ID
         # of the unit of parallelism that currently holds the lock."
         assert decode_lock_response(rsp.data) == 42
-        tid, _ = base.read_lock_struct(msim, 0, LOCK)
+        tid, _ = base.lock_struct_unpack(msim.mem_read(LOCK, 16))
         assert tid == 42
 
 
@@ -113,14 +113,14 @@ class TestHmcUnlock:
         do_roundtrip(msim, build_lock(msim, LOCK, 1, tid=42))
         rsp = do_roundtrip(msim, build_unlock(msim, LOCK, 2, tid=42))
         assert decode_lock_response(rsp.data) == 1
-        _, lock = base.read_lock_struct(msim, 0, LOCK)
+        _, lock = base.lock_struct_unpack(msim.mem_read(LOCK, 16))
         assert lock == base.LOCK_FREE
 
     def test_non_owner_cannot_unlock(self, msim, do_roundtrip):
         do_roundtrip(msim, build_lock(msim, LOCK, 1, tid=42))
         rsp = do_roundtrip(msim, build_unlock(msim, LOCK, 2, tid=99))
         assert decode_lock_response(rsp.data) == 0
-        tid, lock = base.read_lock_struct(msim, 0, LOCK)
+        tid, lock = base.lock_struct_unpack(msim.mem_read(LOCK, 16))
         assert (tid, lock) == (42, 1)
 
     def test_unlock_free_lock_fails(self, msim, do_roundtrip):

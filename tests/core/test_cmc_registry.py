@@ -255,11 +255,6 @@ class TestExecution:
         assert seen["rqst_payload"] == [7, 8]
         assert seen["n_rsp"] == 2  # 2*(rsp_len-1) words
 
-    def test_str_for(self):
-        r = CMCRegistry()
-        r.register(make_op(name="my_op"))
-        assert r.str_for(125) == "my_op"
-
     def test_execution_counter(self):
         r = CMCRegistry()
         r.register(make_op())

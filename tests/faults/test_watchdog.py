@@ -211,7 +211,7 @@ class TestDeadlockDiagnostics:
         assert "tag9" in text or "cub0:tag9" in text
 
     def test_dump_object_collects_structures(self):
-        from repro.faults.diagnostics import collect_deadlock_dump
+        from repro.hmc.sim import collect_deadlock_dump
         from repro.hmc.commands import hmc_rqst_t
 
         sim = _faulty_sim("xbar_drop=1.0")

@@ -36,6 +36,10 @@ def u128(v):
     return (v & _M128).to_bytes(16, "little")
 
 
+def _int(data, signed=False):
+    return int.from_bytes(data, "little", signed=signed)
+
+
 @pytest.fixture
 def mem():
     return MemoryBackend(4096)
@@ -70,8 +74,8 @@ class TestAdds:
     def test_twoadd8_signed_negative(self, mem):
         mem.write(0, u64(5) + u64(5))
         execute_amo(mem, 0, int(hmc_rqst_t.TWOADD8), u64(-7) + u64(-3))
-        assert mem.read_i64(0) == -2
-        assert mem.read_i64(8) == 2
+        assert _int(mem.read(0, 8), signed=True) == -2
+        assert _int(mem.read(8, 8), signed=True) == 2
 
     def test_twoadd8_wraps_independently(self, mem):
         mem.write(0, u64(_M64) + u64(0))
@@ -86,20 +90,20 @@ class TestAdds:
         assert mem.read(0, 16) == u64(101) + u64(201)
 
     def test_add16_full_width(self, mem):
-        mem.write_u128(0, 1 << 64)  # carries live across the 64-bit boundary
+        mem.write(0, u128(1 << 64))  # carries live across the 64-bit boundary
         execute_amo(mem, 0, int(hmc_rqst_t.ADD16), u128(_M64 + 1))
-        assert mem.read_u128(0) == 2 << 64
+        assert _int(mem.read(0, 16)) == 2 << 64
 
     def test_add16_carry_across_lanes(self, mem):
-        mem.write_u128(0, _M64)
+        mem.write(0, u128(_M64))
         execute_amo(mem, 0, int(hmc_rqst_t.ADD16), u128(1))
-        assert mem.read_u128(0) == 1 << 64  # unlike TWOADD8, carry propagates
+        assert _int(mem.read(0, 16)) == 1 << 64  # unlike TWOADD8, carry propagates
 
     def test_adds16r_returns_original(self, mem):
-        mem.write_u128(0, 7)
+        mem.write(0, u128(7))
         r = execute_amo(mem, 0, int(hmc_rqst_t.ADDS16R), u128(3))
         assert r.rsp_data == u128(7)
-        assert mem.read_u128(0) == 10
+        assert _int(mem.read(0, 16)) == 10
 
     def test_posted_adds_same_memory_effect(self, mem):
         mem.write(0, u64(1) + u64(1))
@@ -108,15 +112,15 @@ class TestAdds:
         assert mem.read(0, 16) == u64(2) + u64(2)
 
     def test_inc8(self, mem):
-        mem.write_u64(64, 41)
+        mem.write(64, u64(41))
         r = execute_amo(mem, 64, int(hmc_rqst_t.INC8), b"")
-        assert mem.read_u64(64) == 42
+        assert _int(mem.read(64, 8)) == 42
         assert r.rsp_data == b"" and r.errstat == 0
 
     def test_inc8_wraps(self, mem):
-        mem.write_u64(0, _M64)
+        mem.write(0, u64(_M64))
         execute_amo(mem, 0, int(hmc_rqst_t.P_INC8), b"")
-        assert mem.read_u64(0) == 0
+        assert _int(mem.read(0, 8)) == 0
 
     def test_inc8_rejects_payload(self, mem):
         with pytest.raises(HMCPacketError):
@@ -135,9 +139,9 @@ class TestBooleans:
     @pytest.mark.parametrize("name,fn", CASES)
     def test_semantics_and_return(self, mem, name, fn):
         m, o = 0x0F0F1234CAFE, 0x00FFAA55
-        mem.write_u128(0, m)
+        mem.write(0, u128(m))
         r = execute_amo(mem, 0, int(hmc_rqst_t[name]), u128(o))
-        assert mem.read_u128(0) == fn(m, o), name
+        assert _int(mem.read(0, 16)) == fn(m, o), name
         assert r.rsp_data == u128(m), f"{name} must return the original"
 
     @pytest.mark.parametrize("name,fn", CASES)
@@ -152,86 +156,86 @@ class TestBooleans:
 
 class TestCAS8:
     def test_caseq8_hit(self, mem):
-        mem.write_u64(0, 5)
+        mem.write(0, u64(5))
         r = execute_amo(mem, 0, int(hmc_rqst_t.CASEQ8), u64(5) + u64(99))
-        assert mem.read_u64(0) == 99
+        assert _int(mem.read(0, 8)) == 99
         assert r.rsp_data[:8] == u64(5)
 
     def test_caseq8_miss(self, mem):
-        mem.write_u64(0, 6)
+        mem.write(0, u64(6))
         r = execute_amo(mem, 0, int(hmc_rqst_t.CASEQ8), u64(5) + u64(99))
-        assert mem.read_u64(0) == 6  # unchanged
+        assert _int(mem.read(0, 8)) == 6  # unchanged
         assert r.rsp_data[:8] == u64(6)
 
     def test_casgt8_signed(self, mem):
-        mem.write_i64(0, -1)
+        mem.write(0, u64(-1))
         # mem (-1) > compare (-5): swap.
         execute_amo(mem, 0, int(hmc_rqst_t.CASGT8), u64(-5) + u64(7))
-        assert mem.read_u64(0) == 7
+        assert _int(mem.read(0, 8)) == 7
 
     def test_casgt8_not_greater(self, mem):
-        mem.write_i64(0, -10)
+        mem.write(0, u64(-10))
         execute_amo(mem, 0, int(hmc_rqst_t.CASGT8), u64(-5) + u64(7))
-        assert mem.read_i64(0) == -10
+        assert _int(mem.read(0, 8), signed=True) == -10
 
     def test_caslt8(self, mem):
-        mem.write_i64(0, 3)
+        mem.write(0, u64(3))
         execute_amo(mem, 0, int(hmc_rqst_t.CASLT8), u64(10) + u64(1))
-        assert mem.read_u64(0) == 1
+        assert _int(mem.read(0, 8)) == 1
 
     def test_caslt8_equal_no_swap(self, mem):
-        mem.write_u64(0, 10)
+        mem.write(0, u64(10))
         execute_amo(mem, 0, int(hmc_rqst_t.CASLT8), u64(10) + u64(1))
-        assert mem.read_u64(0) == 10
+        assert _int(mem.read(0, 8)) == 10
 
     def test_high_half_of_memory_untouched(self, mem):
         mem.write(0, u64(5) + u64(0xABCD))
         execute_amo(mem, 0, int(hmc_rqst_t.CASEQ8), u64(5) + u64(99))
-        assert mem.read_u64(8) == 0xABCD
+        assert _int(mem.read(8, 8)) == 0xABCD
 
 
 class TestCAS16:
     def test_caszero16_hit(self, mem):
         r = execute_amo(mem, 0, int(hmc_rqst_t.CASZERO16), u128(123))
-        assert mem.read_u128(0) == 123
+        assert _int(mem.read(0, 16)) == 123
         assert r.rsp_data == u128(0)
 
     def test_caszero16_miss(self, mem):
-        mem.write_u128(0, 5)
+        mem.write(0, u128(5))
         r = execute_amo(mem, 0, int(hmc_rqst_t.CASZERO16), u128(123))
-        assert mem.read_u128(0) == 5
+        assert _int(mem.read(0, 16)) == 5
         assert r.rsp_data == u128(5)
 
     def test_casgt16(self, mem):
-        mem.write_u128(0, 10)
+        mem.write(0, u128(10))
         execute_amo(mem, 0, int(hmc_rqst_t.CASGT16), u128(5))
-        assert mem.read_u128(0) == 5  # mem(10) > operand(5): swapped in
+        assert _int(mem.read(0, 16)) == 5  # mem(10) > operand(5): swapped in
 
     def test_casgt16_signed_128(self, mem):
         mem.write(0, b"\xff" * 16)  # -1 as signed 128
         execute_amo(mem, 0, int(hmc_rqst_t.CASGT16), u128(3))
-        assert mem.read_u128(0) == _M128  # -1 < 3: no swap
+        assert _int(mem.read(0, 16)) == _M128  # -1 < 3: no swap
 
     def test_caslt16(self, mem):
-        mem.write_u128(0, 2)
+        mem.write(0, u128(2))
         execute_amo(mem, 0, int(hmc_rqst_t.CASLT16), u128(5))
-        assert mem.read_u128(0) == 5
+        assert _int(mem.read(0, 16)) == 5
 
 
 class TestEqSwapBwr:
     def test_eq8_equal(self, mem):
-        mem.write_u64(0, 7)
+        mem.write(0, u64(7))
         r = execute_amo(mem, 0, int(hmc_rqst_t.EQ8), u64(7) + u64(0))
         assert r.errstat == 0
         assert r.rsp_data == b""
 
     def test_eq8_not_equal(self, mem):
-        mem.write_u64(0, 7)
+        mem.write(0, u64(7))
         r = execute_amo(mem, 0, int(hmc_rqst_t.EQ8), u64(8) + u64(0))
         assert r.errstat == ERRSTAT_EQ_FAIL
 
     def test_eq16(self, mem):
-        mem.write_u128(0, 0xABCDEF)
+        mem.write(0, u128(0xABCDEF))
         assert execute_amo(mem, 0, int(hmc_rqst_t.EQ16), u128(0xABCDEF)).errstat == 0
         assert (
             execute_amo(mem, 0, int(hmc_rqst_t.EQ16), u128(0xABCDEE)).errstat
@@ -239,36 +243,36 @@ class TestEqSwapBwr:
         )
 
     def test_eq_does_not_modify_memory(self, mem):
-        mem.write_u128(0, 55)
+        mem.write(0, u128(55))
         execute_amo(mem, 0, int(hmc_rqst_t.EQ16), u128(55))
         execute_amo(mem, 0, int(hmc_rqst_t.EQ16), u128(56))
-        assert mem.read_u128(0) == 55
+        assert _int(mem.read(0, 16)) == 55
 
     def test_swap16(self, mem):
-        mem.write_u128(0, 0x1111)
+        mem.write(0, u128(0x1111))
         r = execute_amo(mem, 0, int(hmc_rqst_t.SWAP16), u128(0x2222))
-        assert mem.read_u128(0) == 0x2222
+        assert _int(mem.read(0, 16)) == 0x2222
         assert r.rsp_data == u128(0x1111)
 
     def test_bwr_masked_write(self, mem):
-        mem.write_u64(0, 0xFFFFFFFFFFFFFFFF)
+        mem.write(0, u64(0xFFFFFFFFFFFFFFFF))
         execute_amo(mem, 0, int(hmc_rqst_t.BWR), u64(0x0000) + u64(0x00FF))
-        assert mem.read_u64(0) == 0xFFFFFFFFFFFFFF00
+        assert _int(mem.read(0, 8)) == 0xFFFFFFFFFFFFFF00
 
     def test_bwr_only_masked_bits_change(self, mem):
-        mem.write_u64(0, 0x1234)
+        mem.write(0, u64(0x1234))
         execute_amo(mem, 0, int(hmc_rqst_t.BWR), u64(0xAB00) + u64(0xFF00))
-        assert mem.read_u64(0) == 0xAB34
+        assert _int(mem.read(0, 8)) == 0xAB34
 
     def test_bwr8r_returns_original_padded(self, mem):
-        mem.write_u64(0, 0x42)
+        mem.write(0, u64(0x42))
         r = execute_amo(mem, 0, int(hmc_rqst_t.BWR8R), u64(0) + u64(0))
         assert r.rsp_data == u64(0x42) + bytes(8)
 
     def test_p_bwr_no_response(self, mem):
         r = execute_amo(mem, 0, int(hmc_rqst_t.P_BWR), u64(1) + u64(1))
         assert r.rsp_data == b""
-        assert mem.read_u64(0) == 1
+        assert _int(mem.read(0, 8)) == 1
 
 
 class TestValidation:

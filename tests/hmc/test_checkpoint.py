@@ -592,7 +592,7 @@ class TestFingerprintCoversAttachedModels:
 
 class TestLostTagKindSurvives:
     def test_deadlock_dump_names_the_fault_after_restore(self, tmp_path):
-        from repro.faults.diagnostics import collect_deadlock_dump
+        from repro.hmc.sim import collect_deadlock_dump
         from repro.faults.plan import FaultPlan
         from repro.faults.watchdog import TagWatchdog
 

@@ -129,8 +129,5 @@ class TestGeometry:
         cfg = HMCConfig(num_links=8)
         assert [cfg.quad_of_link(l) for l in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
 
-    def test_local_link_of_quad(self):
-        assert HMCConfig(num_links=8).local_link_of_quad(2) == 4
-
     def test_geometry_tuple(self):
         assert HMCConfig.cfg_4link_4gb().geometry() == (1, 4, 32, 16)

@@ -48,7 +48,7 @@ class TestTokenAccounting:
         fm = LinkFlowModel(tokens_per_link=20)
         assert fm.try_acquire(0, 0, 17)
         assert not fm.try_acquire(0, 0, 4)  # only 3 left
-        assert fm.total_token_stalls() == 1
+        assert fm.state(0, 0).token_stalls == 1
         fm.refund(0, 0, 17)
         assert fm.try_acquire(0, 0, 17)
 
@@ -130,7 +130,7 @@ class TestFlowInPipeline:
         assert sim.send(pkt) is HMCStatus.OK
         pkt2 = sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 2)
         assert sim.send(pkt2) is HMCStatus.STALL  # no credit left
-        assert sim.flow.total_token_stalls() == 1
+        assert sim.flow.state(0, 0).token_stalls == 1
         sim.clock()  # xbar drains: tokens return
         assert sim.send(pkt2) is HMCStatus.OK
         sim.drain()

@@ -62,25 +62,6 @@ class TestBasics:
         assert not q
         assert q.stalls == 1
 
-    def test_reset_stats(self):
-        q = StallQueue(1)
-        q.push(1)
-        assert not q.push(2)
-        q.reset_stats()
-        # Queued entries are carried into the new epoch as pushes so
-        # pushes - pops == occupancy stays true across the reset.
-        assert q.pushes == 1
-        assert q.pops == q.stalls == 0
-        assert q.pushes - q.pops == len(q) == 1
-        assert q.high_water == 1  # current occupancy
-
-    def test_reset_stats_empty_queue_zeroes_everything(self):
-        q = StallQueue(2)
-        q.push(1)
-        q.pop()
-        q.reset_stats()
-        assert q.pushes == q.pops == q.stalls == q.high_water == 0
-
 
 class TestStatistics:
     def test_high_water_tracks_max(self):

@@ -9,6 +9,13 @@ from repro.hmc.stats import OccupancySeries, SimSampler
 from tests.conftest import run_workload
 
 
+def _run_sampled(sim, sampler, cycles):
+    """Clock ``sim`` ``cycles`` times, sampling after each."""
+    for _ in range(cycles):
+        sim.clock()
+        sampler.tick()
+
+
 class TestOccupancySeries:
     def test_empty(self):
         s = OccupancySeries("q")
@@ -30,7 +37,7 @@ class TestSampler:
 
     def test_idle_sim_samples_zero(self, sim):
         sampler = SimSampler(sim)
-        sampler.run_sampled(4)
+        _run_sampled(sim, sampler, 4)
         assert sampler.cycles_sampled == 4
         assert all(s.peak == 0 for s in sampler.vault_series.values())
         assert sampler.link_bandwidth() == 0.0
@@ -40,7 +47,7 @@ class TestSampler:
         for tag in range(10):
             sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, tag))
         sampler = SimSampler(sim)
-        sampler.run_sampled(4)
+        _run_sampled(sim, sampler, 4)
         hot = sampler.hottest_vaults(1)[0]
         assert hot.name == "dev0.vault0"
         assert hot.peak == 10
@@ -52,7 +59,7 @@ class TestSampler:
         sim.send(sim.build_memrequest(hmc_rqst_t.RD64, 0, 1))
         sampler = SimSampler(sim)
         sampler.tick()  # establish the baseline at cycle 0
-        sampler.run_sampled(4)
+        _run_sampled(sim, sampler, 4)
         while sim.recv() is not None:
             pass
         total = sampler.link_bandwidth() * 4
@@ -60,14 +67,14 @@ class TestSampler:
 
     def test_sampling_interval(self, sim):
         sampler = SimSampler(sim, interval=2)
-        sampler.run_sampled(8)
+        _run_sampled(sim, sampler, 8)
         assert sampler.cycles_sampled == 4
 
     def test_report_mentions_hot_queue(self, sim):
         for tag in range(6):
             sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, tag))
         sampler = SimSampler(sim)
-        sampler.run_sampled(3)
+        _run_sampled(sim, sampler, 3)
         report = sampler.report()
         assert "dev0.vault0" in report
         assert "FLITs/cycle" in report

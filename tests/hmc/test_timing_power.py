@@ -137,6 +137,14 @@ class TestPowerModel:
         assert any(ev.level is TraceLevel.POWER for ev in sim.tracer.events)
         assert sim.stats()["energy_pj"] == sim.power_report.total_pj
 
+    def test_model_assigned_after_construction_accounts_energy(self):
+        sim = HMCSim(HMCConfig.cfg_4link_4gb())
+        sim.power = HMCPowerModel()
+        sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 0))
+        sim.drain()
+        assert sim.stats()["energy_pj"] > 0
+        assert sim.power_report.ops.get("RD16") == 1
+
     def test_atomic_cheaper_than_rmw_traffic_energy(self):
         # The Table II argument in energy terms: INC8 vs RD64+WR64.
         p = HMCPowerModel()

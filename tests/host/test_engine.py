@@ -178,4 +178,4 @@ class TestThreadCtxBuilders:
         engine.run()
         assert t.state is ThreadState.DONE
         assert t.done
-        assert t.elapsed == 3
+        assert t.finish_cycle - t.start_cycle == 3

@@ -34,7 +34,7 @@ class TestSmallRuns:
         sim = HMCSim(cfg4)
         load_mutex_ops(sim)
         run_workload("mutex", cfg4, threads=8, sim=sim)
-        _, lock = base.read_lock_struct(sim, 0, DEFAULT_LOCK_ADDR)
+        _, lock = base.lock_struct_unpack(sim.mem_read(DEFAULT_LOCK_ADDR, 16))
         assert lock == base.LOCK_FREE
 
     def test_every_thread_acquired_exactly_once(self, cfg4):

@@ -194,5 +194,5 @@ class TestMultiDeviceEndToEnd:
         assert decode_lock_response(rsp.data) == 1
         from repro.cmc_ops import base
 
-        tid, lock = base.read_lock_struct(sim, 1, 0x40)
+        tid, lock = base.lock_struct_unpack(sim.mem_read(0x40, 16, dev=1))
         assert (tid, lock) == (5, 1)

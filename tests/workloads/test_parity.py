@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 from repro.faults.plan import FaultPlan
 from repro.hmc.config import HMCConfig
-from repro.parallel.tasks import encode_result
 from repro.workloads.registry import WORKLOADS
 
 GOLDEN = Path(__file__).with_name("golden_kernel_stats.json")
@@ -114,6 +114,12 @@ def cases(name):
     if name == "mutex":
         plan = FaultPlan.parse(list(FAULT_SPECS), seed=FAULT_SEED)
         yield "faults", {"threads": FAULT_THREADS}, plan, {}
+
+
+def encode_result(stats):
+    """The golden's encoding: class path plus ``asdict`` fields."""
+    cls = type(stats)
+    return {"__dataclass__": f"{cls.__module__}:{cls.__qualname__}", "fields": asdict(stats)}
 
 
 def _label(name, cfg_name, key, components):
