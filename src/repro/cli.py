@@ -738,10 +738,11 @@ def _cmd_fuzz(args, out) -> int:
         format_seed_line,
         generate_trace,
         result_from_diff,
-        run_farm,
         run_trace,
         shrink_trace,
     )
+    from repro.parallel.cache import SweepCache
+    from repro.parallel.pool import SweepExecutor
     from repro.parallel.progress import make_progress
 
     if args.trace_path is None and args.profile == "trace":
@@ -773,10 +774,11 @@ def _cmd_fuzz(args, out) -> int:
             )
             for seed in seeds
         ]
-        results = run_farm(
-            specs, jobs=args.jobs, use_cache=args.farm and not args.no_cache,
+        results = SweepExecutor(
+            args.jobs,
+            cache=SweepCache() if args.farm and not args.no_cache else None,
             progress=make_progress(sys.stderr) if args.jobs != 1 else None,
-        )
+        ).run(specs)
     else:
         from repro.oracle.workload_traces import trace_from_workload
         from repro.workloads.tracefmt import WorkloadTrace

@@ -89,12 +89,7 @@ class HMCSim(Stateful):
     """One simulation context holding one or more HMC devices.
 
     Args:
-        config: a validated :class:`HMCConfig`; alternatively pass the
-            config fields as keyword arguments.
-        flow: optional link-layer flow-control/retry model.  When
-            omitted, the model selected by ``config.link_flow`` is
-            built through the component registry (the default ``none``
-            yields no model at all).
+        config: a validated :class:`HMCConfig` (default: ``HMCConfig()``).
         faults: optional :class:`repro.faults.plan.FaultPlan`.  When
             given, the plan is built into a
             :class:`repro.faults.controller.FaultController` stored as
@@ -102,8 +97,6 @@ class HMCSim(Stateful):
             With no plan (the default) every hook is a single
             ``is None`` test and the datapath is bit-identical to the
             fault-free baseline.
-        **kwargs: forwarded to :class:`HMCConfig` when ``config`` is
-            not given.
 
     Every pipeline stage and model — memory, crossbars, vault
     schedulers, link flow, topology, timing and power (``power_report``
@@ -115,18 +108,14 @@ class HMCSim(Stateful):
         self,
         config: Optional[HMCConfig] = None,
         *,
-        flow: Optional[LinkFlow] = None,
         faults: Optional[object] = None,
-        **kwargs: object,
     ):
         if config is None:
-            config = HMCConfig(**kwargs)  # type: ignore[arg-type]
-        elif kwargs:
-            raise HMCSimError("pass either a config object or field overrides, not both")
+            config = HMCConfig()
         self.config = config
         self.timing = build("timing", config)
         self.power = build("power", config)
-        self.flow: Optional[LinkFlow] = flow if flow is not None else build("link_flow", config)
+        self.flow: Optional[LinkFlow] = build("link_flow", config)
         self.power_report = None if self.power is None else self.power.new_report()
         #: The built FaultController when a plan is attached, else None
         #: — every datapath hook gates on this exact attribute.

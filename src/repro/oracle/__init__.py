@@ -7,8 +7,8 @@ differential runner that executes the same trace through the real cycle
 engine and the oracle and diffs the results
 (:mod:`repro.oracle.differ`), a delta-debugging shrinker that
 reduces a failing trace to a minimal reproducer
-(:mod:`repro.oracle.shrink`), and a parallel fuzz farm that fans seed
-ranges across the sweep pool with fingerprint-cached per-seed verdicts
+(:mod:`repro.oracle.shrink`), the fuzz farm's per-seed task specs, which
+the sweep pool fans out with fingerprint-cached per-seed verdicts
 (:mod:`repro.oracle.farm`), and a one-call conformance check for a CMC
 plugin (:func:`check_cmc_op`, :mod:`repro.oracle.conformance`).
 
@@ -29,7 +29,6 @@ from repro.oracle.farm import (
     farm_task_spec,
     format_seed_line,
     result_from_diff,
-    run_farm,
     run_farm_task,
 )
 from repro.oracle.model import Expectation, Oracle
@@ -53,7 +52,6 @@ __all__ = [
     "farm_task_spec",
     "format_seed_line",
     "result_from_diff",
-    "run_farm",
     "run_farm_task",
     "CMCOpCheck",
     "check_cmc_op",

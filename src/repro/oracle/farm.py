@@ -2,9 +2,11 @@
 
 ``hmcsim-repro fuzz --farm`` turns the differential fuzzer from a
 serial loop into a self-growing corpus machine: every seed becomes one
-:class:`~repro.parallel.tasks.TaskSpec` executed by
-:class:`~repro.parallel.pool.SweepExecutor` — the same deterministic
-fan-out the paper sweeps use — so per-seed results are
+:class:`~repro.parallel.tasks.TaskSpec` (:func:`farm_task_spec`) that
+the caller hands to :class:`~repro.parallel.pool.SweepExecutor` — the
+same deterministic fan-out and the same
+:class:`~repro.parallel.cache.SweepCache` the paper sweeps use — so
+per-seed results are
 
 * **bit-identical to the serial path** (one execution function,
   ordering restored by index, pinned by the CI serial-vs-farm digest
@@ -24,7 +26,7 @@ by the CLI layer, which is how the regression corpus grows itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.hmc.config import resolve_config
 from repro.oracle.differ import DiffResult, run_trace
@@ -37,7 +39,6 @@ __all__ = [
     "FarmSeedResult",
     "farm_task_spec",
     "run_farm_task",
-    "run_farm",
     "format_seed_line",
 ]
 
@@ -165,21 +166,3 @@ def run_farm_task(spec: TaskSpec) -> FarmSeedResult:
         run_trace(trace, config_overrides=overrides or None)
     )
 
-
-def run_farm(
-    specs: Sequence[TaskSpec],
-    *,
-    jobs: int = 1,
-    use_cache: bool = True,
-    progress: Optional[Any] = None,
-) -> List[FarmSeedResult]:
-    """Fan farm specs across the sweep pool; results in spec order."""
-    from repro.parallel.cache import SweepCache
-    from repro.parallel.pool import SweepExecutor
-
-    executor = SweepExecutor(
-        jobs,
-        cache=SweepCache() if use_cache else None,
-        progress=progress,
-    )
-    return executor.run(list(specs))

@@ -1,9 +1,6 @@
 """Persistent on-disk result cache for parameter sweeps.
 
-Replaces the retired module-level ``_CACHE`` dict in
-``repro.analysis.sweep``, which was unbounded, process-local, and
-keyed coarsely enough that distinct pipelines could alias.  This cache
-is
+The one place a sweep result is encoded, decoded and judged:
 
 * **persistent** — one small JSON file per simulation point, so a
   second process (or a warm CI job) reuses earlier work;
@@ -12,8 +9,13 @@ is
   tag + thread count + kernel params, see
   :func:`repro.parallel.tasks.cache_key`), so component overrides or
   a kernel-semantics bump can never serve stale results;
-* **accounted** — hit/miss/store counters are kept per instance and
-  reported by :meth:`SweepCache.stats`.
+* **one hit/miss rule** — :meth:`SweepCache.get` returns the decoded
+  value (a stored ``null`` is a hit whose value is ``None``) or
+  :data:`MISS`.  A missing or unreadable file, another schema, or a
+  payload that will not decode (its class moved or renamed, its fields
+  changed) is a miss, which the caller recomputes and overwrites;
+* **accounted** — hit/miss/store counters are kept per instance in
+  :attr:`SweepCache.stats`.
 
 The cache root resolves, in order: an explicit ``root`` argument, the
 ``REPRO_CACHE_DIR`` environment variable, ``$XDG_CACHE_HOME`` or
@@ -30,12 +32,16 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.fsutil import atomic_write_text
+from repro.registry import decode_value, encode_value
 
-__all__ = ["CacheStats", "SweepCache", "default_cache_root"]
+__all__ = ["CacheStats", "MISS", "SweepCache", "default_cache_root"]
 
 #: Bump to invalidate every existing cache entry (schema changes).
 #: 2: payloads are :func:`repro.registry.encode_value` documents.
 CACHE_SCHEMA = 2
+
+#: What :meth:`SweepCache.get` returns when the cache cannot answer.
+MISS: Any = object()
 
 
 def default_cache_root() -> Path:
@@ -56,18 +62,12 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.hits = self.misses = self.stores = 0
-
 
 class SweepCache:
     """Directory of JSON result files, one per simulation point.
 
     Writes are atomic (temp file + ``os.replace``) so concurrent
-    workers racing on the same key leave a whole file either way;
-    unreadable or corrupt entries are treated as misses and
-    overwritten on the next store.
+    workers racing on the same key leave a whole file either way.
     """
 
     def __init__(self, root: Optional[Path] = None) -> None:
@@ -79,39 +79,24 @@ class SweepCache:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> Any:
-        """The stored payload for ``key``, or None on a miss."""
-        path = self.path_for(key)
+        """The value stored under ``key``, or :data:`MISS`."""
         try:
-            doc = json.loads(path.read_text())
-        except (OSError, ValueError):
+            doc = json.loads(self.path_for(key).read_text())
+            if doc["schema"] != CACHE_SCHEMA:
+                raise ValueError(f"cache schema {doc['schema']!r}")
+            value = decode_value(doc["payload"])
+        # Whatever keeps the entry from yielding a value (I/O, JSON, a
+        # class path that no longer resolves, changed fields) makes it
+        # a miss: recomputing is always correct.
+        except Exception:
             self.stats.misses += 1
-            return None
-        if doc.get("schema") != CACHE_SCHEMA or "payload" not in doc:
-            self.stats.misses += 1
-            return None
+            return MISS
         self.stats.hits += 1
-        return doc["payload"]
+        return value
 
-    def put(self, key: str, payload: Any) -> None:
-        """Store ``payload`` under ``key`` (atomic replace)."""
+    def put(self, key: str, value: Any) -> None:
+        """Store ``value`` under ``key`` (atomic replace)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        doc = {"schema": CACHE_SCHEMA, "key": key, "payload": payload}
+        doc = {"schema": CACHE_SCHEMA, "key": key, "payload": encode_value(value)}
         atomic_write_text(self.path_for(key), json.dumps(doc))
         self.stats.stores += 1
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number removed."""
-        removed = 0
-        if self.root.is_dir():
-            for entry in self.root.glob("*.json"):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*.json"))

@@ -17,9 +17,10 @@ Design points:
   (default ~4 chunks per worker) so process spawn and pickle overhead
   amortizes over many short simulations; ``Pool.imap`` preserves chunk
   order.
-* **Cache integration.**  Hits are resolved in the parent before any
-  worker starts; only misses are dispatched, and their results are
-  stored by the parent (single writer, simple accounting).
+* **Cache integration.**  Each spec's key is computed once and the
+  cache asked before any worker starts; only what it answers
+  :data:`~repro.parallel.cache.MISS` for is dispatched, and the parent
+  stores those results (single writer, simple accounting).
 * **Progress.**  A callback fires once per completed point — cache
   hits first, then computed points in order — see
   :mod:`repro.parallel.progress`.
@@ -30,10 +31,9 @@ from __future__ import annotations
 import os
 from typing import Any, List, Optional, Sequence
 
-from repro.parallel.cache import SweepCache
+from repro.parallel.cache import MISS, SweepCache
 from repro.parallel.progress import ProgressFn, null_progress
 from repro.parallel.tasks import TaskSpec, cache_key, run_task
-from repro.registry import decode_value, encode_value
 
 __all__ = ["SweepExecutor", "resolve_jobs"]
 
@@ -80,32 +80,33 @@ class SweepExecutor:
         """Execute every spec; results ordered like ``specs``."""
         specs = list(specs)
         total = len(specs)
-        results: List[Any] = [None] * total
-        done = 0
-
-        # Resolve cache hits up front; only misses are dispatched.
-        pending: List[int] = []
-        if self.cache is not None:
-            for i, spec in enumerate(specs):
-                payload = self.cache.get(cache_key(spec))
-                if payload is None:
-                    pending.append(i)
-                else:
-                    results[i] = decode_value(payload)
-                    done += 1
-                    self.progress(done, total, spec, True)
+        cache = self.cache
+        # Ask the cache first; only misses are dispatched.
+        if cache is None:
+            keys: List[str] = []
+            results: List[Any] = [MISS] * total
         else:
-            pending = list(range(total))
+            keys = [cache_key(spec) for spec in specs]
+            results = [cache.get(key) for key in keys]
+        pending = [i for i, result in enumerate(results) if result is MISS]
+        done = 0
+        for spec, result in zip(specs, results):
+            if result is not MISS:
+                done += 1
+                self.progress(done, total, spec, True)
 
-        if not pending:
-            return results
+        def computed(i: int, result: Any) -> None:
+            nonlocal done
+            if cache is not None:
+                cache.put(keys[i], result)
+            results[i] = result
+            done += 1
+            self.progress(done, total, specs[i], False)
 
         workers = min(self.jobs, len(pending))
         if workers <= 1:
             for i in pending:
-                results[i] = self._finish(specs[i], run_task(specs[i]))
-                done += 1
-                self.progress(done, total, specs[i], False)
+                computed(i, run_task(specs[i]))
             return results
 
         # Imported on fan-out only: a serial or all-cached run never pays
@@ -113,7 +114,7 @@ class SweepExecutor:
         import multiprocessing
 
         chunks = self._chunk([specs[i] for i in pending], workers)
-        cursor = 0
+        order = iter(pending)
         # Explicit terminate-on-error cleanup rather than the bare
         # ``with`` block: a worker exception surfacing from ``imap`` (or
         # a KeyboardInterrupt in the parent) must kill the outstanding
@@ -126,11 +127,7 @@ class SweepExecutor:
         try:
             for chunk_results in pool.imap(_run_chunk, chunks):
                 for result in chunk_results:
-                    i = pending[cursor]
-                    cursor += 1
-                    results[i] = self._finish(specs[i], result)
-                    done += 1
-                    self.progress(done, total, specs[i], False)
+                    computed(next(order), result)
             pool.close()
         except BaseException:
             pool.terminate()
@@ -138,11 +135,6 @@ class SweepExecutor:
         finally:
             pool.join()
         return results
-
-    def _finish(self, spec: TaskSpec, result: Any) -> Any:
-        if self.cache is not None:
-            self.cache.put(cache_key(spec), encode_value(result))
-        return result
 
     def _chunk(self, specs: List[TaskSpec], workers: int) -> List[List[TaskSpec]]:
         """Contiguous chunks, sized to amortize spawn+pickle overhead."""

@@ -235,11 +235,9 @@ class SimServer:
             from repro.parallel.cache import SweepCache
             from repro.parallel.pool import SweepExecutor
 
-            cache = SweepCache(
-                root=self.config.cache_root
-            ) if self.config.cache_root else SweepCache()
             self._sweep_executor = SweepExecutor(
-                jobs=self.config.sweep_jobs, cache=cache
+                jobs=self.config.sweep_jobs,
+                cache=SweepCache(self.config.cache_root),
             )
         return self._sweep_executor.run(specs)
 

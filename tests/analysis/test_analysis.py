@@ -21,6 +21,7 @@ from repro.analysis.tables import (
 from repro.analysis.verify import PAPER_ANCHORS, relative_difference_pct
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
+from repro.parallel.cache import SweepCache
 
 
 class TestStats:
@@ -93,15 +94,16 @@ class TestSweep:
         wc = sweeps[0].worst_case()
         assert wc.max_cycle == max(sweeps[0].max_cycles)
 
-    def test_cache_returns_same_object(self):
-        a = run_mutex_sweep(HMCConfig.cfg_4link_4gb(), [2, 10, 60])
-        b = run_mutex_sweep(HMCConfig.cfg_4link_4gb(), [2, 10, 60])
-        assert a is b
-
-    def test_cache_bypass(self):
-        a = run_mutex_sweep(HMCConfig.cfg_4link_4gb(), [2])
-        b = run_mutex_sweep(HMCConfig.cfg_4link_4gb(), [2], use_cache=False)
-        assert a is not b
+    def test_cache_bypass(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
+        cfg = HMCConfig.cfg_4link_4gb()
+        explicit = SweepCache(tmp_path / "explicit")
+        bypassed = run_mutex_sweep(cfg, [2], use_cache=False)
+        run_mutex_sweep(cfg, [2], use_cache=False, cache=explicit)
+        assert not list(tmp_path.iterdir())
+        assert explicit.stats.misses == explicit.stats.stores == 0
+        assert run_mutex_sweep(cfg, [2]).runs == bypassed.runs
+        assert len(list((tmp_path / "default").glob("*.json"))) == 1
 
 
 class TestRendering:

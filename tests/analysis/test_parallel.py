@@ -9,6 +9,7 @@ tier-1 fast; CI re-runs the parity cases per ``REPRO_TEST_JOBS`` matrix leg.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 from dataclasses import dataclass
@@ -16,7 +17,6 @@ from typing import Dict, Tuple
 
 import pytest
 
-from repro.analysis import sweep as sweep_mod
 from repro.analysis.sweep import run_mutex_sweep
 from repro.faults.plan import FaultPlan
 from repro.hmc.config import HMCConfig
@@ -86,7 +86,7 @@ class TestCache:
         cold = SweepExecutor(jobs=1, cache=cold_cache).run(specs)
         assert cold_cache.stats.misses == len(specs)
         assert cold_cache.stats.stores == len(specs)
-        assert len(cold_cache) == len(specs)
+        assert len(list(tmp_path.glob("*.json"))) == len(specs)
 
         warm_cache = SweepCache(tmp_path)
         warm = SweepExecutor(jobs=1, cache=warm_cache).run(specs)
@@ -100,12 +100,8 @@ class TestCache:
         axis = [2, 4, 6]
         cold_cache = SweepCache(tmp_path)
         cold = run_mutex_sweep(cfg, axis, cache=cold_cache)
-        # Force past the in-process identity memo so the warm pass
-        # exercises the persistent layer.
-        sweep_mod._MEMO.clear()
         warm_cache = SweepCache(tmp_path)
         warm = run_mutex_sweep(cfg, axis, cache=warm_cache)
-        assert warm is not cold
         assert warm.runs == cold.runs
         assert warm_cache.stats.hits == len(axis)
         assert warm_cache.stats.misses == 0
@@ -141,12 +137,31 @@ class TestCache:
         assert warm == cold == [_shaped_runner(spec)]
         assert type(warm[0].hist) is tuple
 
-    def test_clear_removes_entries(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        cache.put("k1", {"x": 1})
-        cache.put("k2", {"x": 2})
-        assert cache.clear() == 2
-        assert len(cache) == 0
+    def test_stored_none_is_a_hit(self, tmp_path):
+        spec = TaskSpec(
+            kernel="nothing",
+            kernel_version="1",
+            runner="tests.analysis.test_parallel:_none_runner",
+            config=HMCConfig.cfg_4link_4gb(),
+            threads=1,
+        )
+        assert SweepExecutor(jobs=1, cache=SweepCache(tmp_path)).run([spec]) == [None]
+        for _ in range(2):
+            warm = SweepCache(tmp_path)
+            assert SweepExecutor(jobs=1, cache=warm).run([spec]) == [None]
+            assert (warm.stats.hits, warm.stats.misses, warm.stats.stores) == (1, 0, 0)
+
+    def test_entry_whose_class_moved_is_a_miss(self, tmp_path):
+        spec = mutex_spec(HMCConfig.cfg_4link_4gb(), 2)
+        parent = SweepExecutor(jobs=1, cache=SweepCache(tmp_path)).run([spec])
+        path = SweepCache(tmp_path).path_for(cache_key(spec))
+        doc = json.loads(path.read_text())
+        doc["payload"]["__dc__"] = "repro.host.kernels.mutex:MutexRunStats"
+        path.write_text(json.dumps(doc))
+        fresh = SweepCache(tmp_path)
+        assert SweepExecutor(jobs=1, cache=fresh).run([spec]) == parent
+        assert (fresh.stats.hits, fresh.stats.misses, fresh.stats.stores) == (0, 1, 1)
+        assert json.loads(path.read_text())["payload"] == encode_value(parent[0])
 
 
 #: Cache keys, a plan fingerprint and a farm digest as the releases
@@ -281,6 +296,10 @@ class _Shaped:
 
 def _shaped_runner(spec):
     return _Shaped(hist=(1, 2, 3), by_vault={0: 5, 7: 9})
+
+
+def _none_runner(spec):
+    return None
 
 
 def _boom_runner(spec):

@@ -8,6 +8,17 @@ from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_sweep_cache(tmp_path_factory):
+    """Point the default sweep cache (``REPRO_CACHE_DIR``, which child
+    processes inherit) at a directory of this session's own, so no test
+    reads or writes the user's cache and none passes on entries an older
+    tree wrote."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("sweepcache")))
+        yield
+
+
 @pytest.fixture
 def cfg4() -> HMCConfig:
     """The paper's 4Link-4GB configuration."""
@@ -47,6 +58,15 @@ def roundtrip(sim: HMCSim, pkt, *, link: int = 0, max_cycles: int = 64):
         if rsp is not None:
             return rsp
     raise AssertionError(f"no response within {max_cycles} cycles")
+
+
+def with_flow(config: HMCConfig, flow) -> HMCSim:
+    """A context running the link-flow model ``flow``.  Its parameters
+    (token counts, retry latency, error models) are not seam keys, so
+    the model is set on the built context."""
+    sim = HMCSim(config)
+    sim.flow = flow
+    return sim
 
 
 @pytest.fixture

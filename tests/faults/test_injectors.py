@@ -16,18 +16,16 @@ from repro.errors import FaultError
 from repro.faults.plan import FaultPlan
 from repro.hmc.commands import hmc_response_t, hmc_rqst_t
 from repro.hmc.config import HMCConfig
-from repro.hmc.flow import LinkFlowModel
 from repro.hmc.registers import HMC_REG
 from repro.hmc.sim import HMCSim
 from repro.hmc.vault import ERRSTAT_CMC_FAILED, ERRSTAT_ECC_UNCORRECTABLE
 from tests.conftest import run_workload
 
 
-def _faulty_sim(*specs, seed=0xBEEF, **kwargs):
+def _faulty_sim(*specs, seed=0xBEEF, config=None):
     return HMCSim(
-        HMCConfig.cfg_4link_4gb(),
+        config or HMCConfig.cfg_4link_4gb(),
         faults=FaultPlan.parse(list(specs), seed=seed),
-        **kwargs,
     )
 
 
@@ -222,7 +220,8 @@ class TestLinkCrc:
 
     def test_unifies_error_model_and_counts_retries(self):
         sim = _faulty_sim(
-            "link_crc=0.5", seed=123, flow=LinkFlowModel(tokens_per_link=64)
+            "link_crc=0.5", seed=123,
+            config=HMCConfig.cfg_4link_4gb(link_flow="tokens"),
         )
         assert sim.flow.errors is not None
         for tag in range(20):

@@ -10,6 +10,7 @@ from repro.hmc.config import HMCConfig
 from repro.hmc.flow import LinkFlowModel
 from repro.hmc.sim import HMCSim
 from repro.host.engine import HostEngine
+from tests.conftest import with_flow
 
 
 def read_program(ctx, count=1):
@@ -33,8 +34,8 @@ class TestCleanRuns:
         assert checker.checks == 30
 
     def test_flowed_context_passes(self):
-        sim = HMCSim(
-            HMCConfig.cfg_4link_4gb(), flow=LinkFlowModel(tokens_per_link=32)
+        sim = with_flow(
+            HMCConfig.cfg_4link_4gb(), LinkFlowModel(tokens_per_link=32)
         )
         checker = InvariantChecker(sim)
         for tag in range(8):
@@ -68,8 +69,8 @@ class TestViolationDetection:
             checker.check(1)
 
     def test_leaked_tokens_detected(self):
-        sim = HMCSim(
-            HMCConfig.cfg_4link_4gb(), flow=LinkFlowModel(tokens_per_link=32)
+        sim = with_flow(
+            HMCConfig.cfg_4link_4gb(), LinkFlowModel(tokens_per_link=32)
         )
         checker = InvariantChecker(sim)
         sim.flow.state(0, 0).tokens -= 3  # leak three tokens

@@ -10,7 +10,7 @@ from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.registers import HMC_REG
 from repro.hmc.sim import HMCSim
-from tests.conftest import roundtrip, run_workload
+from tests.conftest import roundtrip, run_workload, with_flow
 
 
 class TestSaveRestore:
@@ -567,7 +567,7 @@ class TestFingerprintCoversAttachedModels:
             flow = models.pop("flow", None)
             if flow is not None:
                 flow = LinkFlowModel(errors=ErrorModel(flow))
-            return HMCSim(HMCConfig.cfg_4link_4gb(**models), flow=flow)
+            return with_flow(HMCConfig.cfg_4link_4gb(**models), flow)
 
         p = save_checkpoint(build(saved), tmp_path / "cp.json")
         with pytest.raises(HMCSimError, match=f"does not match.*{field}: "):

@@ -41,6 +41,7 @@ from repro.hmc.topology import Topology
 from repro.hmc.vault import RoundRobinVaultScheduler, Vault
 from repro.hmc.xbar import Flight, XBar
 from repro.workloads.registry import WORKLOADS
+from tests.conftest import with_flow
 
 CFG4 = HMCConfig.cfg_4link_4gb()
 
@@ -176,7 +177,7 @@ CELLS: Dict[str, Callable[[], Cell]] = {
         lambda: HMCSim(resolve_config("4link", {"timing": "open_page", "power": "energy"}))
     ),
     "tokens_crc": lambda: _kernels(
-        lambda: HMCSim(CFG4, flow=LinkFlowModel(errors=ErrorModel(0.05)))
+        lambda: with_flow(CFG4, LinkFlowModel(errors=ErrorModel(0.05)))
     ),
     "faults_watchdog": _lossy,
     "chained_midflight": _chained,

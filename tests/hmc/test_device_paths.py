@@ -7,6 +7,7 @@ from repro.errors import HMCStatus
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
+from tests.conftest import with_flow
 
 
 class TestResponsePathBlocking:
@@ -68,7 +69,7 @@ class TestFlowTokenRefundPath:
         from repro.hmc.flow import LinkFlowModel
 
         flow = LinkFlowModel(tokens_per_link=64)
-        sim = HMCSim(HMCConfig.cfg_4link_4gb(xbar_depth=2), flow=flow)
+        sim = with_flow(HMCConfig.cfg_4link_4gb(xbar_depth=2), flow)
         sent, stalled = 0, 0
         for tag in range(6):
             status = sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, tag), link=0)

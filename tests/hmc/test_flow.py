@@ -7,6 +7,7 @@ from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.flow import ErrorModel, LinkFlowModel
 from repro.hmc.sim import HMCSim
+from tests.conftest import with_flow
 
 
 class TestErrorModel:
@@ -114,16 +115,16 @@ class TestFlowInPipeline:
     def test_clean_link_behaves_like_baseline(self, do_roundtrip):
         cfg = HMCConfig.cfg_4link_4gb()
         plain = HMCSim(cfg)
-        flowed = HMCSim(cfg, flow=LinkFlowModel(tokens_per_link=64))
+        flowed = with_flow(cfg, LinkFlowModel(tokens_per_link=64))
         for sim in (plain, flowed):
             rsp = do_roundtrip(sim, sim.build_memrequest(hmc_rqst_t.RD16, 0, 1))
             assert rsp.retire_cycle - rsp.inject_cycle == 2
         assert flowed.flow.total_retries() == 0
 
     def test_token_stall_and_recovery(self):
-        sim = HMCSim(
+        sim = with_flow(
             HMCConfig.cfg_4link_4gb(),
-            flow=LinkFlowModel(tokens_per_link=17),
+            LinkFlowModel(tokens_per_link=17),
         )
         # One WR256 consumes all 17 tokens.
         pkt = sim.build_memrequest(hmc_rqst_t.WR256, 0, 1, data=bytes(256))
@@ -141,9 +142,9 @@ class TestFlowInPipeline:
         assert got == 2
 
     def test_corrupted_packets_are_replayed(self):
-        sim = HMCSim(
+        sim = with_flow(
             HMCConfig.cfg_4link_4gb(),
-            flow=LinkFlowModel(
+            LinkFlowModel(
                 tokens_per_link=64,
                 retry_latency=4,
                 errors=ErrorModel(flit_error_rate=0.5, seed=123),
@@ -172,9 +173,9 @@ class TestFlowInPipeline:
     def test_retry_latency_visible_in_completion_time(self):
         # A guaranteed-corrupted first transmission delays the response
         # by at least the retry latency.
-        slow = HMCSim(
+        slow = with_flow(
             HMCConfig.cfg_4link_4gb(),
-            flow=LinkFlowModel(
+            LinkFlowModel(
                 tokens_per_link=64,
                 retry_latency=20,
                 errors=ErrorModel(flit_error_rate=0.9, seed=5),
@@ -188,9 +189,9 @@ class TestFlowInPipeline:
         assert slow.cycle > fast.cycle
 
     def test_idle_accounts_for_pending_replays(self):
-        sim = HMCSim(
+        sim = with_flow(
             HMCConfig.cfg_4link_4gb(),
-            flow=LinkFlowModel(
+            LinkFlowModel(
                 tokens_per_link=64,
                 retry_latency=50,
                 errors=ErrorModel(flit_error_rate=1.0, seed=1),
@@ -217,9 +218,9 @@ class TestRetryBursts:
                 return (sequence & 0xFFFFFF) < self.k
 
         k = 3
-        sim = HMCSim(
+        sim = with_flow(
             HMCConfig.cfg_4link_4gb(),
-            flow=LinkFlowModel(tokens_per_link=64, retry_latency=2, errors=_Burst(k)),
+            LinkFlowModel(tokens_per_link=64, retry_latency=2, errors=_Burst(k)),
         )
         sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0, 1))
         sim.drain(max_cycles=1000)
@@ -277,9 +278,9 @@ class TestRetryBursts:
         assert fm.total_retries() == 1
 
     def test_sustained_burst_delivers_exactly_once(self):
-        sim = HMCSim(
+        sim = with_flow(
             HMCConfig.cfg_4link_4gb(),
-            flow=LinkFlowModel(
+            LinkFlowModel(
                 tokens_per_link=64,
                 retry_latency=4,
                 errors=ErrorModel(flit_error_rate=0.4, seed=99),

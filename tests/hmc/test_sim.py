@@ -35,14 +35,6 @@ class TestConstruction:
     def test_from_config_object(self, cfg4):
         assert HMCSim(cfg4).config is cfg4
 
-    def test_from_kwargs(self):
-        sim = HMCSim(num_links=8, capacity=8)
-        assert sim.config.describe() == "8Link-8GB"
-
-    def test_config_and_kwargs_conflict(self, cfg4):
-        with pytest.raises(HMCSimError):
-            HMCSim(cfg4, num_links=8)
-
     def test_device_count(self):
         sim = HMCSim(HMCConfig(num_devs=3, capacity=2))
         assert len(sim.devices) == 3

@@ -9,15 +9,15 @@ from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.flow import ErrorModel, LinkFlowModel
 from repro.hmc.sim import HMCSim
-from tests.conftest import roundtrip, run_workload
+from tests.conftest import roundtrip, run_workload, with_flow
 
 
 class TestAllModelsTogether:
     @pytest.fixture
     def full_sim(self):
-        return HMCSim(
+        return with_flow(
             HMCConfig.cfg_4link_4gb(timing="open_page", power="energy"),
-            flow=LinkFlowModel(
+            LinkFlowModel(
                 tokens_per_link=64,
                 retry_latency=4,
                 errors=ErrorModel(flit_error_rate=0.2, seed=42),
@@ -109,7 +109,7 @@ class TestTokenConservation:
         pool is back at its initial level."""
         flow = LinkFlowModel(tokens_per_link=32, retry_latency=2,
                              errors=ErrorModel(flit_error_rate=0.25, seed=9))
-        sim = HMCSim(HMCConfig.cfg_4link_4gb(), flow=flow)
+        sim = with_flow(HMCConfig.cfg_4link_4gb(), flow)
         for tag in range(16):
             pkt = sim.build_memrequest(
                 hmc_rqst_t.WR64, tag * 64, tag, data=bytes(64)

@@ -21,7 +21,7 @@ from repro.hmc.commands import CommandKind, command_info, hmc_rqst_t
 from repro.hmc.config import HMCConfig
 from repro.hmc.memory import MemoryBackend
 from repro.hmc.sim import HMCSim
-from tests.conftest import roundtrip
+from tests.conftest import roundtrip, with_flow
 
 # The command pool: everything with deterministic data semantics.
 _COMMANDS = [
@@ -118,9 +118,9 @@ def test_pipeline_matches_reference_with_flow_control(ops: List, seed: int):
     any result (exactly-once delivery through the retry buffer)."""
     from repro.hmc.flow import ErrorModel, LinkFlowModel
 
-    sim = HMCSim(
+    sim = with_flow(
         HMCConfig.cfg_4link_4gb(),
-        flow=LinkFlowModel(
+        LinkFlowModel(
             tokens_per_link=64,
             retry_latency=3,
             errors=ErrorModel(flit_error_rate=0.3, seed=seed),

@@ -13,10 +13,11 @@ from repro.oracle import (
     format_seed_line,
     generate_trace,
     result_from_diff,
-    run_farm,
     run_farm_task,
     run_trace,
 )
+from repro.parallel.cache import SweepCache
+from repro.parallel.pool import SweepExecutor
 
 _SEEDS = [0, 1, 2]
 
@@ -36,10 +37,15 @@ def _specs(profile="mixed", count=48):
     ]
 
 
+def _farm(specs, cache=True):
+    """The farm as ``fuzz --farm`` runs it: the sweep pool, in-process."""
+    return SweepExecutor(1, cache=SweepCache() if cache else None).run(specs)
+
+
 class TestDeterminism:
     def test_farm_matches_serial_digests(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        farm = run_farm(_specs(), jobs=1)
+        farm = _farm(_specs())
         assert [r.digest for r in farm] == [
             r.digest for r in _serial_results()
         ]
@@ -48,7 +54,7 @@ class TestDeterminism:
         self, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        farm = run_farm(_specs(profile="faulty"), jobs=1)
+        farm = _farm(_specs(profile="faulty"))
         serial = _serial_results(profile="faulty")
         assert [r.digest for r in farm] == [r.digest for r in serial]
         # The faulty profile's watchdog facts ride along in the record.
@@ -67,14 +73,14 @@ class TestCache:
         self, monkeypatch, tmp_path
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cold = run_farm(_specs(), jobs=1)
+        cold = _farm(_specs())
         assert list(tmp_path.glob("*.json")), "no cache entries written"
-        warm = run_farm(_specs(), jobs=1)
+        warm = _farm(_specs())
         assert warm == cold
 
     def test_no_cache_bypasses_directory(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        run_farm(_specs()[:1], jobs=1, use_cache=False)
+        _farm(_specs()[:1], cache=False)
         assert not list(tmp_path.glob("*.json"))
 
     def test_cache_keys_distinguish_profiles(self):
