@@ -148,22 +148,10 @@ class FaultController(Stateful):
     # -- checkpointing ----------------------------------------------------------
 
     # The plan itself is configuration (the checkpoint fingerprint);
-    # its draws are stateless hashes of (seed, cycle, coordinates).
+    # its draws are stateless hashes of (seed, cycle, coordinates).  A
+    # lost tag stays outstanding until abandon_tag clears both, so
+    # lost_tags is empty in the idle, collected context a checkpoint takes.
     STATE = {"counts": {}}
-
-    def snapshot_state(self) -> Dict[str, object]:
-        doc = super().snapshot_state()
-        if self.lost_tags:
-            doc["lost_tags"] = [
-                [cub, tag, kind] for (cub, tag), kind in sorted(self.lost_tags.items())
-            ]
-        return doc
-
-    def restore_state(self, doc: Dict[str, object]) -> None:
-        super().restore_state(doc)
-        self.lost_tags = {
-            (cub, tag): kind for cub, tag, kind in doc.get("lost_tags", ())
-        }
 
     # -- statistics -------------------------------------------------------------
 

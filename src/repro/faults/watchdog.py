@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import FaultError
-from repro.hmc.components import Stateful
-from repro.hmc.packet import RequestPacket, packet_from_state, packet_state
 
 __all__ = ["TagWatchdog", "ArmedTag"]
 
@@ -48,7 +46,7 @@ class ArmedTag:
     serial: int
 
 
-class TagWatchdog(Stateful):
+class TagWatchdog:
     """Deadline tracking for every in-flight tag of one host engine.
 
     Args:
@@ -149,46 +147,13 @@ class TagWatchdog(Stateful):
         Called by the host engine at each run entrypoint so a reused
         engine (and therefore a reused watchdog) starts every run with
         fresh statistics — without this, a second ``run()`` reports the
-        first run's ``retransmits`` in its result.  A run resumed from
-        a checkpoint drives the simulation directly, never through a
-        fresh ``HostEngine.run()``, so restored state survives.
+        first run's ``retransmits`` in its result.
         """
         self._armed.clear()
         self._attempts.clear()
         self._heap.clear()
         self.timeouts = 0
         self.retransmits = 0
-
-    # -- checkpointing ------------------------------------------------------------
-
-    # timeout/max_retries/backoff are configuration: the checkpoint
-    # fingerprint compares them.
-    STATE = {"_serial": 0, "timeouts": 0, "retransmits": 0}
-
-    def snapshot_state(self) -> Dict[str, Any]:
-        doc = super().snapshot_state()
-        if self._attempts:
-            doc["attempts"] = sorted(self._attempts.items())
-        if self._armed:
-            doc["armed"] = [
-                {**vars(e), "packet": packet_state(e.packet)}
-                for _tag, e in sorted(self._armed.items())
-            ]
-        return doc
-
-    def restore_state(self, doc: Dict[str, Any]) -> None:
-        super().restore_state(doc)
-        self._attempts = {tag: n for tag, n in doc.get("attempts", ())}
-        self._armed = {
-            e["tag"]: ArmedTag(
-                **{**e, "packet": packet_from_state(RequestPacket, e["packet"])}
-            )
-            for e in doc.get("armed", ())
-        }
-        # Stale heap entries need not be reproduced: lazy invalidation
-        # means the heap only has to cover live tags.
-        self._heap = [(e.deadline, e.serial, e.tag) for e in self._armed.values()]
-        heapq.heapify(self._heap)
 
     # -- inspection ---------------------------------------------------------------
 

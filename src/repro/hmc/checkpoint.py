@@ -1,10 +1,13 @@
 """Simulation checkpoint and restore.
 
 A checkpoint is one JSON file: a version, the configuration
-fingerprint, and the state of each part walked from the context (plus
-the host watchdog and a differential oracle when passed), taken while
-every device is quiesced.  The parts own their state — each implements
-``snapshot_state()`` / ``restore_state(doc)``
+fingerprint, and the state of each part walked from the context.  Both
+calls take an idle, collected context only — nothing queued in a
+device, on the inter-cube wire or awaiting a link replay, no response
+waiting in a link's retire buffer, no tag outstanding — so the state is
+counters, bank, register and scheduler state and memory pages, and no
+packet is ever serialized.  The parts own their state — each
+implements ``snapshot_state()`` / ``restore_state(doc)``
 (:class:`repro.hmc.components.Stateful`) — so this module restates no
 other module's fields.  Only the current version restores; an older
 file is refused by name.
@@ -23,10 +26,10 @@ from repro.hmc.sim import HMCSim
 
 __all__ = ["save_checkpoint", "restore_checkpoint", "CHECKPOINT_VERSION"]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 #: Versions restore_checkpoint accepts.
-_SUPPORTED_VERSIONS = (5,)
+_SUPPORTED_VERSIONS = (6,)
 
 #: The configuration fields a restore must agree on (beside the
 #: component selection and the attached models).
@@ -36,8 +39,8 @@ _GEOMETRY = (
 )
 
 #: Attachments a checkpoint taken without them may restore into: the
-#: target's fresh fault controller or watchdog stays fresh.
-_ATTACHABLE = ("fault_plan", "fault_seed", "watchdog")
+#: target's fresh fault controller stays fresh.
+_ATTACHABLE = ("fault_plan", "fault_seed")
 
 
 def _show(key: str, value: object) -> str:
@@ -60,12 +63,11 @@ def _fingerprint_diff(
     )
 
 
-def _fingerprint(sim: HMCSim, watchdog: Optional[object]) -> Dict[str, object]:
+def _fingerprint(sim: HMCSim) -> Dict[str, object]:
     """Everything a restore must agree on: geometry, the component
-    selection, every attached model's parameters, the fault plan and
-    the watchdog's parameters."""
+    selection, every attached model's parameters and the fault plan."""
     cfg, faults = sim.config, sim.faults
-    fp: Dict[str, object] = {
+    return {
         **{name: getattr(cfg, name) for name in _GEOMETRY},
         **cfg.component_selection(),
         "timing": None if sim.timing is None else asdict(sim.timing),
@@ -73,52 +75,50 @@ def _fingerprint(sim: HMCSim, watchdog: Optional[object]) -> Dict[str, object]:
         "flow": None if sim.flow is None else sim.flow.params(),
         "fault_plan": None if faults is None else faults.plan.describe(),
         "fault_seed": None if faults is None else faults.plan.seed,
-        "watchdog": None,
     }
-    if watchdog is not None:
-        fp["watchdog"] = {
-            k: getattr(watchdog, k) for k in ("timeout", "max_retries", "backoff")
-        }
-    return fp
 
 
-def _check_quiesced(sim: HMCSim, action: str) -> None:
-    """Devices (and the link layer) must hold nothing; packets on the
-    inter-cube wire are fine — they serialize."""
-    flow = sim.flow
-    if any(device.busy() for device in sim.devices) or (
-        flow is not None and flow.has_pending_replays()
-    ):
-        raise HMCSimError(
-            f"cannot {action} with packets in flight inside a device or "
-            "link replays pending — call drain() first"
-        )
+def _check_collected(sim: HMCSim, action: str) -> None:
+    """Refuse a context that is not idle and collected, naming what
+    it still holds."""
+    if sim.topology.in_transit:
+        held = "packets on the inter-cube wire"
+    elif not sim.idle():
+        held = "packets in flight inside a device or link replays pending"
+    elif any(link.retired for device in sim.devices for link in device.links):
+        held = "uncollected responses in a link's retire buffer"
+    elif sim.stats()["outstanding"]:
+        held = "outstanding tags"
+    else:
+        return
+    raise HMCSimError(
+        f"cannot {action} a context with {held} — drain() and collect "
+        "every response first"
+    )
 
 
 def save_checkpoint(
     sim: HMCSim,
     path: Union[str, Path],
     *,
-    watchdog: Optional[object] = None,
-    oracle: Optional[object] = None,
     meta: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """Write a checkpoint of a device-quiesced context (atomic replace).
+    """Write a checkpoint of an idle, collected context (atomic replace).
 
-    Pass the host's :class:`~repro.faults.watchdog.TagWatchdog` via
-    ``watchdog=`` and a differential reference model via ``oracle=``
-    (anything with ``snapshot_state()``) to capture them alongside.
     ``meta`` is an opaque caller label stored in the same file and
     handed back by :func:`restore_checkpoint`, so a snapshot and what
     the caller knows about it land in one replace.
 
     Raises:
-        HMCSimError: if any device holds packets in flight (drain first).
+        HMCSimError: if the context has packets in flight, uncollected
+            responses or outstanding tags (drain and collect first).
     """
-    _check_quiesced(sim, "checkpoint")
-    doc = {"version": CHECKPOINT_VERSION, "config": _fingerprint(sim, watchdog)}
-    for key, part in (("sim", sim), ("watchdog", watchdog), ("oracle", oracle)):
-        doc[key] = None if part is None else part.snapshot_state()
+    _check_collected(sim, "checkpoint")
+    doc = {
+        "version": CHECKPOINT_VERSION,
+        "config": _fingerprint(sim),
+        "sim": sim.snapshot_state(),
+    }
     if meta is not None:
         doc["meta"] = meta
     p = Path(path)
@@ -128,30 +128,22 @@ def save_checkpoint(
 
 
 def restore_checkpoint(
-    sim: HMCSim,
-    path: Union[str, Path],
-    *,
-    watchdog: Optional[object] = None,
-    oracle: Optional[object] = None,
+    sim: HMCSim, path: Union[str, Path]
 ) -> Optional[Dict[str, object]]:
-    """Load a checkpoint into a freshly built context.
+    """Load a checkpoint into a freshly built, idle and collected context.
 
     Returns the ``meta`` label the checkpoint was saved with (``None``
     when it carries none).  The target must match the fingerprint; CMC
     plugins recorded with an importable source are re-loaded, inline
-    registrations must be re-registered first.  Pass the target
-    watchdog and oracle when the checkpoint holds their state.
+    registrations must be re-registered first.
 
     Raises:
         HMCSimError: an unreadable or malformed file (naming it and the
             missing key), a version or fingerprint mismatch, or a
-            non-idle target context.
+            target with packets in flight, uncollected responses or
+            outstanding tags.
     """
-    _check_quiesced(sim, "restore")
-    if sim.topology.in_transit:
-        raise HMCSimError(
-            "cannot restore into a context with packets in flight between cubes"
-        )
+    _check_collected(sim, "restore into")
     name = Path(path).name
     try:
         doc = json.loads(Path(path).read_text())
@@ -167,20 +159,13 @@ def restore_checkpoint(
             f"{supported}; current save version: {CHECKPOINT_VERSION})"
         )
     try:
-        diff = _fingerprint_diff(_fingerprint(sim, watchdog), doc["config"])
+        diff = _fingerprint_diff(_fingerprint(sim), doc["config"])
         if diff:
             raise HMCSimError(
                 "checkpoint configuration does not match the target context: "
                 + diff
             )
-        for key, part in (("sim", sim), ("watchdog", watchdog), ("oracle", oracle)):
-            if doc[key] is not None:
-                if part is None:
-                    raise HMCSimError(
-                        f"checkpoint carries {key} state — pass the target "
-                        f"{key} via {key}="
-                    )
-                part.restore_state(doc[key])
+        sim.restore_state(doc["sim"])
     except HMCSimError:
         raise
     except KeyError as exc:

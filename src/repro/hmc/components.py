@@ -266,15 +266,6 @@ class TopologyRouter(Stateful, ABC):
     def in_transit(self) -> int:
         """Packets currently travelling between cubes."""
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        # The default knows no wire layout: only a drained router.
-        if self.in_transit:
-            raise ComponentError(
-                "cannot checkpoint in-transit packets of a custom topology "
-                "router — call drain() first"
-            )
-        return super().snapshot_state()
-
 
 class MemoryModel(ABC):
     """Byte-addressable backing store for device memory (seam ``memory``).

@@ -241,18 +241,14 @@ class Device(Stateful):
         src_link: int,
         inject_cycle: int,
         *,
-        hop_delay: int = 0,
         origin_dev: int = 0,
-        link_seq: int = -1,
-        service_until: int = -1,
     ) -> Flight:
         """Build a :class:`Flight` for ``pkt`` with routing recomputed.
 
-        The cold-path twin of the routing block in :meth:`send`:
-        checkpoint restore (and external drivers) rebuild in-flight
+        The cold-path twin of the routing block in :meth:`send`: the
+        vector crossbar's spill (and external drivers) rebuild queued
         requests from bare packets here, deriving vault/bank/quad/row
-        and the command-table entry from the packet rather than
-        serializing them.
+        and the command-table entry from the packet.
         """
         local = pkt.addr & self._cap_mask
         vault = (local >> self._vault_lo) & self._vault_mask
@@ -263,10 +259,8 @@ class Device(Stateful):
             vault=vault,
             bank=(local >> self._bank_lo) & self._bank_mask,
             quad=self._quads_of_vaults[vault],
-            hop_delay=hop_delay,
+            hop_delay=0,
             origin_dev=origin_dev,
-            link_seq=link_seq,
-            service_until=service_until,
             info=COMMAND_TABLE_LIST[pkt.cmd],
             row=(local >> self._row_lo) & self._row_mask,
         )

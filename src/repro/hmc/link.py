@@ -12,10 +12,10 @@ crossbar hop penalty to reach its vault.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
 from repro.hmc.components import Stateful
-from repro.hmc.packet import ResponsePacket, packet_from_state, packet_state
+from repro.hmc.packet import ResponsePacket
 
 __all__ = ["Link"]
 
@@ -45,19 +45,6 @@ class Link(Stateful):
     def recv(self) -> Optional[ResponsePacket]:
         """Pop the oldest retired response, or None."""
         return self.retired.popleft() if self.retired else None
-
-    def snapshot_state(self) -> Dict[str, object]:
-        doc = super().snapshot_state()
-        if self.retired:
-            # Retired but not yet collected by the host.
-            doc["retired"] = [packet_state(rsp) for rsp in self.retired]
-        return doc
-
-    def restore_state(self, doc: Dict[str, object]) -> None:
-        super().restore_state(doc)
-        self.retired = deque(
-            packet_from_state(ResponsePacket, rsp) for rsp in doc.get("retired", ())
-        )
 
     def pending_responses(self) -> int:
         """Responses retired but not yet collected by the host."""

@@ -18,11 +18,10 @@ Bits no table names are reserved and encode as zero.
 
 from __future__ import annotations
 
-import base64
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import HMCPacketError
 from repro.hmc import crc as _crc
@@ -52,8 +51,6 @@ __all__ = [
     "MAX_TAG",
     "MAX_CUB",
     "ADDR_MASK",
-    "packet_state",
-    "packet_from_state",
 ]
 
 _U64 = (1 << 64) - 1
@@ -370,19 +367,3 @@ class ResponsePacket(_Packet):
             return hmc_response_t(self.cmd)
         except ValueError:
             return None
-
-
-def packet_state(pkt: object) -> Dict[str, object]:
-    """A request or response packet as a JSON-able dict (checkpoints):
-    every field in declaration order, the payload base64 and last."""
-    doc = {f.name: getattr(pkt, f.name) for f in fields(pkt) if f.name != "data"}
-    doc["data"] = base64.b64encode(pkt.data).decode("ascii")
-    return doc
-
-
-def packet_from_state(cls: type, doc: Dict[str, object]) -> object:
-    """Rebuild a ``cls`` packet from :func:`packet_state`'s dict."""
-    return cls(
-        data=base64.b64decode(doc["data"]),
-        **{f.name: doc[f.name] for f in fields(cls) if f.name != "data"},
-    )

@@ -136,10 +136,6 @@ class RegisterFile(Stateful):
         if value < (1 << 64) - 1:
             self._regs[reg] = value + 1
 
-    def snapshot(self) -> Dict[str, int]:
-        """Name → value for every register (debug/inspection helper)."""
-        return {_NAMES[idx]: val for idx, val in sorted(self._regs.items())}
-
     def snapshot_state(self) -> Dict[str, int]:
         fresh = _reset_values(self.config)
         return {
@@ -149,8 +145,8 @@ class RegisterFile(Stateful):
         }
 
     def restore_state(self, doc: Dict[str, int]) -> None:
-        """Load a :meth:`snapshot_state` or :meth:`snapshot` dict
-        (read-only registers keep their derived value)."""
+        """Load a :meth:`snapshot_state` dict (read-only registers keep
+        their derived value)."""
         self._regs = _reset_values(self.config)
         for name, value in doc.items():
             self.write(HMC_REG[name], value)

@@ -491,8 +491,8 @@ class HMCSim(Stateful):
     PARTS = ("devices", "topology", "flow", "faults", "power_report")
 
     def snapshot_state(self) -> Dict[str, object]:
-        """:class:`Stateful` state plus resident pages, outstanding tags
-        and each loaded CMC op's source, count and ``active`` flag."""
+        """:class:`Stateful` state plus resident pages and each loaded
+        CMC op's source, count and ``active`` flag."""
         doc = super().snapshot_state()
         pages = [
             [base, b64encode(content).decode("ascii")]
@@ -500,8 +500,6 @@ class HMCSim(Stateful):
         ]
         if pages:
             doc["pages"] = pages
-        if self._outstanding:
-            doc["outstanding"] = sorted(self._outstanding)
         cmc = [
             [op.source, op.cmd, op.executions, op.active]
             for op in self.cmc.operations()
@@ -527,7 +525,6 @@ class HMCSim(Stateful):
         self.backend.clear()
         for base, data in doc.get("pages", ()):
             self.backend.write(base, b64decode(data))
-        self._outstanding = set(doc.get("outstanding", ()))
         super().restore_state(doc)
 
     # -- statistics ---------------------------------------------------------------

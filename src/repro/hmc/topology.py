@@ -17,27 +17,16 @@ the pass-through routing of the physical link layer.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
-from repro.hmc.components import Stateful, TopologyRouter, register_component
-from repro.hmc.packet import (
-    RequestPacket,
-    ResponsePacket,
-    packet_from_state,
-    packet_state,
-)
+from repro.hmc.components import TopologyRouter, register_component
+from repro.hmc.packet import ResponsePacket
 from repro.hmc.xbar import Flight
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hmc.sim import HMCSim
 
 __all__ = ["Topology", "ChainTopology", "RingTopology"]
-
-#: The Flight fields a wire entry carries: what the packet cannot give
-#: back (vault/bank/quad/row are rederived from it on restore).
-_FLIGHT_META = (
-    "src_link", "inject_cycle", "hop_delay", "origin_dev", "link_seq", "service_until"
-)
 
 
 class Topology(TopologyRouter):
@@ -142,41 +131,8 @@ class Topology(TopologyRouter):
 
     # -- checkpointing -------------------------------------------------------------
 
+    # The wires are empty at a checkpoint (the context is idle).
     STATE = {"forwarded_requests": 0, "forwarded_responses": 0}
-
-    def snapshot_state(self) -> Dict[str, object]:
-        # Wire packets are plain data, so unlike the router default a
-        # chained run checkpoints mid-flight.
-        doc = Stateful.snapshot_state(self)
-        if self._rqst_wire:
-            doc["rqst_wire"] = [
-                {"ready": ready, "dev": dev, "link": link, "pkt": packet_state(f.pkt),
-                 **{k: getattr(f, k) for k in _FLIGHT_META}}
-                for ready, dev, link, f in self._rqst_wire
-            ]
-        if self._rsp_wire:
-            doc["rsp_wire"] = [
-                {"ready": ready, "dev": dev, "rsp": packet_state(rsp)}
-                for ready, dev, rsp in self._rsp_wire
-            ]
-        return doc
-
-    def restore_state(self, doc: Dict[str, object]) -> None:
-        super().restore_state(doc)
-        # Routing constants are identical across same-config devices,
-        # so any device can rebuild the Flight.
-        route = self.sim.devices[0].route_flight
-        self._rqst_wire = [
-            (e["ready"], e["dev"], e["link"], route(
-                packet_from_state(RequestPacket, e["pkt"]),
-                **{k: e[k] for k in _FLIGHT_META},
-            ))
-            for e in doc.get("rqst_wire", ())
-        ]
-        self._rsp_wire = [
-            (e["ready"], e["dev"], packet_from_state(ResponsePacket, e["rsp"]))
-            for e in doc.get("rsp_wire", ())
-        ]
 
 
 @register_component("topology", "chain")

@@ -28,9 +28,8 @@ the oracle's global order is exact.
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.core.cmc import CMCOperation, CMCRegistry
 from repro.core.loader import load_cmc as _load_cmc_plugin
@@ -183,7 +182,8 @@ class Oracle:
     One oracle models every cube of a context (``config.num_devs``
     images and register files).  It shares no state with any
     :class:`~repro.hmc.sim.HMCSim`; the differential runner loads the
-    same CMC modules into both sides independently.
+    same CMC modules into both sides independently.  No checkpoint
+    carries it: a differential run starts both sides fresh.
     """
 
     def __init__(self, config: HMCConfig):
@@ -216,47 +216,6 @@ class Oracle:
     def registers(self, dev: int = 0) -> RegisterFile:
         """The expected register file of device ``dev``."""
         return self._registers[dev]
-
-    # -- checkpointing -----------------------------------------------------------
-
-    def snapshot_state(self) -> Dict[str, object]:
-        """JSON-safe snapshot: every resident image page + register file.
-
-        Checkpoints embed this document through the
-        checkpoint layer's duck-typed ``oracle=`` parameter (the hmc
-        layer never imports this package), so a fuzz-farm run can
-        freeze mid-burn-down and resume with the reference model
-        bit-identical to the cycle engine's state.
-        """
-        return {
-            "capacity": self.capacity,
-            "num_devs": len(self._images),
-            "images": [
-                {
-                    str(idx): base64.b64encode(bytes(page)).decode("ascii")
-                    for idx, page in sorted(img._pages.items())
-                }
-                for img in self._images
-            ],
-            "registers": [regs.snapshot() for regs in self._registers],
-        }
-
-    def restore_state(self, doc: Dict[str, object]) -> None:
-        """Restore a :meth:`snapshot_state` document into this oracle."""
-        shape = (doc.get("capacity"), doc.get("num_devs"))
-        want = (self.capacity, len(self._images))
-        if shape != want:
-            raise HMCSimError(
-                f"oracle snapshot shape {shape} does not match this "
-                f"oracle {want} (capacity, num_devs)"
-            )
-        for img, pages in zip(self._images, doc["images"]):
-            img._pages = {
-                int(idx): bytearray(base64.b64decode(blob))
-                for idx, blob in pages.items()
-            }
-        for regs, snapshot in zip(self._registers, doc["registers"]):
-            regs.restore_state(snapshot)
 
     # -- execution --------------------------------------------------------------
 

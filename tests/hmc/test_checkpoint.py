@@ -112,63 +112,8 @@ class TestLabelAndAtomicity:
 
 
 class TestMidFlightTopology:
-    """Version 2: packets on the inter-cube wire checkpoint and restore."""
-
-    def _wait_for_wire(self, sim, attr):
-        # Clock until packets sit only on the topology wire (devices
-        # quiesced), which is the earliest checkpointable mid-flight state.
-        for _ in range(50):
-            sim.clock()
-            if getattr(sim.topology, attr) and not any(
-                d.busy() for d in sim.devices
-            ):
-                return True
-        return False
-
-    def test_request_wire_roundtrip(self, tmp_path):
-        cfg = HMCConfig.cfg_4link_4gb(num_devs=2)
-        sim = HMCSim(cfg)
-        sim.mem_write(0x80, b"\x05" + bytes(15), dev=1)
-        sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x80, 3, cub=1))
-        assert self._wait_for_wire(sim, "_rqst_wire")
-        assert sim.topology.in_transit == 1
-
-        p = save_checkpoint(sim, tmp_path / "cp.json")
-        # A wire entry's unknown fields (the dropped chain_hops) are
-        # ignored on restore.
-        doc = json.loads(p.read_text())
-        doc["sim"]["topology"]["rqst_wire"][0]["chain_hops"] = 1
-        p.write_text(json.dumps(doc))
-        sim2 = HMCSim(cfg)
-        restore_checkpoint(sim2, p)
-        assert sim2.cycle == sim.cycle
-        assert sim2.topology.in_transit == 1
-        assert sim2.topology.forwarded_requests == sim.topology.forwarded_requests
-
-        # Both contexts finish the round trip identically.
-        sim.drain()
-        sim2.drain()
-        r1, r2 = sim.recv(), sim2.recv()
-        assert r1 is not None and r2 is not None
-        assert (r1.tag, r1.data, r1.retire_cycle) == (r2.tag, r2.data, r2.retire_cycle)
-        assert sim.cycle == sim2.cycle
-
-    def test_response_wire_roundtrip(self, tmp_path):
-        cfg = HMCConfig.cfg_4link_4gb(num_devs=2)
-        sim = HMCSim(cfg)
-        sim.mem_write(0x40, b"\xbe" * 16, dev=1)
-        sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 9, cub=1))
-        assert self._wait_for_wire(sim, "_rsp_wire")
-
-        p = save_checkpoint(sim, tmp_path / "cp.json")
-        sim2 = HMCSim(cfg)
-        restore_checkpoint(sim2, p)
-        sim.drain()
-        sim2.drain()
-        r1, r2 = sim.recv(), sim2.recv()
-        assert r1 is not None and r2 is not None
-        assert r1.data == r2.data == b"\xbe" * 16
-        assert sim.cycle == sim2.cycle
+    """Packets on the inter-cube wire are in flight: neither call takes
+    a chained context until it is drained."""
 
     def test_component_selection_in_fingerprint(self, cfg4, tmp_path):
         sim = HMCSim(cfg4)
@@ -182,12 +127,12 @@ class TestMidFlightTopology:
 
 
 class TestFaultStateRoundtrip:
-    """Version 3: the fault subsystem checkpoints mid-flight.
+    """The fault subsystem checkpoints at an idle, collected point: its
+    per-kind counts travel, and the plan is part of the fingerprint.
 
-    A response-destroying fault leaves the devices quiesced but the
-    host still waiting: the tag is outstanding, the controller records
-    it lost, and the watchdog counts down to a retransmission.  All of
-    that must survive a save/restore bit-identically.
+    A response-destroying fault leaves its tag outstanding (and the
+    controller recording it lost) until the host abandons it, so a
+    faulty context is checkpointable once every lost tag is abandoned.
     """
 
     def _faulty_pair(self):
@@ -201,69 +146,26 @@ class TestFaultStateRoundtrip:
 
         return build(), build()
 
-    def _lose_response(self, sim, tag=7):
+    def _lose_and_abandon(self, sim, tag=7):
         sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x40, tag))
-        sim.clock(10)  # the response is dropped at the retire port
+        sim.drain()  # the response is dropped at the retire port
         assert (0, tag) in sim.faults.lost_tags
-        assert sim._outstanding
+        assert sim.abandon_tag(0, tag)
+        assert not sim.faults.lost_tags
 
-    def test_outstanding_and_lost_tags_roundtrip(self, tmp_path):
+    def test_fault_counts_roundtrip(self, tmp_path):
         sim, sim2 = self._faulty_pair()
-        self._lose_response(sim)
+        self._lose_and_abandon(sim)
         p = save_checkpoint(sim, tmp_path / "cp.json")
         restore_checkpoint(sim2, p)
-        assert sim2._outstanding == sim._outstanding
-        assert sim2.faults.lost_tags == sim.faults.lost_tags
-        assert sim2.faults.counts == sim.faults.counts
-
-    def test_watchdog_state_roundtrips_bit_identically(self, tmp_path):
-        from repro.faults.watchdog import TagWatchdog
-
-        sim, sim2 = self._faulty_pair()
-        wd = TagWatchdog(timeout=16, max_retries=3)
-        pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 7)
-        sim.send(pkt)
-        wd.arm(7, pkt, dev=0, link=0, cycle=sim.cycle)
-        sim.clock(10)
-        assert (0, 7) in sim.faults.lost_tags
-        p = save_checkpoint(sim, tmp_path / "cp.json", watchdog=wd)
-
-        wd2 = TagWatchdog(timeout=16, max_retries=3)
-        restore_checkpoint(sim2, p, watchdog=wd2)
-        assert wd2.pending() == wd.pending() == (7,)
-        assert wd2._armed[7].deadline == wd._armed[7].deadline
-        assert wd2._armed[7].attempts == wd._armed[7].attempts
-        assert wd2._armed[7].packet.addr == pkt.addr
-
-        # Drive both pairs through the identical retransmission
-        # protocol; every observable must stay in lockstep (the drop
-        # draws are stateless hashes of the same seed and cycles).
-        def step(s, w, cycles=64):
-            for _ in range(cycles):
-                s.clock()
-                for entry in w.poll(s.cycle):
-                    if w.exhausted(entry):
-                        continue
-                    s.abandon_tag(0, entry.tag)
-                    s.send(entry.packet, dev=entry.dev, link=entry.link)
-                    w.note_retransmit()
-                    w.arm(
-                        entry.tag, entry.packet,
-                        dev=entry.dev, link=entry.link, cycle=s.cycle,
-                    )
-            return (
-                s.cycle, s.sent_rqsts, s.recvd_rsps,
-                dict(s.faults.counts), set(s.faults.lost_tags),
-                w.timeouts, w.retransmits, w.pending(),
-            )
-
-        assert step(sim, wd) == step(sim2, wd2)
+        assert sim2.faults.counts == sim.faults.counts == {"rsp_drop": 1}
+        assert sim2.stats() == sim.stats()
 
     def test_fault_state_needs_matching_plan(self, tmp_path):
         from repro.faults.plan import FaultPlan
 
         sim, _ = self._faulty_pair()
-        self._lose_response(sim)
+        self._lose_and_abandon(sim)
         p = save_checkpoint(sim, tmp_path / "cp.json")
         bare = HMCSim(HMCConfig.cfg_4link_4gb())
         with pytest.raises(HMCSimError, match="no fault plan"):
@@ -275,25 +177,15 @@ class TestFaultStateRoundtrip:
         with pytest.raises(HMCSimError, match="does not match"):
             restore_checkpoint(other, p)
 
-    def test_watchdog_state_needs_watchdog(self, tmp_path):
-        from repro.faults.watchdog import TagWatchdog
-
-        sim, sim2 = self._faulty_pair()
-        p = save_checkpoint(sim, tmp_path / "cp.json", watchdog=TagWatchdog())
-        with pytest.raises(HMCSimError, match="watchdog"):
-            restore_checkpoint(sim2, p)
-
     def test_version2_file_is_refused(self, cfg4, tmp_path):
         sim = HMCSim(cfg4)
         sim.mem_write(0x100, b"legacy")
         p = save_checkpoint(sim, tmp_path / "cp.json")
         doc = json.loads(p.read_text())
-        # Rewrite as a version-2 document: no fault-era keys at all.
         doc["version"] = 2
-        del doc["watchdog"]
         p.write_text(json.dumps(doc))
         sim2 = HMCSim(cfg4)
-        with pytest.raises(HMCSimError, match="version 2.*supported versions: 5;"):
+        with pytest.raises(HMCSimError, match="version 2.*supported versions: 6;"):
             restore_checkpoint(sim2, p)
         assert sim2.mem_read(0x100, 6) == bytes(6)  # refused before any write
 
@@ -310,79 +202,6 @@ class TestFaultStateRoundtrip:
         )
         restore_checkpoint(faulty, p)  # fresh controller state is kept
         assert faulty.faults.counts == {}
-
-
-class TestOracleStateRoundtrip:
-    """Version 4: the differential oracle rides along, duck-typed."""
-
-    def _pair(self, cfg):
-        from repro.oracle import Oracle
-
-        sim, oracle = HMCSim(cfg), Oracle(cfg)
-        for i in range(8):
-            data = bytes([i + 1]) * 16
-            sim.mem_write(0x100 * i, data)
-            oracle.mem_write(0x100 * i, data)
-        oracle.registers().write(HMC_REG["EDR3"], 0x77)
-        return sim, oracle
-
-    def test_v4_oracle_roundtrips_bit_identically(self, cfg4, tmp_path):
-        from repro.oracle import Oracle
-
-        sim, oracle = self._pair(cfg4)
-        p = save_checkpoint(sim, tmp_path / "cp.json", oracle=oracle)
-        doc = json.loads(p.read_text())
-        assert doc["version"] == CHECKPOINT_VERSION and doc["oracle"] is not None
-        sim2, oracle2 = HMCSim(cfg4), Oracle(cfg4)
-        restore_checkpoint(sim2, p, oracle=oracle2)
-        assert oracle2.snapshot_state() == oracle.snapshot_state()
-        assert oracle2.mem_read(0x100, 16) == bytes([2]) * 16
-        assert oracle2.registers().read(HMC_REG["EDR3"]) == 0x77
-
-    def test_mid_run_save_restore_continues_identically(self, cfg4, tmp_path):
-        from repro.oracle import Oracle
-
-        sim, oracle = self._pair(cfg4)
-        p = save_checkpoint(sim, tmp_path / "cp.json", oracle=oracle)
-        sim2, oracle2 = HMCSim(cfg4), Oracle(cfg4)
-        restore_checkpoint(sim2, p, oracle=oracle2)
-        # The second half of the run plays out on both pairs; the
-        # restored pair must stay bit-identical to the original.
-        for pair_sim, pair_oracle in ((sim, oracle), (sim2, oracle2)):
-            for i in range(8, 16):
-                data = bytes([i + 1]) * 16
-                pair_sim.mem_write(0x100 * i, data)
-                pair_oracle.mem_write(0x100 * i, data)
-        assert oracle2.snapshot_state() == oracle.snapshot_state()
-        assert sim2.mem_read(0, 0x100 * 16) == sim.mem_read(0, 0x100 * 16)
-
-    def test_v3_file_is_refused(self, cfg4, tmp_path):
-        sim = HMCSim(cfg4)
-        sim.mem_write(0x40, b"\x03" + bytes(15))
-        p = save_checkpoint(sim, tmp_path / "cp.json")
-        doc = json.loads(p.read_text())
-        doc["version"] = 3
-        doc.pop("oracle")
-        p.write_text(json.dumps(doc))
-        sim2 = HMCSim(cfg4)
-        with pytest.raises(HMCSimError, match="version 3.*supported versions: 5;"):
-            restore_checkpoint(sim2, p)
-        assert sim2.mem_read(0x40, 16) == bytes(16)  # refused before any write
-
-    def test_oracle_state_needs_oracle(self, cfg4, tmp_path):
-        from repro.oracle import Oracle
-
-        sim, oracle = self._pair(cfg4)
-        p = save_checkpoint(sim, tmp_path / "cp.json", oracle=oracle)
-        with pytest.raises(HMCSimError, match="oracle"):
-            restore_checkpoint(HMCSim(cfg4), p)
-
-    def test_oracle_shape_mismatch_rejected(self, cfg4, cfg8):
-        from repro.oracle import Oracle
-
-        doc = Oracle(cfg4).snapshot_state()
-        with pytest.raises(HMCSimError, match="shape"):
-            Oracle(cfg8).restore_state(doc)
 
 
 class TestGuards:
@@ -425,6 +244,74 @@ class TestGuards:
         assert doc["sim"]["pages"]
 
 
+def _on_the_wire() -> HMCSim:
+    """A chained context with a request travelling between cubes."""
+    sim = HMCSim(HMCConfig.cfg_4link_4gb(num_devs=2))
+    sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x80, 3, cub=1))
+    while not sim.topology.in_transit:
+        sim.clock()
+    return sim
+
+
+def _uncollected() -> HMCSim:
+    """An idle context whose answered response the host never received."""
+    sim = HMCSim(HMCConfig.cfg_4link_4gb())
+    sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 5))
+    sim.drain()
+    assert sim.devices[0].links[0].pending_responses() == 1
+    return sim
+
+
+def _outstanding() -> HMCSim:
+    """An idle, collected context whose one tag a fault left unanswered."""
+    from repro.faults.plan import FaultPlan
+
+    sim = HMCSim(
+        HMCConfig.cfg_4link_4gb(), faults=FaultPlan.parse(["xbar_drop=1.0"])
+    )
+    sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 7))
+    sim.drain()
+    assert sim.idle() and sim.recv() is None
+    assert sim.stats()["outstanding"] == 1
+    return sim
+
+
+#: Each state a checkpoint refuses, and the phrase naming it.
+_NOT_COLLECTED = {
+    "wire": (_on_the_wire, "packets on the inter-cube wire"),
+    "retired": (_uncollected, "uncollected responses in a link's retire buffer"),
+    "outstanding": (_outstanding, "outstanding tags"),
+}
+
+
+class TestIdleContract:
+    """Both calls take an idle, collected context only, and name what
+    else they found: a checkpoint serializes no packet and no tag."""
+
+    @pytest.mark.parametrize("state", sorted(_NOT_COLLECTED))
+    def test_save_refuses(self, state, tmp_path):
+        build, phrase = _NOT_COLLECTED[state]
+        with pytest.raises(HMCSimError, match=f"cannot checkpoint a context with {phrase} — drain"):
+            save_checkpoint(build(), tmp_path / "cp.json")
+        assert not (tmp_path / "cp.json").exists()
+
+    @pytest.mark.parametrize("state", sorted(_NOT_COLLECTED))
+    def test_restore_refuses(self, state, tmp_path):
+        build, phrase = _NOT_COLLECTED[state]
+        target = build()
+        source = HMCSim(target.config)
+        if target.faults is not None:
+            source.attach_faults(target.faults.plan)
+        source.mem_write(0x40, b"\x09" * 16)
+        p = save_checkpoint(source, tmp_path / "cp.json")
+        before = target.stats()
+        with pytest.raises(HMCSimError, match=f"cannot restore into a context with {phrase} — drain"):
+            restore_checkpoint(target, p)
+        # Refused before any write: the target keeps what it holds.
+        assert target.stats() == before
+        assert target.mem_read(0x40, 16) != b"\x09" * 16
+
+
 class TestBarrierKernel:
     def test_rounds_complete_in_order(self, cfg4):
         stats = run_workload("barrier", cfg4, threads=8, rounds=4)
@@ -460,7 +347,7 @@ class TestRejectionDiagnostics:
             restore_checkpoint(HMCSim(cfg4), p)
         msg = str(exc.value)
         assert "99" in msg  # the file's actual version
-        assert "supported versions: 5;" in msg  # every supported version
+        assert "supported versions: 6;" in msg  # every supported version
         assert "cp.json" in msg  # which file was rejected
 
     def test_config_error_names_differing_fields(self, cfg4, cfg8, tmp_path):
@@ -582,43 +469,6 @@ class TestFingerprintCoversAttachedModels:
         assert "timing: checkpoint has {" in msg and "'t_cl': 2" in msg
         assert "target has no timing" in msg
 
-    def test_watchdog_parameters_are_compared(self, cfg4, tmp_path):
-        from repro.faults.watchdog import TagWatchdog
-
-        p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json", watchdog=TagWatchdog(timeout=64))
-        with pytest.raises(HMCSimError, match="watchdog: checkpoint has .*'timeout': 64"):
-            restore_checkpoint(HMCSim(cfg4), p, watchdog=TagWatchdog(timeout=32))
-
-
-class TestLostTagKindSurvives:
-    def test_deadlock_dump_names_the_fault_after_restore(self, tmp_path):
-        from repro.hmc.sim import collect_deadlock_dump
-        from repro.faults.plan import FaultPlan
-        from repro.faults.watchdog import TagWatchdog
-
-        def build():
-            sim = HMCSim(
-                HMCConfig.cfg_4link_4gb(), faults=FaultPlan.parse(["xbar_drop=1.0"])
-            )
-            return sim, TagWatchdog(timeout=16, max_retries=0)
-
-        sim, wd = build()
-        pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 7)
-        sim.send(pkt)
-        wd.arm(7, pkt, dev=0, link=0, cycle=sim.cycle)
-        sim.clock(10)  # the response is dropped at the retire port
-        p = save_checkpoint(sim, tmp_path / "cp.json", watchdog=wd)
-
-        sim2, wd2 = build()
-        restore_checkpoint(sim2, p, watchdog=wd2)
-        sim2.clock(16)
-        [entry] = wd2.poll(sim2.cycle)
-        assert wd2.exhausted(entry)
-        dump = collect_deadlock_dump(sim2)
-        assert dump.lost_tags == {(0, 7): "rsp_drop"}
-        assert "cub0:tag7=rsp_drop" in str(dump)
-
-
 class TestMalformedFiles:
     """Every unreadable file is an HMCSimError naming the file (and the
     key, when one is missing) — never a bare JSON/Attribute/KeyError."""
@@ -639,7 +489,7 @@ class TestMalformedFiles:
         with pytest.raises(HMCSimError, match="cp.json holds a JSON list"):
             restore_checkpoint(HMCSim(cfg4), p)
 
-    @pytest.mark.parametrize("key", ["config", "sim", "watchdog", "oracle"])
+    @pytest.mark.parametrize("key", ["config", "sim"])
     def test_missing_top_level_key(self, cfg4, tmp_path, key):
         p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json")
         doc = json.loads(p.read_text())
@@ -648,20 +498,39 @@ class TestMalformedFiles:
         with pytest.raises(HMCSimError, match=f"cp.json is malformed: missing key '{key}'"):
             restore_checkpoint(HMCSim(cfg4), p)
 
-    def test_missing_nested_key(self, cfg4, tmp_path):
+    def test_malformed_nested_value(self, cfg4, tmp_path):
         sim = HMCSim(cfg4)
-        roundtrip(sim, sim.build_memrequest(hmc_rqst_t.RD16, 0, 1))
+        sim.mem_write(0, b"x")
         p = save_checkpoint(sim, tmp_path / "cp.json")
         doc = json.loads(p.read_text())
-        doc["sim"]["topology"] = {"rsp_wire": [{"ready": 3, "dev": 0}]}
+        doc["sim"]["pages"] = [[0]]
         p.write_text(json.dumps(doc))
-        with pytest.raises(HMCSimError, match="cp.json is malformed: missing key 'rsp'"):
+        with pytest.raises(HMCSimError, match="cp.json is malformed: ValueError"):
             restore_checkpoint(HMCSim(cfg4), p)
 
-    def test_version4_file_is_refused_by_name(self, cfg4, tmp_path):
-        p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json")
+    def _refused_by_name(self, cfg4, tmp_path, version):
+        sim = HMCSim(cfg4)
+        sim.mem_write(0x40, b"\x03" + bytes(15))
+        p = save_checkpoint(sim, tmp_path / "cp.json")
         doc = json.loads(p.read_text())
-        doc["version"] = 4
+        doc["version"] = version
         p.write_text(json.dumps(doc))
-        with pytest.raises(HMCSimError, match="cp.json has version 4.*supported versions: 5;"):
-            restore_checkpoint(HMCSim(cfg4), p)
+        target = HMCSim(cfg4)
+        with pytest.raises(
+            HMCSimError,
+            match=f"cp.json has version {version}.*supported versions: 6;",
+        ):
+            restore_checkpoint(target, p)
+        assert target.mem_read(0x40, 16) == bytes(16)  # refused before any write
+
+    def test_version3_file_is_refused_by_name(self, cfg4, tmp_path):
+        self._refused_by_name(cfg4, tmp_path, 3)
+
+    def test_version4_file_is_refused_by_name(self, cfg4, tmp_path):
+        self._refused_by_name(cfg4, tmp_path, 4)
+
+    def test_version5_file_is_refused_by_name(self, cfg4, tmp_path):
+        # A v5 file may carry in-flight state (wire packets, retired
+        # responses, outstanding or lost tags, a watchdog or an oracle
+        # image) that this reader would silently drop.
+        self._refused_by_name(cfg4, tmp_path, 5)

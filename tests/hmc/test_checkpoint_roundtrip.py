@@ -1,5 +1,5 @@
-"""Checkpoint round trips: a run split at a quiesced point equals the
-unbroken run, and every field of every part is accounted for.
+"""Checkpoint round trips: a run split at an idle, collected point
+equals the unbroken run, and every field of every part is accounted for.
 
 The matrix runs each cell twice — once straight through, once saved
 after phase A and restored into a freshly built context before phase
@@ -16,14 +16,13 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
 import pytest
 
 from repro.core.cmc import CMCRegistry
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import ArmedTag, TagWatchdog
 from repro.hmc.bank import Bank
 from repro.hmc.checkpoint import restore_checkpoint, save_checkpoint
 from repro.hmc.commands import hmc_rqst_t
@@ -32,14 +31,13 @@ from repro.hmc.config import HMCConfig, resolve_config
 from repro.hmc.device import Device
 from repro.hmc.flow import ErrorModel, LinkFlowModel, LinkFlowState
 from repro.hmc.link import Link
-from repro.hmc.packet import RequestPacket, ResponsePacket, packet_state
 from repro.hmc.power import PowerReport
 from repro.hmc.queue import StallQueue
 from repro.hmc.registers import RegisterFile
 from repro.hmc.sim import HMCSim
 from repro.hmc.topology import Topology
 from repro.hmc.vault import RoundRobinVaultScheduler, Vault
-from repro.hmc.xbar import Flight, XBar
+from repro.hmc.xbar import XBar
 from repro.workloads.registry import WORKLOADS
 from tests.conftest import with_flow
 
@@ -48,87 +46,48 @@ CFG4 = HMCConfig.cfg_4link_4gb()
 
 @dataclass
 class Cell:
-    """``make()`` builds (sim, extras); ``phase_a`` runs before the
+    """``make()`` builds the context; ``phase_a`` runs before the
     split, ``phase_b`` after it and returns the compared result."""
 
-    make: Callable[[], Tuple[HMCSim, Dict[str, Any]]]
-    phase_a: Callable[[HMCSim, Dict[str, Any]], None]
-    phase_b: Callable[[HMCSim, Dict[str, Any]], Any]
+    make: Callable[[], HMCSim]
+    phase_a: Callable[[HMCSim], Any]
+    phase_b: Callable[[HMCSim], Any]
 
 
-def _kernel(name: str) -> Callable[[HMCSim, Dict[str, Any]], Any]:
-    return lambda sim, _extras: WORKLOADS.get(name).run(
-        sim.config, {"threads": 8}, sim=sim
-    )
+def _kernel(name: str) -> Callable[[HMCSim], Any]:
+    return lambda sim: WORKLOADS.get(name).run(sim.config, {"threads": 8}, sim=sim)
 
 
 def _kernels(make_sim: Callable[[], HMCSim]) -> Cell:
     """Algorithm 1's mutex, then the ticket lock on the same context."""
-    return Cell(lambda: (make_sim(), {}), _kernel("mutex"), _kernel("ticket"))
+    return Cell(make_sim, _kernel("mutex"), _kernel("ticket"))
 
 
-def _lossy() -> Cell:
-    """Reads under a response-dropping fault plan with the host watchdog
-    retransmitting: split with tags lost, armed and mid-backoff, and
-    with answered responses still in the links' retire buffers."""
+def _faulty() -> Cell:
+    """Two mutex runs under a CMC-crashing fault plan (the kernel arms
+    its watchdog): split with fault counts standing, so the controller's
+    state and the plan's stateless draws carry the second run."""
 
     def make():
-        sim = HMCSim(CFG4, faults=FaultPlan.parse(["xbar_drop=0.4"], seed=11))
-        return sim, {"watchdog": TagWatchdog(timeout=16, max_retries=6)}
+        return HMCSim(CFG4, faults=FaultPlan.parse(["cmc_crash=0.2"], seed=3))
 
-    def step(sim, wd, cycles, collect):
-        got = []
-        for _ in range(cycles):
-            sim.clock()
-            if collect:
-                for link in range(sim.config.num_links):
-                    for rsp in sim.recv_batch(link=link):
-                        wd.disarm(rsp.tag)
-                        got.append((rsp.tag, rsp.data, sim.cycle))
-            for entry in wd.poll(sim.cycle):
-                if wd.exhausted(entry):
-                    got.append(("exhausted", entry.tag))
-                    continue
-                sim.abandon_tag(0, entry.tag)
-                sim.send(entry.packet, dev=entry.dev, link=entry.link)
-                wd.note_retransmit()
-                wd.arm(entry.tag, entry.packet, dev=entry.dev,
-                       link=entry.link, cycle=sim.cycle)
-        return got
+    def phase_a(sim):
+        _kernel("mutex")(sim)
+        assert sim.faults.counts["cmc_crash"]
 
-    def phase_a(sim, extras):
-        wd = extras["watchdog"]
-        for tag in range(12):
-            sim.mem_write(0x40 * tag, bytes([tag + 1]) * 16)
-            pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0x40 * tag, tag)
-            sim.send(pkt, link=tag % 4)
-            wd.arm(tag, pkt, dev=0, link=tag % 4, cycle=sim.cycle)
-        step(sim, wd, 12, collect=False)
-        assert sim.faults.lost_tags and sim.recvd_rsps == 0
-
-    def phase_b(sim, extras):
-        wd = extras["watchdog"]
-        return step(sim, wd, 400, collect=True), wd.stats(), wd.pending()
-
-    return Cell(make, phase_a, phase_b)
+    return Cell(make, phase_a, _kernel("mutex"))
 
 
 def _chained() -> Cell:
-    """Two chained cubes, split while packets sit on the inter-cube wire."""
+    """Two chained cubes, split midway through forwarded traffic, after
+    a drain and collect."""
     cfg = HMCConfig.cfg_4link_4gb(num_devs=2)
 
-    def phase_a(sim, _extras):
-        for tag in range(6):
+    def batch(sim, first):
+        for tag in range(first, first + 6):
             sim.mem_write(0x80 * tag, bytes([0xA0 + tag]) * 16, dev=1)
             sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x80 * tag, tag, cub=1),
                      link=tag % 4)
-        for _ in range(50):
-            sim.clock()
-            if sim.topology.in_transit and not any(d.busy() for d in sim.devices):
-                return
-        raise AssertionError("no device-quiesced mid-flight point")
-
-    def phase_b(sim, _extras):
         sim.drain()
         return [
             (r.tag, r.data, r.retire_cycle)
@@ -136,31 +95,11 @@ def _chained() -> Cell:
             for r in sim.recv_batch(link=link)
         ]
 
-    return Cell(lambda: (HMCSim(cfg), {}), phase_a, phase_b)
+    def phase_a(sim):
+        assert len(batch(sim, 0)) == 6
+        assert sim.topology.forwarded_requests and sim.topology.forwarded_responses
 
-
-def _with_oracle() -> Cell:
-    """A differential reference model rides along in the same file."""
-    from repro.oracle import Oracle
-
-    def make():
-        return HMCSim(CFG4), {"oracle": Oracle(CFG4)}
-
-    def mirror(sim, oracle, lo, hi):
-        for i in range(lo, hi):
-            data = bytes([i + 1]) * 16
-            sim.mem_write(0x1000 + 0x100 * i, data)
-            oracle.mem_write(0x1000 + 0x100 * i, data)
-
-    def phase_a(sim, extras):
-        mirror(sim, extras["oracle"], 0, 8)
-        _kernel("mutex")(sim, extras)
-
-    def phase_b(sim, extras):
-        mirror(sim, extras["oracle"], 8, 16)
-        return _kernel("ticket")(sim, extras), extras["oracle"].snapshot_state()
-
-    return Cell(make, phase_a, phase_b)
+    return Cell(lambda: HMCSim(cfg), phase_a, lambda sim: batch(sim, 6))
 
 
 CELLS: Dict[str, Callable[[], Cell]] = {
@@ -179,9 +118,8 @@ CELLS: Dict[str, Callable[[], Cell]] = {
     "tokens_crc": lambda: _kernels(
         lambda: with_flow(CFG4, LinkFlowModel(errors=ErrorModel(0.05)))
     ),
-    "faults_watchdog": _lossy,
+    "faults_watchdog": _faulty,
     "chained_midflight": _chained,
-    "oracle": _with_oracle,
     "xbar_vector": lambda: _kernels(
         lambda: HMCSim(HMCConfig.cfg_4link_4gb(xbar="vector"))
     ),
@@ -197,13 +135,13 @@ def _digest(sim: HMCSim) -> str:
 
 
 def _run(cell: Cell, tmp_path, *, split: bool):
-    sim, extras = cell.make()
-    cell.phase_a(sim, extras)
+    sim = cell.make()
+    cell.phase_a(sim)
     if split:
-        p = save_checkpoint(sim, tmp_path / "cp.json", **extras)
-        sim, extras = cell.make()
-        restore_checkpoint(sim, p, **extras)
-    result = cell.phase_b(sim, extras)
+        p = save_checkpoint(sim, tmp_path / "cp.json")
+        sim = cell.make()
+        restore_checkpoint(sim, p)
+    result = cell.phase_b(sim)
     return sim.stats(), result, _digest(sim)
 
 
@@ -218,18 +156,14 @@ def test_split_run_equals_unbroken_run(name, tmp_path):
 _CONFIG = "configuration (the fingerprint must match)"
 _DERIVED = "derived from the configuration at construction"
 _WIRING = "a reference to the owning context"
-_QUIESCED = "empty at a quiesced point (the save refuses otherwise)"
+_QUIESCED = "empty in an idle, collected context (the save refuses otherwise)"
 
 #: Attributes a part's own snapshot_state encodes beyond its STATE and
 #: PARTS declarations.
 HAND_ENCODED = {
-    HMCSim: {"backend", "_outstanding", "cmc"},
-    Link: {"retired"},
-    Topology: {"_rqst_wire", "_rsp_wire"},
+    HMCSim: {"backend", "cmc"},
     LinkFlowModel: {"_links", "retry_events"},
-    FaultController: {"lost_tags"},
     RegisterFile: {"_regs"},
-    TagWatchdog: {"_armed", "_attempts"},
 }
 
 #: Attributes no checkpoint carries, and why.
@@ -245,6 +179,7 @@ REBUILT: Dict[type, Dict[str, str]] = {
         "_cmc_expects": "a memo rebuilt on the next registry epoch",
         "_cmc_expects_epoch": "a memo rebuilt on the next registry epoch",
         "_initialized": "a restored context is live",
+        "_outstanding": _QUIESCED,
     },
     Device: {
         "dev": _DERIVED,
@@ -265,12 +200,18 @@ REBUILT: Dict[type, Dict[str, str]] = {
         "_cycle_hook": "a capability of the configured crossbar",
         "queues": "a list of the parts' queues, which the parts checkpoint",
     },
-    Link: {"link_id": _DERIVED, "quad": _DERIVED},
+    Link: {"link_id": _DERIVED, "quad": _DERIVED, "retired": _QUIESCED},
     XBar: {"config": _CONFIG, "dev": _DERIVED, "rqst_occ": _QUIESCED, "rsp_occ": _QUIESCED},
     StallQueue: {"depth": _DERIVED, "name": _DERIVED, "_q": _QUIESCED},
     Vault: {"index": _DERIVED, "quad": _DERIVED, "dev": _DERIVED, "_pending_rsp": _QUIESCED},
     Bank: {"index": _DERIVED},
-    Topology: {"sim": _WIRING, "hop_cycles": _CONFIG, "kind": _CONFIG},
+    Topology: {
+        "sim": _WIRING,
+        "hop_cycles": _CONFIG,
+        "kind": _CONFIG,
+        "_rqst_wire": _QUIESCED,
+        "_rsp_wire": _QUIESCED,
+    },
     LinkFlowModel: {
         "tokens_per_link": _CONFIG,
         "retry_latency": _CONFIG,
@@ -280,6 +221,7 @@ REBUILT: Dict[type, Dict[str, str]] = {
     FaultController: {
         "sim": _WIRING,
         "plan": _CONFIG,
+        "lost_tags": _QUIESCED,
         **{
             site: "an injector built from the plan (its draws are stateless hashes)"
             for site in ("dram", "vault", "rsp_drop", "rsp_dup", "cmc", "link")
@@ -290,12 +232,6 @@ REBUILT: Dict[type, Dict[str, str]] = {
         },
     },
     RegisterFile: {"config": _CONFIG, "dev": _DERIVED},
-    TagWatchdog: {
-        "timeout": _CONFIG,
-        "max_retries": _CONFIG,
-        "backoff": _CONFIG,
-        "_heap": "rebuilt from the armed tags (stale entries are skipped anyway)",
-    },
     PowerReport: {},
     RoundRobinVaultScheduler: {},
 }
@@ -319,11 +255,7 @@ def _attrs(obj: object) -> set:
 
 def _norm(value: Any) -> Any:
     """A comparable form of a checkpointed value."""
-    if isinstance(value, (RequestPacket, ResponsePacket)):
-        return packet_state(value)
-    if isinstance(value, Flight):
-        return [_norm(getattr(value, f)) for f in Flight.__slots__]
-    if isinstance(value, (LinkFlowState, ArmedTag)):
+    if isinstance(value, LinkFlowState):
         return _norm(vars(value))
     if isinstance(value, MemoryModel):
         return list(value.iter_resident())
@@ -373,15 +305,13 @@ def _classify(orig: object, restored: object, path: str, seen: list) -> None:
 )
 def test_every_field_is_checkpointed_or_rebuilt(name, tmp_path):
     cell = CELLS[name]()
-    sim, extras = cell.make()
-    cell.phase_a(sim, extras)
-    p = save_checkpoint(sim, tmp_path / "cp.json", **extras)
-    restored, restored_extras = cell.make()
-    restore_checkpoint(restored, p, **restored_extras)
+    sim = cell.make()
+    cell.phase_a(sim)
+    p = save_checkpoint(sim, tmp_path / "cp.json")
+    restored = cell.make()
+    restore_checkpoint(restored, p)
     seen: list = []
     _classify(sim, restored, "sim", seen)
-    if "watchdog" in extras:
-        _classify(extras["watchdog"], restored_extras["watchdog"], "watchdog", seen)
     # The walk reached every kind of part the cell builds.
     assert {HMCSim, Device, Link, XBar, StallQueue, Vault, Bank, RegisterFile} <= {
         base for cls in seen for base in cls.__mro__

@@ -201,6 +201,22 @@ def test_truncated_checkpoint_is_a_structured_refusal(tmp_path):
     assert exc.value.code == "internal"
 
 
+def test_v5_checkpoint_is_refused_by_version(tmp_path):
+    # A directory fenced before checkpoints became idle-only (v6) does
+    # not resume: its v5 checkpoint.json is refused by version, not
+    # loaded with whatever in-flight keys it carries dropped.
+    session = SimSession("s", "4link_4gb", root=tmp_path)
+    session.accept("workload", _mutex())
+    session.execute_next()
+    doc = json.loads(session.checkpoint_path.read_text())
+    doc["version"] = 5
+    doc["config"]["watchdog"] = doc["watchdog"] = doc["oracle"] = None
+    session.checkpoint_path.write_text(json.dumps(doc))
+    with pytest.raises(ServeError) as exc:
+        SimSession.load(session.root)
+    assert exc.value.code == "internal"
+    assert "checkpoint.json has version 5" in str(exc.value)
+
 def test_writes_per_submission_do_not_grow_with_the_session(tmp_path, monkeypatch):
     session = SimSession("s", "4link_4gb", root=tmp_path)
     header = session.meta_path.stat()
