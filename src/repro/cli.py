@@ -56,7 +56,8 @@ def _parse_threads(spec: str) -> List[int]:
 
 
 def _parse_component(spec: str) -> Tuple[str, str]:
-    """Parse a ``--component`` spec: ``seam=impl``, e.g. ``xbar=ideal``."""
+    """Parse a ``--component`` spec: ``seam=impl``, e.g.
+    ``vault_scheduler=round_robin``."""
     seam, sep, key = spec.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(
@@ -167,7 +168,8 @@ def _add_component_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--component", action="append", type=_parse_component, default=None,
         metavar="SEAM=IMPL", dest="components",
-        help="swap a pipeline stage, e.g. xbar=ideal (repeatable)",
+        help="swap a pipeline stage, e.g. vault_scheduler=round_robin "
+        "(repeatable)",
     )
     p.add_argument(
         "--engine", choices=["scalar", "vector"], default=None,
@@ -182,7 +184,7 @@ def _merge_engine(args) -> None:
     """Fold ``--engine vector`` into the ``--component`` override list.
 
     An explicit ``--component xbar=...`` wins over the convenience
-    flag, so ``--engine vector --component xbar=ideal`` is an ideal
+    flag, so ``--engine vector --component xbar=queued`` is the queued
     crossbar, not a conflict.
     """
     if getattr(args, "engine", None) != "vector":

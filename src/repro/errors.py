@@ -91,7 +91,7 @@ class ComponentError(HMCSimError):
 
     The component registries (:data:`repro.hmc.components.COMPONENTS`,
     one per seam) key pluggable pipeline stages — crossbar, vault
-    scheduler, link flow, topology, memory backend — by string.
+    scheduler, link flow, timing and power models — by string.
     Registering a duplicate key, registering under an unknown seam,
     requesting an implementation that was never registered, or a
     factory producing an object of the wrong interface raises this

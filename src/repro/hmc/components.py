@@ -7,19 +7,17 @@ new *memory-side operations* without touching the simulator core
 interface, and concrete implementations register here under string
 keys — exactly how :class:`repro.core.cmc.CMCRegistry` keys custom
 operations by command code — so new crossbar models, vault scheduling
-policies, link-flow models, topologies, memory backends and §VII timing
-and power models become plugin-sized changes selected through :class:`HMCConfig`.
+policies, link-flow models and §VII timing and power models become
+plugin-sized changes selected through :class:`HMCConfig`.
 
-The seven seams:
+The five seams:
 
 =================  ==========================  ===========================
 seam               interface                   built-in keys
 =================  ==========================  ===========================
-``xbar``           :class:`CrossbarModel`      ``queued``, ``ideal``
+``xbar``           :class:`CrossbarModel`      ``queued``, ``vector``
 ``vault_scheduler``:class:`VaultScheduler`     ``fifo``, ``round_robin``
 ``link_flow``      :class:`LinkFlow`           ``none``, ``tokens``
-``topology``       :class:`TopologyRouter`     ``chain``, ``ring``
-``memory``         :class:`MemoryModel`        ``paged``, ``chunked``
 ``timing``         :class:`TimingModel`        ``none``, ``open_page``
 ``power``          :class:`PowerModel`         ``none``, ``energy``
 =================  ==========================  ===========================
@@ -57,8 +55,6 @@ __all__ = [
     "CrossbarModel",
     "VaultScheduler",
     "LinkFlow",
-    "TopologyRouter",
-    "MemoryModel",
     "TimingModel",
     "PowerModel",
     "Stateful",
@@ -236,71 +232,6 @@ class LinkFlow(Stateful, ABC):
         return {}
 
 
-class TopologyRouter(Stateful, ABC):
-    """Multi-cube routing between devices (seam ``topology``).
-
-    Owns the inter-device delay lines: requests whose CUB names
-    another cube, and responses making the return trip.
-
-    Factory signature: ``factory(sim) -> TopologyRouter``.
-    """
-
-    @abstractmethod
-    def forward_request(self, from_dev: int, flight: Any, link: int) -> None:
-        """Launch a request toward its target cube."""
-
-    @abstractmethod
-    def forward_response(self, from_dev: int, rsp: Any, cycle: int) -> None:
-        """Launch a response back toward its originating cube."""
-
-    @abstractmethod
-    def clock(self, cycle: int) -> None:
-        """Deliver in-transit packets whose hop delay has elapsed."""
-
-    @abstractmethod
-    def hop_distance(self, a: int, b: int) -> int:
-        """Hops between cubes ``a`` and ``b`` under this wiring."""
-
-    @property
-    @abstractmethod
-    def in_transit(self) -> int:
-        """Packets currently travelling between cubes."""
-
-
-class MemoryModel(ABC):
-    """Byte-addressable backing store for device memory (seam ``memory``).
-
-    Holds the real data the paper's CMC/atomic operations read-modify-
-    write.  Cold regions must read as zero (the known initial state the
-    mutex model relies on).
-
-    Factory signature: ``factory(capacity_bytes) -> MemoryModel``.
-    """
-
-    #: Total bytes addressable through this store.
-    capacity: int
-
-    @abstractmethod
-    def read(self, addr: int, nbytes: int) -> bytes:
-        """Read ``nbytes`` at ``addr`` (zero-fill for untouched space)."""
-
-    @abstractmethod
-    def write(self, addr: int, data: bytes) -> None:
-        """Write ``data`` starting at ``addr``."""
-
-    @abstractmethod
-    def view(self, base: int, size: int) -> Any:
-        """A bounds-checked window rebased to address 0."""
-
-    @abstractmethod
-    def iter_resident(self) -> Any:
-        """Yield ``(base_address, bytes)`` for each materialized region."""
-
-    @abstractmethod
-    def clear(self) -> None:
-        """Drop all state, returning the store to all-zeros."""
-
-
 class TimingModel(ABC):
     """DRAM bank timing (seam ``timing``; ``none`` is no model).
     Factory signature: ``factory(config) -> Optional[TimingModel]``."""
@@ -330,18 +261,12 @@ class PowerModel(ABC):
 #: ``vector`` crossbar) heads every catalog: ``none`` imports no model.
 _SEAM_SPEC: Dict[str, Tuple[type, str, Dict[str, str]]] = {
     "xbar": (CrossbarModel, "repro.hmc.xbar", {
-        "queued": "repro.hmc.xbar:XBar", "ideal": "repro.hmc.xbar:IdealXBar",
-        "vector": "repro.hmc.composition:_vector_xbar"}),
+        "queued": "repro.hmc.xbar:XBar", "vector": "repro.hmc.composition:_vector_xbar"}),
     "vault_scheduler": (VaultScheduler, "repro.hmc.vault", {
         "fifo": "repro.hmc.vault:FIFOVaultScheduler",
         "round_robin": "repro.hmc.vault:RoundRobinVaultScheduler"}),
     "link_flow": (LinkFlow, "repro.hmc.flow", {
         "none": "repro.hmc.composition:_no_flow", "tokens": "repro.hmc.flow:_tokens_flow"}),
-    "topology": (TopologyRouter, "repro.hmc.topology", {
-        "chain": "repro.hmc.topology:ChainTopology", "ring": "repro.hmc.topology:RingTopology"}),
-    "memory": (MemoryModel, "repro.hmc.memory", {
-        "paged": "repro.hmc.memory:MemoryBackend",
-        "chunked": "repro.hmc.memory:ChunkedMemoryBackend"}),
     "timing": (TimingModel, "repro.hmc.timing", {
         "none": "repro.hmc.composition:_no_model", "open_page": "repro.hmc.timing:_open_page"}),
     "power": (PowerModel, "repro.hmc.power", {

@@ -1,8 +1,8 @@
 """Composition root: build pipeline stages from ``HMCConfig`` selections.
 
 This module is the *only* place where the simulator core meets concrete
-component implementations.  The ``build_*`` helpers below are how
-:class:`HMCSim` and :class:`Device` construct their pipeline stages —
+component implementations.  :func:`build` and :func:`build_xbar` below
+are how :class:`HMCSim` and :class:`Device` construct their seams —
 always through the per-seam registries in
 :data:`repro.hmc.components.COMPONENTS`, never by naming a class.  Each
 registry's catalog is this module, then its seam's home module.
@@ -25,19 +25,12 @@ from repro.errors import ComponentError
 from repro.hmc.components import create, register_component
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hmc.components import (
-        CrossbarModel,
-        MemoryModel,
-        TopologyRouter,
-    )
+    from repro.hmc.components import CrossbarModel
     from repro.hmc.config import HMCConfig
-    from repro.hmc.sim import HMCSim
 
 __all__ = [
     "build",
     "build_xbar",
-    "build_topology",
-    "build_memory",
 ]
 
 
@@ -91,12 +84,3 @@ def build(seam: str, config: "HMCConfig") -> Any:
     ``vault_scheduler`` (one per vault), ``link_flow``, ``timing``, ``power``."""
     return create(seam, getattr(config, seam), config)
 
-
-def build_topology(sim: "HMCSim") -> "TopologyRouter":
-    """The multi-cube router selected by ``sim.config.topology``."""
-    return create("topology", sim.config.topology, sim)
-
-
-def build_memory(config: "HMCConfig") -> "MemoryModel":
-    """The backing store selected by ``config.memory``."""
-    return create("memory", config.memory, config.total_bytes)

@@ -50,7 +50,6 @@ _DOMAINS: Dict[str, Any] = {
     "xbar_depth": (2, None),
     # Table I's block sizes: the address-interleave boundary.
     "bsize": frozenset({32, 64, 128, 256}),
-    "nonlocal_hop_cycles": (0, None),
     "link_rsp_rate": (1, None),
     "vault_rsp_rate": (1, None),
     "addr_interleave": frozenset({"vault", "bank"}),
@@ -76,8 +75,6 @@ class HMCConfig:
             address-interleave boundary.
         check_crc: verify CRCs of the words a caller hands to ``compat``'s
             ``hmcsim_send``; built packets carry a CRC of their own fields.
-        nonlocal_hop_cycles: extra crossbar cycles when a request enters
-            on a link whose quad does not own the target vault.
         link_rsp_rate: response packets a link can retire to the host
             per device cycle (the serial link's finite bandwidth).
             Saturates per-link, so it is the source of the (small)
@@ -101,7 +98,6 @@ class HMCConfig:
     xbar_depth: int = 128
     bsize: int = 64
     check_crc: bool = False
-    nonlocal_hop_cycles: int = 0
     link_rsp_rate: int = 4
     vault_rsp_rate: int = 16
     #: Address interleave order above the block offset: "vault" (the
@@ -115,8 +111,6 @@ class HMCConfig:
     xbar: str = "queued"
     vault_scheduler: str = "fifo"
     link_flow: str = "none"
-    topology: str = "chain"
-    memory: str = "paged"
     timing: str = "none"
     power: str = "none"
 

@@ -116,9 +116,6 @@ class Device(Stateful):
         self._quads_of_vaults = tuple(
             config.quad_of_vault(v) for v in range(config.num_vaults)
         )
-        self._quads_of_links = tuple(
-            config.quad_of_link(l) for l in range(config.num_links)
-        )
         # Capability hooks a crossbar model may provide (the vector
         # engine does): resolved once with getattr, None for the
         # standard models, so this module still names no concrete
@@ -179,20 +176,13 @@ class Device(Stateful):
         # response command) for every later phase.
         local = pkt.addr & self._cap_mask
         vault = (local >> self._vault_lo) & self._vault_mask
-        quad = self._quads_of_vaults[vault]
-        hop = (
-            self.config.nonlocal_hop_cycles
-            if self._quads_of_links[link] != quad
-            else 0
-        )
         flight = Flight(
             pkt,
             link,
             cycle,
             vault,
             (local >> self._bank_lo) & self._bank_mask,
-            quad,
-            hop,
+            self._quads_of_vaults[vault],
             self.dev,
             COMMAND_TABLE_LIST[pkt.cmd],
             (local >> self._row_lo) & self._row_mask,
@@ -259,7 +249,6 @@ class Device(Stateful):
             vault=vault,
             bank=(local >> self._bank_lo) & self._bank_mask,
             quad=self._quads_of_vaults[vault],
-            hop_delay=0,
             origin_dev=origin_dev,
             info=COMMAND_TABLE_LIST[pkt.cmd],
             row=(local >> self._row_lo) & self._row_mask,
@@ -458,9 +447,6 @@ class Device(Stateful):
             moved = 0
             while dq:
                 flight = dq[0]
-                if flight.hop_delay > 0:
-                    flight.hop_delay -= 1
-                    break
                 if (
                     flow is not None
                     and flight.link_seq >= 0

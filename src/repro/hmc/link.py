@@ -5,8 +5,7 @@ is the host attach point: requests enter the device through a link's
 crossbar request queue (see :mod:`repro.hmc.xbar`) and completed
 responses are *retired* to the link's retire buffer, where
 ``hmcsim_recv`` finds them.  Links are physically attached to a
-quadrant; a request entering on a non-local link pays the configured
-crossbar hop penalty to reach its vault.
+quadrant.
 """
 
 from __future__ import annotations

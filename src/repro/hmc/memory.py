@@ -1,22 +1,13 @@
-"""Sparse backing stores for HMC device memory (seam ``memory``).
+"""The sparse backing store for HMC device memory.
 
 HMC-Sim 1.0 modelled only request *flow*; HMC-Sim 2.0 must hold real
 data so that atomic and CMC operations can read-modify-write it.  An
-8 GB address space cannot be allocated eagerly, so the stores are
-paged: ``bytearray`` pages are materialized on first touch and
+8 GB address space cannot be allocated eagerly, so the store is
+paged: 4 KiB ``bytearray`` pages are materialized on first touch and
 untouched regions read as zero (the initial state the paper's mutex
 model relies on: "the mutex values are initialized to a known state
-that signifies that no locks are present").
-
-Two page geometries register with the component registry:
-
-* ``paged`` — 4 KiB pages (:class:`MemoryBackend`), the default.
-  Minimal resident memory for sparse traffic (a mutex hot spot touches
-  one page).
-* ``chunked`` — 64 KiB chunks (:class:`ChunkedMemoryBackend`).  Fewer,
-  larger allocations and page-table entries; the better trade for
-  dense streaming workloads (STREAM, GUPS tables) at 16x the
-  first-touch cost.
+that signifies that no locks are present").  Small pages keep resident
+memory minimal for sparse traffic: a mutex hot spot touches one page.
 
 All multi-byte values are little-endian.
 """
@@ -27,33 +18,28 @@ import struct
 from typing import Dict, Iterator, Tuple
 
 from repro.errors import HMCAddressError
-from repro.hmc.components import MemoryModel, register_component
 
 __all__ = [
     "MemoryBackend",
-    "ChunkedMemoryBackend",
     "MemoryView",
     "PAGE_SIZE",
 ]
 
-#: Bytes per lazily-allocated page of the default (``paged``) backend.
+#: Bytes per lazily-allocated page, and its log2.
 PAGE_SIZE = 4096
+_PAGE_SHIFT = 12
 
 #: Packet-granule reads copy out of the page in one call, not a
 #: bytearray slice plus a ``bytes`` conversion.
 _TAKE = {n: struct.Struct(f"{n}s").unpack_from for n in (8, *range(16, 129, 16), 256)}
 
 
-@register_component("memory", "paged")
-class MemoryBackend(MemoryModel):
+class MemoryBackend:
     """Lazily paged byte-addressable memory of a fixed capacity.
 
     Args:
         capacity: total bytes addressable through this store.
     """
-
-    #: log2 of the page size; subclasses override to change geometry.
-    PAGE_SHIFT = 12
 
     #: Store address of local address 0, as on a :class:`MemoryView`.
     _base = 0
@@ -63,12 +49,11 @@ class MemoryBackend(MemoryModel):
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._pages: Dict[int, bytearray] = {}
-        # Geometry constants as instance attributes: the single-page
-        # fast paths below (and MemoryView's) read these instead of
-        # module globals so subclasses change geometry for free.
-        self._shift = self.PAGE_SHIFT
-        self._psize = 1 << self.PAGE_SHIFT
-        self._pmask = self._psize - 1
+        # Geometry constants as instance attributes, which the
+        # single-page fast paths below (and MemoryView's) read.
+        self._shift = _PAGE_SHIFT
+        self._psize = PAGE_SIZE
+        self._pmask = PAGE_SIZE - 1
 
     # -- bulk access ---------------------------------------------------------
 
@@ -150,26 +135,13 @@ class MemoryBackend(MemoryModel):
         return MemoryView(self, base, size)
 
 
-@register_component("memory", "chunked")
-class ChunkedMemoryBackend(MemoryBackend):
-    """The ``paged`` store with 64 KiB chunks instead of 4 KiB pages.
-
-    Identical semantics and API; only the lazy-allocation granularity
-    changes.  Dense workloads touch 16x fewer page-table entries per
-    resident byte, at the cost of materializing 64 KiB on first touch.
-    """
-
-    PAGE_SHIFT = 16
-
-
 class MemoryView:
     """A bounds-checked, rebased window onto a :class:`MemoryBackend`.
 
     Exposes the same accessor API as the backend; used to hand each
     device (and the atomic unit) a view where local address 0 is the
     device's first byte.  The view copies the backend's page geometry
-    at construction, so its single-page fast path works for any
-    registered page size.
+    at construction for its single-page fast path.
     """
 
     __slots__ = ("_backend", "_base", "capacity", "_pages", "_shift", "_psize", "_pmask")

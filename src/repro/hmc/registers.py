@@ -149,4 +149,6 @@ class RegisterFile(Stateful):
         their derived value)."""
         self._regs = _reset_values(self.config)
         for name, value in doc.items():
+            if name not in HMC_REG:
+                raise HMCSimError(f"unknown register {name!r} in checkpoint")
             self.write(HMC_REG[name], value)

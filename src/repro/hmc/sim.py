@@ -48,12 +48,14 @@ from repro.hmc.commands import (
     COMMAND_TABLE_LIST,
     hmc_rqst_t,
 )
-from repro.hmc.components import LinkFlow, MemoryModel, Stateful, TopologyRouter
-from repro.hmc.composition import build, build_memory, build_topology
+from repro.hmc.components import LinkFlow, Stateful
+from repro.hmc.composition import build
 from repro.hmc.config import HMCConfig
 from repro.hmc.device import Device
+from repro.hmc.memory import MemoryBackend
 from repro.hmc.packet import MAX_TAG, RequestPacket, ResponsePacket
 from repro.hmc.queue import StallQueue
+from repro.hmc.topology import Topology
 from repro.hmc.trace import TraceLevel, Tracer
 
 __all__ = ["HMCSim", "DeadlockDump", "collect_deadlock_dump"]
@@ -98,10 +100,11 @@ class HMCSim(Stateful):
             ``is None`` test and the datapath is bit-identical to the
             fault-free baseline.
 
-    Every pipeline stage and model — memory, crossbars, vault
-    schedulers, link flow, topology, timing and power (``power_report``
-    is None without one) — is built through the component registry from
-    the selection fields of :class:`HMCConfig` (``docs/ARCHITECTURE.md``).
+    Every pipeline seam — crossbars, vault schedulers, link flow,
+    timing and power (``power_report`` is None without one) — is built
+    through the component registry from the selection fields of
+    :class:`HMCConfig` (``docs/ARCHITECTURE.md``); the paged memory
+    and the daisy-chain topology are built directly.
     """
 
     def __init__(
@@ -120,14 +123,14 @@ class HMCSim(Stateful):
         #: The built FaultController when a plan is attached, else None
         #: — every datapath hook gates on this exact attribute.
         self.faults = None
-        self.backend: MemoryModel = build_memory(config)
+        self.backend = MemoryBackend(config.total_bytes)
         self.addrmap = AddressMap(config)
         self.tracer = Tracer()
         self.cmc = CMCRegistry()
         self.devices = [Device(d, config, self) for d in range(config.num_devs)]
         self._num_devs = config.num_devs
         self._num_links = config.num_links
-        self.topology: TopologyRouter = build_topology(self)
+        self.topology = Topology(self)
         self._cycle = 0
         #: Outstanding (cub, tag) pairs, packed as ``(cub << 11) | tag``
         #: — the tag field is 11 bits, so the packing is collision-free

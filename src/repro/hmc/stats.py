@@ -41,13 +41,6 @@ class OccupancySeries:
         """Mean sampled occupancy."""
         return sum(self.samples) / len(self.samples) if self.samples else 0.0
 
-    @property
-    def nonzero_fraction(self) -> float:
-        """Fraction of samples with any occupancy (utilization proxy)."""
-        if not self.samples:
-            return 0.0
-        return sum(1 for s in self.samples if s > 0) / len(self.samples)
-
 
 class SimSampler:
     """Samples a context's queues and links every ``interval`` cycles.

@@ -3,11 +3,12 @@
 HMC-Sim 1.0 supported "chaining multiple HMC devices together in a
 multitude of different topologies" (§II of the paper); the capability
 is carried forward here for the 2.0 packet formats.  Devices are
-organized in a daisy chain ordered by cube id.  A request whose ``CUB``
-field names a different cube is forwarded hop by hop toward its target
-(each hop costs :attr:`Topology.hop_cycles` device cycles), executes
-there, and its response makes the mirror-image return trip before
-retiring on the link it originally entered.
+organized in a daisy chain ordered by cube id, the one wiring modelled
+here.  A request whose ``CUB`` field names a different cube is
+forwarded hop by hop toward its target (each hop costs
+:attr:`Topology.hop_cycles` device cycles), executes there, and its
+response makes the mirror-image return trip before retiring on the
+link it originally entered.
 
 The delay lines are modelled outside any single device so chained
 traffic cannot consume vault-queue slots while in transit — matching
@@ -19,36 +20,31 @@ from __future__ import annotations
 import weakref
 from typing import TYPE_CHECKING, List, Tuple
 
-from repro.hmc.components import TopologyRouter, register_component
+from repro.hmc.components import Stateful
 from repro.hmc.packet import ResponsePacket
 from repro.hmc.xbar import Flight
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hmc.sim import HMCSim
 
-__all__ = ["Topology", "ChainTopology", "RingTopology"]
+__all__ = ["Topology"]
 
 
-class Topology(TopologyRouter):
-    """Multi-cube router: daisy chain (default) or ring.
+class Topology(Stateful):
+    """The daisy-chain router: cube *i* connects to *i±1*, and packets
+    take ``|target - here|`` hops.
 
-    In a chain, cube *i* connects to *i±1* and packets take
-    ``|target - here|`` hops.  In a ring the last cube also connects
-    back to cube 0, so packets take the shorter way around — at most
-    ``num_devs // 2`` hops.  Both are instances of the "multitude of
-    different topologies" HMC-Sim 1.0 supported.
+    Owns the inter-device delay lines: requests whose CUB names
+    another cube, and responses making the return trip.
     """
 
-    def __init__(self, sim: "HMCSim", hop_cycles: int = 2, kind: str = "chain"):
+    def __init__(self, sim: "HMCSim", hop_cycles: int = 2):
         if hop_cycles < 1:
             raise ValueError("hop_cycles must be >= 1")
-        if kind not in ("chain", "ring"):
-            raise ValueError(f"unknown topology kind {kind!r}")
         # Weak, like Device's: the context owns its router, not the
         # other way round.
         self.sim = weakref.proxy(sim)
         self.hop_cycles = hop_cycles
-        self.kind = kind
         #: (ready_cycle, next_dev, link, flight) requests in transit.
         self._rqst_wire: List[Tuple[int, int, int, Flight]] = []
         #: (ready_cycle, next_dev, rsp) responses in transit.
@@ -56,22 +52,9 @@ class Topology(TopologyRouter):
         self.forwarded_requests = 0
         self.forwarded_responses = 0
 
-    def _next_toward(self, here: int, target: int) -> int:
-        n = self.sim.config.num_devs
-        if self.kind == "ring" and n > 2:
-            forward = (target - here) % n
-            backward = (here - target) % n
-            if forward <= backward:
-                return (here + 1) % n
-            return (here - 1) % n
+    @staticmethod
+    def _next_toward(here: int, target: int) -> int:
         return here + 1 if target > here else here - 1
-
-    def hop_distance(self, a: int, b: int) -> int:
-        """Hops between cubes ``a`` and ``b`` under this topology."""
-        n = self.sim.config.num_devs
-        if self.kind == "ring" and n > 2:
-            return min((b - a) % n, (a - b) % n)
-        return abs(b - a)
 
     # -- called by devices ------------------------------------------------------
 
@@ -134,21 +117,3 @@ class Topology(TopologyRouter):
     # The wires are empty at a checkpoint (the context is idle).
     STATE = {"forwarded_requests": 0, "forwarded_responses": 0}
 
-
-@register_component("topology", "chain")
-class ChainTopology(Topology):
-    """Daisy-chain routing (seam key ``chain``, the default): cube *i*
-    connects to *i±1*; packets take ``|target - here|`` hops."""
-
-    def __init__(self, sim: "HMCSim"):
-        super().__init__(sim, kind="chain")
-
-
-@register_component("topology", "ring")
-class RingTopology(Topology):
-    """Ring routing (seam key ``ring``): the last cube connects back to
-    cube 0 and packets take the shorter way around — at most
-    ``num_devs // 2`` hops."""
-
-    def __init__(self, sim: "HMCSim"):
-        super().__init__(sim, kind="ring")

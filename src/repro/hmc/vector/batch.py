@@ -489,7 +489,6 @@ class BatchExecutor:
                         vault=row[F_VAULT],
                         bank=row[F_BANK],
                         quad=row[F_QUAD],
-                        hop_delay=0,
                         origin_dev=dev,
                         info=COMMAND_TABLE_LIST[pkt.cmd],
                         row=row[F_ROW],

@@ -34,7 +34,7 @@ A fresh ``VectorXBar`` is *undecided*.  The first ``Device.send``
 decides:
 
 * vector — single cube, no timing/power/flow model, FIFO vault
-  scheduler, zero hop cycles, no faults, tracing off;
+  scheduler, no faults, tracing off;
 * scalar — anything else, including a raw ``inject`` from a driver
   (or the topology, or a link replay) that hands in a built flight.
 
@@ -100,7 +100,6 @@ class VectorXBar(XBar):
             vault=0,
             bank=0,
             quad=0,
-            hop_delay=0,
             origin_dev=dev,
             info=None,  # type: ignore[arg-type]
             row=0,
@@ -133,7 +132,6 @@ class VectorXBar(XBar):
         return (
             device.sim.config.num_devs == 1
             and config.vault_scheduler == "fifo"
-            and config.nonlocal_hop_cycles == 0
         )
 
     def _go_scalar(self, device: Optional["Device"] = None) -> None:
@@ -286,10 +284,9 @@ class VectorXBar(XBar):
             device.retired_rsps += n
 
     def _drain_phase(self, device: "Device", cycle: int) -> None:
-        # Scalar twin: Device._phase_xbar_drain with no flow model and
-        # zero hop cycles (both pinned by the gate): each link's queue
-        # drains fully, in ascending link order, blocking only on a
-        # full vault queue.
+        # Scalar twin: Device._phase_xbar_drain with no flow model
+        # (pinned by the gate): each link's queue drains fully, in
+        # ascending link order, blocking only on a full vault queue.
         if not self.rqst_occ:
             return
         rqst_queues = self.rqst_queues

@@ -15,10 +15,8 @@ in its own clock phases:
   from the link's response queue to its retire buffer, where the host
   can ``recv`` them.
 
-Requests entering on a link that is not attached to the target vault's
-quadrant may be charged extra hop cycles
-(``HMCConfig.nonlocal_hop_cycles``, default 0 to match the paper's
-queueing-dominated model).
+Every link reaches every vault at the same cost: the paper's model is
+queueing-dominated, with no charge for crossing to another quadrant.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.hmc.queue import StallQueue
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hmc.config import HMCConfig
 
-__all__ = ["Flight", "XBar", "IdealXBar"]
+__all__ = ["Flight", "XBar"]
 
 
 @dataclass(eq=False, slots=True)
@@ -51,8 +49,6 @@ class Flight:
     vault: int
     bank: int
     quad: int
-    #: Remaining extra crossbar hop cycles before the packet may route.
-    hop_delay: int
     #: Device the request originally entered on (multi-device topologies).
     origin_dev: int
     #: Command metadata (execute arm, payload sizes, response command),
@@ -82,10 +78,10 @@ class XBar(CrossbarModel):
 
     PARTS = ("rqst_queues", "rsp_queues")
 
-    def __init__(self, config: HMCConfig, dev: int, *, depth: int = 0):
+    def __init__(self, config: HMCConfig, dev: int):
         self.config = config
         self.dev = dev
-        depth = depth or config.xbar_depth
+        depth = config.xbar_depth
         self.rqst_queues: List[StallQueue] = [
             StallQueue(depth, f"dev{dev}.link{l}.xbar_rqst")
             for l in range(config.num_links)
@@ -125,22 +121,3 @@ class XBar(CrossbarModel):
         self.rsp_occ += 1
         return True
 
-
-#: Queue depth used by the ideal crossbar: deep enough that no workload
-#: ever fills it, so inject/push_response never stall.
-_IDEAL_DEPTH = 1 << 30
-
-
-@register_component("xbar", "ideal")
-class IdealXBar(XBar):
-    """A capacity-unconstrained crossbar (seam key ``ideal``).
-
-    The classic ablation model: identical routing and ordering, but the
-    per-link queues are effectively infinite, so the crossbar never
-    back-pressures the host or the vault response path.  Comparing a
-    run against the ``queued`` model isolates how much of a workload's
-    queueing delay the crossbar capacity itself contributes.
-    """
-
-    def __init__(self, config: HMCConfig, dev: int):
-        super().__init__(config, dev, depth=_IDEAL_DEPTH)

@@ -159,16 +159,3 @@ class ServeClient:
         while max_events is None or count < max_events:
             yield self._read_message()
             count += 1
-
-    def wait_result(self, session: str, submission: int) -> Dict[str, Any]:
-        """Block until the stream carries ``submission``'s result."""
-        for msg in self.events():
-            if (
-                msg.get("type") == "result"
-                and msg.get("session") == session
-                and msg.get("submission") == submission
-            ):
-                return msg
-        raise ServeError(  # pragma: no cover - events() only ends by raise
-            "internal", f"stream ended before result {submission}"
-        )

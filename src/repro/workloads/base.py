@@ -231,7 +231,8 @@ class WorkloadFrontend(ABC):
     ) -> Dict[str, Any]:
         """Refuse a :meth:`run` request this frontend cannot serve;
         returns the resolved parameters of one it can."""
-        if fault_plan is not None and not self.supports_faults:
+        faulty = fault_plan is not None or (sim is not None and sim.faults is not None)
+        if faulty and not self.supports_faults:
             raise WorkloadError(
                 f"workload {self.name!r} does not support fault plans"
             )

@@ -166,12 +166,14 @@ class TestCache:
 
 #: Cache keys, a plan fingerprint and a farm digest as the releases
 #: before the single :func:`repro.registry.digest` wrote them: entries
-#: and seed lines already on disk must keep their names.
+#: and seed lines already on disk must keep their names.  The config
+#: and component segments moved once, when the ``memory`` and
+#: ``topology`` seams and ``nonlocal_hop_cycles`` left the configuration.
 _PLAN = ("cmc_crash=0.2", "link_crc=0.01")
 PUBLISHED = {
-    "mutex": "mutex-w8b409718bcb9a22c-7157262fa7b02ab8-cb92fe41759844c0-t8-d2c89cc01bbde5ab",
+    "mutex": "mutex-w8b409718bcb9a22c-45ee3e2603c32233-daf19b87535abc70-t8-d2c89cc01bbde5ab",
     "plan": "9dab90ba27f676d7",
-    "farm": "fuzz-fuzz-farm-1-7157262fa7b02ab8-cb92fe41759844c0-t0-67953ad3d4830e96",
+    "farm": "fuzz-fuzz-farm-1-45ee3e2603c32233-daf19b87535abc70-t0-67953ad3d4830e96",
     "farm_seed0": "2f1a7753d0cf0691",
 }
 
@@ -203,7 +205,7 @@ class TestTaskSpecs:
         # The retired in-process dict aliased coarse keys; fingerprints
         # must separate any two configs differing in a component choice.
         base = HMCConfig.cfg_4link_4gb()
-        swapped = HMCConfig.cfg_4link_4gb(xbar="ideal")
+        swapped = HMCConfig.cfg_4link_4gb(vault_scheduler="round_robin")
         assert config_fingerprint(base) != config_fingerprint(swapped)
         assert component_fingerprint(base) != component_fingerprint(swapped)
         assert cache_key(mutex_spec(base, 2)) != cache_key(

@@ -20,7 +20,7 @@ from repro.hmc.commands import (
     hmc_rqst_t,
 )
 from repro.hmc.config import HMCConfig
-from repro.hmc.memory import ChunkedMemoryBackend, MemoryBackend
+from repro.hmc.memory import MemoryBackend
 from repro.hmc.sim import HMCSim
 from tests.hmc import amo_read_write
 
@@ -479,12 +479,9 @@ _VIEW_BASE = 2048 + 40
 
 
 def _store(geometry):
-    """``(backend, memory the atomic runs on)``: a 4 KiB-page store, a
-    64 KiB-chunk store, or a view at ``_VIEW_BASE`` of a 4 KiB-page one."""
-    if geometry == "chunked":
-        backend = ChunkedMemoryBackend(3 << 16)
-    else:
-        backend = MemoryBackend(4 << 12)
+    """``(backend, memory the atomic runs on)``: a 4 KiB-page store, or a
+    view at ``_VIEW_BASE`` of one."""
+    backend = MemoryBackend(4 << 12)
     if geometry == "view":
         return backend, backend.view(_VIEW_BASE, 3 << 12)
     return backend, backend
@@ -517,13 +514,13 @@ class TestInPlaceAgainstReadWrite:
     oracle shares these handlers (``reference_amo``), so they are checked
     here on their own: against the read-then-write unit kept verbatim in
     ``amo_read_write`` (which also pins which pages get materialized) and
-    against the pure-``int`` model, on every page geometry."""
+    against the pure-``int`` model, on the store and on a rebased view."""
 
     @given(
         code=st.sampled_from(sorted(AMO_TABLE)),
         off=st.sampled_from(_PAGE_OFFSETS),
         cold=st.sampled_from(sorted(_COLD_PAGES)),
-        geometry=st.sampled_from(("paged", "chunked", "view")),
+        geometry=st.sampled_from(("paged", "view")),
         m=_operand,
         p=_operand,
     )
@@ -545,7 +542,7 @@ class TestInPlaceAgainstReadWrite:
     def test_target_past_the_end_fails_alike(self):
         """A 16-byte operand over the last 8 bytes is refused with no
         page materialized; an 8-byte one there executes."""
-        for geometry in ("paged", "chunked", "view"):
+        for geometry in ("paged", "view"):
             for code, (_, rqst_bytes, _, name, width, _) in AMO_TABLE.items():
                 seen = []
                 for execute in (execute_amo, amo_read_write.execute_amo):
@@ -562,17 +559,16 @@ class TestInPlaceAgainstReadWrite:
                 if width == 16:
                     assert seen[0] == ("HMCAddressError", []), name
 
-    @pytest.mark.parametrize("memory", ["paged", "chunked"])
-    def test_datapath_agrees_with_execute_amo(self, memory):
+    def test_datapath_agrees_with_execute_amo(self):
         """``process_rqst`` runs the resident-page case in its own frame.
         On cube 1 of a chain (a view rebased past cube 0) its responses
         and the pages it materializes must be ``execute_amo``'s, and cube
         0's pages at the same local addresses must stay untouched."""
         filler = bytes(range(0xF0, 0x100))
         for code, (_, rqst_bytes, _, name, _, _) in sorted(AMO_TABLE.items()):
-            sim = HMCSim(HMCConfig(num_devs=2, capacity=2, memory=memory))
-            ref = type(sim.backend)(sim.config.capacity_bytes)
-            cube0 = type(sim.backend)(sim.config.capacity_bytes)
+            sim = HMCSim(HMCConfig(num_devs=2, capacity=2))
+            ref = MemoryBackend(sim.config.capacity_bytes)
+            cube0 = MemoryBackend(sim.config.capacity_bytes)
             psize = sim.backend.page_size
             cases = [
                 (off, resident, payload)

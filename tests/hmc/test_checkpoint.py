@@ -119,7 +119,7 @@ class TestMidFlightTopology:
         sim = HMCSim(cfg4)
         p = save_checkpoint(sim, tmp_path / "cp.json")
         doc = json.loads(p.read_text())
-        for seam in ("xbar", "vault_scheduler", "link_flow", "topology", "memory"):
+        for seam in ("xbar", "vault_scheduler", "link_flow"):
             assert seam in doc["config"]
         other = HMCSim(HMCConfig.cfg_4link_4gb(vault_scheduler="round_robin"))
         with pytest.raises(HMCSimError, match="does not match"):
@@ -507,6 +507,28 @@ class TestMalformedFiles:
         p.write_text(json.dumps(doc))
         with pytest.raises(HMCSimError, match="cp.json is malformed: ValueError"):
             restore_checkpoint(HMCSim(cfg4), p)
+
+    def test_unknown_register_is_named(self, cfg4, tmp_path):
+        sim = HMCSim(cfg4)
+        sim.jtag_reg_write(0, HMC_REG["EDR3"], 5)
+        p = save_checkpoint(sim, tmp_path / "cp.json")
+        p.write_text(p.read_text().replace('"EDR3"', '"EDRX"'))
+        with pytest.raises(HMCSimError) as exc:
+            restore_checkpoint(HMCSim(cfg4), p)
+        assert "unknown register 'EDRX'" in str(exc.value)
+        assert "missing key" not in str(exc.value)
+
+    def test_file_naming_memory_and_topology_seams_is_refused(self, cfg4, tmp_path):
+        # Files written while memory and topology were seams carry
+        # their selections in the fingerprint, which no target has now.
+        p = save_checkpoint(HMCSim(cfg4), tmp_path / "cp.json")
+        doc = json.loads(p.read_text())
+        doc["config"].update(memory="paged", topology="chain")
+        p.write_text(json.dumps(doc))
+        with pytest.raises(HMCSimError, match="does not match") as exc:
+            restore_checkpoint(HMCSim(cfg4), p)
+        assert "memory: checkpoint has 'paged'" in str(exc.value)
+        assert "topology: checkpoint has 'chain'" in str(exc.value)
 
     def _refused_by_name(self, cfg4, tmp_path, version):
         sim = HMCSim(cfg4)

@@ -26,11 +26,11 @@ from repro.faults.plan import FaultPlan
 from repro.hmc.bank import Bank
 from repro.hmc.checkpoint import restore_checkpoint, save_checkpoint
 from repro.hmc.commands import hmc_rqst_t
-from repro.hmc.components import MemoryModel
 from repro.hmc.config import HMCConfig, resolve_config
 from repro.hmc.device import Device
 from repro.hmc.flow import ErrorModel, LinkFlowModel, LinkFlowState
 from repro.hmc.link import Link
+from repro.hmc.memory import MemoryBackend
 from repro.hmc.power import PowerReport
 from repro.hmc.queue import StallQueue
 from repro.hmc.registers import RegisterFile
@@ -195,7 +195,6 @@ REBUILT: Dict[type, Dict[str, str]] = {
         "_row_lo": _DERIVED,
         "_row_mask": _DERIVED,
         "_quads_of_vaults": _DERIVED,
-        "_quads_of_links": _DERIVED,
         "_send_hook": "a capability of the configured crossbar",
         "_cycle_hook": "a capability of the configured crossbar",
         "queues": "a list of the parts' queues, which the parts checkpoint",
@@ -208,7 +207,6 @@ REBUILT: Dict[type, Dict[str, str]] = {
     Topology: {
         "sim": _WIRING,
         "hop_cycles": _CONFIG,
-        "kind": _CONFIG,
         "_rqst_wire": _QUIESCED,
         "_rsp_wire": _QUIESCED,
     },
@@ -257,7 +255,7 @@ def _norm(value: Any) -> Any:
     """A comparable form of a checkpointed value."""
     if isinstance(value, LinkFlowState):
         return _norm(vars(value))
-    if isinstance(value, MemoryModel):
+    if isinstance(value, MemoryBackend):
         return list(value.iter_resident())
     if isinstance(value, CMCRegistry):
         return [(op.source, op.cmd, op.executions, op.active) for op in value.operations()]

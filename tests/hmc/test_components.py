@@ -4,10 +4,10 @@ Every implementation registered under a seam must honour that seam's
 interface contract — these tests parametrize over the *live* registry,
 so a third-party component registered before the suite runs is held to
 the same invariants as the built-ins.  The digest-parity tests at the
-bottom pin the refactor's semantic guarantees: the ``ideal`` crossbar
-and the ``round_robin`` scheduler may change *timing*, but on the
-parity workloads (single-location mutex traffic, commutative GUPS XOR
-updates) they must reach bit-identical memory state.
+bottom pin the refactor's semantic guarantees: the ``round_robin``
+scheduler may change *timing*, but on the parity workloads
+(single-location mutex traffic, commutative GUPS XOR updates) it must
+reach bit-identical memory state.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from repro.cmc_ops.mutex import init_lock, load_mutex_ops
-from repro.errors import ComponentError, HMCAddressError, HMCConfigError
+from repro.errors import ComponentError, HMCConfigError
 from repro.hmc.commands import hmc_rqst_t
 from repro.hmc.components import (
     _SEAM_SPEC,
@@ -24,10 +24,8 @@ from repro.hmc.components import (
     SILENT_NONE,
     CrossbarModel,
     LinkFlow,
-    MemoryModel,
     PowerModel,
     TimingModel,
-    TopologyRouter,
     VaultScheduler,
     create,
     register_component,
@@ -45,8 +43,6 @@ _IFACE = {
     "xbar": CrossbarModel,
     "vault_scheduler": VaultScheduler,
     "link_flow": LinkFlow,
-    "topology": TopologyRouter,
-    "memory": MemoryModel,
     "timing": TimingModel,
     "power": PowerModel,
 }
@@ -96,39 +92,29 @@ class TestRegistry:
     def test_decorator_registers_and_returns_factory(self):
         try:
 
-            @register_component("memory", "_test_tmp")
-            class _TmpMem(MemoryModel):
-                def __init__(self, capacity):
-                    self.capacity = capacity
+            @register_component("vault_scheduler", "_test_tmp")
+            class _TmpSched(VaultScheduler):
+                def __init__(self, config):
+                    self.config = config
 
-                def read(self, addr, nbytes):
-                    return bytes(nbytes)
-
-                def write(self, addr, data):
+                def scan(self, vault, device, cycle):
                     pass
 
-                def view(self, base, size):
-                    return self
-
-                def iter_resident(self):
-                    return iter(())
-
-                def clear(self):
-                    pass
-
-            assert COMPONENTS["memory"].has("_test_tmp")
-            made = create("memory", "_test_tmp", 64)
-            assert isinstance(made, _TmpMem)
+            assert COMPONENTS["vault_scheduler"].has("_test_tmp")
+            made = create("vault_scheduler", "_test_tmp", HMCConfig.cfg_4link_4gb())
+            assert isinstance(made, _TmpSched)
             # ...and the key is immediately valid in HMCConfig.
-            cfg = HMCConfig.cfg_4link_4gb(memory="_test_tmp")
-            assert cfg.memory == "_test_tmp"
+            cfg = HMCConfig.cfg_4link_4gb(vault_scheduler="_test_tmp")
+            assert cfg.vault_scheduler == "_test_tmp"
             # ...and fingerprints through the registry, not a declaration.
-            assert COMPONENTS["memory"].identity("_test_tmp").endswith(".<locals>._TmpMem")
+            assert COMPONENTS["vault_scheduler"].identity("_test_tmp").endswith(
+                ".<locals>._TmpSched"
+            )
             assert component_fingerprint(cfg) != component_fingerprint(
                 HMCConfig.cfg_4link_4gb()
             )
         finally:
-            del COMPONENTS["memory"]._entries["_test_tmp"]
+            del COMPONENTS["vault_scheduler"]._entries["_test_tmp"]
 
     def test_declared_identities_are_the_registered_ones(self):
         # A config validates and fingerprints its built-in selections
@@ -141,7 +127,7 @@ class TestRegistry:
             for key, impl in COMPONENTS[seam].classes().items()  # imports all
             if impl.__module__.startswith("repro.")
         }
-        assert len(declared) == 15
+        assert len(declared) == 10
         assert live == declared
 
     def test_config_rejects_unregistered_selection(self):
@@ -194,12 +180,11 @@ class TestCrossbarContract:
         xb.inject(0, "r")
         xb.push_response(2, "p")
         assert (xb.rqst_occ, xb.rsp_occ) == (1, 1)
-        if key != "ideal":
-            # A refused entry stalls and is not counted.
-            assert xb.inject(0, "r2") and not xb.inject(0, "r3")
-            assert xb.push_response(2, "p2") and not xb.push_response(2, "p3")
-            assert (xb.rqst_occ, xb.rsp_occ) == (2, 2)
-            assert (xb.rqst_queues[0].stalls, xb.rsp_queues[2].stalls) == (1, 1)
+        # A refused entry stalls and is not counted.
+        assert xb.inject(0, "r2") and not xb.inject(0, "r3")
+        assert xb.push_response(2, "p2") and not xb.push_response(2, "p3")
+        assert (xb.rqst_occ, xb.rsp_occ) == (2, 2)
+        assert (xb.rqst_queues[0].stalls, xb.rsp_queues[2].stalls) == (1, 1)
 
     def test_drain_returns_to_empty(self, key):
         # The device drains the queues itself, so through the device.
@@ -318,75 +303,6 @@ class TestTimingPowerContract:
         assert (getattr(sim, seam) is None) == (key == "none")
 
 
-@pytest.mark.parametrize("key", COMPONENTS["topology"].keys())
-class TestTopologyContract:
-    def test_implements_interface(self, key):
-        sim = HMCSim(HMCConfig(num_devs=3, capacity=2, topology=key))
-        assert isinstance(sim.topology, _IFACE["topology"])
-
-    def test_hop_distance_axioms(self, key):
-        sim = HMCSim(HMCConfig(num_devs=3, capacity=2, topology=key))
-        topo = sim.topology
-        for a in range(3):
-            assert topo.hop_distance(a, a) == 0
-            for b in range(3):
-                assert topo.hop_distance(a, b) == topo.hop_distance(b, a)
-                assert topo.hop_distance(a, b) >= 0
-
-    def test_cross_cube_roundtrip(self, key):
-        sim = HMCSim(HMCConfig(num_devs=3, capacity=2, topology=key))
-        sim.mem_write(0x40, b"\x77" * 16, dev=2)
-        sim.send(sim.build_memrequest(hmc_rqst_t.RD16, 0x40, 5, cub=2))
-        sim.drain()
-        rsp = sim.recv()
-        assert rsp is not None and rsp.data == b"\x77" * 16
-        assert sim.topology.in_transit == 0
-        assert sim.topology.forwarded_requests >= 1
-
-
-@pytest.mark.parametrize("key", COMPONENTS["memory"].keys())
-class TestMemoryContract:
-    def _make(self, key, cap=1 << 20):
-        return create("memory", key, cap)
-
-    def test_implements_interface_and_capacity(self, key):
-        mem = self._make(key)
-        assert isinstance(mem, _IFACE["memory"])
-        assert mem.capacity == 1 << 20
-
-    def test_cold_reads_are_zero(self, key):
-        assert self._make(key).read(0x1234, 64) == bytes(64)
-
-    def test_write_read_roundtrip(self, key):
-        mem = self._make(key)
-        mem.write(0xFF0, bytes(range(32)))  # straddles a 4 KiB boundary
-        assert mem.read(0xFF0, 32) == bytes(range(32))
-
-    def test_bounds_checked(self, key):
-        mem = self._make(key)
-        with pytest.raises(HMCAddressError):
-            mem.read(mem.capacity - 4, 8)
-        with pytest.raises(HMCAddressError):
-            mem.write(-1, b"x")
-
-    def test_view_rebases(self, key):
-        mem = self._make(key)
-        view = mem.view(0x10000, 0x1000)
-        view.write(0, b"hello")
-        assert mem.read(0x10000, 5) == b"hello"
-        with pytest.raises(HMCAddressError):
-            view.read(0x1000, 1)
-
-    def test_iter_resident_and_clear(self, key):
-        mem = self._make(key)
-        mem.write(0, b"\x01")
-        regions = list(mem.iter_resident())
-        assert regions and regions[0][0] == 0
-        mem.clear()
-        assert list(mem.iter_resident()) == []
-        assert mem.read(0, 1) == b"\x00"
-
-
 # ---------------------------------------------------------------------------
 # Digest parity: alternative components preserve memory semantics
 # ---------------------------------------------------------------------------
@@ -425,30 +341,12 @@ class TestDigestParity:
     default on workloads where ordering cannot matter: the mutex hot
     spot serializes on one lock word, and GUPS XOR updates commute."""
 
-    def test_ideal_xbar_preserves_mutex_state(self):
-        assert _mutex_digest(HMCConfig.cfg_4link_4gb()) == _mutex_digest(
-            HMCConfig.cfg_4link_4gb(xbar="ideal")
-        )
-
     def test_round_robin_scheduler_preserves_mutex_state(self):
         assert _mutex_digest(HMCConfig.cfg_4link_4gb()) == _mutex_digest(
             HMCConfig.cfg_4link_4gb(vault_scheduler="round_robin")
         )
 
-    def test_ideal_xbar_preserves_gups_state(self):
-        assert _gups_digest(HMCConfig.cfg_4link_4gb()) == _gups_digest(
-            HMCConfig.cfg_4link_4gb(xbar="ideal")
-        )
-
     def test_round_robin_scheduler_preserves_gups_state(self):
         assert _gups_digest(HMCConfig.cfg_4link_4gb()) == _gups_digest(
             HMCConfig.cfg_4link_4gb(vault_scheduler="round_robin")
-        )
-
-    def test_chunked_memory_is_digest_identical(self):
-        assert _mutex_digest(HMCConfig.cfg_4link_4gb()) == _mutex_digest(
-            HMCConfig.cfg_4link_4gb(memory="chunked")
-        )
-        assert _gups_digest(HMCConfig.cfg_4link_4gb()) == _gups_digest(
-            HMCConfig.cfg_4link_4gb(memory="chunked")
         )

@@ -56,8 +56,6 @@ class TestValidation:
             HMCConfig(link_rsp_rate=0)
         with pytest.raises(HMCConfigError):
             HMCConfig(vault_rsp_rate=0)
-        with pytest.raises(HMCConfigError):
-            HMCConfig(nonlocal_hop_cycles=-1)
 
     def test_frozen(self):
         cfg = HMCConfig()

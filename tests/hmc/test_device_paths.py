@@ -113,22 +113,8 @@ class TestCounters:
 
 
 class TestNonlocalHops:
-    def test_hop_penalty_delays_nonlocal_requests(self):
-        cfg = HMCConfig.cfg_4link_4gb(nonlocal_hop_cycles=3)
-        sim = HMCSim(cfg)
-        # Vault 0 lives in quad 0 = link 0's quad; link 3 is non-local.
-        results = {}
-        for link in (0, 3):
-            pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0, link)
-            sim.send(pkt, link=link)
-        for _ in range(20):
-            sim.clock()
-            for link in (0, 3):
-                rsp = sim.recv(link=link)
-                if rsp is not None:
-                    results[link] = sim.cycle
-        assert results[0] < results[3]
-        assert results[3] - results[0] == 3
+    """A request pays nothing for entering on a link outside its
+    vault's quadrant: every link answers in the same cycle."""
 
     def test_zero_hop_default_symmetric(self, sim):
         results = {}

@@ -21,13 +21,11 @@ class TestOccupancySeries:
         s = OccupancySeries("q")
         assert s.peak == 0
         assert s.mean == 0.0
-        assert s.nonzero_fraction == 0.0
 
     def test_statistics(self):
         s = OccupancySeries("q", samples=[0, 2, 4, 0])
         assert s.peak == 4
         assert s.mean == 1.5
-        assert s.nonzero_fraction == 0.5
 
 
 class TestSampler:

@@ -124,56 +124,3 @@ class TestDrainWithChain:
 
         with pytest.raises(ValueError):
             Topology(chain2, hop_cycles=0)
-
-    def test_topology_rejects_bad_kind(self, chain2):
-        from repro.hmc.topology import Topology
-
-        with pytest.raises(ValueError):
-            Topology(chain2, kind="torus")
-
-
-class TestRingTopology:
-    @pytest.fixture
-    def ring4(self):
-        return HMCSim(HMCConfig(num_devs=4, capacity=2, topology="ring"))
-
-    def test_hop_distance_wraps(self, ring4):
-        # Cube 0 -> cube 3 is one hop backward around the ring.
-        assert ring4.topology.hop_distance(0, 3) == 1
-        assert ring4.topology.hop_distance(0, 2) == 2
-        assert ring4.topology.hop_distance(0, 1) == 1
-
-    def test_chain_distance_does_not_wrap(self, chain4):
-        assert chain4.topology.hop_distance(0, 3) == 3
-
-    def test_ring_shortcut_is_faster(self, chain4, ring4):
-        cycles = {}
-        for sim, name in ((chain4, "chain"), (ring4, "ring")):
-            pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0, 1, cub=3)
-            sim.send(pkt, dev=0)
-            start = sim.cycle
-            run_until_response(sim, max_cycles=300)
-            cycles[name] = sim.cycle - start
-        assert cycles["ring"] < cycles["chain"]
-
-    def test_ring_request_completes_and_writes(self, ring4):
-        pkt = ring4.build_memrequest(
-            hmc_rqst_t.WR16, 0x80, 1, cub=3, data=b"R" * 16
-        )
-        ring4.send(pkt, dev=0)
-        rsp = run_until_response(ring4, max_cycles=300)
-        assert rsp.cub == 3
-        assert ring4.mem_read(0x80, 16, dev=3) == b"R" * 16
-
-    def test_ring_with_two_cubes_degenerates_to_chain(self):
-        sim = HMCSim(HMCConfig(num_devs=2, capacity=2, topology="ring"))
-        pkt = sim.build_memrequest(hmc_rqst_t.RD16, 0, 1, cub=1)
-        sim.send(pkt, dev=0)
-        assert run_until_response(sim).cub == 1
-
-    def test_every_cube_reachable_on_ring(self, ring4):
-        for cub in range(4):
-            pkt = ring4.build_memrequest(hmc_rqst_t.RD16, 0, cub + 10, cub=cub)
-            ring4.send(pkt, dev=0)
-            rsp = run_until_response(ring4, max_cycles=300)
-            assert rsp.cub == cub

@@ -187,13 +187,13 @@ class TestComponentFlag:
         rc, out = run_cli("info")
         assert rc == 0
         assert "pipeline components" in out
-        assert "xbar: ideal, queued*" in out
+        assert "xbar: queued*, vector" in out
         assert "vault_scheduler: fifo*, round_robin" in out
 
     def test_kernel_with_component_override(self):
         rc, out = run_cli(
             "kernel", "mutex", "--threads", "4",
-            "--component", "xbar=ideal",
+            "--component", "link_flow=tokens",
             "--component", "vault_scheduler=round_robin",
         )
         assert rc == 0
@@ -214,11 +214,11 @@ class TestComponentFlag:
     def test_configs_apply_overrides(self):
         from repro.hmc.config import CONFIGS, resolve_config
 
-        overrides = [("xbar", "ideal"), ("memory", "chunked")]
+        overrides = [("vault_scheduler", "round_robin"), ("link_flow", "tokens")]
         for cfg in (resolve_config(name, overrides) for name in CONFIGS):
-            assert cfg.xbar == "ideal"
-            assert cfg.memory == "chunked"
-            assert cfg.vault_scheduler == "fifo"  # untouched seams keep defaults
+            assert cfg.vault_scheduler == "round_robin"
+            assert cfg.link_flow == "tokens"
+            assert cfg.xbar == "queued"  # untouched seams keep defaults
 
 
 class TestRefusedInput:
@@ -265,6 +265,22 @@ class TestRefusedInput:
         assert out.getvalue() == std.out == ""
         assert "Traceback" not in std.err and "argument --fault" in std.err
         assert all(name in std.err for name in named)
+
+    @pytest.mark.parametrize(
+        "spec,named",
+        [
+            ("xbar=ideal", "known keys: queued, vector"),
+            ("topology=ring", "unknown seam 'topology'"),
+            ("memory=chunked", "unknown seam 'memory'"),
+        ],
+    )
+    def test_removed_component_refused(self, spec, named, capsys):
+        argv = ["kernel", "mutex", "--threads", "2", "--component", spec]
+        with pytest.raises(SystemExit) as exc:
+            main(argv, out=io.StringIO())
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert exc.value.code == 2
+        assert len(errors) == 1 and named in errors[0]
 
     def test_oracle_sample_under_a_fault_plan(self, capsys):
         rc, _ = run_cli(

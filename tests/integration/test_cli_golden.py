@@ -76,7 +76,7 @@ CASES = {
             "open": ["--mode", "open"],
             "open-depth": ["--mode", "open", "--depth", "8"],
             "8link": ["--config", "8link"],
-            "ideal-xbar": ["--component", "xbar=ideal"],
+            "round-robin": ["--component", "vault_scheduler=round_robin"],
         }.items()
     },
     "fuzz-trace": [_RECORD, ["fuzz", "--trace", TRACE]],

@@ -153,8 +153,11 @@ class TestStreams:
             name = submitter.create()
             watcher.attach(name, replay=False)
             submitter.submit(name, "workload", _mutex(), wait=True)
-            msg = watcher.wait_result(name, 1)
-            assert msg["ok"] is True
+            msg = next(
+                m for m in watcher.events()
+                if m.get("type") == "result" and m.get("submission") == 1
+            )
+            assert msg["session"] == name and msg["ok"] is True
             assert msg["payload"]["workload"] == "mutex"
 
     def test_close_session(self, make_server):

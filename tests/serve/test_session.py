@@ -41,8 +41,17 @@ class TestConfig:
         assert exc.value.code == "bad_request"
 
     def test_component_override_applies(self):
-        cfg = build_session_config("4link_4gb", {"xbar": "ideal"})
-        assert cfg.xbar == "ideal"
+        cfg = build_session_config("4link_4gb", {"vault_scheduler": "round_robin"})
+        assert cfg.vault_scheduler == "round_robin"
+
+    @pytest.mark.parametrize(
+        "components",
+        [{"xbar": "ideal"}, {"topology": "ring"}, {"memory": "chunked"}],
+    )
+    def test_removed_component_refused(self, components):
+        with pytest.raises(ServeError) as exc:
+            build_session_config("4link_4gb", components)
+        assert exc.value.code == "bad_request"
 
 
 class TestJournal:

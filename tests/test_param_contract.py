@@ -24,8 +24,10 @@ row keeps its accept/refuse outcome, except a value whose type differs
 from the default's (a float or a bool for an integer, a bool or a
 string for a number, anything but a bool for a flag): those refuse now,
 at parse time, with the owner's error class and a message naming the
-parameter and the value.  Fingerprints and cache keys never move: the
-resolver returns values as given, without coercing them.
+parameter and the value.  The resolver returns values as given, without
+coercing them, so it moves no fingerprint or cache key.  The cache keys
+moved once since, when the ``memory`` and ``topology`` seams and
+``nonlocal_hop_cycles`` left the configuration and its fingerprints.
 
 ``PYTHONPATH=src python tests/test_param_contract.py`` REWRITES the
 golden; only after an intended change of what a parameter accepts.
@@ -63,7 +65,6 @@ CONFIG_DOMAINS: Dict[str, Any] = {
     "xbar_depth": (2, None),
     "bsize": frozenset({32, 64, 128, 256}),
     "check_crc": None,
-    "nonlocal_hop_cycles": (0, None),
     "link_rsp_rate": (1, None),
     "vault_rsp_rate": (1, None),
     "addr_interleave": frozenset({"vault", "bank"}),

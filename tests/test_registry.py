@@ -27,11 +27,11 @@ from repro.workloads.registry import WORKLOADS
 KEY = "_contract_tmp"
 
 
-def _memory_a(capacity):
+def _scheduler_a(config):
     return None
 
 
-def _memory_b(capacity):
+def _scheduler_b(config):
     return None
 
 
@@ -61,7 +61,7 @@ def _fault(factory):
 
 #: domain -> (live registry, two distinct entries for one key).
 CASES = {
-    "components": (COMPONENTS["memory"], _memory_a, _memory_b),
+    "components": (COMPONENTS["vault_scheduler"], _scheduler_a, _scheduler_b),
     "faults": (FAULTS, _fault(_InjectorA), _fault(_InjectorB)),
     "workloads": (WORKLOADS, _WorkloadA, _WorkloadB),
 }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WorkloadError
+from repro.faults.plan import FaultPlan
 from repro.hmc.config import HMCConfig
 from repro.hmc.sim import HMCSim
 from repro.workloads.base import WorkloadFrontend
@@ -130,6 +131,28 @@ def test_run_prepares_a_bare_caller_sim(name):
     frontend.prepare(sim, params)
     assert frontend.run(cfg, params, sim=sim) == fresh
     assert frontend.verify(sim, params, fresh) is True
+
+
+def _crashing_sim(cfg):
+    return HMCSim(cfg, faults=FaultPlan.parse(["cmc_crash=0.2"], seed=1))
+
+
+@pytest.mark.parametrize("name", ["barrier", "ticket"])
+def test_a_faulty_caller_sim_is_refused_like_a_fault_plan(name):
+    # Faults attached to the caller's context are a fault plan all the
+    # same: these programs cannot recover from a crashed CMC op and
+    # deadlock instead.
+    cfg = HMCConfig.cfg_4link_4gb()
+    with pytest.raises(WorkloadError, match="does not support fault plans"):
+        WORKLOADS.get(name).run(
+            cfg, {"threads": 8, "max_cycles": 10_000}, sim=_crashing_sim(cfg)
+        )
+
+
+def test_mutex_runs_on_a_faulty_caller_sim():
+    cfg = HMCConfig.cfg_4link_4gb()
+    stats = WORKLOADS.get("mutex").run(cfg, {"threads": 8}, sim=_crashing_sim(cfg))
+    assert stats.faults_injected > 0
 
 
 # -- one place rejects out-of-range parameters ---------------------------------
